@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"sort"
-	"strconv"
 
 	"floatfl/internal/checkpoint"
 	"floatfl/internal/rl"
@@ -16,16 +15,16 @@ import (
 // checkpoint encodings; []byte fields marshal as base64, and the int-keyed
 // maps marshal with sorted keys, keeping the whole encoding byte-stable.
 type floatState struct {
-	PerClientMode bool                `json:"per_client_mode"`
-	Agent         []byte              `json:"agent,omitempty"`
-	PerClient     map[string][]byte   `json:"per_client,omitempty"`
-	Pending       map[string]rl.State `json:"pending,omitempty"`
+	PerClientMode bool             `json:"per_client_mode"`
+	Agent         []byte           `json:"agent,omitempty"`
+	PerClient     map[int][]byte   `json:"per_client,omitempty"`
+	Pending       map[int]rl.State `json:"pending,omitempty"`
 }
 
 // CheckpointState captures the controller: the collective agent (or every
 // materialized per-client agent) plus the pending decision states.
 func (f *Float) CheckpointState() ([]byte, error) {
-	st := floatState{PerClientMode: f.agent == nil}
+	st := floatState{PerClientMode: f.agent == nil, Pending: f.pending}
 	if f.agent != nil {
 		blob, err := f.agent.CheckpointState()
 		if err != nil {
@@ -33,23 +32,14 @@ func (f *Float) CheckpointState() ([]byte, error) {
 		}
 		st.Agent = blob
 	} else {
-		st.PerClient = make(map[string][]byte, len(f.perClient))
-		ids := make([]int, 0, len(f.perClient))
-		for id := range f.perClient {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			blob, err := f.perClient[id].CheckpointState()
+		st.PerClient = make(map[int][]byte, len(f.perClient))
+		for id, a := range f.perClient {
+			blob, err := a.CheckpointState()
 			if err != nil {
 				return nil, err
 			}
-			st.PerClient[strconv.Itoa(id)] = blob
+			st.PerClient[id] = blob
 		}
-	}
-	st.Pending = make(map[string]rl.State, len(f.pending))
-	for id, s := range f.pending {
-		st.Pending[strconv.Itoa(id)] = s
 	}
 	return json.Marshal(st)
 }
@@ -67,14 +57,6 @@ func (f *Float) RestoreCheckpoint(data []byte) error {
 		return &checkpoint.CompatError{Field: "controller mode",
 			Got: modeName(got), Want: modeName(want)}
 	}
-	pending := make(map[int]rl.State, len(st.Pending))
-	for k, s := range st.Pending {
-		id, err := strconv.Atoi(k)
-		if err != nil {
-			return &checkpoint.FormatError{Reason: "float controller state: bad pending key " + k}
-		}
-		pending[id] = s
-	}
 	if f.agent != nil {
 		if err := f.agent.RestoreCheckpoint(st.Agent); err != nil {
 			return err
@@ -83,11 +65,7 @@ func (f *Float) RestoreCheckpoint(data []byte) error {
 		// Recreate agents in sorted ID order so idempotent metric
 		// registration happens in a deterministic sequence.
 		ids := make([]int, 0, len(st.PerClient))
-		for k := range st.PerClient {
-			id, err := strconv.Atoi(k)
-			if err != nil {
-				return &checkpoint.FormatError{Reason: "float controller state: bad client key " + k}
-			}
+		for id := range st.PerClient {
 			ids = append(ids, id)
 		}
 		sort.Ints(ids)
@@ -96,13 +74,16 @@ func (f *Float) RestoreCheckpoint(data []byte) error {
 		f.perClient = fresh
 		for _, id := range ids {
 			a := f.agentFor(id)
-			if err := a.RestoreCheckpoint(st.PerClient[strconv.Itoa(id)]); err != nil {
+			if err := a.RestoreCheckpoint(st.PerClient[id]); err != nil {
 				f.perClient = prev
 				return err
 			}
 		}
 	}
-	f.pending = pending
+	f.pending = st.Pending
+	if f.pending == nil {
+		f.pending = make(map[int]rl.State)
+	}
 	return nil
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"floatfl/internal/device"
@@ -104,5 +106,50 @@ func TestCollectiveSummaryMatchesAgent(t *testing.T) {
 	}
 	if sum.Updates != f.Agent().Updates() || sum.States != f.Agent().StatesVisited() {
 		t.Fatal("summary disagrees with the collective agent")
+	}
+}
+
+// TestPerClientCheckpointBytesPinned pins the per-client controller's
+// checkpoint encoding — integer-keyed agent and pending maps, with
+// multi-digit client IDs — to the digest recorded at commit 4bb187b, and
+// requires restore to reproduce it. Three decisions are left pending, as
+// at an async boundary.
+func TestPerClientCheckpointBytesPinned(t *testing.T) {
+	const want = "6fc3a40b5243de9b5f954d4d2d8642d5c9fd4e3277ad34c70cf8d69b72a78f74"
+	pop, err := device.NewPopulation(device.PopulationConfig{
+		Clients: 12, Scenario: trace.ScenarioDynamic, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := perClientFloat(1)
+	for round := 0; round < 4; round++ {
+		for _, c := range pop {
+			res := c.ResourcesAt(round)
+			tech := f.Decide(round, c, res, 0)
+			if round == 3 && c.ID%4 == 2 {
+				continue // decided, no feedback yet
+			}
+			f.Feedback(round, c, tech, device.Outcome{Completed: c.ID%3 != 0, Resources: res}, 0.01*float64(c.ID))
+		}
+	}
+	blob, err := f.CheckpointState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("checkpoint digest %s, want %s", got, want)
+	}
+	g := perClientFloat(1)
+	if err := g.RestoreCheckpoint(blob); err != nil {
+		t.Fatal(err)
+	}
+	again, err := g.CheckpointState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(blob) {
+		t.Fatal("restored controller re-encodes differently")
 	}
 }

@@ -5,7 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"floatfl/internal/data"
+	"floatfl/internal/device"
 	"floatfl/internal/nn"
+	"floatfl/internal/population"
 	"floatfl/internal/tensor"
 )
 
@@ -159,16 +162,25 @@ func TestApplyAggregateSingleClientRound(t *testing.T) {
 	}
 }
 
+// TestMeanShardSize: the population facade's exact eager path floors at 1 —
+// no clients and all-empty shards must not reach workSpecFor as zero.
 func TestMeanShardSize(t *testing.T) {
-	if got := meanShardSize(nil); got != 1 {
-		t.Fatalf("empty federation mean shard = %d, want 1", got)
-	}
-	if got := meanShardSize([][]nn.Sample{{}, {}}); got != 1 {
-		t.Fatalf("all-empty shards mean = %d, want 1", got)
-	}
-	shards := [][]nn.Sample{make([]nn.Sample, 10), make([]nn.Sample, 20)}
-	if got := meanShardSize(shards); got != 15 {
-		t.Fatalf("mean shard = %d, want 15", got)
+	for _, tc := range []struct {
+		name   string
+		shards [][]nn.Sample
+		want   int
+	}{
+		{"empty federation", nil, 1},
+		{"all-empty shards", [][]nn.Sample{{}, {}}, 1},
+		{"10 and 20", [][]nn.Sample{make([]nn.Sample, 10), make([]nn.Sample, 20)}, 15},
+	} {
+		p, err := population.WrapEager(&data.Federation{Train: tc.shards}, make([]*device.Client, len(tc.shards)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.MeanShardSize(); got != tc.want {
+			t.Fatalf("%s: mean shard = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 

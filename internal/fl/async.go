@@ -4,16 +4,13 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"floatfl/internal/data"
 	"floatfl/internal/device"
-	"floatfl/internal/metrics"
 	"floatfl/internal/nn"
 	"floatfl/internal/obs"
 	"floatfl/internal/opt"
 	"floatfl/internal/population"
-	"floatfl/internal/rngstate"
 	"floatfl/internal/selection"
 	"floatfl/internal/tensor"
 )
@@ -100,13 +97,6 @@ func evictStaleVersion(versions map[int]tensor.Vector, version, cap int) {
 // pair. It is a thin wrapper over RunAsyncPop with an eager population —
 // bit-identical to the historical engine (the committed goldens pin this).
 func RunAsync(fed *data.Federation, pop []*device.Client, ctrl Controller, cfg Config) (*Result, error) {
-	c := cfg.withDefaults()
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	if len(pop) == 0 {
-		return nil, fmt.Errorf("fl: population is empty")
-	}
 	p, err := population.WrapEager(fed, pop)
 	if err != nil {
 		return nil, err
@@ -137,340 +127,235 @@ func RunAsync(fed *data.Federation, pop []*device.Client, ctrl Controller, cfg C
 // considers, so resident state stays bounded by the provider caches plus
 // the in-flight set.
 func RunAsyncPop(p *population.Population, ctrl Controller, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	n := p.NumClients()
-	if n == 0 {
-		return nil, fmt.Errorf("fl: population is empty")
-	}
-	spec, err := nn.LookupSpec(cfg.Arch)
+	r, err := newRun(AsyncSnapshotKind, p, nil, ctrl, cfg)
 	if err != nil {
 		return nil, err
 	}
-	profile := p.Profile()
-	src := rngstate.New(cfg.Seed)
-	rng := rand.New(src)
-	global, err := nn.NewModel(cfg.Arch, profile.Dim, profile.Classes, rng)
+	return r.loop(r.asyncStep)
+}
+
+// asyncStep advances the event loop by one task completion: refill the
+// open slots, pop the earliest finisher, and — once BufferK updates are
+// buffered — run the aggregation barrier, the async engine's boundary.
+func (r *run) asyncStep() (stop bool, err error) {
+	withPhase("select", func() { err = r.launch() })
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	if err := setModelBackend(global, cfg.Backend); err != nil {
-		return nil, err
+	if r.tasks.Len() == 0 {
+		return false, fmt.Errorf("fl: FedBuff deadlocked with no in-flight tasks")
 	}
-
-	refWork := workSpecFor(spec, p.MeanShardSize(), cfg.Epochs)
-
-	// FedBuff is lenient: the per-task timeout is twice the synchronous
-	// auto deadline (explicit DeadlineSec overrides).
-	timeout := cfg.DeadlineSec
-	if timeout <= 0 {
-		timeout = 2 * deadlineFromEstimates(p.CleanResponseEstimates(refWork), cfg.DeadlinePercentile)
+	r.pop()
+	if len(r.pendingJobs) < r.cfg.BufferK {
+		return false, nil
 	}
-	// Traces advance one step per timeout interval of virtual time.
-	stepSec := timeout
-	stepOf := func(now float64) int { return int(now / stepSec) }
+	return r.barrier()
+}
 
-	ledger := metrics.NewLedger(n)
-	if !p.Eager() {
-		ledger = metrics.NewSparseLedger(n)
-	}
-	res := &Result{
-		Algorithm:   "fedbuff",
-		Controller:  ctrl.Name(),
-		Ledger:      ledger,
-		DeadlineSec: timeout,
-	}
-	hfDiff := make(map[int]float64)
-	eo := newEngineObs(cfg.Metrics, cfg.Tracer)
+// traceStep is the trace step the virtual clock is in: traces advance one
+// step per timeout interval.
+func (r *run) traceStep() int { return int(r.now / r.deadline) }
 
-	// Version-indexed snapshots of global parameters for stale training.
-	// Snapshot vectors are immutable once stored: pending training jobs
-	// read them concurrently. Parameters() aliases the (mutating) global
-	// model, so every snapshot must be cloned.
-	versions := map[int]tensor.Vector{0: global.Parameters().Clone()}
-	version := 0
-
-	inFlight := make(map[int]bool, cfg.Concurrency)
-	var tasks taskHeap
-	heap.Init(&tasks)
-	now := 0.0
-	pop := p.AllClients() // nil in lazy mode
-
-	// launchOne pins client id, runs the cost model, and pushes the task.
-	launchOne := func(id int) error {
-		c := p.AcquireClient(id)
-		shard := p.AcquireShard(id)
-		step := stepOf(now)
-		snap := c.ResourcesAt(step)
-		tech := ctrl.Decide(version, c, snap, hfDiff[id])
-		eo.decide(tech)
-		eo.selected.Inc()
-		work := workSpecFor(spec, len(shard.Train), cfg.Epochs)
-		out, err := device.Execute(c, step, work, tech, timeout)
-		if err != nil {
-			p.Release(id)
-			return err
-		}
-		dur := out.Cost.TotalSeconds
-		if dur <= 0 {
-			dur = 1 // unavailability is detected after a short ping
-		}
-		inFlight[id] = true
-		heap.Push(&tasks, asyncTask{
-			clientID:     id,
-			client:       c,
-			train:        shard.Train,
-			localTest:    shard.LocalTest,
-			startVersion: version,
-			finishAt:     now + dur,
-			outcome:      out,
-			tech:         tech,
-		})
-		return nil
-	}
-
-	useLazyLaunch := !p.Eager() || cfg.forceLazySelection
-	launch := func() error {
-		step0 := stepOf(now)
-		if !useLazyLaunch {
-			eligible := make([]int, 0, len(pop))
-			for _, c := range pop {
-				if !inFlight[c.ID] && c.ResourcesAt(step0).Available {
-					eligible = append(eligible, c.ID)
-				}
+// launch fills the open concurrency slots. The eager path scans the dense
+// pool for eligible clients and launches from a shuffle of them. The lazy
+// path walks a fresh random permutation under a probe budget proportional
+// to the open slots — deriving only probed clients, through the unpinned
+// cache; only actual launches pin.
+func (r *run) launch() error {
+	step := r.traceStep()
+	if !r.lazy {
+		pop := r.p.AllClients()
+		eligible := make([]int, 0, len(pop))
+		for _, c := range pop {
+			if !r.inFlight[c.ID] && c.ResourcesAt(step).Available {
+				eligible = append(eligible, c.ID)
 			}
-			rng.Shuffle(len(eligible), func(i, j int) { eligible[i], eligible[j] = eligible[j], eligible[i] })
-			for len(inFlight) < cfg.Concurrency && len(eligible) > 0 {
-				id := eligible[0]
-				eligible = eligible[1:]
-				if err := launchOne(id); err != nil {
-					return err
-				}
-			}
-			return nil
 		}
-		// Lazy launch: walk a fresh random permutation under a probe budget
-		// proportional to the open slots — deriving only probed clients —
-		// instead of the eager path's O(population) eligibility scan. A
-		// probe derives through the unpinned cache; only actual launches
-		// pin.
-		want := cfg.Concurrency - len(inFlight)
-		if want <= 0 {
-			return nil
-		}
-		probes := 8*want + 64
-		if probes > n {
-			probes = n
-		}
-		ps := selection.NewPermSampler(rng, n)
-		for ; probes > 0 && len(inFlight) < cfg.Concurrency; probes-- {
-			id, ok := ps.Next()
-			if !ok {
+		r.rng.Shuffle(len(eligible), func(i, j int) { eligible[i], eligible[j] = eligible[j], eligible[i] })
+		for _, id := range eligible {
+			if len(r.inFlight) >= r.cfg.Concurrency {
 				break
 			}
-			if inFlight[id] {
-				continue
-			}
-			if !p.Client(id).ResourcesAt(step0).Available {
-				continue
-			}
-			if err := launchOne(id); err != nil {
+			if err := r.launchOne(id); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-
-	var pendingJobs []asyncTrainJob
-	var pendingEvents []asyncEvent
-	pool := newContextPool(global)
-
-	aggregations := 0
-	evalCountdown := cfg.EvalEvery
-
-	// Checkpoint seam: restore against the freshly initialized state
-	// above; boundary hooks fire at the end of every aggregation barrier —
-	// the async engine's quiescent point, where the buffered-job and
-	// pending-event queues are empty and only the task heap is in flight.
-	ckState := &asyncRunState{
-		cfg: cfg, p: p, ctrl: ctrl, global: global, res: res,
-		hfDiff: hfDiff, src: src, timeout: timeout, useLazyLaunch: useLazyLaunch,
-		versions: versions, version: &version, now: &now,
-		evalCountdown: &evalCountdown, tasks: &tasks, inFlight: inFlight,
+	want := r.cfg.Concurrency - len(r.inFlight)
+	if want <= 0 {
+		return nil
 	}
-	if cfg.Checkpoint != nil && len(cfg.Checkpoint.Resume) > 0 {
-		a, err := ckState.restore(cfg.Checkpoint.Resume)
-		if err != nil {
-			return nil, fmt.Errorf("fl: resume: %w", err)
-		}
-		aggregations = a
+	n := r.p.NumClients()
+	probes := 8*want + 64
+	if probes > n {
+		probes = n
 	}
-
-	for aggregations < cfg.Rounds {
-		var launchErr error
-		withPhase("select", func() { launchErr = launch() })
-		if launchErr != nil {
-			return nil, launchErr
-		}
-		if tasks.Len() == 0 {
-			return nil, fmt.Errorf("fl: FedBuff deadlocked with no in-flight tasks")
-		}
-		task := heap.Pop(&tasks).(asyncTask)
-		now = task.finishAt
-		delete(inFlight, task.clientID)
-
-		out := task.outcome
-		if out.Reason == device.DropDeadline {
-			hfDiff[task.clientID] = out.DeadlineDiff
-		} else if out.Completed {
-			hfDiff[task.clientID] = 0
-		}
-
-		startParams, haveVersion := versions[task.startVersion]
-		staleness := version - task.startVersion
-		tooStale := isTooStale(staleness, cfg.StalenessCap, haveVersion)
-		eo.dev.Record(out)
-		eo.clientSpans(task.finishAt-out.Cost.TotalSeconds, task.startVersion, task.clientID, task.tech, out)
-		if out.Completed && tooStale {
-			// The update arrived but its base version is ancient: FedBuff
-			// discards it, so every resource it consumed is waste.
-			res.Ledger.RecordDiscarded(task.clientID, task.tech, out)
-			eo.discarded.Inc()
-			eo.span(obs.Span{T: task.finishAt, Kind: "discard", Round: task.startVersion, Client: task.clientID, Note: "stale"})
-		} else {
-			res.Ledger.Record(task.clientID, task.tech, out)
-			if out.Completed {
-				eo.completed.Inc()
-			} else {
-				eo.dropped.Inc()
-			}
-		}
-		trainIdx := -1
-		if out.Completed && !tooStale {
-			trainIdx = len(pendingJobs)
-			pendingJobs = append(pendingJobs, asyncTrainJob{
-				clientID:    task.clientID,
-				tech:        task.tech,
-				round:       version,
-				staleness:   staleness,
-				startParams: startParams,
-				train:       task.train,
-				localTest:   task.localTest,
-			})
-		}
-		pendingEvents = append(pendingEvents, asyncEvent{
-			version:  version,
-			clientID: task.clientID,
-			client:   task.client,
-			tech:     task.tech,
-			out:      out,
-			trainIdx: trainIdx,
-		})
-
-		if len(pendingJobs) < cfg.BufferK {
-			continue
-		}
-
-		// Aggregation barrier: train the whole buffered batch in parallel
-		// (the global model is frozen until the batch is applied), then
-		// collect in pop order on this goroutine.
-		jobs := pendingJobs
-		pool.ensure(cfg.Parallelism, len(jobs))
-		eo.fanoutJobs.Observe(float64(len(jobs)))
-		withPhase("train", func() {
-			forEachSlot(len(jobs), cfg.Parallelism, func(worker, slot int) {
-				j := &jobs[slot]
-				eo.trainCalls.Inc()
-				j.lt, j.err = trainLocal(pool.ctx(worker), pool.delta(slot), global,
-					j.startParams, j.train, j.localTest, j.tech, cfg, j.round, j.clientID)
-			})
-		})
-		for i := range jobs {
-			if jobs[i].err != nil {
-				return nil, jobs[i].err
-			}
-		}
-
-		bufDeltas := make([]tensor.Vector, len(jobs))
-		bufWeights := make([]float64, len(jobs))
-		for i := range jobs {
-			// FedBuff's staleness discount.
-			bufDeltas[i] = jobs[i].lt.delta
-			bufWeights[i] = jobs[i].lt.weight / math.Sqrt(1+float64(jobs[i].staleness))
-		}
-		for _, ev := range pendingEvents {
-			var accImprove float64
-			if ev.trainIdx >= 0 {
-				accImprove = jobs[ev.trainIdx].lt.accImprove
-			}
-			ctrl.Feedback(ev.version, ev.client, ev.tech, ev.out, accImprove)
-			cfg.Logger.LogClientRound(clientRoundLog(ev.version, ev.clientID, ev.tech, ev.out, accImprove))
-			// The launch-time pin is dropped once the event — the last
-			// consumer of this task's client instance — has been delivered.
-			p.Release(ev.clientID)
-		}
-		pendingJobs = pendingJobs[:0]
-		pendingEvents = pendingEvents[:0]
-
-		var aggErr error
-		withPhase("aggregate", func() { aggErr = applyAggregate(global, bufDeltas, bufWeights) })
-		if aggErr != nil {
-			return nil, aggErr
-		}
-		eo.span(obs.Span{T: now, Kind: "aggregate", Round: version, Client: -1})
-		eo.rounds.Inc()
-		version++
-		versions[version] = global.Parameters().Clone()
-		evictStaleVersion(versions, version, cfg.StalenessCap)
-		aggregations++
-		evalCountdown--
-		if evalCountdown <= 0 || aggregations == cfg.Rounds {
-			acc, _ := global.Evaluate(p.GlobalTest())
-			res.GlobalAccHistory = append(res.GlobalAccHistory, acc)
-			res.EvalRounds = append(res.EvalRounds, aggregations)
-			evalCountdown = cfg.EvalEvery
-			eo.evals.Inc()
-			eo.globalAcc.Set(acc)
-		}
-		// Publish population-cache telemetry at this schedule-determined
-		// point so exposition bytes never depend on Parallelism.
-		p.FlushObs()
-		// Sample before the checkpoint hook so every snapshot carries the
-		// timeline through its own aggregation — the stitching invariant.
-		sampleRoundTimeline(cfg.Timeline, ctrl, aggregations-1, now,
-			obs.SeriesValue{Name: "round_buffered_jobs", Value: float64(len(jobs))},
-			obs.SeriesValue{Name: "model_version", Value: float64(version)})
-		if stop, err := ckState.boundary(aggregations); err != nil {
-			return nil, err
-		} else if stop {
+	ps := selection.NewPermSampler(r.rng, n)
+	for ; probes > 0 && len(r.inFlight) < r.cfg.Concurrency; probes-- {
+		id, ok := ps.Next()
+		if !ok {
 			break
 		}
+		if r.inFlight[id] || !r.p.Client(id).ResourcesAt(step).Available {
+			continue
+		}
+		if err := r.launchOne(id); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// launchOne pins client id, lets the controller decide, runs the cost
+// model, and pushes the task.
+func (r *run) launchOne(id int) error {
+	c := r.p.AcquireClient(id)
+	shard := r.p.AcquireShard(id)
+	step := r.traceStep()
+	tech := r.ctrl.Decide(r.version, c, c.ResourcesAt(step), r.hfDiff[id])
+	r.eo.decide(tech)
+	r.eo.selected.Inc()
+	work := workSpecFor(r.spec, len(shard.Train), r.cfg.Epochs)
+	out, err := device.Execute(c, step, work, tech, r.deadline)
+	if err != nil {
+		r.p.Release(id)
+		return err
+	}
+	dur := out.Cost.TotalSeconds
+	if dur <= 0 {
+		dur = 1 // unavailability is detected after a short ping
+	}
+	r.inFlight[id] = true
+	heap.Push(&r.tasks, asyncTask{
+		clientID:     id,
+		client:       c,
+		train:        shard.Train,
+		localTest:    shard.LocalTest,
+		startVersion: r.version,
+		finishAt:     r.now + dur,
+		outcome:      out,
+		tech:         tech,
+	})
+	return nil
+}
+
+// popTask removes the earliest-finishing task from the in-flight set.
+func (r *run) popTask() asyncTask {
+	task := heap.Pop(&r.tasks).(asyncTask)
+	delete(r.inFlight, task.clientID)
+	return task
+}
+
+// pop advances the clock to the earliest finisher and accounts for it:
+// ledger and telemetry now, a buffered training job if its update is
+// usable, and a deferred feedback event either way.
+func (r *run) pop() {
+	task := r.popTask()
+	r.now = task.finishAt
+	out := task.outcome
+	if out.Reason == device.DropDeadline {
+		r.hfDiff[task.clientID] = out.DeadlineDiff
+	} else if out.Completed {
+		r.hfDiff[task.clientID] = 0
 	}
 
-	// FedBuff's over-selection bill: every task still in flight when the
-	// target aggregation count is reached consumed resources that never
-	// reach the model (Fig 2b / Fig 12's FedBuff inefficiency). On a
-	// graceful checkpoint stop the same drain applies — the discards land
-	// in this (partial) Result but not in the snapshot, which captured the
-	// tasks as still in flight so the resumed run can finish them.
-	for tasks.Len() > 0 {
-		task := heap.Pop(&tasks).(asyncTask)
-		res.Ledger.RecordDiscarded(task.clientID, task.tech, task.outcome)
-		eo.discarded.Inc()
-		eo.span(obs.Span{T: task.finishAt, Kind: "discard", Round: version, Client: task.clientID, Note: "overrun"})
-		p.Release(task.clientID)
+	startParams, haveVersion := r.versions[task.startVersion]
+	staleness := r.version - task.startVersion
+	tooStale := isTooStale(staleness, r.cfg.StalenessCap, haveVersion)
+	r.eo.dev.Record(out)
+	r.eo.clientSpans(task.finishAt-out.Cost.TotalSeconds, task.startVersion, task.clientID, task.tech, out)
+	if out.Completed && tooStale {
+		// The update arrived but its base version is ancient: FedBuff
+		// discards it, so every resource it consumed is waste.
+		r.res.Ledger.RecordDiscarded(task.clientID, task.tech, out)
+		r.eo.discarded.Inc()
+		r.eo.span(obs.Span{T: task.finishAt, Kind: "discard", Round: task.startVersion, Client: task.clientID, Note: "stale"})
+	} else {
+		r.res.Ledger.Record(task.clientID, task.tech, out)
+		if out.Completed {
+			r.eo.completed.Inc()
+		} else {
+			r.eo.dropped.Inc()
+		}
 	}
+	trainIdx := -1
+	if out.Completed && !tooStale {
+		trainIdx = len(r.pendingJobs)
+		r.pendingJobs = append(r.pendingJobs, asyncTrainJob{
+			clientID:    task.clientID,
+			tech:        task.tech,
+			round:       r.version,
+			staleness:   staleness,
+			startParams: startParams,
+			train:       task.train,
+			localTest:   task.localTest,
+		})
+	}
+	r.pendingEvents = append(r.pendingEvents, asyncEvent{
+		version:  r.version,
+		clientID: task.clientID,
+		client:   task.client,
+		tech:     task.tech,
+		out:      out,
+		trainIdx: trainIdx,
+	})
+}
 
-	res.WallClockSeconds = now
-	res.Ledger.WallClockSeconds = now
-	res.CompletedRounds = aggregations
-	res.SimClockSeconds = now
-	res.FinalClientAccs = evaluateClientsPop(global, p, cfg.EvalClients)
-	res.FinalAccStats = metrics.ComputeAccuracyStats(res.FinalClientAccs)
-	res.FinalGlobalAcc, _ = global.Evaluate(p.GlobalTest())
-	res.FinalParams = global.Parameters().Clone()
-	p.FlushObs()
-	return res, nil
+// barrier is the aggregation barrier: train the whole buffered batch in
+// parallel (the global model is frozen until the batch is applied), collect
+// in pop order on this goroutine, aggregate with FedBuff's staleness
+// discount, and publish the new model version.
+func (r *run) barrier() (stop bool, err error) {
+	jobs := r.pendingJobs
+	r.pool.ensure(r.cfg.Parallelism, len(jobs))
+	r.eo.fanoutJobs.Observe(float64(len(jobs)))
+	withPhase("train", func() {
+		forEachSlot(len(jobs), r.cfg.Parallelism, func(worker, slot int) {
+			j := &jobs[slot]
+			r.eo.trainCalls.Inc()
+			j.lt, j.err = trainLocal(r.pool.ctx(worker), r.pool.delta(slot), r.global,
+				j.startParams, j.train, j.localTest, j.tech, r.cfg, j.round, j.clientID)
+		})
+	})
+	deltas := make([]tensor.Vector, len(jobs))
+	weights := make([]float64, len(jobs))
+	for i := range jobs {
+		if jobs[i].err != nil {
+			return false, jobs[i].err
+		}
+		deltas[i] = jobs[i].lt.delta
+		weights[i] = jobs[i].lt.weight / math.Sqrt(1+float64(jobs[i].staleness))
+	}
+	for _, ev := range r.pendingEvents {
+		var accImprove float64
+		if ev.trainIdx >= 0 {
+			accImprove = jobs[ev.trainIdx].lt.accImprove
+		}
+		r.ctrl.Feedback(ev.version, ev.client, ev.tech, ev.out, accImprove)
+		r.cfg.Logger.LogClientRound(clientRoundLog(ev.version, ev.clientID, ev.tech, ev.out, accImprove))
+		// The launch-time pin is dropped once the event — the last
+		// consumer of this task's client instance — has been delivered.
+		r.p.Release(ev.clientID)
+	}
+	r.pendingJobs = r.pendingJobs[:0]
+	r.pendingEvents = r.pendingEvents[:0]
+
+	withPhase("aggregate", func() { err = applyAggregate(r.global, deltas, weights) })
+	if err != nil {
+		return false, err
+	}
+	r.eo.span(obs.Span{T: r.now, Kind: "aggregate", Round: r.version, Client: -1})
+	r.eo.rounds.Inc()
+	r.version++
+	r.versions[r.version] = r.global.Parameters().Clone()
+	evictStaleVersion(r.versions, r.version, r.cfg.StalenessCap)
+	r.evalCountdown--
+	if r.evalCountdown <= 0 || r.done+1 == r.cfg.Rounds {
+		r.evalGlobal(r.done + 1)
+		r.evalCountdown = r.cfg.EvalEvery
+	}
+	return r.boundary(true,
+		obs.SeriesValue{Name: "round_buffered_jobs", Value: float64(len(jobs))},
+		obs.SeriesValue{Name: "model_version", Value: float64(r.version)})
 }

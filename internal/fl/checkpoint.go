@@ -14,12 +14,9 @@ import (
 	"floatfl/internal/checkpoint"
 	"floatfl/internal/device"
 	"floatfl/internal/metrics"
-	"floatfl/internal/nn"
 	"floatfl/internal/obs"
 	"floatfl/internal/opt"
 	"floatfl/internal/population"
-	"floatfl/internal/rngstate"
-	"floatfl/internal/selection"
 	"floatfl/internal/tensor"
 )
 
@@ -165,32 +162,6 @@ func restoreStateful(v any, blob []byte, what string) error {
 	return s.RestoreCheckpoint(blob)
 }
 
-// hfDiffOut converts the sparse human-feedback map to its serialized form
-// (string keys marshal with sorted keys — deterministic bytes).
-func hfDiffOut(m map[int]float64) map[string]float64 {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(m))
-	for id, v := range m {
-		out[strconv.Itoa(id)] = v
-	}
-	return out
-}
-
-// hfDiffIn inverts hfDiffOut.
-func hfDiffIn(m map[string]float64) (map[int]float64, error) {
-	out := make(map[int]float64, len(m))
-	for k, v := range m {
-		id, err := strconv.Atoi(k)
-		if err != nil {
-			return nil, &checkpoint.FormatError{Reason: "bad hf-diff client key " + strconv.Quote(k)}
-		}
-		out[id] = v
-	}
-	return out, nil
-}
-
 // runSnap is the state shared by both engines' snapshots.
 type runSnap struct {
 	Fingerprint fingerprint          `json:"fingerprint"`
@@ -200,7 +171,7 @@ type runSnap struct {
 	ParamCount  int                  `json:"param_count"`
 	AccHistory  []float64            `json:"acc_history,omitempty"`
 	EvalRounds  []int                `json:"eval_rounds,omitempty"`
-	HFDiff      map[string]float64   `json:"hf_diff,omitempty"`
+	HFDiff      map[int]float64      `json:"hf_diff,omitempty"`
 	Draws       uint64               `json:"draws"`
 	Ledger      *metrics.LedgerState `json:"ledger"`
 	Selector    []byte               `json:"selector,omitempty"`
@@ -239,263 +210,100 @@ type asyncSnap struct {
 	Tasks         []taskSnap    `json:"tasks,omitempty"`
 }
 
-// syncRunState bundles the sync engine's mutable loop state so the
-// snapshot/restore seams can live here rather than inline in the loop.
-type syncRunState struct {
-	cfg        Config
-	p          *population.Population
-	sel        selection.Selector
-	ctrl       Controller
-	global     *nn.Model
-	res        *Result
-	hfDiff     map[int]float64
-	src        *rngstate.Source
-	deadline   float64
-	useLazySel bool
-}
-
-func (s *syncRunState) fingerprint() fingerprint {
-	return fingerprint{
+// fingerprint builds the run's configuration fingerprint. The FedBuff
+// knobs are pinned only for the async engine: a sync run never reads them.
+func (r *run) fingerprint() fingerprint {
+	fp := fingerprint{
 		Engine:             "sync",
-		Arch:               s.cfg.Arch,
-		Seed:               s.cfg.Seed,
-		ClientsPerRound:    s.cfg.ClientsPerRound,
-		Epochs:             s.cfg.Epochs,
-		BatchSize:          s.cfg.BatchSize,
-		LR:                 s.cfg.LR,
-		GradClip:           s.cfg.GradClip,
-		DeadlineSec:        s.deadline,
-		DeadlinePercentile: s.cfg.DeadlinePercentile,
-		EvalEvery:          s.cfg.EvalEvery,
-		Backend:            s.cfg.Backend,
-		ProxMu:             s.cfg.ProxMu,
-		EvalClients:        s.cfg.EvalClients,
-		Population:         s.p.NumClients(),
-		LazySelection:      s.useLazySel,
-		Selector:           s.sel.Name(),
-		Controller:         s.ctrl.Name(),
+		Arch:               r.cfg.Arch,
+		Seed:               r.cfg.Seed,
+		ClientsPerRound:    r.cfg.ClientsPerRound,
+		Epochs:             r.cfg.Epochs,
+		BatchSize:          r.cfg.BatchSize,
+		LR:                 r.cfg.LR,
+		GradClip:           r.cfg.GradClip,
+		DeadlineSec:        r.deadline,
+		DeadlinePercentile: r.cfg.DeadlinePercentile,
+		EvalEvery:          r.cfg.EvalEvery,
+		Backend:            r.cfg.Backend,
+		ProxMu:             r.cfg.ProxMu,
+		EvalClients:        r.cfg.EvalClients,
+		Population:         r.p.NumClients(),
+		LazySelection:      r.lazy,
+		Selector:           r.res.Algorithm,
+		Controller:         r.res.Controller,
 	}
+	if r.async() {
+		fp.Engine = "async"
+		fp.Concurrency = r.cfg.Concurrency
+		fp.BufferK = r.cfg.BufferK
+		fp.StalenessCap = r.cfg.StalenessCap
+	}
+	return fp
 }
 
-// snapshot captures the complete run state at the end-of-round boundary.
-func (s *syncRunState) snapshot(roundsDone int) ([]byte, error) {
-	snap, err := s.buildRunSnap(roundsDone)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return nil, err
-	}
-	return checkpoint.EncodeBytes(SyncSnapshotKind, payload)
-}
-
-func (s *syncRunState) buildRunSnap(roundsDone int) (runSnap, error) {
-	params := s.global.Parameters()
+// CheckpointState captures the complete run at a boundary as a framed,
+// checksummed blob of the engine's kind: the shared runSnap, extended for
+// the async engine with its event-loop state. The encodings reference live
+// state without copying — the blob is marshaled before the engine moves on.
+func (r *run) CheckpointState() ([]byte, error) {
+	params := r.global.Parameters()
 	snap := runSnap{
-		Fingerprint: s.fingerprint(),
-		Completed:   roundsDone,
-		Wall:        s.res.WallClockSeconds,
+		Fingerprint: r.fingerprint(),
+		Completed:   r.done,
+		Wall:        r.now,
 		Params:      encodeParams(params),
 		ParamCount:  len(params),
-		AccHistory:  append([]float64(nil), s.res.GlobalAccHistory...),
-		EvalRounds:  append([]int(nil), s.res.EvalRounds...),
-		HFDiff:      hfDiffOut(s.hfDiff),
-		Draws:       s.src.Pos(),
-		Ledger:      s.res.Ledger.CheckpointState(),
+		AccHistory:  r.res.GlobalAccHistory,
+		EvalRounds:  r.res.EvalRounds,
+		HFDiff:      r.hfDiff,
+		Draws:       r.src.Pos(),
+		Ledger:      r.res.Ledger.CheckpointState(),
 	}
 	var err error
-	if snap.Selector, err = captureStateful(s.sel); err != nil {
-		return snap, err
-	}
-	if snap.Controller, err = captureStateful(s.ctrl); err != nil {
-		return snap, err
-	}
-	if snap.Population, err = s.p.CheckpointState(); err != nil {
-		return snap, err
-	}
-	if s.cfg.Metrics != nil {
-		o := s.cfg.Metrics.Snapshot()
-		snap.Obs = &o
-	}
-	if s.cfg.Timeline != nil {
-		if snap.Timeline, err = s.cfg.Timeline.CheckpointState(); err != nil {
-			return snap, err
-		}
-	}
-	return snap, nil
-}
-
-// restore applies a snapshot to a freshly initialized run, returning the
-// round index to resume from. The decode + validation phase completes
-// before any engine state is mutated, so a corrupt or incompatible
-// snapshot leaves the run untouched.
-func (s *syncRunState) restore(data []byte) (int, error) {
-	payload, err := checkpoint.DecodeBytes(data, SyncSnapshotKind)
-	if err != nil {
-		return 0, err
-	}
-	var snap runSnap
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return 0, &checkpoint.FormatError{Reason: "sync snapshot payload: " + err.Error()}
-	}
-	if err := snap.Fingerprint.mismatch(s.fingerprint()); err != nil {
-		return 0, err
-	}
-	if snap.Completed > s.cfg.Rounds {
-		return 0, &checkpoint.CompatError{Field: "completed rounds",
-			Got: strconv.Itoa(snap.Completed), Want: "<= " + strconv.Itoa(s.cfg.Rounds)}
-	}
-	params, err := decodeParams(snap.Params, len(s.global.Parameters()))
-	if err != nil {
-		return 0, err
-	}
-	hf, err := hfDiffIn(snap.HFDiff)
-	if err != nil {
-		return 0, err
-	}
-
-	// Mutation phase. Population drain logs must land before anything
-	// probes a trace; the LRU/stat overwrite happens last because nothing
-	// is pinned at a sync boundary.
-	if err := s.p.RestoreDrainLogs(snap.Population); err != nil {
-		return 0, err
-	}
-	if err := s.global.SetParameters(params); err != nil {
-		return 0, err
-	}
-	if err := s.res.Ledger.RestoreCheckpoint(snap.Ledger); err != nil {
-		return 0, err
-	}
-	s.res.WallClockSeconds = snap.Wall
-	s.res.GlobalAccHistory = append([]float64(nil), snap.AccHistory...)
-	s.res.EvalRounds = append([]int(nil), snap.EvalRounds...)
-	for id, v := range hf {
-		s.hfDiff[id] = v
-	}
-	if err := restoreStateful(s.sel, snap.Selector, "selector"); err != nil {
-		return 0, err
-	}
-	if err := restoreStateful(s.ctrl, snap.Controller, "controller"); err != nil {
-		return 0, err
-	}
-	s.p.RestoreResidency(snap.Population)
-	if s.cfg.Metrics != nil && snap.Obs != nil {
-		if err := s.cfg.Metrics.RestoreSnapshot(*snap.Obs); err != nil {
-			return 0, err
-		}
-	}
-	if s.cfg.Timeline != nil && len(snap.Timeline) > 0 {
-		if err := s.cfg.Timeline.RestoreCheckpoint(snap.Timeline); err != nil {
-			return 0, err
-		}
-	}
-	s.src.SeekTo(snap.Draws)
-	return snap.Completed, nil
-}
-
-// boundary runs the checkpoint hooks at a quiescent point. roundsDone is
-// the absolute number of completed rounds. It reports whether the run
-// should stop gracefully.
-func (s *syncRunState) boundary(roundsDone int) (bool, error) {
-	return checkpointBoundary(s.cfg.Checkpoint, roundsDone, s.snapshot)
-}
-
-// asyncRunState bundles the async engine's mutable loop state. Pointer
-// fields alias the loop's local variables so snapshots always observe the
-// live values.
-type asyncRunState struct {
-	cfg           Config
-	p             *population.Population
-	ctrl          Controller
-	global        *nn.Model
-	res           *Result
-	hfDiff        map[int]float64
-	src           *rngstate.Source
-	timeout       float64
-	useLazyLaunch bool
-
-	versions      map[int]tensor.Vector
-	version       *int
-	now           *float64
-	evalCountdown *int
-	tasks         *taskHeap
-	inFlight      map[int]bool
-}
-
-func (s *asyncRunState) fingerprint() fingerprint {
-	return fingerprint{
-		Engine:             "async",
-		Arch:               s.cfg.Arch,
-		Seed:               s.cfg.Seed,
-		ClientsPerRound:    s.cfg.ClientsPerRound,
-		Epochs:             s.cfg.Epochs,
-		BatchSize:          s.cfg.BatchSize,
-		LR:                 s.cfg.LR,
-		GradClip:           s.cfg.GradClip,
-		DeadlineSec:        s.timeout,
-		DeadlinePercentile: s.cfg.DeadlinePercentile,
-		EvalEvery:          s.cfg.EvalEvery,
-		Concurrency:        s.cfg.Concurrency,
-		BufferK:            s.cfg.BufferK,
-		StalenessCap:       s.cfg.StalenessCap,
-		Backend:            s.cfg.Backend,
-		ProxMu:             s.cfg.ProxMu,
-		EvalClients:        s.cfg.EvalClients,
-		Population:         s.p.NumClients(),
-		LazySelection:      s.useLazyLaunch,
-		Selector:           "fedbuff",
-		Controller:         s.ctrl.Name(),
-	}
-}
-
-// snapshot captures the complete run state at the aggregation-barrier
-// boundary. The buffered-job and pending-event queues are empty there by
-// construction, so in-flight tasks are the only extra event-loop state.
-func (s *asyncRunState) snapshot(aggregations int) ([]byte, error) {
-	params := s.global.Parameters()
-	snap := asyncSnap{
-		runSnap: runSnap{
-			Fingerprint: s.fingerprint(),
-			Completed:   aggregations,
-			Wall:        *s.now,
-			Params:      encodeParams(params),
-			ParamCount:  len(params),
-			AccHistory:  append([]float64(nil), s.res.GlobalAccHistory...),
-			EvalRounds:  append([]int(nil), s.res.EvalRounds...),
-			HFDiff:      hfDiffOut(s.hfDiff),
-			Draws:       s.src.Pos(),
-			Ledger:      s.res.Ledger.CheckpointState(),
-		},
-		Version:       *s.version,
-		Now:           *s.now,
-		EvalCountdown: *s.evalCountdown,
-	}
-	var err error
-	if snap.Controller, err = captureStateful(s.ctrl); err != nil {
+	if snap.Selector, err = captureStateful(r.sel); err != nil {
 		return nil, err
 	}
-	if snap.Population, err = s.p.CheckpointState(); err != nil {
+	if snap.Controller, err = captureStateful(r.ctrl); err != nil {
 		return nil, err
 	}
-	if s.cfg.Metrics != nil {
-		o := s.cfg.Metrics.Snapshot()
+	if snap.Population, err = r.p.CheckpointState(); err != nil {
+		return nil, err
+	}
+	if r.cfg.Metrics != nil {
+		o := r.cfg.Metrics.Snapshot()
 		snap.Obs = &o
 	}
-	if s.cfg.Timeline != nil {
-		if snap.Timeline, err = s.cfg.Timeline.CheckpointState(); err != nil {
+	if r.cfg.Timeline != nil {
+		if snap.Timeline, err = r.cfg.Timeline.CheckpointState(); err != nil {
 			return nil, err
 		}
 	}
-	vs := make([]int, 0, len(s.versions))
-	for v := range s.versions {
+	var full any = snap
+	if r.async() {
+		full = r.captureEventLoop(snap)
+	}
+	payload, err := json.Marshal(full)
+	if err != nil {
+		return nil, err
+	}
+	return checkpoint.EncodeBytes(r.kind, payload)
+}
+
+// captureEventLoop extends the shared snapshot with the FedBuff event loop.
+// The buffered-job and pending-event queues are empty at a barrier by
+// construction, so in-flight tasks are the only queued state.
+func (r *run) captureEventLoop(shared runSnap) asyncSnap {
+	snap := asyncSnap{runSnap: shared, Version: r.version, Now: r.now, EvalCountdown: r.evalCountdown}
+	vs := make([]int, 0, len(r.versions))
+	for v := range r.versions {
 		vs = append(vs, v)
 	}
 	sort.Ints(vs)
 	for _, v := range vs {
-		snap.Versions = append(snap.Versions, versionSnap{Version: v, Params: encodeParams(s.versions[v])})
+		snap.Versions = append(snap.Versions, versionSnap{Version: v, Params: encodeParams(r.versions[v])})
 	}
-	for _, t := range *s.tasks {
+	for _, t := range r.tasks {
 		snap.Tasks = append(snap.Tasks, taskSnap{
 			ClientID:     t.clientID,
 			StartVersion: t.startVersion,
@@ -504,91 +312,101 @@ func (s *asyncRunState) snapshot(aggregations int) ([]byte, error) {
 			Outcome:      t.outcome,
 		})
 	}
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return nil, err
-	}
-	return checkpoint.EncodeBytes(AsyncSnapshotKind, payload)
+	return snap
 }
 
-// restore applies a snapshot to a freshly initialized async run, returning
-// the aggregation count to resume from. Decode + validation completes
-// before any mutation; then state lands in dependency order — drain logs,
-// params/versions, ledger/result, controller, task re-pinning, unpinned
-// residency, metric overwrite, RNG seek.
-func (s *asyncRunState) restore(data []byte) (int, error) {
-	payload, err := checkpoint.DecodeBytes(data, AsyncSnapshotKind)
+// RestoreCheckpoint applies a snapshot to a freshly initialized run. Decode
+// and every validation complete before the first mutation, so a corrupt or
+// incompatible snapshot leaves the run untouched. State then lands in
+// dependency order: population drain logs before anything probes a trace;
+// parameters, ledger and result; selector and controller; the async event
+// loop, which re-pins its in-flight clients; only then the unpinned cache
+// residency; the metric registry and timeline; and the RNG position last.
+// A sync payload simply has none of the event-loop fields.
+func (r *run) RestoreCheckpoint(data []byte) error {
+	payload, err := checkpoint.DecodeBytes(data, r.kind)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	var snap asyncSnap
 	if err := json.Unmarshal(payload, &snap); err != nil {
-		return 0, &checkpoint.FormatError{Reason: "async snapshot payload: " + err.Error()}
+		return &checkpoint.FormatError{Reason: r.kind + " snapshot payload: " + err.Error()}
 	}
-	if err := snap.Fingerprint.mismatch(s.fingerprint()); err != nil {
-		return 0, err
+	if err := snap.Fingerprint.mismatch(r.fingerprint()); err != nil {
+		return err
 	}
-	if snap.Completed > s.cfg.Rounds {
-		return 0, &checkpoint.CompatError{Field: "completed aggregations",
-			Got: strconv.Itoa(snap.Completed), Want: "<= " + strconv.Itoa(s.cfg.Rounds)}
+	if snap.Completed > r.cfg.Rounds {
+		return &checkpoint.CompatError{Field: "completed rounds",
+			Got: strconv.Itoa(snap.Completed), Want: "<= " + strconv.Itoa(r.cfg.Rounds)}
 	}
-	dim := len(s.global.Parameters())
+	dim := len(r.global.Parameters())
 	params, err := decodeParams(snap.Params, dim)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	versions := make(map[int]tensor.Vector, len(snap.Versions))
 	for _, v := range snap.Versions {
-		pv, err := decodeParams(v.Params, dim)
-		if err != nil {
-			return 0, err
+		if versions[v.Version], err = decodeParams(v.Params, dim); err != nil {
+			return err
 		}
-		versions[v.Version] = pv
 	}
-	n := s.p.NumClients()
+	n := r.p.NumClients()
 	for _, t := range snap.Tasks {
 		if t.ClientID < 0 || t.ClientID >= n {
-			return 0, &checkpoint.FormatError{Reason: fmt.Sprintf("in-flight task for client %d, population has %d", t.ClientID, n)}
+			return &checkpoint.FormatError{Reason: fmt.Sprintf("in-flight task for client %d, population has %d", t.ClientID, n)}
 		}
 	}
-	hf, err := hfDiffIn(snap.HFDiff)
-	if err != nil {
-		return 0, err
-	}
 
-	// Mutation phase.
-	if err := s.p.RestoreDrainLogs(snap.Population); err != nil {
-		return 0, err
+	if err := r.p.RestoreDrainLogs(snap.Population); err != nil {
+		return err
 	}
-	if err := s.global.SetParameters(params); err != nil {
-		return 0, err
+	if err := r.global.SetParameters(params); err != nil {
+		return err
 	}
-	for v := range s.versions {
-		delete(s.versions, v)
+	if err := r.res.Ledger.RestoreCheckpoint(snap.Ledger); err != nil {
+		return err
 	}
-	for v, pv := range versions {
-		s.versions[v] = pv
+	r.done, r.now = snap.Completed, snap.Wall
+	r.res.GlobalAccHistory, r.res.EvalRounds = snap.AccHistory, snap.EvalRounds
+	for id, v := range snap.HFDiff {
+		r.hfDiff[id] = v
 	}
-	if err := s.res.Ledger.RestoreCheckpoint(snap.Ledger); err != nil {
-		return 0, err
+	if err := restoreStateful(r.sel, snap.Selector, "selector"); err != nil {
+		return err
 	}
-	s.res.GlobalAccHistory = append([]float64(nil), snap.AccHistory...)
-	s.res.EvalRounds = append([]int(nil), snap.EvalRounds...)
-	for id, v := range hf {
-		s.hfDiff[id] = v
+	if err := restoreStateful(r.ctrl, snap.Controller, "controller"); err != nil {
+		return err
 	}
-	if err := restoreStateful(s.ctrl, snap.Controller, "controller"); err != nil {
-		return 0, err
+	if r.async() {
+		r.restoreEventLoop(snap, versions)
 	}
-	// Re-pin every in-flight client before warming the unpinned LRU:
-	// Acquire passes transiently through the unpinned list, so pinning
-	// into an already-warmed full cache would momentarily overflow it and
-	// evict an entry the capture knew was resident.
-	*s.tasks = (*s.tasks)[:0]
+	r.p.RestoreResidency(snap.Population)
+	if r.cfg.Metrics != nil && snap.Obs != nil {
+		if err := r.cfg.Metrics.RestoreSnapshot(*snap.Obs); err != nil {
+			return err
+		}
+	}
+	if r.cfg.Timeline != nil && len(snap.Timeline) > 0 {
+		if err := r.cfg.Timeline.RestoreCheckpoint(snap.Timeline); err != nil {
+			return err
+		}
+	}
+	r.src.SeekTo(snap.Draws)
+	return nil
+}
+
+// restoreEventLoop installs the FedBuff event loop from a validated
+// snapshot. Every in-flight client is re-pinned here, before the caller
+// warms the unpinned LRU: Acquire passes transiently through the unpinned
+// list, so pinning into an already-warmed full cache would momentarily
+// overflow it and evict an entry the capture knew was resident.
+func (r *run) restoreEventLoop(snap asyncSnap, versions map[int]tensor.Vector) {
+	r.versions, r.version = versions, snap.Version
+	r.now, r.evalCountdown = snap.Now, snap.EvalCountdown
 	for _, t := range snap.Tasks {
-		c := s.p.AcquireClient(t.ClientID)
-		shard := s.p.AcquireShard(t.ClientID)
-		*s.tasks = append(*s.tasks, asyncTask{
+		c := r.p.AcquireClient(t.ClientID)
+		shard := r.p.AcquireShard(t.ClientID)
+		r.tasks = append(r.tasks, asyncTask{
 			clientID:     t.ClientID,
 			client:       c,
 			train:        shard.Train,
@@ -598,55 +416,7 @@ func (s *asyncRunState) restore(data []byte) (int, error) {
 			outcome:      t.Outcome,
 			tech:         t.Tech,
 		})
-		s.inFlight[t.ClientID] = true
+		r.inFlight[t.ClientID] = true
 	}
-	heap.Init(s.tasks)
-	s.p.RestoreResidency(snap.Population)
-	if s.cfg.Metrics != nil && snap.Obs != nil {
-		if err := s.cfg.Metrics.RestoreSnapshot(*snap.Obs); err != nil {
-			return 0, err
-		}
-	}
-	if s.cfg.Timeline != nil && len(snap.Timeline) > 0 {
-		if err := s.cfg.Timeline.RestoreCheckpoint(snap.Timeline); err != nil {
-			return 0, err
-		}
-	}
-	*s.version = snap.Version
-	*s.now = snap.Now
-	*s.evalCountdown = snap.EvalCountdown
-	s.src.SeekTo(snap.Draws)
-	return snap.Completed, nil
-}
-
-// boundary runs the checkpoint hooks at the aggregation barrier.
-func (s *asyncRunState) boundary(aggregations int) (bool, error) {
-	return checkpointBoundary(s.cfg.Checkpoint, aggregations, s.snapshot)
-}
-
-// checkpointBoundary implements the shared hook protocol: poll Stop, then
-// decide whether a snapshot is due (stop with a sink, the periodic
-// schedule, or an explicit request) and deliver it. Returns whether the
-// run should end gracefully.
-func checkpointBoundary(ck *CheckpointConfig, done int, snapshot func(int) ([]byte, error)) (bool, error) {
-	if ck == nil {
-		return false, nil
-	}
-	stop := ck.Stop != nil && ck.Stop()
-	want := false
-	if ck.Sink != nil {
-		want = stop ||
-			(ck.Every > 0 && done%ck.Every == 0) ||
-			(ck.Request != nil && ck.Request())
-	}
-	if want {
-		blob, err := snapshot(done)
-		if err != nil {
-			return stop, fmt.Errorf("fl: checkpoint at %d: %w", done, err)
-		}
-		if err := ck.Sink(blob); err != nil {
-			return stop, fmt.Errorf("fl: checkpoint sink at %d: %w", done, err)
-		}
-	}
-	return stop, nil
+	heap.Init(&r.tasks)
 }

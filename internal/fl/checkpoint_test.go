@@ -2,6 +2,8 @@ package fl
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"math"
@@ -403,5 +405,28 @@ func TestCompletedRoundsReported(t *testing.T) {
 	}
 	if out.res.SimClockSeconds != out.res.WallClockSeconds {
 		t.Fatalf("SimClockSeconds %v != WallClockSeconds %v", out.res.SimClockSeconds, out.res.WallClockSeconds)
+	}
+}
+
+// TestSnapshotDigestPinned pins the snapshot *format*: the SHA-256 of the
+// Sink blob a tiny sync (eager, Oort) and a tiny async run emit at their
+// third boundary, with registry and timeline attached, recorded at commit
+// 4bb187b (before the run-struct refactor). The resume tests only prove a
+// build agrees with itself; this fails when a field is renamed, reordered,
+// dropped or re-encoded — i.e. when older snapshots would stop resuming.
+func TestSnapshotDigestPinned(t *testing.T) {
+	for engine, want := range map[string]string{
+		"sync-oort": "33497e584b223a857945f8dea0cd694bf930158f7dd21a4187ec9357f83de182",
+		"async":     "74d88e60d13497a74ccfe5b0441414af6eb2c79841e4216de4807afb587c31ee",
+	} {
+		var snap []byte
+		runCkpt(t, engine, 32, 3, false, &CheckpointConfig{
+			Every: 3,
+			Sink:  func(b []byte) error { snap = b; return nil },
+		})
+		sum := sha256.Sum256(snap)
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s snapshot (%d bytes) digest %s, want %s", engine, len(snap), got, want)
+		}
 	}
 }

@@ -1,11 +1,15 @@
 package fl
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"floatfl/internal/data"
 	"floatfl/internal/device"
+	"floatfl/internal/nn"
 	"floatfl/internal/opt"
+	"floatfl/internal/population"
 	"floatfl/internal/selection"
 	"floatfl/internal/trace"
 )
@@ -262,11 +266,48 @@ func TestControllersMetadata(t *testing.T) {
 
 func TestAutoDeadline(t *testing.T) {
 	_, pop := testSetup(t, 20, trace.ScenarioNone)
+	p := eagerDevices(t, pop)
 	w := device.WorkSpec{RefFLOPsPerSample: 1e9, RefParams: 1e6, Samples: 50, Epochs: 5}
-	d50 := AutoDeadline(pop, w, 50)
-	d90 := AutoDeadline(pop, w, 90)
+	d50 := autoDeadline(p, w, 50)
+	d90 := autoDeadline(p, w, 90)
 	if d50 <= 0 || d90 < d50 {
-		t.Fatalf("AutoDeadline not monotone: p50=%v p90=%v", d50, d90)
+		t.Fatalf("auto deadline not monotone: p50=%v p90=%v", d50, d90)
+	}
+}
+
+// TestEvaluateClientsPopSample pins the final-evaluation seam: no limit (or
+// one at least the population) evaluates every client in ID order, a smaller
+// positive limit the deterministic strided sample i·n/limit.
+func TestEvaluateClientsPopSample(t *testing.T) {
+	fed, pop := testSetup(t, 12, trace.ScenarioNone)
+	p, err := population.WrapEager(fed, pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := nn.NewModel("mlp-small", fed.Profile.Dim, fed.Profile.Classes, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := evaluateClientsPop(m, p, 0)
+	if len(all) != 12 {
+		t.Fatalf("unlimited evaluation covered %d clients, want 12", len(all))
+	}
+	for id := range all {
+		if want, _ := m.Evaluate(fed.LocalTest[id]); all[id] != want {
+			t.Fatalf("client %d accuracy %v, want %v", id, all[id], want)
+		}
+	}
+	if got := evaluateClientsPop(m, p, 40); !reflect.DeepEqual(got, all) {
+		t.Fatalf("limit above the population must evaluate everyone: %v vs %v", got, all)
+	}
+	sampled := evaluateClientsPop(m, p, 5)
+	if len(sampled) != 5 {
+		t.Fatalf("limit 5 evaluated %d clients", len(sampled))
+	}
+	for i, acc := range sampled {
+		if acc != all[i*12/5] {
+			t.Fatalf("sample %d is not client %d's accuracy", i, i*12/5)
+		}
 	}
 }
 

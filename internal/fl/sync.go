@@ -1,38 +1,31 @@
 package fl
 
 import (
-	"fmt"
-	"math/rand"
-
 	"floatfl/internal/data"
 	"floatfl/internal/device"
-	"floatfl/internal/metrics"
 	"floatfl/internal/nn"
 	"floatfl/internal/obs"
 	"floatfl/internal/opt"
 	"floatfl/internal/population"
-	"floatfl/internal/rngstate"
 	"floatfl/internal/selection"
 	"floatfl/internal/tensor"
 )
 
-// syncJob is one selected client's dispatch record: everything decided and
-// resolved on the single-threaded pass before the round fans out. The
-// client pointer and shard slices are acquired (pinned) from the
-// population at dispatch, so workers never touch the provider caches — the
-// cache's hit/miss schedule, like every other order-sensitive effect,
-// belongs to the sequential passes.
-type syncJob struct {
+// syncSlot is one selected client's round: the dispatch record resolved on
+// the single-threaded pass before the round fans out, plus what the slot's
+// worker produces. The client pointer and shard slices are acquired
+// (pinned) from the population at dispatch, so workers never touch the
+// provider caches — the cache's hit/miss schedule, like every other
+// order-sensitive effect, belongs to the sequential passes. Workers write
+// only their own slot's result fields; the collector reads all slots in
+// dispatch order.
+type syncSlot struct {
 	id        int
 	tech      opt.Technique
 	client    *device.Client
 	train     []nn.Sample
 	localTest []nn.Sample
-}
 
-// syncResult is what one worker produces for its slot. Workers write only
-// their own slot; the collector reads all slots in dispatch order.
-type syncResult struct {
 	out     device.Outcome
 	lt      localTrainResult
 	trained bool
@@ -46,13 +39,6 @@ type syncResult struct {
 func RunSync(fed *data.Federation, pop []*device.Client, sel selection.Selector,
 	ctrl Controller, cfg Config) (*Result, error) {
 
-	c := cfg.withDefaults()
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	if len(pop) == 0 {
-		return nil, fmt.Errorf("fl: population is empty")
-	}
 	p, err := population.WrapEager(fed, pop)
 	if err != nil {
 		return nil, err
@@ -83,288 +69,187 @@ func RunSync(fed *data.Federation, pop []*device.Client, sel selection.Selector,
 func RunSyncPop(p *population.Population, sel selection.Selector,
 	ctrl Controller, cfg Config) (*Result, error) {
 
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	n := p.NumClients()
-	if n == 0 {
-		return nil, fmt.Errorf("fl: population is empty")
-	}
-	useLazySel := !p.Eager() || cfg.forceLazySelection
-	lazySel, isLazySel := sel.(selection.LazySelector)
-	if useLazySel && !isLazySel {
-		return nil, fmt.Errorf("fl: selector %q cannot drive a lazy population (implement selection.LazySelector)", sel.Name())
-	}
-	spec, err := nn.LookupSpec(cfg.Arch)
+	r, err := newRun(SyncSnapshotKind, p, sel, ctrl, cfg)
 	if err != nil {
 		return nil, err
 	}
-	profile := p.Profile()
-	src := rngstate.New(cfg.Seed)
-	rng := rand.New(src)
-	global, err := nn.NewModel(cfg.Arch, profile.Dim, profile.Classes, rng)
+	return r.loop(r.syncRound)
+}
+
+// syncRound runs one synchronous round end to end.
+func (r *run) syncRound() (stop bool, err error) {
+	// Virtual time at which this round starts; all spans for the round are
+	// anchored to it, so traces never depend on wall clock.
+	round, start := r.done, r.now
+	var ids []int
+	withPhase("select", func() { ids = r.selectClients(round) })
+	if len(ids) == 0 {
+		// Nobody checked in: no round happened, so nothing is flushed,
+		// counted, evaluated or logged — but time-series consumers and the
+		// checkpoint schedule still see the boundary.
+		return r.boundary(false,
+			obs.SeriesValue{Name: "round_selected"},
+			obs.SeriesValue{Name: "round_completed"},
+			obs.SeriesValue{Name: "round_dropped"},
+			obs.SeriesValue{Name: "round_wall_seconds"})
+	}
+	r.eo.span(obs.Span{T: start, Kind: "select", Round: round, Client: -1})
+	r.eo.selected.Add(int64(len(ids)))
+
+	slots := r.dispatch(round, ids)
+	r.eo.span(obs.Span{T: start, Kind: "decide", Round: round, Client: -1})
+	r.fanOut(round, ids, slots)
+	deltas, weights, wall, err := r.collect(round, start, slots)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	if err := setModelBackend(global, cfg.Backend); err != nil {
-		return nil, err
-	}
+	return r.closeRound(round, ids, deltas, weights, wall)
+}
 
-	refWork := workSpecFor(spec, p.MeanShardSize(), cfg.Epochs)
-
-	deadline := cfg.DeadlineSec
-	if deadline <= 0 {
-		deadline = deadlineFromEstimates(p.CleanResponseEstimates(refWork), cfg.DeadlinePercentile)
+// selectClients picks the round's participants. Lazy selection probes
+// availability itself — an O(selected) walk. The eager path is what real FL
+// servers do: dispatch only to clients that checked in, so the pool is
+// filtered to currently-available devices (clients can still drop out
+// mid-round if they go offline after selection).
+func (r *run) selectClients(round int) []int {
+	info := selection.RoundInfo{Round: round, Work: r.refWork, DeadlineSec: r.deadline}
+	if r.lazy {
+		return r.sel.(selection.LazySelector).SelectLazy(info, r.p, r.cfg.ClientsPerRound)
 	}
-
-	ledger := metrics.NewLedger(n)
-	if !p.Eager() {
-		ledger = metrics.NewSparseLedger(n)
-	}
-	res := &Result{
-		Algorithm:   sel.Name(),
-		Controller:  ctrl.Name(),
-		Ledger:      ledger,
-		DeadlineSec: deadline,
-	}
-	// hfDiff tracks the latest deadline-difference human feedback per
-	// client — sparse, because a million-client run only ever touches the
-	// participants.
-	hfDiff := make(map[int]float64)
-
-	// Reusable per-worker training contexts and per-slot delta buffers:
-	// grown once, then every steady-state client round allocates nothing.
-	pool := newContextPool(global)
-	eo := newEngineObs(cfg.Metrics, cfg.Tracer)
-	pop := p.AllClients() // nil in lazy mode
-
-	// Checkpoint seam: restore runs against the freshly initialized state
-	// above, before the first round; boundary hooks fire at the end of
-	// every round — the engine's quiescent point.
-	ckState := &syncRunState{
-		cfg: cfg, p: p, sel: sel, ctrl: ctrl, global: global, res: res,
-		hfDiff: hfDiff, src: src, deadline: deadline, useLazySel: useLazySel,
-	}
-	startRound := 0
-	if cfg.Checkpoint != nil && len(cfg.Checkpoint.Resume) > 0 {
-		r, err := ckState.restore(cfg.Checkpoint.Resume)
-		if err != nil {
-			return nil, fmt.Errorf("fl: resume: %w", err)
+	pop := r.p.AllClients()
+	checkedIn := make([]*device.Client, 0, len(pop))
+	for _, c := range pop {
+		if c.ResourcesAt(round).Available {
+			checkedIn = append(checkedIn, c)
 		}
-		startRound = r
 	}
-	completed := startRound
+	if len(checkedIn) == 0 {
+		return nil
+	}
+	return r.sel.Select(info, checkedIn, r.cfg.ClientsPerRound)
+}
 
-	for round := startRound; round < cfg.Rounds; round++ {
-		// Virtual time at which this round starts; all spans for the round
-		// are anchored to it, so traces never depend on wall clock.
-		roundStart := res.WallClockSeconds
-		info := selection.RoundInfo{Round: round, Work: refWork, DeadlineSec: deadline}
-		var ids []int
-		emptyRound := false
-		withPhase("select", func() {
-			if useLazySel {
-				// Lazy selection probes availability itself — an O(selected)
-				// walk instead of the eager path's O(population) check-in scan.
-				ids = lazySel.SelectLazy(info, p, cfg.ClientsPerRound)
-				emptyRound = len(ids) == 0
-			} else {
-				// Real FL servers dispatch only to clients that checked in:
-				// filter the pool to currently-available devices. Clients can
-				// still drop out mid-round if they go offline after selection.
-				checkedIn := make([]*device.Client, 0, len(pop))
-				for _, c := range pop {
-					if c.ResourcesAt(round).Available {
-						checkedIn = append(checkedIn, c)
-					}
-				}
-				if len(checkedIn) == 0 {
-					emptyRound = true
-				} else {
-					ids = sel.Select(info, checkedIn, cfg.ClientsPerRound)
-				}
+// dispatch acquires (derives + pins) each selected client and its shard,
+// snapshots resources, and lets the controller decide, in selection order,
+// before anything executes. All decisions in a round therefore observe
+// controller state as of the round start, and workers receive
+// fully-resolved slots — they never touch the population caches.
+func (r *run) dispatch(round int, ids []int) []syncSlot {
+	slots := make([]syncSlot, len(ids))
+	for i, id := range ids {
+		c := r.p.AcquireClient(id)
+		shard := r.p.AcquireShard(id)
+		tech := r.ctrl.Decide(round, c, c.ResourcesAt(round), r.hfDiff[id])
+		slots[i] = syncSlot{id: id, client: c, train: shard.Train, localTest: shard.LocalTest, tech: tech}
+		r.eo.decide(tech)
+	}
+	return slots
+}
+
+// fanOut runs per-client cost-model execution and local training against a
+// frozen snapshot of the global parameters. Concurrent device.Execute calls
+// are safe only across distinct clients, so a duplicate-bearing selection
+// degrades to the sequential schedule.
+func (r *run) fanOut(round int, ids []int, slots []syncSlot) {
+	// Jobs offered per fan-out — deliberately not busy workers, which would
+	// vary with Parallelism and break cross-P byte identity.
+	r.eo.fanoutJobs.Observe(float64(len(slots)))
+	par := r.cfg.Parallelism
+	if hasDuplicateIDs(ids) {
+		par = 1
+	}
+	r.pool.ensure(par, len(slots))
+	// Parameters() is a zero-copy view; it is safe to share across the
+	// fan-out because the global model is frozen until applyAggregate.
+	globalParams := r.global.Parameters()
+	withPhase("train", func() {
+		forEachSlot(len(slots), par, func(worker, slot int) {
+			s := &slots[slot]
+			work := workSpecFor(r.spec, len(s.train), r.cfg.Epochs)
+			s.out, s.err = device.Execute(s.client, round, work, s.tech, r.deadline)
+			if s.err != nil || !s.out.Completed {
+				return
 			}
+			r.eo.trainCalls.Inc()
+			s.lt, s.err = trainLocal(r.pool.ctx(worker), r.pool.delta(slot), r.global,
+				globalParams, s.train, s.localTest, s.tech, r.cfg, round, s.id)
+			s.trained = s.err == nil
 		})
-		if emptyRound {
-			completed = round + 1
-			sampleRoundTimeline(cfg.Timeline, ctrl, round, res.WallClockSeconds,
-				obs.SeriesValue{Name: "round_selected"},
-				obs.SeriesValue{Name: "round_completed"},
-				obs.SeriesValue{Name: "round_dropped"},
-				obs.SeriesValue{Name: "round_wall_seconds"})
-			if stop, err := ckState.boundary(completed); err != nil {
-				return nil, err
-			} else if stop {
-				break
+	})
+}
+
+// collect applies every order-sensitive side effect in selection order on
+// this goroutine — ledger, selector, controller, and logger stay
+// single-threaded by construction — and returns the updates to aggregate
+// plus the round's wall clock: the slowest trained participant, or the
+// deadline when anyone timed out.
+func (r *run) collect(round int, start float64, slots []syncSlot) (deltas []tensor.Vector, weights []float64, wall float64, err error) {
+	anyTimeout := false
+	for i := range slots {
+		s := &slots[i]
+		if s.err != nil {
+			return nil, nil, 0, s.err
+		}
+		out := s.out
+		r.res.Ledger.Record(s.id, s.tech, out)
+		r.eo.dev.Record(out)
+		r.eo.clientSpans(start, round, s.id, s.tech, out)
+		if out.Reason == device.DropDeadline {
+			anyTimeout = true
+			r.hfDiff[s.id] = out.DeadlineDiff
+		} else if out.Completed {
+			r.hfDiff[s.id] = 0
+		}
+
+		var statUtil, accImprove float64
+		if s.trained {
+			deltas = append(deltas, s.lt.delta)
+			weights = append(weights, s.lt.weight)
+			statUtil = s.lt.statUtility
+			accImprove = s.lt.accImprove
+			if out.Cost.TotalSeconds > wall {
+				wall = out.Cost.TotalSeconds
 			}
-			continue
 		}
-		eo.span(obs.Span{T: roundStart, Kind: "select", Round: round, Client: -1})
-		eo.selected.Add(int64(len(ids)))
-
-		// Dispatch pass: acquire (derive + pin) each selected client and
-		// its shard, snapshot resources, and let the controller decide, in
-		// selection order, before anything executes. All decisions in a
-		// round therefore observe controller state as of the round start,
-		// and workers receive fully-resolved jobs — they never touch the
-		// population caches.
-		jobs := make([]syncJob, len(ids))
-		for slot, id := range ids {
-			c := p.AcquireClient(id)
-			shard := p.AcquireShard(id)
-			snap := c.ResourcesAt(round)
-			jobs[slot] = syncJob{
-				id:        id,
-				client:    c,
-				train:     shard.Train,
-				localTest: shard.LocalTest,
-				tech:      ctrl.Decide(round, c, snap, hfDiff[id]),
-			}
-			eo.decide(jobs[slot].tech)
-		}
-		eo.span(obs.Span{T: roundStart, Kind: "decide", Round: round, Client: -1})
-		// Jobs offered per fan-out — deliberately not busy workers, which
-		// would vary with Parallelism and break cross-P byte identity.
-		eo.fanoutJobs.Observe(float64(len(jobs)))
-
-		// Fan-out: per-client cost-model execution and local training
-		// against a frozen snapshot of the global parameters. Concurrent
-		// device.Execute calls are safe only across distinct clients, so a
-		// duplicate-bearing selection degrades to the sequential schedule.
-		par := cfg.Parallelism
-		if hasDuplicateIDs(ids) {
-			par = 1
-		}
-		pool.ensure(par, len(jobs))
-		// Parameters() is a zero-copy view; it is safe to share across the
-		// fan-out because the global model is frozen until applyAggregate.
-		globalParams := global.Parameters()
-		results := make([]syncResult, len(jobs))
-		withPhase("train", func() {
-			forEachSlot(len(jobs), par, func(worker, slot int) {
-				j := jobs[slot]
-				work := workSpecFor(spec, len(j.train), cfg.Epochs)
-				out, err := device.Execute(j.client, round, work, j.tech, deadline)
-				if err != nil {
-					results[slot].err = err
-					return
-				}
-				results[slot].out = out
-				if !out.Completed {
-					return
-				}
-				eo.trainCalls.Inc()
-				lt, err := trainLocal(pool.ctx(worker), pool.delta(slot), global,
-					globalParams, j.train, j.localTest, j.tech, cfg, round, j.id)
-				if err != nil {
-					results[slot].err = err
-					return
-				}
-				results[slot].lt = lt
-				results[slot].trained = true
-			})
-		})
-
-		// Collect pass: apply every order-sensitive side effect in
-		// selection order on this goroutine. Ledger, selector, controller,
-		// and logger stay single-threaded by construction.
-		var deltas []tensor.Vector
-		var weights []float64
-		var roundWall float64
-		anyTimeout := false
-		for slot, j := range jobs {
-			r := results[slot]
-			if r.err != nil {
-				return nil, r.err
-			}
-			out := r.out
-			res.Ledger.Record(j.id, j.tech, out)
-			eo.dev.Record(out)
-			eo.clientSpans(roundStart, round, j.id, j.tech, out)
-			if out.Reason == device.DropDeadline {
-				anyTimeout = true
-				hfDiff[j.id] = out.DeadlineDiff
-			} else if out.Completed {
-				hfDiff[j.id] = 0
-			}
-
-			var statUtil, accImprove float64
-			if r.trained {
-				deltas = append(deltas, r.lt.delta)
-				weights = append(weights, r.lt.weight)
-				statUtil = r.lt.statUtility
-				accImprove = r.lt.accImprove
-				if out.Cost.TotalSeconds > roundWall {
-					roundWall = out.Cost.TotalSeconds
-				}
-			}
-			sel.Observe(selection.Feedback{ClientID: j.id, Round: round, Outcome: out, StatUtility: statUtil})
-			ctrl.Feedback(round, j.client, j.tech, out, accImprove)
-			cfg.Logger.LogClientRound(clientRoundLog(round, j.id, j.tech, out, accImprove))
-		}
-
-		var aggErr error
-		withPhase("aggregate", func() { aggErr = applyAggregate(global, deltas, weights) })
-		if aggErr != nil {
-			return nil, aggErr
-		}
-		// The round's pins are dropped only after every side effect that
-		// needs the client instance has run.
-		for _, id := range ids {
-			p.Release(id)
-		}
-		if anyTimeout {
-			roundWall = deadline
-		}
-		res.Ledger.WallClockSeconds += roundWall
-		res.WallClockSeconds += roundWall
-		eo.span(obs.Span{T: roundStart + roundWall, Kind: "aggregate", Round: round, Client: -1})
-		eo.rounds.Inc()
-		eo.completed.Add(int64(len(deltas)))
-		eo.dropped.Add(int64(len(ids) - len(deltas)))
-		eo.roundWall.Observe(roundWall)
-
-		summary := RoundSummaryLog{
-			Round:       round,
-			Selected:    len(ids),
-			Completed:   len(deltas),
-			Dropped:     len(ids) - len(deltas),
-			WallSeconds: roundWall,
-		}
-		if (round+1)%cfg.EvalEvery == 0 || round == cfg.Rounds-1 {
-			acc, _ := global.Evaluate(p.GlobalTest())
-			res.GlobalAccHistory = append(res.GlobalAccHistory, acc)
-			res.EvalRounds = append(res.EvalRounds, round+1)
-			summary.GlobalAcc = &acc
-			eo.evals.Inc()
-			eo.globalAcc.Set(acc)
-		}
-		cfg.Logger.LogRoundSummary(summary)
-		// Publish population-cache telemetry at this schedule-determined
-		// point so exposition bytes never depend on Parallelism.
-		p.FlushObs()
-		completed = round + 1
-		// Sample before the checkpoint hook so every snapshot carries the
-		// timeline through its own round — the stitching invariant.
-		sampleRoundTimeline(cfg.Timeline, ctrl, round, res.WallClockSeconds,
-			obs.SeriesValue{Name: "round_selected", Value: float64(len(ids))},
-			obs.SeriesValue{Name: "round_completed", Value: float64(len(deltas))},
-			obs.SeriesValue{Name: "round_dropped", Value: float64(len(ids) - len(deltas))},
-			obs.SeriesValue{Name: "round_wall_seconds", Value: roundWall})
-		if stop, err := ckState.boundary(completed); err != nil {
-			return nil, err
-		} else if stop {
-			break
-		}
+		r.sel.Observe(selection.Feedback{ClientID: s.id, Round: round, Outcome: out, StatUtility: statUtil})
+		r.ctrl.Feedback(round, s.client, s.tech, out, accImprove)
+		r.cfg.Logger.LogClientRound(clientRoundLog(round, s.id, s.tech, out, accImprove))
 	}
+	if anyTimeout {
+		wall = r.deadline
+	}
+	return deltas, weights, wall, nil
+}
 
-	res.CompletedRounds = completed
-	res.SimClockSeconds = res.WallClockSeconds
-	res.FinalClientAccs = evaluateClientsPop(global, p, cfg.EvalClients)
-	res.FinalAccStats = metrics.ComputeAccuracyStats(res.FinalClientAccs)
-	res.FinalGlobalAcc, _ = global.Evaluate(p.GlobalTest())
-	res.FinalParams = global.Parameters().Clone()
-	p.FlushObs()
-	return res, nil
+// closeRound aggregates, drops the round's pins (only after every side
+// effect that needs the client instances has run), advances the clock, and
+// reports the round.
+func (r *run) closeRound(round int, ids []int, deltas []tensor.Vector, weights []float64, wall float64) (stop bool, err error) {
+	withPhase("aggregate", func() { err = applyAggregate(r.global, deltas, weights) })
+	if err != nil {
+		return false, err
+	}
+	for _, id := range ids {
+		r.p.Release(id)
+	}
+	r.res.Ledger.WallClockSeconds += wall
+	r.now += wall
+	completed, dropped := len(deltas), len(ids)-len(deltas)
+	r.eo.span(obs.Span{T: r.now, Kind: "aggregate", Round: round, Client: -1})
+	r.eo.rounds.Inc()
+	r.eo.completed.Add(int64(completed))
+	r.eo.dropped.Add(int64(dropped))
+	r.eo.roundWall.Observe(wall)
+
+	summary := RoundSummaryLog{Round: round, Selected: len(ids), Completed: completed, Dropped: dropped, WallSeconds: wall}
+	if (round+1)%r.cfg.EvalEvery == 0 || round == r.cfg.Rounds-1 {
+		acc := r.evalGlobal(round + 1)
+		summary.GlobalAcc = &acc
+	}
+	r.cfg.Logger.LogRoundSummary(summary)
+	return r.boundary(true,
+		obs.SeriesValue{Name: "round_selected", Value: float64(len(ids))},
+		obs.SeriesValue{Name: "round_completed", Value: float64(completed)},
+		obs.SeriesValue{Name: "round_dropped", Value: float64(dropped)},
+		obs.SeriesValue{Name: "round_wall_seconds", Value: wall})
 }

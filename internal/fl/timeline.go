@@ -19,23 +19,6 @@ type TimelineContributor interface {
 	TimelineSeries() []obs.SeriesValue
 }
 
-// sampleRoundTimeline records one timeline sample at a quiescent
-// boundary: the full registry snapshot, the engine's per-round facts
-// (extra), and the controller's contributed series. It must run at the
-// same schedule-determined point as p.FlushObs — after all of the
-// round's metric updates, before the checkpoint boundary hook — so the
-// sample stream is identical across Parallelism and lands inside every
-// snapshot that covers its round.
-func sampleRoundTimeline(tl *obs.Timeline, ctrl Controller, round int, clock float64, extra ...obs.SeriesValue) {
-	if tl == nil {
-		return
-	}
-	if tc, ok := ctrl.(TimelineContributor); ok {
-		extra = append(extra, tc.TimelineSeries()...)
-	}
-	tl.Sample(round, clock, extra...)
-}
-
 // withPhase runs fn under a pprof "phase" label so -cpuprofile output
 // attributes samples to round phases (select/train/aggregate). Goroutines
 // spawned inside fn — the forEachSlot worker pool — inherit the label, so

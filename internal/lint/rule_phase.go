@@ -30,7 +30,8 @@ var phaseForbidden = map[[2]string]string{
 }
 
 // rulePhaseContract enforces the engines' three-phase concurrency
-// contract: fan-out jobs (function literals handed to forEachSlot) run on
+// contract: fan-out jobs (function literals, named functions, or method
+// values handed to forEachSlot) run on
 // worker goroutines and may only touch their job-local context — working
 // set acquisition/release, ledger writes, and observability flushes are
 // single-threaded dispatch/collect operations. The check is call-graph
@@ -47,7 +48,7 @@ var rulePhaseContract = &Rule{
 		g := mp.Graph
 
 		// Roots: every function literal passed to a forEachSlot call, plus
-		// named functions passed by value.
+		// named functions and method values (r.trainSlot) passed by value.
 		var roots []*Node
 		for _, n := range g.Nodes {
 			if mp.InTestFile(n.Pos()) {
@@ -59,24 +60,14 @@ var rulePhaseContract = &Rule{
 					return true
 				}
 				for _, arg := range call.Args {
-					switch arg := arg.(type) {
-					case *ast.FuncLit:
-						if r := g.NodeForLit(arg); r != nil {
-							roots = append(roots, r)
-						}
-					case *ast.Ident:
-						if fn, ok := n.Pkg.Info.Uses[arg].(*types.Func); ok {
-							if r := g.NodeFor(fn); r != nil {
-								roots = append(roots, r)
-							}
-						}
+					if lit, ok := arg.(*ast.FuncLit); ok {
+						roots = append(roots, g.NodeForLit(lit))
+					} else if fn := funcValue(n.Pkg, arg); fn != nil {
+						roots = append(roots, g.NodeFor(fn))
 					}
 				}
 				return true
 			})
-		}
-		if len(roots) == 0 {
-			return
 		}
 		pred := g.ReachableFrom(roots)
 
@@ -113,18 +104,26 @@ var rulePhaseContract = &Rule{
 	},
 }
 
+// funcValue resolves an expression that names a function — a bare or
+// package-qualified function, or a method selected from a value (the
+// callee of r.step(), the method value r.step) — to that function, or nil.
+func funcValue(pkg *Package, e ast.Expr) *types.Func {
+	var id *ast.Ident
+	switch e := e.(type) {
+	case *ast.Ident:
+		id = e
+	case *ast.SelectorExpr:
+		id = e.Sel
+	default:
+		return nil
+	}
+	fn, _ := pkg.Info.Uses[id].(*types.Func)
+	return fn
+}
+
 // staticCalleeName resolves a call's static callee function name, or "".
 func staticCalleeName(pkg *Package, call *ast.CallExpr) string {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return ""
-	}
-	if fn, ok := pkg.Info.Uses[id].(*types.Func); ok {
+	if fn := funcValue(pkg, call.Fun); fn != nil {
 		return fn.Name()
 	}
 	return ""

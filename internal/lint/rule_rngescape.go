@@ -17,9 +17,14 @@ import (
 //     becomes schedule-dependent;
 //   - a stream crossing the engines' fan-out boundary — captured by a
 //     function literal handed to forEachSlot, whose slots run on worker
-//     goroutines. Per-client RNGs must instead be derived inside the
-//     worker from (seed, round, clientID), and per-worker scratch RNGs
-//     live in the context pool, reseeded per job.
+//     goroutines, or reached through the receiver of a method value handed
+//     to it. Per-client RNGs must instead be derived inside the worker from
+//     (seed, round, clientID), and per-worker scratch RNGs live in the
+//     context pool, reseeded per job.
+//
+// A stream counts as captured whether it is a variable itself or an
+// RNG-typed field selected through a captured variable (r.rng inside a
+// fan-out body, with r the engine's run state).
 var ruleRNGEscape = &Rule{
 	Name: "rng-escape",
 	Doc: "forbids *rand.Rand/rngstate.Source streams escaping their owner: package-level vars, " +
@@ -59,12 +64,16 @@ var ruleRNGEscape = &Rule{
 					return true
 				}
 				for _, arg := range n.Args {
-					lit, ok := arg.(*ast.FuncLit)
-					if !ok {
-						continue
+					if lit, ok := arg.(*ast.FuncLit); ok {
+						reportFreeRNGVars(pass, lit,
+							"RNG stream %s crosses the fan-out job boundary (captured by a forEachSlot literal); derive per-client RNGs inside the worker from (seed, round, clientID) instead")
+					} else if body := declBody(pass.Pkg, funcValue(pass.Pkg, arg)); body != nil {
+						// The receiver and parameters are declared outside
+						// the body, so streams reached through them count
+						// as captured.
+						reportFreeRNGVars(pass, body,
+							"RNG stream %s crosses the fan-out job boundary (used by a function value handed to forEachSlot); derive per-client RNGs inside the worker from (seed, round, clientID) instead")
 					}
-					reportFreeRNGVars(pass, lit,
-						"RNG stream %s crosses the fan-out job boundary (captured by a forEachSlot literal); derive per-client RNGs inside the worker from (seed, round, clientID) instead")
 				}
 			}
 			return true
@@ -94,28 +103,72 @@ func reportRNGCaptures(pass *Pass, span ast.Node, call *ast.CallExpr, format str
 	}
 }
 
-// reportFreeRNGVars flags identifiers inside lit that denote RNG-typed
-// variables declared outside the literal (captured free variables).
-func reportFreeRNGVars(pass *Pass, lit *ast.FuncLit, format string) {
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := pass.ObjectOf(id).(*types.Var)
-		if !ok || !isRNGType(v.Type()) {
-			return true
-		}
-		// Struct fields have no lexical scope relative to the literal;
-		// flag them only via their base identifier (covered separately).
-		if v.IsField() {
-			return true
-		}
-		if v.Pos() < lit.Pos() || v.Pos() > lit.End() {
-			pass.Report(id.Pos(), format, id.Name)
+// reportFreeRNGVars flags RNG streams used inside scope (a function
+// literal, or a declared function's body) but owned outside it: RNG-typed
+// variables declared outside scope, and RNG-typed fields selected through
+// such a variable.
+func reportFreeRNGVars(pass *Pass, scope ast.Node, format string) {
+	outside := func(v *types.Var) bool {
+		return !v.IsField() && (v.Pos() < scope.Pos() || v.Pos() > scope.End())
+	}
+	ast.Inspect(scope, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			// Fields have no lexical scope of their own; they are judged
+			// by the variable they are selected through, below.
+			if v, ok := pass.ObjectOf(n).(*types.Var); ok && isRNGType(v.Type()) && outside(v) {
+				pass.Report(n.Pos(), format, n.Name)
+			}
+		case *ast.SelectorExpr:
+			f, ok := pass.ObjectOf(n.Sel).(*types.Var)
+			if !ok || !f.IsField() || !isRNGType(f.Type()) {
+				return true
+			}
+			if base := baseIdent(n.X); base != nil {
+				if v, ok := pass.ObjectOf(base).(*types.Var); ok && outside(v) {
+					pass.Report(n.Sel.Pos(), format, types.ExprString(n))
+				}
+			}
 		}
 		return true
 	})
+}
+
+// baseIdent returns the identifier an access path (a.b[i].c, (*p).f) starts
+// from, or nil when it starts from something else (a call result).
+func baseIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
+// declBody returns the body of fn's declaration in pkg, or nil (fn is nil,
+// bodyless, or declared in another package).
+func declBody(pkg *Package, fn *types.Func) *ast.BlockStmt {
+	if fn == nil {
+		return nil
+	}
+	for _, file := range pkg.Files {
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && pkg.Info.Defs[fd.Name] == fn {
+				return fd.Body
+			}
+		}
+	}
+	return nil
 }
 
 // isRNGType reports whether t is (a pointer to) one of the RNG stream

@@ -1,9 +1,9 @@
 // Fixture: phase-contract violations — a fan-out job literal handed to
 // forEachSlot that writes the ledger directly and through a helper (the
-// check is call-graph transitive), and one that releases a working-set
-// entry. Ledger/Cache are defined locally: the contract matches by
-// (receiver, method) name, which is what lets the fixture stay
-// self-contained.
+// check is call-graph transitive), one that pins a working-set entry, and
+// a job handed over as a method value. Ledger/Cache are defined locally:
+// the contract matches by (receiver, method) name, which is what lets the
+// fixture stay self-contained.
 package fixture
 
 type Ledger struct{ rows []int }
@@ -34,4 +34,12 @@ func runRound(led *Ledger, wc *Cache) {
 
 func tally(led *Ledger, i int) {
 	led.Record(i * 2) // want phase-contract (transitive, one hop from the job)
+}
+
+type roundState struct{ led *Ledger }
+
+func (s *roundState) runRound() { forEachSlot(4, s.job) }
+
+func (s *roundState) job(i int) {
+	s.led.Record(i) // want phase-contract (job handed to forEachSlot as a method value)
 }

@@ -1,9 +1,9 @@
-// Fixture: the three RNG-stream escape shapes rng-escape must flag — a
-// package-level stream (shared, unownable), capture by go closures and
-// goroutine arguments (schedule-dependent draw order), and capture by a
-// forEachSlot fan-out literal (stream crossing the job boundary).
-// Constructors are exempt from no-global-rand, so without this rule the
-// package-level var would slip through entirely.
+// Fixture: the RNG-stream escape shapes rng-escape must flag — a package-
+// level stream (shared, unownable; constructors are exempt from
+// no-global-rand, so only this rule sees it), capture by go closures and
+// goroutine arguments (schedule-dependent draw order), and a stream crossing
+// the forEachSlot fan-out boundary: as a free variable, as a field of a
+// captured struct, or through the receiver of a method value.
 package fixture
 
 import (
@@ -43,4 +43,18 @@ func fanOut(rng *rand.Rand) {
 	forEachSlot(4, func(i int) {
 		_ = rng.Intn(i + 1) // want rng-escape (crosses the fan-out boundary)
 	})
+}
+
+type runState struct{ rng *rand.Rand }
+
+func (s *runState) fanOutField() {
+	forEachSlot(4, func(i int) {
+		_ = s.rng.Intn(i + 1) // want rng-escape (field of a captured struct)
+	})
+}
+
+func (s *runState) fanOutMethodValue() { forEachSlot(4, s.job) }
+
+func (s *runState) job(i int) {
+	_ = s.rng.Intn(i + 1) // want rng-escape (receiver of a method value)
 }

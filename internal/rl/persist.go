@@ -17,34 +17,29 @@ const AgentSnapshotKind = "rl-agent"
 // enough metadata to refuse loads into an incompatible agent (different
 // bin resolution or action space).
 type snapshot struct {
-	Version  int                `json:"version"`
-	Bins     int                `json:"bins"`
-	Actions  []string           `json:"actions"`
-	Table    map[string][]cell  `json:"table"`
-	AccCache map[string]float64 `json:"acc_cache"`
+	Version  int             `json:"version"`
+	Bins     int             `json:"bins"`
+	Actions  []string        `json:"actions"`
+	Table    map[int][]cell  `json:"table"`
+	AccCache map[int]float64 `json:"acc_cache"`
 }
 
 const snapshotVersion = 1
 
 // buildSnapshot captures the agent's learned state (Q-table and feedback
-// cache). encoding/json emits map keys sorted, so the marshaled form is
-// byte-stable for identical agent state.
+// cache) for immediate marshaling: the maps alias the live agent.
+// encoding/json emits integer map keys as strings, sorted, so the marshaled
+// form is byte-stable for identical agent state.
 func (a *Agent) buildSnapshot() snapshot {
 	snap := snapshot{
 		Version:  snapshotVersion,
 		Bins:     a.cfg.Bins,
 		Actions:  make([]string, len(a.actions)),
-		Table:    make(map[string][]cell, len(a.table)),
-		AccCache: make(map[string]float64, len(a.accCache)),
+		Table:    a.table,
+		AccCache: a.accCache,
 	}
 	for i, t := range a.actions {
 		snap.Actions[i] = t.String()
-	}
-	for k, cs := range a.table {
-		snap.Table[strconv.Itoa(k)] = append([]cell(nil), cs...)
-	}
-	for k, v := range a.accCache {
-		snap.AccCache[strconv.Itoa(k)] = v
 	}
 	return snap
 }
@@ -70,27 +65,19 @@ func (a *Agent) applySnapshot(snap snapshot) error {
 				Got: name, Want: a.actions[i].String()}
 		}
 	}
-	table := make(map[int][]cell, len(snap.Table))
 	for k, cs := range snap.Table {
-		key, err := strconv.Atoi(k)
-		if err != nil {
-			return &checkpoint.FormatError{Reason: fmt.Sprintf("rl snapshot has invalid state key %q", k)}
-		}
 		if len(cs) != len(a.actions) {
-			return &checkpoint.FormatError{Reason: fmt.Sprintf("rl snapshot state %q has %d cells, want %d", k, len(cs), len(a.actions))}
+			return &checkpoint.FormatError{Reason: fmt.Sprintf("rl snapshot state %d has %d cells, want %d", k, len(cs), len(a.actions))}
 		}
-		table[key] = cs
 	}
-	cache := make(map[int]float64, len(snap.AccCache))
-	for k, v := range snap.AccCache {
-		key, err := strconv.Atoi(k)
-		if err != nil {
-			return &checkpoint.FormatError{Reason: fmt.Sprintf("rl snapshot has invalid cache key %q", k)}
-		}
-		cache[key] = v
+	// A snapshot may spell an empty map as null; the agent writes into both.
+	a.table, a.accCache = snap.Table, snap.AccCache
+	if a.table == nil {
+		a.table = make(map[int][]cell)
 	}
-	a.table = table
-	a.accCache = cache
+	if a.accCache == nil {
+		a.accCache = make(map[int]float64)
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package rl
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -98,6 +99,67 @@ func TestLoadRejectsWrongKind(t *testing.T) {
 	var fe *checkpoint.FormatError
 	if err := NewAgent(Config{Seed: 9}).Load(bytes.NewReader(framed)); !errors.As(err, &fe) {
 		t.Fatalf("wrong-kind load: got %v, want FormatError", err)
+	}
+}
+
+// TestLoadMalformedPayload feeds Load intact frames whose JSON payload is
+// wrong: a state or cache key that is not an integer and a state with the
+// wrong number of cells are *checkpoint.FormatError with the agent
+// untouched; empty maps spelled null load into an agent that still learns.
+func TestLoadMalformedPayload(t *testing.T) {
+	src := trainedAgent(t)
+	var buf bytes.Buffer
+	if err := src.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := checkpoint.Decode(bytes.NewReader(buf.Bytes()), AgentSnapshotKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var good map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &good); err != nil {
+		t.Fatal(err)
+	}
+	load := func(field, value string) (*Agent, error) {
+		fields := map[string]json.RawMessage{}
+		for k, v := range good {
+			fields[k] = v
+		}
+		fields[field] = json.RawMessage(value)
+		mut, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		framed, err := checkpoint.EncodeBytes(AgentSnapshotKind, mut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := NewAgent(Config{Seed: 9})
+		return dst, dst.Load(bytes.NewReader(framed))
+	}
+	for _, tc := range []struct{ field, value string }{
+		{"table", `{"seven":[]}`},
+		{"acc_cache", `{"1.5":0.25}`},
+		{"table", `{"7":[{"qp":0,"qa":0,"n":1}]}`},
+	} {
+		dst, err := load(tc.field, tc.value)
+		var fe *checkpoint.FormatError
+		if !errors.As(err, &fe) {
+			t.Fatalf("%s=%s: got %v, want FormatError", tc.field, tc.value, err)
+		}
+		if dst.StatesVisited() != 0 {
+			t.Fatalf("%s=%s: rejected load mutated the agent", tc.field, tc.value)
+		}
+	}
+	for _, field := range []string{"table", "acc_cache"} {
+		dst, err := load(field, "null")
+		if err != nil {
+			t.Fatalf("%s=null: %v", field, err)
+		}
+		s := State{GB: 1, GE: 1, GK: 2, CPU: 3, Mem: 1, Net: 1, HF: 2}
+		if err := dst.Update(0, s, dst.SelectAction(s), true, 0.01, s); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
