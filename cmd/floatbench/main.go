@@ -8,12 +8,6 @@
 //	floatbench -fig 12 -scale paper     # the end-to-end grid at paper scale
 //	floatbench -fig 2,3,6
 //	floatbench -list
-//
-// With -compare it instead diffs two BENCH_*.json artifacts (written by
-// `go test -run NONE -bench-out`) and exits 1 when the new artifact
-// regresses past the per-metric tolerances — the CI perf ratchet:
-//
-//	floatbench -compare BENCH_roundtrip.json BENCH_ci.json
 package main
 
 import (
@@ -26,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"floatfl/internal/bench"
 	"floatfl/internal/experiment"
 	"floatfl/internal/obs"
 )
@@ -66,20 +59,8 @@ func main() {
 		metOut  = flag.String("metrics-out", "", "write the end-of-run metrics snapshot (text exposition) to this file ('-' = stdout)")
 		trOut   = flag.String("trace-out", "", "write the JSONL phase trace to this file ('-' = stdout; analyze with floatreport -trace)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file; samples carry phase labels (select | train | aggregate)")
-		compare = flag.String("compare", "", "baseline BENCH_*.json; compares against the artifact named by the positional arg and exits 1 on regression")
-		timeTol = flag.Float64("max-time-ratio", 0, "compare: max allowed new/old ns_per_op (default 3; wall time is noisy on CI)")
-		alcTol  = flag.Float64("max-alloc-ratio", 0, "compare: max allowed new/old allocs_per_op (default 1.25; a zero-alloc baseline must stay zero)")
 	)
 	flag.Parse()
-
-	if *compare != "" {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: floatbench -compare OLD.json NEW.json")
-			os.Exit(2)
-		}
-		os.Exit(runCompare(*compare, flag.Arg(0),
-			bench.Tolerance{TimeRatio: *timeTol, AllocRatio: *alcTol}))
-	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -179,27 +160,6 @@ func pickScale(name string) (experiment.Scale, error) {
 	default:
 		return experiment.Scale{}, fmt.Errorf("unknown scale %q (quick | paper)", name)
 	}
-}
-
-// runCompare implements the perf ratchet: exit 0 when every baseline
-// metric stays within tolerance, 1 on any regression, 2 on read errors.
-func runCompare(oldPath, newPath string, tol bench.Tolerance) int {
-	baseline, err := bench.LoadFile(oldPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "floatbench:", err)
-		return 2
-	}
-	fresh, err := bench.LoadFile(newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "floatbench:", err)
-		return 2
-	}
-	regs := bench.Compare(baseline, fresh, tol)
-	bench.FprintComparison(os.Stdout, baseline, fresh, regs)
-	if len(regs) > 0 {
-		return 1
-	}
-	return 0
 }
 
 func fatal(err error) {

@@ -8,8 +8,8 @@
 //
 // Usage:
 //
-//	floatlint [-json] [-sarif file] [-baseline file] [-write-baseline]
-//	          [-unused-directives] [-rules list] [-list] [packages...]
+//	floatlint [-json] [-sarif file] [-unused-directives] [-rules list]
+//	          [-list] [packages...]
 //
 // With no package patterns it sweeps ./... from the enclosing module
 // root. -rules selects analyzers: a comma-separated list of names runs
@@ -17,12 +17,8 @@
 // (e.g. -rules -naked-goroutine). Findings suppressed with an inline
 // `//lint:allow <rule> <reason>` directive are not reported;
 // -unused-directives additionally reports directives that suppress
-// nothing. -baseline filters findings through a committed acceptance
-// ledger (novel findings still fail; stale entries are reported on
-// stderr), and -write-baseline regenerates that file from the current
-// findings instead of failing. -sarif writes a SARIF 2.1.0 document
-// ("-" for stdout) with the post-baseline findings for code-scanning
-// upload.
+// nothing. -sarif writes a SARIF 2.1.0 document ("-" for stdout) with
+// the findings for code-scanning upload.
 package main
 
 import (
@@ -38,8 +34,6 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	sarifOut := flag.String("sarif", "", "write findings as SARIF 2.1.0 to this file (\"-\" for stdout)")
-	baselinePath := flag.String("baseline", "", "filter findings through this committed baseline file")
-	writeBaseline := flag.Bool("write-baseline", false, "rewrite -baseline from current findings and exit 0")
 	unusedDirectives := flag.Bool("unused-directives", false, "report //lint:allow directives that suppress nothing")
 	rules := flag.String("rules", "", "comma-separated rules to run, or -name entries to skip (default: all)")
 	list := flag.Bool("list", false, "list registered rules and exit")
@@ -50,9 +44,6 @@ func main() {
 			fmt.Printf("%-20s %s\n", r.Name, r.Doc)
 		}
 		return
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fatal(fmt.Errorf("-write-baseline requires -baseline"))
 	}
 
 	enabled, err := selectRules(*rules)
@@ -78,35 +69,6 @@ func main() {
 		Enabled:          enabled,
 		UnusedDirectives: *unusedDirectives,
 	})
-
-	if *writeBaseline {
-		data, err := lint.NewBaseline(findings, root).Encode()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*baselinePath, data, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "floatlint: wrote %s (%d finding(s) accepted)\n", *baselinePath, len(findings))
-		return
-	}
-
-	if *baselinePath != "" {
-		data, err := os.ReadFile(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		base, err := lint.ParseBaseline(data)
-		if err != nil {
-			fatal(err)
-		}
-		novel, stale := base.Filter(findings, root)
-		findings = novel
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "floatlint: baseline entry no longer fires (%d stale): [%s] %s: %s\n",
-				e.Count, e.Rule, e.File, e.Message)
-		}
-	}
 
 	if *sarifOut != "" {
 		data, err := lint.SARIF(findings, root)

@@ -11,17 +11,16 @@ import (
 	"floatfl/internal/trace"
 )
 
-// BenchmarkTrainLocal measures one steady-state client round against a warm
-// trainContext. The flat-parameter refactor's contract is that this path
-// allocates nothing: the context owns the local model and scratch, the slot
-// owns the delta buffer, and nn.Train reuses its RNG/order/gradient state.
-// The telemetry ops the engines issue per client round (counter increment,
-// histogram observe) run inside the loop too, proving the instrumented hot
-// path stays allocation-free.
-func BenchmarkTrainLocal(b *testing.B) {
+// TestTrainLocalAllocatesNothing pins the steady-state client round
+// against a warm trainContext at zero allocations: the context owns the
+// local model and scratch, the slot owns the delta buffer, and nn.Train
+// reuses its RNG/order/gradient state. The telemetry ops the engines issue
+// per client round (counter increment, histogram observe) run inside the
+// measured body too, so the instrumented hot path is covered.
+func TestTrainLocalAllocatesNothing(t *testing.T) {
 	fed, err := data.Generate("femnist", data.GenerateConfig{Clients: 8, Alpha: 0.1, Seed: 11})
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	cfg := Config{
 		Arch: "resnet18", Rounds: 1, ClientsPerRound: 1,
@@ -30,31 +29,28 @@ func BenchmarkTrainLocal(b *testing.B) {
 	proto, err := nn.NewModel(cfg.Arch, fed.Profile.Dim, fed.Profile.Classes,
 		rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	before := proto.Parameters().Clone()
 	pool := newContextPool(proto)
 	pool.ensure(1, 1)
 
-	// Warm up: first call builds the context's model and scratch.
-	if _, err := trainLocal(pool.ctx(0), pool.delta(0), proto, before,
-		fed.Train[0], fed.LocalTest[0], opt.TechNone, cfg, 0, 0); err != nil {
-		b.Fatal(err)
-	}
-
 	reg := obs.NewRegistry()
 	trainCalls := reg.Counter("fl_train_calls_total")
 	computeHist := reg.Histogram("device_compute_seconds", []float64{1, 5, 15, 30, 60})
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	// AllocsPerRun's own warm-up call builds the context's model and
+	// scratch before counting starts.
+	allocs := testing.AllocsPerRun(10, func() {
 		trainCalls.Inc()
 		if _, err := trainLocal(pool.ctx(0), pool.delta(0), proto, before,
 			fed.Train[0], fed.LocalTest[0], opt.TechNone, cfg, 1, 0); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
 		computeHist.Observe(12.5)
+	})
+	if allocs != 0 {
+		t.Errorf("warm trainLocal allocates %.0f objects per client round, want 0", allocs)
 	}
 }
 

@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"encoding/json"
 	"os"
 	"runtime"
 	"strconv"
@@ -19,8 +18,7 @@ import (
 //	FLOAT_POP_SCALE=1 go test ./internal/fl -run TestMillionClientBoundedMemory -v
 //
 // FLOAT_POP_CLIENTS / FLOAT_POP_PER_ROUND override the scale (CI runs a
-// reduced configuration); FLOAT_POP_BENCH_OUT, when set, writes the
-// BENCH_population.json artifact to that path.
+// reduced configuration).
 const popScaleEnv = "FLOAT_POP_SCALE"
 
 func envInt(name string, def int) int {
@@ -32,30 +30,10 @@ func envInt(name string, def int) int {
 	return def
 }
 
-// populationBenchArtifact is the BENCH_population.json schema: the lazy
-// population's startup cost, steady-state round cost, and the resident
-// footprint per population client — the numbers that justify "round cost
-// is O(selected), not O(population)".
-type populationBenchArtifact struct {
-	Schema           string  `json:"schema"`
-	GoVersion        string  `json:"go_version"`
-	Clients          int     `json:"clients"`
-	PerRound         int     `json:"per_round"`
-	CacheClients     int     `json:"cache_clients"`
-	Rounds           int     `json:"rounds"`
-	StartupSec       float64 `json:"startup_sec"`
-	RoundSec         float64 `json:"round_sec"`
-	HeapAllocBytes   uint64  `json:"heap_alloc_bytes"`
-	BytesPerClient   float64 `json:"bytes_per_client"`
-	ShardPeak        int     `json:"shard_resident_peak"`
-	DevicePeak       int     `json:"device_resident_peak"`
-	ResidencyCeiling int     `json:"residency_ceiling"`
-}
-
 // TestMillionClientBoundedMemory is the tentpole's scale acceptance test:
 // a million-client lazy population must start up in O(1), run rounds whose
 // resident working set never exceeds cache capacity + the selected set,
-// and keep total heap a small constant per population client (an eager
+// and keep the live heap flat in the population size (an eager
 // population at this scale would need tens of GB).
 func TestMillionClientBoundedMemory(t *testing.T) {
 	if os.Getenv(popScaleEnv) == "" {
@@ -126,45 +104,22 @@ func TestMillionClientBoundedMemory(t *testing.T) {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
+	// The population (caches included) and the result (sparse ledger,
+	// global model) must be reachable at the measurement, or the figure is
+	// that of an empty heap.
+	runtime.KeepAlive(p)
+	runtime.KeepAlive(res)
 	bytesPerClient := float64(ms.HeapAlloc) / float64(clients)
 	t.Logf("heap after run: %.1f MB (%.1f bytes per population client; peaks shard=%d device=%d)",
 		float64(ms.HeapAlloc)/(1<<20), bytesPerClient, shard.Peak, dev.Peak)
-	// An eager femnist client costs tens of KB (samples + traces). The
-	// lazy run must stay orders of magnitude below that per *population*
-	// client at the full 1M scale; the reduced CI scale gets a looser
-	// bound since the fixed costs (model, pools, goldens) dominate.
-	maxBytesPerClient := 2048.0
-	if clients < 500_000 {
-		maxBytesPerClient = 65536
-	}
-	if bytesPerClient > maxBytesPerClient {
-		t.Errorf("resident heap %.0f bytes per population client exceeds %.0f — population memory is not bounded",
-			bytesPerClient, maxBytesPerClient)
-	}
-
-	if out := os.Getenv("FLOAT_POP_BENCH_OUT"); out != "" {
-		art := populationBenchArtifact{
-			Schema:           "floatfl-population-bench/v1",
-			GoVersion:        runtime.Version(),
-			Clients:          clients,
-			PerRound:         perRound,
-			CacheClients:     cacheClients,
-			Rounds:           rounds,
-			StartupSec:       startupSec,
-			RoundSec:         roundSec,
-			HeapAllocBytes:   ms.HeapAlloc,
-			BytesPerClient:   bytesPerClient,
-			ShardPeak:        shard.Peak,
-			DevicePeak:       dev.Peak,
-			ResidencyCeiling: ceiling,
-		}
-		blob, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", out)
+	// What stays live is the 4096-client cache (~44 KB per resident femnist
+	// client), the sparse ledger and the model: 180.5 MB measured at both
+	// 100k and 1M clients, flat in the population size. An eager population
+	// pays that ~44 KB for every client (4.4 GB at 100k), so one fixed
+	// budget with 1.4x headroom separates the two at either scale.
+	const heapBudget = 256 << 20
+	if ms.HeapAlloc > heapBudget {
+		t.Errorf("live heap %.1f MB exceeds the %d MB budget — population memory is not bounded",
+			float64(ms.HeapAlloc)/(1<<20), heapBudget>>20)
 	}
 }

@@ -164,73 +164,6 @@ func TestSARIFOutput(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTrip checks encode/parse symmetry and the Filter
-// semantics: covered findings are absorbed (counts matter), novel ones
-// pass through, and exhausted entries surface as stale.
-func TestBaselineRoundTrip(t *testing.T) {
-	findings := runRules(t, "wallclock_bad.go", nil)
-	if len(findings) < 3 {
-		t.Fatalf("fixture produced %d findings, want >= 3", len(findings))
-	}
-
-	base := lint.NewBaseline(findings, "")
-	data, err := base.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := lint.ParseBaseline(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The baseline built from the findings absorbs all of them.
-	novel, stale := parsed.Filter(findings, "")
-	if len(novel) != 0 {
-		t.Errorf("full baseline left %d novel finding(s)", len(novel))
-	}
-	if len(stale) != 0 {
-		t.Errorf("full baseline reported %d stale entr(ies)", len(stale))
-	}
-
-	// Dropping one finding from the input surfaces its entry as stale.
-	novel, stale = parsed.Filter(findings[1:], "")
-	if len(novel) != 0 {
-		t.Errorf("subset filter left %d novel finding(s)", len(novel))
-	}
-	if len(stale) != 1 {
-		t.Errorf("got %d stale entr(ies), want 1", len(stale))
-	}
-
-	// An empty baseline passes everything through as novel.
-	empty, err := lint.ParseBaseline([]byte(`{"version":1,"entries":[]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	novel, _ = empty.Filter(findings, "")
-	if len(novel) != len(findings) {
-		t.Errorf("empty baseline absorbed findings: %d of %d passed", len(novel), len(findings))
-	}
-
-	// Count semantics: a duplicated finding is only absorbed count times.
-	dup := append([]lint.Finding{findings[0]}, findings...)
-	novel, _ = parsed.Filter(dup, "")
-	if len(novel) != 1 {
-		t.Errorf("count semantics broken: %d novel, want 1 (the second identical finding)", len(novel))
-	}
-
-	// Malformed documents are rejected.
-	for _, bad := range []string{
-		`{"version":2,"entries":[]}`,
-		`{"version":1,"entries":[{"rule":"","file":"x","message":"m","count":1}]}`,
-		`{"version":1,"entries":[{"rule":"r","file":"x","message":"m","count":0}]}`,
-		`not json`,
-	} {
-		if _, err := lint.ParseBaseline([]byte(bad)); err == nil {
-			t.Errorf("ParseBaseline accepted malformed input %q", bad)
-		}
-	}
-}
-
 // TestCallGraphChains sanity-checks the substrate directly: literal
 // containment, transitive reachability, and chain rendering on the
 // clock-taint fixture.
