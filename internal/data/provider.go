@@ -65,14 +65,24 @@ func DeriveCenters(p Profile, seed int64) []tensor.Vector {
 	return centers
 }
 
-// deriveSample draws one sample of the given class: center plus profile
-// noise from the caller's stream.
-func deriveSample(p Profile, centers []tensor.Vector, class int, rng *rand.Rand) nn.Sample {
-	x := centers[class].Clone()
-	noise := tensor.NewVector(p.Dim)
-	tensor.RandnInto(noise, p.Noise, rng)
-	x.AddScaled(1, noise)
-	return nn.Sample{X: x, Label: class}
+// deriveSamples draws n samples from the caller's stream — sample s is
+// class(s)'s center plus profile noise, the class drawn before the noise —
+// into one []nn.Sample whose feature vectors are carved, capacity-clipped,
+// from one slab: two allocations per call, not two per sample. The explicit
+// float64 conversion rounds the noise term before the add on every
+// architecture, as storing it in a scratch vector used to.
+func deriveSamples(p Profile, centers []tensor.Vector, n int, class func(s int) int, rng *rand.Rand) []nn.Sample {
+	out := make([]nn.Sample, n)
+	slab := make([]float64, n*p.Dim)
+	for s := range out {
+		label := class(s)
+		x := slab[s*p.Dim : (s+1)*p.Dim : (s+1)*p.Dim]
+		for i, c := range centers[label] {
+			x[i] = c + float64(rng.NormFloat64()*p.Noise)
+		}
+		out[s] = nn.Sample{X: x, Label: label}
+	}
+	return out
 }
 
 // DeriveClient derives client id's shard purely from (cfg.Seed, id): label
@@ -89,15 +99,10 @@ func DeriveClient(p Profile, cfg GenerateConfig, centers []tensor.Vector, id int
 	if nTest < 2 {
 		nTest = 2
 	}
-	train := make([]nn.Sample, 0, n)
-	for s := 0; s < n; s++ {
-		train = append(train, deriveSample(p, centers, sampleCategorical(labelDist, rng), rng))
-	}
-	test := make([]nn.Sample, 0, nTest)
-	for s := 0; s < nTest; s++ {
-		test = append(test, deriveSample(p, centers, sampleCategorical(labelDist, rng), rng))
-	}
-	return ClientShard{Train: train, LocalTest: test}
+	all := deriveSamples(p, centers, n+nTest, func(int) int { return sampleCategorical(labelDist, rng) }, rng)
+	// One backing array, two views: clip Train so it cannot grow into
+	// LocalTest.
+	return ClientShard{Train: all[:n:n], LocalTest: all[n:]}
 }
 
 // DeriveShardSize derives only client id's sample count — the label-
@@ -115,11 +120,7 @@ func DeriveShardSize(p Profile, cfg GenerateConfig, id int) int {
 // stream.
 func DeriveGlobalTest(p Profile, seed int64, centers []tensor.Vector) []nn.Sample {
 	rng := rand.New(rand.NewSource(ClientSeed(seed, globalTestStreamID)))
-	out := make([]nn.Sample, 0, p.TestSamples)
-	for s := 0; s < p.TestSamples; s++ {
-		out = append(out, deriveSample(p, centers, s%p.Classes, rng))
-	}
-	return out
+	return deriveSamples(p, centers, p.TestSamples, func(s int) int { return s % p.Classes }, rng)
 }
 
 // Provider derives client shards on demand from (seed, clientID) and keeps
@@ -128,9 +129,15 @@ func DeriveGlobalTest(p Profile, seed int64, centers []tensor.Vector) []nn.Sampl
 // produces the same federation Materialize would, but a round that touches
 // only selected clients costs O(selected) memory instead of O(population).
 //
-// Providers are confined to the engines' single-threaded dispatch/collect
-// passes (the same contract selectors and controllers already obey), which
-// makes cache hit/miss/eviction counts deterministic.
+// Cache mutation — Shard, Acquire, Release, Stage — is confined to the
+// engines' single-threaded dispatch/collect passes (the same contract
+// selectors and controllers already obey), which makes cache
+// hit/miss/eviction counts deterministic. Derivation is not: Derive is a
+// pure function of (seed, id) over immutable provider state and may run on
+// any number of workers. Derive-ahead joins the two — the engine derives
+// the non-resident (Resident) shards of an upcoming pass on its workers and
+// Stages them, and a miss takes the staged value instead of deriving
+// inline. Residency is bounded by capacity + pinned + one staged batch.
 type Provider struct {
 	profile Profile
 	cfg     GenerateConfig
@@ -138,6 +145,9 @@ type Provider struct {
 
 	cache      *wset.Cache[int, ClientShard]
 	globalTest []nn.Sample
+	// staged holds the current derive-ahead batch, keyed by client ID; a
+	// miss consumes its entry, the next Stage drops whatever is left.
+	staged map[int]ClientShard
 
 	// OnDerive, when non-nil, observes each full shard derivation with the
 	// number of samples synthesized (population telemetry hook).
@@ -181,12 +191,37 @@ func (pr *Provider) Alpha() float64 { return pr.cfg.Alpha }
 // GlobalTest returns the shared class-balanced holdout.
 func (pr *Provider) GlobalTest() []nn.Sample { return pr.globalTest }
 
-// Shard returns client id's shard, deriving it on a cache miss.
+// Resident reports whether client id's shard is in the working set, without
+// counting a lookup or touching recency.
+func (pr *Provider) Resident(id int) bool { return pr.cache.Contains(id) }
+
+// Derive derives client id's shard without touching the cache — pure, and
+// safe to call from any number of goroutines.
+func (pr *Provider) Derive(id int) ClientShard {
+	return DeriveClient(pr.profile, pr.cfg, pr.centers, id)
+}
+
+// Stage installs shards[i] as the derived-ahead value of ids[i], replacing
+// the previous batch and whatever it left unconsumed.
+func (pr *Provider) Stage(ids []int, shards []ClientShard) {
+	pr.staged = make(map[int]ClientShard, len(ids))
+	for i, id := range ids {
+		pr.staged[id] = shards[i]
+	}
+}
+
+// Shard returns client id's shard; a cache miss takes the staged value, or
+// derives inline when there is none.
 func (pr *Provider) Shard(id int) ClientShard {
 	if s, ok := pr.cache.Get(id); ok {
 		return s
 	}
-	s := DeriveClient(pr.profile, pr.cfg, pr.centers, id)
+	s, ok := pr.staged[id]
+	if ok {
+		delete(pr.staged, id)
+	} else {
+		s = pr.Derive(id)
+	}
 	if pr.OnDerive != nil {
 		pr.OnDerive(len(s.Train) + len(s.LocalTest))
 	}
@@ -268,7 +303,7 @@ func (pr *Provider) Materialize() *Federation {
 	fed.Train = make([][]nn.Sample, pr.cfg.Clients)
 	fed.LocalTest = make([][]nn.Sample, pr.cfg.Clients)
 	for i := 0; i < pr.cfg.Clients; i++ {
-		s := DeriveClient(pr.profile, pr.cfg, pr.centers, i)
+		s := pr.Derive(i)
 		fed.Train[i] = s.Train
 		fed.LocalTest[i] = s.LocalTest
 	}

@@ -1,9 +1,12 @@
 package data
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"floatfl/internal/nn"
+	"floatfl/internal/tensor"
 )
 
 func sampleEqual(a, b nn.Sample) bool {
@@ -146,5 +149,105 @@ func TestProviderCacheBound(t *testing.T) {
 	}
 	if got := p.Stats().Resident; got > 5 {
 		t.Fatalf("resident %d after releases, want ≤ capacity+1", got)
+	}
+}
+
+// deriveClientPerSample is the derivation as it was before the slab: two
+// vectors per sample — a clone of the class center and a throw-away noise
+// vector added to it. It lives on as the oracle the slab derivation must
+// match bit for bit, draw for draw.
+func deriveClientPerSample(p Profile, cfg GenerateConfig, centers []tensor.Vector, id int) ClientShard {
+	cfg = normalizeGenerate(cfg)
+	rng := rand.New(rand.NewSource(ClientSeed(cfg.Seed, int64(id))))
+	labelDist := SampleDirichlet(p.Classes, cfg.Alpha, rng)
+	n := sampleClientVolume(p.MeanSamplesPerClient, rng)
+	nTest := int(math.Round(float64(n) * cfg.LocalTestFraction))
+	if nTest < 2 {
+		nTest = 2
+	}
+	sample := func() nn.Sample {
+		class := sampleCategorical(labelDist, rng)
+		x := centers[class].Clone()
+		noise := tensor.NewVector(p.Dim)
+		tensor.RandnInto(noise, p.Noise, rng)
+		x.AddScaled(1, noise)
+		return nn.Sample{X: x, Label: class}
+	}
+	var shard ClientShard
+	for s := 0; s < n; s++ {
+		shard.Train = append(shard.Train, sample())
+	}
+	for s := 0; s < nTest; s++ {
+		shard.LocalTest = append(shard.LocalTest, sample())
+	}
+	return shard
+}
+
+// TestSlabDerivationMatchesPerSample: one slab per shard is an allocation
+// strategy, not a change of value — every profile, several clients, every
+// float bit-equal to the per-sample derivation — and the views carved from
+// the shared backing arrays cannot grow into one another.
+func TestSlabDerivationMatchesPerSample(t *testing.T) {
+	for _, name := range ProfileNames() {
+		p, err := LookupProfile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := GenerateConfig{Clients: 40, Alpha: 0.1, Seed: 23}
+		centers := DeriveCenters(p, cfg.Seed)
+		for _, id := range []int{0, 7, 39} {
+			got := DeriveClient(p, cfg, centers, id)
+			if want := deriveClientPerSample(p, cfg, centers, id); !shardEqual(got, want) {
+				t.Fatalf("%s client %d: slab derivation deviates from the per-sample derivation", name, id)
+			}
+			if cap(got.Train) != len(got.Train) {
+				t.Fatalf("%s client %d: Train has cap %d > len %d: an append would overwrite LocalTest",
+					name, id, cap(got.Train), len(got.Train))
+			}
+			for i, s := range append(append([]nn.Sample(nil), got.Train...), got.LocalTest...) {
+				if cap(s.X) != len(s.X) {
+					t.Fatalf("%s client %d sample %d: X has cap %d > len %d: an append would overwrite the next sample",
+						name, id, i, cap(s.X), len(s.X))
+				}
+			}
+		}
+	}
+}
+
+// TestStageFeedsMissesOnce: a staged shard is what the next miss returns
+// (the very slices, not a re-derivation), a hit ignores staging, and what a
+// pass leaves unconsumed is gone after the next Stage.
+func TestStageFeedsMissesOnce(t *testing.T) {
+	p, err := NewProvider("femnist", GenerateConfig{Clients: 30, Seed: 9}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derives := 0
+	p.OnDerive = func(int) { derives++ }
+	resident := p.Shard(4)
+	ids := []int{4, 5, 6}
+	staged := []ClientShard{p.Derive(4), p.Derive(5), p.Derive(6)}
+	p.Stage(ids, staged)
+	if got := p.Shard(4); &got.Train[0] != &resident.Train[0] {
+		t.Error("a hit returned the staged shard, not the resident one")
+	}
+	if got := p.Shard(5); &got.Train[0] != &staged[1].Train[0] {
+		t.Error("a miss re-derived instead of taking the staged shard")
+	}
+	if derives != 2 {
+		t.Errorf("OnDerive fired %d times for two misses", derives)
+	}
+	if _, ok := p.staged[5]; ok {
+		t.Error("a consumed entry is still staged")
+	}
+	p.Stage(nil, nil)
+	if len(p.staged) != 0 {
+		t.Errorf("%d entries survived the next Stage", len(p.staged))
+	}
+	if got := p.Shard(6); &got.Train[0] == &staged[2].Train[0] || !shardEqual(got, staged[2]) {
+		t.Error("after the drop a miss must derive inline, to the same value")
+	}
+	if st := p.Stats(); st.Hits != 1 || st.Misses != 3 {
+		t.Errorf("stats %+v, want 1 hit and 3 misses: staging must not count", st)
 	}
 }

@@ -18,12 +18,11 @@ func normalizePopulation(cfg PopulationConfig) PopulationConfig {
 	return cfg
 }
 
-// DeriveClient derives client id's device state purely from (cfg.Seed, id):
-// network kind, compute profile, and the three trace processes, all seeded
-// from the client's private stream (data.ClientSeed). Like the data-side
-// derivation it is order-independent, unlike the sequential single-stream
-// NewPopulation.
-func DeriveClient(cfg PopulationConfig, id int) *Client {
+// deriveLink derives the head of client id's private stream
+// (data.ClientSeed) — network kind, compute profile, bandwidth trace — and
+// returns the stream positioned at the availability seed. It is all a clean
+// response estimate reads, so set-up sampling stops here.
+func deriveLink(cfg PopulationConfig, id int) (*Client, *rand.Rand) {
 	cfg = normalizePopulation(cfg)
 	rng := rand.New(rand.NewSource(data.ClientSeed(cfg.Seed, int64(id))))
 	kind := trace.Net4G
@@ -35,9 +34,18 @@ func DeriveClient(cfg PopulationConfig, id int) *Client {
 		Compute: trace.SampleComputeProfile(rng),
 		NetKind: kind,
 		Net:     trace.NewBandwidthTrace(kind, rng.Int63()),
-		Avail:   trace.NewAvailabilityTrace(trace.AvailabilityConfig{Seed: rng.Int63()}),
-		Interf:  trace.NewInterference(cfg.Scenario, rng.Int63()),
-	}
+	}, rng
+}
+
+// DeriveClient derives client id's device state purely from (cfg.Seed, id):
+// network kind, compute profile, and the three trace processes, all seeded
+// from the client's private stream. Like the data-side derivation it is
+// order-independent, unlike the sequential single-stream NewPopulation.
+func DeriveClient(cfg PopulationConfig, id int) *Client {
+	c, rng := deriveLink(cfg, id)
+	c.Avail = trace.NewAvailabilityTrace(trace.AvailabilityConfig{Seed: rng.Int63()})
+	c.Interf = trace.NewInterference(cfg.Scenario, rng.Int63())
+	return c
 }
 
 // Provider derives device clients on demand and keeps a bounded LRU
@@ -48,13 +56,20 @@ func DeriveClient(cfg PopulationConfig, id int) *Client {
 // grows with the number of *distinct clients that ever trained*, a compact
 // event list each, not with the population.
 //
-// Like the data provider, all access is confined to the engines'
-// single-threaded passes, making cache counters deterministic.
+// Like the data provider, cache and drain-store mutation — Client, Acquire,
+// Release, Stage — is confined to the engines' single-threaded passes,
+// making cache counters deterministic, while Derive is pure and may run on
+// workers: a derived-ahead client is Staged fresh, and the miss that
+// consumes it replays the drain log, on the dispatch thread, exactly where
+// an inline derivation would.
 type Provider struct {
 	cfg   PopulationConfig
 	cache *wset.Cache[int, *Client]
 	// drainLogs holds the battery history of evicted clients that trained.
 	drainLogs map[int][]trace.DrainEvent
+	// staged holds the current derive-ahead batch, keyed by client ID; a
+	// miss consumes its entry, the next Stage drops whatever is left.
+	staged map[int]*Client
 }
 
 // NewProvider constructs a lazy device provider. cacheClients bounds the
@@ -81,13 +96,36 @@ func NewProvider(cfg PopulationConfig, cacheClients int) (*Provider, error) {
 // NumClients returns the population size.
 func (p *Provider) NumClients() int { return p.cfg.Clients }
 
-// Client returns client id, deriving it on a cache miss and replaying any
-// drain log captured when it was last evicted.
+// Resident reports whether client id is in the working set, without
+// counting a lookup or touching recency.
+func (p *Provider) Resident(id int) bool { return p.cache.Contains(id) }
+
+// Derive derives client id fresh — no cache access, no drain replay — and
+// is safe to call from any number of goroutines.
+func (p *Provider) Derive(id int) *Client { return DeriveClient(p.cfg, id) }
+
+// Stage installs clients[i] as the derived-ahead value of ids[i], replacing
+// the previous batch and whatever it left unconsumed.
+func (p *Provider) Stage(ids []int, clients []*Client) {
+	p.staged = make(map[int]*Client, len(ids))
+	for i, id := range ids {
+		p.staged[id] = clients[i]
+	}
+}
+
+// Client returns client id; a cache miss takes the staged value, or derives
+// inline when there is none, and replays any drain log captured when the
+// client was last evicted.
 func (p *Provider) Client(id int) *Client {
 	if c, ok := p.cache.Get(id); ok {
 		return c
 	}
-	c := DeriveClient(p.cfg, id)
+	c, ok := p.staged[id]
+	if ok {
+		delete(p.staged, id)
+	} else {
+		c = p.Derive(id)
+	}
 	if log, ok := p.drainLogs[id]; ok {
 		c.Avail.ReplayDrains(log)
 	}
@@ -108,12 +146,15 @@ func (p *Provider) Acquire(id int) *Client {
 // Release drops one pin reference on client id.
 func (p *Provider) Release(id int) { p.cache.Unpin(id) }
 
-// EstimateClean derives client id ephemerally — without touching the cache
-// or drain store — and returns its clean response-time estimate for w.
-// Used by deadline auto-derivation, which samples the population before
-// any client has mutable state.
+// EstimateClean returns client id's clean response-time estimate for w from
+// an ephemeral partial derivation — compute profile and bandwidth trace,
+// not the availability and interference processes the estimate never reads
+// — without touching the cache or drain store. Used by deadline
+// auto-derivation, which samples the population before any client has
+// mutable state.
 func (p *Provider) EstimateClean(id int, w WorkSpec) float64 {
-	return EstimateCleanResponseSeconds(DeriveClient(p.cfg, id), w)
+	c, _ := deriveLink(p.cfg, id)
+	return EstimateCleanResponseSeconds(c, w)
 }
 
 // Stats returns the working-set cache counters.

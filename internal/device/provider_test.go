@@ -109,3 +109,67 @@ func TestMaterializeMatchesProvider(t *testing.T) {
 	}
 	clientStateEqual(t, all[3], p.Client(3), 25)
 }
+
+// TestEstimateCleanMatchesFullDerivation: the set-up estimate derives only
+// the head of the client stream, and must read exactly what a whole client
+// would have given it — the auto deadline is built from these numbers.
+func TestEstimateCleanMatchesFullDerivation(t *testing.T) {
+	cfg := PopulationConfig{Clients: 1 << 20, Scenario: trace.ScenarioDynamic, Seed: 31}
+	p, err := NewProvider(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := WorkSpec{RefFLOPsPerSample: 2_000_000, RefParams: 400_000, Samples: 120, Epochs: 2}
+	for i := 0; i < 1024; i++ {
+		id := i * cfg.Clients / 1024
+		got, want := p.EstimateClean(id, w), EstimateCleanResponseSeconds(DeriveClient(cfg, id), w)
+		if got != want {
+			t.Fatalf("client %d: clean estimate %v from the partial derivation, %v from the full one", id, got, want)
+		}
+	}
+	if st := p.Stats(); st.Resident != 0 || st.Misses != 0 {
+		t.Fatalf("estimates touched the cache: %+v", st)
+	}
+}
+
+// TestStageFeedsMissesOnce: a staged client is what the next miss returns,
+// with the drain log replayed onto it at that point; a hit ignores staging;
+// what a pass leaves unconsumed is gone after the next Stage.
+func TestStageFeedsMissesOnce(t *testing.T) {
+	cfg := PopulationConfig{Clients: 40, Scenario: trace.ScenarioDynamic, Seed: 7}
+	ref, err := NewProvider(cfg, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProvider(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range []*Provider{ref, p} {
+		c := pr.Client(5)
+		c.Avail.Available(3)
+		c.Avail.RecordUseAmount(0.3)
+	}
+	p.Client(6) // evicts 5 into the drain store
+	ids := []int{6, 5, 8}
+	staged := []*Client{p.Derive(6), p.Derive(5), p.Derive(8)}
+	p.Stage(ids, staged)
+	if p.Client(6) == staged[0] {
+		t.Error("a hit returned the staged client, not the resident one")
+	}
+	got := p.Client(5)
+	if got != staged[1] {
+		t.Error("a miss re-derived instead of taking the staged client")
+	}
+	clientStateEqual(t, ref.Client(5), got, 30)
+	p.Stage(nil, nil)
+	if len(p.staged) != 0 {
+		t.Errorf("%d entries survived the next Stage", len(p.staged))
+	}
+	if p.Client(8) == staged[2] {
+		t.Error("after the drop a miss must derive inline")
+	}
+	if st := p.Stats(); st.Hits != 1 || st.Misses != 4 {
+		t.Errorf("stats %+v, want 1 hit and 4 misses: staging must not count", st)
+	}
+}

@@ -185,48 +185,94 @@ func TestRunAsyncLazyMatchesEager(t *testing.T) {
 }
 
 // TestLazyTelemetryParallelismInvariant extends the determinism contract
-// to the population-cache metrics: a lazy run's full exposition — engine
-// counters plus pop_cache_* series — must be byte-identical across
-// Parallelism, because cache traffic happens only on the single-threaded
-// passes and is flushed at schedule-determined points.
+// to the population-cache metrics and to derive-ahead: a lazy run's full
+// exposition — engine counters plus pop_cache_* series — its final
+// parameters, ledger, run log and a mid-run snapshot must be byte-identical
+// across Parallelism. At P = 1 every derivation happens inline on the
+// dispatch thread; at P = 8 selection's probe batches and dispatch's shards
+// are derived ahead on the workers — for every selector, under a 6-client
+// cache that evicts between a batch's peek and its use. Cache *mutation*
+// happens only on the single-threaded passes either way, and is flushed at
+// schedule-determined points.
 func TestLazyTelemetryParallelismInvariant(t *testing.T) {
-	run := func(par int) string {
-		p, err := population.NewLazy(lazyPopConfig(48))
+	type out struct {
+		res            *Result
+		metrics, log   string
+		midRunSnapshot []byte
+	}
+	selectors := map[string]func() selection.Selector{
+		"random": func() selection.Selector { return selection.NewRandom(7) },
+		"oort":   func() selection.Selector { return selection.NewOort(selection.OortConfig{Seed: 7}) },
+		"refl":   func() selection.Selector { return selection.NewREFL(selection.REFLConfig{Seed: 7}) },
+	}
+	run := func(t *testing.T, sel selection.Selector, par int) out {
+		pc := lazyPopConfig(48)
+		pc.CacheClients = 6
+		p, err := population.NewLazy(pc)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var o out
+		var logBuf bytes.Buffer
 		cfg := parSyncConfig(par)
 		cfg.Metrics = obs.NewRegistry()
+		cfg.Logger = NewJSONLLogger(&logBuf)
+		cfg.Checkpoint = &CheckpointConfig{Every: 3, Sink: func(b []byte) error {
+			if o.midRunSnapshot == nil {
+				o.midRunSnapshot = b
+			}
+			return nil
+		}}
 		p.Instrument(cfg.Metrics)
-		if _, err := RunSyncPop(p, selection.NewRandom(7), newFeedbackDriven(), cfg); err != nil {
+		if o.res, err = RunSyncPop(p, sel, newCkptCtrl(), cfg); err != nil {
 			t.Fatal(err)
 		}
 		var mb bytes.Buffer
 		if err := cfg.Metrics.WriteText(&mb); err != nil {
 			t.Fatal(err)
 		}
-		return mb.String()
+		o.metrics, o.log = mb.String(), logBuf.String()
+		return o
 	}
-	m1, m8 := run(1), run(8)
-	if m1 != m8 {
-		t.Errorf("lazy metrics exposition differs between P=1 and P=8:\n--- P=1 ---\n%s--- P=8 ---\n%s", m1, m8)
-	}
-	for _, series := range []string{
-		`pop_cache_hits_total{kind="shard"}`,
-		`pop_cache_misses_total{kind="device"}`,
-		`pop_cache_evictions_total{kind="shard"}`,
-		`pop_resident_clients{kind="device"}`,
-		`pop_derive_samples_count`,
-	} {
-		if !strings.Contains(m1, series) {
-			t.Errorf("exposition missing %s:\n%s", series, m1)
-		}
-	}
-	// A 4-client cache under a 48-client population must actually evict —
-	// a zero counter would mean the run never thrashed the cache and the
-	// byte-equality above proved nothing about eviction accounting.
-	if strings.Contains(m1, `pop_cache_evictions_total{kind="shard"} 0`+"\n") {
-		t.Errorf("shard cache never evicted; exposition:\n%s", m1)
+	for name, newSel := range selectors {
+		t.Run(name, func(t *testing.T) {
+			o1, o8 := run(t, newSel(), 1), run(t, newSel(), 8)
+			if o1.metrics != o8.metrics {
+				t.Errorf("lazy metrics exposition differs between P=1 and P=8:\n--- P=1 ---\n%s--- P=8 ---\n%s", o1.metrics, o8.metrics)
+			}
+			if !reflect.DeepEqual(o1.res.FinalParams, o8.res.FinalParams) {
+				t.Error("FinalParams differ between P=1 and P=8")
+			}
+			if !reflect.DeepEqual(o1.res.Ledger, o8.res.Ledger) {
+				t.Error("ledgers differ between P=1 and P=8")
+			}
+			if o1.log != o8.log {
+				t.Errorf("JSONL logs differ between P=1 and P=8 (%d vs %d bytes)", len(o1.log), len(o8.log))
+			}
+			if len(o1.midRunSnapshot) == 0 || !bytes.Equal(o1.midRunSnapshot, o8.midRunSnapshot) {
+				t.Errorf("mid-run snapshots differ between P=1 and P=8 (%d vs %d bytes)", len(o1.midRunSnapshot), len(o8.midRunSnapshot))
+			}
+			for _, series := range []string{
+				`pop_cache_hits_total{kind="shard"}`,
+				`pop_cache_misses_total{kind="device"}`,
+				`pop_cache_evictions_total{kind="shard"}`,
+				`pop_resident_clients{kind="device"}`,
+				`pop_derive_samples_count`,
+			} {
+				if !strings.Contains(o1.metrics, series) {
+					t.Errorf("exposition missing %s:\n%s", series, o1.metrics)
+				}
+			}
+			// A 6-client cache under a 48-client population must actually
+			// evict — a zero counter would mean the run never thrashed the
+			// cache and the byte-equality above proved nothing about eviction
+			// accounting.
+			for _, kind := range []string{"shard", "device"} {
+				if strings.Contains(o1.metrics, `pop_cache_evictions_total{kind="`+kind+`"} 0`+"\n") {
+					t.Errorf("%s cache never evicted; exposition:\n%s", kind, o1.metrics)
+				}
+			}
+		})
 	}
 }
 

@@ -112,11 +112,12 @@ func TestMillionClientBoundedMemory(t *testing.T) {
 	bytesPerClient := float64(ms.HeapAlloc) / float64(clients)
 	t.Logf("heap after run: %.1f MB (%.1f bytes per population client; peaks shard=%d device=%d)",
 		float64(ms.HeapAlloc)/(1<<20), bytesPerClient, shard.Peak, dev.Peak)
-	// What stays live is the 4096-client cache (~44 KB per resident femnist
-	// client), the sparse ledger and the model: 180.5 MB measured at both
-	// 100k and 1M clients, flat in the population size. An eager population
-	// pays that ~44 KB for every client (4.4 GB at 100k), so one fixed
-	// budget with 1.4x headroom separates the two at either scale.
+	// What stays live is the 4096-client cache (~45 KB per resident femnist
+	// client: one slab per shard, rounded up to whole pages), the sparse
+	// ledger and the model: 187.8 MB measured at 100k clients and 190.6 MB
+	// at 1M, flat in the population size. An eager population pays that
+	// ~45 KB for every client (4.5 GB at 100k), so one fixed budget with
+	// 1.3x headroom separates the two at either scale.
 	const heapBudget = 256 << 20
 	if ms.HeapAlloc > heapBudget {
 		t.Errorf("live heap %.1f MB exceeds the %d MB budget — population memory is not bounded",

@@ -100,23 +100,27 @@ func (n *Node) DisplayName() string {
 	return "func literal"
 }
 
-// Graph is the module call graph.
+// Graph is the module call graph. Declared functions are keyed by
+// types.Func.FullName, not by object identity: each package is type-checked
+// on its own against its imports' export data, so the *types.Func a caller
+// in another package sees is not the one the declaring package defines, and
+// an identity key would end every call chain at the package boundary.
 type Graph struct {
 	Nodes []*Node
-	byObj map[*types.Func]*Node
+	byObj map[string]*Node
 	byLit map[*ast.FuncLit]*Node
 }
 
 // NodeFor returns the node of a declared function, or nil when fn has no
 // source in the loaded set.
-func (g *Graph) NodeFor(fn *types.Func) *Node { return g.byObj[fn] }
+func (g *Graph) NodeFor(fn *types.Func) *Node { return g.byObj[fn.FullName()] }
 
 // NodeForLit returns the node of a function literal.
 func (g *Graph) NodeForLit(lit *ast.FuncLit) *Node { return g.byLit[lit] }
 
 // BuildGraph constructs the call graph over every loaded package.
 func BuildGraph(pkgs []*Package) *Graph {
-	g := &Graph{byObj: map[*types.Func]*Node{}, byLit: map[*ast.FuncLit]*Node{}}
+	g := &Graph{byObj: map[string]*Node{}, byLit: map[*ast.FuncLit]*Node{}}
 
 	// Pass 1: materialize a node per function declaration and per literal.
 	for _, pkg := range pkgs {
@@ -132,7 +136,7 @@ func BuildGraph(pkgs []*Package) *Graph {
 				}
 				node := &Node{Obj: obj, Decl: fd, Pkg: pkg}
 				g.Nodes = append(g.Nodes, node)
-				g.byObj[obj] = node
+				g.byObj[obj.FullName()] = node
 				g.addLiterals(node, fd.Body, pkg)
 			}
 		}
@@ -154,7 +158,7 @@ func BuildGraph(pkgs []*Package) *Graph {
 			if !ok {
 				return true
 			}
-			if callee := g.byObj[fn]; callee != nil {
+			if callee := g.byObj[fn.FullName()]; callee != nil {
 				node.Edges = append(node.Edges, Edge{Callee: callee, Pos: id.Pos()})
 			}
 			return true

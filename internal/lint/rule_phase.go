@@ -18,9 +18,15 @@ var phaseForbidden = map[[2]string]string{
 	{"Population", "Client"}:        "unpinned client access races with eviction",
 	{"Population", "Shard"}:         "unpinned shard access races with eviction",
 	{"Population", "FlushObs"}:      "deferred-telemetry flush is a collect-phase operation",
+	{"Population", "PlanAhead"}:     "the residency peek is only meaningful between cache mutations",
+	{"Population", "Stage"}:         "staging feeds the dispatch pass's cache misses",
 	{"Provider", "Acquire"}:         "data acquisition mutates the working-set cache",
 	{"Provider", "Release"}:         "data release mutates the working-set cache",
+	{"Provider", "Client"}:          "a miss consumes the staged batch and mutates the working-set cache",
+	{"Provider", "Shard"}:           "a miss consumes the staged batch and mutates the working-set cache",
+	{"Provider", "Stage"}:           "staging feeds the dispatch pass's cache misses",
 	{"Cache", "Get"}:                "cache lookup mutates LRU recency state",
+	{"Cache", "Contains"}:           "the residency peek is only meaningful between cache mutations",
 	{"Cache", "Add"}:                "cache insertion evicts entries",
 	{"Cache", "Pin"}:                "pinning mutates cache pin state",
 	{"Cache", "Unpin"}:              "unpinning mutates cache pin state",

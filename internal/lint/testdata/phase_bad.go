@@ -1,9 +1,9 @@
 // Fixture: phase-contract violations — a fan-out job literal handed to
 // forEachSlot that writes the ledger directly and through a helper (the
-// check is call-graph transitive), one that pins a working-set entry, and
-// a job handed over as a method value. Ledger/Cache are defined locally:
-// the contract matches by (receiver, method) name, which is what lets the
-// fixture stay self-contained.
+// check is call-graph transitive), one that pins a working-set entry, a
+// job handed over as a method value, and a derive-ahead job doing more than
+// deriving. The types are defined locally: the contract matches by
+// (receiver, method) name, which lets the fixture stay self-contained.
 package fixture
 
 type Ledger struct{ rows []int }
@@ -42,4 +42,27 @@ func (s *roundState) runRound() { forEachSlot(4, s.job) }
 
 func (s *roundState) job(i int) {
 	s.led.Record(i) // want phase-contract (job handed to forEachSlot as a method value)
+}
+
+type Population struct{ wc *Cache }
+
+func (p *Population) Client(id int) int { return p.wc.pins[id] }
+func (p *Population) Stage(ids []int)   {}
+
+func (c *Cache) Add(id, v int) { c.pins[id] = v }
+
+func derive(id int) int { return id * id }
+
+// Derive-ahead jobs may derive and nothing else: inserting what was
+// derived, reading a client through the cache, or staging from inside the
+// job puts cache mutation on a worker and its order up to the scheduler.
+func deriveAhead(p *Population, ids []int) {
+	staged := make([]int, len(ids))
+	forEachSlot(len(ids), func(i int) {
+		staged[i] = derive(ids[i])  // the sanctioned part: a pure derivation into the job's own slot
+		p.wc.Add(ids[i], staged[i]) // want phase-contract (derive-ahead job inserts into the cache)
+		p.Client(ids[i])            // want phase-contract (derive-ahead job reads through the cache)
+		p.Stage(ids[i : i+1])       // want phase-contract (derive-ahead job stages its own result)
+	})
+	p.Stage(ids) // dispatch thread: fine
 }

@@ -7,13 +7,23 @@
 // while the eager path stays a zero-overhead thin wrapper that keeps every
 // committed golden bit-identical.
 //
-// Ownership contract: the engines touch a Population only from their
-// single-threaded dispatch/collect passes. Dispatch Acquires (derive +
-// pin) every selected client before fan-out; workers receive the resolved
+// Ownership contract: the engines *mutate* a Population's caches only from
+// their single-threaded dispatch/collect passes. Dispatch Acquires (pins)
+// every selected client before fan-out; workers receive the resolved
 // *device.Client and sample slices in their job structs and never touch
 // the cache; collect Releases the pins. Cache hit/miss/eviction counters
 // are therefore a pure function of the schedule and byte-reproducible
 // across any Parallelism.
+//
+// Derivation itself is a pure function of (seed, clientID) and is not part
+// of that contract. Before a sequential pass walks a list of IDs the engine
+// may PlanAhead (peek which are not resident), run the plan's Derive jobs
+// on its workers, and Stage the batch; the pass then runs unchanged, except
+// that a cache miss takes the staged value instead of deriving inline. The
+// Get/Add/Pin sequence is the sequential one by construction; an ID evicted
+// between peek and use derives inline, a staged value never consumed is
+// dropped by the next Stage. Residency is bounded by capacity + pinned +
+// one staged batch.
 package population
 
 import (
@@ -175,6 +185,64 @@ func (p *Population) Shard(id int) data.ClientShard {
 		return data.ClientShard{Train: p.fed.Train[id], LocalTest: p.fed.LocalTest[id]}
 	}
 	return p.dataP.Shard(id)
+}
+
+// Ahead is one derive-ahead batch: the IDs of an upcoming sequential pass
+// that were not resident when it was planned, with a slot per derivation.
+type Ahead struct {
+	p         *Population
+	clientIDs []int
+	clients   []*device.Client
+	shardIDs  []int
+	shards    []data.ClientShard
+}
+
+// PlanAhead peeks — no counter, no recency — which of ids' clients, and with
+// shards also which of their shards, are not resident. Eager populations
+// have nothing to derive. Like every cache read it belongs to the
+// single-threaded passes.
+func (p *Population) PlanAhead(ids []int, shards bool) *Ahead {
+	a := &Ahead{p: p}
+	if p.Eager() {
+		return a
+	}
+	for _, id := range ids {
+		if !p.devP.Resident(id) {
+			a.clientIDs = append(a.clientIDs, id)
+		}
+		if shards && !p.dataP.Resident(id) {
+			a.shardIDs = append(a.shardIDs, id)
+		}
+	}
+	a.clients = make([]*device.Client, len(a.clientIDs))
+	a.shards = make([]data.ClientShard, len(a.shardIDs))
+	return a
+}
+
+// Jobs returns the number of derivations the batch needs.
+func (a *Ahead) Jobs() int { return len(a.clientIDs) + len(a.shardIDs) }
+
+// Derive runs derivation job (0 ≤ job < Jobs). It reads only immutable
+// provider state and writes only its own slot, so the jobs of one batch may
+// run concurrently on any number of workers.
+func (a *Ahead) Derive(job int) {
+	if job < len(a.clientIDs) {
+		a.clients[job] = a.p.devP.Derive(a.clientIDs[job])
+		return
+	}
+	job -= len(a.clientIDs)
+	a.shards[job] = a.p.dataP.Derive(a.shardIDs[job])
+}
+
+// Stage makes a fully derived batch, planned on this population, the one
+// cache misses draw from, dropping whatever the previous batch left
+// unconsumed.
+func (p *Population) Stage(a *Ahead) {
+	if p.Eager() {
+		return
+	}
+	p.devP.Stage(a.clientIDs, a.clients)
+	p.dataP.Stage(a.shardIDs, a.shards)
 }
 
 // Release drops the pins AcquireClient + AcquireShard took on client id.

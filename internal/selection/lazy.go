@@ -11,12 +11,18 @@ import (
 // PopulationView is the lazy population handle selectors draw from: client
 // state is derived on demand, so a selector must probe clients it is
 // actually considering rather than scan the whole population. The fl
-// engines pass their population facade here; Client may derive (and cache)
-// the client, so calls are confined to the single-threaded dispatch pass —
-// the same contract Select already has.
+// engines pass a view of their population here. Client mutates the
+// population's cache (recency, insertion, eviction), so calls are confined
+// to the single-threaded dispatch pass — the same contract Select already
+// has. Derivation is pure and need not be: Stage announces the IDs the
+// selector is certain to pass to Client next, and a view with idle workers
+// derives the non-resident ones on them before returning, so that the
+// Client calls that follow find them ready. Stage changes nothing Client
+// returns or counts, may do nothing at all, and must not retain ids.
 type PopulationView interface {
 	NumClients() int
 	Client(id int) *device.Client
+	Stage(ids []int)
 }
 
 // LazySelector selects from a PopulationView without materializing the
@@ -77,18 +83,58 @@ func (r *Random) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 	if k > n {
 		k = n
 	}
-	ps := NewPermSampler(r.rng, n)
 	out := make([]int, 0, k)
-	for len(out) < k {
-		id, ok := ps.Next()
-		if !ok {
-			break
+	probe(view, info.Round, NewPermSampler(r.rng, n), n,
+		func() int { return k - len(out) }, nil,
+		func(id int, available bool) {
+			if available {
+				out = append(out, id)
+			}
+		})
+	return out
+}
+
+// probe is the one lazy probe loop. It draws candidates from ps — at most
+// budget in all, need() at a time (re-read before each batch; ≤ 0 ends the
+// walk) — drops the ones skip reports without probing them, Stages the rest
+// on the view, and then visits them in draw order with their availability
+// at round.
+//
+// Batching moves no byte. For the early-stopping callers need() is how many
+// more available clients are wanted and each draw yields at most one, so a
+// one-at-a-time walk is certain to draw at least min(need, budget) more;
+// and a PermSampler draw depends on no probe's result. The RNG stream, the
+// probe sequence and the skip decisions (no ID is drawn twice) are exactly
+// those of drawing, testing and probing one candidate at a time.
+func probe(view PopulationView, round int, ps *PermSampler, budget int,
+	need func() int, skip func(id int) bool, visit func(id int, available bool)) {
+
+	var batch []int
+	for budget > 0 {
+		n := need()
+		if n > budget {
+			n = budget
 		}
-		if view.Client(id).ResourcesAt(info.Round).Available {
-			out = append(out, id)
+		if n <= 0 {
+			return
+		}
+		batch = batch[:0]
+		for ; n > 0; n-- {
+			id, ok := ps.Next()
+			if !ok {
+				budget = 0 // permutation exhausted: visit what was drawn, then stop
+				break
+			}
+			budget--
+			if skip == nil || !skip(id) {
+				batch = append(batch, id)
+			}
+		}
+		view.Stage(batch)
+		for _, id := range batch {
+			visit(id, view.Client(id).ResourcesAt(round).Available)
 		}
 	}
-	return out
 }
 
 // lazyProbeBudget bounds how many clients a probe-sampled selector derives
@@ -131,19 +177,15 @@ func (o *Oort) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 	chosen := make([]int, 0, k)
 	inChosen := make(map[int]bool, k)
 	ps := NewPermSampler(o.rng, n)
-	for probes := lazyProbeBudget(nExplore, n); probes > 0 && len(chosen) < nExplore; probes-- {
-		id, ok := ps.Next()
-		if !ok {
-			break
-		}
-		if o.tried[id] {
-			continue
-		}
-		if view.Client(id).ResourcesAt(info.Round).Available {
+	admit := func(id int, available bool) {
+		if available {
 			chosen = append(chosen, id)
 			inChosen[id] = true
 		}
 	}
+	probe(view, info.Round, ps, lazyProbeBudget(nExplore, n),
+		func() int { return nExplore - len(chosen) },
+		func(id int) bool { return o.tried[id] }, admit)
 
 	// Exploitation over the known set, in sorted-ID order for determinism.
 	known := make([]int, 0, len(o.tried))
@@ -195,19 +237,9 @@ func (o *Oort) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 	}
 	// Unfilled slots (cold start: nothing known yet) fall back to random
 	// exploration of untried clients.
-	for probes := lazyProbeBudget(k-len(chosen), n); probes > 0 && len(chosen) < k; probes-- {
-		id, ok := ps.Next()
-		if !ok {
-			break
-		}
-		if inChosen[id] {
-			continue
-		}
-		if view.Client(id).ResourcesAt(info.Round).Available {
-			chosen = append(chosen, id)
-			inChosen[id] = true
-		}
-	}
+	probe(view, info.Round, ps, lazyProbeBudget(k-len(chosen), n),
+		func() int { return k - len(chosen) },
+		func(id int) bool { return inChosen[id] }, admit)
 	return chosen
 }
 
@@ -221,23 +253,26 @@ func (r *REFL) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 	if k > n {
 		k = n
 	}
-	ps := NewPermSampler(r.rng, n)
-	probed := make([]int, 0, lazyProbeBudget(k, n))
-	avail := make(map[int]bool, lazyProbeBudget(k, n))
-	for probes := lazyProbeBudget(k, n); probes > 0; probes-- {
-		id, ok := ps.Next()
-		if !ok {
-			break
-		}
-		a := view.Client(id).ResourcesAt(info.Round).Available
-		probed = append(probed, id)
-		avail[id] = a
-		h := append(r.history[id], a)
-		if len(h) > r.cfg.Window {
-			h = h[len(h)-r.cfg.Window:]
-		}
-		r.history[id] = h
+	budget := lazyProbeBudget(k, n)
+	probed := make([]int, 0, budget)
+	avail := make(map[int]bool, budget)
+	// The ping sample never stops early, so its batches are sized to bound
+	// what is staged at once, not by what is still wanted: chunks of k.
+	chunk := k
+	if chunk < 1 {
+		chunk = 1
 	}
+	probe(view, info.Round, NewPermSampler(r.rng, n), budget,
+		func() int { return chunk }, nil,
+		func(id int, a bool) {
+			probed = append(probed, id)
+			avail[id] = a
+			h := append(r.history[id], a)
+			if len(h) > r.cfg.Window {
+				h = h[len(h)-r.cfg.Window:]
+			}
+			r.history[id] = h
+		})
 	candidates := make([]int, 0, len(probed))
 	for _, id := range probed {
 		// REFL's window prediction, additionally gated on the ping result:

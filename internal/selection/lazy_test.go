@@ -1,7 +1,9 @@
 package selection
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -10,10 +12,14 @@ import (
 )
 
 // fakeView is a dense PopulationView for selector tests, counting how many
-// distinct clients a selector actually derived.
+// distinct clients a selector actually derived and recording the order of
+// its probes and of the IDs it announced ahead of them.
 type fakeView struct {
-	clients []*device.Client
-	touched map[int]bool
+	clients  []*device.Client
+	touched  map[int]bool
+	probes   []int
+	staged   []int
+	maxBatch int
 }
 
 func newFakeView(t *testing.T, n int, seed int64) *fakeView {
@@ -30,7 +36,25 @@ func newFakeView(t *testing.T, n int, seed int64) *fakeView {
 func (v *fakeView) NumClients() int { return len(v.clients) }
 func (v *fakeView) Client(id int) *device.Client {
 	v.touched[id] = true
+	v.probes = append(v.probes, id)
 	return v.clients[id]
+}
+
+func (v *fakeView) Stage(ids []int) {
+	v.staged = append(v.staged, ids...)
+	if len(ids) > v.maxBatch {
+		v.maxBatch = len(ids)
+	}
+}
+
+// isSubsequence reports whether sub occurs in seq in order, gaps allowed.
+func isSubsequence(sub, seq []int) bool {
+	for _, v := range seq {
+		if len(sub) > 0 && sub[0] == v {
+			sub = sub[1:]
+		}
+	}
+	return len(sub) == 0
 }
 
 func checkSelection(t *testing.T, ids []int, view *fakeView, round, k int) {
@@ -53,16 +77,33 @@ func checkSelection(t *testing.T, ids []int, view *fakeView, round, k int) {
 	}
 }
 
+// twin pairs a selector under test with a same-seeded instance driven
+// through its pre-batching walk (lazy_ref_test.go).
+type twin struct {
+	sel        LazySelector
+	pos        func() uint64 // the selector's RNG position
+	refSelect  func(RoundInfo, PopulationView, int) []int
+	refObserve func(Feedback)
+	refPos     func() uint64
+	refState   func() ([]byte, error)
+}
+
 // TestLazySelectorsContract runs every built-in selector through a few
 // lazy rounds with feedback, asserting the LazySelector contract: distinct
 // in-range available IDs, and a probe count that is O(k), not
-// O(population).
+// O(population). Beside each runs its one-at-a-time twin: drawing candidates
+// in batches must move nothing — selection, RNG position, probe sequence and
+// checkpoint bytes are the twin's — and what a selector announces to Stage
+// must be at most k IDs it then probes, in that order.
 func TestLazySelectorsContract(t *testing.T) {
 	const n, k = 5000, 10
-	selectors := map[string]LazySelector{
-		"random": NewRandom(3),
-		"oort":   NewOort(OortConfig{Seed: 4}),
-		"refl":   NewREFL(REFLConfig{Seed: 5}),
+	random, randomRef := NewRandom(3), NewRandom(3)
+	oort, oortRef := NewOort(OortConfig{Seed: 4}), NewOort(OortConfig{Seed: 4})
+	refl, reflRef := NewREFL(REFLConfig{Seed: 5}), NewREFL(REFLConfig{Seed: 5})
+	selectors := map[string]twin{
+		"random": {random, random.src.Pos, randomRef.selectLazyOneAtATime, randomRef.Observe, randomRef.src.Pos, randomRef.CheckpointState},
+		"oort":   {oort, oort.src.Pos, oortRef.selectLazyOneAtATime, oortRef.Observe, oortRef.src.Pos, oortRef.CheckpointState},
+		"refl":   {refl, refl.src.Pos, reflRef.selectLazyOneAtATime, reflRef.Observe, reflRef.src.Pos, reflRef.CheckpointState},
 	}
 	names := make([]string, 0, len(selectors))
 	for name := range selectors {
@@ -70,9 +111,10 @@ func TestLazySelectorsContract(t *testing.T) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		sel := selectors[name]
+		tw := selectors[name]
+		sel := tw.sel
 		t.Run(name, func(t *testing.T) {
-			view := newFakeView(t, n, 11)
+			view, refView := newFakeView(t, n, 11), newFakeView(t, n, 11)
 			rng := rand.New(rand.NewSource(1))
 			for round := 0; round < 5; round++ {
 				info := RoundInfo{Round: round, DeadlineSec: 120}
@@ -81,8 +123,25 @@ func TestLazySelectorsContract(t *testing.T) {
 				if len(ids) == 0 {
 					t.Fatalf("round %d: selected nothing from a %d-client population", round, n)
 				}
+				if want := tw.refSelect(info, refView, k); !reflect.DeepEqual(ids, want) {
+					t.Fatalf("round %d: selected %v, one-at-a-time walk selects %v", round, ids, want)
+				}
+				if got, want := tw.pos(), tw.refPos(); got != want {
+					t.Fatalf("round %d: RNG at draw %d, one-at-a-time walk at %d", round, got, want)
+				}
+				if !reflect.DeepEqual(view.probes, refView.probes) {
+					t.Fatalf("round %d: probe sequence differs from the one-at-a-time walk", round)
+				}
+				if !isSubsequence(view.staged, view.probes) {
+					t.Fatalf("round %d: announced %v, probed %v: every staged ID must then be probed, in order",
+						round, view.staged, view.probes)
+				}
+				if len(view.staged) == 0 || view.maxBatch > k {
+					t.Fatalf("round %d: staged %d IDs, largest batch %d (k = %d)", round, len(view.staged), view.maxBatch, k)
+				}
+				view.probes, view.staged, refView.probes = nil, nil, nil
 				for _, id := range ids {
-					sel.Observe(Feedback{
+					fb := Feedback{
 						ClientID: id,
 						Round:    round,
 						Outcome: device.Outcome{
@@ -90,8 +149,17 @@ func TestLazySelectorsContract(t *testing.T) {
 							Cost:      device.Cost{TotalSeconds: 10 + 50*rng.Float64()},
 						},
 						StatUtility: rng.Float64(),
-					})
+					}
+					sel.Observe(fb)
+					tw.refObserve(fb)
 				}
+			}
+			state, err := sel.(interface{ CheckpointState() ([]byte, error) }).CheckpointState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := tw.refState(); !bytes.Equal(state, want) {
+				t.Fatalf("selector state after 5 rounds differs from the one-at-a-time twin:\n got %s\nwant %s", state, want)
 			}
 			// The point of lazy selection: a 5000-client population must not
 			// be scanned. Budget: 5 rounds × (8k+64) probes plus slack.

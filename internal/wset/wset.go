@@ -4,9 +4,12 @@
 // owned by an in-flight round) are never evicted and do not count against
 // the bound, so total residency is always ≤ capacity + pinned. Eviction
 // order is strict LRU over unpinned entries, which makes hit/miss/eviction
-// counts a pure function of the access sequence: the engines only touch
-// the cache from their single-threaded dispatch/collect passes, so cache
-// telemetry is byte-reproducible across any Parallelism.
+// counts a pure function of the access sequence: the engines only *mutate*
+// the cache (Get, Add, Pin, Unpin) from their single-threaded
+// dispatch/collect passes, so cache telemetry is byte-reproducible across
+// any Parallelism. What a miss inserts may have been computed elsewhere —
+// the providers derive values ahead on worker goroutines, using Contains
+// to decide which — because the cache never sees where a value came from.
 package wset
 
 import "sync"
@@ -31,7 +34,7 @@ type entry[K comparable, V any] struct {
 // construct with New. All methods are safe for concurrent use, but the
 // determinism contract (reproducible counters) additionally requires a
 // deterministic call sequence — the engines guarantee that by confining
-// cache access to single-threaded passes.
+// cache mutation to single-threaded passes.
 type Cache[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int
@@ -75,6 +78,16 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 		c.pushFront(e)
 	}
 	return e.val, true
+}
+
+// Contains reports whether k is resident without counting a hit or a miss
+// and without touching recency — the peek derive-ahead plans with, which
+// must leave no trace in the access sequence.
+func (c *Cache[K, V]) Contains(k K) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[k]
+	return ok
 }
 
 // Add inserts (or replaces) a value as most-recently-used, then evicts

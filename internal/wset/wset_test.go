@@ -184,3 +184,27 @@ func TestRangeSeesPinnedAndUnpinned(t *testing.T) {
 		t.Fatalf("Range visited %d entries, want 2", len(seen))
 	}
 }
+
+// TestContainsLeavesNoTrace: the peek answers residency — pinned entries
+// included — without counting a lookup or refreshing recency, so planning
+// with it cannot change what a later access sequence evicts or counts.
+func TestContainsLeavesNoTrace(t *testing.T) {
+	c := New[int, int](2, nil)
+	c.Add(1, 1)
+	c.Add(2, 2)
+	before := c.Stats()
+	if !c.Contains(1) || !c.Contains(2) || c.Contains(3) {
+		t.Fatal("Contains disagrees with residency")
+	}
+	if c.Stats() != before {
+		t.Fatalf("Contains moved the counters: %+v → %+v", before, c.Stats())
+	}
+	c.Add(3, 3) // 1 is still least recently used despite the peek
+	if c.Contains(1) || !c.Contains(2) {
+		t.Fatal("Contains refreshed recency: the wrong entry was evicted")
+	}
+	c.Pin(2)
+	if !c.Contains(2) {
+		t.Fatal("a pinned entry is resident")
+	}
+}
