@@ -7,7 +7,6 @@ import (
 
 	"floatfl/internal/nn"
 	"floatfl/internal/tensor"
-	"floatfl/internal/wset"
 )
 
 // ClientSeed mixes the federation seed with a client ID into the seed of
@@ -107,7 +106,7 @@ func DeriveClient(p Profile, cfg GenerateConfig, centers []tensor.Vector, id int
 
 // DeriveShardSize derives only client id's sample count — the label-
 // distribution and volume draws, without synthesizing any sample vectors.
-// Used by provider statistics (mean shard size) at a tiny fraction of the
+// Used by population statistics (mean shard size) at a tiny fraction of the
 // cost of a full derivation.
 func DeriveShardSize(p Profile, cfg GenerateConfig, id int) int {
 	cfg = normalizeGenerate(cfg)
@@ -123,41 +122,26 @@ func DeriveGlobalTest(p Profile, seed int64, centers []tensor.Vector) []nn.Sampl
 	return deriveSamples(p, centers, p.TestSamples, func(s int) int { return s % p.Classes }, rng)
 }
 
-// Provider derives client shards on demand from (seed, clientID) and keeps
-// a bounded LRU working set resident. It is the lazy counterpart of
-// Generate: a Provider with capacity ≥ Clients that touches every client
-// produces the same federation Materialize would, but a round that touches
-// only selected clients costs O(selected) memory instead of O(population).
+// Provider is the pure deriver of a federation's data: the immutable
+// parameters — profile, normalized config, shared class centers — from which
+// any client's shard follows as a function of (seed, clientID), plus the
+// global test set. It is the lazy counterpart of Generate: deriving every
+// client produces the federation Materialize returns, but a round that
+// derives only selected clients costs O(selected), not O(population).
 //
-// Cache mutation — Shard, Acquire, Release, Stage — is confined to the
-// engines' single-threaded dispatch/collect passes (the same contract
-// selectors and controllers already obey), which makes cache
-// hit/miss/eviction counts deterministic. Derivation is not: Derive is a
-// pure function of (seed, id) over immutable provider state and may run on
-// any number of workers. Derive-ahead joins the two — the engine derives
-// the non-resident (Resident) shards of an upcoming pass on its workers and
-// Stages them, and a miss takes the staged value instead of deriving
-// inline. Residency is bounded by capacity + pinned + one staged batch.
+// A Provider holds no cache and nothing mutable: every method is safe from
+// any number of goroutines. Which shards stay resident is the working set's
+// business (wset.Cache, loading through Derive).
 type Provider struct {
-	profile Profile
-	cfg     GenerateConfig
-	centers []tensor.Vector
-
-	cache      *wset.Cache[int, ClientShard]
+	profile    Profile
+	cfg        GenerateConfig
+	centers    []tensor.Vector
 	globalTest []nn.Sample
-	// staged holds the current derive-ahead batch, keyed by client ID; a
-	// miss consumes its entry, the next Stage drops whatever is left.
-	staged map[int]ClientShard
-
-	// OnDerive, when non-nil, observes each full shard derivation with the
-	// number of samples synthesized (population telemetry hook).
-	OnDerive func(samples int)
 }
 
-// NewProvider constructs a lazy shard provider. cacheClients bounds the
-// unpinned resident working set (≤ 0 defaults to 4096). Only the shared
-// state — class centers and the global test set — is derived eagerly.
-func NewProvider(profileName string, cfg GenerateConfig, cacheClients int) (*Provider, error) {
+// NewProvider derives the shared state — class centers and the global test
+// set — eagerly; nothing per-client.
+func NewProvider(profileName string, cfg GenerateConfig) (*Provider, error) {
 	p, err := LookupProfile(profileName)
 	if err != nil {
 		return nil, err
@@ -165,16 +149,12 @@ func NewProvider(profileName string, cfg GenerateConfig, cacheClients int) (*Pro
 	if cfg.Clients <= 0 {
 		return nil, fmt.Errorf("data: provider requires positive client count, got %d", cfg.Clients)
 	}
-	if cacheClients <= 0 {
-		cacheClients = 4096
-	}
 	cfg = normalizeGenerate(cfg)
 	centers := DeriveCenters(p, cfg.Seed)
 	return &Provider{
 		profile:    p,
 		cfg:        cfg,
 		centers:    centers,
-		cache:      wset.New[int, ClientShard](cacheClients, nil),
 		globalTest: DeriveGlobalTest(p, cfg.Seed, centers),
 	}, nil
 }
@@ -182,90 +162,27 @@ func NewProvider(profileName string, cfg GenerateConfig, cacheClients int) (*Pro
 // Profile returns the dataset profile.
 func (pr *Provider) Profile() Profile { return pr.profile }
 
-// NumClients returns the population size.
-func (pr *Provider) NumClients() int { return pr.cfg.Clients }
-
-// Alpha returns the effective Dirichlet concentration.
-func (pr *Provider) Alpha() float64 { return pr.cfg.Alpha }
-
 // GlobalTest returns the shared class-balanced holdout.
 func (pr *Provider) GlobalTest() []nn.Sample { return pr.globalTest }
 
-// Resident reports whether client id's shard is in the working set, without
-// counting a lookup or touching recency.
-func (pr *Provider) Resident(id int) bool { return pr.cache.Contains(id) }
-
-// Derive derives client id's shard without touching the cache — pure, and
-// safe to call from any number of goroutines.
+// Derive derives client id's shard.
 func (pr *Provider) Derive(id int) ClientShard {
 	return DeriveClient(pr.profile, pr.cfg, pr.centers, id)
 }
 
-// Stage installs shards[i] as the derived-ahead value of ids[i], replacing
-// the previous batch and whatever it left unconsumed.
-func (pr *Provider) Stage(ids []int, shards []ClientShard) {
-	pr.staged = make(map[int]ClientShard, len(ids))
-	for i, id := range ids {
-		pr.staged[id] = shards[i]
-	}
-}
-
-// Shard returns client id's shard; a cache miss takes the staged value, or
-// derives inline when there is none.
-func (pr *Provider) Shard(id int) ClientShard {
-	if s, ok := pr.cache.Get(id); ok {
-		return s
-	}
-	s, ok := pr.staged[id]
-	if ok {
-		delete(pr.staged, id)
-	} else {
-		s = pr.Derive(id)
-	}
-	if pr.OnDerive != nil {
-		pr.OnDerive(len(s.Train) + len(s.LocalTest))
-	}
-	pr.cache.Add(id, s)
-	return s
-}
-
-// Acquire returns client id's shard pinned against eviction until the
-// matching Release — the engines pin every selected client for the
-// duration of its round so parallel workers never observe an evicted
-// shard.
-func (pr *Provider) Acquire(id int) ClientShard {
-	s := pr.Shard(id)
-	pr.cache.Pin(id)
-	return s
-}
-
-// Release drops one pin reference on client id.
-func (pr *Provider) Release(id int) { pr.cache.Unpin(id) }
-
-// ShardSize returns client id's sample count without synthesizing samples
-// or touching the cache.
-func (pr *Provider) ShardSize(id int) int {
-	return DeriveShardSize(pr.profile, pr.cfg, id)
-}
-
-// MeanShardSize estimates the population's mean shard size from a strided
-// deterministic sample of at most sampleCap clients (≤ 0 defaults to 1024).
-// The estimate is exact for populations within the cap.
+// MeanShardSize estimates the population's mean shard size, floored at 1,
+// from a strided deterministic sample of at most sampleCap ≥ 1 clients'
+// size draws (DeriveShardSize: no sample is synthesized). The estimate is
+// exact for populations within the cap.
 func (pr *Provider) MeanShardSize(sampleCap int) int {
-	if sampleCap <= 0 {
-		sampleCap = 1024
-	}
 	n := pr.cfg.Clients
-	if n <= 0 {
-		return 1
-	}
 	count := n
 	if count > sampleCap {
 		count = sampleCap
 	}
 	total := 0
 	for i := 0; i < count; i++ {
-		total += pr.ShardSize(i * n / count)
+		total += DeriveShardSize(pr.profile, pr.cfg, i*n/count)
 	}
 	m := total / count
 	if m <= 0 {
@@ -274,30 +191,9 @@ func (pr *Provider) MeanShardSize(sampleCap int) int {
 	return m
 }
 
-// Stats returns the working-set cache counters.
-func (pr *Provider) Stats() wset.Stats { return pr.cache.Stats() }
-
-// UnpinnedResidents returns the unpinned resident shard IDs in
-// least-recently-used-first order. Shards are immutable, so residency plus
-// cache stats is the provider's whole checkpointable state.
-func (pr *Provider) UnpinnedResidents() []int { return pr.cache.UnpinnedKeys() }
-
-// WarmCache derives the given shards in order, re-populating cache
-// residency after a restore; the caller overwrites stats afterwards.
-func (pr *Provider) WarmCache(ids []int) {
-	for _, id := range ids {
-		pr.Shard(id)
-	}
-}
-
-// SetCacheStats overwrites the cache activity counters with captured ones.
-func (pr *Provider) SetCacheStats(s wset.Stats) { pr.cache.SetStats(s) }
-
 // Materialize eagerly derives every client into a Federation — the
-// adapter that lets lazy-provider populations feed any API still wanting
-// dense arrays, and the oracle the order-independence tests compare
-// against. It bypasses the cache (materializing a million clients through
-// an LRU would just thrash it).
+// adapter that lets lazy populations feed any API still wanting dense
+// arrays, and the oracle the order-independence tests compare against.
 func (pr *Provider) Materialize() *Federation {
 	fed := &Federation{Profile: pr.profile, Alpha: pr.cfg.Alpha}
 	fed.Train = make([][]nn.Sample, pr.cfg.Clients)

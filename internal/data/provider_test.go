@@ -39,26 +39,24 @@ func shardEqual(a, b ClientShard) bool {
 }
 
 // TestDeriveClientOrderIndependent is the lazy-population correctness
-// contract: for every dataset profile, deriving client i through a
-// provider equals the eagerly Materialized federation's client i
-// bit-for-bit, no matter in which order clients are accessed — including
-// re-derivation after eviction (the tiny cache forces constant thrash).
+// contract: for every dataset profile, deriving client i equals the eagerly
+// Materialized federation's client i bit-for-bit, no matter in which order
+// clients are derived — including re-derivation, which is what a miss after
+// an eviction does.
 func TestDeriveClientOrderIndependent(t *testing.T) {
 	const clients = 12
 	for _, name := range ProfileNames() {
 		t.Run(name, func(t *testing.T) {
 			cfg := GenerateConfig{Clients: clients, Alpha: 0.1, Seed: 11}
 
-			eagerP, err := NewProvider(name, cfg, clients)
+			eagerP, err := NewProvider(name, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fed := eagerP.Materialize()
 
-			// Order A: forward. Order B: a scattered order with repeats,
-			// through a cache of 2 so most accesses re-derive after
-			// eviction.
-			lazy, err := NewProvider(name, cfg, 2)
+			// Order A: forward. Order B: a scattered order with repeats.
+			lazy, err := NewProvider(name, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,10 +64,10 @@ func TestDeriveClientOrderIndependent(t *testing.T) {
 			orderB := []int{7, 2, 11, 2, 0, 9, 7, 4, 1, 10, 3, 8, 5, 6, 0, 11}
 			for _, order := range [][]int{orderB, orderA} {
 				for _, id := range order {
-					got := lazy.Shard(id)
+					got := lazy.Derive(id)
 					want := ClientShard{Train: fed.Train[id], LocalTest: fed.LocalTest[id]}
 					if !shardEqual(got, want) {
-						t.Fatalf("client %d: lazy shard deviates from materialized federation", id)
+						t.Fatalf("client %d: derived shard deviates from materialized federation", id)
 					}
 				}
 			}
@@ -89,13 +87,13 @@ func TestDeriveClientOrderIndependent(t *testing.T) {
 // derivation agrees with the full one (they share a stream prefix, so a
 // drift here means the streams were reordered).
 func TestDeriveShardSizeMatchesDerivation(t *testing.T) {
-	p, err := NewProvider("femnist", GenerateConfig{Clients: 50, Seed: 3}, 8)
+	p, err := NewProvider("femnist", GenerateConfig{Clients: 50, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id := 0; id < 50; id += 7 {
-		if got, want := p.ShardSize(id), len(p.Shard(id).Train); got != want {
-			t.Fatalf("client %d: ShardSize %d, full derivation %d", id, got, want)
+		if got, want := DeriveShardSize(p.profile, p.cfg, id), len(p.Derive(id).Train); got != want {
+			t.Fatalf("client %d: DeriveShardSize %d, full derivation %d", id, got, want)
 		}
 	}
 }
@@ -104,7 +102,7 @@ func TestDeriveShardSizeMatchesDerivation(t *testing.T) {
 // and workSpecFor depend on: exact within the cap, sampled and positive
 // beyond it, and stable across calls.
 func TestMeanShardSizeSampled(t *testing.T) {
-	p, err := NewProvider("femnist", GenerateConfig{Clients: 200, Seed: 5}, 8)
+	p, err := NewProvider("femnist", GenerateConfig{Clients: 200, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,32 +121,6 @@ func TestMeanShardSizeSampled(t *testing.T) {
 	// a 32-client stride sample must land in the same ballpark.
 	if sampled < exact/2 || sampled > exact*2 {
 		t.Fatalf("sampled mean %d implausibly far from exact %d", sampled, exact)
-	}
-}
-
-// TestProviderCacheBound asserts residency stays within capacity + pins.
-func TestProviderCacheBound(t *testing.T) {
-	p, err := NewProvider("femnist", GenerateConfig{Clients: 100, Seed: 9}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned := 0
-	for id := 0; id < 100; id++ {
-		if id%10 == 0 {
-			p.Acquire(id)
-			pinned++
-		} else {
-			p.Shard(id)
-		}
-		if got, bound := p.Stats().Resident, 4+pinned; got > bound {
-			t.Fatalf("resident %d exceeds capacity+pinned %d", got, bound)
-		}
-	}
-	for id := 0; id < 100; id += 10 {
-		p.Release(id)
-	}
-	if got := p.Stats().Resident; got > 5 {
-		t.Fatalf("resident %d after releases, want ≤ capacity+1", got)
 	}
 }
 
@@ -211,43 +183,5 @@ func TestSlabDerivationMatchesPerSample(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestStageFeedsMissesOnce: a staged shard is what the next miss returns
-// (the very slices, not a re-derivation), a hit ignores staging, and what a
-// pass leaves unconsumed is gone after the next Stage.
-func TestStageFeedsMissesOnce(t *testing.T) {
-	p, err := NewProvider("femnist", GenerateConfig{Clients: 30, Seed: 9}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	derives := 0
-	p.OnDerive = func(int) { derives++ }
-	resident := p.Shard(4)
-	ids := []int{4, 5, 6}
-	staged := []ClientShard{p.Derive(4), p.Derive(5), p.Derive(6)}
-	p.Stage(ids, staged)
-	if got := p.Shard(4); &got.Train[0] != &resident.Train[0] {
-		t.Error("a hit returned the staged shard, not the resident one")
-	}
-	if got := p.Shard(5); &got.Train[0] != &staged[1].Train[0] {
-		t.Error("a miss re-derived instead of taking the staged shard")
-	}
-	if derives != 2 {
-		t.Errorf("OnDerive fired %d times for two misses", derives)
-	}
-	if _, ok := p.staged[5]; ok {
-		t.Error("a consumed entry is still staged")
-	}
-	p.Stage(nil, nil)
-	if len(p.staged) != 0 {
-		t.Errorf("%d entries survived the next Stage", len(p.staged))
-	}
-	if got := p.Shard(6); &got.Train[0] == &staged[2].Train[0] || !shardEqual(got, staged[2]) {
-		t.Error("after the drop a miss must derive inline, to the same value")
-	}
-	if st := p.Stats(); st.Hits != 1 || st.Misses != 3 {
-		t.Errorf("stats %+v, want 1 hit and 3 misses: staging must not count", st)
 	}
 }

@@ -430,3 +430,95 @@ func TestMalformedReportsDoNotPoisonController(t *testing.T) {
 		t.Fatalf("controller saw unsanitized capability: %+v", dev.Compute)
 	}
 }
+
+// TestSamplesClaimIsClamped: the sample count is the aggregation weight and
+// is self-reported, so it is clamped like every other self-reported field.
+// Two clients upload opposite deltas; the one claiming 10¹⁸ samples weighs
+// exactly as much as the one claiming the cap, and the mean cancels — an
+// unclamped weight would move every parameter by the liar's delta.
+func TestSamplesClaimIsClamped(t *testing.T) {
+	srv, hs, fed := testServer(t, nil, 2)
+	ctx := context.Background()
+	before := srv.global.Parameters().Clone()
+	for i, samples := range []int{1e18, maxUpdateSamples} {
+		c := registeredClient(t, hs, fed, i)
+		status, err := c.postStatus(ctx, "/v1/task", TaskRequest{ClientID: c.ID(),
+			Resources: fullReport()}, &TaskResponse{})
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("task: %d %v", status, err)
+		}
+		delta := tensor.NewVector(paramCount(t, c))
+		delta.Fill(float64(1 - 2*i))
+		blob, err := opt.CompressUpdate(delta, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, err = c.postStatus(ctx, "/v1/update", UpdateRequest{
+			ClientID: c.ID(), Round: 0, Technique: "quant16", Delta: blob, Samples: samples,
+		}, nil)
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("update: %d %v", status, err)
+		}
+	}
+	if srv.Round() != 1 {
+		t.Fatalf("round %d after two updates with k=2, want 1", srv.Round())
+	}
+	for i, x := range srv.global.Parameters() {
+		if math.Abs(x-before[i]) > 1e-9 {
+			t.Fatalf("parameter %d moved by %v: the 10¹⁸-sample claim owned the aggregate", i, x-before[i])
+		}
+	}
+}
+
+// TestOversizedBodyRejected: a request body beyond the bound computed from
+// the model size gets 413 on every POST endpoint and mutates nothing — the
+// round, the buffer and the controller are as they were.
+func TestOversizedBodyRejected(t *testing.T) {
+	rec := &recordingController{}
+	srv, hs, fed := testServer(t, rec, 2)
+	ctx := context.Background()
+	c := registeredClient(t, hs, fed, 0)
+	status, err := c.postStatus(ctx, "/v1/task", TaskRequest{ClientID: c.ID(),
+		Resources: fullReport()}, &TaskResponse{})
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("task: %d %v", status, err)
+	}
+	limit := maxBodyBytes(paramCount(t, c))
+
+	// The largest legitimate update — every parameter a 32-bit worst case —
+	// fits under the bound, so the bound cannot reject an honest client.
+	worst := tensor.NewVector(paramCount(t, c))
+	for i := range worst {
+		worst[i] = float64(1 - 2*(i%2))
+	}
+	blob, err := opt.CompressUpdate(worst, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body, _ := json.Marshal(UpdateRequest{ClientID: c.ID(), Technique: "quant16", Delta: blob, Samples: 1e6,
+		TrainSecs: 123456.789, AccImprove: -0.123456789}); int64(len(body)) > limit {
+		t.Fatalf("a worst-case honest update is %d bytes, over the %d-byte bound", len(body), limit)
+	}
+
+	snap := getSnapshot(t, hs.URL)
+	decides := len(rec.decides)
+	huge := bytes.Repeat([]byte("A"), int(limit)) // valid base64, one quote short of ever ending
+	for _, path := range []string{"/v1/register", "/v1/task", "/v1/update"} {
+		body := append([]byte(fmt.Sprintf(`{"client_id":%d,"name":"big","delta":"`, c.ID())), huge...)
+		resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body returned %d, want 413", path, resp.StatusCode)
+		}
+	}
+	if after := getSnapshot(t, hs.URL); !bytes.Equal(snap, after) {
+		t.Error("rejected bodies changed the server snapshot")
+	}
+	if srv.Round() != 0 || len(rec.decides) != decides || len(rec.outcomes) != 0 {
+		t.Errorf("rejected bodies reached the round (%d) or the controller (%d decides, %d feedbacks)",
+			srv.Round(), len(rec.decides)-decides, len(rec.outcomes))
+	}
+}

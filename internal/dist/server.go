@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -67,8 +68,11 @@ type Server struct {
 	cfg    ServerConfig
 	clock  Clock
 	global *nn.Model
-	round  int
-	closed bool
+	// maxBody bounds every request body (maxBodyBytes of the model size,
+	// which a restore cannot change).
+	maxBody int64
+	round   int
+	closed  bool
 	// draining stops new task hand-outs (POST /v1/drain) so outstanding
 	// work converges to zero ahead of a GET /v1/snapshot.
 	draining bool
@@ -170,6 +174,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:     cfg,
 		clock:   cfg.Clock,
 		global:  global,
+		maxBody: maxBodyBytes(global.NumParams()),
 		clients: make(map[int]*clientInfo),
 		byName:  make(map[string]int),
 		obs:     newServerObs(cfg.Metrics, cfg.Tracer),
@@ -200,7 +205,7 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if !decode(w, r, &req) {
+	if !s.decode(w, r, &req) {
 		return
 	}
 	s.mu.Lock()
@@ -241,7 +246,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 	var req TaskRequest
-	if !decode(w, r, &req) {
+	if !s.decode(w, r, &req) {
 		return
 	}
 	req.Resources = req.Resources.sanitized()
@@ -284,7 +289,7 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
-	if !decode(w, r, &req) {
+	if !s.decode(w, r, &req) {
 		return
 	}
 	s.mu.Lock()
@@ -322,10 +327,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	s.outstanding--
 	s.obs.updates.Inc()
 	s.eventLocked("update", s.round, req.ClientID, "")
-	weight := float64(req.Samples)
-	if weight <= 0 {
-		weight = 1
-	}
+	// The aggregation weight is self-reported too: clamped, so that no one
+	// client's claim can own the weighted mean.
+	weight := clampFinite(float64(req.Samples), 1, maxUpdateSamples, 1)
 	s.deltas = append(s.deltas, delta)
 	s.weights = append(s.weights, weight)
 
@@ -484,13 +488,28 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics }
 // /v1/timeline serves), for embedding CLIs and tests.
 func (s *Server) Timeline() *obs.Timeline { return s.timeline }
 
-func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+// maxBodyBytes bounds a request body by the largest legitimate one: an
+// update whose delta is the codec's worst case (13-byte header, a 5-byte
+// varint per parameter at 32 bits) base64-encoded inside the JSON envelope
+// — under 7 bytes per parameter — plus generous room for the envelope.
+func maxBodyBytes(numParams int) int64 { return 8*int64(numParams) + 64<<10 }
+
+// decode reads a POST body of at most maxBodyBytes into v; on failure it has
+// written the status — 405, 413 for an oversized body, 400 for a malformed
+// one — and the handler must return without touching server state.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "dist: POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(w, fmt.Sprintf("dist: bad request: %v", err), http.StatusBadRequest)
+	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	if err := json.NewDecoder(body).Decode(v); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("dist: bad request: %v", err), status)
 		return false
 	}
 	return true
@@ -503,6 +522,10 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 		_ = err
 	}
 }
+
+// maxUpdateSamples caps the sample count an update may claim as its
+// aggregation weight.
+const maxUpdateSamples = 1e6
 
 // clampFinite sanitizes a client-supplied numeric field: non-finite or
 // non-positive values fall back to def, finite values are clamped into

@@ -104,10 +104,13 @@ func (s *Server) Snapshot() ([]byte, error) {
 }
 
 // RestoreSnapshot loads a frame produced by Snapshot into a freshly built
-// server. Validation (checksum, kind, spec compatibility) completes before
-// any state is touched, so a rejected snapshot leaves the server exactly
-// as NewServer built it. Outstanding tasks are not resurrected: surviving
-// clients re-fetch and stale uploads get the usual 409.
+// server. Validation of the server's own state (checksum, kind, spec
+// compatibility, technique names, buffered-delta lengths, the model blob)
+// completes before anything is touched, so a snapshot rejected there leaves
+// the server exactly as NewServer built it; the controller, metrics and
+// timeline sections are validated by their owners as they are restored.
+// Outstanding tasks are not resurrected: surviving clients re-fetch and
+// stale uploads get the usual 409.
 func (s *Server) RestoreSnapshot(data []byte) error {
 	payload, err := checkpoint.DecodeBytes(data, ServerSnapshotKind)
 	if err != nil {
@@ -130,6 +133,15 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 	}
 	if len(st.Deltas) != len(st.Weights) {
 		return &checkpoint.FormatError{Reason: "delta/weight count mismatch"}
+	}
+	for _, d := range st.Deltas {
+		if len(d) != s.global.NumParams() {
+			return &checkpoint.CompatError{
+				Field: "delta_len",
+				Got:   fmt.Sprint(len(d)),
+				Want:  fmt.Sprint(s.global.NumParams()),
+			}
+		}
 	}
 	techs := make([]opt.Technique, len(st.Clients))
 	for i, c := range st.Clients {
@@ -180,13 +192,6 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 	s.deltas = s.deltas[:0]
 	s.weights = s.weights[:0]
 	for i, d := range st.Deltas {
-		if len(d) != s.global.NumParams() {
-			return &checkpoint.CompatError{
-				Field: "delta_len",
-				Got:   fmt.Sprint(len(d)),
-				Want:  fmt.Sprint(s.global.NumParams()),
-			}
-		}
 		s.deltas = append(s.deltas, append([]float64(nil), d...))
 		s.weights = append(s.weights, st.Weights[i])
 	}
@@ -252,7 +257,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	}
 	var req DrainRequest
 	// The body is optional; a bare POST means "start draining".
-	_ = json.NewDecoder(r.Body).Decode(&req)
+	_ = json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&req)
 	s.mu.Lock()
 	s.draining = !req.Off
 	resp := DrainResponse{

@@ -174,3 +174,84 @@ func TestSnapshotRestoreRejectsBadBlob(t *testing.T) {
 	}
 	_ = srv
 }
+
+// TestSnapshotRestoreRejectsWrongLengthDelta: a well-framed snapshot whose
+// buffered delta has the wrong length is a CompatError found before the
+// first mutation — status, model bytes and controller state stay what
+// NewServer built (the check used to run after the controller, the model,
+// the round and the registry had been replaced).
+func TestSnapshotRestoreRejectsWrongLengthDelta(t *testing.T) {
+	mkCtrl := func() *core.Float {
+		return core.New(core.Config{
+			Agent:           rl.Config{Seed: 17, TotalRounds: 50},
+			BatchSize:       16,
+			Epochs:          2,
+			ClientsPerRound: 2,
+		})
+	}
+	// k = 3 with two updates in: an aggregation behind it, two deltas buffered.
+	_, hs, fed := testServer(t, mkCtrl(), 3)
+	ctx := context.Background()
+	for i := 0; i < 5; i++ {
+		if ok, err := registeredClient(t, hs, fed, i).Step(ctx, 0); err != nil || !ok {
+			t.Fatalf("Step: ok=%v err=%v", ok, err)
+		}
+	}
+	payload, err := checkpoint.DecodeBytes(getSnapshot(t, hs.URL), ServerSnapshotKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st serverState
+	if err := json.Unmarshal(payload, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Round != 1 || len(st.Deltas) != 2 || len(st.Controller) == 0 {
+		t.Fatalf("snapshot has round %d, %d deltas, %dB controller; the test needs 1, 2 and some", st.Round, len(st.Deltas), len(st.Controller))
+	}
+	st.Deltas[1] = st.Deltas[1][:len(st.Deltas[1])-1]
+	if payload, err = json.Marshal(st); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := checkpoint.EncodeBytes(ServerSnapshotKind, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctrl2 := mkCtrl()
+	srv2, hs2, _ := testServer(t, ctrl2, 3)
+	observe := func() (status, model, ctrl, snap []byte) {
+		resp, err := http.Get(hs2.URL + "/v1/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if status, err = io.ReadAll(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if model, err = srv2.global.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+		if ctrl, err = ctrl2.CheckpointState(); err != nil {
+			t.Fatal(err)
+		}
+		return status, model, ctrl, getSnapshot(t, hs2.URL)
+	}
+	status, model, ctrl, snap := observe()
+	var ce *checkpoint.CompatError
+	if err := srv2.RestoreSnapshot(bad); !errors.As(err, &ce) || ce.Field != "delta_len" {
+		t.Fatalf("wrong-length delta: got %v, want a delta_len CompatError", err)
+	}
+	status2, model2, ctrl2State, snap2 := observe()
+	if !bytes.Equal(status, status2) {
+		t.Errorf("rejected restore changed /v1/status:\n before %s\n after  %s", status, status2)
+	}
+	if !bytes.Equal(model, model2) {
+		t.Error("rejected restore changed the global model")
+	}
+	if !bytes.Equal(ctrl, ctrl2State) {
+		t.Error("rejected restore changed the controller state")
+	}
+	if !bytes.Equal(snap, snap2) {
+		t.Error("rejected restore changed the server snapshot")
+	}
+}

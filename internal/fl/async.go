@@ -124,7 +124,7 @@ func RunAsync(fed *data.Federation, pop []*device.Client, ctrl Controller, cfg C
 // clients, exactly as the historical engine did. A lazy population is
 // sampled instead: each launch pass walks a fresh random permutation under
 // a probe budget of O(concurrency), deriving only the clients it actually
-// considers, so resident state stays bounded by the provider caches plus
+// considers, so resident state stays bounded by the population caches plus
 // the in-flight set.
 func RunAsyncPop(p *population.Population, ctrl Controller, cfg Config) (*Result, error) {
 	r, err := newRun(AsyncSnapshotKind, p, nil, ctrl, cfg)
@@ -159,8 +159,11 @@ func (r *run) traceStep() int { return int(r.now / r.deadline) }
 // launch fills the open concurrency slots. The eager path scans the dense
 // pool for eligible clients and launches from a shuffle of them. The lazy
 // path walks a fresh random permutation under a probe budget proportional
-// to the open slots — deriving only probed clients, through the unpinned
-// cache; only actual launches pin.
+// to the open slots (selection.Probe: each batch of candidates is derived
+// ahead on the workers), skipping in-flight clients and probing the rest
+// through the unpinned cache; only actual launches pin. A batch is never
+// larger than the open slots, so launching from inside the walk cannot
+// overfill them.
 func (r *run) launch() error {
 	step := r.traceStep()
 	if !r.lazy {
@@ -182,29 +185,26 @@ func (r *run) launch() error {
 		}
 		return nil
 	}
-	want := r.cfg.Concurrency - len(r.inFlight)
-	if want <= 0 {
+	openSlots := func() int { return r.cfg.Concurrency - len(r.inFlight) }
+	if openSlots() <= 0 {
 		return nil
 	}
 	n := r.p.NumClients()
-	probes := 8*want + 64
-	if probes > n {
-		probes = n
-	}
-	ps := selection.NewPermSampler(r.rng, n)
-	for ; probes > 0 && len(r.inFlight) < r.cfg.Concurrency; probes-- {
-		id, ok := ps.Next()
-		if !ok {
-			break
-		}
-		if r.inFlight[id] || !r.p.Client(id).ResourcesAt(step).Available {
-			continue
-		}
-		if err := r.launchOne(id); err != nil {
-			return err
-		}
-	}
-	return nil
+	var err error
+	selection.Probe(lazyView{r}, step, selection.NewPermSampler(r.rng, n), selection.ProbeBudget(openSlots(), n),
+		func() int {
+			if err != nil {
+				return 0
+			}
+			return openSlots()
+		},
+		func(id int) bool { return r.inFlight[id] },
+		func(id int, available bool) {
+			if available && err == nil {
+				err = r.launchOne(id)
+			}
+		})
+	return err
 }
 
 // launchOne pins client id, lets the controller decide, runs the cost

@@ -15,7 +15,7 @@ import (
 // the single-threaded pass before the round fans out, plus what the slot's
 // worker produces. The client pointer and shard slices are acquired
 // (pinned) from the population at dispatch, so workers never touch the
-// provider caches — the cache's hit/miss schedule, like every other
+// population caches — the cache's hit/miss schedule, like every other
 // order-sensitive effect, belongs to the sequential passes. Workers write
 // only their own slot's result fields; the collector reads all slots in
 // dispatch order.
@@ -65,7 +65,7 @@ func RunSync(fed *data.Federation, pop []*device.Client, sel selection.Selector,
 // With an eager population the selector sees the classic checked-in dense
 // pool; a lazy population requires a selection.LazySelector, which probes
 // O(selected) clients instead of scanning the population. Memory per round
-// is then bounded by the provider cache capacity plus the selected set, and
+// is then bounded by the population cache capacity plus the selected set, and
 // the sequential passes keep only the cache bookkeeping: what they need
 // derived is derived ahead of them on the workers (deriveAhead).
 func RunSyncPop(p *population.Population, sel selection.Selector,

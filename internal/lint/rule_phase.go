@@ -20,16 +20,12 @@ var phaseForbidden = map[[2]string]string{
 	{"Population", "FlushObs"}:      "deferred-telemetry flush is a collect-phase operation",
 	{"Population", "PlanAhead"}:     "the residency peek is only meaningful between cache mutations",
 	{"Population", "Stage"}:         "staging feeds the dispatch pass's cache misses",
-	{"Provider", "Acquire"}:         "data acquisition mutates the working-set cache",
-	{"Provider", "Release"}:         "data release mutates the working-set cache",
-	{"Provider", "Client"}:          "a miss consumes the staged batch and mutates the working-set cache",
-	{"Provider", "Shard"}:           "a miss consumes the staged batch and mutates the working-set cache",
-	{"Provider", "Stage"}:           "staging feeds the dispatch pass's cache misses",
-	{"Cache", "Get"}:                "cache lookup mutates LRU recency state",
+	{"Cache", "Get"}:                "a lookup mutates LRU recency, and a miss consumes the staged batch, inserts and evicts",
+	{"Cache", "Acquire"}:            "acquisition is a lookup plus a pin-state mutation",
+	{"Cache", "Release"}:            "release mutates cache pin state and may evict",
 	{"Cache", "Contains"}:           "the residency peek is only meaningful between cache mutations",
-	{"Cache", "Add"}:                "cache insertion evicts entries",
-	{"Cache", "Pin"}:                "pinning mutates cache pin state",
-	{"Cache", "Unpin"}:              "unpinning mutates cache pin state",
+	{"Cache", "Plan"}:               "the residency peek is only meaningful between cache mutations",
+	{"Cache", "Stage"}:              "staging feeds the dispatch pass's cache misses",
 	{"Ledger", "Record"}:            "ledger writes are ordered by the collect phase",
 	{"Ledger", "RecordDiscarded"}:   "ledger writes are ordered by the collect phase",
 	{"Tracer", "Emit"}:              "trace emission is ordered by the dispatch/collect phases",

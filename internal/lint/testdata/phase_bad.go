@@ -13,8 +13,8 @@ func (l *Ledger) Rows() []int  { return l.rows }
 
 type Cache struct{ pins map[int]int }
 
-func (c *Cache) Pin(id int)   { c.pins[id]++ }
-func (c *Cache) Unpin(id int) { c.pins[id]-- }
+func (c *Cache) Acquire(id int) int { c.pins[id]++; return id }
+func (c *Cache) Release(id int)     { c.pins[id]-- }
 
 func forEachSlot(n int, fn func(int)) {
 	for i := 0; i < n; i++ {
@@ -28,7 +28,7 @@ func runRound(led *Ledger, wc *Cache) {
 		tally(led, i)
 	})
 	forEachSlot(2, func(i int) {
-		wc.Pin(i) // want phase-contract (pin-state mutation in a fan-out job)
+		wc.Acquire(i) // want phase-contract (pin-state mutation in a fan-out job)
 	})
 }
 
@@ -49,20 +49,21 @@ type Population struct{ wc *Cache }
 func (p *Population) Client(id int) int { return p.wc.pins[id] }
 func (p *Population) Stage(ids []int)   {}
 
-func (c *Cache) Add(id, v int) { c.pins[id] = v }
+func (c *Cache) Get(id int) int { return c.pins[id] }
 
 func derive(id int) int { return id * id }
 
-// Derive-ahead jobs may derive and nothing else: inserting what was
-// derived, reading a client through the cache, or staging from inside the
-// job puts cache mutation on a worker and its order up to the scheduler.
+// Derive-ahead jobs may derive and nothing else: loading the key through
+// the cache, reading a client through the population, or staging from
+// inside the job puts cache mutation on a worker and its order up to the
+// scheduler.
 func deriveAhead(p *Population, ids []int) {
 	staged := make([]int, len(ids))
 	forEachSlot(len(ids), func(i int) {
-		staged[i] = derive(ids[i])  // the sanctioned part: a pure derivation into the job's own slot
-		p.wc.Add(ids[i], staged[i]) // want phase-contract (derive-ahead job inserts into the cache)
-		p.Client(ids[i])            // want phase-contract (derive-ahead job reads through the cache)
-		p.Stage(ids[i : i+1])       // want phase-contract (derive-ahead job stages its own result)
+		staged[i] = derive(ids[i]) // the sanctioned part: a pure derivation into the job's own slot
+		p.wc.Get(ids[i])           // want phase-contract (derive-ahead job loads through the cache)
+		p.Client(ids[i])           // want phase-contract (derive-ahead job reads through the cache)
+		p.Stage(ids[i : i+1])      // want phase-contract (derive-ahead job stages its own result)
 	})
 	p.Stage(ids) // dispatch thread: fine
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"floatfl/internal/device"
 	"floatfl/internal/trace"
 	"floatfl/internal/wset"
 )
@@ -50,7 +51,7 @@ func (p *Population) CheckpointState() (*State, error) {
 		}
 		return st, nil
 	}
-	logs := p.devP.DrainState()
+	logs := p.drainState()
 	ids := make([]int, 0, len(logs))
 	for id := range logs {
 		ids = append(ids, id)
@@ -59,17 +60,35 @@ func (p *Population) CheckpointState() (*State, error) {
 	for _, id := range ids {
 		st.DrainLogs = append(st.DrainLogs, ClientDrainLog{Client: id, Drains: logs[id]})
 	}
-	st.ShardLRU = p.dataP.UnpinnedResidents()
-	st.DevLRU = p.devP.UnpinnedResidents()
+	st.ShardLRU = p.shards.UnpinnedKeys()
+	st.DevLRU = p.devs.UnpinnedKeys()
 	st.ShardStats, st.DevStats = p.Stats()
 	return st, nil
+}
+
+// drainState returns every drain log a lazy population knows about: the
+// evicted-client store plus the logs of currently resident (pinned or not)
+// clients. Together with the config it is the population's complete
+// client-visible mutable state.
+func (p *Population) drainState() map[int][]trace.DrainEvent {
+	logs := make(map[int][]trace.DrainEvent, len(p.drainLogs))
+	for id, log := range p.drainLogs {
+		logs[id] = log
+	}
+	p.devs.Range(func(id int, c *device.Client, _ bool) {
+		if log := c.Avail.DrainLog(); log != nil {
+			logs[id] = log
+		}
+	})
+	return logs
 }
 
 // RestoreDrainLogs is restore phase one: install the captured drain logs
 // on a freshly constructed population. For eager populations the logs are
 // replayed onto the dense clients (which must not have generated any
-// trace steps yet); for lazy populations they seed the provider's drain
-// store so every future derivation replays them.
+// trace steps yet); for lazy populations they seed the drain-log store so
+// every future derivation replays them, which requires that none has
+// happened yet.
 //
 // The engine then re-acquires any in-flight clients (rebuilding pinned
 // residency) before calling RestoreResidency.
@@ -77,11 +96,13 @@ func (p *Population) RestoreDrainLogs(st *State) error {
 	if st == nil {
 		return fmt.Errorf("population: nil checkpoint state")
 	}
+	for _, cl := range st.DrainLogs {
+		if cl.Client < 0 || cl.Client >= p.n {
+			return fmt.Errorf("population: drain log for client %d, population has %d", cl.Client, p.n)
+		}
+	}
 	if p.Eager() {
 		for _, cl := range st.DrainLogs {
-			if cl.Client < 0 || cl.Client >= p.n {
-				return fmt.Errorf("population: drain log for client %d, population has %d", cl.Client, p.n)
-			}
 			av := p.clients[cl.Client].Avail
 			if av.StepsGenerated() > 0 {
 				return fmt.Errorf("population: restore requires a fresh population (client %d already generated %d steps)",
@@ -91,14 +112,14 @@ func (p *Population) RestoreDrainLogs(st *State) error {
 		}
 		return nil
 	}
-	logs := make(map[int][]trace.DrainEvent, len(st.DrainLogs))
-	for _, cl := range st.DrainLogs {
-		if cl.Client < 0 || cl.Client >= p.n {
-			return fmt.Errorf("population: drain log for client %d, population has %d", cl.Client, p.n)
-		}
-		logs[cl.Client] = cl.Drains
+	if res := p.devs.Stats().Resident; res != 0 || len(p.drainLogs) != 0 {
+		return fmt.Errorf("population: drain-log restore requires a fresh population (cache %d, logs %d)",
+			res, len(p.drainLogs))
 	}
-	return p.devP.RestoreDrainState(logs)
+	for _, cl := range st.DrainLogs {
+		p.drainLogs[cl.Client] = cl.Drains
+	}
+	return nil
 }
 
 // RestoreResidency is restore phase two (lazy mode only; a no-op when
@@ -113,9 +134,9 @@ func (p *Population) RestoreResidency(st *State) {
 	if p.Eager() || st == nil {
 		return
 	}
-	p.dataP.WarmCache(st.ShardLRU)
-	p.devP.WarmCache(st.DevLRU)
-	p.dataP.SetCacheStats(st.ShardStats)
-	p.devP.SetCacheStats(st.DevStats)
-	p.lastShard, p.lastDev = st.ShardStats, st.DevStats
+	p.shards.Warm(st.ShardLRU)
+	p.devs.Warm(st.DevLRU)
+	p.shards.SetStats(st.ShardStats)
+	p.devs.SetStats(st.DevStats)
+	p.shardObs.last, p.devObs.last = st.ShardStats, st.DevStats
 }

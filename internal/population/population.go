@@ -1,29 +1,24 @@
 // Package population unifies the two ways a federation's client state can
 // be held: eagerly (the classic *data.Federation + []*device.Client pair,
-// everything resident) or lazily (data/device Providers deriving client i
-// from (seed, clientID) on demand, with only a bounded LRU working set
-// resident). The fl engines run against this seam, so a round costs
-// O(selected) — not O(population) — memory when the population is lazy,
-// while the eager path stays a zero-overhead thin wrapper that keeps every
-// committed golden bit-identical.
+// everything resident) or lazily (client i derived from (seed, clientID) on
+// demand, with only a bounded working set resident). The fl engines run
+// against this seam, so a round costs O(selected) — not O(population) —
+// memory when the population is lazy, while the eager path stays a
+// zero-overhead thin wrapper that keeps every committed golden
+// bit-identical.
 //
-// Ownership contract: the engines *mutate* a Population's caches only from
-// their single-threaded dispatch/collect passes. Dispatch Acquires (pins)
-// every selected client before fan-out; workers receive the resolved
+// The lazy population is two layers. Below, data.Provider and
+// device.Provider are pure derivers: immutable parameters, safe from any
+// goroutine. Above, all mutable state is the working set held here — two
+// load-through caches (wset.Cache; see that package for the residency
+// bound and the derive-ahead protocol) and the drain logs of evicted
+// clients that trained — and the engines touch it only from their
+// single-threaded dispatch/collect passes. Dispatch acquires (pins) every
+// selected client before fan-out; workers receive the resolved
 // *device.Client and sample slices in their job structs and never touch
-// the cache; collect Releases the pins. Cache hit/miss/eviction counters
-// are therefore a pure function of the schedule and byte-reproducible
-// across any Parallelism.
-//
-// Derivation itself is a pure function of (seed, clientID) and is not part
-// of that contract. Before a sequential pass walks a list of IDs the engine
-// may PlanAhead (peek which are not resident), run the plan's Derive jobs
-// on its workers, and Stage the batch; the pass then runs unchanged, except
-// that a cache miss takes the staged value instead of deriving inline. The
-// Get/Add/Pin sequence is the sequential one by construction; an ID evicted
-// between peek and use derives inline, a staged value never consumed is
-// dropped by the next Stage. Residency is bounded by capacity + pinned +
-// one staged batch.
+// the caches; collect releases the pins. Cache counters are therefore a
+// pure function of the schedule and byte-reproducible across any
+// Parallelism.
 package population
 
 import (
@@ -61,24 +56,27 @@ type Config struct {
 
 // Population is the engines' view of a federation's client state.
 type Population struct {
-	n int
+	n          int
+	profile    data.Profile
+	globalTest []nn.Sample
 
 	// Eager backing (nil in lazy mode).
 	fed     *data.Federation
 	clients []*device.Client
 
-	// Lazy backing (nil in eager mode).
+	// Lazy backing (nil in eager mode): the pure derivers, and the working
+	// set — a load-through cache over each, plus the battery history of
+	// evicted clients that trained. The drain-log store grows with the number
+	// of distinct clients that ever trained, a compact event list each, not
+	// with the population.
 	dataP      *data.Provider
 	devP       *device.Provider
+	shards     *wset.Cache[int, data.ClientShard]
+	devs       *wset.Cache[int, *device.Client]
+	drainLogs  map[int][]trace.DrainEvent
 	statSample int
 
-	// Telemetry handles (nil-safe when not instrumented).
-	shardHits, shardMisses, shardEvictions *obs.Counter
-	devHits, devMisses, devEvictions       *obs.Counter
-	shardResident, devResident             *obs.Gauge
-	shardPeak, devPeak                     *obs.Gauge
-	deriveSamples                          *obs.Histogram
-	lastShard, lastDev                     wset.Stats
+	shardObs, devObs cacheObs
 }
 
 // WrapEager adapts the classic dense pair into a Population. The wrapper
@@ -92,11 +90,14 @@ func WrapEager(fed *data.Federation, clients []*device.Client) (*Population, err
 		return nil, fmt.Errorf("fl: federation has %d clients, population has %d",
 			len(fed.Train), len(clients))
 	}
-	return &Population{n: len(clients), fed: fed, clients: clients}, nil
+	return &Population{
+		n: len(clients), profile: fed.Profile, globalTest: fed.GlobalTest,
+		fed: fed, clients: clients,
+	}, nil
 }
 
-// NewLazy constructs a provider-backed population deriving client state on
-// demand.
+// NewLazy constructs a population that holds no per-client state: client
+// state is derived on demand into the bounded working set.
 func NewLazy(cfg Config) (*Population, error) {
 	if cfg.Clients <= 0 {
 		return nil, fmt.Errorf("population: needs positive client count, got %d", cfg.Clients)
@@ -104,12 +105,15 @@ func NewLazy(cfg Config) (*Population, error) {
 	if cfg.StatSample <= 0 {
 		cfg.StatSample = 1024
 	}
+	if cfg.CacheClients <= 0 {
+		cfg.CacheClients = 4096
+	}
 	dataP, err := data.NewProvider(cfg.Dataset, data.GenerateConfig{
 		Clients:           cfg.Clients,
 		Alpha:             cfg.Alpha,
 		Seed:              cfg.Seed,
 		LocalTestFraction: cfg.LocalTestFraction,
-	}, cfg.CacheClients)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -118,11 +122,35 @@ func NewLazy(cfg Config) (*Population, error) {
 		Scenario:   cfg.Scenario,
 		FiveGShare: cfg.FiveGShare,
 		Seed:       cfg.Seed,
-	}, cfg.CacheClients)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Population{n: cfg.Clients, dataP: dataP, devP: devP, statSample: cfg.StatSample}, nil
+	p := &Population{
+		n: cfg.Clients, profile: dataP.Profile(), globalTest: dataP.GlobalTest(),
+		dataP: dataP, devP: devP, statSample: cfg.StatSample,
+		shards:    wset.New(cfg.CacheClients, dataP.Derive),
+		devs:      wset.New(cfg.CacheClients, devP.Derive),
+		drainLogs: make(map[int][]trace.DrainEvent),
+	}
+	// Eviction persists a client's drain log and the miss that brings it
+	// back replays it, so an evicted-and-rederived client is bit-identical
+	// to one that stayed resident.
+	p.devs.OnEvict = func(id int, c *device.Client) {
+		if log := c.Avail.DrainLog(); log != nil {
+			p.drainLogs[id] = log
+		}
+	}
+	p.devs.OnMiss = p.replayDrains
+	return p, nil
+}
+
+// replayDrains installs on a freshly derived client the drain log captured
+// when it was last evicted.
+func (p *Population) replayDrains(id int, c *device.Client) {
+	if log, ok := p.drainLogs[id]; ok {
+		c.Avail.ReplayDrains(log)
+	}
 }
 
 // Eager reports whether the population is dense-backed.
@@ -132,20 +160,10 @@ func (p *Population) Eager() bool { return p.dataP == nil }
 func (p *Population) NumClients() int { return p.n }
 
 // Profile returns the dataset profile.
-func (p *Population) Profile() data.Profile {
-	if p.Eager() {
-		return p.fed.Profile
-	}
-	return p.dataP.Profile()
-}
+func (p *Population) Profile() data.Profile { return p.profile }
 
 // GlobalTest returns the shared class-balanced holdout.
-func (p *Population) GlobalTest() []nn.Sample {
-	if p.Eager() {
-		return p.fed.GlobalTest
-	}
-	return p.dataP.GlobalTest()
-}
+func (p *Population) GlobalTest() []nn.Sample { return p.globalTest }
 
 // Federation returns the dense federation in eager mode, nil otherwise.
 func (p *Population) Federation() *data.Federation { return p.fed }
@@ -160,7 +178,7 @@ func (p *Population) Client(id int) *device.Client {
 	if p.Eager() {
 		return p.clients[id]
 	}
-	return p.devP.Client(id)
+	return p.devs.Get(id)
 }
 
 // AcquireClient returns client id pinned against eviction until Release.
@@ -168,7 +186,7 @@ func (p *Population) AcquireClient(id int) *device.Client {
 	if p.Eager() {
 		return p.clients[id]
 	}
-	return p.devP.Acquire(id)
+	return p.devs.Acquire(id)
 }
 
 // AcquireShard returns client id's data shard pinned until Release.
@@ -176,7 +194,7 @@ func (p *Population) AcquireShard(id int) data.ClientShard {
 	if p.Eager() {
 		return data.ClientShard{Train: p.fed.Train[id], LocalTest: p.fed.LocalTest[id]}
 	}
-	return p.dataP.Acquire(id)
+	return p.shards.Acquire(id)
 }
 
 // Shard returns client id's data shard without pinning.
@@ -184,17 +202,14 @@ func (p *Population) Shard(id int) data.ClientShard {
 	if p.Eager() {
 		return data.ClientShard{Train: p.fed.Train[id], LocalTest: p.fed.LocalTest[id]}
 	}
-	return p.dataP.Shard(id)
+	return p.shards.Get(id)
 }
 
-// Ahead is one derive-ahead batch: the IDs of an upcoming sequential pass
-// that were not resident when it was planned, with a slot per derivation.
+// Ahead is one derive-ahead batch: what an upcoming sequential pass over
+// some IDs will miss in the two caches.
 type Ahead struct {
-	p         *Population
-	clientIDs []int
-	clients   []*device.Client
-	shardIDs  []int
-	shards    []data.ClientShard
+	clients *wset.Batch[int, *device.Client]
+	shards  *wset.Batch[int, data.ClientShard]
 }
 
 // PlanAhead peeks — no counter, no recency — which of ids' clients, and with
@@ -202,36 +217,29 @@ type Ahead struct {
 // have nothing to derive. Like every cache read it belongs to the
 // single-threaded passes.
 func (p *Population) PlanAhead(ids []int, shards bool) *Ahead {
-	a := &Ahead{p: p}
+	a := &Ahead{}
 	if p.Eager() {
 		return a
 	}
-	for _, id := range ids {
-		if !p.devP.Resident(id) {
-			a.clientIDs = append(a.clientIDs, id)
-		}
-		if shards && !p.dataP.Resident(id) {
-			a.shardIDs = append(a.shardIDs, id)
-		}
+	a.clients = p.devs.Plan(ids)
+	if shards {
+		a.shards = p.shards.Plan(ids)
 	}
-	a.clients = make([]*device.Client, len(a.clientIDs))
-	a.shards = make([]data.ClientShard, len(a.shardIDs))
 	return a
 }
 
 // Jobs returns the number of derivations the batch needs.
-func (a *Ahead) Jobs() int { return len(a.clientIDs) + len(a.shardIDs) }
+func (a *Ahead) Jobs() int { return a.clients.Len() + a.shards.Len() }
 
-// Derive runs derivation job (0 ≤ job < Jobs). It reads only immutable
-// provider state and writes only its own slot, so the jobs of one batch may
-// run concurrently on any number of workers.
+// Derive runs derivation job (0 ≤ job < Jobs). It calls a pure deriver and
+// writes only its own slot, so the jobs of one batch may run concurrently
+// on any number of workers.
 func (a *Ahead) Derive(job int) {
-	if job < len(a.clientIDs) {
-		a.clients[job] = a.p.devP.Derive(a.clientIDs[job])
-		return
+	if n := a.clients.Len(); job < n {
+		a.clients.Load(job)
+	} else {
+		a.shards.Load(job - n)
 	}
-	job -= len(a.clientIDs)
-	a.shards[job] = a.p.dataP.Derive(a.shardIDs[job])
 }
 
 // Stage makes a fully derived batch, planned on this population, the one
@@ -241,8 +249,8 @@ func (p *Population) Stage(a *Ahead) {
 	if p.Eager() {
 		return
 	}
-	p.devP.Stage(a.clientIDs, a.clients)
-	p.dataP.Stage(a.shardIDs, a.shards)
+	p.devs.Stage(a.clients)
+	p.shards.Stage(a.shards)
 }
 
 // Release drops the pins AcquireClient + AcquireShard took on client id.
@@ -250,8 +258,8 @@ func (p *Population) Release(id int) {
 	if p.Eager() {
 		return
 	}
-	p.dataP.Release(id)
-	p.devP.Release(id)
+	p.shards.Release(id)
+	p.devs.Release(id)
 }
 
 // MeanShardSize returns the (estimated) mean client shard size, floored at
@@ -302,7 +310,36 @@ func (p *Population) Stats() (shard, dev wset.Stats) {
 	if p.Eager() {
 		return wset.Stats{}, wset.Stats{}
 	}
-	return p.dataP.Stats(), p.devP.Stats()
+	return p.shards.Stats(), p.devs.Stats()
+}
+
+// cacheObs is one cache's telemetry: the handles (nil until instrumented)
+// and the counters as last flushed.
+type cacheObs struct {
+	hits, misses, evictions *obs.Counter
+	resident, peak          *obs.Gauge
+	last                    wset.Stats
+}
+
+func newCacheObs(reg *obs.Registry, kind string) cacheObs {
+	label := `{kind="` + kind + `"}`
+	return cacheObs{
+		hits:      reg.Counter("pop_cache_hits_total" + label),
+		misses:    reg.Counter("pop_cache_misses_total" + label),
+		evictions: reg.Counter("pop_cache_evictions_total" + label),
+		resident:  reg.Gauge("pop_resident_clients" + label),
+		peak:      reg.Gauge("pop_resident_peak" + label),
+	}
+}
+
+// flush publishes the counter deltas since the last flush and the gauges.
+func (o *cacheObs) flush(s wset.Stats) {
+	o.hits.Add(s.Hits - o.last.Hits)
+	o.misses.Add(s.Misses - o.last.Misses)
+	o.evictions.Add(s.Evictions - o.last.Evictions)
+	o.resident.Set(float64(s.Resident))
+	o.peak.Set(float64(s.Peak))
+	o.last = s
 }
 
 // Instrument registers the population-cache metrics on reg and starts
@@ -312,50 +349,39 @@ func (p *Population) Instrument(reg *obs.Registry) {
 	if reg == nil || p.Eager() {
 		return
 	}
-	p.shardHits = reg.Counter(`pop_cache_hits_total{kind="shard"}`)
-	p.shardMisses = reg.Counter(`pop_cache_misses_total{kind="shard"}`)
-	p.shardEvictions = reg.Counter(`pop_cache_evictions_total{kind="shard"}`)
-	p.devHits = reg.Counter(`pop_cache_hits_total{kind="device"}`)
-	p.devMisses = reg.Counter(`pop_cache_misses_total{kind="device"}`)
-	p.devEvictions = reg.Counter(`pop_cache_evictions_total{kind="device"}`)
-	p.shardResident = reg.Gauge(`pop_resident_clients{kind="shard"}`)
-	p.devResident = reg.Gauge(`pop_resident_clients{kind="device"}`)
-	p.shardPeak = reg.Gauge(`pop_resident_peak{kind="shard"}`)
-	p.devPeak = reg.Gauge(`pop_resident_peak{kind="device"}`)
+	p.shardObs, p.devObs = newCacheObs(reg, "shard"), newCacheObs(reg, "device")
 	// Derivation cost is observed in deterministic units — samples
 	// synthesized per derivation — not wall time, which would break the
 	// byte-reproducible exposition contract.
-	p.deriveSamples = reg.Histogram("pop_derive_samples", []float64{8, 16, 32, 64, 128, 256, 512, 1024})
-	p.dataP.OnDerive = func(samples int) { p.deriveSamples.Observe(float64(samples)) }
+	deriveSamples := reg.Histogram("pop_derive_samples", []float64{8, 16, 32, 64, 128, 256, 512, 1024})
+	p.shards.OnMiss = func(_ int, s data.ClientShard) {
+		deriveSamples.Observe(float64(len(s.Train) + len(s.LocalTest)))
+	}
 }
 
 // FlushObs publishes cache-counter deltas and residency gauges. The
 // engines call it at schedule-determined points (end of each collect pass)
 // so exposition bytes never depend on Parallelism.
 func (p *Population) FlushObs() {
-	if p.Eager() || p.shardHits == nil {
+	if p.Eager() || p.shardObs.hits == nil {
 		return
 	}
-	shard, dev := p.Stats()
-	p.shardHits.Add(shard.Hits - p.lastShard.Hits)
-	p.shardMisses.Add(shard.Misses - p.lastShard.Misses)
-	p.shardEvictions.Add(shard.Evictions - p.lastShard.Evictions)
-	p.devHits.Add(dev.Hits - p.lastDev.Hits)
-	p.devMisses.Add(dev.Misses - p.lastDev.Misses)
-	p.devEvictions.Add(dev.Evictions - p.lastDev.Evictions)
-	p.shardResident.Set(float64(shard.Resident))
-	p.devResident.Set(float64(dev.Resident))
-	p.shardPeak.Set(float64(shard.Peak))
-	p.devPeak.Set(float64(dev.Peak))
-	p.lastShard, p.lastDev = shard, dev
+	p.shardObs.flush(p.shards.Stats())
+	p.devObs.flush(p.devs.Stats())
 }
 
 // Materialize converts a lazy population into the dense pair (eager
 // populations return their backing directly). Intended for small-scale
-// equivalence tests and adapters, not for million-client runs.
+// equivalence tests and adapters, not for million-client runs. It bypasses
+// the caches; captured drain logs are replayed so the materialized clients
+// carry the same history.
 func (p *Population) Materialize() (*data.Federation, []*device.Client) {
 	if p.Eager() {
 		return p.fed, p.clients
 	}
-	return p.dataP.Materialize(), p.devP.Materialize()
+	clients := p.devP.Materialize()
+	for id, c := range clients {
+		p.replayDrains(id, c)
+	}
+	return p.dataP.Materialize(), clients
 }

@@ -113,7 +113,7 @@ func runScript(t *testing.T, capacity, par int) observed {
 		t.Fatal(err)
 	}
 	o.Checkpoint = string(blob)
-	o.Drains = p.devP.DrainState()
+	o.Drains = p.drainState()
 	return o
 }
 
@@ -211,5 +211,40 @@ func TestDeriveAheadEagerHasNoJobs(t *testing.T) {
 	p.Stage(a)
 	if p.Client(1) != clients[1] {
 		t.Fatal("eager client is not the dense one")
+	}
+}
+
+// TestEvictionReplaysDrains is the heart of the lazy device contract: a
+// client that trained (drained battery), was evicted, and is re-derived
+// must be bit-identical to one that stayed resident the whole time — and so
+// must the copy of it Materialize hands out.
+func TestEvictionReplaysDrains(t *testing.T) {
+	// Reference: a big cache where client 5 is never evicted. Thrashing:
+	// capacity 1, so touching any other client evicts 5.
+	ref, tiny := newLazy(t, 64), newLazy(t, 1)
+	drain := func(p *Population, step int) {
+		c := p.Client(5)
+		c.Avail.Available(step)
+		c.Avail.RecordUseAmount(0.12)
+	}
+	for step := 0; step < 6; step++ {
+		drain(ref, step)
+		drain(tiny, step)
+		tiny.Client(17 + step)
+	}
+	if _, dev := tiny.Stats(); dev.Evictions < 6 {
+		t.Fatalf("tiny cache evicted %d times; the test exercises nothing", dev.Evictions)
+	}
+	_, dense := tiny.Materialize()
+	want := ref.Client(5)
+	for _, got := range []*device.Client{tiny.Client(5), dense[5]} {
+		if got == want || got.Compute != want.Compute || got.NetKind != want.NetKind {
+			t.Fatal("client 5: not a re-derivation of the same client")
+		}
+		for s := 0; s <= 30; s++ {
+			if a, b := got.ResourcesAt(s), want.ResourcesAt(s); a != b {
+				t.Fatalf("client 5 step %d: resources %+v after eviction, %+v resident", s, a, b)
+			}
+		}
 	}
 }

@@ -43,7 +43,7 @@ type LazySelector interface {
 // performs one Fisher-Yates step using a sparse swap map, so drawing m
 // elements costs O(m) memory regardless of n. Distinctness is inherited
 // from the permutation. It is the sampling primitive behind every lazy
-// selector (and the async engine's launch sampling).
+// selector and the async engine's launch sampling (Probe).
 type PermSampler struct {
 	rng   *rand.Rand
 	n, i  int
@@ -84,7 +84,7 @@ func (r *Random) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 		k = n
 	}
 	out := make([]int, 0, k)
-	probe(view, info.Round, NewPermSampler(r.rng, n), n,
+	Probe(view, info.Round, NewPermSampler(r.rng, n), n,
 		func() int { return k - len(out) }, nil,
 		func(id int, available bool) {
 			if available {
@@ -94,7 +94,8 @@ func (r *Random) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 	return out
 }
 
-// probe is the one lazy probe loop. It draws candidates from ps — at most
+// Probe is the one lazy probe loop — the selectors' and the async engine's
+// launch sampling. It draws candidates from ps — at most
 // budget in all, need() at a time (re-read before each batch; ≤ 0 ends the
 // walk) — drops the ones skip reports without probing them, Stages the rest
 // on the view, and then visits them in draw order with their availability
@@ -106,7 +107,7 @@ func (r *Random) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 // and a PermSampler draw depends on no probe's result. The RNG stream, the
 // probe sequence and the skip decisions (no ID is drawn twice) are exactly
 // those of drawing, testing and probing one candidate at a time.
-func probe(view PopulationView, round int, ps *PermSampler, budget int,
+func Probe(view PopulationView, round int, ps *PermSampler, budget int,
 	need func() int, skip func(id int) bool, visit func(id int, available bool)) {
 
 	var batch []int
@@ -137,10 +138,10 @@ func probe(view PopulationView, round int, ps *PermSampler, budget int,
 	}
 }
 
-// lazyProbeBudget bounds how many clients a probe-sampled selector derives
-// per round beyond its target: generous enough that a typical availability
+// ProbeBudget bounds how many clients a probe-sampled walk derives per
+// round beyond its target: generous enough that a typical availability
 // rate fills k, bounded so a blackout round costs O(k), not O(population).
-func lazyProbeBudget(k, n int) int {
+func ProbeBudget(k, n int) int {
 	budget := 8*k + 64
 	if budget > n {
 		budget = n
@@ -183,7 +184,7 @@ func (o *Oort) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 			inChosen[id] = true
 		}
 	}
-	probe(view, info.Round, ps, lazyProbeBudget(nExplore, n),
+	Probe(view, info.Round, ps, ProbeBudget(nExplore, n),
 		func() int { return nExplore - len(chosen) },
 		func(id int) bool { return o.tried[id] }, admit)
 
@@ -237,7 +238,7 @@ func (o *Oort) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 	}
 	// Unfilled slots (cold start: nothing known yet) fall back to random
 	// exploration of untried clients.
-	probe(view, info.Round, ps, lazyProbeBudget(k-len(chosen), n),
+	Probe(view, info.Round, ps, ProbeBudget(k-len(chosen), n),
 		func() int { return k - len(chosen) },
 		func(id int) bool { return inChosen[id] }, admit)
 	return chosen
@@ -253,7 +254,7 @@ func (r *REFL) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 	if k > n {
 		k = n
 	}
-	budget := lazyProbeBudget(k, n)
+	budget := ProbeBudget(k, n)
 	probed := make([]int, 0, budget)
 	avail := make(map[int]bool, budget)
 	// The ping sample never stops early, so its batches are sized to bound
@@ -262,7 +263,7 @@ func (r *REFL) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 	if chunk < 1 {
 		chunk = 1
 	}
-	probe(view, info.Round, NewPermSampler(r.rng, n), budget,
+	Probe(view, info.Round, NewPermSampler(r.rng, n), budget,
 		func() int { return chunk }, nil,
 		func(id int, a bool) {
 			probed = append(probed, id)

@@ -56,7 +56,7 @@ func (o *Oort) selectLazyOneAtATime(info RoundInfo, view PopulationView, k int) 
 	chosen := make([]int, 0, k)
 	inChosen := make(map[int]bool, k)
 	ps := NewPermSampler(o.rng, n)
-	for probes := lazyProbeBudget(nExplore, n); probes > 0 && len(chosen) < nExplore; probes-- {
+	for probes := ProbeBudget(nExplore, n); probes > 0 && len(chosen) < nExplore; probes-- {
 		id, ok := ps.Next()
 		if !ok {
 			break
@@ -120,7 +120,7 @@ func (o *Oort) selectLazyOneAtATime(info RoundInfo, view PopulationView, k int) 
 	}
 	// Unfilled slots (cold start: nothing known yet) fall back to random
 	// exploration of untried clients.
-	for probes := lazyProbeBudget(k-len(chosen), n); probes > 0 && len(chosen) < k; probes-- {
+	for probes := ProbeBudget(k-len(chosen), n); probes > 0 && len(chosen) < k; probes-- {
 		id, ok := ps.Next()
 		if !ok {
 			break
@@ -142,9 +142,9 @@ func (r *REFL) selectLazyOneAtATime(info RoundInfo, view PopulationView, k int) 
 		k = n
 	}
 	ps := NewPermSampler(r.rng, n)
-	probed := make([]int, 0, lazyProbeBudget(k, n))
-	avail := make(map[int]bool, lazyProbeBudget(k, n))
-	for probes := lazyProbeBudget(k, n); probes > 0; probes-- {
+	probed := make([]int, 0, ProbeBudget(k, n))
+	avail := make(map[int]bool, ProbeBudget(k, n))
+	for probes := ProbeBudget(k, n); probes > 0; probes-- {
 		id, ok := ps.Next()
 		if !ok {
 			break

@@ -1,18 +1,25 @@
-// Package wset implements the bounded working-set cache behind the lazy
-// population providers: a pinned LRU keyed by client ID. The cache holds at
-// most Capacity *unpinned* entries — pinned entries (clients currently
-// owned by an in-flight round) are never evicted and do not count against
-// the bound, so total residency is always ≤ capacity + pinned. Eviction
+// Package wset is the lazy population's working set: a bounded, pinned,
+// load-through LRU cache keyed by client ID. It is the one place mutable
+// working-set state lives; what it loads — a client's shard, a client's
+// device state — is a pure function of the key, supplied at construction.
+//
+// The cache holds at most Capacity *unpinned* entries. Pinned entries
+// (clients owned by an in-flight round) are never evicted and do not count
+// against the bound, and one derive-ahead batch may be staged beside it, so
+// residency is always ≤ capacity + pinned + one staged batch. Eviction
 // order is strict LRU over unpinned entries, which makes hit/miss/eviction
-// counts a pure function of the access sequence: the engines only *mutate*
-// the cache (Get, Add, Pin, Unpin) from their single-threaded
-// dispatch/collect passes, so cache telemetry is byte-reproducible across
-// any Parallelism. What a miss inserts may have been computed elsewhere —
-// the providers derive values ahead on worker goroutines, using Contains
-// to decide which — because the cache never sees where a value came from.
+// counts a pure function of the access sequence: the engines touch the
+// cache (Get, Acquire, Release, Plan, Stage, Warm) only from their
+// single-threaded dispatch/collect passes, so cache telemetry is
+// byte-reproducible across any Parallelism.
+//
+// Loading is not part of that sequence. Before a pass walks a list of keys
+// the engine may Plan it (peek which are not resident), run the batch's
+// Load jobs on any number of workers, and Stage the result; the pass then
+// runs unchanged, except that a miss takes its staged value instead of
+// loading inline. A key evicted between peek and use loads inline, a staged
+// value never consumed is dropped by the next Stage: neither leaves a trace.
 package wset
-
-import "sync"
 
 // Stats is a point-in-time snapshot of cache activity counters.
 type Stats struct {
@@ -30,112 +37,78 @@ type entry[K comparable, V any] struct {
 	prev, next *entry[K, V] // LRU list links; nil links while pinned
 }
 
-// Cache is a pinned LRU working-set cache. The zero value is not usable;
-// construct with New. All methods are safe for concurrent use, but the
-// determinism contract (reproducible counters) additionally requires a
-// deterministic call sequence — the engines guarantee that by confining
-// cache mutation to single-threaded passes.
+// Cache is a pinned load-through LRU working-set cache. The zero value is
+// not usable; construct with New. A Cache is not safe for concurrent use,
+// on purpose: the determinism contract (reproducible counters) needs one
+// deterministic call sequence, which a lock cannot give — the engines give
+// it by confining cache access to their single-threaded passes
+// (floatlint's phase-contract rule checks that statically), and a call from
+// a worker is a data race the race detector reports instead of a
+// nondeterminism a mutex would hide. Only Batch.Load may run elsewhere.
+// The hooks must not call back into the cache.
 type Cache[K comparable, V any] struct {
-	mu       sync.Mutex
+	// OnMiss, when non-nil, sees every value a miss is about to insert,
+	// staged or loaded inline: device state replays its drain log here, the
+	// shard cache observes derivation sizes.
+	OnMiss func(K, V)
+	// OnEvict, when non-nil, sees every evicted entry — where a device
+	// client's drain log is persisted.
+	OnEvict func(K, V)
+
 	capacity int
+	load     func(K) V
 	entries  map[K]*entry[K, V]
 	// head is most-recently-used, tail least-recently-used; only unpinned
 	// entries are linked.
 	head, tail *entry[K, V]
 	unpinned   int
-	onEvict    func(K, V)
-	stats      Stats
+	// staged is the current derive-ahead batch; a miss consumes its entry,
+	// the next Stage drops whatever is left.
+	staged map[K]V
+	stats  Stats
 }
 
 // New constructs a cache bounding the unpinned working set to capacity
-// entries (minimum 1). onEvict, when non-nil, observes each evicted
-// key/value — the device provider uses it to persist drain logs.
-func New[K comparable, V any](capacity int, onEvict func(K, V)) *Cache[K, V] {
+// entries (minimum 1). load derives the value of a key; it must be a pure
+// function over immutable state, safe to call from any goroutine, because
+// derive-ahead batches call it off the owning thread.
+func New[K comparable, V any](capacity int, load func(K) V) *Cache[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &Cache[K, V]{
 		capacity: capacity,
+		load:     load,
 		entries:  make(map[K]*entry[K, V], capacity+1),
-		onEvict:  onEvict,
 	}
 }
 
-// Get returns the cached value, marking the entry most-recently-used.
-// Counts one hit or one miss.
-func (c *Cache[K, V]) Get(k K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	if !ok {
-		c.stats.Misses++
-		var zero V
-		return zero, false
-	}
-	c.stats.Hits++
-	if e.pins == 0 {
-		c.unlink(e)
-		c.pushFront(e)
-	}
-	return e.val, true
+// Get returns k's value, marking the entry most-recently-used, and counts
+// one hit or one miss. A miss takes the staged value, or loads inline when
+// there is none, inserts it, and evicts least-recently-used unpinned
+// entries until the unpinned count is within capacity. The returned value
+// is guaranteed resident only until the next cache call; callers holding it
+// across other traffic must Acquire instead.
+func (c *Cache[K, V]) Get(k K) V {
+	return c.get(k).val
 }
 
-// Contains reports whether k is resident without counting a hit or a miss
-// and without touching recency — the peek derive-ahead plans with, which
-// must leave no trace in the access sequence.
-func (c *Cache[K, V]) Contains(k K) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[k]
-	return ok
-}
-
-// Add inserts (or replaces) a value as most-recently-used, then evicts
-// least-recently-used unpinned entries until the unpinned count is within
-// capacity.
-func (c *Cache[K, V]) Add(k K, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[k]; ok {
-		e.val = v
-		if e.pins == 0 {
-			c.unlink(e)
-			c.pushFront(e)
-		}
-		return
-	}
-	e := &entry[K, V]{key: k, val: v}
-	c.entries[k] = e
-	c.pushFront(e)
-	if len(c.entries) > c.stats.Peak {
-		c.stats.Peak = len(c.entries)
-	}
-	c.evictOver()
-}
-
-// Pin marks the entry un-evictable until a matching Unpin. Pinning is
-// reference-counted: a client acquired by overlapping owners stays resident
-// until the last one releases it. Pin of a missing key reports false.
-func (c *Cache[K, V]) Pin(k K) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	if !ok {
-		return false
-	}
+// Acquire is Get plus a pin: the entry is un-evictable until the matching
+// Release. Pinning is reference-counted, so a client acquired by
+// overlapping owners stays resident until the last one releases it.
+func (c *Cache[K, V]) Acquire(k K) V {
+	e := c.get(k)
 	if e.pins == 0 {
 		c.unlink(e)
 	}
 	e.pins++
-	return true
+	return e.val
 }
 
-// Unpin drops one pin reference; the entry re-enters the LRU list as
+// Release drops one pin reference; the entry re-enters the LRU list as
 // most-recently-used when the count reaches zero (and may then be evicted
 // if the cache is over capacity).
-func (c *Cache[K, V]) Unpin(k K) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Cache[K, V]) Release(k K) {
 	e, ok := c.entries[k]
 	if !ok || e.pins == 0 {
 		return
@@ -147,17 +120,91 @@ func (c *Cache[K, V]) Unpin(k K) {
 	}
 }
 
-// Len returns the number of resident entries (pinned + unpinned).
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+// get is the one get-on-miss implementation.
+func (c *Cache[K, V]) get(k K) *entry[K, V] {
+	if e, ok := c.entries[k]; ok {
+		c.stats.Hits++
+		if e.pins == 0 {
+			c.unlink(e)
+			c.pushFront(e)
+		}
+		return e
+	}
+	c.stats.Misses++
+	v, ok := c.staged[k]
+	if ok {
+		delete(c.staged, k)
+	} else {
+		v = c.load(k)
+	}
+	if c.OnMiss != nil {
+		c.OnMiss(k, v)
+	}
+	e := &entry[K, V]{key: k, val: v}
+	c.entries[k] = e
+	c.pushFront(e)
+	if len(c.entries) > c.stats.Peak {
+		c.stats.Peak = len(c.entries)
+	}
+	c.evictOver()
+	return e
+}
+
+// Contains reports whether k is resident without counting a hit or a miss
+// and without touching recency — the peek derive-ahead plans with, which
+// must leave no trace in the access sequence.
+func (c *Cache[K, V]) Contains(k K) bool {
+	_, ok := c.entries[k]
+	return ok
+}
+
+// Batch is one derive-ahead batch: the keys of an upcoming pass that were
+// not resident when it was planned, with a slot per load. A nil *Batch is
+// empty.
+type Batch[K comparable, V any] struct {
+	load func(K) V
+	keys []K
+	vals []V
+}
+
+// Plan peeks — no counter, no recency — which of keys are not resident.
+// Like every cache read it belongs to the single-threaded passes: the peek
+// is only meaningful between cache mutations.
+func (c *Cache[K, V]) Plan(keys []K) *Batch[K, V] {
+	b := &Batch[K, V]{load: c.load}
+	for _, k := range keys {
+		if !c.Contains(k) {
+			b.keys = append(b.keys, k)
+		}
+	}
+	b.vals = make([]V, len(b.keys))
+	return b
+}
+
+// Len returns the number of loads the batch needs.
+func (b *Batch[K, V]) Len() int {
+	if b == nil {
+		return 0
+	}
+	return len(b.keys)
+}
+
+// Load runs load job i (0 ≤ i < Len). It calls the pure loader and writes
+// only its own slot — no cache access — so the jobs of one batch may run
+// concurrently on any number of workers.
+func (b *Batch[K, V]) Load(i int) { b.vals[i] = b.load(b.keys[i]) }
+
+// Stage makes a fully loaded batch, planned on this cache, the one misses
+// draw from, dropping whatever the previous batch left unconsumed.
+func (c *Cache[K, V]) Stage(b *Batch[K, V]) {
+	c.staged = make(map[K]V, b.Len())
+	for i := 0; i < b.Len(); i++ {
+		c.staged[b.keys[i]] = b.vals[i]
+	}
 }
 
 // Stats returns a snapshot of the activity counters.
 func (c *Cache[K, V]) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	s := c.stats
 	s.Resident = len(c.entries)
 	return s
@@ -167,18 +214,16 @@ func (c *Cache[K, V]) Stats() Stats {
 // ignored). Checkpoint restore uses this after residency is rebuilt, so
 // the rebuild's own hits/misses/evictions never reach telemetry.
 func (c *Cache[K, V]) SetStats(s Stats) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.stats = Stats{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Peak: s.Peak}
 }
 
 // UnpinnedKeys returns the unpinned resident keys in least-recently-used
-// first order — the exact order that, replayed through Add on an empty
+// first order — the exact order that, replayed through Warm on an empty
 // cache, reconstructs this LRU list. Pinned entries are excluded; their
-// residency is rebuilt by re-acquisition, not replay.
+// residency is rebuilt by re-acquisition, not replay. Values are a pure
+// function of the key (plus what OnMiss replays), so residency plus Stats
+// is the cache's whole checkpointable state.
 func (c *Cache[K, V]) UnpinnedKeys() []K {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	keys := make([]K, 0, c.unpinned)
 	for e := c.tail; e != nil; e = e.prev {
 		keys = append(keys, e.key)
@@ -186,13 +231,19 @@ func (c *Cache[K, V]) UnpinnedKeys() []K {
 	return keys
 }
 
+// Warm loads keys in order, re-populating residency after a restore; the
+// caller overwrites the counters afterwards (SetStats).
+func (c *Cache[K, V]) Warm(keys []K) {
+	for _, k := range keys {
+		c.Get(k)
+	}
+}
+
 // Range calls f for every resident entry (pinned and unpinned) in map
-// order, holding the cache lock — f must not call back into the cache.
+// order — f must not call back into the cache.
 // Callers needing determinism must collect and sort; the checkpoint
 // writers do exactly that with the int-keyed caches.
 func (c *Cache[K, V]) Range(f func(k K, v V, pinned bool)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for k, e := range c.entries {
 		f(k, e.val, e.pins > 0)
 	}
@@ -204,8 +255,8 @@ func (c *Cache[K, V]) evictOver() {
 		c.unlink(victim)
 		delete(c.entries, victim.key)
 		c.stats.Evictions++
-		if c.onEvict != nil {
-			c.onEvict(victim.key, victim.val)
+		if c.OnEvict != nil {
+			c.OnEvict(victim.key, victim.val)
 		}
 	}
 }

@@ -1,24 +1,34 @@
 package wset
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+)
+
+// ident is the simplest pure loader: a key is its own value.
+func ident(k int) int { return k }
 
 func TestLRUEviction(t *testing.T) {
 	var evicted []int
-	c := New[int, string](2, func(k int, _ string) { evicted = append(evicted, k) })
-	c.Add(1, "a")
-	c.Add(2, "b")
-	c.Add(3, "c") // evicts 1 (LRU)
+	c := New(2, func(k int) string { return fmt.Sprint(k) })
+	c.OnEvict = func(k int, _ string) { evicted = append(evicted, k) }
+	c.Get(1)
+	c.Get(2)
+	c.Get(3) // evicts 1 (LRU)
 	if len(evicted) != 1 || evicted[0] != 1 {
 		t.Fatalf("evicted %v, want [1]", evicted)
 	}
-	if _, ok := c.Get(1); ok {
+	if c.Contains(1) {
 		t.Fatal("evicted entry still resident")
 	}
 	// Touch 2 so 3 becomes LRU.
-	if _, ok := c.Get(2); !ok {
-		t.Fatal("entry 2 missing")
+	if got := c.Get(2); got != "2" || c.Stats().Hits != 1 {
+		t.Fatalf("entry 2: got %q with stats %+v, want a hit on \"2\"", got, c.Stats())
 	}
-	c.Add(4, "d") // evicts 3
+	c.Get(4) // evicts 3
 	if len(evicted) != 2 || evicted[1] != 3 {
 		t.Fatalf("evicted %v, want [1 3]", evicted)
 	}
@@ -26,54 +36,53 @@ func TestLRUEviction(t *testing.T) {
 
 func TestPinBlocksEviction(t *testing.T) {
 	var evicted []int
-	c := New[int, int](1, func(k, _ int) { evicted = append(evicted, k) })
-	c.Add(1, 10)
-	if !c.Pin(1) {
-		t.Fatal("pin of resident entry failed")
-	}
-	c.Add(2, 20)
-	c.Add(3, 30) // evicts 2, not pinned 1
-	if _, ok := c.Get(1); !ok {
+	c := New(1, ident)
+	c.OnEvict = func(k, _ int) { evicted = append(evicted, k) }
+	c.Acquire(1)
+	c.Get(2)
+	c.Get(3) // evicts 2, not pinned 1
+	if !c.Contains(1) {
 		t.Fatal("pinned entry was evicted")
 	}
 	if len(evicted) != 1 || evicted[0] != 2 {
 		t.Fatalf("evicted %v, want [2]", evicted)
 	}
-	// Unpin re-enters the LRU as MRU; 3 is now the victim.
-	c.Unpin(1)
-	if _, ok := c.Get(1); !ok {
-		t.Fatal("unpinned entry should survive as MRU")
+	// Release re-enters the LRU as MRU; 3 is now the victim.
+	c.Release(1)
+	if !c.Contains(1) {
+		t.Fatal("released entry should survive as MRU")
 	}
-	if _, ok := c.Get(3); ok {
-		t.Fatal("entry 3 should have been evicted on unpin overflow")
+	if c.Contains(3) {
+		t.Fatal("entry 3 should have been evicted on release overflow")
 	}
 }
 
 func TestPinRefcount(t *testing.T) {
-	c := New[int, int](1, nil)
-	c.Add(1, 1)
-	c.Pin(1)
-	c.Pin(1)
-	c.Unpin(1)
-	c.Add(2, 2)
-	c.Add(3, 3)
-	if _, ok := c.Get(1); !ok {
+	c := New(1, ident)
+	c.Acquire(1)
+	c.Acquire(1)
+	c.Release(1)
+	c.Get(2)
+	c.Get(3)
+	if !c.Contains(1) {
 		t.Fatal("entry with remaining pin was evicted")
 	}
-	c.Unpin(1)
-	if c.Len() > 2 {
-		t.Fatalf("resident %d after final unpin, want ≤ 2", c.Len())
+	c.Release(1)
+	if res := c.Stats().Resident; res > 2 {
+		t.Fatalf("resident %d after final release, want ≤ 2", res)
+	}
+	c.Release(1) // unbalanced: a no-op, not a negative count
+	c.Release(99)
+	if res := c.Stats().Resident; res != 1 {
+		t.Fatalf("resident %d after unbalanced releases, want 1", res)
 	}
 }
 
 func TestStatsDeterministic(t *testing.T) {
 	run := func() Stats {
-		c := New[int, int](2, nil)
+		c := New(2, ident)
 		for i := 0; i < 10; i++ {
-			k := i % 4
-			if _, ok := c.Get(k); !ok {
-				c.Add(k, k)
-			}
+			c.Get(i % 4)
 		}
 		return c.Stats()
 	}
@@ -90,69 +99,48 @@ func TestStatsDeterministic(t *testing.T) {
 }
 
 func TestResidencyBound(t *testing.T) {
-	c := New[int, int](4, nil)
+	c := New(4, ident)
 	pinned := 0
 	for i := 0; i < 100; i++ {
-		c.Add(i, i)
 		if i%10 == 0 {
-			c.Pin(i)
+			c.Acquire(i)
 			pinned++
+		} else {
+			c.Get(i)
 		}
-		if got, bound := c.Len(), 4+pinned; got > bound {
+		if got, bound := c.Stats().Resident, 4+pinned; got > bound {
 			t.Fatalf("resident %d exceeds capacity+pinned = %d", got, bound)
 		}
 	}
 }
 
 // TestUnpinnedKeysReplay pins the checkpoint contract: feeding
-// UnpinnedKeys back through Add on an empty cache reconstructs the same
+// UnpinnedKeys back through Warm on an empty cache reconstructs the same
 // LRU list, byte for byte, under further identical traffic.
 func TestUnpinnedKeysReplay(t *testing.T) {
-	build := func() *Cache[int, string] {
-		c := New[int, string](3, nil)
-		for _, k := range []int{1, 2, 3} {
-			c.Add(k, "v")
-		}
-		c.Get(1) // order now: 2 (LRU), 3, 1 (MRU)
-		return c
-	}
-	c := build()
+	c := New(3, ident)
+	c.Warm([]int{1, 2, 3})
+	c.Get(1) // order now: 2 (LRU), 3, 1 (MRU)
 	keys := c.UnpinnedKeys()
-	want := []int{2, 3, 1}
-	if len(keys) != len(want) {
+	if want := []int{2, 3, 1}; !reflect.DeepEqual(keys, want) {
 		t.Fatalf("UnpinnedKeys = %v, want %v", keys, want)
 	}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("UnpinnedKeys = %v, want %v", keys, want)
-		}
-	}
-
-	replay := New[int, string](3, nil)
-	for _, k := range keys {
-		replay.Add(k, "v")
-	}
+	replay := New(3, ident)
+	replay.Warm(keys)
 	// Identical traffic must now evict identically on both caches.
-	c.Add(9, "v")
-	replay.Add(9, "v")
-	a, b := c.UnpinnedKeys(), replay.UnpinnedKeys()
-	if len(a) != len(b) {
-		t.Fatalf("diverged: %v vs %v", a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("diverged after replay: %v vs %v", a, b)
-		}
+	c.Get(9)
+	replay.Get(9)
+	if a, b := c.UnpinnedKeys(), replay.UnpinnedKeys(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("diverged after replay: %v vs %v", a, b)
 	}
 }
 
 // TestSetStatsOverwrites proves rebuild noise is erased and Resident stays
 // derived from actual residency.
 func TestSetStatsOverwrites(t *testing.T) {
-	c := New[int, int](2, nil)
-	c.Add(1, 1)
+	c := New(2, ident)
 	c.Get(1)
-	c.Get(42) // miss noise
+	c.Get(1)
 	c.SetStats(Stats{Hits: 10, Misses: 20, Evictions: 30, Peak: 40, Resident: 999})
 	s := c.Stats()
 	if s.Hits != 10 || s.Misses != 20 || s.Evictions != 30 || s.Peak != 40 {
@@ -166,18 +154,17 @@ func TestSetStatsOverwrites(t *testing.T) {
 // TestRangeSeesPinnedAndUnpinned covers the capture path: every resident
 // entry is visited exactly once with its pin state.
 func TestRangeSeesPinnedAndUnpinned(t *testing.T) {
-	c := New[int, int](2, nil)
-	c.Add(1, 10)
-	c.Add(2, 20)
-	c.Pin(2)
+	c := New(2, func(k int) int { return 10 * k })
+	c.Get(1)
+	c.Acquire(2)
 	seen := map[int]bool{}
 	c.Range(func(k, v int, pinned bool) {
 		if seen[k] {
 			t.Fatalf("key %d visited twice", k)
 		}
 		seen[k] = true
-		if pinned != (k == 2) {
-			t.Fatalf("key %d pinned=%v", k, pinned)
+		if pinned != (k == 2) || v != 10*k {
+			t.Fatalf("key %d: value %d pinned=%v", k, v, pinned)
 		}
 	})
 	if len(seen) != 2 {
@@ -188,23 +175,183 @@ func TestRangeSeesPinnedAndUnpinned(t *testing.T) {
 // TestContainsLeavesNoTrace: the peek answers residency — pinned entries
 // included — without counting a lookup or refreshing recency, so planning
 // with it cannot change what a later access sequence evicts or counts.
+// Plan is the same peek over a list.
 func TestContainsLeavesNoTrace(t *testing.T) {
-	c := New[int, int](2, nil)
-	c.Add(1, 1)
-	c.Add(2, 2)
+	c := New(2, ident)
+	c.Get(1)
+	c.Get(2)
 	before := c.Stats()
 	if !c.Contains(1) || !c.Contains(2) || c.Contains(3) {
 		t.Fatal("Contains disagrees with residency")
 	}
+	if b := c.Plan([]int{1, 3, 2, 4}); !reflect.DeepEqual(b.keys, []int{3, 4}) {
+		t.Fatalf("Plan wants %v loaded, want [3 4]", b.keys)
+	}
 	if c.Stats() != before {
-		t.Fatalf("Contains moved the counters: %+v → %+v", before, c.Stats())
+		t.Fatalf("the peek moved the counters: %+v → %+v", before, c.Stats())
 	}
-	c.Add(3, 3) // 1 is still least recently used despite the peek
+	c.Get(3) // 1 is still least recently used despite the peek
 	if c.Contains(1) || !c.Contains(2) {
-		t.Fatal("Contains refreshed recency: the wrong entry was evicted")
+		t.Fatal("the peek refreshed recency: the wrong entry was evicted")
 	}
-	c.Pin(2)
-	if !c.Contains(2) {
+	c.Acquire(2)
+	if !c.Contains(2) || c.Plan([]int{2}).Len() != 0 {
 		t.Fatal("a pinned entry is resident")
+	}
+}
+
+// refCache is the load-through cache as a specification: the unpinned LRU
+// order as a plain slice, pin counts and the staged set as maps, every
+// operation a linear scan. It predicts the counters, the LRU order, and
+// which misses load inline rather than take a staged value.
+type refCache struct {
+	capacity int
+	lru      []int // unpinned residents, least recently used first
+	pins     map[int]int
+	staged   map[int]bool
+	st       Stats
+	inline   int
+}
+
+func (r *refCache) drop(k int) bool {
+	for i, x := range r.lru {
+		if x == k {
+			r.lru = append(r.lru[:i], r.lru[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refCache) get(k int, pin bool) {
+	switch {
+	case r.pins[k] > 0:
+		r.st.Hits++
+	case r.drop(k):
+		r.st.Hits++
+		r.lru = append(r.lru, k)
+	default:
+		r.st.Misses++
+		if !r.staged[k] {
+			r.inline++
+		}
+		delete(r.staged, k)
+		r.lru = append(r.lru, k)
+		if res := len(r.lru) + len(r.pins); res > r.st.Peak {
+			r.st.Peak = res
+		}
+		r.trim()
+	}
+	if pin {
+		r.drop(k)
+		r.pins[k]++
+	}
+	r.st.Resident = len(r.lru) + len(r.pins)
+}
+
+func (r *refCache) release(k int) {
+	if r.pins[k] == 0 {
+		return
+	}
+	if r.pins[k]--; r.pins[k] == 0 {
+		delete(r.pins, k)
+		r.lru = append(r.lru, k)
+		r.trim()
+	}
+	r.st.Resident = len(r.lru) + len(r.pins)
+}
+
+func (r *refCache) trim() {
+	for len(r.lru) > r.capacity {
+		r.lru = r.lru[1:]
+		r.st.Evictions++
+	}
+}
+
+func (r *refCache) stage(keys []int) {
+	r.staged = map[int]bool{}
+	for _, k := range keys {
+		resident := r.pins[k] > 0
+		for _, x := range r.lru {
+			resident = resident || x == k
+		}
+		if !resident {
+			r.staged[k] = true
+		}
+	}
+}
+
+// TestRandomTraceMatchesReference drives the cache and the specification
+// with the same seeded random traffic — gets, acquires, releases (balanced
+// or not), plan+load+stage of random batches, half of them loaded on other
+// goroutines — and compares counters, LRU order and the number of inline
+// loads after every operation.
+func TestRandomTraceMatchesReference(t *testing.T) {
+	for _, capacity := range []int{1, 3, 8} {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		var inline int
+		var mu sync.Mutex // Load jobs run off-thread; count their loads apart
+		batchLoads := 0
+		onOwner := true
+		c := New(capacity, func(k int) int {
+			if onOwner {
+				inline++
+			} else {
+				mu.Lock()
+				batchLoads++
+				mu.Unlock()
+			}
+			return 7 * k
+		})
+		ref := &refCache{capacity: capacity, pins: map[int]int{}}
+		for op := 0; op < 4000; op++ {
+			k := rng.Intn(16)
+			switch what := rng.Intn(10); {
+			case what < 4:
+				if got := c.Get(k); got != 7*k {
+					t.Fatalf("cap %d op %d: Get(%d) = %d", capacity, op, k, got)
+				}
+				ref.get(k, false)
+			case what < 6:
+				c.Acquire(k)
+				ref.get(k, true)
+			case what < 9:
+				c.Release(k)
+				ref.release(k)
+			default:
+				keys := rng.Perm(16)[:rng.Intn(6)]
+				b := c.Plan(keys)
+				onOwner = false
+				var wg sync.WaitGroup
+				for i := 0; i < b.Len(); i++ {
+					if i%2 == 0 {
+						b.Load(i)
+						continue
+					}
+					wg.Add(1)
+					go func(i int) { defer wg.Done(); b.Load(i) }(i)
+				}
+				wg.Wait()
+				onOwner = true
+				c.Stage(b)
+				ref.stage(keys)
+				if len(ref.staged) != b.Len() {
+					t.Fatalf("cap %d op %d: planned %d loads, reference %d", capacity, op, b.Len(), len(ref.staged))
+				}
+			}
+			if got := c.Stats(); got != ref.st {
+				t.Fatalf("cap %d op %d: stats %+v, reference %+v", capacity, op, got, ref.st)
+			}
+			if got := c.UnpinnedKeys(); !reflect.DeepEqual(got, append([]int{}, ref.lru...)) {
+				t.Fatalf("cap %d op %d: LRU order %v, reference %v", capacity, op, got, ref.lru)
+			}
+			if inline != ref.inline {
+				t.Fatalf("cap %d op %d: %d inline loads, reference %d: a staged value was missed or used twice",
+					capacity, op, inline, ref.inline)
+			}
+		}
+		if ref.st.Evictions == 0 || ref.inline == 0 || ref.inline == int(ref.st.Misses) || batchLoads == 0 {
+			t.Fatalf("cap %d: trace exercised nothing: %+v, %d inline, %d batch loads", capacity, ref.st, ref.inline, batchLoads)
+		}
 	}
 }
