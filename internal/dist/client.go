@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"sync"
 	"time"
 
 	"floatfl/internal/nn"
@@ -130,6 +132,20 @@ func (c *Client) Register(ctx context.Context, gflops, memoryMB float64) error {
 // ID returns the server-assigned client ID (valid after Register).
 func (c *Client) ID() int { return c.id }
 
+// stepScratch is every buffer one Step needs: the request being sent (nil
+// for a GET) with its Content-Type, the response read back, the compressed
+// delta, and the two model-sized vectors. A Step takes one from scratchPool
+// and returns it, so what stays live is sized by the Steps in flight, not
+// by the clients that exist.
+type stepScratch struct {
+	req           []byte
+	reqType       string
+	resp, packed  []byte
+	before, delta tensor.Vector
+}
+
+var scratchPool = sync.Pool{New: func() interface{} { return new(stepScratch) }}
+
 // Step performs one full participation: fetch a task, train under the
 // assigned technique, upload the update. It returns (participated, error);
 // participated is false when the server had no slot for this round or the
@@ -144,8 +160,13 @@ func (c *Client) Step(ctx context.Context, round int) (bool, error) {
 	}
 	report.DeadlineDiff = c.lastDeadlineDiff
 
+	sc := scratchPool.Get().(*stepScratch)
+	defer scratchPool.Put(sc)
+
+	// A 200 here has already loaded the task's model into c.model (see
+	// decodeResponse).
 	var task TaskResponse
-	status, err := c.postStatus(ctx, "/v1/task", TaskRequest{ClientID: c.id, Resources: report}, &task)
+	status, err := c.exchange(ctx, "/v1/task", TaskRequest{ClientID: c.id, Resources: report}, &task, sc)
 	if err != nil {
 		return false, err
 	}
@@ -159,12 +180,14 @@ func (c *Client) Step(ctx context.Context, round int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if err := c.model.UnmarshalBinary(task.Model); err != nil {
-		return false, err
-	}
 	// Parameters() aliases the model, which training is about to mutate:
 	// the pre-training snapshot must be a copy.
-	before := c.model.Parameters().Clone()
+	n := c.model.NumParams()
+	if cap(sc.before) < n {
+		sc.before, sc.delta = tensor.NewVector(n), tensor.NewVector(n)
+	}
+	before, delta := sc.before[:n], sc.delta[:n]
+	copy(before, c.model.Parameters())
 	accBefore, _ := c.model.Evaluate(c.LocalTest)
 
 	eff := tech.Effects()
@@ -179,7 +202,6 @@ func (c *Client) Step(ctx context.Context, round int) (bool, error) {
 	if _, err := c.model.Train(c.Shard, tc); err != nil {
 		return false, err
 	}
-	delta := tensor.NewVector(c.model.NumParams())
 	tensor.ScaledDiff(delta, 1, c.model.Parameters(), before)
 	opt.ApplyToUpdate(tech, delta, c.rng)
 
@@ -190,18 +212,17 @@ func (c *Client) Step(ctx context.Context, round int) (bool, error) {
 	}
 	accAfter, _ := c.model.Evaluate(c.LocalTest)
 
-	blob, err := opt.CompressUpdate(delta, c.spec.QuantBits)
-	if err != nil {
+	if sc.packed, err = opt.AppendCompressUpdate(sc.packed[:0], delta, c.spec.QuantBits); err != nil {
 		return false, err
 	}
-	status, err = c.postStatus(ctx, "/v1/update", UpdateRequest{
+	status, err = c.exchange(ctx, "/v1/update", UpdateRequest{
 		ClientID:   c.id,
 		Round:      task.Round,
 		Technique:  tech.String(),
-		Delta:      blob,
+		Delta:      sc.packed,
 		Samples:    len(c.Shard),
 		AccImprove: accAfter - accBefore,
-	}, nil)
+	}, nil, sc)
 	if err != nil {
 		return false, err
 	}
@@ -218,7 +239,7 @@ func (c *Client) Step(ctx context.Context, round int) (bool, error) {
 // Status fetches the server's status.
 func (c *Client) Status(ctx context.Context) (StatusResponse, error) {
 	var out StatusResponse
-	status, err := c.do(ctx, http.MethodGet, "/v1/status", nil, &out)
+	status, err := c.do(ctx, http.MethodGet, "/v1/status", &out, new(stepScratch))
 	if err != nil {
 		return out, err
 	}
@@ -239,22 +260,87 @@ func (c *Client) post(ctx context.Context, path string, req, resp interface{}) e
 	return nil
 }
 
-// postStatus posts JSON and decodes a JSON response when resp is non-nil
-// and the status is 200. Protocol-level statuses (204, 409) are returned
-// to the caller without error.
+// postStatus posts req and decodes the response into resp when resp is
+// non-nil and the status is 200. Protocol-level statuses (204, 409) are
+// returned to the caller without error.
 func (c *Client) postStatus(ctx context.Context, path string, req, resp interface{}) (int, error) {
-	body, err := json.Marshal(req)
+	return c.exchange(ctx, path, req, resp, new(stepScratch))
+}
+
+// exchange is postStatus using sc's request and response buffers; whatever
+// resp aliases of the response is valid until sc is next used.
+func (c *Client) exchange(ctx context.Context, path string, req, resp interface{}, sc *stepScratch) (int, error) {
+	var err error
+	if u, ok := req.(UpdateRequest); ok {
+		sc.reqType = "application/octet-stream"
+		sc.req, err = appendFrame(sc.req[:0], u, u.Delta)
+	} else {
+		var b []byte
+		b, err = json.Marshal(req)
+		sc.reqType, sc.req = "application/json", append(sc.req[:0], b...)
+	}
 	if err != nil {
 		return 0, err
 	}
-	return c.do(ctx, http.MethodPost, path, body, resp)
+	return c.do(ctx, http.MethodPost, path, resp, sc)
 }
 
-// do issues one logical request with retries. Transport errors, 5xx
-// statuses, and truncated 200 bodies are transient (the request is either
-// idempotent or safely rejected with 409 on replay); everything else is
-// terminal.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, resp interface{}) (int, error) {
+// ErrResponseTooLarge is the terminal error for a response body longer
+// than any the protocol can produce for this client's model.
+var ErrResponseTooLarge = errors.New("dist: response body exceeds the protocol bound")
+
+// maxResponseBytes bounds every response body read: maxBodyBytes of the
+// model once Register has said which model, and before that 64 KiB — far
+// above a RegisterResponse or a StatusResponse.
+func (c *Client) maxResponseBytes() int64 {
+	if c.model == nil {
+		return 64 << 10
+	}
+	return maxBodyBytes(c.model.NumParams())
+}
+
+// readResponse reads a 200 body into sc.resp. The server is not trusted
+// with this client's memory: nothing is read past maxResponseBytes,
+// whatever length the response declares or goes on to send.
+func (c *Client) readResponse(r *http.Response, sc *stepScratch) error {
+	limit := c.maxResponseBytes()
+	if r.ContentLength > limit {
+		return ErrResponseTooLarge
+	}
+	var err error
+	sc.resp, err = readBody(sc.resp, io.LimitReader(r.Body, limit+1), r.ContentLength, limit)
+	if err == nil && int64(len(sc.resp)) > limit {
+		err = ErrResponseTooLarge
+	}
+	return err
+}
+
+// decodeResponse parses a 200 body into resp: a frame for a TaskResponse,
+// JSON for everything else. A registered client's task is decoded all the
+// way into c.model, so that a model blob cut short — which still splits as
+// a frame — fails here, where the failure is retried, exactly as a cut
+// JSON body did.
+func (c *Client) decodeResponse(body []byte, resp interface{}) error {
+	task, ok := resp.(*TaskResponse)
+	if !ok {
+		return json.Unmarshal(body, resp)
+	}
+	blob, err := splitFrame(body, task)
+	if err != nil {
+		return err
+	}
+	task.Model = blob
+	if c.model == nil {
+		return nil
+	}
+	return c.model.UnmarshalBinary(blob)
+}
+
+// do issues one logical request — sc.req, when there is one — with retries.
+// Transport errors, 5xx statuses, and truncated 200 bodies are transient
+// (the request is either idempotent or safely rejected with 409 on replay);
+// everything else is terminal.
+func (c *Client) do(ctx context.Context, method, path string, resp interface{}, sc *stepScratch) (int, error) {
 	policy := c.Retry.withDefaults()
 	var lastErr error
 	for attempt := 0; attempt < policy.MaxAttempts; attempt++ {
@@ -263,7 +349,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, resp 
 				return 0, err
 			}
 		}
-		status, retryable, err := c.attempt(ctx, method, path, body, resp)
+		status, retryable, err := c.attempt(ctx, method, path, resp, sc)
 		if err == nil {
 			return status, nil
 		}
@@ -277,17 +363,17 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, resp 
 		method, path, policy.MaxAttempts, lastErr)
 }
 
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, resp interface{}) (status int, retryable bool, err error) {
+func (c *Client) attempt(ctx context.Context, method, path string, resp interface{}, sc *stepScratch) (status int, retryable bool, err error) {
 	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	if sc.req != nil {
+		rd = bytes.NewReader(sc.req)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.baseURL+path, rd)
 	if err != nil {
 		return 0, false, err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if sc.req != nil {
+		req.Header.Set("Content-Type", sc.reqType)
 	}
 	httpResp, err := c.HTTPClient.Do(req)
 	if err != nil {
@@ -298,7 +384,14 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	switch {
 	case httpResp.StatusCode == http.StatusOK:
 		if resp != nil {
-			if err := json.NewDecoder(httpResp.Body).Decode(resp); err != nil {
+			err := c.readResponse(httpResp, sc)
+			if errors.Is(err, ErrResponseTooLarge) {
+				return httpResp.StatusCode, false, fmt.Errorf("dist: %s: %w", path, err)
+			}
+			if err == nil {
+				err = c.decodeResponse(sc.resp, resp)
+			}
+			if err != nil {
 				// A truncated or garbled body on a 200 is a transport
 				// failure in disguise.
 				c.obsRetryDecode.Inc()
@@ -349,7 +442,12 @@ func ctxSleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// drainClose discards what is left of a body, so the connection can be
+// reused, and closes it. A peer that keeps sending past drainLimit loses the
+// connection instead of holding the caller.
 func drainClose(rc io.ReadCloser) {
-	_, _ = io.Copy(io.Discard, rc)
+	_, _ = io.Copy(io.Discard, io.LimitReader(rc, drainLimit))
 	_ = rc.Close()
 }
+
+const drainLimit = 1 << 20

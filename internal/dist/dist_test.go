@@ -242,6 +242,9 @@ func TestUpdateValidation(t *testing.T) {
 
 	post := func(v interface{}, path string) int {
 		body, _ := json.Marshal(v)
+		if u, ok := v.(UpdateRequest); ok {
+			body = updateFrame(t, u)
+		}
 		resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -350,7 +353,7 @@ func TestNonFiniteUpdateRejected(t *testing.T) {
 
 // paramCount infers the global model's parameter count from the client's
 // registered spec.
-func paramCount(t *testing.T, c *Client) int {
+func paramCount(t testing.TB, c *Client) int {
 	t.Helper()
 	if c.model == nil {
 		t.Fatal("client not registered")
@@ -495,16 +498,25 @@ func TestOversizedBodyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if body, _ := json.Marshal(UpdateRequest{ClientID: c.ID(), Technique: "quant16", Delta: blob, Samples: 1e6,
+	if body := updateFrame(t, UpdateRequest{ClientID: c.ID(), Technique: "quant16", Delta: blob, Samples: 1e6,
 		TrainSecs: 123456.789, AccImprove: -0.123456789}); int64(len(body)) > limit {
 		t.Fatalf("a worst-case honest update is %d bytes, over the %d-byte bound", len(body), limit)
+	}
+	// So does the task response, which the client bounds by the same number.
+	if model, _ := srv.global.MarshalBinary(); int64(len(model))+1024 > limit {
+		t.Fatalf("the model is %d bytes: a task frame does not fit the %d-byte bound", len(model), limit)
 	}
 
 	snap := getSnapshot(t, hs.URL)
 	decides := len(rec.decides)
-	huge := bytes.Repeat([]byte("A"), int(limit)) // valid base64, one quote short of ever ending
+	huge := bytes.Repeat([]byte("A"), int(limit))
 	for _, path := range []string{"/v1/register", "/v1/task", "/v1/update"} {
-		body := append([]byte(fmt.Sprintf(`{"client_id":%d,"name":"big","delta":"`, c.ID())), huge...)
+		// A JSON string one quote short of ever ending; for /v1/update, a
+		// well-formed frame whose blob runs past the bound.
+		body := append([]byte(fmt.Sprintf(`{"client_id":%d,"name":"`, c.ID())), huge...)
+		if path == "/v1/update" {
+			body = updateFrame(t, UpdateRequest{ClientID: c.ID(), Delta: huge})
+		}
 		resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -98,7 +98,7 @@ func (s *Server) roundTimerFired(seq uint64, round int) {
 	s.eventLocked("round_timer", round, -1, "")
 	if len(s.deltas) >= s.minUpdates() {
 		s.obs.partialAggs.Inc()
-		_ = s.aggregateLocked()
+		s.aggregateLocked()
 		return
 	}
 	s.armRoundTimerLocked()

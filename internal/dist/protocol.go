@@ -10,9 +10,19 @@
 // The protocol is deliberately small:
 //
 //	POST /v1/register  {name, gflops, memory_mb}        -> {client_id, training config}
-//	POST /v1/task      {client_id, resources}            -> {round, technique, model, lease} | 204
-//	POST /v1/update    {client_id, round, delta, ...}    -> 200 | 409 (stale round/lease)
+//	POST /v1/task      {client_id, resources}            -> frame{round, technique, lease} + model | 204
+//	POST /v1/update    frame{client_id, round, ...} + delta -> 200 | 409 (stale round/lease)
 //	GET  /v1/status                                      -> {round, leases, drops, holdout accuracy}
+//
+// Every body is plain JSON except the two that carry a blob — the
+// /v1/task response (the global model, nn binary format) and the
+// /v1/update request (the delta, opt codec) — which are one frame each:
+//
+//	uint32 LE meta length | meta JSON | raw blob to the end of the body
+//
+// where the meta JSON is the TaskResponse or UpdateRequest without its
+// blob field. appendFrame and splitFrame below are the only writer and
+// parser of that layout; server, client and tests all go through them.
 //
 // Failure semantics (see DESIGN.md "Failure model & recovery"): register
 // is idempotent per client name; every handed-out task carries a lease the
@@ -22,10 +32,77 @@
 package dist
 
 import (
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"io"
 	"math"
 
 	"floatfl/internal/device"
 )
+
+// frameHeaderLen is the uint32 meta length a frame starts with.
+const frameHeaderLen = 4
+
+// errBadFrame is what splitFrame returns for a body that is not a frame.
+var errBadFrame = errors.New("dist: malformed frame")
+
+// appendFrame appends the frame of meta (marshalled as JSON) and blob to dst.
+func appendFrame(dst []byte, meta interface{}, blob []byte) ([]byte, error) {
+	m, err := json.Marshal(meta)
+	if err != nil {
+		return dst, err
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m)))
+	dst = append(dst, m...)
+	return append(dst, blob...), nil
+}
+
+// splitFrame parses a frame: it unmarshals the meta JSON into meta and
+// returns the blob, which aliases body. A body cut short inside the blob
+// still splits — the blob's own decoder is what notices.
+func splitFrame(body []byte, meta interface{}) (blob []byte, err error) {
+	if len(body) < frameHeaderLen {
+		return nil, errBadFrame
+	}
+	n := uint64(binary.LittleEndian.Uint32(body))
+	if n > uint64(len(body)-frameHeaderLen) {
+		return nil, errBadFrame
+	}
+	if err := json.Unmarshal(body[frameHeaderLen:frameHeaderLen+n], meta); err != nil {
+		return nil, err
+	}
+	return body[frameHeaderLen+n:], nil
+}
+
+// readBody reads r to its end into dst[:0] and returns the filled slice.
+// sizeHint (a Content-Length, or negative when unknown) sizes dst up front,
+// so a recycled buffer is never regrown; it is the peer's claim, so it is
+// honoured only up to limit. Bounding the read itself is the caller's job
+// — wrap r.
+func readBody(dst []byte, r io.Reader, sizeHint, limit int64) ([]byte, error) {
+	if sizeHint > limit {
+		sizeHint = limit
+	}
+	// One byte spare, so the read that reports EOF needs no growth.
+	if need := int(sizeHint) + 1; cap(dst) < need {
+		dst = make([]byte, 0, need)
+	}
+	dst = dst[:0]
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+}
 
 // RegisterRequest announces a client and its device capability; the
 // capability feeds FLOAT's capacity-aware state encoding.
@@ -120,8 +197,9 @@ type TaskRequest struct {
 type TaskResponse struct {
 	Round     int    `json:"round"`
 	Technique string `json:"technique"`
-	// Model is the serialized global parameters (nn binary format).
-	Model []byte `json:"model"`
+	// Model is the serialized global parameters (nn binary format): the
+	// blob of the response's frame, not part of its meta JSON.
+	Model []byte `json:"-"`
 	// DeadlineSeconds is advisory for real deployments; the in-process
 	// tests ignore it.
 	DeadlineSeconds float64 `json:"deadline_seconds"`
@@ -133,10 +211,12 @@ type TaskResponse struct {
 // UpdateRequest uploads a trained, technique-transformed, codec-compressed
 // model delta.
 type UpdateRequest struct {
-	ClientID  int     `json:"client_id"`
-	Round     int     `json:"round"`
-	Technique string  `json:"technique"`
-	Delta     []byte  `json:"delta"` // opt.CompressUpdate output
+	ClientID  int    `json:"client_id"`
+	Round     int    `json:"round"`
+	Technique string `json:"technique"`
+	// Delta is opt.CompressUpdate output: the blob of the request's frame,
+	// not part of its meta JSON.
+	Delta     []byte  `json:"-"`
 	Samples   int     `json:"samples"`
 	TrainSecs float64 `json:"train_secs"`
 	// AccImprove is the client's local-accuracy improvement (reward signal).

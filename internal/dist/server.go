@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -61,13 +62,21 @@ type ServerConfig struct {
 }
 
 // Server is the HTTP aggregator. All state is guarded by mu; handlers and
-// timer callbacks are safe for concurrent use.
+// timer callbacks are safe for concurrent use. Handlers hold mu only to
+// read and change that state: bodies are read and decoded before it is
+// taken and responses are written after it is released, so what one peer
+// sends, or how slowly it reads, costs the others nothing.
 type Server struct {
 	mu sync.Mutex
 
 	cfg    ServerConfig
 	clock  Clock
 	global *nn.Model
+	// modelBlob is global in wire form, marshalled by the first task of
+	// each model version and immutable from then on — handlers write it to
+	// sockets after releasing mu. Whatever changes the model (aggregation,
+	// a restore) drops it; nothing edits it.
+	modelBlob []byte
 	// maxBody bounds every request body (maxBodyBytes of the model size,
 	// which a restore cannot change).
 	maxBody int64
@@ -88,6 +97,10 @@ type Server struct {
 	// buffer of (delta, weight) pending aggregation.
 	deltas  []tensor.Vector
 	weights []float64
+	// deltaPool recycles the model-sized vectors updates are decoded into
+	// (a restore cannot change that size): taken before mu, returned on
+	// rejection or after aggregation.
+	deltaPool sync.Pool
 
 	roundTimer Timer
 	roundSeq   uint64
@@ -181,6 +194,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		metrics: cfg.Metrics,
 		start:   cfg.Clock.Now(),
 	}
+	numParams := global.NumParams()
+	s.deltaPool.New = func() interface{} { return tensor.NewVector(numParams) }
 	s.timeline = obs.NewTimeline(cfg.Metrics, obs.DefaultTimelineCapacity)
 	s.mu.Lock()
 	s.armRoundTimerLocked()
@@ -250,12 +265,36 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Resources = req.Resources.sanitized()
+	task, status, err := s.assignTask(req)
+	switch {
+	case err != nil:
+		http.Error(w, err.Error(), status)
+	case status != http.StatusOK:
+		w.WriteHeader(status)
+	default:
+		bp := bodyPool.Get().(*[]byte)
+		defer bodyPool.Put(bp)
+		if *bp, err = appendFrame((*bp)[:0], task, task.Model); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		// The length is declared so the client can size its read buffer
+		// once instead of growing it chunk by chunk.
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
+		_, _ = w.Write(*bp)
+	}
+}
+
+// assignTask is the locked half of handleTask: it grants (or re-issues)
+// this round's task and returns what to send — a task and 200, a bare 204
+// when there is no slot, or an error with its status.
+func (s *Server) assignTask(req TaskRequest) (TaskResponse, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ci, ok := s.clients[req.ClientID]
 	if !ok {
-		http.Error(w, "dist: unknown client", http.StatusNotFound)
-		return
+		return TaskResponse{}, http.StatusNotFound, errors.New("dist: unknown client")
 	}
 	if ci.taskRound == s.round {
 		// Already holds this round's task; re-issue idempotently and renew
@@ -263,8 +302,7 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 		// block re-issues — a drain must not strand a mid-training client.
 		s.grantLeaseLocked(req.ClientID, ci)
 	} else if s.draining || s.outstanding >= s.cfg.MaxOutstanding {
-		w.WriteHeader(http.StatusNoContent)
-		return
+		return TaskResponse{}, http.StatusNoContent, nil
 	} else {
 		res := req.Resources.toResources()
 		ci.tech = s.cfg.Controller.Decide(s.round, ci.dev, res, req.Resources.DeadlineDiff)
@@ -273,54 +311,97 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 		s.grantLeaseLocked(req.ClientID, ci)
 	}
 	s.syncGaugesLocked()
-	blob, err := s.global.MarshalBinary()
+	blob, err := s.modelBlobLocked()
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		return TaskResponse{}, http.StatusInternalServerError, err
 	}
-	writeJSON(w, TaskResponse{
+	return TaskResponse{
 		Round:           s.round,
 		Technique:       ci.tech.String(),
 		Model:           blob,
 		DeadlineSeconds: s.cfg.DeadlineSeconds,
 		LeaseSeconds:    s.cfg.LeaseSeconds,
-	})
+	}, http.StatusOK, nil
+}
+
+// modelBlobLocked returns the global model in wire form, marshalling it
+// only if this model version has not been marshalled yet. The result is
+// shared and must not be written to. Caller holds s.mu.
+func (s *Server) modelBlobLocked() ([]byte, error) {
+	if s.modelBlob == nil {
+		blob, err := s.global.MarshalBinary()
+		if err != nil {
+			return nil, err
+		}
+		s.modelBlob = blob
+	}
+	return s.modelBlob, nil
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	var req UpdateRequest
-	if !s.decode(w, r, &req) {
+	bp, ok := s.readRequest(w, r)
+	if !ok {
 		return
 	}
+	defer bodyPool.Put(bp)
+	var req UpdateRequest
+	blob, err := splitFrame(*bp, &req)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("dist: bad request: %v", err), http.StatusBadRequest)
+		return
+	}
+	// The delta is decoded and checked here, before mu: the sender chooses
+	// the bytes, so the work they cost must not be time every other handler
+	// and timer spends waiting. Whether the delta is good is only reported
+	// once the locked half has ruled out 404 and 409.
+	delta := s.deltaPool.Get().(tensor.Vector)
+	status, err := s.acceptUpdate(req, delta, decodeDelta(delta, blob))
+	if err != nil {
+		s.deltaPool.Put(delta)
+		http.Error(w, err.Error(), status)
+		return
+	}
+	w.WriteHeader(http.StatusOK)
+}
+
+// decodeDelta decompresses an update's blob into dst (whose length is the
+// model's) and rejects what must never reach the global model.
+func decodeDelta(dst tensor.Vector, blob []byte) error {
+	if err := opt.DecompressUpdateInto(dst, blob); err != nil {
+		if errors.Is(err, opt.ErrLengthMismatch) {
+			return errors.New("dist: delta size mismatch")
+		}
+		return err
+	}
+	for _, x := range dst {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			// A diverged or malicious client must not poison the global
+			// model; the same guard the simulator's aggregator applies.
+			return errors.New("dist: non-finite update rejected")
+		}
+	}
+	return nil
+}
+
+// acceptUpdate is the locked half of handleUpdate: it buffers delta for
+// the current round and aggregates once AggregateK have arrived. deltaErr
+// is decodeDelta's verdict, reported (as a 400) only for a client that is
+// known and whose round is current. A non-nil error means nothing was
+// changed and delta is the caller's again.
+func (s *Server) acceptUpdate(req UpdateRequest, delta tensor.Vector, deltaErr error) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ci, ok := s.clients[req.ClientID]
 	if !ok {
-		http.Error(w, "dist: unknown client", http.StatusNotFound)
-		return
+		return http.StatusNotFound, errors.New("dist: unknown client")
 	}
 	if req.Round != s.round || ci.taskRound != s.round {
 		// Stale update from a previous round, or from a lease the server
 		// already reclaimed: reject so the client refreshes.
-		http.Error(w, "dist: stale round", http.StatusConflict)
-		return
+		return http.StatusConflict, errors.New("dist: stale round")
 	}
-	delta, err := opt.DecompressUpdate(req.Delta)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(delta) != s.global.NumParams() {
-		http.Error(w, "dist: delta size mismatch", http.StatusBadRequest)
-		return
-	}
-	for _, x := range delta {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			// A diverged or malicious client must not poison the global
-			// model; the same guard the simulator's aggregator applies.
-			http.Error(w, "dist: non-finite update rejected", http.StatusBadRequest)
-			return
-		}
+	if deltaErr != nil {
+		return http.StatusBadRequest, deltaErr
 	}
 	ci.taskRound = -1
 	s.stopLeaseLocked(ci)
@@ -340,20 +421,17 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		clampReward(req.AccImprove))
 
 	if len(s.deltas) >= s.cfg.AggregateK {
-		if err := s.aggregateLocked(); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
+		s.aggregateLocked()
 	}
 	s.syncGaugesLocked()
-	w.WriteHeader(http.StatusOK)
+	return http.StatusOK, nil
 }
 
 // aggregateLocked applies the buffered weighted deltas and advances the
 // round. Clients still holding tasks for the old round will get a 409 on
 // upload and re-fetch — the deployment analog of a deadline dropout, which
 // is also reported to the controller.
-func (s *Server) aggregateLocked() error {
+func (s *Server) aggregateLocked() {
 	aggregated := len(s.deltas)
 	var totalW float64
 	for _, w := range s.weights {
@@ -367,6 +445,10 @@ func (s *Server) aggregateLocked() error {
 		}
 		//lint:allow flat-view-mutation aggregator owns the global model; in-place update is the sanctioned fast path (DESIGN.md buffer ownership)
 		tensor.AddWeighted(s.global.Parameters(), s.weights, s.deltas)
+	}
+	s.modelBlob = nil
+	for _, d := range s.deltas {
+		s.deltaPool.Put(d)
 	}
 	s.deltas = s.deltas[:0]
 	s.weights = s.weights[:0]
@@ -407,7 +489,6 @@ func (s *Server) aggregateLocked() error {
 	// clock, so a FakeClock makes the timeline deterministic in tests.
 	s.timeline.Sample(s.round-1, s.clock.Now().Sub(s.start).Seconds(),
 		obs.SeriesValue{Name: "round_aggregated_updates", Value: float64(aggregated)})
-	return nil
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -488,28 +569,55 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics }
 // /v1/timeline serves), for embedding CLIs and tests.
 func (s *Server) Timeline() *obs.Timeline { return s.timeline }
 
-// maxBodyBytes bounds a request body by the largest legitimate one: an
-// update whose delta is the codec's worst case (13-byte header, a 5-byte
-// varint per parameter at 32 bits) base64-encoded inside the JSON envelope
-// — under 7 bytes per parameter — plus generous room for the envelope.
+// maxBodyBytes bounds a body, in either direction, by the largest
+// legitimate one. The task response is the model — 8 bytes per parameter
+// and an 8-byte count — behind its frame meta; the largest update is the
+// codec's worst case (13-byte header, a 5-byte varint per parameter at 32
+// bits) behind its own. Both metas are a few hundred bytes, so 64 KiB on
+// top of 8 bytes per parameter is generous room for either.
 func maxBodyBytes(numParams int) int64 { return 8*int64(numParams) + 64<<10 }
 
-// decode reads a POST body of at most maxBodyBytes into v; on failure it has
-// written the status — 405, 413 for an oversized body, 400 for a malformed
-// one — and the handler must return without touching server state.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+// bodyPool recycles the buffers request bodies are read into and task
+// frames are built in.
+var bodyPool = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+// readRequest reads a POST body of at most maxBodyBytes into a pooled
+// buffer, which the caller returns to bodyPool once done with the bytes. On
+// failure it has written the status — 405, 413 for an oversized body, 400
+// for one that could not be read — and returned the buffer itself, and the
+// handler must return without touching server state.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (*[]byte, bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "dist: POST required", http.StatusMethodNotAllowed)
-		return false
+		return nil, false
 	}
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	bp := bodyPool.Get().(*[]byte)
+	var err error
+	*bp, err = readBody(*bp, http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength, s.maxBody)
+	if err != nil {
+		bodyPool.Put(bp)
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		http.Error(w, fmt.Sprintf("dist: bad request: %v", err), status)
+		return nil, false
+	}
+	return bp, true
+}
+
+// decode reads a JSON POST body into v; on failure it has written the
+// status (readRequest's, or 400 for malformed JSON) and the handler must
+// return without touching server state.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	bp, ok := s.readRequest(w, r)
+	if !ok {
+		return false
+	}
+	defer bodyPool.Put(bp)
+	if err := json.Unmarshal(*bp, v); err != nil {
+		http.Error(w, fmt.Sprintf("dist: bad request: %v", err), http.StatusBadRequest)
 		return false
 	}
 	return true

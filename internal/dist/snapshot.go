@@ -52,7 +52,7 @@ type serverState struct {
 func (s *Server) Snapshot() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	blob, err := s.global.MarshalBinary()
+	blob, err := s.modelBlobLocked()
 	if err != nil {
 		return nil, err
 	}
@@ -164,6 +164,7 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 		}
 	}
 	s.global = restored
+	s.modelBlob = nil
 	s.round = st.Round
 	s.nextClientID = st.NextClientID
 	s.holdoutAcc = st.HoldoutAcc

@@ -29,7 +29,7 @@ func postDrain(t *testing.T, url string, off bool) DrainResponse {
 	return out
 }
 
-func getSnapshot(t *testing.T, url string) []byte {
+func getSnapshot(t testing.TB, url string) []byte {
 	t.Helper()
 	resp, err := http.Get(url + "/v1/snapshot")
 	if err != nil {

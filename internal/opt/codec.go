@@ -2,6 +2,7 @@ package opt
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -15,13 +16,23 @@ import (
 // technique's CommFactor approximates what the bytes on the wire actually
 // do (see opt tests and the Fig. 4/5 benches).
 
+// headerLen is the fixed prefix of an encoded update: uint32 element
+// count, float64 scale, one byte of bit width.
+const headerLen = 13
+
 // CompressUpdate encodes v as a b-bit quantized, zero-run-compressed
 // byte stream. v is not modified; quantize first with Quantize if lossy
 // quantization is intended — CompressUpdate itself snaps to the grid
 // deterministically (round to nearest) to remain self-contained.
 func CompressUpdate(v tensor.Vector, bits int) ([]byte, error) {
+	return AppendCompressUpdate(make([]byte, 0, len(v)/2+16), v, bits)
+}
+
+// AppendCompressUpdate is CompressUpdate appending to buf, for callers
+// that keep the output buffer across updates.
+func AppendCompressUpdate(buf []byte, v tensor.Vector, bits int) ([]byte, error) {
 	if bits < 2 || bits > 32 {
-		return nil, fmt.Errorf("opt: CompressUpdate bits %d out of [2,32]", bits)
+		return buf, fmt.Errorf("opt: CompressUpdate bits %d out of [2,32]", bits)
 	}
 	maxAbs := v.MaxAbs()
 	levels := float64(int64(1)<<(bits-1)) - 1
@@ -30,8 +41,7 @@ func CompressUpdate(v tensor.Vector, bits int) ([]byte, error) {
 		scale = maxAbs / levels
 	}
 
-	buf := make([]byte, 0, len(v)/2+16)
-	var hdr [13]byte
+	var hdr [headerLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(v)))
 	binary.LittleEndian.PutUint64(hdr[4:12], math.Float64bits(scale))
 	hdr[12] = byte(bits)
@@ -75,44 +85,80 @@ func CompressUpdate(v tensor.Vector, bits int) ([]byte, error) {
 // scalars (128 MiB as float64) is far above any model in the registry.
 const MaxDecodedLen = 1 << 24
 
+// ErrLengthMismatch reports an encoded update whose declared element count
+// is not the length its decoder was told to expect.
+var ErrLengthMismatch = errors.New("opt: DecompressUpdate length mismatch")
+
 // DecompressUpdate reverses CompressUpdate. The result contains the
-// grid-snapped values (lossless with respect to the encoded stream).
+// grid-snapped values (lossless with respect to the encoded stream). The
+// vector is sized by the stream's own header (up to MaxDecodedLen); a
+// caller that knows the length it expects decodes with
+// DecompressUpdateInto, which allocates nothing.
 func DecompressUpdate(data []byte) (tensor.Vector, error) {
-	if len(data) < 13 {
-		return nil, fmt.Errorf("opt: DecompressUpdate short header (%d bytes)", len(data))
+	count, err := declaredLen(data)
+	if err != nil {
+		return nil, err
 	}
-	count := int(binary.LittleEndian.Uint32(data[0:4]))
 	if count > MaxDecodedLen {
 		return nil, fmt.Errorf("opt: DecompressUpdate declared length %d exceeds cap %d",
 			count, MaxDecodedLen)
 	}
-	scale := math.Float64frombits(binary.LittleEndian.Uint64(data[4:12]))
-	body := data[13:]
-
 	out := tensor.NewVector(count)
+	if err := DecompressUpdateInto(out, data); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DecompressUpdateInto decodes data into dst, overwriting every element.
+// A stream that declares any length but len(dst) is rejected with
+// ErrLengthMismatch before its body is read, so an untrusted header never
+// sizes an allocation. On error dst holds garbage.
+func DecompressUpdateInto(dst tensor.Vector, data []byte) error {
+	count, err := declaredLen(data)
+	if err != nil {
+		return err
+	}
+	if count != len(dst) {
+		return fmt.Errorf("%w: stream declares %d elements, want %d", ErrLengthMismatch, count, len(dst))
+	}
+	scale := math.Float64frombits(binary.LittleEndian.Uint64(data[4:12]))
+	body := data[headerLen:]
+
 	pos, i := 0, 0
 	for i < count {
 		u, n := binary.Uvarint(body[pos:])
 		if n <= 0 {
-			return nil, fmt.Errorf("opt: DecompressUpdate corrupt varint at offset %d", pos)
+			return fmt.Errorf("opt: DecompressUpdate corrupt varint at offset %d", pos)
 		}
 		pos += n
 		if u == 0 { // zero run
 			run, n2 := binary.Uvarint(body[pos:])
 			if n2 <= 0 || run == 0 {
-				return nil, fmt.Errorf("opt: DecompressUpdate corrupt zero run at offset %d", pos)
+				return fmt.Errorf("opt: DecompressUpdate corrupt zero run at offset %d", pos)
 			}
 			pos += n2
-			if i+int(run) > count {
-				return nil, fmt.Errorf("opt: DecompressUpdate zero run overflows payload")
+			// Compared unsigned: a run past 2^63 must not wrap negative on
+			// its way to an int.
+			if run > uint64(count-i) {
+				return fmt.Errorf("opt: DecompressUpdate zero run overflows payload")
 			}
-			i += int(run) // entries already zero
+			clear(dst[i : i+int(run)])
+			i += int(run)
 			continue
 		}
-		out[i] = float64(unzigzag(u)) * scale
+		dst[i] = float64(unzigzag(u)) * scale
 		i++
 	}
-	return out, nil
+	return nil
+}
+
+// declaredLen reads the element count out of an encoded update's header.
+func declaredLen(data []byte) (int, error) {
+	if len(data) < headerLen {
+		return 0, fmt.Errorf("opt: DecompressUpdate short header (%d bytes)", len(data))
+	}
+	return int(binary.LittleEndian.Uint32(data[0:4])), nil
 }
 
 // zigzag maps signed integers onto unsigned so small magnitudes stay small.

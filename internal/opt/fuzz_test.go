@@ -28,6 +28,7 @@ func FuzzDecompressUpdate(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
+	f.Add(hugeZeroRun())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := DecompressUpdate(data)

@@ -1,8 +1,12 @@
 package opt
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -447,5 +451,88 @@ func TestDecompressRejectsHugeDeclaredLength(t *testing.T) {
 	blob[0], blob[1], blob[2], blob[3] = 0xff, 0xff, 0xff, 0x7f
 	if _, err := DecompressUpdate(blob); err == nil {
 		t.Fatal("decoder accepted a multi-gigabyte declared length")
+	}
+}
+
+// hugeZeroRun is a 25-byte stream declaring 10 elements whose first token is
+// a zero run of 2^63: as an int the run is negative, so a signed bounds
+// check lets it through and the next value lands at a negative index.
+func hugeZeroRun() []byte {
+	blob := make([]byte, headerLen, 25)
+	binary.LittleEndian.PutUint32(blob[0:4], 10)
+	binary.LittleEndian.PutUint64(blob[4:12], math.Float64bits(1))
+	blob[12] = 16
+	blob = append(blob, 0) // zero marker
+	blob = binary.AppendUvarint(blob, 1<<63)
+	return append(blob, 3) // one value
+}
+
+// TestDecompressZeroRunPastInt63: regression for the decoder panicking with
+// "index out of range [-9223372036854775808]" on a stream any client can
+// POST to /v1/update.
+func TestDecompressZeroRunPastInt63(t *testing.T) {
+	blob := hugeZeroRun()
+	if len(blob) != 25 {
+		t.Fatalf("blob is %d bytes, want 25", len(blob))
+	}
+	if _, err := DecompressUpdate(blob); err == nil {
+		t.Fatal("decoder accepted a zero run of 2^63 in a 10-element stream")
+	}
+	if err := DecompressUpdateInto(tensor.NewVector(10), blob); err == nil {
+		t.Fatal("DecompressUpdateInto accepted a zero run of 2^63")
+	}
+}
+
+// TestDecompressUpdateIntoChecksLengthFirst: the declared count is compared
+// with the destination before the body is looked at, so a header cannot
+// size an allocation — and a recycled destination is fully overwritten,
+// zero runs included.
+func TestDecompressUpdateIntoChecksLengthFirst(t *testing.T) {
+	v := tensor.Vector{0, 0, 1.5, 0, -2, 0, 0, 0}
+	blob, err := AppendCompressUpdate([]byte("prefix"), v, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(blob[:6]) != "prefix" {
+		t.Fatal("AppendCompressUpdate overwrote the bytes it was handed")
+	}
+	blob = blob[6:]
+	if whole, _ := CompressUpdate(v, 16); !bytes.Equal(blob, whole) {
+		t.Fatal("AppendCompressUpdate and CompressUpdate disagree")
+	}
+
+	dst := tensor.NewVector(len(v))
+	dst.Fill(99) // a recycled vector arrives dirty
+	if err := DecompressUpdateInto(dst, blob); err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecompressUpdate(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("element %d: Into %v, DecompressUpdate %v", i, dst[i], want[i])
+		}
+	}
+
+	for _, n := range []int{0, len(v) - 1, len(v) + 1} {
+		if err := DecompressUpdateInto(tensor.NewVector(n), blob); !errors.Is(err, ErrLengthMismatch) {
+			t.Errorf("destination of %d for a stream of %d: %v, want ErrLengthMismatch", n, len(v), err)
+		}
+	}
+	// The largest count DecompressUpdate would allocate for, offered to a
+	// small destination: rejected without allocating.
+	binary.LittleEndian.PutUint32(blob[0:4], MaxDecodedLen)
+	small := tensor.NewVector(8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = DecompressUpdateInto(small, blob)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrLengthMismatch) {
+		t.Fatalf("2^24-element header into 8: %v, want ErrLengthMismatch", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("rejecting a 2^24-element header allocated %d bytes", grew)
 	}
 }
