@@ -5,9 +5,9 @@
 //
 // Usage:
 //
-//	floatsim -dataset femnist -controller float -save-agent agent.json
-//	floatqtable -in agent.json
-//	floatqtable -in agent.json -states
+//	floatsim -dataset femnist -controller float -save-agent agent.ck
+//	floatqtable -in agent.ck
+//	floatqtable -in agent.ck -states
 package main
 
 import (
@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		in     = flag.String("in", "", "path to a saved agent Q-table (JSON)")
+		in     = flag.String("in", "", "path to a saved agent Q-table (floatsim -save-agent)")
 		states = flag.Bool("states", false, "also dump the per-state greedy policy")
 		csvOut = flag.Bool("csv", false, "emit the per-state policy as CSV (for plotting Fig 10 heat maps)")
 		bins   = flag.Int("bins", rl.DefaultBins, "bin resolution the agent was trained with")

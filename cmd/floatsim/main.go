@@ -12,7 +12,7 @@
 //	floatsim -dataset femnist -algo oort -controller float
 //	floatsim -dataset cifar10 -algo fedbuff -controller float -scale paper
 //	floatsim -dataset femnist -algo fedavg -controller static:prune50
-//	floatsim -dataset femnist -controller float -save-agent agent.json
+//	floatsim -dataset femnist -controller float -save-agent agent.ck
 package main
 
 import (

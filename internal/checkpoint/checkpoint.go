@@ -1,6 +1,7 @@
-// Package checkpoint defines the repo's snapshot container: a versioned,
-// checksummed frame around an opaque payload, plus the Stateful interface
-// components implement to participate in engine checkpoints.
+// Package checkpoint defines the repo's snapshot container and encoding: a
+// versioned, checksummed frame around one payload, the section writer and
+// bounded reader every payload is built from (Enc and Dec, wire.go), and
+// the Stateful interface components implement to join an engine checkpoint.
 //
 // The frame is deliberately dumb — magic, version, a kind string naming
 // what the payload is (an engine snapshot, an RL agent, a dist server),
@@ -11,10 +12,11 @@
 // gets the "corrupt snapshot ⇒ zero partial restore" guarantee for free.
 //
 // Every error is typed: ErrTruncated for short reads, ErrChecksum for
-// integrity failures, *FormatError for bad magic or a kind mismatch,
-// *VersionError for an unknown container version, and *CompatError for
-// payload-level incompatibilities (a snapshot from a different
-// configuration). Callers branch with errors.Is / errors.As.
+// integrity failures, *FormatError for bad magic, a kind mismatch or a
+// malformed payload section, *VersionError for a container version this
+// build does not read, and *CompatError for payload-level
+// incompatibilities (a snapshot from a different configuration). Callers
+// branch with errors.Is / errors.As.
 package checkpoint
 
 import (
@@ -28,14 +30,23 @@ import (
 	"path/filepath"
 )
 
-// Version is the container format version written by Encode.
-const Version = 1
+// Version is the container format version. Version 1 framed JSON payloads;
+// version 2 frames Enc sections. There is no reader for older versions: a
+// blob of any other version is a *VersionError.
+const Version = 2
 
 // magic opens every snapshot file; eight bytes so hexdump shows it whole.
 var magic = [8]byte{'F', 'L', 'O', 'A', 'T', 'C', 'K', '\n'}
 
-// maxPayload bounds the declared payload length so a corrupt header
-// cannot drive a multi-terabyte allocation before the checksum check.
+// fixedHeader is the part of the header whose size does not depend on the
+// kind: magic, big-endian version, kind length. The kind and the
+// big-endian payload length follow.
+const fixedHeader = len(magic) + 4 + 1
+
+// maxPayload bounds the declared payload length. No reader allocates from
+// the declared length — DecodeBytes compares it with the bytes it holds,
+// Decode grows with the bytes it actually reads — so this is a sanity
+// check on the header, not a memory bound.
 const maxPayload = 1 << 32
 
 // ErrTruncated reports a snapshot that ends before its declared content.
@@ -44,8 +55,9 @@ var ErrTruncated = errors.New("checkpoint: truncated snapshot")
 // ErrChecksum reports a snapshot whose bytes do not match its checksum.
 var ErrChecksum = errors.New("checkpoint: checksum mismatch")
 
-// FormatError reports a structurally invalid frame: wrong magic, or a
-// payload kind different from what the caller asked to decode.
+// FormatError reports a structurally invalid snapshot: wrong magic, a
+// payload kind different from what the caller asked to decode, bytes after
+// the frame, or a payload section that does not parse.
 type FormatError struct{ Reason string }
 
 func (e *FormatError) Error() string { return "checkpoint: " + e.Reason }
@@ -71,113 +83,144 @@ func (e *CompatError) Error() string {
 // and must return a self-contained, deterministic encoding — byte-stable
 // across processes, so map-keyed state is emitted in sorted order.
 // RestoreCheckpoint replaces the component's mutable state with the
-// decoded blob; on error the component may be partially written and the
-// owning run must be abandoned (the container checksum upstream is what
-// guarantees corrupt files never reach this point).
+// decoded blob. It decodes and validates into locals first (Dec latches
+// the first malformed read; Done rejects trailing bytes), so on error —
+// always a *FormatError, *CompatError or *VersionError, possibly wrapped —
+// the component is exactly as it was.
 type Stateful interface {
 	CheckpointState() ([]byte, error)
 	RestoreCheckpoint(data []byte) error
 }
 
-// Encode writes one framed snapshot to w.
-func Encode(w io.Writer, kind string, payload []byte) error {
-	if len(kind) == 0 || len(kind) > 255 {
-		return &FormatError{Reason: fmt.Sprintf("invalid kind %q", kind)}
+// Begin starts a frame of the given kind in a fresh buffer with room for
+// sizeHint bytes (the previous snapshot's length is the natural hint) and
+// returns the writer positioned at the first payload byte. The payload is
+// appended in place and Finish seals the frame: there is no intermediate
+// payload slice. The buffer is never recycled — a Sink may retain it.
+func Begin(kind string, sizeHint int) *Enc {
+	n := fixedHeader + len(kind) + 8
+	if sizeHint < n+sha256.Size {
+		sizeHint = n + sha256.Size
 	}
-	if len(payload) > maxPayload {
-		return &FormatError{Reason: "payload too large"}
-	}
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	var u32 [4]byte
-	binary.BigEndian.PutUint32(u32[:], Version)
-	buf.Write(u32[:])
-	buf.WriteByte(byte(len(kind)))
-	buf.WriteString(kind)
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], uint64(len(payload)))
-	buf.Write(u64[:])
-	buf.Write(payload)
-	sum := sha256.Sum256(buf.Bytes())
-	buf.Write(sum[:])
-	_, err := w.Write(buf.Bytes())
-	return err
+	e := &Enc{b: make([]byte, n, sizeHint), payload: n}
+	copy(e.b, magic[:])
+	binary.BigEndian.PutUint32(e.b[len(magic):], Version)
+	e.b[fixedHeader-1] = byte(len(kind))
+	copy(e.b[fixedHeader:], kind)
+	return e
 }
 
-// EncodeBytes is Encode into a fresh byte slice.
-func EncodeBytes(kind string, payload []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, kind, payload); err != nil {
-		return nil, err
+// Finish patches the payload length into the header, appends the SHA-256
+// of everything before it, and returns the finished frame.
+func (e *Enc) Finish() ([]byte, error) {
+	klen := e.payload - fixedHeader - 8
+	if klen <= 0 || klen > 255 {
+		return nil, &FormatError{Reason: "invalid snapshot kind (1 to 255 bytes, and only a Begin writer can Finish)"}
 	}
-	return buf.Bytes(), nil
-}
-
-// Decode reads one framed snapshot from r, verifies its integrity, and
-// returns the payload. kind must match the encoded kind exactly; pass the
-// same constant the writer used so an agent file cannot be fed to the
-// engine restore path (or vice versa).
-func Decode(r io.Reader, kind string) ([]byte, error) {
-	var head [8]byte
-	if err := readFull(r, head[:]); err != nil {
-		return nil, err
-	}
-	if head != magic {
-		return nil, &FormatError{Reason: "bad magic (not a snapshot file)"}
-	}
-	var u32 [4]byte
-	if err := readFull(r, u32[:]); err != nil {
-		return nil, err
-	}
-	version := binary.BigEndian.Uint32(u32[:])
-	if version != Version {
-		return nil, &VersionError{Got: version}
-	}
-	var klen [1]byte
-	if err := readFull(r, klen[:]); err != nil {
-		return nil, err
-	}
-	kb := make([]byte, int(klen[0]))
-	if err := readFull(r, kb); err != nil {
-		return nil, err
-	}
-	var u64 [8]byte
-	if err := readFull(r, u64[:]); err != nil {
-		return nil, err
-	}
-	plen := binary.BigEndian.Uint64(u64[:])
+	plen := len(e.b) - e.payload
 	if plen > maxPayload {
-		return nil, &FormatError{Reason: "declared payload length too large"}
+		return nil, &FormatError{Reason: "payload too large"}
 	}
-	payload := make([]byte, int(plen))
-	if err := readFull(r, payload); err != nil {
+	binary.BigEndian.PutUint64(e.b[e.payload-8:], uint64(plen))
+	sum := sha256.Sum256(e.b)
+	e.b = append(e.b, sum[:]...)
+	return e.b, nil
+}
+
+// EncodeBytes frames an already-built payload.
+func EncodeBytes(kind string, payload []byte) ([]byte, error) {
+	e := Begin(kind, fixedHeader+len(kind)+8+len(payload)+sha256.Size)
+	e.b = append(e.b, payload...)
+	return e.Finish()
+}
+
+// header parses as much of a frame header as b holds: the kind, the
+// declared payload length and the header's size. Magic and version are
+// judged as soon as their bytes are present, so a short non-snapshot file
+// is "bad magic", not "truncated".
+func header(b []byte) (kind []byte, plen uint64, n int, err error) {
+	if len(b) >= len(magic) && [len(magic)]byte(b) != magic {
+		return nil, 0, 0, &FormatError{Reason: "bad magic (not a snapshot file)"}
+	}
+	if len(b) >= fixedHeader-1 {
+		if v := binary.BigEndian.Uint32(b[len(magic):]); v != Version {
+			return nil, 0, 0, &VersionError{Got: v}
+		}
+	}
+	if len(b) < fixedHeader {
+		return nil, 0, 0, ErrTruncated
+	}
+	n = fixedHeader + int(b[fixedHeader-1]) + 8
+	if len(b) < n {
+		return nil, 0, 0, ErrTruncated
+	}
+	plen = binary.BigEndian.Uint64(b[n-8:])
+	if plen > maxPayload {
+		return nil, 0, 0, &FormatError{Reason: "declared payload length too large"}
+	}
+	return b[fixedHeader : n-8], plen, n, nil
+}
+
+// DecodeBytes verifies an in-memory snapshot — exactly one frame, nothing
+// after it — and returns its payload as a sub-slice of data: no copy, and
+// no allocation whatever the header declares. kind must match the encoded
+// kind exactly; pass the same constant the writer used so an agent file
+// cannot be fed to the engine restore path (or vice versa).
+func DecodeBytes(data []byte, kind string) ([]byte, error) {
+	got, plen, n, err := header(data)
+	if err != nil {
 		return nil, err
 	}
-	var sum [sha256.Size]byte
-	if err := readFull(r, sum[:]); err != nil {
-		return nil, err
+	if uint64(len(data)-n) < plen+sha256.Size {
+		return nil, ErrTruncated
 	}
-	h := sha256.New()
-	h.Write(head[:])
-	h.Write(u32[:])
-	h.Write(klen[:])
-	h.Write(kb)
-	h.Write(u64[:])
-	h.Write(payload)
-	if !bytes.Equal(h.Sum(nil), sum[:]) {
+	end := n + int(plen)
+	if sha256.Sum256(data[:end]) != [sha256.Size]byte(data[end:]) {
 		return nil, ErrChecksum
+	}
+	if extra := len(data) - end - sha256.Size; extra > 0 {
+		return nil, &FormatError{Reason: fmt.Sprintf("%d bytes after the frame", extra)}
 	}
 	// Kind is checked after the checksum: a mismatch on intact bytes is a
 	// caller error ("wrong file"), not corruption.
-	if string(kb) != kind {
-		return nil, &FormatError{Reason: fmt.Sprintf("snapshot holds %q, caller wants %q", string(kb), kind)}
+	if string(got) != kind {
+		return nil, &FormatError{Reason: fmt.Sprintf("snapshot holds %q, caller wants %q", got, kind)}
 	}
-	return payload, nil
+	return data[n:end:end], nil
 }
 
-// DecodeBytes is Decode from an in-memory snapshot.
-func DecodeBytes(data []byte, kind string) ([]byte, error) {
-	return Decode(bytes.NewReader(data), kind)
+// Decode reads exactly one frame from r (bytes after it stay unread),
+// verifies it, and returns the payload. The buffer grows with the bytes
+// actually read, never from the declared length.
+func Decode(r io.Reader, kind string) ([]byte, error) {
+	frame := make([]byte, fixedHeader, fixedHeader+255+8)
+	if n, err := io.ReadFull(r, frame); err != nil {
+		return nil, shortRead(frame[:n], err)
+	}
+	frame = frame[:fixedHeader+int(frame[fixedHeader-1])+8]
+	if n, err := io.ReadFull(r, frame[fixedHeader:]); err != nil {
+		return nil, shortRead(frame[:fixedHeader+n], err)
+	}
+	_, plen, _, err := header(frame)
+	if err != nil {
+		return nil, err
+	}
+	buf := bytes.NewBuffer(frame)
+	if _, err := buf.ReadFrom(io.LimitReader(r, int64(plen)+sha256.Size)); err != nil {
+		return nil, err
+	}
+	return DecodeBytes(buf.Bytes(), kind)
+}
+
+// shortRead explains a header read that ended early: whatever header
+// judges wrong with the bytes that did arrive (ErrTruncated at the least),
+// or the reader's own error.
+func shortRead(got []byte, err error) error {
+	if err != io.EOF && err != io.ErrUnexpectedEOF {
+		return err
+	}
+	_, _, _, herr := header(got)
+	return herr
 }
 
 // WriteFile encodes a snapshot to path atomically: the frame is written
@@ -223,16 +266,4 @@ func ReadFile(path, kind string) ([]byte, error) {
 	}
 	defer f.Close()
 	return Decode(f, kind)
-}
-
-// readFull wraps io.ReadFull, mapping both flavors of early EOF onto the
-// package's typed truncation error.
-func readFull(r io.Reader, p []byte) error {
-	if _, err := io.ReadFull(r, p); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return ErrTruncated
-		}
-		return err
-	}
-	return nil
 }

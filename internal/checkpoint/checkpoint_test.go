@@ -2,9 +2,11 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -78,15 +80,19 @@ func TestKindMismatch(t *testing.T) {
 }
 
 func TestVersionMismatch(t *testing.T) {
-	data := encodeOrDie(t, "v", []byte("payload"))
-	data[8+3] = 99 // low byte of the big-endian version field
-	_, err := DecodeBytes(data, "v")
-	var ve *VersionError
-	if !errors.As(err, &ve) {
-		t.Fatalf("future version: got %v, want *VersionError", err)
-	}
-	if ve.Got != 99 {
-		t.Fatalf("VersionError.Got = %d, want 99", ve.Got)
+	// Any version but this build's — a future one, or the JSON-payload
+	// version 1 this build has no reader for — is a *VersionError.
+	for _, v := range []byte{99, 1} {
+		data := encodeOrDie(t, "v", []byte("payload"))
+		data[8+3] = v // low byte of the big-endian version field
+		_, err := DecodeBytes(data, "v")
+		var ve *VersionError
+		if !errors.As(err, &ve) {
+			t.Fatalf("version %d: got %v, want *VersionError", v, err)
+		}
+		if ve.Got != uint32(v) {
+			t.Fatalf("VersionError.Got = %d, want %d", ve.Got, v)
+		}
 	}
 }
 
@@ -101,15 +107,98 @@ func TestBadMagic(t *testing.T) {
 }
 
 func TestTrailingGarbageIgnored(t *testing.T) {
-	// Decode consumes exactly one frame; bytes after it (a follow-up frame
-	// in the same stream) are not an error.
+	// Decode consumes exactly one frame from a stream; bytes after it (a
+	// follow-up frame) stay unread and are not an error.
 	data := encodeOrDie(t, "t", []byte("payload"))
-	got, err := DecodeBytes(append(data, 0xDE, 0xAD), "t")
+	r := bytes.NewReader(append(data, 0xDE, 0xAD))
+	got, err := Decode(r, "t")
 	if err != nil {
 		t.Fatalf("trailing bytes: %v", err)
 	}
 	if string(got) != "payload" {
 		t.Fatalf("payload = %q", got)
+	}
+	if r.Len() != 2 {
+		t.Fatalf("Decode left %d bytes unread, want the 2 after the frame", r.Len())
+	}
+	// An in-memory blob, by contrast, is exactly one frame.
+	var fe *FormatError
+	if _, err := DecodeBytes(append(data, 0xDE, 0xAD), "t"); !errors.As(err, &fe) {
+		t.Fatalf("DecodeBytes with trailing bytes: got %v, want FormatError", err)
+	}
+}
+
+// TestHostileLengthAllocatesNothing is the 22-byte file: a valid header
+// declaring a 4 GiB payload with no payload behind it. Both entry points
+// must report truncation without allocating from the declared length
+// (Decode used to make([]byte, 1<<32) before reading a payload byte).
+func TestHostileLengthAllocatesNothing(t *testing.T) {
+	blob := append([]byte(nil), magic[:]...)
+	blob = binary.BigEndian.AppendUint32(blob, Version)
+	blob = append(blob, 1, 'k')
+	blob = binary.BigEndian.AppendUint64(blob, 1<<32)
+	if len(blob) != 22 {
+		t.Fatalf("blob is %d bytes, want 22", len(blob))
+	}
+	for name, decode := range map[string]func() ([]byte, error){
+		"DecodeBytes": func() ([]byte, error) { return DecodeBytes(blob, "k") },
+		"Decode":      func() ([]byte, error) { return Decode(bytes.NewReader(blob), "k") },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decode()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: got %v, want ErrTruncated", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s allocated %d bytes for a 22-byte input", name, grew)
+		}
+	}
+}
+
+// TestDecodeBytesReturnsSubSlice pins the no-copy contract.
+func TestDecodeBytesReturnsSubSlice(t *testing.T) {
+	data := encodeOrDie(t, "k", []byte("payload"))
+	got, err := DecodeBytes(data, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &data[fixedHeader+1+8] || cap(got) != len(got) {
+		t.Fatal("payload is not a capacity-clipped sub-slice of the input")
+	}
+}
+
+// TestBeginFinishInPlace pins the in-place frame writer: a payload appended
+// through the Enc yields the same bytes as framing it afterwards, a buffer
+// sized by the hint is not re-grown, and only a Begin writer can Finish.
+func TestBeginFinishInPlace(t *testing.T) {
+	payload := bytes.Repeat([]byte{7}, 1000)
+	want := encodeOrDie(t, "kind", payload)
+	e := Begin("kind", len(want))
+	start := &e.b[0]
+	for _, b := range payload {
+		e.b = append(e.b, b)
+	}
+	got, err := e.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("in-place frame differs from EncodeBytes")
+	}
+	if &got[0] != start {
+		t.Fatal("a buffer sized by the hint was re-grown")
+	}
+	var fe *FormatError
+	if _, err := NewEnc(8).Finish(); !errors.As(err, &fe) {
+		t.Fatalf("Finish on a bare section: got %v, want FormatError", err)
+	}
+	if _, err := EncodeBytes("", nil); !errors.As(err, &fe) {
+		t.Fatalf("empty kind: got %v, want FormatError", err)
+	}
+	if _, err := EncodeBytes(string(make([]byte, 256)), nil); !errors.As(err, &fe) {
+		t.Fatalf("256-byte kind: got %v, want FormatError", err)
 	}
 }
 

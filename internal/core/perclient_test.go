@@ -110,12 +110,13 @@ func TestCollectiveSummaryMatchesAgent(t *testing.T) {
 }
 
 // TestPerClientCheckpointBytesPinned pins the per-client controller's
-// checkpoint encoding — integer-keyed agent and pending maps, with
-// multi-digit client IDs — to the digest recorded at commit 4bb187b, and
-// requires restore to reproduce it. Three decisions are left pending, as
+// checkpoint encoding — agents and pending decisions in client-ID order,
+// with multi-digit client IDs — and requires restore to reproduce it. The
+// digest was re-recorded in the commit that follows e8eb0c7 (PR 21), which
+// moved the encoding from JSON to checkpoint.Enc sections. Three decisions are left pending, as
 // at an async boundary.
 func TestPerClientCheckpointBytesPinned(t *testing.T) {
-	const want = "6fc3a40b5243de9b5f954d4d2d8642d5c9fd4e3277ad34c70cf8d69b72a78f74"
+	const want = "4f9c3d65d61032104b1a4035c9f941bb60d57e51deed666182baa61474836eed"
 	pop, err := device.NewPopulation(device.PopulationConfig{
 		Clients: 12, Scenario: trace.ScenarioDynamic, Seed: 2,
 	})

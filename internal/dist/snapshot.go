@@ -4,12 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 
 	"floatfl/internal/checkpoint"
 	"floatfl/internal/device"
 	"floatfl/internal/obs"
 	"floatfl/internal/opt"
+	"floatfl/internal/tensor"
 	"floatfl/internal/trace"
 )
 
@@ -21,28 +21,82 @@ const ServerSnapshotKind = "dist-server"
 // leases are deliberately absent — they die with the process, and the
 // idempotent task protocol lets survivors simply re-fetch.
 type serverClientState struct {
-	ID       int     `json:"id"`
-	Name     string  `json:"name,omitempty"`
-	GFLOPS   float64 `json:"gflops"`
-	MemoryMB float64 `json:"memory_mb"`
-	Tech     string  `json:"tech,omitempty"`
+	ID       int
+	Name     string
+	GFLOPS   float64
+	MemoryMB float64
+	Tech     string
 }
 
-// serverState is the JSON payload inside a dist-server frame.
+// serverState is the payload of a dist-server frame, in wire order: the
+// model spec, round and next client ID, the model blob (nn's binary form,
+// raw), the registry in client-ID order, the buffered deltas as raw floats
+// with their weights, the holdout accuracy, the controller's own section
+// (empty when stateless), the metric registry and the timeline's section.
 type serverState struct {
-	Arch         string              `json:"arch"`
-	InDim        int                 `json:"in_dim"`
-	Classes      int                 `json:"classes"`
-	Round        int                 `json:"round"`
-	NextClientID int                 `json:"next_client_id"`
-	Model        []byte              `json:"model"`
-	Clients      []serverClientState `json:"clients,omitempty"`
-	Deltas       [][]float64         `json:"deltas,omitempty"`
-	Weights      []float64           `json:"weights,omitempty"`
-	HoldoutAcc   float64             `json:"holdout_acc"`
-	Controller   []byte              `json:"controller,omitempty"`
-	Obs          *obs.Snapshot       `json:"obs,omitempty"`
-	Timeline     []byte              `json:"timeline,omitempty"`
+	Arch           string
+	InDim, Classes int
+	Round          int
+	NextClientID   int
+	Model          []byte
+	Clients        []serverClientState
+	Deltas         []tensor.Vector
+	Weights        []float64
+	HoldoutAcc     float64
+	Controller     []byte
+	Obs            obs.Snapshot
+	Timeline       []byte
+}
+
+func (st *serverState) appendTo(e *checkpoint.Enc) {
+	e.String(st.Arch)
+	e.Int(st.InDim)
+	e.Int(st.Classes)
+	e.Int(st.Round)
+	e.Int(st.NextClientID)
+	e.RawBytes(st.Model)
+	e.Uvarint(uint64(len(st.Clients)))
+	for _, c := range st.Clients {
+		e.Int(c.ID)
+		e.String(c.Name)
+		e.Float64(c.GFLOPS)
+		e.Float64(c.MemoryMB)
+		e.String(c.Tech)
+	}
+	e.Uvarint(uint64(len(st.Deltas)))
+	for _, d := range st.Deltas {
+		e.Float64s(d)
+	}
+	e.Float64s(st.Weights)
+	e.Float64(st.HoldoutAcc)
+	e.RawBytes(st.Controller)
+	st.Obs.AppendTo(e)
+	e.RawBytes(st.Timeline)
+}
+
+// decodeServerState reads what appendTo wrote; Model, Controller and
+// Timeline alias the payload.
+func decodeServerState(payload []byte) (*serverState, error) {
+	d := checkpoint.NewDec(payload)
+	st := &serverState{Arch: d.String(), InDim: d.Int(), Classes: d.Int(), Round: d.Int(), NextClientID: d.Int()}
+	st.Model = d.RawBytes()
+	st.Clients = make([]serverClientState, d.Count(1+1+8+8+1))
+	for i := range st.Clients {
+		st.Clients[i] = serverClientState{ID: d.Int(), Name: d.String(), GFLOPS: d.Float64(), MemoryMB: d.Float64(), Tech: d.String()}
+	}
+	st.Deltas = make([]tensor.Vector, d.Count(1))
+	for i := range st.Deltas {
+		st.Deltas[i] = d.Float64s()
+	}
+	st.Weights = d.Float64s()
+	st.HoldoutAcc = d.Float64()
+	st.Controller = d.RawBytes()
+	st.Obs = obs.DecodeSnapshot(d)
+	st.Timeline = d.RawBytes()
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("server state: %w", err)
+	}
+	return st, nil
 }
 
 // Snapshot serializes the aggregator's durable state — global model,
@@ -63,14 +117,12 @@ func (s *Server) Snapshot() ([]byte, error) {
 		Round:        s.round,
 		NextClientID: s.nextClientID,
 		Model:        blob,
+		Deltas:       s.deltas,
+		Weights:      s.weights,
 		HoldoutAcc:   s.holdoutAcc,
+		Obs:          s.metrics.Snapshot(),
 	}
-	ids := make([]int, 0, len(s.clients))
-	for id := range s.clients {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range checkpoint.SortedKeys(s.clients) {
 		ci := s.clients[id]
 		st.Clients = append(st.Clients, serverClientState{
 			ID:       id,
@@ -80,45 +132,38 @@ func (s *Server) Snapshot() ([]byte, error) {
 			Tech:     ci.tech.String(),
 		})
 	}
-	for i, d := range s.deltas {
-		st.Deltas = append(st.Deltas, append([]float64(nil), d...))
-		st.Weights = append(st.Weights, s.weights[i])
-	}
 	if cs, ok := s.cfg.Controller.(checkpoint.Stateful); ok {
-		b, err := cs.CheckpointState()
-		if err != nil {
+		if st.Controller, err = cs.CheckpointState(); err != nil {
 			return nil, fmt.Errorf("dist: snapshot controller: %w", err)
 		}
-		st.Controller = b
 	}
-	snap := s.metrics.Snapshot()
-	st.Obs = &snap
 	if st.Timeline, err = s.timeline.CheckpointState(); err != nil {
 		return nil, fmt.Errorf("dist: snapshot timeline: %w", err)
 	}
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return nil, err
-	}
-	return checkpoint.EncodeBytes(ServerSnapshotKind, payload)
+	size := len(blob) + len(st.Controller) + len(st.Timeline) + 8*len(s.deltas)*(s.global.NumParams()+2) + 64*len(s.clients) + 16<<10
+	e := checkpoint.Begin(ServerSnapshotKind, size)
+	st.appendTo(e)
+	return e.Finish()
 }
 
 // RestoreSnapshot loads a frame produced by Snapshot into a freshly built
-// server. Validation of the server's own state (checksum, kind, spec
-// compatibility, technique names, buffered-delta lengths, the model blob)
-// completes before anything is touched, so a snapshot rejected there leaves
-// the server exactly as NewServer built it; the controller, metrics and
-// timeline sections are validated by their owners as they are restored.
-// Outstanding tasks are not resurrected: surviving clients re-fetch and
-// stale uploads get the usual 409.
+// server. Validation of the server's own state (checksum, kind, every
+// section's shape, spec compatibility, technique names, buffered-delta
+// lengths, the model blob) completes before anything is touched, so a
+// snapshot rejected there leaves the server exactly as NewServer built it;
+// the controller, metrics and timeline sections are validated by their
+// owners as they are restored, each leaving itself untouched by a section
+// it rejects. Every failure is one of the checkpoint package's typed
+// errors. Outstanding tasks are not resurrected: surviving clients
+// re-fetch and stale uploads get the usual 409.
 func (s *Server) RestoreSnapshot(data []byte) error {
 	payload, err := checkpoint.DecodeBytes(data, ServerSnapshotKind)
 	if err != nil {
 		return err
 	}
-	var st serverState
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return &checkpoint.FormatError{Reason: fmt.Sprintf("server state: %v", err)}
+	st, err := decodeServerState(payload)
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -156,7 +201,7 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 	}
 	restored := s.global.Clone()
 	if err := restored.UnmarshalBinary(st.Model); err != nil {
-		return fmt.Errorf("dist: restore model: %w", err)
+		return &checkpoint.FormatError{Reason: fmt.Sprintf("model blob: %v", err)}
 	}
 	if cs, ok := s.cfg.Controller.(checkpoint.Stateful); ok && len(st.Controller) > 0 {
 		if err := cs.RestoreCheckpoint(st.Controller); err != nil {
@@ -190,16 +235,11 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 			s.byName[c.Name] = c.ID
 		}
 	}
-	s.deltas = s.deltas[:0]
-	s.weights = s.weights[:0]
-	for i, d := range st.Deltas {
-		s.deltas = append(s.deltas, append([]float64(nil), d...))
-		s.weights = append(s.weights, st.Weights[i])
-	}
-	if st.Obs != nil {
-		if err := s.metrics.RestoreSnapshot(*st.Obs); err != nil {
-			return fmt.Errorf("dist: restore metrics: %w", err)
-		}
+	// The decoded deltas are the server's own: Float64s allocates them.
+	s.deltas = append(s.deltas[:0], st.Deltas...)
+	s.weights = append(s.weights[:0], st.Weights...)
+	if err := s.metrics.RestoreSnapshot(st.Obs); err != nil {
+		return fmt.Errorf("dist: restore metrics: %w", err)
 	}
 	if len(st.Timeline) > 0 {
 		if err := s.timeline.RestoreCheckpoint(st.Timeline); err != nil {

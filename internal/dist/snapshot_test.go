@@ -7,10 +7,13 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"floatfl/internal/checkpoint"
+	"floatfl/internal/checkpoint/statefultests"
 	"floatfl/internal/core"
+	"floatfl/internal/data"
 	"floatfl/internal/rl"
 )
 
@@ -161,7 +164,7 @@ func TestSnapshotRestoreRejectsBadBlob(t *testing.T) {
 	if err := srv2.RestoreSnapshot(blob[:len(blob)-3]); !errors.Is(err, checkpoint.ErrTruncated) {
 		t.Fatalf("truncated blob: got %v, want ErrTruncated", err)
 	}
-	wrongKind, err := checkpoint.EncodeBytes("engine-sync", []byte("{}"))
+	wrongKind, err := checkpoint.EncodeBytes("engine-sync", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,18 +204,17 @@ func TestSnapshotRestoreRejectsWrongLengthDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st serverState
-	if err := json.Unmarshal(payload, &st); err != nil {
+	st, err := decodeServerState(payload)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Round != 1 || len(st.Deltas) != 2 || len(st.Controller) == 0 {
 		t.Fatalf("snapshot has round %d, %d deltas, %dB controller; the test needs 1, 2 and some", st.Round, len(st.Deltas), len(st.Controller))
 	}
 	st.Deltas[1] = st.Deltas[1][:len(st.Deltas[1])-1]
-	if payload, err = json.Marshal(st); err != nil {
-		t.Fatal(err)
-	}
-	bad, err := checkpoint.EncodeBytes(ServerSnapshotKind, payload)
+	e := checkpoint.NewEnc(len(payload))
+	st.appendTo(e)
+	bad, err := checkpoint.EncodeBytes(ServerSnapshotKind, e.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,4 +256,42 @@ func TestSnapshotRestoreRejectsWrongLengthDelta(t *testing.T) {
 	if !bytes.Equal(snap, snap2) {
 		t.Error("rejected restore changed the server snapshot")
 	}
+}
+
+// snapshotter presents the server's Snapshot/RestoreSnapshot pair as a
+// checkpoint.Stateful, for the conformance suite.
+type snapshotter struct{ *Server }
+
+func (s snapshotter) CheckpointState() ([]byte, error) { return s.Snapshot() }
+func (s snapshotter) RestoreCheckpoint(b []byte) error { return s.RestoreSnapshot(b) }
+
+// TestSnapshotConformance runs the checkpoint.Stateful suite over the
+// server through its own entry points: a server with a FLOAT controller,
+// an aggregation behind it and two deltas buffered re-snapshots to the
+// same bytes after a restore into a fresh server; every prefix, trailing
+// garbage and a version 1 frame are typed refusals that change nothing.
+func TestSnapshotConformance(t *testing.T) {
+	servers := map[*Server]*httptest.Server{}
+	feds := map[*Server]*data.Federation{}
+	statefultests.Run(t, statefultests.Subject{
+		Framed: true,
+		Fresh: func(t *testing.T) checkpoint.Stateful {
+			srv, hs, fed := testServer(t, core.New(core.Config{
+				Agent:           rl.Config{Seed: 17, TotalRounds: 50},
+				BatchSize:       16,
+				Epochs:          2,
+				ClientsPerRound: 2,
+			}), 3)
+			servers[srv], feds[srv] = hs, fed
+			return snapshotter{srv}
+		},
+		Drive: func(t *testing.T, s checkpoint.Stateful) {
+			srv := s.(snapshotter).Server
+			for i := 0; i < 5; i++ {
+				if ok, err := registeredClient(t, servers[srv], feds[srv], i).Step(context.Background(), 0); err != nil || !ok {
+					t.Fatalf("Step: ok=%v err=%v", ok, err)
+				}
+			}
+		},
+	})
 }

@@ -3,11 +3,8 @@ package fl
 import (
 	"bytes"
 	"container/heap"
-	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 
@@ -38,9 +35,10 @@ type CheckpointConfig struct {
 	// snapshots on the same schedule as an uninterrupted one. Zero disables
 	// periodic snapshots.
 	Every int
-	// Sink receives each encoded snapshot (a framed, checksummed blob
-	// suitable for checkpoint.WriteFile's payload — it is already framed;
-	// write it to disk as-is). A snapshot error aborts the run. Nil
+	// Sink receives each encoded snapshot: a framed, checksummed blob —
+	// write it to disk as-is (checkpoint.WriteRaw). The engine never
+	// touches a blob again after handing it over, so a sink may keep it.
+	// A snapshot error aborts the run. Nil
 	// disables snapshotting entirely (Every and Request are then inert).
 	Sink func(snapshot []byte) error
 	// Request is polled at every boundary; returning true triggers an
@@ -111,41 +109,15 @@ func (got fingerprint) mismatch(want fingerprint) error {
 	return &checkpoint.CompatError{Field: "fingerprint", Got: string(gb), Want: string(wb)}
 }
 
-// encodeParams serializes a parameter vector exactly: little-endian IEEE
-// 754 bits, base64. Bit-exact for every value including NaN payloads, and
-// ~3x more compact than decimal JSON.
-func encodeParams(v tensor.Vector) string {
-	buf := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
-	}
-	return base64.StdEncoding.EncodeToString(buf)
-}
-
-// decodeParams inverts encodeParams, enforcing the expected length.
-func decodeParams(s string, want int) (tensor.Vector, error) {
-	raw, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, &checkpoint.FormatError{Reason: "parameter blob is not base64: " + err.Error()}
-	}
-	if len(raw) != 8*want {
-		return nil, &checkpoint.CompatError{Field: "parameter count",
-			Got: strconv.Itoa(len(raw) / 8), Want: strconv.Itoa(want)}
-	}
-	v := make(tensor.Vector, want)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	return v, nil
-}
-
-// captureStateful captures v's checkpoint state when it implements
-// checkpoint.Stateful (structurally); stateless components contribute nil.
-func captureStateful(v any) ([]byte, error) {
+// appendStateful appends v's checkpoint state as one length-prefixed
+// section when it implements checkpoint.Stateful (structurally); a
+// stateless component contributes an empty one.
+func appendStateful(e *checkpoint.Enc, v any) error {
 	if s, ok := v.(checkpoint.Stateful); ok {
-		return s.CheckpointState()
+		return e.Stateful(s)
 	}
-	return nil, nil
+	e.RawBytes(nil)
+	return nil
 }
 
 // restoreStateful applies a captured blob to v. A blob for a stateless
@@ -162,53 +134,11 @@ func restoreStateful(v any, blob []byte, what string) error {
 	return s.RestoreCheckpoint(blob)
 }
 
-// runSnap is the state shared by both engines' snapshots.
-type runSnap struct {
-	Fingerprint fingerprint          `json:"fingerprint"`
-	Completed   int                  `json:"completed"` // rounds (sync) or aggregations (async)
-	Wall        float64              `json:"wall_clock_seconds"`
-	Params      string               `json:"params"`
-	ParamCount  int                  `json:"param_count"`
-	AccHistory  []float64            `json:"acc_history,omitempty"`
-	EvalRounds  []int                `json:"eval_rounds,omitempty"`
-	HFDiff      map[int]float64      `json:"hf_diff,omitempty"`
-	Draws       uint64               `json:"draws"`
-	Ledger      *metrics.LedgerState `json:"ledger"`
-	Selector    []byte               `json:"selector,omitempty"`
-	Controller  []byte               `json:"controller,omitempty"`
-	Population  *population.State    `json:"population"`
-	Obs         *obs.Snapshot        `json:"obs,omitempty"`
-	Timeline    []byte               `json:"timeline,omitempty"`
-}
-
-// taskSnap is one in-flight async task. The heap's backing array is
-// serialized in array order and restored verbatim: heap.Init on an
-// already-valid heap performs no swaps, so pop order — including ties on
-// finishAt — is preserved exactly.
-type taskSnap struct {
-	ClientID     int            `json:"client_id"`
-	StartVersion int            `json:"start_version"`
-	FinishAt     float64        `json:"finish_at"`
-	Tech         opt.Technique  `json:"tech"`
-	Outcome      device.Outcome `json:"outcome"`
-}
-
-// versionSnap is one retained global-parameter version of the async
-// engine's staleness window.
-type versionSnap struct {
-	Version int    `json:"version"`
-	Params  string `json:"params"`
-}
-
-// asyncSnap extends runSnap with the async engine's event-loop state.
-type asyncSnap struct {
-	runSnap
-	Version       int           `json:"version"`
-	Now           float64       `json:"now"`
-	EvalCountdown int           `json:"eval_countdown"`
-	Versions      []versionSnap `json:"versions"`
-	Tasks         []taskSnap    `json:"tasks,omitempty"`
-}
+// snapSlack is the head-room a snapshot buffer gets over the previous
+// snapshot's length: drain logs, the timeline and the agent's reward
+// history grow by a few hundred bytes per boundary, and a buffer that
+// falls short is re-grown (copied) by append.
+const snapSlack = 4096
 
 // fingerprint builds the run's configuration fingerprint. The FedBuff
 // knobs are pinned only for the async engine: a sync run never reads them.
@@ -243,155 +173,247 @@ func (r *run) fingerprint() fingerprint {
 }
 
 // CheckpointState captures the complete run at a boundary as a framed,
-// checksummed blob of the engine's kind: the shared runSnap, extended for
-// the async engine with its event-loop state. The encodings reference live
-// state without copying — the blob is marshaled before the engine moves on.
+// checksummed blob of the engine's kind, written in place into one fresh
+// buffer sized from the previous snapshot. Section order (DESIGN.md,
+// "Snapshot format"): the fingerprint (JSON — mismatch reports by its
+// field names), completed, clock, RNG position, parameters, accuracy
+// history and its rounds, the HF-diff map, the ledger, the selector's and
+// the controller's own sections, the population, the metric registry
+// (behind a presence flag), the timeline's own section, and — async only —
+// the event loop. The sections reference live state without copying; the
+// frame is finished before the engine moves on.
 func (r *run) CheckpointState() ([]byte, error) {
-	params := r.global.Parameters()
-	snap := runSnap{
-		Fingerprint: r.fingerprint(),
-		Completed:   r.done,
-		Wall:        r.now,
-		Params:      encodeParams(params),
-		ParamCount:  len(params),
-		AccHistory:  r.res.GlobalAccHistory,
-		EvalRounds:  r.res.EvalRounds,
-		HFDiff:      r.hfDiff,
-		Draws:       r.src.Pos(),
-		Ledger:      r.res.Ledger.CheckpointState(),
-	}
-	var err error
-	if snap.Selector, err = captureStateful(r.sel); err != nil {
-		return nil, err
-	}
-	if snap.Controller, err = captureStateful(r.ctrl); err != nil {
-		return nil, err
-	}
-	if snap.Population, err = r.p.CheckpointState(); err != nil {
-		return nil, err
-	}
-	if r.cfg.Metrics != nil {
-		o := r.cfg.Metrics.Snapshot()
-		snap.Obs = &o
-	}
-	if r.cfg.Timeline != nil {
-		if snap.Timeline, err = r.cfg.Timeline.CheckpointState(); err != nil {
-			return nil, err
-		}
-	}
-	var full any = snap
-	if r.async() {
-		full = r.captureEventLoop(snap)
-	}
-	payload, err := json.Marshal(full)
+	fp, err := json.Marshal(r.fingerprint())
 	if err != nil {
 		return nil, err
 	}
-	return checkpoint.EncodeBytes(r.kind, payload)
+	e := checkpoint.Begin(r.kind, r.snapHint)
+	e.RawBytes(fp)
+	e.Int(r.done)
+	e.Float64(r.now)
+	e.Uvarint(r.src.Pos())
+	e.Float64s(r.global.Parameters())
+	e.Float64s(r.res.GlobalAccHistory)
+	e.Ints(r.res.EvalRounds)
+	e.FloatsByID(r.hfDiff)
+	r.res.Ledger.AppendCheckpoint(e)
+	if err := appendStateful(e, r.sel); err != nil {
+		return nil, err
+	}
+	if err := appendStateful(e, r.ctrl); err != nil {
+		return nil, err
+	}
+	r.p.AppendCheckpoint(e)
+	e.Bool(r.cfg.Metrics != nil)
+	if r.cfg.Metrics != nil {
+		r.cfg.Metrics.Snapshot().AppendTo(e)
+	}
+	if r.cfg.Timeline != nil {
+		if err := e.Stateful(r.cfg.Timeline); err != nil {
+			return nil, err
+		}
+	} else {
+		e.RawBytes(nil)
+	}
+	if r.async() {
+		r.appendEventLoop(e)
+	}
+	blob, err := e.Finish()
+	r.snapHint = len(blob) + snapSlack
+	return blob, err
 }
 
-// captureEventLoop extends the shared snapshot with the FedBuff event loop.
-// The buffered-job and pending-event queues are empty at a barrier by
-// construction, so in-flight tasks are the only queued state.
-func (r *run) captureEventLoop(shared runSnap) asyncSnap {
-	snap := asyncSnap{runSnap: shared, Version: r.version, Now: r.now, EvalCountdown: r.evalCountdown}
-	vs := make([]int, 0, len(r.versions))
-	for v := range r.versions {
-		vs = append(vs, v)
+// appendEventLoop writes the FedBuff event loop: version, eval countdown, the retained parameter versions in version order as raw
+// floats, and the in-flight tasks field by field. The buffered-job and
+// pending-event queues are empty at a barrier by construction, so
+// in-flight tasks are the only queued state. The heap's backing array is
+// written in array order and restored verbatim: heap.Init on an
+// already-valid heap performs no swaps, so pop order — including ties on
+// finishAt — is preserved exactly.
+func (r *run) appendEventLoop(e *checkpoint.Enc) {
+	e.Int(r.version)
+	e.Int(r.evalCountdown)
+	e.Uvarint(uint64(len(r.versions)))
+	for _, v := range checkpoint.SortedKeys(r.versions) {
+		e.Int(v)
+		e.Float64s(r.versions[v])
 	}
-	sort.Ints(vs)
-	for _, v := range vs {
-		snap.Versions = append(snap.Versions, versionSnap{Version: v, Params: encodeParams(r.versions[v])})
-	}
+	e.Uvarint(uint64(len(r.tasks)))
 	for _, t := range r.tasks {
-		snap.Tasks = append(snap.Tasks, taskSnap{
-			ClientID:     t.clientID,
-			StartVersion: t.startVersion,
-			FinishAt:     t.finishAt,
-			Tech:         t.tech,
-			Outcome:      t.outcome,
-		})
+		e.Int(t.clientID)
+		e.Int(t.startVersion)
+		e.Float64(t.finishAt)
+		e.Int(int(t.tech))
+		out := t.outcome
+		e.Bool(out.Completed)
+		e.Int(int(out.Reason))
+		for _, v := range [...]float64{
+			out.Cost.ComputeSeconds, out.Cost.CommSeconds, out.Cost.TotalSeconds, out.Cost.UploadBytes,
+			out.Cost.DownloadBytes, out.Cost.MemoryBytes, out.Cost.EnergyHours, out.DeadlineDiff,
+		} {
+			e.Float64(v)
+		}
+		res := out.Resources
+		e.Bool(res.Available)
+		for _, v := range [...]float64{res.CPUFrac, res.MemFrac, res.NetFrac, res.BandwidthMbps, res.Battery} {
+			e.Float64(v)
+		}
 	}
-	return snap
 }
 
-// RestoreCheckpoint applies a snapshot to a freshly initialized run. Decode
-// and every validation complete before the first mutation, so a corrupt or
-// incompatible snapshot leaves the run untouched. State then lands in
-// dependency order: population drain logs before anything probes a trace;
-// parameters, ledger and result; selector and controller; the async event
-// loop, which re-pins its in-flight clients; only then the unpinned cache
-// residency; the metric registry and timeline; and the RNG position last.
-// A sync payload simply has none of the event-loop fields.
+// taskSnapMin is the least a task occupies on the wire: four varints, two
+// bools and thirteen raw floats.
+const taskSnapMin = 4 + 2 + 13*8
+
+// eventLoopSnap is the decoded async section of a snapshot. The tasks are
+// complete but for what only a live population can supply: the pinned
+// client and its shard, which restoreEventLoop acquires.
+type eventLoopSnap struct {
+	version, evalCountdown int
+	versions               map[int]tensor.Vector
+	tasks                  taskHeap
+}
+
+// decodeEventLoop reads what appendEventLoop wrote; malformed input
+// latches d's error.
+func decodeEventLoop(d *checkpoint.Dec) eventLoopSnap {
+	el := eventLoopSnap{version: d.Int(), evalCountdown: d.Int()}
+	n := d.Count(2)
+	el.versions = make(map[int]tensor.Vector, n)
+	for i, prev := 0, 0; i < n; i++ {
+		v := d.Key(i, prev)
+		el.versions[v], prev = d.Float64s(), v
+	}
+	el.tasks = make(taskHeap, d.Count(taskSnapMin))
+	for i := range el.tasks {
+		t := asyncTask{clientID: d.Int(), startVersion: d.Int(), finishAt: d.Float64(), tech: opt.Technique(d.Int())}
+		t.outcome.Completed, t.outcome.Reason = d.Bool(), device.DropReason(d.Int())
+		t.outcome.Cost = device.Cost{
+			ComputeSeconds: d.Float64(), CommSeconds: d.Float64(), TotalSeconds: d.Float64(), UploadBytes: d.Float64(),
+			DownloadBytes: d.Float64(), MemoryBytes: d.Float64(), EnergyHours: d.Float64(),
+		}
+		t.outcome.DeadlineDiff = d.Float64()
+		t.outcome.Resources = device.Resources{
+			Available: d.Bool(), CPUFrac: d.Float64(), MemFrac: d.Float64(), NetFrac: d.Float64(),
+			BandwidthMbps: d.Float64(), Battery: d.Float64(),
+		}
+		el.tasks[i] = t
+	}
+	return el
+}
+
+// paramCount is the typed refusal of a parameter vector of the wrong size.
+func paramCount(got, want int) error {
+	return &checkpoint.CompatError{Field: "parameter count", Got: strconv.Itoa(got), Want: strconv.Itoa(want)}
+}
+
+// RestoreCheckpoint applies a snapshot to a freshly initialized run. Every
+// section is decoded into locals, Done rejects trailing bytes, and every
+// validation the run can make itself completes before the first mutation,
+// so a corrupt or incompatible snapshot leaves the run untouched. State
+// then lands in dependency order: population drain logs before anything
+// probes a trace; parameters, ledger and result; selector and controller;
+// the async event loop, which re-pins its in-flight clients; only then the
+// unpinned cache residency; the metric registry and timeline; and the RNG
+// position last. Each component validates its own section as it is
+// restored and is itself untouched by a section it rejects (every error is
+// one of the checkpoint package's typed errors), but components restored
+// before it have been written: the caller abandons the run.
 func (r *run) RestoreCheckpoint(data []byte) error {
 	payload, err := checkpoint.DecodeBytes(data, r.kind)
 	if err != nil {
 		return err
 	}
-	var snap asyncSnap
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return &checkpoint.FormatError{Reason: r.kind + " snapshot payload: " + err.Error()}
+	d := checkpoint.NewDec(payload)
+	fpJSON := d.RawBytes()
+	completed, wall, draws := d.Int(), d.Float64(), d.Draws()
+	params := tensor.Vector(d.Float64s())
+	accHistory, evalRounds := d.Float64s(), d.Ints()
+	hfDiff := d.FloatsByID()
+	ledger := metrics.DecodeLedgerState(d)
+	selBlob, ctrlBlob := d.RawBytes(), d.RawBytes()
+	pop := population.DecodeState(d)
+	var reg *obs.Snapshot
+	if d.Bool() {
+		s := obs.DecodeSnapshot(d)
+		reg = &s
 	}
-	if err := snap.Fingerprint.mismatch(r.fingerprint()); err != nil {
+	timeline := d.RawBytes()
+	var el eventLoopSnap
+	if r.async() {
+		el = decodeEventLoop(d)
+	}
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("%s snapshot payload: %w", r.kind, err)
+	}
+
+	var fp fingerprint
+	if err := json.Unmarshal(fpJSON, &fp); err != nil {
+		return &checkpoint.FormatError{Reason: r.kind + " snapshot fingerprint: " + err.Error()}
+	}
+	if err := fp.mismatch(r.fingerprint()); err != nil {
 		return err
 	}
-	if snap.Completed > r.cfg.Rounds {
+	if completed < 0 || completed > r.cfg.Rounds {
 		return &checkpoint.CompatError{Field: "completed rounds",
-			Got: strconv.Itoa(snap.Completed), Want: "<= " + strconv.Itoa(r.cfg.Rounds)}
+			Got: strconv.Itoa(completed), Want: "<= " + strconv.Itoa(r.cfg.Rounds)}
 	}
 	dim := len(r.global.Parameters())
-	params, err := decodeParams(snap.Params, dim)
-	if err != nil {
-		return err
+	if len(params) != dim {
+		return paramCount(len(params), dim)
 	}
-	versions := make(map[int]tensor.Vector, len(snap.Versions))
-	for _, v := range snap.Versions {
-		if versions[v.Version], err = decodeParams(v.Params, dim); err != nil {
-			return err
+	for _, v := range el.versions {
+		if len(v) != dim {
+			return paramCount(len(v), dim)
 		}
 	}
+	if len(accHistory) != len(evalRounds) {
+		return &checkpoint.FormatError{Reason: fmt.Sprintf("%d accuracies for %d evaluated rounds", len(accHistory), len(evalRounds))}
+	}
 	n := r.p.NumClients()
-	for _, t := range snap.Tasks {
-		if t.ClientID < 0 || t.ClientID >= n {
-			return &checkpoint.FormatError{Reason: fmt.Sprintf("in-flight task for client %d, population has %d", t.ClientID, n)}
+	for _, t := range el.tasks {
+		if t.clientID < 0 || t.clientID >= n {
+			return &checkpoint.FormatError{Reason: fmt.Sprintf("in-flight task for client %d, population has %d", t.clientID, n)}
+		}
+		if t.tech < 0 || int(t.tech) >= opt.NumTechniques {
+			return &checkpoint.FormatError{Reason: fmt.Sprintf("in-flight task with unknown technique %d", int(t.tech))}
 		}
 	}
 
-	if err := r.p.RestoreDrainLogs(snap.Population); err != nil {
+	if err := r.p.RestoreDrainLogs(pop); err != nil {
 		return err
 	}
 	if err := r.global.SetParameters(params); err != nil {
 		return err
 	}
-	if err := r.res.Ledger.RestoreCheckpoint(snap.Ledger); err != nil {
+	if err := r.res.Ledger.RestoreCheckpoint(ledger); err != nil {
 		return err
 	}
-	r.done, r.now = snap.Completed, snap.Wall
-	r.res.GlobalAccHistory, r.res.EvalRounds = snap.AccHistory, snap.EvalRounds
-	for id, v := range snap.HFDiff {
-		r.hfDiff[id] = v
-	}
-	if err := restoreStateful(r.sel, snap.Selector, "selector"); err != nil {
+	r.done, r.now = completed, wall
+	r.res.GlobalAccHistory, r.res.EvalRounds = accHistory, evalRounds
+	r.hfDiff = hfDiff
+	if err := restoreStateful(r.sel, selBlob, "selector"); err != nil {
 		return err
 	}
-	if err := restoreStateful(r.ctrl, snap.Controller, "controller"); err != nil {
+	if err := restoreStateful(r.ctrl, ctrlBlob, "controller"); err != nil {
 		return err
 	}
 	if r.async() {
-		r.restoreEventLoop(snap, versions)
+		r.restoreEventLoop(el)
 	}
-	r.p.RestoreResidency(snap.Population)
-	if r.cfg.Metrics != nil && snap.Obs != nil {
-		if err := r.cfg.Metrics.RestoreSnapshot(*snap.Obs); err != nil {
+	r.p.RestoreResidency(pop)
+	if r.cfg.Metrics != nil && reg != nil {
+		if err := r.cfg.Metrics.RestoreSnapshot(*reg); err != nil {
 			return err
 		}
 	}
-	if r.cfg.Timeline != nil && len(snap.Timeline) > 0 {
-		if err := r.cfg.Timeline.RestoreCheckpoint(snap.Timeline); err != nil {
+	if r.cfg.Timeline != nil && len(timeline) > 0 {
+		if err := r.cfg.Timeline.RestoreCheckpoint(timeline); err != nil {
 			return err
 		}
 	}
-	r.src.SeekTo(snap.Draws)
+	r.src.SeekTo(draws)
+	r.snapHint = len(data) + snapSlack
 	return nil
 }
 
@@ -400,23 +422,15 @@ func (r *run) RestoreCheckpoint(data []byte) error {
 // warms the unpinned LRU: Acquire passes transiently through the unpinned
 // list, so pinning into an already-warmed full cache would momentarily
 // overflow it and evict an entry the capture knew was resident.
-func (r *run) restoreEventLoop(snap asyncSnap, versions map[int]tensor.Vector) {
-	r.versions, r.version = versions, snap.Version
-	r.now, r.evalCountdown = snap.Now, snap.EvalCountdown
-	for _, t := range snap.Tasks {
-		c := r.p.AcquireClient(t.ClientID)
-		shard := r.p.AcquireShard(t.ClientID)
-		r.tasks = append(r.tasks, asyncTask{
-			clientID:     t.ClientID,
-			client:       c,
-			train:        shard.Train,
-			localTest:    shard.LocalTest,
-			startVersion: t.StartVersion,
-			finishAt:     t.FinishAt,
-			outcome:      t.Outcome,
-			tech:         t.Tech,
-		})
-		r.inFlight[t.ClientID] = true
+func (r *run) restoreEventLoop(el eventLoopSnap) {
+	r.versions, r.version, r.evalCountdown = el.versions, el.version, el.evalCountdown
+	r.tasks = el.tasks
+	for i := range r.tasks {
+		t := &r.tasks[i]
+		t.client = r.p.AcquireClient(t.clientID)
+		shard := r.p.AcquireShard(t.clientID)
+		t.train, t.localTest = shard.Train, shard.LocalTest
+		r.inFlight[t.clientID] = true
 	}
 	heap.Init(&r.tasks)
 }

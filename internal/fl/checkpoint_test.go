@@ -67,7 +67,7 @@ func (c *ckptCtrl) RestoreCheckpoint(data []byte) error {
 
 // ckptPop builds a fresh population — lazy (tiny cache, constant
 // eviction) or eager (materialized from the same universe).
-func ckptPop(t *testing.T, clients int, lazy bool) *population.Population {
+func ckptPop(t testing.TB, clients int, lazy bool) *population.Population {
 	t.Helper()
 	if lazy {
 		p, err := population.NewLazy(lazyPopConfig(clients))
@@ -410,14 +410,17 @@ func TestCompletedRoundsReported(t *testing.T) {
 
 // TestSnapshotDigestPinned pins the snapshot *format*: the SHA-256 of the
 // Sink blob a tiny sync (eager, Oort) and a tiny async run emit at their
-// third boundary, with registry and timeline attached, recorded at commit
-// 4bb187b (before the run-struct refactor). The resume tests only prove a
-// build agrees with itself; this fails when a field is renamed, reordered,
-// dropped or re-encoded — i.e. when older snapshots would stop resuming.
+// third boundary, with registry and timeline attached. Re-recorded in the
+// commit that follows e8eb0c7 (PR 21), which moved every payload from
+// JSON(+base64) to checkpoint.Enc sections under container version 2 —
+// the one deliberate break: version 1 blobs are now a *VersionError, not a
+// digest mismatch. The resume tests only prove a build agrees with itself;
+// this fails when a field is renamed, reordered, dropped or re-encoded —
+// i.e. when older snapshots would stop resuming.
 func TestSnapshotDigestPinned(t *testing.T) {
 	for engine, want := range map[string]string{
-		"sync-oort": "33497e584b223a857945f8dea0cd694bf930158f7dd21a4187ec9357f83de182",
-		"async":     "74d88e60d13497a74ccfe5b0441414af6eb2c79841e4216de4807afb587c31ee",
+		"sync-oort": "ce83f62932691f592196a6afa957804fc87193135b86dda9e7f15d772c7db9d5",
+		"async":     "6fb42373cdd72b3d67ebebc34340a6edfd52b7ca7a70c48dd5b7b74df4e98b75",
 	} {
 		var snap []byte
 		runCkpt(t, engine, 32, 3, false, &CheckpointConfig{

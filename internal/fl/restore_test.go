@@ -1,0 +1,111 @@
+package fl
+
+import (
+	"runtime"
+	"testing"
+
+	"floatfl/internal/checkpoint"
+	"floatfl/internal/checkpoint/statefultests"
+	"floatfl/internal/obs"
+	"floatfl/internal/selection"
+)
+
+// freshRun builds an engine run the way RunSyncPop / RunAsyncPop do, with
+// registry and timeline attached, on a fresh population.
+func freshRun(t testing.TB, engine string, lazy bool) *run {
+	t.Helper()
+	p := ckptPop(t, 32, lazy)
+	cfg := ckptConfig(engine, 6)
+	cfg.Metrics = obs.NewRegistry()
+	if lazy {
+		p.Instrument(cfg.Metrics)
+	}
+	cfg.Timeline = obs.NewTimeline(cfg.Metrics, 64)
+	kind, sel := SyncSnapshotKind, selection.Selector(selection.NewOort(selection.OortConfig{Seed: 7}))
+	if engine == "async" {
+		kind, sel = AsyncSnapshotKind, nil
+	}
+	r, err := newRun(kind, p, sel, newCkptCtrl(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// advance steps a run to its third boundary.
+func advance(t testing.TB, r *run) {
+	t.Helper()
+	step := r.syncRound
+	if r.async() {
+		step = r.asyncStep
+	}
+	for r.done < 3 {
+		if _, err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestEngineSnapshotConformance runs the checkpoint.Stateful suite over
+// both engine kinds through the run's own CheckpointState /
+// RestoreCheckpoint, on an eager and on a lazy (evicting) population.
+func TestEngineSnapshotConformance(t *testing.T) {
+	for _, engine := range []string{"sync-oort", "async"} {
+		for _, lazy := range []bool{false, true} {
+			name := engine + "/eager"
+			if lazy {
+				name = engine + "/lazy"
+			}
+			t.Run(name, func(t *testing.T) {
+				statefultests.Run(t, statefultests.Subject{
+					Framed: true,
+					Fresh:  func(t *testing.T) checkpoint.Stateful { return freshRun(t, engine, lazy) },
+					Drive:  func(t *testing.T, s checkpoint.Stateful) { advance(t, s.(*run)) },
+				})
+			})
+		}
+	}
+}
+
+// FuzzEngineRestore fuzzes the payload decoder, not the checksum: the
+// seeds are a real sync and a real async snapshot's payload, and every
+// mutated payload is re-framed with a correct length and SHA-256 before it
+// is restored into a fresh run. The contract: no panic; success or one of
+// the checkpoint package's typed errors; and memory bounded by a small
+// multiple of the payload — no declared count is trusted.
+func FuzzEngineRestore(f *testing.F) {
+	for _, engine := range []string{"sync-oort", "async"} {
+		r := freshRun(f, engine, false)
+		advance(f, r)
+		blob, err := r.CheckpointState()
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload, err := checkpoint.DecodeBytes(blob, r.kind)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(r.async(), payload)
+	}
+	f.Fuzz(func(t *testing.T, async bool, payload []byte) {
+		engine := "sync-oort"
+		if async {
+			engine = "async"
+		}
+		r := freshRun(t, engine, false)
+		frame, err := checkpoint.EncodeBytes(r.kind, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = r.RestoreCheckpoint(frame)
+		runtime.ReadMemStats(&after)
+		if err != nil && !statefultests.Typed(err) {
+			t.Fatalf("untyped restore error: %v", err)
+		}
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(32*len(payload)+1<<20); grew > bound {
+			t.Fatalf("restoring a %d-byte payload allocated %d bytes (bound %d)", len(payload), grew, bound)
+		}
+	})
+}

@@ -44,6 +44,9 @@ type run struct {
 	hfDiff map[int]float64
 	done   int     // completed rounds (sync) or aggregations (async)
 	now    float64 // virtual simulation clock, seconds
+	// snapHint sizes the next snapshot's buffer: the last snapshot written
+	// (or resumed from) plus snapSlack.
+	snapHint int
 
 	// Reusable per-worker training contexts and per-slot delta buffers
 	// (grown once, then steady-state client rounds allocate nothing) and the

@@ -3,7 +3,9 @@ package metrics
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
+	"floatfl/internal/checkpoint"
 	"floatfl/internal/device"
 	"floatfl/internal/opt"
 )
@@ -11,8 +13,8 @@ import (
 // IDCount is one (client ID, count) pair of a sparse tally's serialized
 // form.
 type IDCount struct {
-	ID int `json:"id"`
-	N  int `json:"n"`
+	ID int
+	N  int
 }
 
 // Export returns the nonzero counts as (id, count) pairs in the same
@@ -53,69 +55,116 @@ func (s *ShardedCounts) Restore(items []IDCount) {
 	}
 }
 
-// LedgerState is a ledger's complete serializable state. The int-typed
-// enum keys (device.DropReason, opt.Technique) round-trip through JSON as
-// quoted integers, keeping the format free of string parsing.
+// LedgerState is a ledger's decoded checkpoint section: what
+// DecodeLedgerState read, held until RestoreCheckpoint has validated it
+// against the live ledger.
 type LedgerState struct {
-	Clients         int                       `json:"clients"`
-	Sparse          bool                      `json:"sparse"`
-	Selected        []int                     `json:"selected,omitempty"`
-	Completed       []int                     `json:"completed,omitempty"`
-	SelectedSparse  []IDCount                 `json:"selected_sparse,omitempty"`
-	CompletedSparse []IDCount                 `json:"completed_sparse,omitempty"`
-	DropsByReason   map[device.DropReason]int `json:"drops_by_reason,omitempty"`
-	TotalDrops      int                       `json:"total_drops"`
-	TotalRounds     int                       `json:"total_rounds"`
-	TechSuccess     map[opt.Technique]int     `json:"tech_success,omitempty"`
-	TechFailure     map[opt.Technique]int     `json:"tech_failure,omitempty"`
-	Discarded       int                       `json:"discarded"`
-	Wasted          Inefficiency              `json:"wasted"`
-	Useful          Inefficiency              `json:"useful"`
-	WallClock       float64                   `json:"wall_clock_seconds"`
+	Clients         int
+	Sparse          bool
+	Selected        []int
+	Completed       []int
+	SelectedSparse  []IDCount
+	CompletedSparse []IDCount
+	DropsByReason   map[device.DropReason]int
+	TotalDrops      int
+	TotalRounds     int
+	TechSuccess     map[opt.Technique]int
+	TechFailure     map[opt.Technique]int
+	Discarded       int
+	Wasted          Inefficiency
+	Useful          Inefficiency
+	WallClock       float64
 }
 
-// CheckpointState captures the ledger. All containers are deep-copied, so
-// the state stays valid while the live ledger keeps accumulating.
-func (l *Ledger) CheckpointState() *LedgerState {
-	st := &LedgerState{
-		Clients:       l.clients,
-		Sparse:        l.Sparse(),
-		DropsByReason: copyMap(l.DropsByReason),
-		TotalDrops:    l.TotalDrops,
-		TotalRounds:   l.TotalRounds,
-		TechSuccess:   copyMap(l.TechSuccess),
-		TechFailure:   copyMap(l.TechFailure),
-		Discarded:     l.Discarded,
-		Wasted:        l.Wasted,
-		Useful:        l.Useful,
-		WallClock:     l.WallClockSeconds,
-	}
+// AppendCheckpoint writes the ledger as one checkpoint section, straight
+// from the live tallies: population size, the sparse flag, the selected
+// and completed tallies (dense: two counted int runs; sparse: two counted
+// runs of (id, count) in Export order), then the categorical tallies in
+// key order, the scalar totals and the two inefficiency triples.
+func (l *Ledger) AppendCheckpoint(e *checkpoint.Enc) {
+	e.Int(l.clients)
+	e.Bool(l.Sparse())
 	if l.Sparse() {
-		st.SelectedSparse = l.selectedS.Export()
-		st.CompletedSparse = l.completedS.Export()
+		for _, s := range []*ShardedCounts{l.selectedS, l.completedS} {
+			items := s.Export()
+			e.Uvarint(uint64(len(items)))
+			for _, it := range items {
+				e.Int(it.ID)
+				e.Int(it.N)
+			}
+		}
 	} else {
-		st.Selected = append([]int(nil), l.Selected...)
-		st.Completed = append([]int(nil), l.Completed...)
+		e.Ints(l.Selected)
+		e.Ints(l.Completed)
 	}
+	e.IntsByID(intKeyed[device.DropReason, int](l.DropsByReason))
+	e.Int(l.TotalDrops)
+	e.Int(l.TotalRounds)
+	e.IntsByID(intKeyed[opt.Technique, int](l.TechSuccess))
+	e.IntsByID(intKeyed[opt.Technique, int](l.TechFailure))
+	e.Int(l.Discarded)
+	for _, in := range []Inefficiency{l.Wasted, l.Useful} {
+		e.Float64(in.ComputeHours)
+		e.Float64(in.CommHours)
+		e.Float64(in.MemoryTB)
+	}
+	e.Float64(l.WallClockSeconds)
+}
+
+// DecodeLedgerState reads what AppendCheckpoint wrote; a malformed section
+// latches d's error.
+func DecodeLedgerState(d *checkpoint.Dec) *LedgerState {
+	st := &LedgerState{Clients: d.Int(), Sparse: d.Bool()}
+	if st.Sparse {
+		for _, dst := range []*[]IDCount{&st.SelectedSparse, &st.CompletedSparse} {
+			items := make([]IDCount, d.Count(2))
+			for i := range items {
+				items[i] = IDCount{ID: d.Int(), N: d.Int()}
+			}
+			*dst = items
+		}
+	} else {
+		st.Selected, st.Completed = d.Ints(), d.Ints()
+	}
+	st.DropsByReason = intKeyed[int, device.DropReason](d.IntsByID())
+	st.TotalDrops, st.TotalRounds = d.Int(), d.Int()
+	st.TechSuccess = intKeyed[int, opt.Technique](d.IntsByID())
+	st.TechFailure = intKeyed[int, opt.Technique](d.IntsByID())
+	st.Discarded = d.Int()
+	for _, in := range []*Inefficiency{&st.Wasted, &st.Useful} {
+		*in = Inefficiency{ComputeHours: d.Float64(), CommHours: d.Float64(), MemoryTB: d.Float64()}
+	}
+	st.WallClock = d.Float64()
 	return st
 }
 
-// RestoreCheckpoint replaces the ledger's state with a captured one. The
-// ledger must have been constructed for the same population size and
-// sparseness; on error nothing is modified.
-func (l *Ledger) RestoreCheckpoint(st *LedgerState) error {
-	if st == nil {
-		return fmt.Errorf("metrics: nil ledger state")
+// intKeyed re-keys an enum tally map to or from the plain int keys the
+// section encoding uses.
+func intKeyed[From, To ~int](m map[From]int) map[To]int {
+	out := make(map[To]int, len(m))
+	for k, v := range m {
+		out[To(k)] = v
 	}
+	return out
+}
+
+// RestoreCheckpoint replaces the ledger's state with a decoded one, which
+// the ledger takes ownership of. The ledger must have been constructed for
+// the same population size and sparseness; on error (a
+// *checkpoint.CompatError) nothing is modified.
+func (l *Ledger) RestoreCheckpoint(st *LedgerState) error {
 	if st.Clients != l.clients {
-		return fmt.Errorf("metrics: ledger state for %d clients, ledger has %d", st.Clients, l.clients)
+		return &checkpoint.CompatError{Field: "ledger clients",
+			Got: strconv.Itoa(st.Clients), Want: strconv.Itoa(l.clients)}
 	}
 	if st.Sparse != l.Sparse() {
-		return fmt.Errorf("metrics: ledger state sparse=%v, ledger sparse=%v", st.Sparse, l.Sparse())
+		return &checkpoint.CompatError{Field: "ledger sparse",
+			Got: strconv.FormatBool(st.Sparse), Want: strconv.FormatBool(l.Sparse())}
 	}
 	if !st.Sparse && (len(st.Selected) != l.clients || len(st.Completed) != l.clients) {
-		return fmt.Errorf("metrics: dense ledger state has %d/%d tallies, want %d",
-			len(st.Selected), len(st.Completed), l.clients)
+		return &checkpoint.CompatError{Field: "dense ledger tallies",
+			Got:  fmt.Sprintf("%d/%d", len(st.Selected), len(st.Completed)),
+			Want: strconv.Itoa(l.clients)}
 	}
 	if st.Sparse {
 		l.selectedS.Restore(st.SelectedSparse)
@@ -124,18 +173,9 @@ func (l *Ledger) RestoreCheckpoint(st *LedgerState) error {
 		copy(l.Selected, st.Selected)
 		copy(l.Completed, st.Completed)
 	}
-	l.DropsByReason = copyMap(st.DropsByReason)
-	if l.DropsByReason == nil {
-		l.DropsByReason = make(map[device.DropReason]int)
-	}
-	l.TechSuccess = copyMap(st.TechSuccess)
-	if l.TechSuccess == nil {
-		l.TechSuccess = make(map[opt.Technique]int)
-	}
-	l.TechFailure = copyMap(st.TechFailure)
-	if l.TechFailure == nil {
-		l.TechFailure = make(map[opt.Technique]int)
-	}
+	l.DropsByReason = st.DropsByReason
+	l.TechSuccess = st.TechSuccess
+	l.TechFailure = st.TechFailure
 	l.TotalDrops = st.TotalDrops
 	l.TotalRounds = st.TotalRounds
 	l.Discarded = st.Discarded
@@ -143,16 +183,4 @@ func (l *Ledger) RestoreCheckpoint(st *LedgerState) error {
 	l.Useful = st.Useful
 	l.WallClockSeconds = st.WallClock
 	return nil
-}
-
-// copyMap shallow-copies an enum-keyed tally map (nil in, nil out).
-func copyMap[K comparable](m map[K]int) map[K]int {
-	if m == nil {
-		return nil
-	}
-	out := make(map[K]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

@@ -1,12 +1,32 @@
 package metrics
 
 import (
-	"encoding/json"
+	"bytes"
+	"errors"
 	"testing"
 
+	"floatfl/internal/checkpoint"
 	"floatfl/internal/device"
 	"floatfl/internal/opt"
 )
+
+// section encodes a ledger's checkpoint section.
+func section(l *Ledger) []byte {
+	e := checkpoint.NewEnc(0)
+	l.AppendCheckpoint(e)
+	return e.Bytes()
+}
+
+// decode reads a section back, requiring it to be exactly one ledger.
+func decode(t *testing.T, blob []byte) *LedgerState {
+	t.Helper()
+	d := checkpoint.NewDec(blob)
+	st := DecodeLedgerState(d)
+	if err := d.Done(); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return st
+}
 
 // exercise drives a ledger through a representative mix of outcomes.
 func exercise(l *Ledger) {
@@ -26,8 +46,9 @@ func aggregates(l *Ledger) [6]float64 {
 	}
 }
 
-// TestLedgerCheckpointRoundTrip proves state → JSON → restore reproduces
-// every tally and aggregate exactly, in both dense and sparse modes.
+// TestLedgerCheckpointRoundTrip proves state → section → restore
+// reproduces every tally and aggregate exactly, in both dense and sparse
+// modes, and that the restored ledger re-encodes to the same bytes.
 func TestLedgerCheckpointRoundTrip(t *testing.T) {
 	for _, sparse := range []bool{false, true} {
 		mk := NewLedger
@@ -36,17 +57,13 @@ func TestLedgerCheckpointRoundTrip(t *testing.T) {
 		}
 		src := mk(200)
 		exercise(src)
-		blob, err := json.Marshal(src.CheckpointState())
-		if err != nil {
-			t.Fatalf("sparse=%v: marshal: %v", sparse, err)
-		}
-		var st LedgerState
-		if err := json.Unmarshal(blob, &st); err != nil {
-			t.Fatalf("sparse=%v: unmarshal: %v", sparse, err)
-		}
+		blob := section(src)
 		dst := mk(200)
-		if err := dst.RestoreCheckpoint(&st); err != nil {
+		if err := dst.RestoreCheckpoint(decode(t, blob)); err != nil {
 			t.Fatalf("sparse=%v: restore: %v", sparse, err)
+		}
+		if !bytes.Equal(section(dst), blob) {
+			t.Fatalf("sparse=%v: restore → section is not a byte fixed point", sparse)
 		}
 		if aggregates(dst) != aggregates(src) {
 			t.Fatalf("sparse=%v: aggregates diverge: %v vs %v", sparse, aggregates(dst), aggregates(src))
@@ -69,16 +86,30 @@ func TestLedgerCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLedgerRestoreRejectsMismatch pins the compat checks.
+// TestLedgerRestoreRejectsMismatch pins the compat checks: typed, and the
+// refused ledger is untouched.
 func TestLedgerRestoreRejectsMismatch(t *testing.T) {
 	src := NewLedger(10)
 	exercise(src)
-	st := src.CheckpointState()
-	if err := NewLedger(11).RestoreCheckpoint(st); err == nil {
-		t.Fatal("restore into a different population size succeeded")
+	blob := section(src)
+	var ce *checkpoint.CompatError
+	for name, dst := range map[string]*Ledger{"different population size": NewLedger(11), "sparse ledger": NewSparseLedger(10)} {
+		before := section(dst)
+		if err := dst.RestoreCheckpoint(decode(t, blob)); !errors.As(err, &ce) {
+			t.Fatalf("restore of a dense 10-client state into a %s: got %v, want CompatError", name, err)
+		}
+		if !bytes.Equal(section(dst), before) {
+			t.Fatalf("%s: rejected restore mutated the ledger", name)
+		}
 	}
-	if err := NewSparseLedger(10).RestoreCheckpoint(st); err == nil {
-		t.Fatal("restore of a dense state into a sparse ledger succeeded")
+	// Every strict prefix of a section is a latched format error.
+	for n := 0; n < len(blob); n++ {
+		d := checkpoint.NewDec(blob[:n])
+		DecodeLedgerState(d)
+		var fe *checkpoint.FormatError
+		if err := d.Done(); !errors.As(err, &fe) {
+			t.Fatalf("prefix %d/%d: got %v, want FormatError", n, len(blob), err)
+		}
 	}
 }
 

@@ -5,7 +5,61 @@ import (
 	"math"
 	"strconv"
 	"sync/atomic"
+
+	"floatfl/internal/checkpoint"
 )
+
+// AppendTo writes the snapshot as one checkpoint section: counters
+// (count, then name and value of each), gauges likewise, histograms
+// (name, count, sum, then the bucket count and each bucket's bound string
+// and cumulative count).
+func (s Snapshot) AppendTo(e *checkpoint.Enc) {
+	e.Uvarint(uint64(len(s.Counters)))
+	for _, c := range s.Counters {
+		e.String(c.Name)
+		e.Int64(c.Value)
+	}
+	e.Uvarint(uint64(len(s.Gauges)))
+	for _, g := range s.Gauges {
+		e.String(g.Name)
+		e.Float64(g.Value)
+	}
+	e.Uvarint(uint64(len(s.Histograms)))
+	for _, h := range s.Histograms {
+		e.String(h.Name)
+		e.Int64(h.Count)
+		e.Float64(h.Sum)
+		e.Uvarint(uint64(len(h.Buckets)))
+		for _, b := range h.Buckets {
+			e.String(b.LE)
+			e.Int64(b.Count)
+		}
+	}
+}
+
+// DecodeSnapshot reads what AppendTo wrote. A malformed section latches
+// d's error and yields a partial Snapshot the caller must discard.
+func DecodeSnapshot(d *checkpoint.Dec) Snapshot {
+	var s Snapshot
+	s.Counters = make([]CounterSnapshot, d.Count(2))
+	for i := range s.Counters {
+		s.Counters[i] = CounterSnapshot{Name: d.String(), Value: d.Int64()}
+	}
+	s.Gauges = make([]GaugeSnapshot, d.Count(1+8))
+	for i := range s.Gauges {
+		s.Gauges[i] = GaugeSnapshot{Name: d.String(), Value: d.Float64()}
+	}
+	s.Histograms = make([]HistogramSnapshot, d.Count(1+1+8+1))
+	for i := range s.Histograms {
+		h := HistogramSnapshot{Name: d.String(), Count: d.Int64(), Sum: d.Float64()}
+		h.Buckets = make([]Bucket, d.Count(2))
+		for j := range h.Buckets {
+			h.Buckets[j] = Bucket{LE: d.String(), Count: d.Int64()}
+		}
+		s.Histograms[i] = h
+	}
+	return s
+}
 
 // RestoreSnapshot overwrites the registry's state with a previously
 // captured Snapshot, so a resumed run's exposition continues byte-for-byte
@@ -20,8 +74,10 @@ import (
 // that rebuilding produced. Existing handles stay valid: values are stored
 // through the registered objects, never by replacing them.
 //
-// The snapshot is validated before any metric is touched; on error the
-// registry is unchanged.
+// The snapshot is validated before any metric is touched; on error — a
+// *checkpoint.FormatError for a malformed snapshot, a
+// *checkpoint.CompatError for one that clashes with what is registered —
+// the registry is unchanged.
 func (r *Registry) RestoreSnapshot(s Snapshot) error {
 	if r == nil {
 		return nil
@@ -31,13 +87,14 @@ func (r *Registry) RestoreSnapshot(s Snapshot) error {
 
 	// Validation pass: kind clashes and malformed histograms must surface
 	// before the first write, so a bad snapshot cannot half-apply.
+	seen := make(map[string]bool, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
 	for _, c := range s.Counters {
-		if err := r.restorableLocked(c.Name, "counter"); err != nil {
+		if err := r.restorableLocked(c.Name, "counter", seen); err != nil {
 			return err
 		}
 	}
 	for _, g := range s.Gauges {
-		if err := r.restorableLocked(g.Name, "gauge"); err != nil {
+		if err := r.restorableLocked(g.Name, "gauge", seen); err != nil {
 			return err
 		}
 	}
@@ -48,17 +105,17 @@ func (r *Registry) RestoreSnapshot(s Snapshot) error {
 	}
 	plans := make([]histPlan, 0, len(s.Histograms))
 	for _, hs := range s.Histograms {
-		if err := r.restorableLocked(hs.Name, "histogram"); err != nil {
+		if err := r.restorableLocked(hs.Name, "histogram", seen); err != nil {
 			return err
 		}
 		plan := histPlan{snap: hs}
 		if len(hs.Buckets) == 0 || hs.Buckets[len(hs.Buckets)-1].LE != "+Inf" {
-			return fmt.Errorf("obs: restore: histogram %q buckets must end with +Inf", hs.Name)
+			return &checkpoint.FormatError{Reason: fmt.Sprintf("metrics: histogram %q buckets must end with +Inf", hs.Name)}
 		}
 		prev := int64(0)
 		for i, b := range hs.Buckets {
 			if b.Count < prev {
-				return fmt.Errorf("obs: restore: histogram %q bucket %d count decreases", hs.Name, i)
+				return &checkpoint.FormatError{Reason: fmt.Sprintf("metrics: histogram %q bucket %d count decreases", hs.Name, i)}
 			}
 			plan.perBkt = append(plan.perBkt, b.Count-prev)
 			prev = b.Count
@@ -67,19 +124,22 @@ func (r *Registry) RestoreSnapshot(s Snapshot) error {
 			}
 			bound, err := strconv.ParseFloat(b.LE, 64)
 			if err != nil {
-				return fmt.Errorf("obs: restore: histogram %q bucket bound %q: %v", hs.Name, b.LE, err)
+				return &checkpoint.FormatError{Reason: fmt.Sprintf("metrics: histogram %q bucket bound %q: %v", hs.Name, b.LE, err)}
+			}
+			if math.IsNaN(bound) || math.IsInf(bound, 0) || (i > 0 && bound <= plan.bounds[i-1]) {
+				return &checkpoint.FormatError{Reason: fmt.Sprintf("metrics: histogram %q bounds must be finite and strictly increasing", hs.Name)}
 			}
 			plan.bounds = append(plan.bounds, bound)
 		}
 		if h, ok := r.histograms[hs.Name]; ok {
 			if len(h.counts) != len(hs.Buckets) {
-				return fmt.Errorf("obs: restore: histogram %q has %d buckets registered, snapshot has %d",
-					hs.Name, len(h.counts), len(hs.Buckets))
+				return &checkpoint.CompatError{Field: "metric " + hs.Name + " bucket count",
+					Got: strconv.Itoa(len(hs.Buckets)), Want: strconv.Itoa(len(h.counts))}
 			}
 			for i := range plan.bounds {
 				if formatFloat(h.bounds[i]) != hs.Buckets[i].LE {
-					return fmt.Errorf("obs: restore: histogram %q bucket %d bound is %s registered vs %s in snapshot",
-						hs.Name, i, formatFloat(h.bounds[i]), hs.Buckets[i].LE)
+					return &checkpoint.CompatError{Field: fmt.Sprintf("metric %s bucket %d bound", hs.Name, i),
+						Got: hs.Buckets[i].LE, Want: formatFloat(h.bounds[i])}
 				}
 			}
 		}
@@ -139,19 +199,23 @@ func (r *Registry) RestoreSnapshot(s Snapshot) error {
 
 // restorableLocked reports whether name can be restored as kind — the
 // error-returning analog of checkNameLocked (restore handles untrusted
-// files, so clashes must not panic).
-func (r *Registry) restorableLocked(name, kind string) error {
-	if name == "" {
-		return fmt.Errorf("obs: restore: empty metric name")
+// files, so clashes must not panic). seen collects the snapshot's own
+// names: one that appears twice, under any kind, is malformed.
+func (r *Registry) restorableLocked(name, kind string, seen map[string]bool) error {
+	if name == "" || seen[name] {
+		return &checkpoint.FormatError{Reason: fmt.Sprintf("metrics: empty or repeated metric name %q", name)}
 	}
-	if _, ok := r.counters[name]; ok && kind != "counter" {
-		return fmt.Errorf("obs: restore: %q already registered as a counter, snapshot has a %s", name, kind)
+	seen[name] = true
+	registered := ""
+	if _, ok := r.counters[name]; ok {
+		registered = "counter"
+	} else if _, ok := r.gauges[name]; ok {
+		registered = "gauge"
+	} else if _, ok := r.histograms[name]; ok {
+		registered = "histogram"
 	}
-	if _, ok := r.gauges[name]; ok && kind != "gauge" {
-		return fmt.Errorf("obs: restore: %q already registered as a gauge, snapshot has a %s", name, kind)
-	}
-	if _, ok := r.histograms[name]; ok && kind != "histogram" {
-		return fmt.Errorf("obs: restore: %q already registered as a histogram, snapshot has a %s", name, kind)
+	if registered != "" && registered != kind {
+		return &checkpoint.CompatError{Field: "metric " + name + " kind", Got: kind, Want: registered}
 	}
 	return nil
 }

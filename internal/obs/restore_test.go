@@ -2,8 +2,12 @@ package obs
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"floatfl/internal/checkpoint"
 )
 
 // populate builds a registry with one of everything and some activity.
@@ -88,7 +92,9 @@ func TestRestoreOverwritesNoise(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsBadSnapshots pins the validate-before-write contract.
+// TestRestoreRejectsBadSnapshots pins the validate-before-write contract:
+// every refusal is one of the checkpoint package's typed errors (they were
+// bare fmt.Errorf values) and leaves the registry as it was.
 func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	dst := populate()
 	want := exposition(t, dst)
@@ -107,13 +113,51 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 		// Unparsable bound.
 		{Histograms: []HistogramSnapshot{{Name: "h", Count: 0, Buckets: []Bucket{
 			{LE: "wat", Count: 0}, {LE: "+Inf", Count: 0}}}}},
+		// Bounds that do not increase.
+		{Histograms: []HistogramSnapshot{{Name: "h", Count: 0, Buckets: []Bucket{
+			{LE: "2", Count: 0}, {LE: "1", Count: 0}, {LE: "+Inf", Count: 0}}}}},
+		// One name twice: the second histogram would be applied over the
+		// first one's (shorter) bucket array.
+		{Histograms: []HistogramSnapshot{
+			{Name: "h", Buckets: []Bucket{{LE: "+Inf", Count: 0}}},
+			{Name: "h", Buckets: []Bucket{{LE: "1", Count: 0}, {LE: "+Inf", Count: 0}}}}},
+		// One name under two kinds: the next registration would panic.
+		{Counters: []CounterSnapshot{{Name: "x", Value: 1}}, Gauges: []GaugeSnapshot{{Name: "x", Value: 1}}},
 	}
 	for i, snap := range cases {
-		if err := dst.RestoreSnapshot(snap); err == nil {
-			t.Fatalf("case %d: bad snapshot restored without error", i)
+		err := dst.RestoreSnapshot(snap)
+		var fe *checkpoint.FormatError
+		var ce *checkpoint.CompatError
+		if !errors.As(err, &fe) && !errors.As(err, &ce) {
+			t.Fatalf("case %d: got %v, want a FormatError or CompatError", i, err)
 		}
 		if got := exposition(t, dst); got != want {
 			t.Fatalf("case %d: failed restore mutated the registry\n--- got ---\n%s--- want ---\n%s", i, got, want)
+		}
+	}
+}
+
+// TestSnapshotSectionRoundTrip pins the registry's checkpoint section:
+// AppendTo → DecodeSnapshot reproduces the snapshot, and every strict
+// prefix latches a format error instead of yielding a short snapshot.
+func TestSnapshotSectionRoundTrip(t *testing.T) {
+	want := populate().Snapshot()
+	e := checkpoint.NewEnc(0)
+	want.AppendTo(e)
+	d := checkpoint.NewDec(e.Bytes())
+	got := DecodeSnapshot(d)
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded snapshot differs:\n got %+v\nwant %+v", got, want)
+	}
+	for n := 0; n < len(e.Bytes()); n++ {
+		d := checkpoint.NewDec(e.Bytes()[:n])
+		DecodeSnapshot(d)
+		var fe *checkpoint.FormatError
+		if err := d.Done(); !errors.As(err, &fe) {
+			t.Fatalf("prefix %d/%d: got %v, want FormatError", n, len(e.Bytes()), err)
 		}
 	}
 }

@@ -2,13 +2,18 @@ package obs
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"sort"
 	"sync"
+
+	"floatfl/internal/checkpoint"
 )
 
-// timelineSchema versions the timeline export and checkpoint payloads.
+// timelineSchema versions the timeline JSONL export.
 const timelineSchema = "floatfl-timeline/v1"
 
 // DefaultTimelineCapacity bounds the sample ring when the caller does not
@@ -63,12 +68,96 @@ type Timeline struct {
 	reg *Registry
 
 	capacity int
-	samples  []TimelineSample
-	// last is the carry-forward view: the absolute value of every series
-	// ever sampled, used to delta-compare the next sample.
-	last map[string]float64
+	// series interns every series name ever retained; last is the
+	// carry-forward view — the absolute value of each, by series index —
+	// that the next sample is delta-compared against.
+	series seriesTable
+	last   []float64
+	// samples is the ring, oldest first.
+	samples []sample
 	// dropped counts samples evicted (folded forward) by the ring bound.
 	dropped int
+}
+
+// sample is the ring's storage form of one observation: the changed
+// series as (series index, value) pairs in index order, already in their
+// checkpoint encoding — uvarint index, little-endian float64 bits — so a
+// snapshot copies them and only readers rebuild map[string]float64. A
+// sample's pairs are immutable once stored (folding builds a new slice).
+type sample struct {
+	round int
+	clock float64
+	pairs []byte
+}
+
+// seriesTable interns series names. A name gets the next index when a
+// sample first retains a value for it; names that first appear in the same
+// sample are numbered in name order, so the table is a function of the
+// sample stream alone.
+type seriesTable struct {
+	names []string
+	index map[string]int
+}
+
+func newSeriesTable(names []string) seriesTable {
+	st := seriesTable{names: names, index: make(map[string]int, len(names))}
+	for i, name := range names {
+		st.index[name] = i
+	}
+	return st
+}
+
+func (st *seriesTable) intern(name string) int {
+	i := len(st.names)
+	st.names = append(st.names, name)
+	st.index[name] = i
+	return i
+}
+
+func appendPair(b []byte, idx int, v float64) []byte {
+	b = binary.AppendUvarint(b, uint64(idx))
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+// nextPair splits the first pair off b. Stored pairs are well-formed by
+// construction (Sample wrote them, or RestoreCheckpoint validated them);
+// ok is false only for the validator's benefit.
+func nextPair(b []byte) (idx int, v float64, rest []byte, ok bool) {
+	u, n := binary.Uvarint(b)
+	if n <= 0 || len(b)-n < 8 || u > math.MaxInt32 {
+		return 0, 0, nil, false
+	}
+	return int(u), math.Float64frombits(binary.LittleEndian.Uint64(b[n:])), b[n+8:], true
+}
+
+// foldPairs merges an evicted sample's pairs into its successor's: the
+// union in index order, the successor's value winning where both have one.
+func foldPairs(evicted, next []byte) []byte {
+	out := make([]byte, 0, len(evicted)+len(next))
+	for len(evicted) > 0 && len(next) > 0 {
+		ei, ev, erest, _ := nextPair(evicted)
+		ni, nv, nrest, _ := nextPair(next)
+		switch {
+		case ei < ni:
+			out, evicted = appendPair(out, ei, ev), erest
+		case ei > ni:
+			out, next = appendPair(out, ni, nv), nrest
+		default:
+			out, evicted, next = appendPair(out, ni, nv), erest, nrest
+		}
+	}
+	return append(append(out, evicted...), next...)
+}
+
+// valuesLocked rebuilds the reader-facing form of one sample.
+func (t *Timeline) valuesLocked(pairs []byte) map[string]float64 {
+	vals := make(map[string]float64)
+	for len(pairs) > 0 {
+		idx, v, rest, _ := nextPair(pairs)
+		vals[t.series.names[idx]] = v
+		pairs = rest
+	}
+	return vals
 }
 
 // NewTimeline builds a timeline over reg (which may be nil — then only
@@ -81,7 +170,7 @@ func NewTimeline(reg *Registry, capacity int) *Timeline {
 	return &Timeline{
 		reg:      reg,
 		capacity: capacity,
-		last:     make(map[string]float64),
+		series:   newSeriesTable(nil),
 	}
 }
 
@@ -114,7 +203,9 @@ func (t *Timeline) Sample(round int, clock float64, extra ...SeriesValue) {
 	if t == nil {
 		return
 	}
-	cur := make(map[string]float64)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cur := make(map[string]float64, len(t.last))
 	if t.reg != nil {
 		flattenSnapshot(t.reg.Snapshot(), cur)
 	}
@@ -122,29 +213,41 @@ func (t *Timeline) Sample(round int, clock float64, extra ...SeriesValue) {
 		cur[sv.Name] = sv.Value
 	}
 
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	changed := make(map[string]float64)
+	// Interning happens here, once per retained value: changed series of
+	// known names by index, then first-seen names in name order (their
+	// indices all follow, so the pairs come out in index order).
+	var changed []int
+	var fresh []string
 	for name, v := range cur {
-		if prev, ok := t.last[name]; !ok || prev != v {
-			changed[name] = v
-			t.last[name] = v
+		idx, ok := t.series.index[name]
+		switch {
+		case !ok:
+			fresh = append(fresh, name)
+		case t.last[idx] != v:
+			t.last[idx] = v
+			changed = append(changed, idx)
 		}
 	}
-	t.samples = append(t.samples, TimelineSample{Round: round, Clock: clock, Values: changed})
+	sort.Ints(changed)
+	sort.Strings(fresh)
+	for _, name := range fresh {
+		changed = append(changed, t.series.intern(name))
+		t.last = append(t.last, cur[name])
+	}
+	pairs := make([]byte, 0, 10*len(changed))
+	for _, idx := range changed {
+		pairs = appendPair(pairs, idx, t.last[idx])
+	}
+	t.samples = append(t.samples, sample{round: round, clock: clock, pairs: pairs})
 	for len(t.samples) > t.capacity {
 		// Fold the evicted sample forward so the new oldest sample stays a
 		// complete snapshot: any series it does not override keeps the
-		// evicted sample's value.
-		evicted := t.samples[0]
-		next := t.samples[1]
-		for name, v := range evicted.Values {
-			if _, ok := next.Values[name]; !ok {
-				next.Values[name] = v
-			}
-		}
-		copy(t.samples, t.samples[1:])
-		t.samples = t.samples[:len(t.samples)-1]
+		// evicted sample's value. The ring slides along its backing array
+		// (append re-bases it once per capacity samples), so eviction is
+		// O(1) amortized rather than a shift of every retained sample.
+		t.samples[1].pairs = foldPairs(t.samples[0].pairs, t.samples[1].pairs)
+		t.samples[0] = sample{}
+		t.samples = t.samples[1:]
 		t.dropped++
 	}
 }
@@ -176,8 +279,8 @@ func (t *Timeline) Samples() []TimelineSample {
 
 // SamplesSince returns a deep copy of the retained samples with
 // Round > since — the incremental-read primitive behind
-// GET /v1/timeline?since=N. Values maps are copied so concurrent ring
-// folding can never mutate a response in flight. Note the returned slice
+// GET /v1/timeline?since=N. Values maps are built for the caller, so the
+// ring can never mutate a response in flight. Note the returned slice
 // is a ring suffix: its first sample carries only the series that changed
 // after `since`, so incremental readers must carry earlier values forward
 // themselves (which they have, from the previous read).
@@ -189,14 +292,10 @@ func (t *Timeline) SamplesSince(since int) []TimelineSample {
 	defer t.mu.Unlock()
 	out := make([]TimelineSample, 0, len(t.samples))
 	for _, s := range t.samples {
-		if s.Round <= since {
+		if s.round <= since {
 			continue
 		}
-		vals := make(map[string]float64, len(s.Values))
-		for name, v := range s.Values {
-			vals[name] = v
-		}
-		out = append(out, TimelineSample{Round: s.Round, Clock: s.Clock, Values: vals})
+		out = append(out, TimelineSample{Round: s.round, Clock: s.clock, Values: t.valuesLocked(s.pairs)})
 	}
 	return out
 }
@@ -212,7 +311,7 @@ func (t *Timeline) LatestRound() int {
 	if len(t.samples) == 0 {
 		return -1
 	}
-	return t.samples[len(t.samples)-1].Round
+	return t.samples[len(t.samples)-1].round
 }
 
 // WriteJSONL renders the timeline as one header line plus one sample per
@@ -225,17 +324,16 @@ func (t *Timeline) WriteJSONL(w io.Writer) error {
 	}
 	t.mu.Lock()
 	header := TimelineHeader{Schema: timelineSchema, Capacity: t.capacity, Dropped: t.dropped}
-	samples := t.samples
-	// Marshal under the lock: ring folds mutate retained Values maps.
-	lines := make([][]byte, 0, len(samples)+1)
+	// Marshal under the lock: the ring slides while the engine samples.
+	lines := make([][]byte, 0, len(t.samples)+1)
 	hb, err := json.Marshal(header)
 	if err != nil {
 		t.mu.Unlock()
 		return err
 	}
 	lines = append(lines, hb)
-	for _, s := range samples {
-		b, err := json.Marshal(s)
+	for _, s := range t.samples {
+		b, err := json.Marshal(TimelineSample{Round: s.round, Clock: s.clock, Values: t.valuesLocked(s.pairs)})
 		if err != nil {
 			t.mu.Unlock()
 			return err
@@ -295,67 +393,105 @@ func ReadTimeline(r io.Reader) (TimelineHeader, []TimelineSample, error) {
 	return header, samples, nil
 }
 
-// timelineState is the checkpoint payload: the complete ring plus the
-// carry-forward view, so a restored timeline delta-encodes its next
-// sample against exactly the state the snapshotted run saw.
-type timelineState struct {
-	Schema   string             `json:"schema"`
-	Capacity int                `json:"capacity"`
-	Dropped  int                `json:"dropped"`
-	Last     map[string]float64 `json:"last"`
-	Samples  []TimelineSample   `json:"samples"`
-}
-
-// CheckpointState implements checkpoint.Stateful.
+// CheckpointState implements checkpoint.Stateful. The payload is the
+// complete ring plus the carry-forward view, so a restored timeline
+// delta-encodes its next sample against exactly the state the snapshotted
+// run saw: capacity, dropped, the name table (count, then each name),
+// one carry-forward float64 per name, then the samples (count, then
+// round, clock and the length-prefixed pairs of each). The pairs are
+// copied as stored — a boundary costs O(bytes), not a re-walk of history.
 func (t *Timeline) CheckpointState() ([]byte, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return json.Marshal(timelineState{
-		Schema:   timelineSchema,
-		Capacity: t.capacity,
-		Dropped:  t.dropped,
-		Last:     t.last,
-		Samples:  t.samples,
-	})
+	size := 32 + 8*len(t.last)
+	for _, name := range t.series.names {
+		size += len(name) + 2
+	}
+	for _, s := range t.samples {
+		size += len(s.pairs) + 24
+	}
+	e := checkpoint.NewEnc(size)
+	e.Int(t.capacity)
+	e.Int(t.dropped)
+	e.Uvarint(uint64(len(t.series.names)))
+	for _, name := range t.series.names {
+		e.String(name)
+	}
+	for _, v := range t.last {
+		e.Float64(v)
+	}
+	e.Uvarint(uint64(len(t.samples)))
+	for _, s := range t.samples {
+		e.Int(s.round)
+		e.Float64(s.clock)
+		e.RawBytes(s.pairs)
+	}
+	return e.Bytes(), nil
 }
 
-// RestoreCheckpoint implements checkpoint.Stateful. The payload is
-// validated before any field is mutated; on error the timeline is
-// unchanged. The ring capacity is restored from the snapshot (it is part
-// of what makes the stitched export byte-identical to an uninterrupted
-// run).
+// RestoreCheckpoint implements checkpoint.Stateful. The payload is decoded
+// and validated before any field is mutated; on error (a
+// *checkpoint.FormatError) the timeline is unchanged. The ring capacity is
+// restored from the snapshot (it is part of what makes the stitched export
+// byte-identical to an uninterrupted run).
 func (t *Timeline) RestoreCheckpoint(data []byte) error {
-	var st timelineState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("obs: timeline restore: %w", err)
+	bad := func(format string, args ...any) error {
+		return &checkpoint.FormatError{Reason: "timeline state: " + fmt.Sprintf(format, args...)}
 	}
-	if st.Schema != timelineSchema {
-		return fmt.Errorf("obs: timeline restore: schema %q, want %q", st.Schema, timelineSchema)
+	d := checkpoint.NewDec(data)
+	capacity, dropped := d.Int(), d.Int()
+	names := make([]string, d.Count(1+8))
+	for i := range names {
+		names[i] = d.String()
 	}
-	if st.Capacity <= 0 {
-		return fmt.Errorf("obs: timeline restore: capacity %d must be positive", st.Capacity)
+	last := make([]float64, len(names))
+	for i := range last {
+		last[i] = d.Float64()
 	}
-	if len(st.Samples) > st.Capacity {
-		return fmt.Errorf("obs: timeline restore: %d samples exceed capacity %d", len(st.Samples), st.Capacity)
+	samples := make([]sample, d.Count(1+8+1))
+	pairBytes := 0
+	for i := range samples {
+		samples[i] = sample{round: d.Int(), clock: d.Float64(), pairs: d.RawBytes()}
+		pairBytes += len(samples[i].pairs)
 	}
-	for i := 1; i < len(st.Samples); i++ {
-		if st.Samples[i].Round <= st.Samples[i-1].Round {
-			return fmt.Errorf("obs: timeline restore: sample rounds not increasing at index %d", i)
+	if err := d.Done(); err != nil {
+		return bad("%v", err)
+	}
+	if capacity <= 0 || dropped < 0 {
+		return bad("capacity %d must be positive and dropped %d non-negative", capacity, dropped)
+	}
+	if len(samples) > capacity {
+		return bad("%d samples exceed capacity %d", len(samples), capacity)
+	}
+	series := newSeriesTable(names)
+	if len(series.index) != len(names) {
+		return bad("duplicate series name")
+	}
+	// The samples' pairs move into one arena of the timeline's own: the
+	// caller keeps ownership of data.
+	arena := make([]byte, 0, pairBytes)
+	for i := range samples {
+		if i > 0 && samples[i].round <= samples[i-1].round {
+			return bad("sample rounds not increasing at index %d", i)
 		}
-	}
-	if st.Last == nil {
-		st.Last = make(map[string]float64)
-	}
-	for i := range st.Samples {
-		if st.Samples[i].Values == nil {
-			st.Samples[i].Values = make(map[string]float64)
+		prev := -1
+		for p := samples[i].pairs; len(p) > 0; {
+			idx, _, rest, ok := nextPair(p)
+			if !ok || idx <= prev || idx >= len(names) {
+				return bad("sample %d: malformed series pairs", i)
+			}
+			prev, p = idx, rest
 		}
+		start := len(arena)
+		arena = append(arena, samples[i].pairs...)
+		samples[i].pairs = arena[start:len(arena):len(arena)]
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.capacity = st.Capacity
-	t.dropped = st.Dropped
-	t.last = st.Last
-	t.samples = st.Samples
+	t.capacity = capacity
+	t.dropped = dropped
+	t.series = series
+	t.last = last
+	t.samples = samples
 	return nil
 }

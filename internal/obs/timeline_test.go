@@ -3,9 +3,14 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+
+	"floatfl/internal/checkpoint"
 )
 
 // timelineFixture builds a registry with one of each instrument and a
@@ -157,7 +162,83 @@ func TestReadTimelineRejectsMalformedInput(t *testing.T) {
 	}
 }
 
-func TestTimelineCheckpointRoundTrip(t *testing.T) {
+// timelineState spells a timeline checkpoint section by hand, so the
+// restore validations can be fed states no timeline would write.
+type timelineState struct {
+	capacity, dropped int
+	names             []string
+	samples           []sample
+}
+
+func (st timelineState) encode() []byte {
+	e := checkpoint.NewEnc(0)
+	e.Int(st.capacity)
+	e.Int(st.dropped)
+	e.Uvarint(uint64(len(st.names)))
+	for _, name := range st.names {
+		e.String(name)
+	}
+	for range st.names {
+		e.Float64(0)
+	}
+	e.Uvarint(uint64(len(st.samples)))
+	for _, s := range st.samples {
+		e.Int(s.round)
+		e.Float64(s.clock)
+		e.RawBytes(s.pairs)
+	}
+	return e.Bytes()
+}
+
+// TestTimelineRestoreRejectsInvalidState feeds RestoreCheckpoint sections
+// that parse but cannot be a timeline's. Each is a *checkpoint.FormatError
+// (they were bare fmt.Errorf values) and none touches the timeline.
+func TestTimelineRestoreRejectsInvalidState(t *testing.T) {
+	_, tl, _, _, _ := timelineFixture(4)
+	tl.Sample(0, 0)
+	before, err := tl.CheckpointState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := func(idx int) []byte { return appendPair(nil, idx, 1) }
+	cases := map[string][]byte{
+		"not a section":   []byte("nope"),
+		"zero capacity":   timelineState{capacity: 0}.encode(),
+		"negative drops":  timelineState{capacity: 4, dropped: -1}.encode(),
+		"overfull":        timelineState{capacity: 1, samples: []sample{{round: 0}, {round: 1}}}.encode(),
+		"rounds not incr": timelineState{capacity: 4, samples: []sample{{round: 1}, {round: 1}}}.encode(),
+		"repeated name":   timelineState{capacity: 4, names: []string{"a", "a"}}.encode(),
+		"unknown series":  timelineState{capacity: 4, names: []string{"a"}, samples: []sample{{pairs: pair(1)}}}.encode(),
+		"pairs not incr":  timelineState{capacity: 4, names: []string{"a", "b"}, samples: []sample{{pairs: append(pair(1), pair(0)...)}}}.encode(),
+		"short pair":      timelineState{capacity: 4, names: []string{"a"}, samples: []sample{{pairs: pair(0)[:5]}}}.encode(),
+	}
+	for name, in := range cases {
+		var fe *checkpoint.FormatError
+		if err := tl.RestoreCheckpoint(in); !errors.As(err, &fe) {
+			t.Errorf("%s: got %v, want FormatError", name, err)
+		}
+	}
+	// The hand-spelled form is the real one: a well-formed state restores.
+	ok := timelineState{capacity: 4, names: []string{"a", "b"}, samples: []sample{{round: 3, pairs: append(pair(0), pair(1)...)}}}
+	if err := NewTimeline(nil, 9).RestoreCheckpoint(ok.encode()); err != nil {
+		t.Fatalf("well-formed state: %v", err)
+	}
+	// Validate-before-mutate: the failed restores left the timeline
+	// untouched.
+	after, err := tl.CheckpointState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("rejected restore mutated the timeline")
+	}
+}
+
+// TestTimelineRestoredRingKeepsSampling pins what the restored storage
+// must still do: a restored ring that is already full folds on the next
+// sample exactly as the original does, and an unchanged registry yields an
+// empty sample against the carried-forward view.
+func TestTimelineRestoredRingKeepsSampling(t *testing.T) {
 	regA, tlA, cA, gA, _ := timelineFixture(4)
 	for round := 0; round < 6; round++ { // overflow the ring on purpose
 		cA.Inc()
@@ -168,11 +249,18 @@ func TestTimelineCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	regB := NewRegistry()
 	tlB := NewTimeline(regB, 4)
 	if err := tlB.RestoreCheckpoint(state); err != nil {
 		t.Fatal(err)
+	}
+	if err := regB.RestoreSnapshot(regA.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	tlA.Sample(6, 6)
+	tlB.Sample(6, 6)
+	if s := tlB.Samples(); len(s[len(s)-1].Values) != 0 {
+		t.Fatalf("post-restore sample should be empty, got %v", s[len(s)-1].Values)
 	}
 	var a, b bytes.Buffer
 	if err := tlA.WriteJSONL(&a); err != nil {
@@ -182,49 +270,7 @@ func TestTimelineCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("restored export differs:\n%s\nvs\n%s", a.Bytes(), b.Bytes())
-	}
-
-	// The restored timeline keeps delta-encoding against the carried
-	// `last` view: an unchanged registry must produce an empty sample,
-	// exactly as the original would.
-	_ = regA
-	if err := regB.RestoreSnapshot(regA.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	tlB.Sample(6, 6)
-	if s := tlB.Samples(); len(s[len(s)-1].Values) != 0 {
-		t.Fatalf("post-restore sample should be empty, got %v", s[len(s)-1].Values)
-	}
-}
-
-func TestTimelineRestoreRejectsInvalidState(t *testing.T) {
-	_, tl, _, _, _ := timelineFixture(4)
-	tl.Sample(0, 0)
-	before, err := tl.CheckpointState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string]string{
-		"not json":        "nope",
-		"wrong schema":    `{"schema":"x","capacity":4,"dropped":0}`,
-		"zero capacity":   `{"schema":"floatfl-timeline/v1","capacity":0}`,
-		"overfull":        `{"schema":"floatfl-timeline/v1","capacity":1,"samples":[{"round":0,"clock":0},{"round":1,"clock":1}]}`,
-		"rounds not incr": `{"schema":"floatfl-timeline/v1","capacity":4,"samples":[{"round":1,"clock":0},{"round":1,"clock":1}]}`,
-	}
-	for name, in := range cases {
-		if err := tl.RestoreCheckpoint([]byte(in)); err == nil {
-			t.Errorf("%s: want error, got nil", name)
-		}
-	}
-	// Validate-before-mutate: the failed restores left the timeline
-	// untouched.
-	after, err := tl.CheckpointState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("rejected restore mutated the timeline")
+		t.Fatalf("export after one more sample differs:\n%s\nvs\n%s", a.Bytes(), b.Bytes())
 	}
 }
 
@@ -368,4 +414,55 @@ func TestMetricsFormatNegotiation(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || eb.Error == "" {
 		t.Fatalf("error body = %q (%v)", w.Body.String(), err)
 	}
+}
+
+// FuzzTimelineRestore feeds RestoreCheckpoint mutations of a real
+// timeline section (one that has folded): no panic, success or a typed
+// error, memory bounded by a small multiple of the input, a refused
+// section leaves the timeline untouched, and an accepted one is a state
+// the timeline can keep sampling, exporting and re-snapshotting from.
+func FuzzTimelineRestore(f *testing.F) {
+	_, src, c, g, h := timelineFixture(4)
+	for round := 0; round < 7; round++ {
+		c.Inc()
+		g.Set(float64(round / 3))
+		h.Observe(float64(round))
+		src.Sample(round, float64(round), SeriesValue{Name: "extra", Value: float64(round % 2)})
+	}
+	seed, err := src.CheckpointState()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(timelineState{capacity: 2}.encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, tl, c, _, _ := timelineFixture(8)
+		tl.Sample(0, 0)
+		before, _ := tl.CheckpointState()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := tl.RestoreCheckpoint(data)
+		runtime.ReadMemStats(&m1)
+		if grew, bound := m1.TotalAlloc-m0.TotalAlloc, uint64(64*len(data)+1<<16); grew > bound {
+			t.Fatalf("restoring %d bytes allocated %d (bound %d)", len(data), grew, bound)
+		}
+		if err != nil {
+			var fe *checkpoint.FormatError
+			if !errors.As(err, &fe) {
+				t.Fatalf("untyped restore error: %v", err)
+			}
+			if after, _ := tl.CheckpointState(); !bytes.Equal(before, after) {
+				t.Fatal("refused restore mutated the timeline")
+			}
+			return
+		}
+		if again, _ := tl.CheckpointState(); !bytes.Equal(again, data) {
+			t.Fatal("an accepted section does not re-snapshot to itself")
+		}
+		c.Inc()
+		tl.Sample(tl.LatestRound()+1, 1)
+		if err := tl.WriteJSONL(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

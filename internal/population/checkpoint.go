@@ -2,8 +2,8 @@ package population
 
 import (
 	"fmt"
-	"sort"
 
+	"floatfl/internal/checkpoint"
 	"floatfl/internal/device"
 	"floatfl/internal/trace"
 	"floatfl/internal/wset"
@@ -22,48 +22,82 @@ import (
 // to in-flight work, and the engine rebuilds them by re-acquiring the
 // clients its restored tasks reference.
 type State struct {
-	DrainLogs []ClientDrainLog `json:"drain_logs,omitempty"`
+	DrainLogs []ClientDrainLog
 	// ShardLRU / DevLRU hold the unpinned resident IDs of the two lazy
 	// caches in least-recently-used-first order (empty in eager mode).
-	ShardLRU []int `json:"shard_lru,omitempty"`
-	DevLRU   []int `json:"dev_lru,omitempty"`
+	ShardLRU []int
+	DevLRU   []int
 	// ShardStats / DevStats are the captured cache counters; they also
 	// re-baseline FlushObs's delta tracking on restore.
-	ShardStats wset.Stats `json:"shard_stats"`
-	DevStats   wset.Stats `json:"dev_stats"`
+	ShardStats wset.Stats
+	DevStats   wset.Stats
 }
 
 // ClientDrainLog pairs a client ID with its battery drain log.
 type ClientDrainLog struct {
-	Client int                `json:"client"`
-	Drains []trace.DrainEvent `json:"drains"`
+	Client int
+	Drains []trace.DrainEvent
 }
 
-// CheckpointState captures the population's state. Must be called from
-// the engines' single-threaded quiescent boundary.
-func (p *Population) CheckpointState() (*State, error) {
-	st := &State{}
+// AppendCheckpoint writes the population's state as one checkpoint
+// section: the drain logs in client-ID order (count; per client its ID, an
+// event count, then step and fraction of each event), the two LRU orders,
+// the two caches' counters. Must be called from the engines'
+// single-threaded quiescent boundary.
+func (p *Population) AppendCheckpoint(e *checkpoint.Enc) {
+	var logs []ClientDrainLog
+	var shardLRU, devLRU []int
+	var shardStats, devStats wset.Stats
 	if p.Eager() {
 		for id, c := range p.clients {
 			if log := c.Avail.DrainLog(); log != nil {
-				st.DrainLogs = append(st.DrainLogs, ClientDrainLog{Client: id, Drains: log})
+				logs = append(logs, ClientDrainLog{Client: id, Drains: log})
 			}
 		}
-		return st, nil
+	} else {
+		byID := p.drainState()
+		for _, id := range checkpoint.SortedKeys(byID) {
+			logs = append(logs, ClientDrainLog{Client: id, Drains: byID[id]})
+		}
+		shardLRU, devLRU = p.shards.UnpinnedKeys(), p.devs.UnpinnedKeys()
+		shardStats, devStats = p.Stats()
 	}
-	logs := p.drainState()
-	ids := make([]int, 0, len(logs))
-	for id := range logs {
-		ids = append(ids, id)
+	e.Uvarint(uint64(len(logs)))
+	for _, cl := range logs {
+		e.Int(cl.Client)
+		e.Uvarint(uint64(len(cl.Drains)))
+		for _, ev := range cl.Drains {
+			e.Int(ev.Step)
+			e.Float64(ev.Frac)
+		}
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		st.DrainLogs = append(st.DrainLogs, ClientDrainLog{Client: id, Drains: logs[id]})
+	e.Ints(shardLRU)
+	e.Ints(devLRU)
+	for _, cs := range []wset.Stats{shardStats, devStats} {
+		e.Int64(cs.Hits)
+		e.Int64(cs.Misses)
+		e.Int64(cs.Evictions)
+		e.Int(cs.Resident)
+		e.Int(cs.Peak)
 	}
-	st.ShardLRU = p.shards.UnpinnedKeys()
-	st.DevLRU = p.devs.UnpinnedKeys()
-	st.ShardStats, st.DevStats = p.Stats()
-	return st, nil
+}
+
+// DecodeState reads what AppendCheckpoint wrote; a malformed section
+// latches d's error.
+func DecodeState(d *checkpoint.Dec) *State {
+	st := &State{DrainLogs: make([]ClientDrainLog, d.Count(2))}
+	for i := range st.DrainLogs {
+		cl := ClientDrainLog{Client: d.Int(), Drains: make([]trace.DrainEvent, d.Count(1+8))}
+		for j := range cl.Drains {
+			cl.Drains[j] = trace.DrainEvent{Step: d.Int(), Frac: d.Float64()}
+		}
+		st.DrainLogs[i] = cl
+	}
+	st.ShardLRU, st.DevLRU = d.Ints(), d.Ints()
+	for _, cs := range []*wset.Stats{&st.ShardStats, &st.DevStats} {
+		*cs = wset.Stats{Hits: d.Int64(), Misses: d.Int64(), Evictions: d.Int64(), Resident: d.Int(), Peak: d.Int()}
+	}
+	return st
 }
 
 // drainState returns every drain log a lazy population knows about: the
@@ -90,36 +124,55 @@ func (p *Population) drainState() map[int][]trace.DrainEvent {
 // every future derivation replays them, which requires that none has
 // happened yet.
 //
+// The whole State is validated here, before anything is installed; a
+// rejected one (*checkpoint.FormatError, or *checkpoint.CompatError for a
+// population that is not fresh) leaves the population untouched.
+//
 // The engine then re-acquires any in-flight clients (rebuilding pinned
 // residency) before calling RestoreResidency.
 func (p *Population) RestoreDrainLogs(st *State) error {
-	if st == nil {
-		return fmt.Errorf("population: nil checkpoint state")
+	for i, cl := range st.DrainLogs {
+		if cl.Client < 0 || cl.Client >= p.n || (i > 0 && cl.Client <= st.DrainLogs[i-1].Client) {
+			return &checkpoint.FormatError{Reason: fmt.Sprintf(
+				"population: drain log for client %d out of order or outside a population of %d", cl.Client, p.n)}
+		}
 	}
-	for _, cl := range st.DrainLogs {
-		if cl.Client < 0 || cl.Client >= p.n {
-			return fmt.Errorf("population: drain log for client %d, population has %d", cl.Client, p.n)
+	for _, lru := range [][]int{st.ShardLRU, st.DevLRU} {
+		// An unpinned working set never exceeds its cache, and an eager
+		// population has none: RestoreResidency derives every listed client.
+		if p.Eager() && len(lru) > 0 || !p.Eager() && len(lru) > p.devs.Capacity() {
+			return &checkpoint.FormatError{Reason: fmt.Sprintf("population: %d resident clients exceed the working set", len(lru))}
+		}
+		for _, id := range lru {
+			if id < 0 || id >= p.n {
+				return &checkpoint.FormatError{Reason: fmt.Sprintf("population: resident client %d outside a population of %d", id, p.n)}
+			}
 		}
 	}
 	if p.Eager() {
 		for _, cl := range st.DrainLogs {
-			av := p.clients[cl.Client].Avail
-			if av.StepsGenerated() > 0 {
-				return fmt.Errorf("population: restore requires a fresh population (client %d already generated %d steps)",
-					cl.Client, av.StepsGenerated())
+			if steps := p.clients[cl.Client].Avail.StepsGenerated(); steps > 0 {
+				return notFresh(fmt.Sprintf("client %d already generated %d steps", cl.Client, steps))
 			}
-			av.ReplayDrains(cl.Drains)
+		}
+		for _, cl := range st.DrainLogs {
+			p.clients[cl.Client].Avail.ReplayDrains(cl.Drains)
 		}
 		return nil
 	}
 	if res := p.devs.Stats().Resident; res != 0 || len(p.drainLogs) != 0 {
-		return fmt.Errorf("population: drain-log restore requires a fresh population (cache %d, logs %d)",
-			res, len(p.drainLogs))
+		return notFresh(fmt.Sprintf("%d clients resident, %d drain logs", res, len(p.drainLogs)))
 	}
 	for _, cl := range st.DrainLogs {
 		p.drainLogs[cl.Client] = cl.Drains
 	}
 	return nil
+}
+
+// notFresh is the typed refusal to restore into a population that has
+// already been used.
+func notFresh(got string) error {
+	return &checkpoint.CompatError{Field: "population", Got: got, Want: "freshly constructed"}
 }
 
 // RestoreResidency is restore phase two (lazy mode only; a no-op when
@@ -131,7 +184,7 @@ func (p *Population) RestoreDrainLogs(st *State) error {
 // already-warmed full cache would overflow capacity for an instant and
 // evict an entry the capture knew was resident.
 func (p *Population) RestoreResidency(st *State) {
-	if p.Eager() || st == nil {
+	if p.Eager() {
 		return
 	}
 	p.shards.Warm(st.ShardLRU)

@@ -1,13 +1,13 @@
 package population
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
+	"floatfl/internal/checkpoint"
 	"floatfl/internal/data"
 	"floatfl/internal/device"
 	"floatfl/internal/trace"
@@ -104,15 +104,9 @@ func runScript(t *testing.T, capacity, par int) observed {
 		drained = selected
 	}
 	o.ShardStats, o.DevStats = p.Stats()
-	st, err := p.CheckpointState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Checkpoint = string(blob)
+	e := checkpoint.NewEnc(0)
+	p.AppendCheckpoint(e)
+	o.Checkpoint = string(e.Bytes())
 	o.Drains = p.drainState()
 	return o
 }

@@ -1,17 +1,16 @@
 package rl
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"floatfl/internal/checkpoint"
 )
 
-// agentState is the agent's complete mutable state for engine checkpoints.
-// Unlike the Save/Load snapshot (which deliberately carries only the
-// transferable learned state), a checkpoint must reproduce the agent
-// bit-for-bit mid-run: the reward history (Fig 9 convergence output), the
-// update counter (drives the sample-average learning-rate floor), and the
+// CheckpointState captures the agent for an engine checkpoint. Unlike the
+// Save/Load snapshot (which deliberately carries only the transferable
+// learned state), a checkpoint must reproduce the agent bit-for-bit
+// mid-run: the reward history (Fig 9 convergence output), the update
+// counter (drives the sample-average learning-rate floor), and the
 // exploration RNG position all continue exactly where they left off. It
 // also pins the schedule-shaping config (Seed, TotalRounds — the
 // exploration decay is a function of round/TotalRounds): resuming under a
@@ -19,54 +18,52 @@ import (
 // so a mismatch is a typed CompatError instead. Save/Load deliberately
 // does NOT carry these — transferring learned Q-values into a different
 // schedule is the whole point of the pre-train-and-transfer workflow.
-type agentState struct {
-	Snap          snapshot  `json:"snap"`
-	RewardHistory []float64 `json:"reward_history,omitempty"`
-	Updates       int       `json:"updates"`
-	Draws         uint64    `json:"draws"`
-	Seed          int64     `json:"seed"`
-	TotalRounds   int       `json:"total_rounds"`
-}
-
-// CheckpointState captures the agent for an engine checkpoint.
+//
+// Sections: seed, total rounds, the learned state (appendLearned), the
+// reward history as raw floats, the update counter, the RNG draw position.
 func (a *Agent) CheckpointState() ([]byte, error) {
-	return json.Marshal(agentState{
-		Snap:          a.buildSnapshot(),
-		RewardHistory: append([]float64(nil), a.rewardHistory...),
-		Updates:       a.updates,
-		Draws:         a.src.Pos(),
-		Seed:          a.cfg.Seed,
-		TotalRounds:   a.cfg.TotalRounds,
-	})
+	e := checkpoint.NewEnc(a.learnedSize() + 8*len(a.rewardHistory) + 48)
+	e.Int64(a.cfg.Seed)
+	e.Int(a.cfg.TotalRounds)
+	a.appendLearned(e)
+	e.Float64s(a.rewardHistory)
+	e.Int(a.updates)
+	e.Uvarint(a.src.Pos())
+	return e.Bytes(), nil
 }
 
-// RestoreCheckpoint restores a captured agent state. The snapshot part
-// and the schedule config are validated against the agent's configuration
-// before anything is mutated.
+// RestoreCheckpoint restores a captured agent state. Everything is decoded
+// and the schedule config and learned state are validated against the
+// agent's configuration before anything is mutated.
 func (a *Agent) RestoreCheckpoint(data []byte) error {
-	var st agentState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return &checkpoint.FormatError{Reason: "rl agent state: " + err.Error()}
+	d := checkpoint.NewDec(data)
+	seed, totalRounds := d.Int64(), d.Int()
+	l := decodeLearned(d)
+	rewardHistory := d.Float64s()
+	updates, draws := d.Int(), d.Draws()
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("rl agent state: %w", err)
 	}
-	if st.Seed != a.cfg.Seed {
+	if seed != a.cfg.Seed {
 		return &checkpoint.CompatError{
 			Field: "agent_seed",
-			Got:   fmt.Sprint(st.Seed),
+			Got:   fmt.Sprint(seed),
 			Want:  fmt.Sprint(a.cfg.Seed),
 		}
 	}
-	if st.TotalRounds != a.cfg.TotalRounds {
+	if totalRounds != a.cfg.TotalRounds {
 		return &checkpoint.CompatError{
 			Field: "agent_total_rounds",
-			Got:   fmt.Sprint(st.TotalRounds),
+			Got:   fmt.Sprint(totalRounds),
 			Want:  fmt.Sprint(a.cfg.TotalRounds),
 		}
 	}
-	if err := a.applySnapshot(st.Snap); err != nil {
+	if err := a.compatible(l); err != nil {
 		return err
 	}
-	a.rewardHistory = append([]float64(nil), st.RewardHistory...)
-	a.updates = st.Updates
-	a.src.SeekTo(st.Draws)
+	a.table, a.accCache = l.table, l.accCache
+	a.rewardHistory = rewardHistory
+	a.updates = updates
+	a.src.SeekTo(draws)
 	return nil
 }

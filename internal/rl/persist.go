@@ -1,7 +1,6 @@
 package rl
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -13,70 +12,86 @@ import (
 // expects, so an agent file can never be fed to the engine restore path.
 const AgentSnapshotKind = "rl-agent"
 
-// snapshot is the serialized form of an agent's learned state. It carries
+// learned is the decoded form of an agent's transferable state. It carries
 // enough metadata to refuse loads into an incompatible agent (different
 // bin resolution or action space).
-type snapshot struct {
-	Version  int             `json:"version"`
-	Bins     int             `json:"bins"`
-	Actions  []string        `json:"actions"`
-	Table    map[int][]cell  `json:"table"`
-	AccCache map[int]float64 `json:"acc_cache"`
+type learned struct {
+	bins     int
+	actions  []string
+	table    map[int][]cell
+	accCache map[int]float64
 }
 
-const snapshotVersion = 1
-
-// buildSnapshot captures the agent's learned state (Q-table and feedback
-// cache) for immediate marshaling: the maps alias the live agent.
-// encoding/json emits integer map keys as strings, sorted, so the marshaled
-// form is byte-stable for identical agent state.
-func (a *Agent) buildSnapshot() snapshot {
-	snap := snapshot{
-		Version:  snapshotVersion,
-		Bins:     a.cfg.Bins,
-		Actions:  make([]string, len(a.actions)),
-		Table:    a.table,
-		AccCache: a.accCache,
-	}
-	for i, t := range a.actions {
-		snap.Actions[i] = t.String()
-	}
-	return snap
+// learnedSize bounds the encoding appendLearned produces.
+func (a *Agent) learnedSize() int {
+	return 64 + 16*len(a.actions) + len(a.table)*(10+17*len(a.actions)) + 18*len(a.accCache)
 }
 
-// applySnapshot validates a decoded snapshot against the agent's
-// configuration and, only if every check passes, replaces the Q-table and
-// feedback cache. On error the agent is untouched.
-func (a *Agent) applySnapshot(snap snapshot) error {
-	if snap.Version != snapshotVersion {
-		return &checkpoint.VersionError{Got: uint32(snap.Version)}
+// appendLearned writes the learned state (Q-table and feedback cache) —
+// the one table encoder, shared by Save and CheckpointState: bins, the
+// action names, then the visited states in key order (key, then QPart,
+// QAcc and Visits of each action's cell), then the feedback cache in key
+// order (key, value). Sorted keys make identical agents byte-identical.
+func (a *Agent) appendLearned(e *checkpoint.Enc) {
+	e.Int(a.cfg.Bins)
+	e.Uvarint(uint64(len(a.actions)))
+	for _, t := range a.actions {
+		e.String(t.String())
 	}
-	if snap.Bins != a.cfg.Bins {
+	e.Uvarint(uint64(len(a.table)))
+	for _, k := range checkpoint.SortedKeys(a.table) {
+		e.Int(k)
+		for _, c := range a.table[k] {
+			e.Float64(c.QPart)
+			e.Float64(c.QAcc)
+			e.Int(c.Visits)
+		}
+	}
+	e.FloatsByID(a.accCache)
+}
+
+// decodeLearned reads what appendLearned wrote. Every state holds exactly
+// one cell per declared action, so a table with the wrong shape cannot be
+// expressed; keys out of order (or repeated) latch a format error on d.
+func decodeLearned(d *checkpoint.Dec) learned {
+	l := learned{bins: d.Int()}
+	l.actions = make([]string, d.Count(1))
+	for i := range l.actions {
+		l.actions[i] = d.String()
+	}
+	width := len(l.actions)
+	states := d.Count(1 + 17*width)
+	l.table = make(map[int][]cell, states)
+	cells := make([]cell, states*width)
+	for i, prev := 0, 0; i < states; i++ {
+		k := d.Key(i, prev)
+		prev = k
+		row := cells[i*width : (i+1)*width : (i+1)*width]
+		for j := range row {
+			row[j] = cell{QPart: d.Float64(), QAcc: d.Float64(), Visits: d.Int()}
+		}
+		l.table[k] = row
+	}
+	l.accCache = d.FloatsByID()
+	return l
+}
+
+// compatible checks a decoded learned state against the agent's
+// configuration; nothing is mutated.
+func (a *Agent) compatible(l learned) error {
+	if l.bins != a.cfg.Bins {
 		return &checkpoint.CompatError{Field: "bins",
-			Got: strconv.Itoa(snap.Bins), Want: strconv.Itoa(a.cfg.Bins)}
+			Got: strconv.Itoa(l.bins), Want: strconv.Itoa(a.cfg.Bins)}
 	}
-	if len(snap.Actions) != len(a.actions) {
+	if len(l.actions) != len(a.actions) {
 		return &checkpoint.CompatError{Field: "action count",
-			Got: strconv.Itoa(len(snap.Actions)), Want: strconv.Itoa(len(a.actions))}
+			Got: strconv.Itoa(len(l.actions)), Want: strconv.Itoa(len(a.actions))}
 	}
-	for i, name := range snap.Actions {
+	for i, name := range l.actions {
 		if a.actions[i].String() != name {
 			return &checkpoint.CompatError{Field: fmt.Sprintf("action %d", i),
 				Got: name, Want: a.actions[i].String()}
 		}
-	}
-	for k, cs := range snap.Table {
-		if len(cs) != len(a.actions) {
-			return &checkpoint.FormatError{Reason: fmt.Sprintf("rl snapshot state %d has %d cells, want %d", k, len(cs), len(a.actions))}
-		}
-	}
-	// A snapshot may spell an empty map as null; the agent writes into both.
-	a.table, a.accCache = snap.Table, snap.AccCache
-	if a.table == nil {
-		a.table = make(map[int][]cell)
-	}
-	if a.accCache == nil {
-		a.accCache = make(map[int]float64)
 	}
 	return nil
 }
@@ -86,11 +101,14 @@ func (a *Agent) applySnapshot(snap snapshot) error {
 // agent reusable across workloads (RQ3 / Fig 9): pre-train on one dataset,
 // Save, Load into a new deployment, fine-tune online.
 func (a *Agent) Save(w io.Writer) error {
-	payload, err := json.Marshal(a.buildSnapshot())
+	e := checkpoint.Begin(AgentSnapshotKind, a.learnedSize())
+	a.appendLearned(e)
+	frame, err := e.Finish()
 	if err != nil {
 		return fmt.Errorf("rl: encoding snapshot: %w", err)
 	}
-	return checkpoint.Encode(w, AgentSnapshotKind, payload)
+	_, err = w.Write(frame)
+	return err
 }
 
 // Load replaces the agent's Q-table and feedback cache with a previously
@@ -104,33 +122,14 @@ func (a *Agent) Load(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	var snap snapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return &checkpoint.FormatError{Reason: fmt.Sprintf("rl snapshot payload: %v", err)}
-	}
-	return a.applySnapshot(snap)
-}
-
-// MarshalJSON lets callers embed the cell type in snapshots; fields are
-// exported through an alias to keep the wire format explicit.
-func (c cell) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		QPart  float64 `json:"qp"`
-		QAcc   float64 `json:"qa"`
-		Visits int     `json:"n"`
-	}{c.QPart, c.QAcc, c.Visits})
-}
-
-// UnmarshalJSON mirrors MarshalJSON.
-func (c *cell) UnmarshalJSON(data []byte) error {
-	var aux struct {
-		QPart  float64 `json:"qp"`
-		QAcc   float64 `json:"qa"`
-		Visits int     `json:"n"`
-	}
-	if err := json.Unmarshal(data, &aux); err != nil {
+	d := checkpoint.NewDec(payload)
+	l := decodeLearned(d)
+	if err := d.Done(); err != nil {
 		return err
 	}
-	c.QPart, c.QAcc, c.Visits = aux.QPart, aux.QAcc, aux.Visits
+	if err := a.compatible(l); err != nil {
+		return err
+	}
+	a.table, a.accCache = l.table, l.accCache
 	return nil
 }

@@ -2,7 +2,8 @@ package rl
 
 import (
 	"bytes"
-	"encoding/json"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -102,10 +103,13 @@ func TestLoadRejectsWrongKind(t *testing.T) {
 	}
 }
 
-// TestLoadMalformedPayload feeds Load intact frames whose JSON payload is
-// wrong: a state or cache key that is not an integer and a state with the
-// wrong number of cells are *checkpoint.FormatError with the agent
-// untouched; empty maps spelled null load into an agent that still learns.
+// TestLoadMalformedPayload feeds Load intact frames — right kind, valid
+// checksum — whose payload is wrong: cut short inside the table, states
+// out of key order, an action list that does not match the table's width,
+// bytes after the last field. Each is a *checkpoint.FormatError with the
+// agent untouched; a version 1 frame is a *checkpoint.VersionError; and an
+// agent with nothing learned yet (empty table, empty cache) loads into an
+// agent that still learns.
 func TestLoadMalformedPayload(t *testing.T) {
 	src := trainedAgent(t)
 	var buf bytes.Buffer
@@ -116,50 +120,71 @@ func TestLoadMalformedPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var good map[string]json.RawMessage
-	if err := json.Unmarshal(payload, &good); err != nil {
-		t.Fatal(err)
-	}
-	load := func(field, value string) (*Agent, error) {
-		fields := map[string]json.RawMessage{}
-		for k, v := range good {
-			fields[k] = v
-		}
-		fields[field] = json.RawMessage(value)
-		mut, err := json.Marshal(fields)
-		if err != nil {
-			t.Fatal(err)
-		}
-		framed, err := checkpoint.EncodeBytes(AgentSnapshotKind, mut)
+	load := func(payload []byte) (*Agent, error) {
+		framed, err := checkpoint.EncodeBytes(AgentSnapshotKind, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dst := NewAgent(Config{Seed: 9})
 		return dst, dst.Load(bytes.NewReader(framed))
 	}
-	for _, tc := range []struct{ field, value string }{
-		{"table", `{"seven":[]}`},
-		{"acc_cache", `{"1.5":0.25}`},
-		{"table", `{"7":[{"qp":0,"qa":0,"n":1}]}`},
+	// A hand-written two-state table over the agent's own action list.
+	table := func(keys ...int) []byte {
+		e := checkpoint.NewEnc(0)
+		e.Int(src.cfg.Bins)
+		e.Uvarint(uint64(len(src.actions)))
+		for _, a := range src.actions {
+			e.String(a.String())
+		}
+		e.Uvarint(uint64(len(keys)))
+		for _, k := range keys {
+			e.Int(k)
+			for range src.actions {
+				e.Float64(0.5)
+				e.Float64(0.25)
+				e.Int(1)
+			}
+		}
+		e.FloatsByID(nil)
+		return e.Bytes()
+	}
+	if _, err := load(table(3, 7)); err != nil {
+		t.Fatalf("hand-written table: %v", err)
+	}
+	for name, bad := range map[string][]byte{
+		"cut inside the table": payload[:len(payload)/2],
+		"states out of order":  table(7, 3),
+		"a state twice":        table(3, 3),
+		"trailing byte":        append(append([]byte(nil), payload...), 0),
+		"not a section":        []byte("{}"),
 	} {
-		dst, err := load(tc.field, tc.value)
+		dst, err := load(bad)
 		var fe *checkpoint.FormatError
 		if !errors.As(err, &fe) {
-			t.Fatalf("%s=%s: got %v, want FormatError", tc.field, tc.value, err)
+			t.Fatalf("%s: got %v, want FormatError", name, err)
 		}
 		if dst.StatesVisited() != 0 {
-			t.Fatalf("%s=%s: rejected load mutated the agent", tc.field, tc.value)
+			t.Fatalf("%s: rejected load mutated the agent", name)
 		}
 	}
-	for _, field := range []string{"table", "acc_cache"} {
-		dst, err := load(field, "null")
-		if err != nil {
-			t.Fatalf("%s=null: %v", field, err)
-		}
-		s := State{GB: 1, GE: 1, GK: 2, CPU: 3, Mem: 1, Net: 1, HF: 2}
-		if err := dst.Update(0, s, dst.SelectAction(s), true, 0.01, s); err != nil {
-			t.Fatal(err)
-		}
+
+	// The file the previous format wrote — container version 1 — has no
+	// reader: a VersionError, whatever its payload.
+	old := append([]byte(nil), buf.Bytes()[:buf.Len()-sha256.Size]...)
+	binary.BigEndian.PutUint32(old[8:], 1)
+	sum := sha256.Sum256(old)
+	var ve *checkpoint.VersionError
+	if err := NewAgent(Config{Seed: 9}).Load(bytes.NewReader(append(old, sum[:]...))); !errors.As(err, &ve) || ve.Got != 1 {
+		t.Fatalf("version 1 file: got %v, want VersionError{Got: 1}", err)
+	}
+
+	dst, err := load(table())
+	if err != nil {
+		t.Fatalf("empty table: %v", err)
+	}
+	s := State{GB: 1, GE: 1, GK: 2, CPU: 3, Mem: 1, Net: 1, HF: 2}
+	if err := dst.Update(0, s, dst.SelectAction(s), true, 0.01, s); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,134 +1,114 @@
 // Checkpoint support: every built-in selector implements
-// checkpoint.Stateful structurally (no import needed). State blobs are
-// JSON with map-keyed content emitted deterministically — encoding/json
-// sorts map keys, and explicit ID lists are sorted before marshaling — so
-// a snapshot of identical selector state is byte-identical across
-// processes. RNG streams are serialized as (seed-implied) draw positions
-// via rngstate; restore seeks the existing stream rather than replacing
-// it, which keeps the selector's seed wiring intact.
+// checkpoint.Stateful. State blobs are checkpoint.Enc sections with
+// map-keyed content emitted in key order, so a snapshot of identical
+// selector state is byte-identical across processes. RNG streams are
+// serialized as (seed-implied) draw positions via rngstate; restore seeks
+// the existing stream rather than replacing it, which keeps the selector's
+// seed wiring intact. Every restore decodes into locals and checks Done
+// before it writes, so a rejected blob (*checkpoint.FormatError) leaves
+// the selector untouched.
 package selection
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
-)
 
-type randomState struct {
-	Draws uint64 `json:"draws"`
-}
+	"floatfl/internal/checkpoint"
+)
 
 // CheckpointState captures the Random selector (its RNG position is its
 // only mutable state).
 func (r *Random) CheckpointState() ([]byte, error) {
-	return json.Marshal(randomState{Draws: r.src.Pos()})
+	e := checkpoint.NewEnc(10)
+	e.Uvarint(r.src.Pos())
+	return e.Bytes(), nil
 }
 
 // RestoreCheckpoint restores a Random selector snapshot.
 func (r *Random) RestoreCheckpoint(data []byte) error {
-	var st randomState
-	if err := json.Unmarshal(data, &st); err != nil {
+	d := checkpoint.NewDec(data)
+	draws := d.Draws()
+	if err := d.Done(); err != nil {
 		return fmt.Errorf("selection: random state: %w", err)
 	}
-	r.src.SeekTo(st.Draws)
+	r.src.SeekTo(draws)
 	return nil
 }
 
-type oortState struct {
-	Draws       uint64          `json:"draws"`
-	StatUtil    map[int]float64 `json:"stat_util,omitempty"`
-	RespSecs    map[int]float64 `json:"resp_secs,omitempty"`
-	Tried       []int           `json:"tried,omitempty"`
-	Failures    map[int]int     `json:"failures,omitempty"`
-	PacerT      float64         `json:"pacer_t"`
-	WindowOK    int             `json:"window_ok"`
-	WindowTotal int             `json:"window_total"`
-}
-
-// CheckpointState captures the Oort selector: utility and response EMAs,
-// the known set, blacklist counters, pacer state, and the RNG position.
+// CheckpointState captures the Oort selector: the RNG position, utility
+// and response EMAs, the known set (sorted IDs), blacklist counters, and
+// the pacer state.
 func (o *Oort) CheckpointState() ([]byte, error) {
-	st := oortState{
-		Draws:       o.src.Pos(),
-		StatUtil:    o.statUtil,
-		RespSecs:    o.respSecs,
-		Failures:    o.failures,
-		PacerT:      o.pacerT,
-		WindowOK:    o.windowOK,
-		WindowTotal: o.windowTotal,
-	}
-	for id := range o.tried {
-		st.Tried = append(st.Tried, id)
-	}
-	sort.Ints(st.Tried)
-	return json.Marshal(st)
+	e := checkpoint.NewEnc(64 + 11*(len(o.statUtil)+len(o.respSecs)) + 3*len(o.tried) + 4*len(o.failures))
+	e.Uvarint(o.src.Pos())
+	e.FloatsByID(o.statUtil)
+	e.FloatsByID(o.respSecs)
+	e.Ints(checkpoint.SortedKeys(o.tried))
+	e.IntsByID(o.failures)
+	e.Float64(o.pacerT)
+	e.Int(o.windowOK)
+	e.Int(o.windowTotal)
+	return e.Bytes(), nil
 }
 
 // RestoreCheckpoint restores an Oort selector snapshot.
 func (o *Oort) RestoreCheckpoint(data []byte) error {
-	var st oortState
-	if err := json.Unmarshal(data, &st); err != nil {
+	d := checkpoint.NewDec(data)
+	draws := d.Draws()
+	statUtil, respSecs := d.FloatsByID(), d.FloatsByID()
+	triedIDs := d.Ints()
+	failures := d.IntsByID()
+	pacerT, windowOK, windowTotal := d.Float64(), d.Int(), d.Int()
+	if err := d.Done(); err != nil {
 		return fmt.Errorf("selection: oort state: %w", err)
 	}
-	o.statUtil = orEmptyF(st.StatUtil)
-	o.respSecs = orEmptyF(st.RespSecs)
-	o.failures = st.Failures
-	if o.failures == nil {
-		o.failures = make(map[int]int)
-	}
-	o.tried = make(map[int]bool, len(st.Tried))
-	for _, id := range st.Tried {
+	o.statUtil, o.respSecs, o.failures = statUtil, respSecs, failures
+	o.tried = make(map[int]bool, len(triedIDs))
+	for _, id := range triedIDs {
 		o.tried[id] = true
 	}
-	o.pacerT = st.PacerT
-	o.windowOK = st.WindowOK
-	o.windowTotal = st.WindowTotal
-	o.src.SeekTo(st.Draws)
+	o.pacerT, o.windowOK, o.windowTotal = pacerT, windowOK, windowTotal
+	o.src.SeekTo(draws)
 	return nil
 }
 
-type reflState struct {
-	Draws    uint64          `json:"draws"`
-	History  map[int][]bool  `json:"history,omitempty"`
-	RespSecs map[int]float64 `json:"resp_secs,omitempty"`
-	LastPart map[int]int     `json:"last_part,omitempty"`
-}
-
-// CheckpointState captures the REFL selector: availability histories,
-// response EMAs, participation recency, and the RNG position.
+// CheckpointState captures the REFL selector: the RNG position,
+// availability histories (per client in ID order, a counted run of
+// bools), response EMAs, and participation recency.
 func (r *REFL) CheckpointState() ([]byte, error) {
-	return json.Marshal(reflState{
-		Draws:    r.src.Pos(),
-		History:  r.history,
-		RespSecs: r.respSecs,
-		LastPart: r.lastPart,
-	})
+	e := checkpoint.NewEnc(64 + 16*len(r.history) + 11*len(r.respSecs) + 4*len(r.lastPart))
+	e.Uvarint(r.src.Pos())
+	e.Uvarint(uint64(len(r.history)))
+	for _, id := range checkpoint.SortedKeys(r.history) {
+		e.Int(id)
+		e.Uvarint(uint64(len(r.history[id])))
+		for _, up := range r.history[id] {
+			e.Bool(up)
+		}
+	}
+	e.FloatsByID(r.respSecs)
+	e.IntsByID(r.lastPart)
+	return e.Bytes(), nil
 }
 
 // RestoreCheckpoint restores a REFL selector snapshot.
 func (r *REFL) RestoreCheckpoint(data []byte) error {
-	var st reflState
-	if err := json.Unmarshal(data, &st); err != nil {
+	d := checkpoint.NewDec(data)
+	draws := d.Draws()
+	n := d.Count(2)
+	history := make(map[int][]bool, n)
+	for i, prev := 0, 0; i < n; i++ {
+		id := d.Key(i, prev)
+		h := make([]bool, d.Count(1))
+		for j := range h {
+			h[j] = d.Bool()
+		}
+		history[id], prev = h, id
+	}
+	respSecs, lastPart := d.FloatsByID(), d.IntsByID()
+	if err := d.Done(); err != nil {
 		return fmt.Errorf("selection: refl state: %w", err)
 	}
-	r.history = st.History
-	if r.history == nil {
-		r.history = make(map[int][]bool)
-	}
-	r.respSecs = orEmptyF(st.RespSecs)
-	r.lastPart = st.LastPart
-	if r.lastPart == nil {
-		r.lastPart = make(map[int]int)
-	}
-	r.src.SeekTo(st.Draws)
+	r.history, r.respSecs, r.lastPart = history, respSecs, lastPart
+	r.src.SeekTo(draws)
 	return nil
-}
-
-// orEmptyF replaces a nil float map (omitted empty field) with an empty
-// one, preserving the constructors' never-nil invariant.
-func orEmptyF(m map[int]float64) map[int]float64 {
-	if m == nil {
-		return make(map[int]float64)
-	}
-	return m
 }

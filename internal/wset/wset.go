@@ -83,6 +83,9 @@ func New[K comparable, V any](capacity int, load func(K) V) *Cache[K, V] {
 	}
 }
 
+// Capacity returns the bound on the unpinned working set.
+func (c *Cache[K, V]) Capacity() int { return c.capacity }
+
 // Get returns k's value, marking the entry most-recently-used, and counts
 // one hit or one miss. A miss takes the staged value, or loads inline when
 // there is none, inserts it, and evicts least-recently-used unpinned
