@@ -50,13 +50,13 @@ func fingerprintOf(res *Result) goldenFingerprint {
 
 // goldenRun is the fixed-seed experiment the backend fingerprint tests pin:
 // dynamic interference, stochastic update transforms via the feedback-driven
-// controller, and multiple workers, so every hot kernel is on the path.
+// ckptCtrl, and multiple workers, so every hot kernel is on the path.
 func goldenRun(t *testing.T, backend string) *Result {
 	t.Helper()
 	fed, pop := testSetup(t, 20, trace.ScenarioDynamic)
 	cfg := parSyncConfig(4)
 	cfg.Backend = backend
-	res, err := RunSync(fed, pop, selection.NewRandom(7), newFeedbackDriven(), cfg)
+	res, err := RunSync(fed, pop, selection.NewRandom(7), newCkptCtrl(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

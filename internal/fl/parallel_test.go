@@ -1,177 +1,19 @@
 package fl
 
 import (
-	"math"
-	"reflect"
 	"sync/atomic"
 	"testing"
-
-	"floatfl/internal/device"
-	"floatfl/internal/opt"
-	"floatfl/internal/selection"
-	"floatfl/internal/trace"
 )
 
-// feedbackDrivenController is a deterministic stand-in for a learning
-// controller: its decisions depend on every Feedback call it has received,
-// including the exact accuracy-improvement values and their delivery
-// order. If the engines delivered feedback out of order, concurrently, or
-// with different values under parallelism, its decision sequence — and
-// with it the whole run — would diverge. It cycles through techniques that
-// exercise the stochastic update transforms (quantization, pruning), so
-// the per-client RNG derivation is under test too.
-type feedbackDrivenController struct {
-	techs []opt.Technique
-	step  int
-	acc   float64
-}
-
-func newFeedbackDriven() *feedbackDrivenController {
-	return &feedbackDrivenController{
-		techs: []opt.Technique{opt.TechNone, opt.TechQuant8, opt.TechPrune50, opt.TechQuant16, opt.TechPartial50},
-	}
-}
-
-func (c *feedbackDrivenController) Name() string { return "feedback-driven" }
-
-func (c *feedbackDrivenController) Decide(int, *device.Client, device.Resources, float64) opt.Technique {
-	return c.techs[c.step%len(c.techs)]
-}
-
-func (c *feedbackDrivenController) Feedback(_ int, _ *device.Client, _ opt.Technique,
-	out device.Outcome, accImprove float64) {
-	// Advance by a feedback-value-dependent stride so any perturbation of
-	// delivery order or training results changes all later decisions.
-	c.step += 1 + int(math.Abs(accImprove)*1e6)%5
-	if out.Completed {
-		c.acc += accImprove
-	}
-}
-
-func parSyncConfig(par int) Config {
-	cfg := smallConfig()
-	cfg.Rounds = 6
-	cfg.Parallelism = par
-	return cfg
-}
-
-func runSyncAt(t *testing.T, par int) (*Result, *feedbackDrivenController) {
-	t.Helper()
-	fed, pop := testSetup(t, 20, trace.ScenarioDynamic)
-	ctrl := newFeedbackDriven()
-	res, err := RunSync(fed, pop, selection.NewRandom(7), ctrl, parSyncConfig(par))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, ctrl
-}
-
-func runAsyncAt(t *testing.T, par int) (*Result, *feedbackDrivenController) {
-	t.Helper()
-	fed, pop := testSetup(t, 24, trace.ScenarioDynamic)
-	cfg := parSyncConfig(par)
-	cfg.Rounds = 5 // aggregations
-	cfg.Concurrency = 12
-	cfg.BufferK = 4
-	ctrl := newFeedbackDriven()
-	res, err := RunAsync(fed, pop, ctrl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, ctrl
-}
-
-// assertIdenticalResults requires bit-for-bit equality of everything a run
-// reports: accuracy trajectories, wall clock, and the full ledger.
-func assertIdenticalResults(t *testing.T, label string, a, b *Result) {
-	t.Helper()
-	if !reflect.DeepEqual(a.GlobalAccHistory, b.GlobalAccHistory) {
-		t.Errorf("%s: GlobalAccHistory differs:\n  a=%v\n  b=%v", label, a.GlobalAccHistory, b.GlobalAccHistory)
-	}
-	if !reflect.DeepEqual(a.EvalRounds, b.EvalRounds) {
-		t.Errorf("%s: EvalRounds differ: %v vs %v", label, a.EvalRounds, b.EvalRounds)
-	}
-	if a.FinalGlobalAcc != b.FinalGlobalAcc {
-		t.Errorf("%s: FinalGlobalAcc differs: %v vs %v", label, a.FinalGlobalAcc, b.FinalGlobalAcc)
-	}
-	if a.WallClockSeconds != b.WallClockSeconds {
-		t.Errorf("%s: WallClockSeconds differs: %v vs %v", label, a.WallClockSeconds, b.WallClockSeconds)
-	}
-	if !reflect.DeepEqual(a.FinalClientAccs, b.FinalClientAccs) {
-		t.Errorf("%s: FinalClientAccs differ", label)
-	}
-	if a.FinalAccStats != b.FinalAccStats {
-		t.Errorf("%s: FinalAccStats differ: %+v vs %+v", label, a.FinalAccStats, b.FinalAccStats)
-	}
-	if !reflect.DeepEqual(a.Ledger, b.Ledger) {
-		t.Errorf("%s: ledgers differ:\n  a=%+v\n  b=%+v", label, a.Ledger, b.Ledger)
-	}
-	if !reflect.DeepEqual(a.FinalParams, b.FinalParams) {
-		t.Errorf("%s: FinalParams differ", label)
-	}
-}
-
-// TestRunSyncParallelismBitIdentical is the determinism golden test:
-// Parallelism=8 must reproduce Parallelism=1 exactly, down to the last
-// bit of every accuracy value, wall-clock second, and ledger counter.
-func TestRunSyncParallelismBitIdentical(t *testing.T) {
-	seq, seqCtrl := runSyncAt(t, 1)
-	par, parCtrl := runSyncAt(t, 8)
-	assertIdenticalResults(t, "sync p1-vs-p8", seq, par)
-	if seqCtrl.step != parCtrl.step || seqCtrl.acc != parCtrl.acc {
-		t.Errorf("controller state diverged: (%d, %v) vs (%d, %v)",
-			seqCtrl.step, seqCtrl.acc, parCtrl.step, parCtrl.acc)
-	}
-}
-
-// TestRunSyncParallelRepeatable proves the parallel schedule itself is
-// stable: two back-to-back Parallelism=8 runs must match exactly (no
-// map-iteration or goroutine-scheduling nondeterminism).
-func TestRunSyncParallelRepeatable(t *testing.T) {
-	a, _ := runSyncAt(t, 8)
-	b, _ := runSyncAt(t, 8)
-	assertIdenticalResults(t, "sync p8-vs-p8", a, b)
-}
-
-func TestRunAsyncParallelismBitIdentical(t *testing.T) {
-	seq, seqCtrl := runAsyncAt(t, 1)
-	par, parCtrl := runAsyncAt(t, 8)
-	assertIdenticalResults(t, "async p1-vs-p8", seq, par)
-	if seqCtrl.step != parCtrl.step || seqCtrl.acc != parCtrl.acc {
-		t.Errorf("controller state diverged: (%d, %v) vs (%d, %v)",
-			seqCtrl.step, seqCtrl.acc, parCtrl.step, parCtrl.acc)
-	}
-}
-
-func TestRunAsyncParallelRepeatable(t *testing.T) {
-	a, _ := runAsyncAt(t, 8)
-	b, _ := runAsyncAt(t, 8)
-	assertIdenticalResults(t, "async p8-vs-p8", a, b)
-}
-
 // TestParallelExecutionRaceStress exists to give `go test -race` real
-// concurrency to inspect: multi-round sync and async simulations with more
-// workers than clients per round, a learning controller, and stochastic
-// update transforms. Before the worker-pool layer the engines were fully
-// sequential and race runs passed vacuously.
+// concurrency to inspect: every engine on an eager and a lazy population,
+// with more workers than clients per round, a learning controller, and
+// stochastic update transforms.
 func TestParallelExecutionRaceStress(t *testing.T) {
-	fed, pop := testSetup(t, 32, trace.ScenarioDynamic)
-	cfg := smallConfig()
-	cfg.Rounds = 8
-	cfg.ClientsPerRound = 16
-	cfg.Parallelism = 16
-	if _, err := RunSync(fed, pop, selection.NewRandom(13), newFeedbackDriven(), cfg); err != nil {
-		t.Fatal(err)
-	}
-
-	fed2, pop2 := testSetup(t, 32, trace.ScenarioDynamic)
-	acfg := smallConfig()
-	acfg.Rounds = 6
-	acfg.Concurrency = 20
-	acfg.BufferK = 8
-	acfg.Parallelism = 16
-	if _, err := RunAsync(fed2, pop2, newFeedbackDriven(), acfg); err != nil {
-		t.Fatal(err)
+	for _, rw := range []row{{"sync-random", false}, {"sync-oort", true}, {"async", false}, {"async", true}} {
+		rw.exec(t, runOpts{par: 16, tweak: func(cfg *Config) {
+			cfg.ClientsPerRound, cfg.Concurrency, cfg.BufferK = 12, 20, 8
+		}})
 	}
 }
 

@@ -6,30 +6,17 @@ import (
 
 	"floatfl/internal/checkpoint"
 	"floatfl/internal/checkpoint/statefultests"
-	"floatfl/internal/obs"
-	"floatfl/internal/selection"
 )
 
-// freshRun builds an engine run the way RunSyncPop / RunAsyncPop do, with
-// registry and timeline attached, on a fresh population.
+// freshRun builds an unexecuted eager or lazy run of a sync-oort or async
+// row: the checkpoint.Stateful subject of the conformance and fuzz tests.
 func freshRun(t testing.TB, engine string, lazy bool) *run {
 	t.Helper()
-	p := ckptPop(t, 32, lazy)
-	cfg := ckptConfig(engine, 6)
-	cfg.Metrics = obs.NewRegistry()
-	if lazy {
-		p.Instrument(cfg.Metrics)
-	}
-	cfg.Timeline = obs.NewTimeline(cfg.Metrics, 64)
-	kind, sel := SyncSnapshotKind, selection.Selector(selection.NewOort(selection.OortConfig{Seed: 7}))
-	if engine == "async" {
-		kind, sel = AsyncSnapshotKind, nil
-	}
-	r, err := newRun(kind, p, sel, newCkptCtrl(), cfg)
+	rr, err := row{engine, lazy}.start(t, runOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return rr.run
 }
 
 // advance steps a run to its third boundary.
