@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"floatfl/internal/fl"
 	"floatfl/internal/nn"
 	"floatfl/internal/obs"
 	"floatfl/internal/opt"
@@ -170,48 +171,32 @@ func (c *Client) Step(ctx context.Context, round int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if status == http.StatusNoContent {
-		return false, nil // no slot this round
-	}
-	if status == http.StatusConflict {
-		return false, nil
+	if status == http.StatusNoContent || status == http.StatusConflict {
+		return false, nil // no slot this round, or the round moved on
 	}
 	tech, err := opt.Parse(task.Technique)
 	if err != nil {
 		return false, err
 	}
 	// Parameters() aliases the model, which training is about to mutate:
-	// the pre-training snapshot must be a copy.
+	// the pre-training snapshot must be a copy. It is the applied buffer too.
 	n := c.model.NumParams()
 	if cap(sc.before) < n {
 		sc.before, sc.delta = tensor.NewVector(n), tensor.NewVector(n)
 	}
 	before, delta := sc.before[:n], sc.delta[:n]
 	copy(before, c.model.Parameters())
-	accBefore, _ := c.model.Evaluate(c.LocalTest)
-
-	eff := tech.Effects()
 	tc := nn.TrainConfig{
-		Epochs:       c.spec.Epochs,
-		BatchSize:    c.spec.BatchSize,
-		LR:           c.spec.LR,
-		GradClip:     5,
-		FrozenLayers: opt.FrozenLayerMask(len(c.model.Layers), eff.PartialFrac),
-		Seed:         c.rng.Int63(),
+		Epochs:    c.spec.Epochs,
+		BatchSize: c.spec.BatchSize,
+		LR:        c.spec.LR,
+		GradClip:  5,
+		Seed:      c.rng.Int63(),
 	}
-	if _, err := c.model.Train(c.Shard, tc); err != nil {
+	lt, err := fl.TrainLocal(c.model, before, delta, before, c.Shard, c.LocalTest, tech, tc, c.rng)
+	if err != nil {
 		return false, err
 	}
-	tensor.ScaledDiff(delta, 1, c.model.Parameters(), before)
-	opt.ApplyToUpdate(tech, delta, c.rng)
-
-	// Reuse the before-snapshot as the applied-parameters buffer.
-	before.AddScaled(1, delta)
-	if err := c.model.SetParameters(before); err != nil {
-		return false, err
-	}
-	accAfter, _ := c.model.Evaluate(c.LocalTest)
-
 	if sc.packed, err = opt.AppendCompressUpdate(sc.packed[:0], delta, c.spec.QuantBits); err != nil {
 		return false, err
 	}
@@ -221,7 +206,7 @@ func (c *Client) Step(ctx context.Context, round int) (bool, error) {
 		Technique:  tech.String(),
 		Delta:      sc.packed,
 		Samples:    len(c.Shard),
-		AccImprove: accAfter - accBefore,
+		AccImprove: lt.AccImprove,
 	}, nil, sc)
 	if err != nil {
 		return false, err

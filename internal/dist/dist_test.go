@@ -20,7 +20,7 @@ import (
 	"floatfl/internal/tensor"
 )
 
-func testServer(t *testing.T, ctrl fl.Controller, k int) (*Server, *httptest.Server, *data.Federation) {
+func testServer(t testing.TB, ctrl fl.Controller, k int) (*Server, *httptest.Server, *data.Federation) {
 	t.Helper()
 	srv, hs, fed := testServerConfig(t, ServerConfig{AggregateK: k, Controller: ctrl})
 	return srv, hs, fed
@@ -28,7 +28,7 @@ func testServer(t *testing.T, ctrl fl.Controller, k int) (*Server, *httptest.Ser
 
 // testServerConfig builds a server from a partial config, filling in the
 // spec and holdout from a fresh 8-client federation.
-func testServerConfig(t *testing.T, cfg ServerConfig) (*Server, *httptest.Server, *data.Federation) {
+func testServerConfig(t testing.TB, cfg ServerConfig) (*Server, *httptest.Server, *data.Federation) {
 	t.Helper()
 	fed, err := data.Generate("femnist", data.GenerateConfig{Clients: 8, Alpha: 0.1, Seed: 5})
 	if err != nil {
@@ -59,7 +59,7 @@ func nextClientName() string {
 	return fmt.Sprintf("c-%d", atomic.AddInt64(&clientNameSeq, 1))
 }
 
-func registeredClient(t *testing.T, hs *httptest.Server, fed *data.Federation, i int) *Client {
+func registeredClient(t testing.TB, hs *httptest.Server, fed *data.Federation, i int) *Client {
 	t.Helper()
 	c := NewClient(hs.URL, nextClientName(), fed.Train[i], fed.LocalTest[i], int64(100+i))
 	if err := c.Register(context.Background(), 15, 3000); err != nil {

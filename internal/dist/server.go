@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
+	"floatfl/internal/checkpoint"
 	"floatfl/internal/device"
 	"floatfl/internal/fl"
 	"floatfl/internal/nn"
@@ -136,6 +136,23 @@ type clientInfo struct {
 	leaseExpiry time.Time
 }
 
+// newClientInfo is an idle registration; the self-reported capability is
+// clamped like every other self-report.
+func newClientInfo(id int, name string, gflops, memoryMB float64) *clientInfo {
+	return &clientInfo{
+		name: name,
+		dev: &device.Client{
+			ID: id,
+			Compute: trace.ComputeProfile{
+				GFLOPS:         clampFinite(gflops, 0.1, 1e4, 10),
+				MemoryMB:       clampFinite(memoryMB, 16, 1e6, 2000),
+				EnergyCapacity: 2,
+			},
+		},
+		taskRound: -1,
+	}
+}
+
 // NewServer builds an aggregator with a freshly initialized global model.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Spec.Arch == "" || cfg.Spec.InDim <= 0 || cfg.Spec.Classes <= 0 {
@@ -238,18 +255,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	s.nextClientID++
 	s.obs.registrations.Inc()
 	s.eventLocked("register", s.round, id, req.Name)
-	s.clients[id] = &clientInfo{
-		name: req.Name,
-		dev: &device.Client{
-			ID: id,
-			Compute: trace.ComputeProfile{
-				GFLOPS:         clampFinite(req.GFLOPS, 0.1, 1e4, 10),
-				MemoryMB:       clampFinite(req.MemoryMB, 16, 1e6, 2000),
-				EnergyCapacity: 2,
-			},
-		},
-		taskRound: -1,
-	}
+	s.clients[id] = newClientInfo(id, req.Name, req.GFLOPS, req.MemoryMB)
 	if req.Name != "" {
 		s.byName[req.Name] = id
 	}
@@ -373,12 +379,10 @@ func decodeDelta(dst tensor.Vector, blob []byte) error {
 		}
 		return err
 	}
-	for _, x := range dst {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			// A diverged or malicious client must not poison the global
-			// model; the same guard the simulator's aggregator applies.
-			return errors.New("dist: non-finite update rejected")
-		}
+	if !fl.IsFinite(dst) {
+		// A diverged or malicious client must not poison the global model;
+		// the same guard the simulator's aggregator applies.
+		return errors.New("dist: non-finite update rejected")
 	}
 	return nil
 }
@@ -433,23 +437,13 @@ func (s *Server) acceptUpdate(req UpdateRequest, delta tensor.Vector, deltaErr e
 // is also reported to the controller.
 func (s *Server) aggregateLocked() {
 	aggregated := len(s.deltas)
-	var totalW float64
-	for _, w := range s.weights {
-		totalW += w
-	}
-	if totalW > 0 {
-		// Accumulate the weighted mean straight into the global flat buffer
-		// (Parameters is a zero-copy view).
-		for i := range s.weights {
-			s.weights[i] /= totalW
-		}
-		//lint:allow flat-view-mutation aggregator owns the global model; in-place update is the sanctioned fast path (DESIGN.md buffer ownership)
-		tensor.AddWeighted(s.global.Parameters(), s.weights, s.deltas)
-	}
-	s.modelBlob = nil
-	for _, d := range s.deltas {
+	// The simulator's apply compacts s.deltas in place: only the prefix it
+	// returns is sure to hold each vector once, so only that goes back to
+	// the pool.
+	for _, d := range fl.ApplyAggregate(s.global, s.deltas, s.weights) {
 		s.deltaPool.Put(d)
 	}
+	s.modelBlob = nil
 	s.deltas = s.deltas[:0]
 	s.weights = s.weights[:0]
 	s.eventLocked("aggregate", s.round, -1, "")
@@ -459,15 +453,11 @@ func (s *Server) aggregateLocked() {
 	// Sweep stale task holders in client-ID order: trace emission and
 	// controller feedback are order-sensitive, so map iteration order must
 	// not reach them.
-	stale := make([]int, 0, len(s.clients))
-	for id, ci := range s.clients {
-		if ci.taskRound >= 0 && ci.taskRound < s.round {
-			stale = append(stale, id)
-		}
-	}
-	sort.Ints(stale)
-	for _, id := range stale {
+	for _, id := range checkpoint.SortedKeys(s.clients) {
 		ci := s.clients[id]
+		if ci.taskRound < 0 || ci.taskRound >= s.round {
+			continue
+		}
 		// The round moved on without this client: count it as a deadline
 		// miss so FLOAT learns from it.
 		s.obs.drops[int(device.DropDeadline)].Inc()

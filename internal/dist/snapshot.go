@@ -6,11 +6,10 @@ import (
 	"net/http"
 
 	"floatfl/internal/checkpoint"
-	"floatfl/internal/device"
+	"floatfl/internal/fl"
 	"floatfl/internal/obs"
 	"floatfl/internal/opt"
 	"floatfl/internal/tensor"
-	"floatfl/internal/trace"
 )
 
 // ServerSnapshotKind frames aggregator snapshots served by /v1/snapshot.
@@ -148,8 +147,9 @@ func (s *Server) Snapshot() ([]byte, error) {
 
 // RestoreSnapshot loads a frame produced by Snapshot into a freshly built
 // server. Validation of the server's own state (checksum, kind, every
-// section's shape, spec compatibility, technique names, buffered-delta
-// lengths, the model blob) completes before anything is touched, so a
+// section's shape, spec compatibility, technique names, buffered deltas
+// of the model's length, finite and weighted within the live clamp, a
+// finite model blob) completes before anything is touched, so a
 // snapshot rejected there leaves the server exactly as NewServer built it;
 // the controller, metrics and timeline sections are validated by their
 // owners as they are restored, each leaving itself untouched by a section
@@ -179,13 +179,21 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 	if len(st.Deltas) != len(st.Weights) {
 		return &checkpoint.FormatError{Reason: "delta/weight count mismatch"}
 	}
-	for _, d := range st.Deltas {
+	for i, d := range st.Deltas {
 		if len(d) != s.global.NumParams() {
 			return &checkpoint.CompatError{
 				Field: "delta_len",
 				Got:   fmt.Sprint(len(d)),
 				Want:  fmt.Sprint(s.global.NumParams()),
 			}
+		}
+		// What the live server would have refused must not come back in
+		// through a snapshot: the next aggregation would apply it.
+		if !fl.IsFinite(d) {
+			return &checkpoint.FormatError{Reason: fmt.Sprintf("buffered delta %d is not finite", i)}
+		}
+		if w := st.Weights[i]; !(w >= 1 && w <= maxUpdateSamples) {
+			return &checkpoint.FormatError{Reason: fmt.Sprintf("buffered delta %d has weight %v outside [1, %v]", i, w, maxUpdateSamples)}
 		}
 	}
 	techs := make([]opt.Technique, len(st.Clients))
@@ -203,6 +211,9 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 	if err := restored.UnmarshalBinary(st.Model); err != nil {
 		return &checkpoint.FormatError{Reason: fmt.Sprintf("model blob: %v", err)}
 	}
+	if !fl.IsFinite(restored.Parameters()) {
+		return &checkpoint.FormatError{Reason: "model blob: parameters are not finite"}
+	}
 	if cs, ok := s.cfg.Controller.(checkpoint.Stateful); ok && len(st.Controller) > 0 {
 		if err := cs.RestoreCheckpoint(st.Controller); err != nil {
 			return fmt.Errorf("dist: restore controller: %w", err)
@@ -217,19 +228,8 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 	s.clients = make(map[int]*clientInfo, len(st.Clients))
 	s.byName = make(map[string]int, len(st.Clients))
 	for i, c := range st.Clients {
-		ci := &clientInfo{
-			name: c.Name,
-			tech: techs[i],
-			dev: &device.Client{
-				ID: c.ID,
-				Compute: trace.ComputeProfile{
-					GFLOPS:         clampFinite(c.GFLOPS, 0.1, 1e4, 10),
-					MemoryMB:       clampFinite(c.MemoryMB, 16, 1e6, 2000),
-					EnergyCapacity: 2,
-				},
-			},
-			taskRound: -1,
-		}
+		ci := newClientInfo(c.ID, c.Name, c.GFLOPS, c.MemoryMB)
+		ci.tech = techs[i]
 		s.clients[c.ID] = ci
 		if c.Name != "" {
 			s.byName[c.Name] = c.ID

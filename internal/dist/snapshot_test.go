@@ -3,19 +3,81 @@ package dist
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
+	"time"
 
 	"floatfl/internal/checkpoint"
 	"floatfl/internal/checkpoint/statefultests"
 	"floatfl/internal/core"
 	"floatfl/internal/data"
+	"floatfl/internal/fl"
+	"floatfl/internal/opt"
 	"floatfl/internal/rl"
 )
+
+// floatCtrl is the FLOAT controller the snapshot tests run against.
+func floatCtrl(clientsPerRound int) *core.Float {
+	return core.New(core.Config{
+		Agent:           rl.Config{Seed: 17, TotalRounds: 50},
+		BatchSize:       16,
+		Epochs:          2,
+		ClientsPerRound: clientsPerRound,
+	})
+}
+
+// TestServerSnapshotPinned pins floatd's bytes end to end: four clients
+// train in lock step for three rounds on a fake clock with AggregateK 4,
+// the server drains, and the first 8 bytes of SHA-256 over its snapshot
+// must not move. The client round and the weighted apply are the
+// simulator's own (fl.TrainLocal, fl.ApplyAggregate), so this digest is
+// what proves sharing them changed no float operation on the floatd side.
+// Quant8 exercises the stochastic update transform; FLOAT exercises
+// controller state.
+func TestServerSnapshotPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ctrl fl.Controller
+		want string
+	}{
+		{"static-quant8", fl.StaticController{Tech: opt.TechQuant8}, "c823073ec2d2b36f"},
+		{"float", floatCtrl(4), "4a9bef818a3385ad"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, hs, fed := testServerConfig(t, ServerConfig{AggregateK: 4, Controller: tc.ctrl, Clock: NewFakeClock(time.Unix(0, 0))})
+			clients := make([]*Client, 4)
+			for i := range clients {
+				clients[i] = NewClient(hs.URL, fmt.Sprintf("pin-%d", i), fed.Train[i], fed.LocalTest[i], int64(100+i))
+				if err := clients[i].Register(context.Background(), 15, 3000); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runRounds(t, clients, 3)
+			srv.SetDraining(true)
+			blob, err := srv.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if srv.Round() != 3 {
+				t.Fatalf("round %d after three lock-step rounds, want 3", srv.Round())
+			}
+			sum := sha256.Sum256(blob)
+			if got := hex.EncodeToString(sum[:8]); got != tc.want {
+				t.Errorf("snapshot digest %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
 
 func postDrain(t *testing.T, url string, off bool) DrainResponse {
 	t.Helper()
@@ -88,15 +150,7 @@ func TestDrainStopsNewTasks(t *testing.T) {
 // restored server to re-snapshot byte-identically — round, global model,
 // client registry, controller state, and metrics all carried over.
 func TestSnapshotRestore(t *testing.T) {
-	mkCtrl := func() *core.Float {
-		return core.New(core.Config{
-			Agent:           rl.Config{Seed: 17, TotalRounds: 50},
-			BatchSize:       16,
-			Epochs:          2,
-			ClientsPerRound: 2,
-		})
-	}
-	srv, hs, fed := testServer(t, mkCtrl(), 2)
+	srv, hs, fed := testServer(t, floatCtrl(2), 2)
 	ctx := context.Background()
 	c0 := registeredClient(t, hs, fed, 0)
 	c1 := registeredClient(t, hs, fed, 1)
@@ -114,7 +168,7 @@ func TestSnapshotRestore(t *testing.T) {
 
 	// A fresh server with an equivalent config; its own model init and
 	// zeroed counters must all be overwritten by the restore.
-	srv2, hs2, _ := testServer(t, mkCtrl(), 2)
+	srv2, hs2, _ := testServer(t, floatCtrl(2), 2)
 	if err := srv2.RestoreSnapshot(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -178,29 +232,32 @@ func TestSnapshotRestoreRejectsBadBlob(t *testing.T) {
 	_ = srv
 }
 
-// TestSnapshotRestoreRejectsWrongLengthDelta: a well-framed snapshot whose
-// buffered delta has the wrong length is a CompatError found before the
-// first mutation — status, model bytes and controller state stay what
-// NewServer built (the check used to run after the controller, the model,
-// the round and the registry had been replaced).
-func TestSnapshotRestoreRejectsWrongLengthDelta(t *testing.T) {
-	mkCtrl := func() *core.Float {
-		return core.New(core.Config{
-			Agent:           rl.Config{Seed: 17, TotalRounds: 50},
-			BatchSize:       16,
-			Epochs:          2,
-			ClientsPerRound: 2,
-		})
-	}
-	// k = 3 with two updates in: an aggregation behind it, two deltas buffered.
-	_, hs, fed := testServer(t, mkCtrl(), 3)
-	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		if ok, err := registeredClient(t, hs, fed, i).Step(ctx, 0); err != nil || !ok {
+// bufferedSnapshot is a drained FLOAT server's snapshot with two
+// aggregations behind it and two deltas buffered (AggregateK 3, eight
+// updates).
+func bufferedSnapshot(t testing.TB) []byte {
+	t.Helper()
+	srv, hs, fed := testServer(t, floatCtrl(2), 3)
+	for i := 0; i < 8; i++ {
+		if ok, err := registeredClient(t, hs, fed, i).Step(context.Background(), 0); err != nil || !ok {
 			t.Fatalf("Step: ok=%v err=%v", ok, err)
 		}
 	}
-	payload, err := checkpoint.DecodeBytes(getSnapshot(t, hs.URL), ServerSnapshotKind)
+	srv.SetDraining(true)
+	blob := getSnapshot(t, hs.URL)
+	reframe(t, blob, func(st *serverState) {
+		if st.Round != 2 || len(st.Deltas) != 2 || len(st.Controller) == 0 {
+			t.Fatalf("snapshot has round %d, %d deltas, %dB controller; the tests need 2, 2 and some", st.Round, len(st.Deltas), len(st.Controller))
+		}
+	})
+	return blob
+}
+
+// reframe decodes a server snapshot, lets edit change its state, and frames
+// the result again with a valid checksum.
+func reframe(t testing.TB, blob []byte, edit func(st *serverState)) []byte {
+	t.Helper()
+	payload, err := checkpoint.DecodeBytes(blob, ServerSnapshotKind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,18 +265,137 @@ func TestSnapshotRestoreRejectsWrongLengthDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Round != 1 || len(st.Deltas) != 2 || len(st.Controller) == 0 {
-		t.Fatalf("snapshot has round %d, %d deltas, %dB controller; the test needs 1, 2 and some", st.Round, len(st.Deltas), len(st.Controller))
-	}
-	st.Deltas[1] = st.Deltas[1][:len(st.Deltas[1])-1]
+	edit(st)
 	e := checkpoint.NewEnc(len(payload))
 	st.appendTo(e)
-	bad, err := checkpoint.EncodeBytes(ServerSnapshotKind, e.Bytes())
+	out, err := checkpoint.EncodeBytes(ServerSnapshotKind, e.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return out
+}
 
-	ctrl2 := mkCtrl()
+type namedBlob struct {
+	name string
+	blob []byte
+}
+
+// poisoned is bufferedSnapshot's blob carrying, one case at a time, state
+// the live server refuses: a non-finite buffered delta, a weight outside
+// the [1, maxUpdateSamples] clamp, a non-finite model parameter.
+func poisoned(t testing.TB, blob []byte) []namedBlob {
+	t.Helper()
+	var out []namedBlob
+	for _, c := range []struct {
+		name string
+		edit func(st *serverState)
+	}{
+		{"nan-delta", func(st *serverState) { st.Deltas[0][1] = math.NaN() }},
+		{"inf-delta", func(st *serverState) { st.Deltas[1][0] = math.Inf(-1) }},
+		{"negative-weight", func(st *serverState) { st.Weights[0] = -5 }},
+		{"zero-weight", func(st *serverState) { st.Weights[1] = 0 }},
+		{"nan-weight", func(st *serverState) { st.Weights[0] = math.NaN() }},
+		{"weight-past-clamp", func(st *serverState) { st.Weights[1] = 2 * maxUpdateSamples }},
+		{"nan-model", func(st *serverState) {
+			// nn's binary form: the scalar count, then little-endian float64s.
+			st.Model = append([]byte(nil), st.Model...)
+			binary.LittleEndian.PutUint64(st.Model[8:], math.Float64bits(math.NaN()))
+		}},
+	} {
+		out = append(out, namedBlob{c.name, reframe(t, blob, c.edit)})
+	}
+	return out
+}
+
+// TestSnapshotRestoreRejectsNonFiniteState: a snapshot carrying what the
+// live server would have refused is a FormatError found before the first
+// mutation. Such a snapshot used to restore cleanly, and the next
+// aggregation wrote NaN into the global model.
+func TestSnapshotRestoreRejectsNonFiniteState(t *testing.T) {
+	for _, c := range poisoned(t, bufferedSnapshot(t)) {
+		srv, hs, _ := testServer(t, floatCtrl(2), 3)
+		before := getSnapshot(t, hs.URL)
+		var fe *checkpoint.FormatError
+		if err := srv.RestoreSnapshot(c.blob); !errors.As(err, &fe) {
+			t.Errorf("%s: got %v, want a FormatError", c.name, err)
+		}
+		if !bytes.Equal(before, getSnapshot(t, hs.URL)) {
+			t.Errorf("%s: rejected restore changed the server snapshot", c.name)
+		}
+	}
+}
+
+// FuzzServerRestore fuzzes RestoreSnapshot's decoder and validation, not
+// the checksum: the seeds are bufferedSnapshot's payload and its poisoned
+// variants, and every mutated payload is re-framed with a correct length
+// and SHA-256 before it is restored into a fresh server. The contract: no
+// panic; success or one of the checkpoint package's typed errors; memory
+// bounded by a small multiple of the payload; and a restore that succeeds
+// leaves a finite model and only finite buffered deltas with weights in
+// [1, maxUpdateSamples].
+func FuzzServerRestore(f *testing.F) {
+	blob := bufferedSnapshot(f)
+	for _, c := range append(poisoned(f, blob), namedBlob{"drained", blob}) {
+		payload, err := checkpoint.DecodeBytes(c.blob, ServerSnapshotKind)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	fed, err := data.Generate("femnist", data.GenerateConfig{Clients: 1, Alpha: 0.1, Seed: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		srv, err := NewServer(ServerConfig{
+			Spec:       TrainSpec{Arch: "resnet18", InDim: fed.Profile.Dim, Classes: fed.Profile.Classes},
+			AggregateK: 3,
+			Controller: floatCtrl(2),
+			Clock:      NewFakeClock(time.Unix(0, 0)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		frame, err := checkpoint.EncodeBytes(ServerSnapshotKind, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = srv.RestoreSnapshot(frame)
+		runtime.ReadMemStats(&after)
+		if err != nil && !statefultests.Typed(err) {
+			t.Fatalf("untyped restore error: %v", err)
+		}
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(32*len(payload)+1<<20); grew > bound {
+			t.Fatalf("restoring a %d-byte payload allocated %d bytes (bound %d)", len(payload), grew, bound)
+		}
+		if err != nil {
+			return
+		}
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		if !fl.IsFinite(srv.global.Parameters()) {
+			t.Fatal("restored a non-finite global model")
+		}
+		for i, d := range srv.deltas {
+			if w := srv.weights[i]; !fl.IsFinite(d) || !(w >= 1 && w <= maxUpdateSamples) {
+				t.Fatalf("restored buffered delta %d: finite=%v weight %v", i, fl.IsFinite(d), w)
+			}
+		}
+	})
+}
+
+// TestSnapshotRestoreRejectsWrongLengthDelta: a well-framed snapshot whose
+// buffered delta has the wrong length is a CompatError found before the
+// first mutation — status, model bytes and controller state stay what
+// NewServer built (the check used to run after the controller, the model,
+// the round and the registry had been replaced).
+func TestSnapshotRestoreRejectsWrongLengthDelta(t *testing.T) {
+	bad := reframe(t, bufferedSnapshot(t), func(st *serverState) { st.Deltas[1] = st.Deltas[1][:len(st.Deltas[1])-1] })
+
+	ctrl2 := floatCtrl(2)
 	srv2, hs2, _ := testServer(t, ctrl2, 3)
 	observe := func() (status, model, ctrl, snap []byte) {
 		resp, err := http.Get(hs2.URL + "/v1/status")
@@ -276,12 +452,7 @@ func TestSnapshotConformance(t *testing.T) {
 	statefultests.Run(t, statefultests.Subject{
 		Framed: true,
 		Fresh: func(t *testing.T) checkpoint.Stateful {
-			srv, hs, fed := testServer(t, core.New(core.Config{
-				Agent:           rl.Config{Seed: 17, TotalRounds: 50},
-				BatchSize:       16,
-				Epochs:          2,
-				ClientsPerRound: 2,
-			}), 3)
+			srv, hs, fed := testServer(t, floatCtrl(2), 3)
 			servers[srv], feds[srv] = hs, fed
 			return snapshotter{srv}
 		},

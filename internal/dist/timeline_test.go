@@ -11,7 +11,7 @@ import (
 )
 
 // runRounds drives the registered clients through the given rounds.
-func runRounds(t *testing.T, clients []*Client, rounds int) {
+func runRounds(t testing.TB, clients []*Client, rounds int) {
 	t.Helper()
 	ctx := context.Background()
 	for round := 0; round < rounds; round++ {

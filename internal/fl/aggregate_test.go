@@ -30,9 +30,7 @@ func TestApplyAggregateWeightedMean(t *testing.T) {
 	d2 := tensor.NewVector(n)
 	d2.Fill(3)
 	// weights 1 and 3 -> mean = (1*1 + 3*3)/4 = 2.5
-	if err := applyAggregate(m, []tensor.Vector{d1, d2}, []float64{1, 3}); err != nil {
-		t.Fatal(err)
-	}
+	ApplyAggregate(m, []tensor.Vector{d1, d2}, []float64{1, 3})
 	after := m.Parameters()
 	for i := range after {
 		if math.Abs(after[i]-(before[i]+2.5)) > 1e-12 {
@@ -44,14 +42,10 @@ func TestApplyAggregateWeightedMean(t *testing.T) {
 func TestApplyAggregateEmptyAndZeroWeights(t *testing.T) {
 	m := aggModel(t)
 	before := m.Parameters().Clone()
-	if err := applyAggregate(m, nil, nil); err != nil {
-		t.Fatal(err)
-	}
+	ApplyAggregate(m, nil, nil)
 	d := tensor.NewVector(m.NumParams())
 	d.Fill(1)
-	if err := applyAggregate(m, []tensor.Vector{d}, []float64{0}); err != nil {
-		t.Fatal(err)
-	}
+	ApplyAggregate(m, []tensor.Vector{d}, []float64{0})
 	after := m.Parameters()
 	for i := range after {
 		if after[i] != before[i] {
@@ -74,10 +68,12 @@ func TestApplyAggregateDiscardsNonFinite(t *testing.T) {
 	poisonInf.Fill(1)
 	poisonInf[0] = math.Inf(1)
 
-	if err := applyAggregate(m,
+	// The kept prefix is what a caller may recycle: exactly the good delta.
+	kept := ApplyAggregate(m,
 		[]tensor.Vector{poisonNaN, good, poisonInf},
-		[]float64{5, 2, 5}); err != nil {
-		t.Fatal(err)
+		[]float64{5, 2, 5})
+	if len(kept) != 1 || &kept[0][0] != &good[0] {
+		t.Fatalf("kept %d deltas, want only the finite one", len(kept))
 	}
 	after := m.Parameters()
 	for i := range after {
@@ -96,9 +92,7 @@ func TestApplyAggregateAllPoisoned(t *testing.T) {
 	before := m.Parameters().Clone()
 	bad := tensor.NewVector(m.NumParams())
 	bad[0] = math.NaN()
-	if err := applyAggregate(m, []tensor.Vector{bad}, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
+	ApplyAggregate(m, []tensor.Vector{bad}, []float64{1})
 	after := m.Parameters()
 	for i := range after {
 		if after[i] != before[i] {
@@ -112,9 +106,7 @@ func TestApplyAggregateZeroCompletedClients(t *testing.T) {
 	// empty and nil slices must both be no-ops, not panics.
 	m := aggModel(t)
 	before := m.Parameters().Clone()
-	if err := applyAggregate(m, []tensor.Vector{}, []float64{}); err != nil {
-		t.Fatal(err)
-	}
+	ApplyAggregate(m, []tensor.Vector{}, []float64{})
 	after := m.Parameters()
 	for i := range after {
 		if after[i] != before[i] {
@@ -133,9 +125,7 @@ func TestApplyAggregateAllZeroWeights(t *testing.T) {
 	d1.Fill(2)
 	d2 := tensor.NewVector(n)
 	d2.Fill(-3)
-	if err := applyAggregate(m, []tensor.Vector{d1, d2}, []float64{0, 0}); err != nil {
-		t.Fatal(err)
-	}
+	ApplyAggregate(m, []tensor.Vector{d1, d2}, []float64{0, 0})
 	after := m.Parameters()
 	for i := range after {
 		if after[i] != before[i] {
@@ -151,9 +141,7 @@ func TestApplyAggregateSingleClientRound(t *testing.T) {
 	before := m.Parameters().Clone()
 	d := tensor.NewVector(m.NumParams())
 	d.Fill(0.25)
-	if err := applyAggregate(m, []tensor.Vector{d}, []float64{17}); err != nil {
-		t.Fatal(err)
-	}
+	ApplyAggregate(m, []tensor.Vector{d}, []float64{17})
 	after := m.Parameters()
 	for i := range after {
 		if math.Abs(after[i]-(before[i]+0.25)) > 1e-12 {
@@ -185,16 +173,16 @@ func TestMeanShardSize(t *testing.T) {
 }
 
 func TestIsFinite(t *testing.T) {
-	if !isFinite(tensor.Vector{1, -2, 0}) {
+	if !IsFinite(tensor.Vector{1, -2, 0}) {
 		t.Fatal("finite vector rejected")
 	}
-	if isFinite(tensor.Vector{1, math.NaN()}) {
+	if IsFinite(tensor.Vector{1, math.NaN()}) {
 		t.Fatal("NaN accepted")
 	}
-	if isFinite(tensor.Vector{math.Inf(-1)}) {
+	if IsFinite(tensor.Vector{math.Inf(-1)}) {
 		t.Fatal("Inf accepted")
 	}
-	if !isFinite(nil) {
+	if !IsFinite(nil) {
 		t.Fatal("empty vector should be finite")
 	}
 }

@@ -58,7 +58,7 @@ type asyncTrainJob struct {
 	train       []nn.Sample
 	localTest   []nn.Sample
 
-	lt  localTrainResult
+	lt  LocalResult
 	err error
 }
 
@@ -314,8 +314,10 @@ func (r *run) barrier() (stop bool, err error) {
 		forEachSlot(len(jobs), r.cfg.Parallelism, func(worker, slot int) {
 			j := &jobs[slot]
 			r.eo.trainCalls.Inc()
-			j.lt, j.err = trainLocal(r.pool.ctx(worker), r.pool.delta(slot), r.global,
-				j.startParams, j.train, j.localTest, j.tech, r.cfg, j.round, j.clientID)
+			ctx := r.pool.ctx(worker)
+			tc, rng := ctx.reseed(r.global, r.cfg, j.round, j.clientID)
+			j.lt, j.err = TrainLocal(ctx.local, j.startParams, r.pool.delta(slot), ctx.applied,
+				j.train, j.localTest, j.tech, tc, rng)
 		})
 	})
 	deltas := make([]tensor.Vector, len(jobs))
@@ -324,13 +326,13 @@ func (r *run) barrier() (stop bool, err error) {
 		if jobs[i].err != nil {
 			return false, jobs[i].err
 		}
-		deltas[i] = jobs[i].lt.delta
-		weights[i] = jobs[i].lt.weight / math.Sqrt(1+float64(jobs[i].staleness))
+		deltas[i] = jobs[i].lt.Delta
+		weights[i] = jobs[i].lt.Weight / math.Sqrt(1+float64(jobs[i].staleness))
 	}
 	for _, ev := range r.pendingEvents {
 		var accImprove float64
 		if ev.trainIdx >= 0 {
-			accImprove = jobs[ev.trainIdx].lt.accImprove
+			accImprove = jobs[ev.trainIdx].lt.AccImprove
 		}
 		r.ctrl.Feedback(ev.version, ev.client, ev.tech, ev.out, accImprove)
 		r.cfg.Logger.LogClientRound(clientRoundLog(ev.version, ev.clientID, ev.tech, ev.out, accImprove))
@@ -341,10 +343,7 @@ func (r *run) barrier() (stop bool, err error) {
 	r.pendingJobs = r.pendingJobs[:0]
 	r.pendingEvents = r.pendingEvents[:0]
 
-	withPhase("aggregate", func() { err = applyAggregate(r.global, deltas, weights) })
-	if err != nil {
-		return false, err
-	}
+	withPhase("aggregate", func() { ApplyAggregate(r.global, deltas, weights) })
 	r.eo.span(obs.Span{T: r.now, Kind: "aggregate", Round: r.version, Client: -1})
 	r.eo.rounds.Inc()
 	r.version++

@@ -362,9 +362,15 @@ func (r *run) RestoreCheckpoint(data []byte) error {
 	if len(params) != dim {
 		return paramCount(len(params), dim)
 	}
+	if !IsFinite(params) {
+		return &checkpoint.FormatError{Reason: "global parameters are not finite"}
+	}
 	for _, v := range el.versions {
 		if len(v) != dim {
 			return paramCount(len(v), dim)
+		}
+		if !IsFinite(v) {
+			return &checkpoint.FormatError{Reason: "retained parameter version is not finite"}
 		}
 	}
 	if len(accHistory) != len(evalRounds) {

@@ -7,11 +7,11 @@ import (
 	"floatfl/internal/tensor"
 )
 
-// trainContext is the per-worker scratch for trainLocal: one local model
-// clone plus the buffers a client round needs. Contexts are created empty
-// and populated lazily on first use, then reused for every subsequent
-// client round that worker executes — so steady-state rounds allocate
-// nothing.
+// trainContext is the simulator's per-worker scratch for TrainLocal: one
+// local model clone plus the buffers and update-transform stream a client
+// round needs. Contexts are created empty and populated lazily on first
+// use, then reused for every subsequent client round that worker executes
+// — so steady-state rounds allocate nothing.
 //
 // A context belongs to exactly one worker goroutine for the duration of a
 // fan-out; the pool itself is only grown on the single-threaded dispatch
@@ -22,25 +22,31 @@ type trainContext struct {
 	updateRNG *rand.Rand    // update-transform stream, reseeded per client
 }
 
-// ensure lazily builds the context's model and scratch for proto's
-// architecture.
-func (c *trainContext) ensure(proto *nn.Model) {
+// reseed readies the context for the simulated client round (round,
+// clientID) and returns what the simulator hands TrainLocal: cfg's
+// training configuration seeded by trainSeed, and the context's
+// update-transform stream reseeded from the same seed — the stream a fresh
+// rand.New(rand.NewSource(seed)) would produce, without allocating. The
+// model and scratch for proto's architecture are built on first use.
+func (c *trainContext) reseed(proto *nn.Model, cfg Config, round, clientID int) (nn.TrainConfig, *rand.Rand) {
 	if c.local == nil {
 		c.local = proto.Clone()
 		c.applied = tensor.NewVector(proto.NumParams())
 	}
-}
-
-// seedUpdateRNG resets the context's update-transform stream to the given
-// seed, producing the same stream as a fresh rand.New(rand.NewSource(seed))
-// without allocating.
-func (c *trainContext) seedUpdateRNG(seed int64) *rand.Rand {
+	seed := trainSeed(cfg, round, clientID)
 	if c.updateRNG == nil {
-		c.updateRNG = rand.New(rand.NewSource(seed))
+		c.updateRNG = rand.New(rand.NewSource(seed ^ updateRNGSalt))
 	} else {
-		c.updateRNG.Seed(seed)
+		c.updateRNG.Seed(seed ^ updateRNGSalt)
 	}
-	return c.updateRNG
+	return nn.TrainConfig{
+		Epochs:    cfg.Epochs,
+		BatchSize: cfg.BatchSize,
+		LR:        cfg.LR,
+		GradClip:  cfg.GradClip,
+		ProxMu:    cfg.ProxMu,
+		Seed:      seed,
+	}, c.updateRNG
 }
 
 // contextPool owns the engines' reusable training state: one trainContext

@@ -8,8 +8,16 @@ import (
 	"floatfl/internal/nn"
 	"floatfl/internal/obs"
 	"floatfl/internal/opt"
+	"floatfl/internal/tensor"
 	"floatfl/internal/trace"
 )
+
+// simRound runs one client round on ctx the way the engines' fan-out does.
+func simRound(ctx *trainContext, delta tensor.Vector, proto *nn.Model, before tensor.Vector,
+	shard, localTest []nn.Sample, tech opt.Technique, cfg Config, round, clientID int) (LocalResult, error) {
+	tc, rng := ctx.reseed(proto, cfg, round, clientID)
+	return TrainLocal(ctx.local, before, delta, ctx.applied, shard, localTest, tech, tc, rng)
+}
 
 // TestTrainLocalAllocatesNothing pins the steady-state client round
 // against a warm trainContext at zero allocations: the context owns the
@@ -43,14 +51,14 @@ func TestTrainLocalAllocatesNothing(t *testing.T) {
 	// scratch before counting starts.
 	allocs := testing.AllocsPerRun(10, func() {
 		trainCalls.Inc()
-		if _, err := trainLocal(pool.ctx(0), pool.delta(0), proto, before,
+		if _, err := simRound(pool.ctx(0), pool.delta(0), proto, before,
 			fed.Train[0], fed.LocalTest[0], opt.TechNone, cfg, 1, 0); err != nil {
 			t.Fatal(err)
 		}
 		computeHist.Observe(12.5)
 	})
 	if allocs != 0 {
-		t.Errorf("warm trainLocal allocates %.0f objects per client round, want 0", allocs)
+		t.Errorf("warm TrainLocal allocates %.0f objects per client round, want 0", allocs)
 	}
 }
 
@@ -73,12 +81,12 @@ func TestTrainContextReuseMatchesFreshContext(t *testing.T) {
 	warm := &trainContext{}
 	warmDelta := make([]float64, proto.NumParams())
 	for id := 1; id <= 2; id++ {
-		if _, err := trainLocal(warm, warmDelta, proto, before,
+		if _, err := simRound(warm, warmDelta, proto, before,
 			fed.Train[id], fed.LocalTest[id], opt.TechQuant8, cfg, 0, id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	gotWarm, err := trainLocal(warm, warmDelta, proto, before,
+	gotWarm, err := simRound(warm, warmDelta, proto, before,
 		fed.Train[0], fed.LocalTest[0], opt.TechQuant8, cfg, 3, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -86,21 +94,21 @@ func TestTrainContextReuseMatchesFreshContext(t *testing.T) {
 
 	fresh := &trainContext{}
 	freshDelta := make([]float64, proto.NumParams())
-	gotFresh, err := trainLocal(fresh, freshDelta, proto, before,
+	gotFresh, err := simRound(fresh, freshDelta, proto, before,
 		fed.Train[0], fed.LocalTest[0], opt.TechQuant8, cfg, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if gotWarm.weight != gotFresh.weight ||
-		gotWarm.statUtility != gotFresh.statUtility ||
-		gotWarm.accImprove != gotFresh.accImprove {
+	if gotWarm.Weight != gotFresh.Weight ||
+		gotWarm.StatUtility != gotFresh.StatUtility ||
+		gotWarm.AccImprove != gotFresh.AccImprove {
 		t.Fatalf("warm context result differs: %+v vs %+v", gotWarm, gotFresh)
 	}
-	for i := range gotWarm.delta {
-		if gotWarm.delta[i] != gotFresh.delta[i] {
+	for i := range gotWarm.Delta {
+		if gotWarm.Delta[i] != gotFresh.Delta[i] {
 			t.Fatalf("warm context delta differs at %d: %v vs %v",
-				i, gotWarm.delta[i], gotFresh.delta[i])
+				i, gotWarm.Delta[i], gotFresh.Delta[i])
 		}
 	}
 }

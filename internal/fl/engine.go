@@ -11,6 +11,7 @@ package fl
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"floatfl/internal/device"
 	"floatfl/internal/metrics"
@@ -29,7 +30,11 @@ import (
 // dispatch order. Feedback for a batch of concurrently-executed clients is
 // delivered after the whole batch completes (end of round for the sync
 // engine, aggregation barrier for the async engine), so Decide observes
-// controller state as of the previous batch boundary.
+// controller state as of the previous batch boundary. floatd (internal/dist)
+// times it differently, under its server lock: an update's Feedback is
+// delivered when the update is accepted, a dropout's when its lease expires
+// or its round closes, so there Decide observes every outcome accepted
+// before it, not a batch boundary.
 type Controller interface {
 	Name() string
 	// Decide picks a technique given the client's resource snapshot and
@@ -287,12 +292,12 @@ func workSpecFor(spec nn.Spec, samples, epochs int) device.WorkSpec {
 	}
 }
 
-// localTrainResult is what a completed client round produces.
-type localTrainResult struct {
-	delta       tensor.Vector
-	weight      float64
-	statUtility float64
-	accImprove  float64
+// LocalResult is what a completed client round produces.
+type LocalResult struct {
+	Delta       tensor.Vector
+	Weight      float64
+	StatUtility float64
+	AccImprove  float64
 }
 
 // trainSeed is the per-(run, round, client) seed every stochastic stream
@@ -308,40 +313,28 @@ func trainSeed(cfg Config, round, clientID int) int64 {
 // from the same base seed.
 const updateRNGSalt = 0x5DEECE66D
 
-// trainLocal loads the `before` parameter snapshot into the context's
-// reusable local model, runs local SGD under the technique's semantic
-// effects (frozen layers / pruned + quantized update), and writes the
-// transformed delta into the caller-provided slot buffer, returning it
-// plus the reward signals. It touches no shared mutable state: before is
-// only read, all mutable scratch lives in ctx (owned by one worker) or
-// delta (owned by one slot), and all randomness comes from per-client
-// streams seeded by trainSeed — so concurrent calls for distinct
-// (round, client) pairs on distinct contexts are race-free and
-// order-independent. Steady-state calls allocate nothing.
-func trainLocal(ctx *trainContext, delta tensor.Vector, proto *nn.Model,
-	before tensor.Vector, shard, localTest []nn.Sample,
-	tech opt.Technique, cfg Config, round, clientID int) (localTrainResult, error) {
+// TrainLocal is one client round, the one both the simulator's engines and
+// floatd's client runtime execute: it loads the `before` parameter snapshot
+// into local, runs local SGD on shard under tc and the technique's semantic
+// effects (frozen layers / pruned + quantized update), writes the
+// transformed delta into delta, and measures on localTest the accuracy the
+// client gains by adopting its own update, which it assembles in applied.
+// Every buffer and stream is the caller's: tc.Seed drives nn.Train's batch
+// shuffle and updateRNG the update transform; before is only read and must
+// not alias local's parameters, but may be applied itself, since it is not
+// read once applied is written. So
+// concurrent calls on disjoint buffers and streams are race-free and
+// order-independent, and steady-state calls allocate nothing.
+func TrainLocal(local *nn.Model, before, delta, applied tensor.Vector, shard, localTest []nn.Sample,
+	tech opt.Technique, tc nn.TrainConfig, updateRNG *rand.Rand) (LocalResult, error) {
 
-	var res localTrainResult
-	ctx.ensure(proto)
-	local := ctx.local
+	var res LocalResult
 	if err := local.SetParameters(before); err != nil {
 		return res, err
 	}
-	eff := tech.Effects()
-	seed := trainSeed(cfg, round, clientID)
-
 	accBefore, _ := local.Evaluate(localTest)
-	tc := nn.TrainConfig{
-		Epochs:       cfg.Epochs,
-		BatchSize:    cfg.BatchSize,
-		LR:           cfg.LR,
-		GradClip:     cfg.GradClip,
-		FrozenLayers: opt.FrozenLayerMask(len(local.Layers), eff.PartialFrac),
-		Seed:         seed,
-	}
-	if cfg.ProxMu > 0 {
-		tc.ProxMu = cfg.ProxMu
+	tc.FrozenLayers = opt.FrozenLayerMask(len(local.Layers), tech.Effects().PartialFrac)
+	if tc.ProxMu > 0 {
 		tc.ProxAnchor = before
 	}
 	loss, err := local.Train(shard, tc)
@@ -349,13 +342,11 @@ func trainLocal(ctx *trainContext, delta tensor.Vector, proto *nn.Model,
 		return res, err
 	}
 
-	rng := ctx.seedUpdateRNG(seed ^ updateRNGSalt)
 	tensor.ScaledDiff(delta, 1, local.Parameters(), before)
-	opt.ApplyToUpdate(tech, delta, rng)
+	opt.ApplyToUpdate(tech, delta, updateRNG)
 
 	// Accuracy improvement the client would see if it adopted its own
 	// (transformed) update — the Acc_i reward component.
-	applied := ctx.applied
 	copy(applied, before)
 	applied.AddScaled(1, delta)
 	if err := local.SetParameters(applied); err != nil {
@@ -363,31 +354,32 @@ func trainLocal(ctx *trainContext, delta tensor.Vector, proto *nn.Model,
 	}
 	accAfter, _ := local.Evaluate(localTest)
 
-	res.delta = delta
-	res.weight = float64(len(shard))
+	res.Delta = delta
+	res.Weight = float64(len(shard))
 	// Oort's statistical utility for a client is |B_i| · sqrt(mean squared
 	// sample loss over its shard B_i). The engine only sees the mean final
 	// epoch loss, so |B|·|loss| is the standard single-scalar proxy (loss
 	// is a mean of non-negative cross-entropies, but |·| guards the FedProx
 	// path where the reported value could in principle go negative).
-	res.statUtility = float64(len(shard)) * math.Abs(loss)
-	res.accImprove = accAfter - accBefore
+	res.StatUtility = float64(len(shard)) * math.Abs(loss)
+	res.AccImprove = accAfter - accBefore
 	return res, nil
 }
 
-// applyAggregate accumulates the weighted mean of deltas directly into the
-// global model's flat parameter buffer (no intermediate aggregate vector).
-// Non-finite deltas (a diverged or malicious client) are discarded rather
-// than allowed to poison the global model.
-func applyAggregate(global *nn.Model, deltas []tensor.Vector, weights []float64) error {
-	if len(deltas) == 0 {
-		return nil
-	}
+// ApplyAggregate adds the weighted mean of deltas to the global model's
+// flat parameter buffer in place (no intermediate aggregate vector); the
+// engines and floatd's aggregator all aggregate through it. Non-finite
+// deltas (a diverged or malicious client) and non-positive weights are
+// discarded rather than allowed to poison the global model. It compacts
+// deltas and weights in place and returns the deltas it kept: a prefix of
+// deltas whose vectors are distinct, while entries past it may repeat kept
+// ones — a caller recycling the vectors recycles only the returned prefix.
+func ApplyAggregate(global *nn.Model, deltas []tensor.Vector, weights []float64) []tensor.Vector {
 	var totalW float64
 	kept := deltas[:0]
 	keptW := weights[:0]
 	for i, d := range deltas {
-		if !isFinite(d) || weights[i] <= 0 {
+		if !IsFinite(d) || weights[i] <= 0 {
 			continue
 		}
 		kept = append(kept, d)
@@ -395,17 +387,18 @@ func applyAggregate(global *nn.Model, deltas []tensor.Vector, weights []float64)
 		totalW += weights[i]
 	}
 	if totalW <= 0 {
-		return nil
+		return kept
 	}
 	for i := range keptW {
 		keptW[i] /= totalW
 	}
 	//lint:allow flat-view-mutation aggregator owns the global model; in-place update is the sanctioned fast path (DESIGN.md buffer ownership)
 	tensor.AddWeighted(global.Parameters(), keptW, kept)
-	return nil
+	return kept
 }
 
-func isFinite(v tensor.Vector) bool {
+// IsFinite reports whether v holds no NaN or ±Inf.
+func IsFinite(v tensor.Vector) bool {
 	for _, x := range v {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return false

@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the engines' parallel execution layer. Both engines fan the
-// per-client work of a round — device.Execute plus trainLocal, the two hot
+// per-client work of a round — device.Execute plus TrainLocal, the two hot
 // paths — out to a pool of Parallelism workers, and collect results into a
 // slot-indexed array so everything order-sensitive (aggregation, ledger
 // records, selector feedback, controller feedback, logging) is applied in

@@ -1,6 +1,9 @@
 package fl
 
 import (
+	"bytes"
+	"errors"
+	"math"
 	"runtime"
 	"testing"
 
@@ -51,6 +54,53 @@ func TestEngineSnapshotConformance(t *testing.T) {
 				})
 			})
 		}
+	}
+}
+
+// TestEngineRestoreRejectsNonFiniteParams: a snapshot whose global
+// parameters or retained FedBuff versions hold a NaN or an Inf is a
+// FormatError found before the first mutation. SetParameters copies
+// whatever it is given, so such a snapshot used to resume, and every
+// client round after it trained from the poisoned model.
+func TestEngineRestoreRejectsNonFiniteParams(t *testing.T) {
+	poisonGlobal := func(x float64) func(r *run) {
+		return func(r *run) {
+			p := r.global.Parameters().Clone()
+			p[1] = x
+			if err := r.global.SetParameters(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name, engine string
+		poison       func(r *run)
+	}{
+		{"sync/params-nan", "sync-oort", poisonGlobal(math.NaN())},
+		{"async/params-inf", "async", poisonGlobal(math.Inf(1))},
+		{"async/version-nan", "async", func(r *run) { r.versions[r.version-1][0] = math.NaN() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := freshRun(t, tc.engine, false)
+			advance(t, src)
+			tc.poison(src)
+			blob, err := src.CheckpointState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := freshRun(t, tc.engine, false)
+			before, err := dst.CheckpointState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fe *checkpoint.FormatError
+			if err := dst.RestoreCheckpoint(blob); !errors.As(err, &fe) {
+				t.Fatalf("got %v, want a FormatError", err)
+			}
+			if after, err := dst.CheckpointState(); err != nil || !bytes.Equal(before, after) {
+				t.Fatalf("rejected restore changed the run (err %v)", err)
+			}
+		})
 	}
 }
 

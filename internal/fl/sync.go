@@ -27,7 +27,7 @@ type syncSlot struct {
 	localTest []nn.Sample
 
 	out     device.Outcome
-	lt      localTrainResult
+	lt      LocalResult
 	trained bool
 	err     error
 }
@@ -56,7 +56,7 @@ func RunSync(fed *data.Federation, pop []*device.Client, sel selection.Selector,
 // Each round runs in three phases: a sequential dispatch pass (selection,
 // client/shard acquisition, resource snapshot + controller decision per
 // client, in selection order), a parallel fan-out (device.Execute +
-// trainLocal against a snapshot of the global model, Config.Parallelism
+// TrainLocal against a snapshot of the global model, Config.Parallelism
 // workers), and a sequential collect pass that applies deltas, ledger
 // records, selector feedback, and controller feedback in selection order,
 // then releases the round's clients. The fan-out schedule cannot influence
@@ -189,7 +189,7 @@ func (r *run) fanOut(round int, ids []int, slots []syncSlot) {
 	}
 	r.pool.ensure(par, len(slots))
 	// Parameters() is a zero-copy view; it is safe to share across the
-	// fan-out because the global model is frozen until applyAggregate.
+	// fan-out because the global model is frozen until ApplyAggregate.
 	globalParams := r.global.Parameters()
 	withPhase("train", func() {
 		forEachSlot(len(slots), par, func(worker, slot int) {
@@ -200,8 +200,10 @@ func (r *run) fanOut(round int, ids []int, slots []syncSlot) {
 				return
 			}
 			r.eo.trainCalls.Inc()
-			s.lt, s.err = trainLocal(r.pool.ctx(worker), r.pool.delta(slot), r.global,
-				globalParams, s.train, s.localTest, s.tech, r.cfg, round, s.id)
+			ctx := r.pool.ctx(worker)
+			tc, rng := ctx.reseed(r.global, r.cfg, round, s.id)
+			s.lt, s.err = TrainLocal(ctx.local, globalParams, r.pool.delta(slot), ctx.applied,
+				s.train, s.localTest, s.tech, tc, rng)
 			s.trained = s.err == nil
 		})
 	})
@@ -232,10 +234,10 @@ func (r *run) collect(round int, start float64, slots []syncSlot) (deltas []tens
 
 		var statUtil, accImprove float64
 		if s.trained {
-			deltas = append(deltas, s.lt.delta)
-			weights = append(weights, s.lt.weight)
-			statUtil = s.lt.statUtility
-			accImprove = s.lt.accImprove
+			deltas = append(deltas, s.lt.Delta)
+			weights = append(weights, s.lt.Weight)
+			statUtil = s.lt.StatUtility
+			accImprove = s.lt.AccImprove
 			if out.Cost.TotalSeconds > wall {
 				wall = out.Cost.TotalSeconds
 			}
@@ -254,10 +256,7 @@ func (r *run) collect(round int, start float64, slots []syncSlot) (deltas []tens
 // effect that needs the client instances has run), advances the clock, and
 // reports the round.
 func (r *run) closeRound(round int, ids []int, deltas []tensor.Vector, weights []float64, wall float64) (stop bool, err error) {
-	withPhase("aggregate", func() { err = applyAggregate(r.global, deltas, weights) })
-	if err != nil {
-		return false, err
-	}
+	withPhase("aggregate", func() { ApplyAggregate(r.global, deltas, weights) })
 	for _, id := range ids {
 		r.p.Release(id)
 	}

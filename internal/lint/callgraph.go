@@ -3,7 +3,7 @@
 // once per Run from the type-checked ASTs of every loaded package, with
 // one node per declared function or method and one node per function
 // literal. Edges are static: direct calls, method calls resolved through
-// go/types, and function values referenced by name (passing trainLocal to
+// go/types, and function values referenced by name (passing TrainLocal to
 // a scheduler creates an edge even without a call). Dynamic dispatch —
 // interface method calls and anonymous function values — resolves to
 // nothing, which is the analysis' deliberate escape hatch: injecting a
