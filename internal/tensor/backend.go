@@ -9,15 +9,17 @@ import (
 // Backend is the pluggable implementation of the kernels that dominate
 // training time. Two implementations ship with the repository:
 //
-//   - "ref": the portable scalar loops this package has always used. Its
-//     results are the determinism oracle — the P=1≡P=8 golden tests and
-//     every committed golden trace bind to ref's exact floating-point
-//     operation order, which never changes.
-//   - "fast": blocked/tiled matrix kernels with register-blocked inner
-//     loops plus a fused softmax+cross-entropy. Deterministic for a fixed
-//     binary (no randomness, no data races), but its summation order is
-//     not ref's, so results agree with ref only to rounding (see the
-//     conformance suite's ulp policy in backendtests).
+//   - "ref": the determinism oracle. Each output element gets a fixed
+//     sequence of floating-point operations (the sequential scalar-loop
+//     order), which never changes; independent outputs may interleave.
+//     The P=1≡P=8 golden tests and every committed golden trace bind to
+//     those sequences.
+//   - "fast": tiled GEMMs with register-blocked inner loops, an unrolled
+//     Dot, and a fused softmax+cross-entropy. Deterministic for a fixed
+//     binary (no randomness, no data races), but those kernels sum in
+//     another order than ref, so they agree with ref only to rounding
+//     (see the conformance suite's ulp policy in backendtests). Its
+//     matrix–vector kernels are ref's and match it bit for bit.
 //
 // Contracts shared by every backend:
 //

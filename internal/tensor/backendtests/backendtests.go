@@ -10,9 +10,10 @@
 // P=1≡P=8 determinism tests bind to its operation order. Other backends
 // may reorder floating-point sums (tiling, unrolling, fusion), so they
 // are held to agreement with ref within maxUlps last-place units or
-// absTol absolute, whichever admits the value. Each backend individually
-// must still be deterministic: the suite runs every kernel twice and
-// requires bit-identical results.
+// absTol absolute, whichever admits the value. Kernels every backend
+// shares with ref (MatVec, MatVecT, AddOuterScaled) must match it bit for
+// bit. Each backend individually must still be deterministic: the suite
+// runs every kernel twice and requires bit-identical results.
 package backendtests
 
 import (
@@ -76,6 +77,16 @@ func checkVec(t *testing.T, name string, got, want tensor.Vector) {
 	for i := range want {
 		if !close2(got[i], want[i]) {
 			t.Errorf("%s: [%d] = %v, want %v (ulp %d)", name, i, got[i], want[i], ulpDiff(got[i], want[i]))
+		}
+	}
+}
+
+// checkBits requires exact agreement, for kernels two backends share.
+func checkBits(t *testing.T, name string, got, want tensor.Vector) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("%s: [%d] = %v, want %v bit for bit", name, i, got[i], want[i])
 		}
 	}
 }
@@ -387,25 +398,41 @@ func runShapePanics(t *testing.T, b tensor.Backend) {
 	})
 }
 
-// runSelfDeterminism runs each kernel twice on identical inputs and
+// runSelfDeterminism runs every kernel twice on identical inputs and
 // requires bit-identical output — every backend must be deterministic for
-// a fixed binary, whatever its summation order.
+// a fixed binary, whatever its summation order. Six rows and a third of
+// the entries zero reach the row blocks, their fringes and the zero-skip
+// paths.
 func runSelfDeterminism(t *testing.T, b tensor.Backend) {
-	rng := rand.New(rand.NewSource(7))
-	const m, k, n = 5, 7, 3
-	a := randMatrix(rng, m, k)
-	bt := randMatrix(rng, n, k)
+	const m, k, n = 6, 7, 5
 	run := func() tensor.Vector {
-		dst := tensor.NewMatrix(m, n)
-		b.MatMulNT(dst, a, bt)
-		x := randVecFrom(rand.New(rand.NewSource(9)), k)
-		mv := tensor.NewVector(m)
+		rng := rand.New(rand.NewSource(7))
+		a, w := randMatrix(rng, m, k), randMatrix(rng, n, k)
+		bm, am := randMatrix(rng, k, n), randMatrix(rng, k, m)
+		x, y := randVecFrom(rng, k), randVecFrom(rng, m)
+		for _, v := range []tensor.Vector{a.Data, w.Data, bm.Data, am.Data, x, y} {
+			for i := 0; i < len(v); i += 3 {
+				v[i] = 0
+			}
+		}
+		axpy, diff := x.Clone(), tensor.NewVector(k)
+		b.AddScaled(axpy, 0.5, x)
+		b.ScaledDiff(diff, 0.5, x, axpy)
+		b.AddWeighted(diff, []float64{0.25, -1}, []tensor.Vector{x, axpy})
+		mv, mvt, outer := tensor.NewVector(m), tensor.NewVector(k), a.Clone()
 		b.MatVec(a, mv, x)
-		sm := tensor.NewVector(k)
+		b.MatVecT(a, mvt, y)
+		b.AddOuterScaled(outer, 0.3, y, x)
+		nt, nn, tn := tensor.NewMatrix(m, n), tensor.NewMatrix(m, n), tensor.NewMatrix(m, n)
+		b.MatMulNT(nt, a, w)
+		b.MatMulNN(nn, a, bm)
+		b.AddMatMulTN(tn, am, bm)
+		sm, probs, grad := tensor.NewVector(k), tensor.NewVector(k), tensor.NewVector(k)
 		b.Softmax(sm, x)
-		out := append(tensor.Vector{}, dst.Data...)
-		out = append(out, mv...)
-		out = append(out, sm...)
+		out := tensor.Vector{b.Dot(x, axpy), b.SoftmaxXent(probs, grad, x, 2)}
+		for _, v := range []tensor.Vector{axpy, diff, mv, mvt, outer.Data, nt.Data, nn.Data, tn.Data, sm, probs, grad} {
+			out = append(out, v...)
+		}
 		return out
 	}
 	first, second := run(), run()
@@ -419,7 +446,8 @@ func runSelfDeterminism(t *testing.T, b tensor.Backend) {
 
 // runCrossBackend compares b against ref on deterministic pseudo-random
 // inputs over sizes chosen to hit tiled/unrolled fringes (odd and even,
-// below and above block sizes).
+// below and above block sizes). MatVec, MatVecT and AddOuterScaled are one
+// implementation shared by every backend, so they must match ref exactly.
 func runCrossBackend(t *testing.T, b tensor.Backend) {
 	ref := tensor.Default()
 	if b.Name() == ref.Name() {
@@ -436,21 +464,21 @@ func runCrossBackend(t *testing.T, b tensor.Backend) {
 		x := randVecFrom(rng, sz.k)
 		y := randVecFrom(rng, sz.m)
 
-		// MatVec / MatVecT / AddOuterScaled.
+		// MatVec / MatVecT / AddOuterScaled: bit-equal.
 		wantV, gotV := tensor.NewVector(sz.m), tensor.NewVector(sz.m)
 		ref.MatVec(a, wantV, x)
 		b.MatVec(a, gotV, x)
-		checkVec(t, "cross/MatVec", gotV, wantV)
+		checkBits(t, "cross/MatVec", gotV, wantV)
 
 		wantT, gotT := tensor.NewVector(sz.k), tensor.NewVector(sz.k)
 		ref.MatVecT(a, wantT, y)
 		b.MatVecT(a, gotT, y)
-		checkVec(t, "cross/MatVecT", gotT, wantT)
+		checkBits(t, "cross/MatVecT", gotT, wantT)
 
 		wantM, gotM := a.Clone(), a.Clone()
 		ref.AddOuterScaled(wantM, 0.3, y, x)
 		b.AddOuterScaled(gotM, 0.3, y, x)
-		checkVec(t, "cross/AddOuterScaled", gotM.Data, wantM.Data)
+		checkBits(t, "cross/AddOuterScaled", gotM.Data, wantM.Data)
 
 		// GEMM shapes.
 		wantNT, gotNT := tensor.NewMatrix(sz.m, sz.n), tensor.NewMatrix(sz.m, sz.n)

@@ -2,13 +2,14 @@ package tensor
 
 import "math"
 
-// fastBackend is the optimized backend: register-blocked matrix kernels,
-// a blocked/tiled GEMM for the batched training path, and a fused
+// fastBackend is the optimized backend: a blocked/tiled GEMM for the
+// batched training path, a 4-way-unrolled Dot, and a fused
 // softmax+cross-entropy. It is deterministic (pure functions of its
 // inputs, no randomness), but its reduction trees differ from ref's
-// sequential loops, so results match ref only to rounding — the
+// sequential loops, so those kernels match ref only to rounding — the
 // conformance suite bounds the divergence in ulps, and the fl parity test
-// bounds its end-to-end effect on accuracy.
+// bounds its end-to-end effect on accuracy. MatVec, MatVecT and
+// AddOuterScaled are shared with ref and bit-identical to it.
 //
 // The kernels stay portable Go: the unroll-by-4 independent accumulators
 // break the sequential FP dependency chain (the scalar loop's latency
@@ -21,8 +22,8 @@ type fastBackend struct{}
 func (fastBackend) Name() string  { return "fast" }
 func (fastBackend) Batched() bool { return true }
 
-// dot4 is the 4-way unrolled inner product both fast matrix kernels lean
-// on: four independent accumulators, combined once at the end.
+// dot4 is the 4-way unrolled inner product behind Dot and MatMulNT's
+// fringe: four independent accumulators, combined once at the end.
 func dot4(a, b []float64) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
@@ -57,77 +58,13 @@ func (fastBackend) AddWeighted(dst Vector, weights []float64, vecs []Vector) {
 	AddWeighted(dst, weights, vecs)
 }
 
-func (fastBackend) MatVec(m *Matrix, dst, x Vector) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		m.MatVec(dst, x) // delegate for the canonical panic message
-	}
-	for r := 0; r < m.Rows; r++ {
-		dst[r] = dot4(m.Data[r*m.Cols:(r+1)*m.Cols], x)
-	}
-}
-
-// MatVecT accumulates two source rows per pass so each dst element is
-// loaded and stored half as often as in the scalar loop.
-func (fastBackend) MatVecT(m *Matrix, dst, x Vector) {
-	if len(x) != m.Rows || len(dst) != m.Cols {
-		m.MatVecT(dst, x)
-	}
-	dst.Zero()
-	n := m.Cols
-	r := 0
-	for ; r+2 <= m.Rows; r += 2 {
-		x0, x1 := x[r], x[r+1]
-		if x0 == 0 && x1 == 0 {
-			continue
-		}
-		row0 := m.Data[r*n : (r+1)*n]
-		row1 := m.Data[(r+1)*n : (r+2)*n]
-		for c := range dst {
-			dst[c] += row0[c]*x0 + row1[c]*x1
-		}
-	}
-	for ; r < m.Rows; r++ {
-		xr := x[r]
-		if xr == 0 {
-			continue
-		}
-		row := m.Data[r*n : (r+1)*n]
-		for c := range dst {
-			dst[c] += row[c] * xr
-		}
-	}
-}
-
-// AddOuterScaled processes two rows of the rank-1 update per pass, halving
-// the passes over b.
+// The matrix–vector kernels are the shared four-row ones in tensor.go:
+// they are faster than a dot4 per row or a two-row fusion at every ladder
+// shape, and sharing them keeps fast bit-equal to ref here.
+func (fastBackend) MatVec(m *Matrix, dst, x Vector)  { m.MatVec(dst, x) }
+func (fastBackend) MatVecT(m *Matrix, dst, x Vector) { m.MatVecT(dst, x) }
 func (fastBackend) AddOuterScaled(m *Matrix, alpha float64, a, b Vector) {
-	if len(a) != m.Rows || len(b) != m.Cols {
-		m.AddOuterScaled(alpha, a, b)
-	}
-	n := m.Cols
-	r := 0
-	for ; r+2 <= m.Rows; r += 2 {
-		a0, a1 := alpha*a[r], alpha*a[r+1]
-		if a0 == 0 && a1 == 0 {
-			continue
-		}
-		row0 := m.Data[r*n : (r+1)*n]
-		row1 := m.Data[(r+1)*n : (r+2)*n]
-		for c, bc := range b {
-			row0[c] += a0 * bc
-			row1[c] += a1 * bc
-		}
-	}
-	for ; r < m.Rows; r++ {
-		ar := alpha * a[r]
-		if ar == 0 {
-			continue
-		}
-		row := m.Data[r*n : (r+1)*n]
-		for c, bc := range b {
-			row[c] += ar * bc
-		}
-	}
+	m.AddOuterScaled(alpha, a, b)
 }
 
 // MatMulNT computes dst = a·bᵀ with 2×2 register tiles: two rows of a

@@ -2,13 +2,15 @@ package tensor
 
 import "math"
 
-// refBackend is the reference backend: the portable scalar loops this
-// package started with, verbatim. Every kernel delegates to (or replicates
-// operation-for-operation) the package-level functions, so switching code
-// from direct kernel calls to Default()-backend calls changes no float
-// anywhere — which is what lets the committed golden traces and the
-// P=1≡P=8 determinism tests keep passing byte-identically across the
-// backend split.
+// refBackend is the reference backend. Its contract is a fixed sequence of
+// floating-point operations per output element — the sequential order of
+// the scalar loops this package started with — while independent outputs
+// are free to interleave (the four-row matrix–vector kernels do). Every
+// kernel delegates to (or replicates operation-for-operation) the
+// package-level functions, so switching code from direct kernel calls to
+// Default()-backend calls changes no float anywhere — which is what lets
+// the committed golden traces and the P=1≡P=8 determinism tests keep
+// passing byte-identically.
 //
 // refBackend is stateless; the zero value is ready to use.
 type refBackend struct{}

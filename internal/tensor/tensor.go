@@ -255,17 +255,34 @@ func (m *Matrix) Clone() *Matrix {
 	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data.Clone()}
 }
 
+// The matrix–vector kernels below interleave four independent rows per
+// pass, so no multiply-add waits on the previous one and each x or b
+// element is loaded once per four rows; every output element keeps the
+// sequential scalar loop's operations, so results match it bit for bit.
+
 // MatVec computes dst = m · x where x has length m.Cols and dst has length
-// m.Rows. dst must not alias x.
+// m.Rows. dst must not alias x. Each dst[r] is the sequential sum
+// ((0 + m[r,0]·x[0]) + m[r,1]·x[1]) + …; four rows run side by side.
 func (m *Matrix) MatVec(dst, x Vector) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic(fmt.Sprintf("tensor: MatVec shape mismatch m=%dx%d x=%d dst=%d",
 			m.Rows, m.Cols, len(x), len(dst)))
 	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
+	n, r := m.Cols, 0
+	for ; r+4 <= m.Rows; r += 4 {
+		r0, r1, r2, r3 := m.Data[r*n:][:n], m.Data[(r+1)*n:][:n], m.Data[(r+2)*n:][:n], m.Data[(r+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for c, xc := range x[:n] {
+			s0 += r0[c] * xc
+			s1 += r1[c] * xc
+			s2 += r2[c] * xc
+			s3 += r3[c] * xc
+		}
+		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
+	}
+	for ; r < m.Rows; r++ {
 		var s float64
-		for c, w := range row {
+		for c, w := range m.Data[r*n:][:n] {
 			s += w * x[c]
 		}
 		dst[r] = s
@@ -273,40 +290,82 @@ func (m *Matrix) MatVec(dst, x Vector) {
 }
 
 // MatVecT computes dst = mᵀ · x where x has length m.Rows and dst has length
-// m.Cols. dst must not alias x.
+// m.Cols. dst must not alias x. Each dst[c] starts at zero and adds
+// m[r,c]·x[r] for every row with x[r] != 0, in row order; those rows are
+// gathered and applied four per pass over dst.
 func (m *Matrix) MatVecT(dst, x Vector) {
 	if len(x) != m.Rows || len(dst) != m.Cols {
 		panic(fmt.Sprintf("tensor: MatVecT shape mismatch m=%dx%d x=%d dst=%d",
 			m.Rows, m.Cols, len(x), len(dst)))
 	}
 	dst.Zero()
-	for r := 0; r < m.Rows; r++ {
-		xr := x[r]
+	n := m.Cols
+	var rows [4]int
+	k := 0
+	for r, xr := range x {
 		if xr == 0 {
 			continue
 		}
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		for c, w := range row {
+		rows[k] = r
+		if k++; k < 4 {
+			continue
+		}
+		k = 0
+		x0, x1, x2, x3 := x[rows[0]], x[rows[1]], x[rows[2]], x[rows[3]]
+		r0, r1, r2, r3 := m.Data[rows[0]*n:][:n], m.Data[rows[1]*n:][:n], m.Data[rows[2]*n:][:n], m.Data[rows[3]*n:][:n]
+		for c, d := range dst[:n] {
+			d += r0[c] * x0
+			d += r1[c] * x1
+			d += r2[c] * x2
+			d += r3[c] * x3
+			dst[c] = d
+		}
+	}
+	for _, r := range rows[:k] {
+		xr := x[r]
+		for c, w := range m.Data[r*n:][:n] {
 			dst[c] += w * xr
 		}
 	}
 }
 
 // AddOuterScaled performs m += alpha * (a ⊗ b), the rank-1 update used by
-// linear-layer backprop: a has length m.Rows, b has length m.Cols.
+// linear-layer backprop: a has length m.Rows, b has length m.Cols. Each
+// m[r,c] gets the one add m[r,c] + (alpha·a[r])·b[c], and rows whose scale
+// is zero are left untouched; the other rows are updated four per pass
+// over b.
 func (m *Matrix) AddOuterScaled(alpha float64, a, b Vector) {
 	if len(a) != m.Rows || len(b) != m.Cols {
 		panic(fmt.Sprintf("tensor: AddOuterScaled shape mismatch m=%dx%d a=%d b=%d",
 			m.Rows, m.Cols, len(a), len(b)))
 	}
-	for r := 0; r < m.Rows; r++ {
+	n := m.Cols
+	var rows [4]int
+	var scale [4]float64
+	k := 0
+	for r := range a {
 		ar := alpha * a[r]
 		if ar == 0 {
 			continue
 		}
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		for c := range row {
-			row[c] += ar * b[c]
+		rows[k], scale[k] = r, ar
+		if k++; k < 4 {
+			continue
+		}
+		k = 0
+		a0, a1, a2, a3 := scale[0], scale[1], scale[2], scale[3]
+		r0, r1, r2, r3 := m.Data[rows[0]*n:][:n], m.Data[rows[1]*n:][:n], m.Data[rows[2]*n:][:n], m.Data[rows[3]*n:][:n]
+		for c, bc := range b[:n] {
+			r0[c] += a0 * bc
+			r1[c] += a1 * bc
+			r2[c] += a2 * bc
+			r3[c] += a3 * bc
+		}
+	}
+	for i, r := range rows[:k] {
+		ar, row := scale[i], m.Data[r*n:][:n]
+		for c, bc := range b[:n] {
+			row[c] += ar * bc
 		}
 	}
 }

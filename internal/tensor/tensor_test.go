@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -270,31 +271,185 @@ func TestSoftmaxEdgeCases(t *testing.T) {
 	})
 }
 
-func TestMatVec(t *testing.T) {
-	m := NewMatrix(2, 3)
-	copy(m.Data, Vector{1, 2, 3, 4, 5, 6})
-	x := Vector{1, 0, -1}
-	dst := NewVector(2)
-	m.MatVec(dst, x)
-	if dst[0] != -2 || dst[1] != -2 {
-		t.Fatalf("MatVec = %v, want [-2 -2]", dst)
+// The oracle: the sequential scalar loops the three matrix–vector kernels
+// were first written as, kept verbatim. The shipped kernels interleave
+// rows, but must give every output element these operations in this
+// order, so their bits must match.
+
+func oracleMatVec(m *Matrix, dst, x Vector) {
+	for r := 0; r < m.Rows; r++ {
+		row := m.Data[r*m.Cols : (r+1)*m.Cols]
+		var s float64
+		for c, w := range row {
+			s += w * x[c]
+		}
+		dst[r] = s
 	}
 }
 
-func TestMatVecT(t *testing.T) {
-	m := NewMatrix(2, 3)
-	copy(m.Data, Vector{1, 2, 3, 4, 5, 6})
-	x := Vector{1, 1}
-	dst := NewVector(3)
-	m.MatVecT(dst, x)
-	want := Vector{5, 7, 9}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("MatVecT = %v, want %v", dst, want)
+func oracleMatVecT(m *Matrix, dst, x Vector) {
+	dst.Zero()
+	for r := 0; r < m.Rows; r++ {
+		xr := x[r]
+		if xr == 0 {
+			continue
+		}
+		row := m.Data[r*m.Cols : (r+1)*m.Cols]
+		for c, w := range row {
+			dst[c] += w * xr
 		}
 	}
 }
 
+func oracleAddOuterScaled(m *Matrix, alpha float64, a, b Vector) {
+	for r := 0; r < m.Rows; r++ {
+		ar := alpha * a[r]
+		if ar == 0 {
+			continue
+		}
+		row := m.Data[r*m.Cols : (r+1)*m.Cols]
+		for c := range row {
+			row[c] += ar * b[c]
+		}
+	}
+}
+
+// checkBits reports the first output where got departs from want: every
+// non-NaN output must have want's exact bits (so +0 and −0 differ), and
+// NaN must appear exactly where want has it. NaN payloads are not
+// compared: on x86 the payload of Inf−Inf or NaN·x depends on which
+// operand order the compiler picked, which no kernel contract fixes.
+func checkBits(t *testing.T, name string, got, want Vector) {
+	t.Helper()
+	for i, w := range want {
+		g := got[i]
+		if math.IsNaN(g) != math.IsNaN(w) || !math.IsNaN(w) && math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("%s: output %d = %v (%#x), oracle %v (%#x)",
+				name, i, g, math.Float64bits(g), w, math.Float64bits(w))
+			return
+		}
+	}
+}
+
+// staleVector returns a destination holding values a kernel must overwrite.
+func staleVector(n int) Vector { v := NewVector(n); v.Fill(99); return v }
+
+// checkMatVec, checkMatVecT and checkAddOuterScaled run one kernel next to
+// its oracle loop, into destinations holding stale values, and require
+// equal bits.
+func checkMatVec(t *testing.T, name string, m *Matrix, x Vector) {
+	t.Helper()
+	got, want := staleVector(m.Rows), staleVector(m.Rows)
+	m.MatVec(got, x)
+	oracleMatVec(m, want, x)
+	checkBits(t, name+" MatVec", got, want)
+}
+
+func checkMatVecT(t *testing.T, name string, m *Matrix, a Vector) {
+	t.Helper()
+	got, want := staleVector(m.Cols), staleVector(m.Cols)
+	m.MatVecT(got, a)
+	oracleMatVecT(m, want, a)
+	checkBits(t, name+" MatVecT", got, want)
+}
+
+func checkAddOuterScaled(t *testing.T, name string, m *Matrix, alpha float64, a, b Vector) {
+	t.Helper()
+	gotM, wantM := m.Clone(), m.Clone()
+	gotM.AddOuterScaled(alpha, a, b)
+	oracleAddOuterScaled(wantM, alpha, a, b)
+	checkBits(t, name+" AddOuterScaled", gotM.Data, wantM.Data)
+}
+
+// fillKernelInput fills v with normal draws, replacing a share zeros of
+// them by +0 or −0 and, with inf, one in eight of the rest by ±Inf.
+func fillKernelInput(rng *rand.Rand, v Vector, zeros float64, inf bool) {
+	for i := range v {
+		switch {
+		case rng.Float64() < zeros:
+			v[i] = math.Copysign(0, rng.Float64()-0.5)
+		case inf && rng.Intn(8) == 0:
+			v[i] = math.Inf(1 - 2*rng.Intn(2))
+		default:
+			v[i] = rng.NormFloat64()
+		}
+	}
+}
+
+// forKernelCases calls check on every shape around the four-row block
+// (0–13 rows) and on the ladder workloads' Dense weight shapes, each with
+// a matrix m, a column-length vector x and a row-length vector a that are
+// 0 %, 50 % and 100 % zero (+0 and −0), with and without ±Inf mixed in.
+// The draws are seeded, so every caller sees the same cases.
+func forKernelCases(check func(name string, m *Matrix, x, a Vector, zeros float64, inf bool, rng *rand.Rand)) {
+	var shapes [][2]int
+	for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 8, 13} {
+		for _, cols := range []int{1, 3, 8} {
+			shapes = append(shapes, [2]int{rows, cols})
+		}
+	}
+	shapes = append(shapes, [2]int{80, 48}, [2]int{80, 80}, [2]int{20, 80},
+		[2]int{32, 32}, [2]int{12, 32}, [2]int{24, 32}, [2]int{12, 24})
+	rng := rand.New(rand.NewSource(31))
+	for _, sh := range shapes {
+		rows, cols := sh[0], sh[1]
+		for _, zeros := range []float64{0, 0.5, 1} {
+			for _, inf := range []bool{false, true} {
+				m := NewMatrix(rows, cols)
+				fillKernelInput(rng, m.Data, 0, inf)
+				x, a := NewVector(cols), NewVector(rows)
+				fillKernelInput(rng, x, zeros, inf)
+				fillKernelInput(rng, a, zeros, inf)
+				check(fmt.Sprintf("%dx%d zeros=%v inf=%v", rows, cols, zeros, inf), m, x, a, zeros, inf, rng)
+			}
+		}
+	}
+}
+
+// TestMatVec holds MatVec to the oracle's bits on every forKernelCases
+// case. It also pins ref.go's claim that ref's MatMulNT reduces each
+// output row as MatVec does: row i of X·Wᵀ is bit-equal to W·x_i.
+func TestMatVec(t *testing.T) {
+	m := NewMatrix(2, 3)
+	copy(m.Data, Vector{1, 2, 3, 4, 5, 6})
+	dst := NewVector(2)
+	m.MatVec(dst, Vector{1, 0, -1})
+	if dst[0] != -2 || dst[1] != -2 {
+		t.Fatalf("MatVec = %v, want [-2 -2]", dst)
+	}
+	forKernelCases(func(name string, m *Matrix, x, _ Vector, zeros float64, inf bool, rng *rand.Rand) {
+		checkMatVec(t, name, m, x)
+
+		batch := NewMatrix(3, m.Cols)
+		fillKernelInput(rng, batch.Data, zeros, inf)
+		out := NewMatrix(3, m.Rows)
+		refBackend{}.MatMulNT(out, batch, m)
+		for i := 0; i < batch.Rows; i++ {
+			want := NewVector(m.Rows)
+			m.MatVec(want, batch.Row(i))
+			checkBits(t, fmt.Sprintf("%s MatMulNT row %d", name, i), out.Row(i), want)
+		}
+	})
+}
+
+// TestMatVecT holds MatVecT to the oracle's bits on every forKernelCases
+// case, so rows with a zero scale are skipped exactly where the oracle
+// skips them.
+func TestMatVecT(t *testing.T) {
+	m := NewMatrix(2, 3)
+	copy(m.Data, Vector{1, 2, 3, 4, 5, 6})
+	dst := NewVector(3)
+	m.MatVecT(dst, Vector{1, 1})
+	if want := (Vector{5, 7, 9}); dst[0] != want[0] || dst[1] != want[1] || dst[2] != want[2] {
+		t.Fatalf("MatVecT = %v, want %v", dst, want)
+	}
+	forKernelCases(func(name string, m *Matrix, _, a Vector, _ float64, _ bool, _ *rand.Rand) {
+		checkMatVecT(t, name, m, a)
+	})
+}
+
+// TestAddOuterScaled holds AddOuterScaled to the oracle's bits on every
+// forKernelCases case.
 func TestAddOuterScaled(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.AddOuterScaled(2, Vector{1, 2}, Vector{3, 4})
@@ -306,6 +461,59 @@ func TestAddOuterScaled(t *testing.T) {
 			}
 		}
 	}
+	forKernelCases(func(name string, m *Matrix, x, a Vector, _ float64, _ bool, _ *rand.Rand) {
+		checkAddOuterScaled(t, name, m, 0.3, a, x)
+	})
+}
+
+// FuzzRefKernels decodes a shape, alpha, a matrix and the two vectors from
+// the fuzz bytes, one byte per value: an eighth of the codes are +0, an
+// eighth −0, three are NaN and ±Inf, the rest finite values. It checks the
+// three matrix–vector kernels against the oracle; every decoded shape is
+// one the kernels accept, so any panic is a failure too.
+func FuzzRefKernels(f *testing.F) {
+	f.Add([]byte{5, 3, 100, 70, 90, 110, 130, 150, 170, 190, 210, 230, 250, 71, 91, 111, 131, 151, 171})
+	f.Add([]byte{13, 8, 200, 0, 40, 0, 77, 64, 65, 66, 1, 33, 2, 99, 180})
+	f.Add([]byte{0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		rows, cols := int(data[0]%32), int(data[1]%32)
+		data = data[2:]
+		next := func() float64 {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			switch {
+			case b < 32:
+				return 0
+			case b < 64:
+				return math.Copysign(0, -1)
+			case b == 64:
+				return math.NaN()
+			case b == 65:
+				return math.Inf(1)
+			case b == 66:
+				return math.Inf(-1)
+			}
+			return (float64(b) - 160) / 7
+		}
+		alpha := next()
+		m := NewMatrix(rows, cols)
+		x, a := NewVector(cols), NewVector(rows)
+		for _, v := range []Vector{m.Data, x, a} {
+			for i := range v {
+				v[i] = next()
+			}
+		}
+		name := fmt.Sprintf("%dx%d", rows, cols)
+		checkMatVec(t, name, m, x)
+		checkMatVecT(t, name, m, a)
+		checkAddOuterScaled(t, name, m, alpha, a, x)
+	})
 }
 
 func TestMatrixRowAliases(t *testing.T) {
