@@ -20,6 +20,7 @@ import (
 	"os"
 	"strconv"
 
+	"floatfl/internal/rngstate"
 	"floatfl/internal/trace"
 )
 
@@ -87,7 +88,7 @@ func exportCompute(w *csv.Writer, clients int, seed int64) error {
 	if err := w.Write([]string{"device", "class", "gflops", "memory_mb", "energy_capacity_h"}); err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rngstate.New(seed))
 	for c := 0; c < clients; c++ {
 		p := trace.SampleComputeProfile(rng)
 		if err := w.Write([]string{

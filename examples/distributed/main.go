@@ -25,6 +25,7 @@ import (
 	"floatfl/internal/data"
 	"floatfl/internal/dist"
 	"floatfl/internal/rl"
+	"floatfl/internal/rngstate"
 )
 
 const (
@@ -90,7 +91,7 @@ func main() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(seed + i)))
+			rng := rand.New(rngstate.New(int64(seed + i)))
 			c := dist.NewClient(baseURL, fmt.Sprintf("phone-%d", i),
 				fed.Train[i], fed.LocalTest[i], int64(seed+100+i))
 			// A mix of weak and strong devices.

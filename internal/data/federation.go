@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"floatfl/internal/nn"
+	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
 )
 
@@ -55,7 +56,7 @@ func Generate(profileName string, cfg GenerateConfig) (*Federation, error) {
 	if testFrac <= 0 || testFrac >= 1 {
 		testFrac = 0.25
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rngstate.New(cfg.Seed))
 
 	centers := make([]tensor.Vector, p.Classes)
 	for c := range centers {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"floatfl/internal/nn"
+	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
 )
 
@@ -22,7 +23,7 @@ func ClientSeed(seed, id int64) int64 {
 	z ^= z >> 27
 	z *= 0x94D049BB133111EB
 	z ^= z >> 31
-	return int64(z >> 1) // rand.NewSource wants a non-negative-friendly seed; any value works, keep it positive for readability
+	return int64(z >> 1) // rngstate.New accepts any seed; keep it positive for readability
 }
 
 // Reserved pseudo-client IDs for the federation's shared streams.
@@ -55,7 +56,7 @@ func normalizeGenerate(cfg GenerateConfig) GenerateConfig {
 // seed's dedicated stream. All clients of a federation share one centers
 // slice; the vectors are immutable after derivation.
 func DeriveCenters(p Profile, seed int64) []tensor.Vector {
-	rng := rand.New(rand.NewSource(ClientSeed(seed, centersStreamID)))
+	rng := rand.New(rngstate.New(ClientSeed(seed, centersStreamID)))
 	centers := make([]tensor.Vector, p.Classes)
 	for c := range centers {
 		centers[c] = tensor.NewVector(p.Dim)
@@ -91,7 +92,7 @@ func deriveSamples(p Profile, centers []tensor.Vector, n int, class func(s int) 
 // to any other order, unlike the sequential single-stream Generate.
 func DeriveClient(p Profile, cfg GenerateConfig, centers []tensor.Vector, id int) ClientShard {
 	cfg = normalizeGenerate(cfg)
-	rng := rand.New(rand.NewSource(ClientSeed(cfg.Seed, int64(id))))
+	rng := rand.New(rngstate.New(ClientSeed(cfg.Seed, int64(id))))
 	labelDist := SampleDirichlet(p.Classes, cfg.Alpha, rng)
 	n := sampleClientVolume(p.MeanSamplesPerClient, rng)
 	nTest := int(math.Round(float64(n) * cfg.LocalTestFraction))
@@ -110,7 +111,7 @@ func DeriveClient(p Profile, cfg GenerateConfig, centers []tensor.Vector, id int
 // cost of a full derivation.
 func DeriveShardSize(p Profile, cfg GenerateConfig, id int) int {
 	cfg = normalizeGenerate(cfg)
-	rng := rand.New(rand.NewSource(ClientSeed(cfg.Seed, int64(id))))
+	rng := rand.New(rngstate.New(ClientSeed(cfg.Seed, int64(id))))
 	SampleDirichlet(p.Classes, cfg.Alpha, rng)
 	return sampleClientVolume(p.MeanSamplesPerClient, rng)
 }
@@ -118,7 +119,7 @@ func DeriveShardSize(p Profile, cfg GenerateConfig, id int) int {
 // DeriveGlobalTest derives the class-balanced holdout from its dedicated
 // stream.
 func DeriveGlobalTest(p Profile, seed int64, centers []tensor.Vector) []nn.Sample {
-	rng := rand.New(rand.NewSource(ClientSeed(seed, globalTestStreamID)))
+	rng := rand.New(rngstate.New(ClientSeed(seed, globalTestStreamID)))
 	return deriveSamples(p, centers, p.TestSamples, func(s int) int { return s % p.Classes }, rng)
 }
 

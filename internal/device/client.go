@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"floatfl/internal/rngstate"
 	"floatfl/internal/trace"
 )
 
@@ -72,7 +73,7 @@ func NewPopulation(cfg PopulationConfig) ([]*Client, error) {
 	if share <= 0 {
 		share = 0.3
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rngstate.New(cfg.Seed))
 	out := make([]*Client, cfg.Clients)
 	for i := range out {
 		kind := trace.Net4G

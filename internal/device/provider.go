@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"floatfl/internal/data"
+	"floatfl/internal/rngstate"
 	"floatfl/internal/trace"
 )
 
@@ -23,7 +24,7 @@ func normalizePopulation(cfg PopulationConfig) PopulationConfig {
 // response estimate reads, so set-up sampling stops here.
 func deriveLink(cfg PopulationConfig, id int) (*Client, *rand.Rand) {
 	cfg = normalizePopulation(cfg)
-	rng := rand.New(rand.NewSource(data.ClientSeed(cfg.Seed, int64(id))))
+	rng := rand.New(rngstate.New(data.ClientSeed(cfg.Seed, int64(id))))
 	kind := trace.Net4G
 	if rng.Float64() < cfg.FiveGShare {
 		kind = trace.Net5G

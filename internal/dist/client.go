@@ -16,11 +16,12 @@ import (
 	"floatfl/internal/nn"
 	"floatfl/internal/obs"
 	"floatfl/internal/opt"
+	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
 )
 
 // newRand is a tiny indirection so server and client share seeding style.
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+func newRand(seed int64) *rand.Rand { return rand.New(rngstate.New(seed)) }
 
 // defaultHTTPTimeout bounds a single request attempt so a dead server (or
 // a dropped response) surfaces as a retryable error instead of hanging

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"floatfl/internal/nn"
+	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
 )
 
@@ -26,8 +27,9 @@ type trainContext struct {
 // clientID) and returns what the simulator hands TrainLocal: cfg's
 // training configuration seeded by trainSeed, and the context's
 // update-transform stream reseeded from the same seed — the stream a fresh
-// rand.New(rand.NewSource(seed)) would produce, without allocating. The
-// model and scratch for proto's architecture are built on first use.
+// rand.New(rngstate.New(seed)) would produce, math/rand's for that seed,
+// in O(1) and without allocating. The model and scratch for proto's
+// architecture are built on first use.
 func (c *trainContext) reseed(proto *nn.Model, cfg Config, round, clientID int) (nn.TrainConfig, *rand.Rand) {
 	if c.local == nil {
 		c.local = proto.Clone()
@@ -35,7 +37,7 @@ func (c *trainContext) reseed(proto *nn.Model, cfg Config, round, clientID int) 
 	}
 	seed := trainSeed(cfg, round, clientID)
 	if c.updateRNG == nil {
-		c.updateRNG = rand.New(rand.NewSource(seed ^ updateRNGSalt))
+		c.updateRNG = rand.New(rngstate.New(seed ^ updateRNGSalt))
 	} else {
 		c.updateRNG.Seed(seed ^ updateRNGSalt)
 	}

@@ -19,6 +19,7 @@ var badFixtures = []struct {
 }{
 	{"no-wall-clock", "wallclock_bad.go"},
 	{"no-global-rand", "rand_bad.go"},
+	{"no-global-rand", "randsource_bad.go"},
 	{"map-order-hazard", "maporder_bad.go"},
 	{"map-order-hazard", "popcache_bad.go"},
 	{"map-order-hazard", "ckptstate_bad.go"},
@@ -38,6 +39,7 @@ var badFixtures = []struct {
 var okFixtures = []string{
 	"wallclock_ok.go",
 	"rand_ok.go",
+	"randsource_ok.go",
 	"maporder_ok.go",
 	"popcache_ok.go",
 	"ckptstate_ok.go",

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // randConstructors are the package-level math/rand functions that build
@@ -14,14 +15,23 @@ var randConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
+// rngSourcePkg is the one package whose non-test code may call
+// math/rand's NewSource: rngstate.New yields the same stream with an O(1)
+// Seed, and rngstate itself reads its constants from math/rand's source.
+// Tests may call NewSource as the oracle.
+const rngSourcePkg = "internal/rngstate"
+
 var ruleNoGlobalRand = &Rule{
 	Name: "no-global-rand",
 	Doc: "forbids math/rand's package-level functions (global source); " +
-		"randomness must flow from a seeded *rand.Rand",
+		"randomness must flow from a seeded *rand.Rand, and non-test sources " +
+		"come from rngstate.New",
 	// The global source would silently break seeded golden tests, so the
 	// rule covers test files too.
 	SkipTests: false,
 	Check: func(pass *Pass) {
+		newSourceOK := strings.HasSuffix(pass.Filename, "_test.go") ||
+			pkgInScope(pass.Pkg.Path, []string{rngSourcePkg})
 		ast.Inspect(pass.File, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
@@ -31,11 +41,19 @@ var ruleNoGlobalRand = &Rule{
 			if obj == nil || obj.Pkg() == nil {
 				return true
 			}
-			if p := obj.Pkg().Path(); p != "math/rand" && p != "math/rand/v2" {
+			p := obj.Pkg().Path()
+			if p != "math/rand" && p != "math/rand/v2" {
 				return true
 			}
 			fn, ok := obj.(*types.Func)
-			if !ok || randConstructors[fn.Name()] {
+			if !ok {
+				return true
+			}
+			if p == "math/rand" && fn.Name() == "NewSource" && !newSourceOK {
+				pass.Report(sel.Pos(), "use rngstate.New: same stream, O(1) Seed")
+				return true
+			}
+			if randConstructors[fn.Name()] {
 				return true
 			}
 			// Methods on *rand.Rand have a receiver — those are the seeded

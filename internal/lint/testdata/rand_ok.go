@@ -3,11 +3,15 @@
 // global draw. Must produce zero findings.
 package fixture
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"floatfl/internal/rngstate"
+)
 
 func seededDraw(seed int64) int {
-	r := rand.New(rand.NewSource(seed)) // constructors are the sanctioned path
-	return r.Intn(10)                   // method on a seeded *rand.Rand
+	r := rand.New(rngstate.New(seed)) // constructors are the sanctioned path
+	return r.Intn(10)                 // method on a seeded *rand.Rand
 }
 
 func allowedDraw() int {

@@ -1,17 +1,17 @@
 // Fixture: the RNG-stream escape shapes rng-escape must flag — a package-
-// level stream (shared, unownable; constructors are exempt from
-// no-global-rand, so only this rule sees it), capture by go closures and
-// goroutine arguments (schedule-dependent draw order), and a stream crossing
-// the forEachSlot fan-out boundary: as a free variable, as a field of a
-// captured struct, or through the receiver of a method value.
+// level stream (shared, unownable; its constructors pass no-global-rand),
+// capture by go closures and goroutine arguments (schedule-dependent draw
+// order), and a stream crossing the forEachSlot fan-out boundary: as a free
+// variable, as a field of a captured struct, or through a method value.
 package fixture
 
 import (
+	"floatfl/internal/rngstate"
 	"math/rand"
 	"sync"
 )
 
-var sharedRNG = rand.New(rand.NewSource(1)) // want rng-escape
+var sharedRNG = rand.New(rngstate.New(1)) // want rng-escape
 
 func spawnCapture(rng *rand.Rand, wg *sync.WaitGroup) {
 	wg.Add(1)

@@ -7,6 +7,8 @@ package fixture
 import (
 	"math/rand"
 	"sync"
+
+	"floatfl/internal/rngstate"
 )
 
 func forEachSlotOK(n int, fn func(int)) {
@@ -19,7 +21,7 @@ func forEachSlotOK(n int, fn func(int)) {
 // seed material and constructs its own stream per job.
 func fanOutDerived(seed int64) {
 	forEachSlotOK(4, func(i int) {
-		rng := rand.New(rand.NewSource(seed ^ int64(i)))
+		rng := rand.New(rngstate.New(seed ^ int64(i)))
 		_ = rng.Intn(10)
 	})
 }
@@ -27,7 +29,7 @@ func fanOutDerived(seed int64) {
 // ownerHeld draws from a stream that never leaves the single-threaded
 // owner's frame.
 func ownerHeld(seed int64) int {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rngstate.New(seed))
 	return rng.Intn(100)
 }
 

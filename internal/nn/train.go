@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
 )
 
@@ -72,11 +73,12 @@ func (m *Model) Train(samples []Sample, cfg TrainConfig) (float64, error) {
 		return 0, fmt.Errorf("nn: ProxAnchor has %d scalars, model has %d",
 			len(cfg.ProxAnchor), m.NumParams())
 	}
-	// Reuse the model-owned RNG and order scratch: reseeding produces the
-	// same stream as a fresh rand.New(rand.NewSource(seed)), so repeated
-	// Train calls stay deterministic without per-call allocation.
+	// Reuse the model-owned RNG and order scratch: reseeding is O(1) and
+	// produces the same stream as a fresh rand.New(rngstate.New(seed)) —
+	// math/rand's for that seed — so repeated Train calls stay
+	// deterministic without per-call allocation.
 	if m.trainRNG == nil {
-		m.trainRNG = rand.New(rand.NewSource(cfg.Seed))
+		m.trainRNG = rand.New(rngstate.New(cfg.Seed))
 	} else {
 		m.trainRNG.Seed(cfg.Seed)
 	}

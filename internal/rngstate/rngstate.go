@@ -1,60 +1,212 @@
-// Package rngstate provides a position-counting math/rand source so RNG
-// streams can be checkpointed and restored bit-identically.
+// Package rngstate provides math/rand's generator with a countable,
+// seekable position, so RNG streams can be checkpointed and restored
+// bit-identically.
 //
-// Every seeded stream in the repo bottoms out in rand.NewSource(seed): a
-// pure function of (seed, draws-so-far). Source wraps such a source and
-// counts draws, which makes the stream position serializable as a single
-// uint64; restoring is reseeding and discarding that many draws. Wrapping
-// does not change the values produced — Source forwards to the underlying
-// generator verbatim, and it implements rand.Source64 exactly like the
-// runtime's own source, so rand.Rand takes the same fast paths and all
-// committed goldens keep their bytes.
+// Every seeded stream in the repo is built with New(seed), and the stream
+// is math/rand's, bit for bit: New(seed) yields exactly the values of
+// rand.NewSource(seed), through Int63 and Uint64 alike, and it implements
+// rand.Source64 like the runtime's own source, so rand.Rand takes the same
+// fast paths and all committed goldens keep their bytes. Only the cost of
+// computing the stream differs.
+//
+// math/rand's Seed fills its 607-word register by walking 1841 serial
+// steps of the Lehmer chain x ← 48271·x mod (2³¹−1), each waiting on the
+// one before. Step n of that chain is x₀·48271ⁿ mod (2³¹−1), so Source
+// keeps a table of the powers and computes any initial word with three
+// independent multiplies. Seed itself only records x₀: each of the first
+// 273 draws reads two initial words no draw has written yet and computes
+// them on demand, and the remaining initial words are filled when draw 273
+// first needs them. Most streams in the simulator stop before that, which
+// makes seeding them O(1).
+//
+// Source counts draws, which makes the stream position serializable as a
+// single uint64; restoring is reseeding and discarding that many draws.
 package rngstate
 
 import "math/rand"
 
-// Source is a rand.Source64 that counts how many values have been drawn.
-// It is not safe for concurrent use, matching math/rand sources; all the
-// engines draw only from their single-threaded dispatch/collect passes.
+// The constants of math/rand's additive lagged Fibonacci generator and of
+// the Lehmer chain its Seed runs.
+const (
+	rngLen   = 607
+	rngTap   = 273
+	rngMask  = 1<<63 - 1
+	int32max = 1<<31 - 1 // the Lehmer modulus, a Mersenne prime
+	lehmerA  = 48271
+
+	// zeroSeed stands in for a seed ≡ 0 mod int32max, as in math/rand.
+	zeroSeed = 89482311
+	// warmup is how many Lehmer steps Seed discards before the first word.
+	warmup = 20
+	// firstFeed is the feed index a fresh Seed leaves; draw j < rngTap
+	// updates slot firstFeed-1-j from it and slot rngLen-1-j.
+	firstFeed = rngLen - rngTap
+)
+
+var (
+	// powers[i] holds 48271ⁿ mod (2³¹−1) for the three chain steps
+	// n = warmup+1+3i … warmup+3+3i that make up register word i.
+	powers [rngLen][3]uint32
+	// cooked is math/rand's rngCooked: the constants Seed XORs into each
+	// word. init recovers them from seed 1's stream rather than copying
+	// the table.
+	cooked [rngLen]int64
+)
+
+func init() {
+	p := uint64(1)
+	for n := 0; n < warmup; n++ {
+		p = mulmod(p, lehmerA)
+	}
+	for i := range powers {
+		for k := range powers[i] {
+			p = mulmod(p, lehmerA)
+			powers[i][k] = uint32(p)
+		}
+	}
+
+	// Invert seed 1's first rngLen draws into its initial register v. A
+	// draw adds the feed and tap slots and stores the sum in the feed
+	// slot, so each initial word is a draw minus a known term: the
+	// earlier draw that wrote the tap slot, or an initial word recovered
+	// first.
+	var out, v [rngLen]int64
+	src := rand.NewSource(1).(rand.Source64)
+	for j := range out {
+		out[j] = int64(src.Uint64())
+	}
+	for j := firstFeed; j < rngLen; j++ {
+		v[rngLen+firstFeed-1-j] = out[j] - out[j-rngTap]
+	}
+	for j := rngTap; j < firstFeed; j++ {
+		v[firstFeed-1-j] = out[j] - out[j-rngTap]
+	}
+	for j := 0; j < rngTap; j++ {
+		v[firstFeed-1-j] = out[j] - v[rngLen-1-j]
+	}
+	for i := range cooked {
+		cooked[i] = v[i] ^ chainWord(1, i)
+	}
+}
+
+// mulmod returns a·b mod (2³¹−1) for a, b < 2³¹−1 by Mersenne reduction:
+// the product's low 31 bits and the rest sum to less than 2·(2³¹−1), so
+// one conditional subtraction completes it.
+func mulmod(a, b uint64) uint64 {
+	p := a * b
+	r := p&int32max + p>>31
+	if r >= int32max {
+		r -= int32max
+	}
+	return r
+}
+
+// chainWord is register word i before the cooked constant: math/rand's
+// Seed packs three consecutive chain values, from x₀, into one word.
+func chainWord(x0 uint64, i int) int64 {
+	pw := &powers[i]
+	return int64(mulmod(x0, uint64(pw[0])))<<40 ^
+		int64(mulmod(x0, uint64(pw[1])))<<20 ^
+		int64(mulmod(x0, uint64(pw[2])))
+}
+
+// Source is math/rand's rand.Source64 generator, counting how many values
+// have been drawn. It is not safe for concurrent use, matching math/rand
+// sources; all the engines draw only from their single-threaded
+// dispatch/collect passes.
 type Source struct {
-	seed  int64
+	seed int64
+	// draws counts the values drawn since the last Seed. It also tracks
+	// the lazy seed: the first rngTap draws compute the two initial words
+	// they read, the next completes the register, and every later draw is
+	// math/rand's.
 	draws uint64
-	src   rand.Source64
+	x0    uint64 // the seed as the Lehmer chain's start
+	tap   int
+	feed  int
+	vec   [rngLen]int64
 }
 
 // New returns a counting source seeded with seed, producing the exact
 // stream of rand.NewSource(seed).
 func New(seed int64) *Source {
-	return &Source{seed: seed, src: newSource64(seed)}
+	s := &Source{}
+	s.Seed(seed)
+	return s
 }
 
-// newSource64 centralizes the Source64 assertion: rand.NewSource's
-// concrete type has implemented Source64 since Go 1.8, and the engines
-// depend on the 64-bit path for stream identity with their pre-wrapper
-// goldens.
-func newSource64(seed int64) rand.Source64 {
-	return rand.NewSource(seed).(rand.Source64)
+// Seed implements rand.Source, resetting the draw count with the stream.
+// It is O(1): the register words are computed as draws first need them.
+func (s *Source) Seed(seed int64) {
+	s.seed = seed
+	s.draws = 0
+	s.tap = 0
+	s.feed = firstFeed
+
+	seed %= int32max
+	if seed < 0 {
+		seed += int32max
+	}
+	if seed == 0 {
+		seed = zeroSeed
+	}
+	s.x0 = uint64(seed)
 }
 
-// Int63 implements rand.Source. The underlying generator advances one
-// step per call regardless of which method is used, so both entry points
-// count a single draw.
-func (s *Source) Int63() int64 {
-	s.draws++
-	return s.src.Int63()
-}
+// word is initial register word i of the current seed.
+func (s *Source) word(i int) int64 { return chainWord(s.x0, i) ^ cooked[i] }
+
+// Int63 implements rand.Source. Both entry points advance the generator
+// one step, so each counts a single draw.
+func (s *Source) Int63() int64 { return int64(s.Uint64() & rngMask) }
 
 // Uint64 implements rand.Source64.
 func (s *Source) Uint64() uint64 {
 	s.draws++
-	return s.src.Uint64()
+	if s.draws <= rngTap+1 {
+		if s.draws <= rngTap {
+			return s.seedDraw()
+		}
+		s.fill()
+	}
+	s.tap--
+	if s.tap < 0 {
+		s.tap += rngLen
+	}
+	s.feed--
+	if s.feed < 0 {
+		s.feed += rngLen
+	}
+	x := s.vec[s.feed] + s.vec[s.tap]
+	s.vec[s.feed] = x
+	return uint64(x)
 }
 
-// Seed implements rand.Source, resetting the draw count with the stream.
-func (s *Source) Seed(seed int64) {
-	s.seed = seed
-	s.draws = 0
-	s.src.Seed(seed)
+// seedDraw is draw j < rngTap after a Seed. Its feed and tap slots,
+// firstFeed-1-j and rngLen-1-j, still hold initial words, so it computes
+// them rather than reading them; the sum it stores is then real state.
+func (s *Source) seedDraw() uint64 {
+	s.tap--
+	if s.tap < 0 {
+		s.tap += rngLen
+	}
+	s.feed--
+	x := s.word(s.feed) + s.word(s.tap)
+	s.vec[s.feed] = x
+	return uint64(x)
+}
+
+// fill completes the register at draw rngTap, the first draw to read a
+// slot the seeding draws wrote: it stores the initial words they left
+// unwritten, 0..feed-1 below the slots they wrote and firstFeed..rngLen-1
+// above.
+func (s *Source) fill() {
+	for i := 0; i < s.feed; i++ {
+		s.vec[i] = s.word(i)
+	}
+	for i := firstFeed; i < rngLen; i++ {
+		s.vec[i] = s.word(i)
+	}
 }
 
 // Pos returns the stream position: the number of values drawn since the
@@ -64,12 +216,10 @@ func (s *Source) Pos() uint64 { return s.draws }
 // SeekTo rewinds the source to its seed and discards draws values, leaving
 // the stream at exactly the position a fresh Source would reach after that
 // many draws. Seeking is O(draws); checkpoints store positions, not
-// generator internals, so the format stays independent of math/rand's
-// unexported state.
+// generator internals, so the format stays independent of the register.
 func (s *Source) SeekTo(draws uint64) {
-	s.src.Seed(s.seed)
-	s.draws = draws
-	for i := uint64(0); i < draws; i++ {
-		s.src.Uint64()
+	s.Seed(s.seed)
+	for s.draws < draws {
+		s.Uint64()
 	}
 }

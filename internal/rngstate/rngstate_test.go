@@ -1,15 +1,80 @@
 package rngstate
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// TestStreamIdentity pins the wrapper's core contract: a rand.Rand built
-// on a Source produces exactly the stream of one built on rand.NewSource
-// with the same seed, across every drawing method the repo uses. The
+// streamLen is how many values each identity case draws after its reseed:
+// enough to cross both draw rngTap, where the lazy seed completes the
+// register, and draw rngLen, where the feed index first wraps.
+const streamLen = 1500
+
+// checkStream draws n values from got and from the oracle want, mixing
+// the two entry points by draw index: Int63 where bit k%64 of mix is set,
+// Uint64 elsewhere. It fails on the first difference.
+func checkStream(t *testing.T, name string, got *Source, want rand.Source64, n int, mix uint64) {
+	t.Helper()
+	for k := 0; k < n; k++ {
+		if mix>>(k%64)&1 != 0 {
+			if w, g := want.Int63(), got.Int63(); w != g {
+				t.Fatalf("%s: Int63 #%d: got %d want %d", name, k, g, w)
+			}
+		} else if w, g := want.Uint64(), got.Uint64(); w != g {
+			t.Fatalf("%s: Uint64 #%d: got %d want %d", name, k, g, w)
+		}
+	}
+}
+
+func oracle(seed int64) rand.Source64 { return rand.NewSource(seed).(rand.Source64) }
+
+// TestStreamIdentity pins the package's core contract: a Source yields
+// exactly the stream of rand.NewSource with the same seed, through a
+// fresh New and through Seed on a source already drawn from. The seeds
+// cover math/rand's reduction edges (0 and the multiples of the modulus,
+// which it maps to one fixed seed, negative values, the int64 extremes)
+// and 2000 arbitrary ones; the reseed points straddle draw rngTap. The
 // engines' committed goldens depend on this.
 func TestStreamIdentity(t *testing.T) {
+	edges := []int64{
+		0, 1, -1, int32max, -int32max, 2 * int32max, int32max - 1, int32max + 1,
+		zeroSeed, math.MinInt64, math.MaxInt64, 1 << 40,
+	}
+	seeds := append([]int64(nil), edges...)
+	gen := rand.New(rand.NewSource(20240601))
+	for i := 0; i < 2000; i++ {
+		seeds = append(seeds, int64(gen.Uint64()))
+	}
+	reseeds := []int{0, 272, 273, 274, 700}
+
+	for i, seed := range seeds {
+		next := seeds[(i+1)%len(seeds)]
+		mix := uint64(seed) ^ uint64(next)
+		// Every edge seed is reseeded at every point; the arbitrary seeds
+		// take the points in turn.
+		points := reseeds[i%len(reseeds) : i%len(reseeds)+1]
+		if i < len(edges) {
+			points = reseeds
+		}
+
+		checkStream(t, fmt.Sprintf("seed %d", seed), New(seed), oracle(seed), streamLen, mix)
+		for _, at := range points {
+			name := fmt.Sprintf("seed %d reseeded to %d at draw %d", seed, next, at)
+			got, want := New(seed), oracle(seed)
+			checkStream(t, name, got, want, at, mix)
+			got.Seed(next)
+			want.Seed(next)
+			checkStream(t, name, got, want, streamLen, ^mix)
+		}
+	}
+}
+
+// TestRandMethodsIdentity checks the stream through every drawing method
+// of rand.Rand the repo uses: rand.Rand takes its Source64 fast paths on a
+// Source exactly as on the runtime's own source.
+func TestRandMethodsIdentity(t *testing.T) {
 	want := rand.New(rand.NewSource(42))
 	got := rand.New(New(42))
 	for i := 0; i < 2000; i++ {
@@ -46,11 +111,27 @@ func TestStreamIdentity(t *testing.T) {
 	}
 }
 
+// FuzzSourceStream checks a Source against rand.NewSource for any seed:
+// draw at values, reseed both to ^seed, then draw n more.
+func FuzzSourceStream(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint16(700))
+	f.Add(int64(-int32max), uint16(273), uint16(1500))
+	f.Add(int64(math.MinInt64), uint16(272), uint16(608))
+	f.Add(int64(zeroSeed), uint16(607), uint16(274))
+	f.Fuzz(func(t *testing.T, seed int64, at, n uint16) {
+		got, want := New(seed), oracle(seed)
+		checkStream(t, "before reseed", got, want, int(at%2048), uint64(seed))
+		got.Seed(^seed)
+		want.Seed(^seed)
+		checkStream(t, "after reseed", got, want, int(n%2048), ^uint64(seed))
+	})
+}
+
 // TestSeekTo proves restore-by-discard: capture Pos mid-stream, drain a
 // fresh Source to that position, and require the continuations to match
-// value for value.
+// value for value. The burns straddle draws rngTap and rngLen.
 func TestSeekTo(t *testing.T) {
-	for _, burn := range []int{0, 1, 7, 100, 1777} {
+	for _, burn := range []int{0, 1, 7, 100, 272, 273, 274, 606, 607, 1777} {
 		src := New(7)
 		r := rand.New(src)
 		for i := 0; i < burn; i++ {

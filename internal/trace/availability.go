@@ -1,6 +1,10 @@
 package trace
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"floatfl/internal/rngstate"
+)
 
 // AvailabilityTrace models energy-driven client availability as an ON/OFF
 // semi-Markov process with geometric dwell times plus a battery level that
@@ -71,7 +75,7 @@ func NewAvailabilityTrace(cfg AvailabilityConfig) *AvailabilityTrace {
 	if cfg.ChargePerStep <= 0 {
 		cfg.ChargePerStep = 0.05
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rngstate.New(cfg.Seed))
 	return &AvailabilityTrace{
 		rng:           rng,
 		pOffToOn:      1 / cfg.MeanOffSteps,

@@ -11,6 +11,8 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+
+	"floatfl/internal/rngstate"
 )
 
 // NetKind selects the cellular technology of a bandwidth trace.
@@ -79,7 +81,7 @@ type BandwidthTrace struct {
 
 // NewBandwidthTrace constructs a trace for the given technology and seed.
 func NewBandwidthTrace(kind NetKind, seed int64) *BandwidthTrace {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rngstate.New(seed))
 	return &BandwidthTrace{Kind: kind, rng: rng, state: rng.Intn(4)}
 }
 

@@ -3,6 +3,8 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+
+	"floatfl/internal/rngstate"
 )
 
 // Scenario selects the co-located application interference model from
@@ -71,7 +73,7 @@ const cpuCap = 0.8
 
 // NewInterference builds the interference process for a client.
 func NewInterference(s Scenario, seed int64) *Interference {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rngstate.New(seed))
 	in := &Interference{Scenario: s, rng: rng}
 	switch s {
 	case ScenarioStatic:

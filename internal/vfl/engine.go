@@ -9,6 +9,7 @@ import (
 	"floatfl/internal/fl"
 	"floatfl/internal/nn"
 	"floatfl/internal/opt"
+	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
 	"floatfl/internal/trace"
 )
@@ -17,7 +18,7 @@ import (
 // the coordinator for a split dataset.
 func NewFederation(ds *SplitDataset, cfg Config, scenario trace.Scenario) ([]*Party, *Coordinator, error) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rngstate.New(cfg.Seed))
 	pop, err := device.NewPopulation(device.PopulationConfig{
 		Clients: len(ds.Dims), Scenario: scenario, Seed: cfg.Seed,
 	})
@@ -73,7 +74,7 @@ func Run(ds *SplitDataset, parties []*Party, coord *Coordinator, ctrl fl.Control
 	if len(parties) != len(ds.Dims) {
 		return nil, fmt.Errorf("vfl: %d parties for %d feature slices", len(parties), len(ds.Dims))
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 7))
+	rng := rand.New(rngstate.New(cfg.Seed + 7))
 
 	deadline := cfg.DeadlineSec
 	if deadline <= 0 {

@@ -7,6 +7,7 @@ import (
 	"floatfl/internal/device"
 	"floatfl/internal/fl"
 	"floatfl/internal/nn"
+	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
 	"floatfl/internal/trace"
 )
@@ -79,7 +80,7 @@ func NewHybrid(profileName string, silos, parties, samplesPerSilo, testPerSilo i
 			Parties: ps,
 			Coord:   coord,
 			hfDiff:  make([]float64, parties),
-			rng:     rand.New(rand.NewSource(siloCfg.Seed + 7)),
+			rng:     rand.New(rngstate.New(siloCfg.Seed + 7)),
 			scratch: newRunScratch(ds, ps, siloCfg),
 		})
 	}

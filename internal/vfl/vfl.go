@@ -19,6 +19,7 @@ import (
 	"floatfl/internal/data"
 	"floatfl/internal/device"
 	"floatfl/internal/nn"
+	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
 )
 
@@ -60,7 +61,7 @@ func Split(profileName string, parties, samples, testSamples int, seed int64) (*
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed + 1))
+	rng := rand.New(rngstate.New(seed + 1))
 	draw := func(n int) ([]tensor.Vector, []int) {
 		xs := make([]tensor.Vector, n)
 		ys := make([]int, n)
