@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -204,29 +203,16 @@ func runChaos(t *testing.T, numClients, targetRounds int, wallTimeout time.Durat
 }
 
 // assertStatusMetricsAgree scrapes /v1/status and /v1/metrics?format=json
-// from a live server and checks that every counter /v1/status reports
-// matches its registry-backed source of truth. Both handlers read the
-// same obs handles, so any disagreement means a counter is being
-// shadowed by ad-hoc state again.
+// from a live server and checks that every counter /v1/status reports,
+// and its holdout accuracy, match their registry-backed source of truth.
+// Both handlers read the same obs handles, so any disagreement means a
+// value is being shadowed by ad-hoc state again.
 func assertStatusMetricsAgree(t *testing.T, baseURL string) {
 	t.Helper()
-	getJSON := func(url string, out interface{}) {
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatalf("GET %s: %v", url, err)
-		}
-		defer drainClose(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", url, resp.StatusCode)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("GET %s: decode: %v", url, err)
-		}
-	}
 	var status StatusResponse
-	getJSON(baseURL+"/v1/status", &status)
+	getJSON(t, baseURL+"/v1/status", &status)
 	var snap obs.Snapshot
-	getJSON(baseURL+"/v1/metrics?format=json", &snap)
+	getJSON(t, baseURL+"/v1/metrics?format=json", &snap)
 
 	counter := func(name string) int {
 		for _, c := range snap.Counters {
@@ -263,6 +249,10 @@ func assertStatusMetricsAgree(t *testing.T, baseURL string) {
 	if statusDrops != metricDrops {
 		t.Errorf("/v1/status drops sum %d disagrees with /v1/metrics dist_drops_total sum %d",
 			statusDrops, metricDrops)
+	}
+	if acc := gaugeValue(t, snap, "dist_holdout_acc"); acc != status.HoldoutAcc {
+		t.Errorf("/v1/status holdout_acc=%v disagrees with /v1/metrics dist_holdout_acc=%v",
+			status.HoldoutAcc, acc)
 	}
 	if counter("dist_rounds_total") != status.Round {
 		t.Errorf("/v1/status round=%d disagrees with dist_rounds_total=%d",

@@ -111,12 +111,13 @@ func (s *Server) minUpdates() int {
 	return 1
 }
 
-// Close stops the round timer and all outstanding lease timers. The
-// handlers keep answering (a closed Server is still a valid aggregator),
-// but no further timers are armed.
+// Close joins the pending holdout evaluation and stops the round timer and
+// all outstanding lease timers. The handlers keep answering (a closed
+// Server is still a valid aggregator), but no further timers are armed.
 func (s *Server) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.joinLocked()
 	s.closed = true
 	if s.roundTimer != nil {
 		s.roundTimer.Stop()

@@ -31,7 +31,10 @@ type ServerConfig struct {
 	MaxOutstanding int
 	// Controller decides per-client techniques; nil means no acceleration.
 	Controller fl.Controller
-	// Holdout is evaluated after each aggregation when non-empty.
+	// Holdout is evaluated after each aggregation when non-empty: version r
+	// is evaluated in the background while round r+1 trains, and every read
+	// of the accuracy (and of the timeline row it completes) waits for that
+	// evaluation first, so readers see what a synchronous evaluation shows.
 	Holdout []nn.Sample
 	// DeadlineSeconds is advertised to clients with each task (advisory;
 	// the lease below is what the server actually enforces).
@@ -66,6 +69,13 @@ type ServerConfig struct {
 // read and change that state: bodies are read and decoded before it is
 // taken and responses are written after it is released, so what one peer
 // sends, or how slowly it reads, costs the others nothing.
+//
+// The holdout evaluation of each model version runs outside mu, beside the
+// next round (see pendingEval). Whatever reads its result or writes the
+// model joins it first: the next aggregation, Snapshot, RestoreSnapshot,
+// Close, HoldoutAccuracy, Timeline and GET /v1/status, /v1/metrics and
+// /v1/timeline. The register, task, update and drain handlers and the
+// timers do not wait for it.
 type Server struct {
 	mu sync.Mutex
 
@@ -112,6 +122,9 @@ type Server struct {
 	metrics    *obs.Registry
 	start      time.Time
 	holdoutAcc float64
+	// pending is the last aggregation's holdout evaluation and timeline
+	// row, not yet joined; nil once joinLocked has committed them.
+	pending *pendingEval
 
 	// timeline records one delta-encoded registry sample per aggregation,
 	// served incrementally by GET /v1/timeline and carried through
@@ -229,7 +242,11 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/update", s.handleUpdate)
 	mux.HandleFunc("/v1/status", s.handleStatus)
 	mux.HandleFunc("/v1/metrics", s.handleMetrics)
-	mux.Handle("/v1/timeline", obs.TimelineHandler(s.timeline))
+	timeline := obs.TimelineHandler(s.timeline)
+	mux.HandleFunc("/v1/timeline", func(w http.ResponseWriter, r *http.Request) {
+		s.settle()
+		timeline.ServeHTTP(w, r)
+	})
 	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/v1/drain", s.handleDrain)
 	return mux
@@ -436,6 +453,7 @@ func (s *Server) acceptUpdate(req UpdateRequest, delta tensor.Vector, deltaErr e
 // upload and re-fetch — the deployment analog of a deadline dropout, which
 // is also reported to the controller.
 func (s *Server) aggregateLocked() {
+	s.joinLocked()
 	aggregated := len(s.deltas)
 	// The simulator's apply compacts s.deltas in place: only the prefix it
 	// returns is sure to hold each vector once, so only that goes back to
@@ -468,21 +486,77 @@ func (s *Server) aggregateLocked() {
 		s.stopLeaseLocked(ci)
 	}
 	s.armRoundTimerLocked()
-	if len(s.cfg.Holdout) > 0 {
-		s.holdoutAcc, _ = s.global.Evaluate(s.cfg.Holdout)
-		s.obs.holdoutAcc.Set(s.holdoutAcc)
-	}
 	s.syncGaugesLocked()
-	// Sample after the gauges are refreshed so the timeline row for the
-	// round that just closed (s.round-1; the counter already advanced)
-	// reflects the post-aggregation registry. Timestamped on the injected
-	// clock, so a FakeClock makes the timeline deterministic in tests.
-	s.timeline.Sample(s.round-1, s.clock.Now().Sub(s.start).Seconds(),
-		obs.SeriesValue{Name: "round_aggregated_updates", Value: float64(aggregated)})
+	// The timeline row for the round that just closed (s.round-1; the
+	// counter already advanced) is the post-aggregation registry, taken
+	// now and committed when the evaluation is joined. Timestamped on the
+	// injected clock, so a FakeClock makes the timeline deterministic.
+	p := &pendingEval{
+		round:      s.round - 1,
+		clock:      s.clock.Now().Sub(s.start).Seconds(),
+		snap:       s.metrics.Snapshot(),
+		aggregated: aggregated,
+	}
+	if len(s.cfg.Holdout) > 0 {
+		p.acc = make(chan float64, 1)
+		go func(global *nn.Model, holdout []nn.Sample) {
+			acc, _ := global.Evaluate(holdout)
+			p.acc <- acc
+		}(s.global, s.cfg.Holdout)
+	}
+	s.pending = p
+}
+
+// pendingEval is one aggregation's deferred tail: the holdout evaluation
+// of the version it produced and the timeline row that reports it.
+//
+// The evaluation reads s.global in place, without a copy and without
+// taking mu. That is sound because while an evaluation is pending s.global
+// is only read, and only through its parameters (MarshalBinary for the
+// task blob, NumParams); every writer of the model — aggregateLocked and
+// RestoreSnapshot — joins first. Joining under mu cannot deadlock, since
+// the evaluation takes no lock.
+type pendingEval struct {
+	round      int
+	clock      float64
+	snap       obs.Snapshot
+	aggregated int
+	// acc receives the accuracy (buffered, so the evaluation never waits
+	// for its join); nil when the server has no holdout.
+	acc chan float64
+}
+
+// joinLocked waits for the pending evaluation, if any, and commits what it
+// completes: the accuracy, its gauge, and the timeline row. The row is the
+// snapshot taken at aggregation with dist_holdout_acc patched to the new
+// accuracy, which is byte for byte the row an evaluation under mu at
+// aggregation time would have sampled. Caller holds s.mu.
+func (s *Server) joinLocked() {
+	p := s.pending
+	if p == nil {
+		return
+	}
+	s.pending = nil
+	extra := []obs.SeriesValue{{Name: "round_aggregated_updates", Value: float64(p.aggregated)}}
+	if p.acc != nil {
+		s.holdoutAcc = <-p.acc
+		s.obs.holdoutAcc.Set(s.holdoutAcc)
+		extra = append(extra, obs.SeriesValue{Name: "dist_holdout_acc", Value: s.holdoutAcc})
+	}
+	s.timeline.SampleFrom(p.snap, p.round, p.clock, extra...)
+}
+
+// settle joins the pending evaluation for a reader that does not otherwise
+// take s.mu.
+func (s *Server) settle() {
+	s.mu.Lock()
+	s.joinLocked()
+	s.mu.Unlock()
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
+	s.joinLocked()
 	// Counters come straight off the metrics registry: /v1/status is a
 	// projection of /v1/metrics, so the two can never drift apart.
 	drops := make(map[string]int, numDropReasons)
@@ -522,7 +596,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		obs.WriteHTTPError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	obs.ServeMetricsSnapshot(w, r, s.metrics.Snapshot())
+	s.mu.Lock()
+	s.joinLocked()
+	snap := s.metrics.Snapshot()
+	s.mu.Unlock()
+	obs.ServeMetricsSnapshot(w, r, snap)
 }
 
 // Round returns the current aggregation round.
@@ -532,10 +610,12 @@ func (s *Server) Round() int {
 	return s.round
 }
 
-// HoldoutAccuracy returns the last post-aggregation holdout accuracy.
+// HoldoutAccuracy returns the holdout accuracy of the current model
+// version, waiting for its evaluation if it is still running.
 func (s *Server) HoldoutAccuracy() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.joinLocked()
 	return s.holdoutAcc
 }
 
@@ -552,12 +632,18 @@ func (s *Server) PartialAggregations() int {
 }
 
 // Metrics exposes the server's registry (the same one /v1/metrics
-// serves), for embedding CLIs and tests.
+// serves), for embedding CLIs and tests. Its dist_holdout_acc gauge is set
+// when an evaluation is joined, so a direct read may see the previous
+// version's accuracy; /v1/metrics joins first.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 // Timeline exposes the per-aggregation run timeline (the same ring
-// /v1/timeline serves), for embedding CLIs and tests.
-func (s *Server) Timeline() *obs.Timeline { return s.timeline }
+// /v1/timeline serves), for embedding CLIs and tests. It joins the pending
+// evaluation first, so the ring holds the row of every aggregation so far.
+func (s *Server) Timeline() *obs.Timeline {
+	s.settle()
+	return s.timeline
+}
 
 // maxBodyBytes bounds a body, in either direction, by the largest
 // legitimate one. The task response is the model — 8 bytes per parameter

@@ -105,6 +105,7 @@ func decodeServerState(payload []byte) (*serverState, error) {
 func (s *Server) Snapshot() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.joinLocked()
 	blob, err := s.modelBlobLocked()
 	if err != nil {
 		return nil, err
@@ -167,6 +168,9 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The model is about to be replaced: the evaluation reading it goes
+	// first.
+	s.joinLocked()
 	for _, c := range []struct{ field, got, want string }{
 		{"arch", st.Arch, s.cfg.Spec.Arch},
 		{"in_dim", fmt.Sprint(st.InDim), fmt.Sprint(s.cfg.Spec.InDim)},
@@ -246,9 +250,9 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 			return fmt.Errorf("dist: restore timeline: %w", err)
 		}
 	}
-	if s.holdoutAcc != 0 {
-		s.obs.holdoutAcc.Set(s.holdoutAcc)
-	}
+	// Unconditionally: a zero accuracy over a registry section holding
+	// another value must not leave /v1/status and /v1/metrics disagreeing.
+	s.obs.holdoutAcc.Set(s.holdoutAcc)
 	s.armRoundTimerLocked()
 	s.syncGaugesLocked()
 	return nil

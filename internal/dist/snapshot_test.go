@@ -200,6 +200,32 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreHoldoutGaugeFollowsStatus: a snapshot whose holdout accuracy
+// is 0 while its registry section holds a non-zero dist_holdout_acc
+// restores into a server whose /v1/status and /v1/metrics agree.
+func TestRestoreHoldoutGaugeFollowsStatus(t *testing.T) {
+	srv, hs, fed := testServer(t, nil, 2)
+	runRounds(t, []*Client{registeredClient(t, hs, fed, 0), registeredClient(t, hs, fed, 1)}, 1)
+	blob, err := srv.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroed := reframe(t, blob, func(st *serverState) {
+		if st.HoldoutAcc == 0 || gaugeValue(t, st.Obs, "dist_holdout_acc") != st.HoldoutAcc {
+			t.Fatalf("snapshot holdout %v; the test needs it non-zero and equal to the gauge", st.HoldoutAcc)
+		}
+		st.HoldoutAcc = 0
+	})
+	srv2, hs2, _ := testServer(t, nil, 2)
+	if err := srv2.RestoreSnapshot(zeroed); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv2.HoldoutAccuracy(); got != 0 {
+		t.Fatalf("restored holdout %v, want the snapshot's 0", got)
+	}
+	assertStatusMetricsAgree(t, hs2.URL)
+}
+
 // TestSnapshotRestoreRejectsBadBlob pins clean failure: corruption and
 // truncation surface as the typed checkpoint errors and leave the target
 // server untouched.

@@ -25,7 +25,7 @@ const DefaultTimelineCapacity = 4096
 // snapshot at a sample point — per-round selected/dropped counts, the
 // global accuracy, RL action visit counts. Names share the registry's
 // exposition namespace, so contributors must not collide with registered
-// metric names.
+// metric names unless they mean to override one (see SampleFrom).
 type SeriesValue struct {
 	Name  string
 	Value float64
@@ -198,17 +198,32 @@ func flattenSnapshot(s Snapshot, dst map[string]float64) {
 // snapshot plus the extra series, delta-encoded against the previous
 // sample. Must be called from a quiescent, single-threaded point (no
 // in-flight Observe/Inc racing the snapshot) — the engines call it at
-// their end-of-round boundaries, the dist server under its mutex.
+// their end-of-round boundaries. A caller that must commit the row later
+// than the boundary (the dist server, whose holdout accuracy arrives after
+// it) takes the snapshot there and passes it to SampleFrom instead.
 func (t *Timeline) Sample(round int, clock float64, extra ...SeriesValue) {
+	if t == nil {
+		return
+	}
+	var snap Snapshot
+	if t.reg != nil {
+		snap = t.reg.Snapshot()
+	}
+	t.SampleFrom(snap, round, clock, extra...)
+}
+
+// SampleFrom is Sample over a registry snapshot the caller took earlier:
+// the row is that snapshot plus the extra series, whatever the registry
+// holds now. An extra series named like a registry series overrides it,
+// which is how a deferred row carries a value computed after its snapshot.
+func (t *Timeline) SampleFrom(snap Snapshot, round int, clock float64, extra ...SeriesValue) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cur := make(map[string]float64, len(t.last))
-	if t.reg != nil {
-		flattenSnapshot(t.reg.Snapshot(), cur)
-	}
+	flattenSnapshot(snap, cur)
 	for _, sv := range extra {
 		cur[sv.Name] = sv.Value
 	}

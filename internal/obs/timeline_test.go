@@ -73,6 +73,61 @@ func TestTimelineDeltaEncoding(t *testing.T) {
 	}
 }
 
+// TestTimelineSampleFrom pins the deferred-row primitive: SampleFrom over
+// a snapshot taken just before is Sample, byte for byte, and a row built
+// from an earlier snapshot is that snapshot — registry changes made since
+// do not reach it, and an extra series overrides the one it names.
+func TestTimelineSampleFrom(t *testing.T) {
+	_, direct, cA, gA, hA := timelineFixture(3)
+	regB, deferred, cB, gB, hB := timelineFixture(3)
+	for round := 0; round < 6; round++ {
+		for _, f := range []struct {
+			c *Counter
+			g *Gauge
+			h *Histogram
+		}{{cA, gA, hA}, {cB, gB, hB}} {
+			f.c.Inc()
+			f.g.Set(float64(round % 2))
+			f.h.Observe(float64(3 * round))
+		}
+		extra := SeriesValue{Name: "extra", Value: float64(round / 2)}
+		direct.Sample(round, float64(round)/4, extra)
+		deferred.SampleFrom(regB.Snapshot(), round, float64(round)/4, extra)
+	}
+	var a, b bytes.Buffer
+	if err := direct.WriteJSONL(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := deferred.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("SampleFrom(reg.Snapshot()) differs from Sample:\n%s\nvs\n%s", b.String(), a.String())
+	}
+	if direct.Dropped() != 3 {
+		t.Fatalf("dropped = %d; the ring must fold for the comparison to cover it", direct.Dropped())
+	}
+
+	reg, tl, c, g, _ := timelineFixture(16)
+	c.Add(5)
+	g.Set(0.25)
+	snap := reg.Snapshot()
+	c.Inc()
+	g.Set(0.75)
+	reg.Counter("t_late_total").Inc()
+	tl.SampleFrom(snap, 0, 1, SeriesValue{Name: "t_level", Value: 0.5})
+	row := tl.Samples()[0]
+	if got := row.Values["t_events_total"]; got != 5 {
+		t.Errorf("t_events_total = %v, want the snapshot's 5", got)
+	}
+	if got := row.Values["t_level"]; got != 0.5 {
+		t.Errorf("t_level = %v, want the overriding extra 0.5", got)
+	}
+	if _, ok := row.Values["t_late_total"]; ok {
+		t.Error("a series registered after the snapshot reached the row")
+	}
+}
+
 func TestTimelineRingFoldPreservesAbsoluteState(t *testing.T) {
 	_, tl, c, _, _ := timelineFixture(3)
 	for round := 0; round < 6; round++ {
