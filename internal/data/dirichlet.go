@@ -50,7 +50,12 @@ func SampleDirichlet(k int, alpha float64, rng *rand.Rand) []float64 {
 	if k <= 0 {
 		return nil
 	}
-	out := make([]float64, k)
+	return sampleDirichletInto(make([]float64, k), alpha, rng)
+}
+
+// sampleDirichletInto is SampleDirichlet with k = len(out) ≥ 1, drawn into
+// out; every entry is overwritten.
+func sampleDirichletInto(out []float64, alpha float64, rng *rand.Rand) []float64 {
 	var sum float64
 	for i := range out {
 		g := sampleGamma(alpha, rng)
@@ -60,7 +65,7 @@ func SampleDirichlet(k int, alpha float64, rng *rand.Rand) []float64 {
 	if sum == 0 {
 		// All draws underflowed (possible for tiny alpha): fall back to a
 		// one-hot distribution on a random class, which is the alpha→0 limit.
-		out[rng.Intn(k)] = 1
+		out[rng.Intn(len(out))] = 1
 		return out
 	}
 	for i := range out {

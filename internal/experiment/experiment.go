@@ -57,8 +57,9 @@ type Scale struct {
 	// mode at million-client scale. Requires a lazy-capable selector (all
 	// built-ins qualify).
 	Lazy bool
-	// CacheClients bounds the lazy working-set caches (<= 0 defaults to
-	// 4096). Ignored when Lazy is false.
+	// CacheClients bounds the lazy device working set (<= 0 defaults to
+	// 4096; shards are derived per job, never cached). Ignored when Lazy is
+	// false.
 	CacheClients int
 	// EvalClients caps the final per-client evaluation sweep (<= 0
 	// evaluates everyone — the classic behavior, infeasible at scale).

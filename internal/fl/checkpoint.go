@@ -434,8 +434,6 @@ func (r *run) restoreEventLoop(el eventLoopSnap) {
 	for i := range r.tasks {
 		t := &r.tasks[i]
 		t.client = r.p.AcquireClient(t.clientID)
-		shard := r.p.AcquireShard(t.clientID)
-		t.train, t.localTest = shard.Train, shard.LocalTest
 		r.inFlight[t.clientID] = true
 	}
 	heap.Init(&r.tasks)

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 
+	"floatfl/internal/data"
 	"floatfl/internal/device"
 	"floatfl/internal/metrics"
 	"floatfl/internal/nn"
@@ -411,8 +412,7 @@ func IsFinite(v tensor.Vector) bool {
 // splits through the population seam. limit ≤ 0 (or ≥ population)
 // evaluates every client; a positive limit evaluates a deterministic
 // strided sample, the only affordable option at million-client scale. Lazy
-// shards stream through the bounded cache, so residency never exceeds its
-// capacity.
+// shards are derived one at a time into one reused buffer.
 func evaluateClientsPop(m *nn.Model, p *population.Population, limit int) []float64 {
 	n := p.NumClients()
 	count := n
@@ -420,9 +420,9 @@ func evaluateClientsPop(m *nn.Model, p *population.Population, limit int) []floa
 		count = limit
 	}
 	accs := make([]float64, count)
+	var buf data.ShardBuf
 	for i := 0; i < count; i++ {
-		shard := p.Shard(i * n / count)
-		accs[i], _ = m.Evaluate(shard.LocalTest)
+		accs[i], _ = m.Evaluate(p.ShardInto(i*n/count, &buf).LocalTest)
 	}
 	return accs
 }

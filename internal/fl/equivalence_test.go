@@ -234,7 +234,8 @@ var pinnedSnapshots = map[string]string{
 // checkBaseline keeps the matrix from passing vacuously: every artifact is
 // produced; the exposition counts every round and the timeline samples
 // each one with the engine's facts; a lazy row has a sparse ledger, every
-// cache series, and really evicts; two rows' snapshots match their pins.
+// device-cache series and the derivation histogram, and really evicts; two
+// rows' snapshots match their pins.
 func checkBaseline(t *testing.T, rr *rowRun, base artifact) {
 	t.Helper()
 	for _, name := range artifactNames {
@@ -247,7 +248,7 @@ func checkBaseline(t *testing.T, rr *rowRun, base artifact) {
 		series = []string{"fl_rounds_total 6\n", "round_buffered_jobs", "model_version"}
 	}
 	if rr.rw.lazy {
-		series = append(series, `pop_cache_hits_total{kind="shard"}`, `pop_cache_misses_total{kind="device"}`,
+		series = append(series, `pop_cache_hits_total{kind="device"}`, `pop_cache_misses_total{kind="device"}`,
 			`pop_resident_clients{kind="device"}`, "pop_derive_samples_count")
 	}
 	for _, s := range series {
@@ -261,12 +262,24 @@ func checkBaseline(t *testing.T, rr *rowRun, base artifact) {
 	if rr.res.Ledger.Sparse() != rr.rw.lazy {
 		t.Errorf("ledger sparse = %v on a %s row", rr.res.Ledger.Sparse(), rr.rw.name())
 	}
-	for _, kind := range []string{"shard", "device"} {
-		evictions := `pop_cache_evictions_total{kind="` + kind + `"} `
-		if rr.rw.lazy && (!bytes.Contains(base["exposition"], []byte(evictions)) ||
-			bytes.Contains(base["exposition"], []byte(evictions+"0\n"))) {
-			t.Errorf("%s cache never evicted: the lazy row proves nothing about eviction", kind)
+	// Every training job derives its shard once, and nothing else derives
+	// one on the engine's behalf.
+	if rr.rw.lazy {
+		count := func(name string) string {
+			m := regexp.MustCompile(`(?m)^` + name + ` (\d+)$`).FindSubmatch(base["exposition"])
+			if m == nil {
+				return "none"
+			}
+			return string(m[1])
 		}
+		if d, tr := count("pop_derive_samples_count"), count("fl_train_calls_total"); d != tr {
+			t.Errorf("%s shard derivations observed for %s training jobs", d, tr)
+		}
+	}
+	evictions := `pop_cache_evictions_total{kind="device"} `
+	if rr.rw.lazy && (!bytes.Contains(base["exposition"], []byte(evictions)) ||
+		bytes.Contains(base["exposition"], []byte(evictions+"0\n"))) {
+		t.Error("device cache never evicted: the lazy row proves nothing about eviction")
 	}
 	if want, ok := pinnedSnapshots[rr.rw.name()]; ok {
 		sum := sha256.Sum256(base["snapshot@3"])

@@ -10,6 +10,7 @@ import (
 	"floatfl/internal/population"
 	"floatfl/internal/selection"
 	"floatfl/internal/trace"
+	"floatfl/internal/wset"
 )
 
 // popScaleEnv gates the million-client test: it allocates hundreds of MB
@@ -86,19 +87,15 @@ func TestMillionClientBoundedMemory(t *testing.T) {
 	}
 
 	// The acceptance bound: resident client state never exceeded the cache
-	// capacity plus one round's pinned selection.
+	// capacity plus one round's pinned selection, and no shard was cached.
 	ceiling := cacheClients + perRound
 	shard, dev := p.Stats()
-	if shard.Peak > ceiling {
-		t.Errorf("shard cache peak residency %d exceeds ceiling %d (cache %d + selected %d)",
-			shard.Peak, ceiling, cacheClients, perRound)
-	}
 	if dev.Peak > ceiling {
 		t.Errorf("device cache peak residency %d exceeds ceiling %d (cache %d + selected %d)",
 			dev.Peak, ceiling, cacheClients, perRound)
 	}
-	if shard.Evictions == 0 && shard.Misses > int64(2*cacheClients) {
-		t.Error("shard cache never evicted despite deriving past capacity — residency bound untested")
+	if shard != (wset.Stats{}) {
+		t.Errorf("shard stats %+v: shards are derived per job, never cached", shard)
 	}
 
 	runtime.GC()
@@ -110,15 +107,17 @@ func TestMillionClientBoundedMemory(t *testing.T) {
 	runtime.KeepAlive(p)
 	runtime.KeepAlive(res)
 	bytesPerClient := float64(ms.HeapAlloc) / float64(clients)
-	t.Logf("heap after run: %.1f MB (%.1f bytes per population client; peaks shard=%d device=%d)",
-		float64(ms.HeapAlloc)/(1<<20), bytesPerClient, shard.Peak, dev.Peak)
-	// What stays live is the 4096-client cache (~45 KB per resident femnist
-	// client: one slab per shard, rounded up to whole pages), the sparse
-	// ledger and the model: 187.8 MB measured at 100k clients and 190.6 MB
-	// at 1M, flat in the population size. An eager population pays that
-	// ~45 KB for every client (4.5 GB at 100k), so one fixed budget with
-	// 1.3x headroom separates the two at either scale.
-	const heapBudget = 256 << 20
+	t.Logf("heap after run: %.1f MB (%.1f bytes per population client; device peak %d)",
+		float64(ms.HeapAlloc)/(1<<20), bytesPerClient, dev.Peak)
+	// What stays live is the 4096-client device cache (~16 KB per resident
+	// client, most of it the three trace RNG registers), the sparse ledger
+	// and the model: 67.7 MB measured at 100k clients and 68.9 MB at 1M,
+	// flat in the population size. Shards are derived per training job and
+	// die with it; a cache holding 4096 of them resident (~45 KB each, one
+	// slab rounded up to whole pages: ~180 MB) would not fit the budget,
+	// nor would an eager population, which holds every client's shard and
+	// device state.
+	const heapBudget = 128 << 20
 	if ms.HeapAlloc > heapBudget {
 		t.Errorf("live heap %.1f MB exceeds the %d MB budget — population memory is not bounded",
 			float64(ms.HeapAlloc)/(1<<20), heapBudget>>20)

@@ -10,25 +10,26 @@ import (
 // method name). Matching is by name rather than by import path so the
 // contract also binds fixture and future code: any type named Population
 // with an AcquireClient method is the population under this module's
-// conventions.
+// conventions. Shard derivation (ShardInto, ShardSize) is absent on
+// purpose: it reads only immutable state and writes the caller's buffer,
+// so the job that trains on a shard derives it on its worker.
 var phaseForbidden = map[[2]string]string{
-	{"Population", "AcquireClient"}: "client acquisition mutates shard pin state",
-	{"Population", "AcquireShard"}:  "shard acquisition mutates cache pin state",
-	{"Population", "Release"}:       "release mutates shard pin state",
-	{"Population", "Client"}:        "unpinned client access races with eviction",
-	{"Population", "Shard"}:         "unpinned shard access races with eviction",
-	{"Population", "FlushObs"}:      "deferred-telemetry flush is a collect-phase operation",
-	{"Population", "PlanAhead"}:     "the residency peek is only meaningful between cache mutations",
-	{"Population", "Stage"}:         "staging feeds the dispatch pass's cache misses",
-	{"Cache", "Get"}:                "a lookup mutates LRU recency, and a miss consumes the staged batch, inserts and evicts",
-	{"Cache", "Acquire"}:            "acquisition is a lookup plus a pin-state mutation",
-	{"Cache", "Release"}:            "release mutates cache pin state and may evict",
-	{"Cache", "Contains"}:           "the residency peek is only meaningful between cache mutations",
-	{"Cache", "Plan"}:               "the residency peek is only meaningful between cache mutations",
-	{"Cache", "Stage"}:              "staging feeds the dispatch pass's cache misses",
-	{"Ledger", "Record"}:            "ledger writes are ordered by the collect phase",
-	{"Ledger", "RecordDiscarded"}:   "ledger writes are ordered by the collect phase",
-	{"Tracer", "Emit"}:              "trace emission is ordered by the dispatch/collect phases",
+	{"Population", "AcquireClient"}:  "client acquisition mutates cache pin state",
+	{"Population", "Release"}:        "release mutates cache pin state",
+	{"Population", "Client"}:         "unpinned client access races with eviction",
+	{"Population", "FlushObs"}:       "deferred-telemetry flush is a collect-phase operation",
+	{"Population", "ObserveDerived"}: "derivation sizes are observed in slot order on the collect phase",
+	{"Population", "PlanAhead"}:      "the residency peek is only meaningful between cache mutations",
+	{"Population", "Stage"}:          "staging feeds the dispatch pass's cache misses",
+	{"Cache", "Get"}:                 "a lookup mutates LRU recency, and a miss consumes the staged batch, inserts and evicts",
+	{"Cache", "Acquire"}:             "acquisition is a lookup plus a pin-state mutation",
+	{"Cache", "Release"}:             "release mutates cache pin state and may evict",
+	{"Cache", "Contains"}:            "the residency peek is only meaningful between cache mutations",
+	{"Cache", "Plan"}:                "the residency peek is only meaningful between cache mutations",
+	{"Cache", "Stage"}:               "staging feeds the dispatch pass's cache misses",
+	{"Ledger", "Record"}:             "ledger writes are ordered by the collect phase",
+	{"Ledger", "RecordDiscarded"}:    "ledger writes are ordered by the collect phase",
+	{"Tracer", "Emit"}:               "trace emission is ordered by the dispatch/collect phases",
 }
 
 // rulePhaseContract enforces the engines' three-phase concurrency

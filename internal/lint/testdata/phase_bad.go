@@ -2,8 +2,9 @@
 // forEachSlot that writes the ledger directly and through a helper (the
 // check is call-graph transitive), one that pins a working-set entry, a
 // job handed over as a method value, and a derive-ahead job doing more than
-// deriving. The types are defined locally: the contract matches by
-// (receiver, method) name, which lets the fixture stay self-contained.
+// deriving (deriving a shard into its own buffer is fine). The types are
+// defined locally: the contract matches by (receiver, method) name, which
+// lets the fixture stay self-contained.
 package fixture
 
 type Ledger struct{ rows []int }
@@ -46,8 +47,9 @@ func (s *roundState) job(i int) {
 
 type Population struct{ wc *Cache }
 
-func (p *Population) Client(id int) int { return p.wc.pins[id] }
-func (p *Population) Stage(ids []int)   {}
+func (p *Population) Client(id int) int         { return p.wc.pins[id] }
+func (p *Population) Stage(ids []int)           {}
+func (p *Population) ShardInto(id, buf int) int { return id + buf }
 
 func (c *Cache) Get(id int) int { return c.pins[id] }
 
@@ -60,10 +62,11 @@ func derive(id int) int { return id * id }
 func deriveAhead(p *Population, ids []int) {
 	staged := make([]int, len(ids))
 	forEachSlot(len(ids), func(i int) {
-		staged[i] = derive(ids[i]) // the sanctioned part: a pure derivation into the job's own slot
-		p.wc.Get(ids[i])           // want phase-contract (derive-ahead job loads through the cache)
-		p.Client(ids[i])           // want phase-contract (derive-ahead job reads through the cache)
-		p.Stage(ids[i : i+1])      // want phase-contract (derive-ahead job stages its own result)
+		staged[i] = derive(ids[i])          // the sanctioned part: a pure derivation into the job's own slot
+		staged[i] += p.ShardInto(ids[i], i) // so is a shard derived into the job's own buffer
+		p.wc.Get(ids[i])                    // want phase-contract (derive-ahead job loads through the cache)
+		p.Client(ids[i])                    // want phase-contract (derive-ahead job reads through the cache)
+		p.Stage(ids[i : i+1])               // want phase-contract (derive-ahead job stages its own result)
 	})
 	p.Stage(ids) // dispatch thread: fine
 }

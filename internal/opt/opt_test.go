@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -534,5 +536,37 @@ func TestDecompressUpdateIntoChecksLengthFirst(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
 		t.Fatalf("rejecting a 2^24-element header allocated %d bytes", grew)
+	}
+}
+
+// TestKthSmallestMatchesSort checks the selection behind PruneSmallest
+// against sort.Float64s at every rank of vectors too long for the fuzzer to
+// reach, in the shapes that defeat naive quickselects: sorted, reversed,
+// all ties, organ pipe, mostly zeros (frozen layers), and NaN-laden.
+func TestKthSmallestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 601
+	shapes := map[string]func(i int) float64{
+		"random":   func(int) float64 { return rng.NormFloat64() },
+		"sorted":   func(i int) float64 { return float64(i) },
+		"reversed": func(i int) float64 { return float64(n - i) },
+		"ties":     func(int) float64 { return 2 },
+		"organ":    func(i int) float64 { return float64(min(i, n-i)) },
+		"zeros":    func(i int) float64 { return float64(i % 7 / 6) },
+		"nan":      func(i int) float64 { return []float64{math.NaN(), 1, math.Inf(1), 0, -1}[rng.Intn(5)] },
+	}
+	for name, shape := range shapes {
+		a := make([]float64, n)
+		for i := range a {
+			a[i] = shape(i)
+		}
+		want := slices.Clone(a)
+		sort.Float64s(want)
+		for k := 0; k < n; k += 7 {
+			got := kthSmallest(slices.Clone(a), k)
+			if math.Float64bits(got) != math.Float64bits(want[k]) && !(math.IsNaN(got) && math.IsNaN(want[k])) {
+				t.Fatalf("%s: rank %d selects %v, sort.Float64s places %v", name, k, got, want[k])
+			}
+		}
 	}
 }

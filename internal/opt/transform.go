@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -43,6 +44,69 @@ func Quantize(v tensor.Vector, bits int, rng *rand.Rand) {
 	}
 }
 
+// kthSmallest returns the value sort.Float64s would place at index k of a
+// (0 ≤ k < len(a)), NaN sorting below every number, in O(len(a)) expected
+// time; it reorders a. After the NaNs are moved to the front it is a
+// quickselect over three-way partitions (ties, such as the zeros of frozen
+// layers, leave in one step), with a median-of-three pivot; should pivots
+// keep going bad, the remaining range is sorted instead, which bounds the
+// worst case at O(n log n).
+func kthSmallest(a []float64, k int) float64 {
+	nan := 0
+	for i, x := range a {
+		if x != x {
+			a[i], a[nan] = a[nan], x
+			nan++
+		}
+	}
+	if k < nan {
+		return math.NaN()
+	}
+	a, k = a[nan:], k-nan
+	for budget := 2 * bits.Len(uint(len(a))); len(a) > 1; budget-- {
+		if budget == 0 {
+			sort.Float64s(a)
+			return a[k]
+		}
+		p := medianOf3(a[0], a[len(a)/2], a[len(a)-1])
+		// Partition into a[:lt] < p, a[lt:gt] == p, a[gt:] > p.
+		lt, i, gt := 0, 0, len(a)
+		for i < gt {
+			switch x := a[i]; {
+			case x < p:
+				a[lt], a[i] = x, a[lt]
+				lt++
+				i++
+			case x > p:
+				gt--
+				a[gt], a[i] = x, a[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			a = a[:lt]
+		case k < gt:
+			return p
+		default:
+			a, k = a[gt:], k-gt
+		}
+	}
+	return a[0]
+}
+
+// medianOf3 returns the median of three non-NaN values.
+func medianOf3(x, y, z float64) float64 {
+	if x > y {
+		x, y = y, x
+	}
+	if y > z {
+		y = z
+	}
+	return math.Max(x, y)
+}
+
 // PruneSmallest zeroes the frac fraction of entries of v with smallest
 // absolute value (magnitude pruning of the update). frac outside (0,1) is
 // clamped; frac <= 0 is a no-op.
@@ -65,8 +129,7 @@ func PruneSmallest(v tensor.Vector, frac float64) {
 	for i, x := range v {
 		mags[i] = math.Abs(x)
 	}
-	sort.Float64s(mags)
-	threshold := mags[k-1]
+	threshold := kthSmallest(mags, k-1)
 	zeroed := 0
 	// First pass: zero strictly-below-threshold entries.
 	for i, x := range v {

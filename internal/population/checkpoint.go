@@ -15,22 +15,22 @@ import (
 //
 // Client state itself is never serialized — it is a pure function of
 // (seed, clientID) plus each client's battery drain log, so the drain logs
-// are the only per-client payload. For lazy populations the working-set
-// caches additionally matter for telemetry (hit/miss/eviction counts
-// depend on residency), so the unpinned LRU orders and the cache counters
-// are captured too; pinned residency is deliberately absent — pins belong
-// to in-flight work, and the engine rebuilds them by re-acquiring the
-// clients its restored tasks reference.
+// are the only per-client payload. For lazy populations the device
+// working set additionally matters for telemetry (hit/miss/eviction counts
+// depend on residency), so its unpinned LRU order and counters are
+// captured too; pinned residency is deliberately absent — pins belong to
+// in-flight work, and the engine rebuilds them by re-acquiring the clients
+// its restored tasks reference.
 type State struct {
 	DrainLogs []ClientDrainLog
-	// ShardLRU / DevLRU hold the unpinned resident IDs of the two lazy
-	// caches in least-recently-used-first order (empty in eager mode).
-	ShardLRU []int
-	DevLRU   []int
-	// ShardStats / DevStats are the captured cache counters; they also
+	// ShardLRU and ShardStats hold the place of the retired shard cache:
+	// written empty and zero, read and ignored, so older snapshots load.
+	// DevLRU holds the unpinned resident IDs of the lazy device cache in
+	// least-recently-used-first order (empty in eager mode).
+	ShardLRU, DevLRU []int
+	// DevStats are the captured device-cache counters; they also
 	// re-baseline FlushObs's delta tracking on restore.
-	ShardStats wset.Stats
-	DevStats   wset.Stats
+	ShardStats, DevStats wset.Stats
 }
 
 // ClientDrainLog pairs a client ID with its battery drain log.
@@ -41,13 +41,13 @@ type ClientDrainLog struct {
 
 // AppendCheckpoint writes the population's state as one checkpoint
 // section: the drain logs in client-ID order (count; per client its ID, an
-// event count, then step and fraction of each event), the two LRU orders,
-// the two caches' counters. Must be called from the engines'
-// single-threaded quiescent boundary.
+// event count, then step and fraction of each event), the (empty) shard
+// and the device LRU orders, the (zero) shard and the device counters.
+// Must be called from the engines' single-threaded quiescent boundary.
 func (p *Population) AppendCheckpoint(e *checkpoint.Enc) {
 	var logs []ClientDrainLog
-	var shardLRU, devLRU []int
-	var shardStats, devStats wset.Stats
+	var devLRU []int
+	var devStats wset.Stats
 	if p.Eager() {
 		for id, c := range p.clients {
 			if log := c.Avail.DrainLog(); log != nil {
@@ -59,8 +59,7 @@ func (p *Population) AppendCheckpoint(e *checkpoint.Enc) {
 		for _, id := range checkpoint.SortedKeys(byID) {
 			logs = append(logs, ClientDrainLog{Client: id, Drains: byID[id]})
 		}
-		shardLRU, devLRU = p.shards.UnpinnedKeys(), p.devs.UnpinnedKeys()
-		shardStats, devStats = p.Stats()
+		devLRU, devStats = p.devs.UnpinnedKeys(), p.devs.Stats()
 	}
 	e.Uvarint(uint64(len(logs)))
 	for _, cl := range logs {
@@ -71,9 +70,9 @@ func (p *Population) AppendCheckpoint(e *checkpoint.Enc) {
 			e.Float64(ev.Frac)
 		}
 	}
-	e.Ints(shardLRU)
+	e.Ints(nil) // ShardLRU
 	e.Ints(devLRU)
-	for _, cs := range []wset.Stats{shardStats, devStats} {
+	for _, cs := range []wset.Stats{{}, devStats} {
 		e.Int64(cs.Hits)
 		e.Int64(cs.Misses)
 		e.Int64(cs.Evictions)
@@ -137,16 +136,14 @@ func (p *Population) RestoreDrainLogs(st *State) error {
 				"population: drain log for client %d out of order or outside a population of %d", cl.Client, p.n)}
 		}
 	}
-	for _, lru := range [][]int{st.ShardLRU, st.DevLRU} {
-		// An unpinned working set never exceeds its cache, and an eager
-		// population has none: RestoreResidency derives every listed client.
-		if p.Eager() && len(lru) > 0 || !p.Eager() && len(lru) > p.devs.Capacity() {
-			return &checkpoint.FormatError{Reason: fmt.Sprintf("population: %d resident clients exceed the working set", len(lru))}
-		}
-		for _, id := range lru {
-			if id < 0 || id >= p.n {
-				return &checkpoint.FormatError{Reason: fmt.Sprintf("population: resident client %d outside a population of %d", id, p.n)}
-			}
+	// An unpinned working set never exceeds its cache, and an eager
+	// population has none: RestoreResidency derives every listed client.
+	if lru := st.DevLRU; p.Eager() && len(lru) > 0 || !p.Eager() && len(lru) > p.devs.Capacity() {
+		return &checkpoint.FormatError{Reason: fmt.Sprintf("population: %d resident clients exceed the working set", len(lru))}
+	}
+	for _, id := range st.DevLRU {
+		if id < 0 || id >= p.n {
+			return &checkpoint.FormatError{Reason: fmt.Sprintf("population: resident client %d outside a population of %d", id, p.n)}
 		}
 	}
 	if p.Eager() {
@@ -176,9 +173,9 @@ func notFresh(got string) error {
 }
 
 // RestoreResidency is restore phase two (lazy mode only; a no-op when
-// eager): replay the unpinned LRU orders through the caches, then
-// overwrite the cache counters and FlushObs baselines with the captured
-// values so the rebuild itself leaves no telemetry trace. Call after any
+// eager): replay the unpinned device LRU order through the cache, then
+// overwrite its counters and FlushObs baseline with the captured values so
+// the rebuild itself leaves no telemetry trace. Call after any
 // pinned clients have been re-acquired: an Acquire passes transiently
 // through the unpinned list before pinning, so acquiring into an
 // already-warmed full cache would overflow capacity for an instant and
@@ -187,9 +184,7 @@ func (p *Population) RestoreResidency(st *State) {
 	if p.Eager() {
 		return
 	}
-	p.shards.Warm(st.ShardLRU)
 	p.devs.Warm(st.DevLRU)
-	p.shards.SetStats(st.ShardStats)
 	p.devs.SetStats(st.DevStats)
-	p.shardObs.last, p.devObs.last = st.ShardStats, st.DevStats
+	p.devObs.last = st.DevStats
 }

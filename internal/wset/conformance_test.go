@@ -16,9 +16,10 @@ import (
 	"floatfl/internal/wset"
 )
 
-// The working-set discipline, stated once and run over both real loaders:
-// the shard deriver (values are slices into one slab) and the device deriver
-// (values are pointers to mutable clients). same reports identity — the very
+// The working-set discipline, stated once and run over two real loaders of
+// different value shapes: the device deriver (values are pointers to
+// mutable clients — the population's working set) and the shard deriver
+// (values are slices into one slab). same reports identity — the very
 // value, not a re-derivation of it — and print a fingerprint of the whole
 // value, which for a device client means reading its traces.
 
@@ -28,7 +29,7 @@ func shardLoader(t *testing.T) func(int) data.ClientShard {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p.Derive
+	return func(id int) data.ClientShard { return p.DeriveInto(id, nil) }
 }
 
 func sameShard(a, b data.ClientShard) bool { return &a.Train[0] == &b.Train[0] }

@@ -1,6 +1,6 @@
 // Package wset is the lazy population's working set: a bounded, pinned,
 // load-through LRU cache keyed by client ID. It is the one place mutable
-// working-set state lives; what it loads — a client's shard, a client's
+// working-set state lives; what it loads — in the simulator, a client's
 // device state — is a pure function of the key, supplied at construction.
 //
 // The cache holds at most Capacity *unpinned* entries. Pinned entries
@@ -48,8 +48,7 @@ type entry[K comparable, V any] struct {
 // The hooks must not call back into the cache.
 type Cache[K comparable, V any] struct {
 	// OnMiss, when non-nil, sees every value a miss is about to insert,
-	// staged or loaded inline: device state replays its drain log here, the
-	// shard cache observes derivation sizes.
+	// staged or loaded inline: device state replays its drain log here.
 	OnMiss func(K, V)
 	// OnEvict, when non-nil, sees every evicted entry — where a device
 	// client's drain log is persisted.
