@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	floatlint [-json] [-sarif file] [-unused-directives] [-rules list]
+//	floatlint [-json] [-unused-directives] [-rules list]
 //	          [-list] [packages...]
 //
 // With no package patterns it sweeps ./... from the enclosing module
@@ -17,8 +17,7 @@
 // (e.g. -rules -naked-goroutine). Findings suppressed with an inline
 // `//lint:allow <rule> <reason>` directive are not reported;
 // -unused-directives additionally reports directives that suppress
-// nothing. -sarif writes a SARIF 2.1.0 document ("-" for stdout) with
-// the findings for code-scanning upload.
+// nothing. -json emits the findings as a JSON array.
 package main
 
 import (
@@ -33,7 +32,6 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
-	sarifOut := flag.String("sarif", "", "write findings as SARIF 2.1.0 to this file (\"-\" for stdout)")
 	unusedDirectives := flag.Bool("unused-directives", false, "report //lint:allow directives that suppress nothing")
 	rules := flag.String("rules", "", "comma-separated rules to run, or -name entries to skip (default: all)")
 	list := flag.Bool("list", false, "list registered rules and exit")
@@ -70,19 +68,6 @@ func main() {
 		UnusedDirectives: *unusedDirectives,
 	})
 
-	if *sarifOut != "" {
-		data, err := lint.SARIF(findings, root)
-		if err != nil {
-			fatal(err)
-		}
-		data = append(data, '\n')
-		if *sarifOut == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*sarifOut, data, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -92,13 +77,13 @@ func main() {
 		if err := enc.Encode(findings); err != nil {
 			fatal(err)
 		}
-	} else if *sarifOut != "-" {
+	} else {
 		for _, f := range findings {
 			fmt.Println(f)
 		}
 	}
 	if len(findings) > 0 {
-		if !*jsonOut && *sarifOut != "-" {
+		if !*jsonOut {
 			fmt.Fprintf(os.Stderr, "floatlint: %d finding(s)\n", len(findings))
 		}
 		os.Exit(1)

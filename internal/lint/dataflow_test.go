@@ -1,8 +1,6 @@
 package lint_test
 
 import (
-	"encoding/json"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -62,105 +60,6 @@ func TestUnusedDirectivesReported(t *testing.T) {
 	pkg = loadFixture(t, "wallclock_ok.go")
 	if findings := lint.RunOpts([]*lint.Package{pkg}, lint.Options{UnusedDirectives: true}); len(findings) != 0 {
 		t.Errorf("load-bearing directive reported as unused:\n%s", formatFindings(findings))
-	}
-}
-
-// TestSARIFOutput checks the SARIF 2.1.0 encoding end to end: valid JSON,
-// the registered rule table, and one result per finding with a
-// root-relative location.
-func TestSARIFOutput(t *testing.T) {
-	findings := runRules(t, "wallclock_bad.go", nil)
-	if len(findings) == 0 {
-		t.Fatal("fixture produced no findings")
-	}
-	data, err := lint.SARIF(findings, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := lint.SARIF(findings, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(again) {
-		t.Error("SARIF encoding is not deterministic")
-	}
-
-	var doc struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				RuleIndex int    `json:"ruleIndex"`
-				Message   struct {
-					Text string `json:"text"`
-				} `json:"message"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("SARIF output is not valid JSON: %v", err)
-	}
-	if doc.Version != "2.1.0" || len(doc.Runs) != 1 {
-		t.Fatalf("version=%q runs=%d, want 2.1.0 with one run", doc.Version, len(doc.Runs))
-	}
-	run := doc.Runs[0]
-	if run.Tool.Driver.Name != "floatlint" {
-		t.Errorf("driver name %q", run.Tool.Driver.Name)
-	}
-	ruleIDs := map[string]bool{}
-	for _, r := range run.Tool.Driver.Rules {
-		ruleIDs[r.ID] = true
-	}
-	for _, name := range lint.RuleNames() {
-		if !ruleIDs[name] {
-			t.Errorf("registered rule %s missing from SARIF rule table", name)
-		}
-	}
-	if len(run.Results) != len(findings) {
-		t.Fatalf("got %d results, want %d", len(run.Results), len(findings))
-	}
-	for i, res := range run.Results {
-		f := findings[i]
-		if res.RuleID != f.Rule || res.Message.Text != f.Message {
-			t.Errorf("result %d: got (%s, %q), want (%s, %q)", i, res.RuleID, res.Message.Text, f.Rule, f.Message)
-		}
-		if len(res.Locations) != 1 {
-			t.Fatalf("result %d: %d locations", i, len(res.Locations))
-		}
-		loc := res.Locations[0].PhysicalLocation
-		if loc.Region.StartLine != f.Pos.Line {
-			t.Errorf("result %d: startLine %d, want %d", i, loc.Region.StartLine, f.Pos.Line)
-		}
-		if strings.Contains(loc.ArtifactLocation.URI, "\\") {
-			t.Errorf("result %d: URI %q not slash-separated", i, loc.ArtifactLocation.URI)
-		}
-	}
-
-	// Root-relative URIs: passing the fixture's directory as root strips it.
-	rel, err := lint.SARIF(findings, filepath.Dir(findings[0].Pos.Filename))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(rel), `"uri": "wallclock_bad.go"`) {
-		t.Error("SARIF URI not relativized against root")
 	}
 }
 
