@@ -5,14 +5,16 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"floatfl/internal/checkpoint"
+	"floatfl/internal/checkpoint/statefultests"
 )
 
 // trainedAgent returns an agent with a few visited states so snapshots
 // carry a non-trivial table.
-func trainedAgent(t *testing.T) *Agent {
+func trainedAgent(t testing.TB) *Agent {
 	t.Helper()
 	a := NewAgent(Config{Seed: 9})
 	for i := 0; i < 40; i++ {
@@ -292,4 +294,66 @@ func TestAgentCheckpointResume(t *testing.T) {
 	if full.Updates() != resumed.Updates() {
 		t.Fatalf("updates %d, want %d", resumed.Updates(), full.Updates())
 	}
+}
+
+// FuzzAgentLoad fuzzes the agent file decoder, not the checksum: every
+// mutated payload is re-framed with a correct length and SHA-256, so the
+// fuzzer reaches decodeLearned. The seeds are real Save outputs. Load must
+// not panic; it fails with a typed checkpoint error and leaves the agent
+// saving exactly what it saved before, or it succeeds and the agent's next
+// Save loads into a fresh agent that saves the same bytes. Allocation is
+// bounded by the payload: the costliest byte is a state of a zero-width
+// table, one payload byte for a preallocated map slot of up to ~90 bytes.
+func FuzzAgentLoad(f *testing.F) {
+	save := func(t testing.TB, a *Agent) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := a.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, a := range []*Agent{trainedAgent(f), NewAgent(Config{Seed: 9}), NewAgent(Config{Seed: 9, Bins: 7})} {
+		payload, err := checkpoint.Decode(bytes.NewReader(save(f, a)), AgentSnapshotKind)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		frame, err := checkpoint.EncodeBytes(AgentSnapshotKind, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := NewAgent(Config{Seed: 9})
+		s := State{GB: 1, GE: 1, GK: 2, CPU: 3, Mem: 1, Net: 1, HF: 2}
+		if err := dst.Update(0, s, dst.SelectAction(s), true, 0.01, s); err != nil {
+			t.Fatal(err)
+		}
+		before := save(t, dst)
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		err = dst.Load(bytes.NewReader(frame))
+		runtime.ReadMemStats(&ms1)
+		if grew, bound := ms1.TotalAlloc-ms0.TotalAlloc, uint64(128*len(frame)+1<<20); grew > bound {
+			t.Fatalf("loading a %d-byte payload allocated %d bytes (bound %d)", len(payload), grew, bound)
+		}
+		if err != nil {
+			if !statefultests.Typed(err) {
+				t.Fatalf("untyped load error: %v", err)
+			}
+			if !bytes.Equal(save(t, dst), before) {
+				t.Fatalf("a rejected load (%v) changed what the agent saves", err)
+			}
+			return
+		}
+		saved := save(t, dst)
+		again := NewAgent(Config{Seed: 9})
+		if err := again.Load(bytes.NewReader(saved)); err != nil {
+			t.Fatalf("a loaded agent's own file does not load: %v", err)
+		}
+		if !bytes.Equal(save(t, again), saved) {
+			t.Fatal("Save → Load → Save is not a byte fixed point")
+		}
+	})
 }
