@@ -50,8 +50,9 @@ func DeriveClient(cfg PopulationConfig, id int) *Client {
 
 // Provider is the pure deriver of a population's device state: the
 // normalized config from which any client follows as a function of
-// (seed, clientID). It holds no cache and nothing mutable — every method is
-// safe from any number of goroutines. A derived client is fresh: device
+// (seed, clientID). It holds no cache and nothing mutable, so a client the
+// working set evicted and derives again on its next miss is the client it
+// was. A derived client is fresh: device
 // state is the one mutable piece of a client (training drains its battery),
 // so whoever keeps clients resident (population, through wset.Cache) also
 // keeps the drain logs of evicted ones and replays them onto re-derivations.

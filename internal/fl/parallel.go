@@ -28,11 +28,10 @@ import (
 //     Controller.Feedback, RoundLogger) runs on the collector goroutine
 //     only — they stay single-threaded by construction.
 //
-// The same layer carries the sync engine's derive-ahead jobs (deriveAhead
-// in sync.go): a lazy population's client and shard derivations are pure
-// functions of (seed, clientID), so the sequential selection and dispatch
-// passes hand the ones they are about to need to the workers, one slot per
-// derivation, and keep every cache mutation to themselves.
+// A lazy population's shards are derived inside the jobs, into the
+// worker's buffer (a pure function of (seed, clientID)); its device clients
+// are derived by the sequential passes that miss them, which keep every
+// cache mutation to themselves.
 func defaultParallelism() int { return runtime.NumCPU() }
 
 // forEachSlot runs fn(worker, slot) for every slot in [0, n) across up to

@@ -64,9 +64,9 @@ func RunSync(fed *data.Federation, pop []*device.Client, sel selection.Selector,
 // With an eager population the selector sees the classic checked-in dense
 // pool; a lazy population requires a selection.LazySelector, which probes
 // O(selected) clients instead of scanning the population. Memory per round
-// is then bounded by the population cache capacity plus the selected set, and
-// the sequential passes keep only the cache bookkeeping: what they need
-// derived is derived ahead of them on the workers (deriveAhead).
+// is then bounded by the population cache capacity plus the selected set;
+// the sequential passes derive the clients they miss inline, and only shard
+// derivation runs on the workers.
 func RunSyncPop(p *population.Population, sel selection.Selector,
 	ctrl Controller, cfg Config) (*Result, error) {
 
@@ -115,7 +115,7 @@ func (r *run) syncRound() (stop bool, err error) {
 func (r *run) selectClients(round int) []int {
 	info := selection.RoundInfo{Round: round, Work: r.refWork, DeadlineSec: r.deadline}
 	if r.lazy {
-		return r.sel.(selection.LazySelector).SelectLazy(info, lazyView{r}, r.cfg.ClientsPerRound)
+		return r.sel.(selection.LazySelector).SelectLazy(info, r.p, r.cfg.ClientsPerRound)
 	}
 	pop := r.p.AllClients()
 	checkedIn := make([]*device.Client, 0, len(pop))
@@ -130,39 +130,12 @@ func (r *run) selectClients(round int) []int {
 	return r.sel.Select(info, checkedIn, r.cfg.ClientsPerRound)
 }
 
-// lazyView is the population as SelectLazy sees it: probes go to the cache
-// on this goroutine, and Stage puts the run's workers behind the batch the
-// selector announces.
-type lazyView struct{ r *run }
-
-func (v lazyView) NumClients() int              { return v.r.p.NumClients() }
-func (v lazyView) Client(id int) *device.Client { return v.r.p.Client(id) }
-func (v lazyView) Stage(ids []int)              { v.r.deriveAhead(ids) }
-
-// deriveAhead takes client derivation off the sequential pass that is
-// about to walk ids: whatever the population's cache does not hold is
-// derived on the fan-out workers and staged, so the pass's cache misses
-// find their values ready. The pass itself, and with it every cache
-// counter, LRU order and snapshot byte, is the sequential one: derivation
-// is a pure function of (seed, id), and the jobs touch no cache. With one
-// worker there is nothing to gain, and an eager population's plan is
-// empty: both stay on the inline path.
-func (r *run) deriveAhead(ids []int) {
-	if r.cfg.Parallelism <= 1 {
-		return
-	}
-	ahead := r.p.PlanAhead(ids)
-	forEachSlot(ahead.Len(), r.cfg.Parallelism, func(_, job int) { ahead.Load(job) })
-	r.p.Stage(ahead)
-}
-
 // dispatch acquires (pins) each selected client, snapshots resources, and
 // lets the controller decide, in selection order, before anything
 // executes. All decisions in a round therefore observe controller state as
 // of the round start, and workers receive fully-resolved slots — they
 // never touch the population cache.
 func (r *run) dispatch(round int, ids []int) []syncSlot {
-	r.deriveAhead(ids)
 	slots := make([]syncSlot, len(ids))
 	for i, id := range ids {
 		c := r.p.AcquireClient(id)

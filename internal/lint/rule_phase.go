@@ -19,14 +19,9 @@ var phaseForbidden = map[[2]string]string{
 	{"Population", "Client"}:         "unpinned client access races with eviction",
 	{"Population", "FlushObs"}:       "deferred-telemetry flush is a collect-phase operation",
 	{"Population", "ObserveDerived"}: "derivation sizes are observed in slot order on the collect phase",
-	{"Population", "PlanAhead"}:      "the residency peek is only meaningful between cache mutations",
-	{"Population", "Stage"}:          "staging feeds the dispatch pass's cache misses",
-	{"Cache", "Get"}:                 "a lookup mutates LRU recency, and a miss consumes the staged batch, inserts and evicts",
+	{"Cache", "Get"}:                 "a lookup mutates LRU recency, and a miss inserts and evicts",
 	{"Cache", "Acquire"}:             "acquisition is a lookup plus a pin-state mutation",
 	{"Cache", "Release"}:             "release mutates cache pin state and may evict",
-	{"Cache", "Contains"}:            "the residency peek is only meaningful between cache mutations",
-	{"Cache", "Plan"}:                "the residency peek is only meaningful between cache mutations",
-	{"Cache", "Stage"}:               "staging feeds the dispatch pass's cache misses",
 	{"Ledger", "Record"}:             "ledger writes are ordered by the collect phase",
 	{"Ledger", "RecordDiscarded"}:    "ledger writes are ordered by the collect phase",
 	{"Tracer", "Emit"}:               "trace emission is ordered by the dispatch/collect phases",

@@ -1,8 +1,8 @@
 // Fixture: phase-contract violations — a fan-out job literal handed to
 // forEachSlot that writes the ledger directly and through a helper (the
 // check is call-graph transitive), one that pins a working-set entry, a
-// job handed over as a method value, and a derive-ahead job doing more than
-// deriving (deriving a shard into its own buffer is fine). The types are
+// job handed over as a method value, and a training job reaching into the
+// working set (deriving a shard into its own buffer is fine). The types are
 // defined locally: the contract matches by (receiver, method) name, which
 // lets the fixture stay self-contained.
 package fixture
@@ -48,25 +48,20 @@ func (s *roundState) job(i int) {
 type Population struct{ wc *Cache }
 
 func (p *Population) Client(id int) int         { return p.wc.pins[id] }
-func (p *Population) Stage(ids []int)           {}
 func (p *Population) ShardInto(id, buf int) int { return id + buf }
 
 func (c *Cache) Get(id int) int { return c.pins[id] }
 
-func derive(id int) int { return id * id }
-
-// Derive-ahead jobs may derive and nothing else: loading the key through
-// the cache, reading a client through the population, or staging from
-// inside the job puts cache mutation on a worker and its order up to the
-// scheduler.
-func deriveAhead(p *Population, ids []int) {
-	staged := make([]int, len(ids))
+// A training job may derive its client's shard into its own buffer and
+// touch nothing else of the population: loading a key through the cache or
+// reading a client through the population from inside the job puts cache
+// mutation on a worker and its order up to the scheduler.
+func trainJobs(p *Population, ids []int) {
+	shards := make([]int, len(ids))
 	forEachSlot(len(ids), func(i int) {
-		staged[i] = derive(ids[i])          // the sanctioned part: a pure derivation into the job's own slot
-		staged[i] += p.ShardInto(ids[i], i) // so is a shard derived into the job's own buffer
-		p.wc.Get(ids[i])                    // want phase-contract (derive-ahead job loads through the cache)
-		p.Client(ids[i])                    // want phase-contract (derive-ahead job reads through the cache)
-		p.Stage(ids[i : i+1])               // want phase-contract (derive-ahead job stages its own result)
+		shards[i] = p.ShardInto(ids[i], i) // the sanctioned part: a shard derived into the job's own buffer
+		p.wc.Get(ids[i])                   // want phase-contract (training job loads through the cache)
+		p.Client(ids[i])                   // want phase-contract (training job reads through the cache)
 	})
-	p.Stage(ids) // dispatch thread: fine
+	p.Client(ids[0]) // dispatch thread: fine
 }

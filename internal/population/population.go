@@ -11,10 +11,10 @@
 // device.Provider are pure derivers: immutable parameters, safe from any
 // goroutine. Above, all mutable state is one working set of device clients
 // held here — a load-through cache (wset.Cache; see that package for the
-// residency bound and the derive-ahead protocol) and the drain logs of
-// evicted clients that trained — and the engines touch it only from their
-// single-threaded dispatch/collect passes. Dispatch acquires (pins) every
-// selected client before fan-out; workers receive the resolved
+// residency bound) and the drain logs of evicted clients that trained — and
+// the engines touch it only from their single-threaded dispatch/collect
+// passes, which derive the clients they miss inline. Dispatch acquires
+// (pins) every selected client before fan-out; workers receive the resolved
 // *device.Client in their job structs and never touch the cache; collect
 // releases the pins. Cache counters are therefore a pure function of the
 // schedule and byte-reproducible across any Parallelism.
@@ -218,27 +218,6 @@ func (p *Population) ShardInto(id int, buf *data.ShardBuf) data.ClientShard {
 // AcquireShard returns a freshly derived copy of client id's shard (the
 // resident one when eager). Shards are not cached, so nothing is pinned.
 func (p *Population) AcquireShard(id int) data.ClientShard { return p.ShardInto(id, nil) }
-
-// PlanAhead peeks — no counter, no recency — which of ids' clients are not
-// resident, as one derive-ahead batch whose Load jobs may run on any
-// number of workers. Eager populations have nothing to derive (a nil,
-// empty batch). Like every cache read it belongs to the single-threaded
-// passes.
-func (p *Population) PlanAhead(ids []int) *wset.Batch[int, *device.Client] {
-	if p.Eager() {
-		return nil
-	}
-	return p.devs.Plan(ids)
-}
-
-// Stage makes a fully derived batch, planned on this population, the one
-// cache misses draw from, dropping whatever the previous batch left
-// unconsumed.
-func (p *Population) Stage(b *wset.Batch[int, *device.Client]) {
-	if !p.Eager() {
-		p.devs.Stage(b)
-	}
-}
 
 // Release drops the pin AcquireClient took on client id.
 func (p *Population) Release(id int) {

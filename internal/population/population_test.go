@@ -1,15 +1,12 @@
 package population
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
-	"floatfl/internal/checkpoint"
 	"floatfl/internal/data"
 	"floatfl/internal/device"
 	"floatfl/internal/trace"
@@ -26,184 +23,6 @@ func newLazy(t *testing.T, capacity int) *Population {
 		t.Fatal(err)
 	}
 	return p
-}
-
-// ahead is the engine's derive-ahead step with the test's own workers: plan
-// on this goroutine, derive on par of them, stage on this goroutine. par 1
-// is the inline path — nothing is planned or staged. It returns the number
-// of derivations the batch needed.
-func ahead(p *Population, ids []int, par int) int {
-	if par <= 1 {
-		return 0
-	}
-	a := p.PlanAhead(ids)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			for job := range jobs {
-				a.Load(job)
-			}
-		}()
-	}
-	for job := 0; job < a.Len(); job++ {
-		jobs <- job
-	}
-	close(jobs)
-	wg.Wait()
-	p.Stage(a)
-	return a.Len()
-}
-
-// observed is everything one scripted run hands back or leaves behind.
-// Clients are held by pointer, so comparing two runs' observed values after
-// both finished compares every returned client's complete final state —
-// trace series, RNG positions, drain log — not a projection of it.
-type observed struct {
-	Probes     []device.Resources
-	Clients    []*device.Client
-	DevStats   wset.Stats
-	Checkpoint string
-	Drains     map[int][]trace.DrainEvent
-	Derived    int // derive-ahead jobs run (0 on the inline path)
-}
-
-// runScript drives a population the way a sync round does — probe a batch,
-// acquire some of it, train (drain), release — for several rounds, each
-// batch re-probing the clients the previous round drained and, at small
-// capacities, evicted.
-func runScript(t *testing.T, capacity, par int) observed {
-	t.Helper()
-	p := newLazy(t, capacity)
-	rng := rand.New(rand.NewSource(5))
-	var o observed
-	var drained []int
-	for round := 0; round < 6; round++ {
-		// Ten fresh draws after the drained IDs; a draw may repeat one of
-		// them, which plans the same ID twice and finds it resident at use.
-		batch := append(append([]int(nil), drained...), rng.Perm(p.NumClients())[:10]...)
-		o.Derived += ahead(p, batch, par)
-		for _, id := range batch {
-			o.Probes = append(o.Probes, p.Client(id).ResourcesAt(round))
-		}
-
-		selected := batch[len(batch)-4:]
-		o.Derived += ahead(p, selected, par)
-		for _, id := range selected {
-			c := p.AcquireClient(id)
-			o.Clients = append(o.Clients, c)
-			c.Avail.Available(round)
-			c.Avail.RecordUseAmount(0.07)
-		}
-		for _, id := range selected {
-			p.Release(id)
-		}
-		drained = selected
-	}
-	_, o.DevStats = p.Stats()
-	e := checkpoint.NewEnc(0)
-	p.AppendCheckpoint(e)
-	o.Checkpoint = string(e.Bytes())
-	o.Drains = p.drainState()
-	return o
-}
-
-// TestDeriveAheadMatchesInline is the derive-ahead contract at the
-// population seam: whatever the worker count and however hard the cache
-// thrashes, every returned client, the cache counters, the checkpoint
-// bytes and the drain store equal the inline (P = 1) run's.
-func TestDeriveAheadMatchesInline(t *testing.T) {
-	for _, capacity := range []int{1, 6, 4096} {
-		want := runScript(t, capacity, 1)
-		if want.Derived != 0 {
-			t.Fatalf("cap %d: the inline path ran %d derive-ahead jobs", capacity, want.Derived)
-		}
-		if capacity < 64 && want.DevStats.Evictions == 0 {
-			t.Fatalf("cap %d: the script never evicted; it exercises nothing", capacity)
-		}
-		if len(want.Drains) == 0 {
-			t.Fatalf("cap %d: the script drained nobody", capacity)
-		}
-		for _, par := range []int{2, 8} {
-			t.Run(fmt.Sprintf("cap%d/P%d", capacity, par), func(t *testing.T) {
-				got := runScript(t, capacity, par)
-				if got.Derived == 0 {
-					t.Fatal("derive-ahead never ran a job; the comparison proves nothing")
-				}
-				got.Derived = want.Derived
-				if got.DevStats != want.DevStats {
-					t.Errorf("cache stats %+v, inline %+v", got.DevStats, want.DevStats)
-				}
-				if got.Checkpoint != want.Checkpoint {
-					t.Errorf("checkpoint bytes differ:\n got %s\nwant %s", got.Checkpoint, want.Checkpoint)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Error("probes, returned clients or drain store differ from the inline run")
-				}
-			})
-		}
-	}
-}
-
-// TestDeriveAheadPeekIsAdvisory pins the two ways a plan and the pass it
-// was made for can disagree. Neither may leave a trace.
-func TestDeriveAheadPeekIsAdvisory(t *testing.T) {
-	// The script, as (batch planned, prefix of it actually walked).
-	script := func(p *Population, par int) (jobs []int, clients []*device.Client) {
-		walk := func(batch []int, use int) {
-			jobs = append(jobs, ahead(p, batch, par))
-			for _, id := range batch[:use] {
-				clients = append(clients, p.Client(id))
-			}
-		}
-		// Resident at peek, evicted before use: capacity 1 holds client 3
-		// when [9, 3] is planned, so only 9 is staged; using 9 evicts 3, and
-		// 3's miss finds nothing staged and derives inline.
-		walk([]int{3}, 1)
-		walk([]int{9, 3}, 2)
-		// Staged, never consumed: 20 and 21 are staged but the pass stops
-		// after 20. The next Stage drops 21; when 21 is finally used it was
-		// planned again, or derives inline.
-		walk([]int{20, 21}, 1)
-		walk([]int{30}, 1)
-		walk([]int{21}, 1)
-		return jobs, clients
-	}
-	inline, staged := newLazy(t, 1), newLazy(t, 1)
-	_, want := script(inline, 1)
-	jobs, got := script(staged, 4)
-	if wantJobs := []int{1, 1, 2, 1, 1}; !reflect.DeepEqual(jobs, wantJobs) {
-		t.Fatalf("derive-ahead jobs per batch %v, want %v", jobs, wantJobs)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("returned clients differ from the inline run")
-	}
-	_, wantDev := inline.Stats()
-	if _, dev := staged.Stats(); dev != wantDev {
-		t.Errorf("device cache stats %+v, inline %+v", dev, wantDev)
-	}
-	if wantDev.Misses != 6 || wantDev.Hits != 0 {
-		t.Errorf("inline run: %d misses %d hits, want 6 and 0 (the script's premise)", wantDev.Misses, wantDev.Hits)
-	}
-}
-
-// TestDeriveAheadEagerHasNoJobs: a dense population has nothing to derive.
-func TestDeriveAheadEagerHasNoJobs(t *testing.T) {
-	fed, clients := newLazy(t, 8).Materialize()
-	p, err := WrapEager(fed, clients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := p.PlanAhead([]int{0, 1, 2})
-	if a.Len() != 0 {
-		t.Fatalf("eager plan has %d jobs", a.Len())
-	}
-	p.Stage(a)
-	if p.Client(1) != clients[1] {
-		t.Fatal("eager client is not the dense one")
-	}
 }
 
 // TestEvictionReplaysDrains is the heart of the lazy device contract: a

@@ -11,18 +11,13 @@ import (
 // PopulationView is the lazy population handle selectors draw from: client
 // state is derived on demand, so a selector must probe clients it is
 // actually considering rather than scan the whole population. The fl
-// engines pass a view of their population here. Client mutates the
-// population's cache (recency, insertion, eviction), so calls are confined
-// to the single-threaded dispatch pass — the same contract Select already
-// has. Derivation is pure and need not be: Stage announces the IDs the
-// selector is certain to pass to Client next, and a view with idle workers
-// derives the non-resident ones on them before returning, so that the
-// Client calls that follow find them ready. Stage changes nothing Client
-// returns or counts, may do nothing at all, and must not retain ids.
+// engines pass their population here. Client mutates the population's
+// cache (recency, insertion, eviction) and derives a client it misses
+// inline, so calls are confined to the single-threaded dispatch pass — the
+// same contract Select already has.
 type PopulationView interface {
 	NumClients() int
 	Client(id int) *device.Client
-	Stage(ids []int)
 }
 
 // LazySelector selects from a PopulationView without materializing the
@@ -95,44 +90,19 @@ func (r *Random) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 }
 
 // Probe is the one lazy probe loop — the selectors' and the async engine's
-// launch sampling. It draws candidates from ps — at most
-// budget in all, need() at a time (re-read before each batch; ≤ 0 ends the
-// walk) — drops the ones skip reports without probing them, Stages the rest
-// on the view, and then visits them in draw order with their availability
-// at round.
-//
-// Batching moves no byte. For the early-stopping callers need() is how many
-// more available clients are wanted and each draw yields at most one, so a
-// one-at-a-time walk is certain to draw at least min(need, budget) more;
-// and a PermSampler draw depends on no probe's result. The RNG stream, the
-// probe sequence and the skip decisions (no ID is drawn twice) are exactly
-// those of drawing, testing and probing one candidate at a time.
+// launch sampling. It draws candidates from ps one at a time, at most
+// budget in all, while need() (re-read before each draw) is positive; it
+// drops the ones skip reports without probing them, and visits the rest in
+// draw order with their availability at round.
 func Probe(view PopulationView, round int, ps *PermSampler, budget int,
 	need func() int, skip func(id int) bool, visit func(id int, available bool)) {
 
-	var batch []int
-	for budget > 0 {
-		n := need()
-		if n > budget {
-			n = budget
-		}
-		if n <= 0 {
+	for ; budget > 0 && need() > 0; budget-- {
+		id, ok := ps.Next()
+		if !ok {
 			return
 		}
-		batch = batch[:0]
-		for ; n > 0; n-- {
-			id, ok := ps.Next()
-			if !ok {
-				budget = 0 // permutation exhausted: visit what was drawn, then stop
-				break
-			}
-			budget--
-			if skip == nil || !skip(id) {
-				batch = append(batch, id)
-			}
-		}
-		view.Stage(batch)
-		for _, id := range batch {
+		if skip == nil || !skip(id) {
 			visit(id, view.Client(id).ResourcesAt(round).Available)
 		}
 	}
@@ -257,14 +227,9 @@ func (r *REFL) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 	budget := ProbeBudget(k, n)
 	probed := make([]int, 0, budget)
 	avail := make(map[int]bool, budget)
-	// The ping sample never stops early, so its batches are sized to bound
-	// what is staged at once, not by what is still wanted: chunks of k.
-	chunk := k
-	if chunk < 1 {
-		chunk = 1
-	}
+	// The ping sample never stops early: it walks the whole budget.
 	Probe(view, info.Round, NewPermSampler(r.rng, n), budget,
-		func() int { return chunk }, nil,
+		func() int { return 1 }, nil,
 		func(id int, a bool) {
 			probed = append(probed, id)
 			avail[id] = a

@@ -7,11 +7,11 @@ import (
 	"floatfl/internal/device"
 )
 
-// The lazy selectors as they were before the probe loops were batched: each
-// draws one candidate, tests it, probes it, and only then draws the next.
-// They are kept, verbatim, as the oracle TestLazySelectorsContract holds
-// the batched selectors to — same selection, same RNG position, same probe
-// sequence, same selector state.
+// The lazy selectors with their probe loops written out by hand: each draws
+// one candidate, tests it, probes it, and only then draws the next. They
+// are the oracle TestLazySelectorsContract holds the Probe-driven selectors
+// to — same selection, same RNG position, same probe sequence, same
+// selector state.
 
 func (r *Random) selectLazyOneAtATime(info RoundInfo, view PopulationView, k int) []int {
 	n := view.NumClients()

@@ -13,13 +13,11 @@ import (
 
 // fakeView is a dense PopulationView for selector tests, counting how many
 // distinct clients a selector actually derived and recording the order of
-// its probes and of the IDs it announced ahead of them.
+// its probes.
 type fakeView struct {
-	clients  []*device.Client
-	touched  map[int]bool
-	probes   []int
-	staged   []int
-	maxBatch int
+	clients []*device.Client
+	touched map[int]bool
+	probes  []int
 }
 
 func newFakeView(t *testing.T, n int, seed int64) *fakeView {
@@ -38,23 +36,6 @@ func (v *fakeView) Client(id int) *device.Client {
 	v.touched[id] = true
 	v.probes = append(v.probes, id)
 	return v.clients[id]
-}
-
-func (v *fakeView) Stage(ids []int) {
-	v.staged = append(v.staged, ids...)
-	if len(ids) > v.maxBatch {
-		v.maxBatch = len(ids)
-	}
-}
-
-// isSubsequence reports whether sub occurs in seq in order, gaps allowed.
-func isSubsequence(sub, seq []int) bool {
-	for _, v := range seq {
-		if len(sub) > 0 && sub[0] == v {
-			sub = sub[1:]
-		}
-	}
-	return len(sub) == 0
 }
 
 func checkSelection(t *testing.T, ids []int, view *fakeView, round, k int) {
@@ -78,7 +59,7 @@ func checkSelection(t *testing.T, ids []int, view *fakeView, round, k int) {
 }
 
 // twin pairs a selector under test with a same-seeded instance driven
-// through its pre-batching walk (lazy_ref_test.go).
+// through its hand-written one-at-a-time walk (lazy_ref_test.go).
 type twin struct {
 	sel        LazySelector
 	pos        func() uint64 // the selector's RNG position
@@ -91,10 +72,9 @@ type twin struct {
 // TestLazySelectorsContract runs every built-in selector through a few
 // lazy rounds with feedback, asserting the LazySelector contract: distinct
 // in-range available IDs, and a probe count that is O(k), not
-// O(population). Beside each runs its one-at-a-time twin: drawing candidates
-// in batches must move nothing — selection, RNG position, probe sequence and
-// checkpoint bytes are the twin's — and what a selector announces to Stage
-// must be at most k IDs it then probes, in that order.
+// O(population). Beside each runs its one-at-a-time twin: walking the
+// candidates through Probe must move nothing — selection, RNG position,
+// probe sequence and checkpoint bytes are the twin's.
 func TestLazySelectorsContract(t *testing.T) {
 	const n, k = 5000, 10
 	random, randomRef := NewRandom(3), NewRandom(3)
@@ -132,14 +112,7 @@ func TestLazySelectorsContract(t *testing.T) {
 				if !reflect.DeepEqual(view.probes, refView.probes) {
 					t.Fatalf("round %d: probe sequence differs from the one-at-a-time walk", round)
 				}
-				if !isSubsequence(view.staged, view.probes) {
-					t.Fatalf("round %d: announced %v, probed %v: every staged ID must then be probed, in order",
-						round, view.staged, view.probes)
-				}
-				if len(view.staged) == 0 || view.maxBatch > k {
-					t.Fatalf("round %d: staged %d IDs, largest batch %d (k = %d)", round, len(view.staged), view.maxBatch, k)
-				}
-				view.probes, view.staged, refView.probes = nil, nil, nil
+				view.probes, refView.probes = nil, nil
 				for _, id := range ids {
 					fb := Feedback{
 						ClientID: id,

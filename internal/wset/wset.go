@@ -5,20 +5,12 @@
 //
 // The cache holds at most Capacity *unpinned* entries. Pinned entries
 // (clients owned by an in-flight round) are never evicted and do not count
-// against the bound, and one derive-ahead batch may be staged beside it, so
-// residency is always ≤ capacity + pinned + one staged batch. Eviction
+// against the bound, so residency is always ≤ capacity + pinned. Eviction
 // order is strict LRU over unpinned entries, which makes hit/miss/eviction
 // counts a pure function of the access sequence: the engines touch the
-// cache (Get, Acquire, Release, Plan, Stage, Warm) only from their
-// single-threaded dispatch/collect passes, so cache telemetry is
-// byte-reproducible across any Parallelism.
-//
-// Loading is not part of that sequence. Before a pass walks a list of keys
-// the engine may Plan it (peek which are not resident), run the batch's
-// Load jobs on any number of workers, and Stage the result; the pass then
-// runs unchanged, except that a miss takes its staged value instead of
-// loading inline. A key evicted between peek and use loads inline, a staged
-// value never consumed is dropped by the next Stage: neither leaves a trace.
+// cache (Get, Acquire, Release, Warm) only from their single-threaded
+// dispatch/collect passes, and a miss loads inline on the pass that meets
+// it, so cache telemetry is byte-reproducible across any Parallelism.
 package wset
 
 // Stats is a point-in-time snapshot of cache activity counters.
@@ -44,11 +36,11 @@ type entry[K comparable, V any] struct {
 // it by confining cache access to their single-threaded passes
 // (floatlint's phase-contract rule checks that statically), and a call from
 // a worker is a data race the race detector reports instead of a
-// nondeterminism a mutex would hide. Only Batch.Load may run elsewhere.
-// The hooks must not call back into the cache.
+// nondeterminism a mutex would hide. The hooks must not call back into the
+// cache.
 type Cache[K comparable, V any] struct {
-	// OnMiss, when non-nil, sees every value a miss is about to insert,
-	// staged or loaded inline: device state replays its drain log here.
+	// OnMiss, when non-nil, sees every value a miss is about to insert:
+	// device state replays its drain log here.
 	OnMiss func(K, V)
 	// OnEvict, when non-nil, sees every evicted entry — where a device
 	// client's drain log is persisted.
@@ -61,16 +53,13 @@ type Cache[K comparable, V any] struct {
 	// entries are linked.
 	head, tail *entry[K, V]
 	unpinned   int
-	// staged is the current derive-ahead batch; a miss consumes its entry,
-	// the next Stage drops whatever is left.
-	staged map[K]V
-	stats  Stats
+	stats      Stats
 }
 
 // New constructs a cache bounding the unpinned working set to capacity
 // entries (minimum 1). load derives the value of a key; it must be a pure
-// function over immutable state, safe to call from any goroutine, because
-// derive-ahead batches call it off the owning thread.
+// function of the key, because an evicted entry's next miss re-derives it
+// and must get the value it would have held.
 func New[K comparable, V any](capacity int, load func(K) V) *Cache[K, V] {
 	if capacity < 1 {
 		capacity = 1
@@ -86,9 +75,9 @@ func New[K comparable, V any](capacity int, load func(K) V) *Cache[K, V] {
 func (c *Cache[K, V]) Capacity() int { return c.capacity }
 
 // Get returns k's value, marking the entry most-recently-used, and counts
-// one hit or one miss. A miss takes the staged value, or loads inline when
-// there is none, inserts it, and evicts least-recently-used unpinned
-// entries until the unpinned count is within capacity. The returned value
+// one hit or one miss. A miss loads the value, inserts it, and evicts
+// least-recently-used unpinned entries until the unpinned count is within
+// capacity. The returned value
 // is guaranteed resident only until the next cache call; callers holding it
 // across other traffic must Acquire instead.
 func (c *Cache[K, V]) Get(k K) V {
@@ -133,12 +122,7 @@ func (c *Cache[K, V]) get(k K) *entry[K, V] {
 		return e
 	}
 	c.stats.Misses++
-	v, ok := c.staged[k]
-	if ok {
-		delete(c.staged, k)
-	} else {
-		v = c.load(k)
-	}
+	v := c.load(k)
 	if c.OnMiss != nil {
 		c.OnMiss(k, v)
 	}
@@ -150,59 +134,6 @@ func (c *Cache[K, V]) get(k K) *entry[K, V] {
 	}
 	c.evictOver()
 	return e
-}
-
-// Contains reports whether k is resident without counting a hit or a miss
-// and without touching recency — the peek derive-ahead plans with, which
-// must leave no trace in the access sequence.
-func (c *Cache[K, V]) Contains(k K) bool {
-	_, ok := c.entries[k]
-	return ok
-}
-
-// Batch is one derive-ahead batch: the keys of an upcoming pass that were
-// not resident when it was planned, with a slot per load. A nil *Batch is
-// empty.
-type Batch[K comparable, V any] struct {
-	load func(K) V
-	keys []K
-	vals []V
-}
-
-// Plan peeks — no counter, no recency — which of keys are not resident.
-// Like every cache read it belongs to the single-threaded passes: the peek
-// is only meaningful between cache mutations.
-func (c *Cache[K, V]) Plan(keys []K) *Batch[K, V] {
-	b := &Batch[K, V]{load: c.load}
-	for _, k := range keys {
-		if !c.Contains(k) {
-			b.keys = append(b.keys, k)
-		}
-	}
-	b.vals = make([]V, len(b.keys))
-	return b
-}
-
-// Len returns the number of loads the batch needs.
-func (b *Batch[K, V]) Len() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.keys)
-}
-
-// Load runs load job i (0 ≤ i < Len). It calls the pure loader and writes
-// only its own slot — no cache access — so the jobs of one batch may run
-// concurrently on any number of workers.
-func (b *Batch[K, V]) Load(i int) { b.vals[i] = b.load(b.keys[i]) }
-
-// Stage makes a fully loaded batch, planned on this cache, the one misses
-// draw from, dropping whatever the previous batch left unconsumed.
-func (c *Cache[K, V]) Stage(b *Batch[K, V]) {
-	c.staged = make(map[K]V, b.Len())
-	for i := 0; i < b.Len(); i++ {
-		c.staged[b.keys[i]] = b.vals[i]
-	}
 }
 
 // Stats returns a snapshot of the activity counters.
