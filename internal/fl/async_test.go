@@ -1,6 +1,9 @@
 package fl
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"floatfl/internal/device"
@@ -111,5 +114,50 @@ func TestAsyncDiscardedUpdatesStillFeedback(t *testing.T) {
 	if ctrl.completedFeedback <= aggregated {
 		t.Fatalf("completed feedback %d not above the aggregated floor %d despite %d discards",
 			ctrl.completedFeedback, aggregated, res.Ledger.Discarded)
+	}
+}
+
+// TestAsyncOutcomesPinned pins FedBuff's booking of every client-round
+// absolutely, eager and lazy, on a run where all of its outcomes occur:
+// completions, deadline and availability drops, stale discards (a cap of
+// one version) and overrun discards at the end. The matrix proves a build
+// agrees with itself; these digests fail when the order or content of the
+// log, the trace, the exposition or the ledger moves.
+func TestAsyncOutcomesPinned(t *testing.T) {
+	names := []string{"log", "trace", "exposition", "ledger"}
+	pins := map[string][]string{
+		"async/eager": {
+			"3c6cc3c6659d340e314f149b798d7ca292d38aff4fca5636d2f12c9e61c845f3",
+			"19104bb01854815d9e7bc65c518cd28e14927836da233c6bbb2eb1bb7c291f24",
+			"ab87c5d8cbb3413ca1e81ebde6ca7bd273865f4b2e2d272f51696ccf18c675d6",
+			"fe962a40441f1cd302788fe8dd11e65579dc74c165d588adc843ace30d627ddf",
+		},
+		"async/lazy": {
+			"173927dfa07d147325961281d934be1db15eddfdf5282580091d458087813f1c",
+			"c037a1d737144d67c163988f2e16408d076fa2de035744714806ab5abc4595e2",
+			"8a999f74eb8fabc460c4da5b0a65e9293fbe139249acb46294a70275d88c6d75",
+			"4f4e17a64d8a3561ea5518d30ccf0235a727f909259c9d3905cd5a31d26c637e",
+		},
+	}
+	for _, rw := range []row{{"async", false}, {"async", true}} {
+		t.Run(rw.name(), func(t *testing.T) {
+			rr := rw.exec(t, runOpts{tweak: func(c *Config) {
+				c.StalenessCap, c.Concurrency, c.DeadlineSec = 1, 16, 300
+			}})
+			a := rr.artifact(t)
+			checkSinks(t, rr)
+			for _, note := range []string{`"note":"stale"`, `"note":"overrun"`, `"kind":"drop"`} {
+				if !bytes.Contains(a["trace"], []byte(note)) {
+					t.Errorf("trace has no %s span: the pins would not cover that outcome", note)
+				}
+			}
+			for i, name := range names {
+				want := pins[rw.name()][i]
+				sum := sha256.Sum256(a[name])
+				if got := hex.EncodeToString(sum[:]); got != want {
+					t.Errorf("%s (%d bytes) digest %s, want %s", name, len(a[name]), got, want)
+				}
+			}
+		})
 	}
 }

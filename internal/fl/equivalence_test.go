@@ -285,10 +285,44 @@ func checkBaseline(t *testing.T, rr *rowRun, base artifact) {
 		bytes.Contains(base["exposition"], []byte(evictions+"0\n"))) {
 		t.Error("device cache never evicted: the lazy row proves nothing about eviction")
 	}
+	checkSinks(t, rr)
 	if want, ok := pinnedSnapshots[rr.rw.name()]; ok {
 		sum := sha256.Sum256(base["snapshot@3"])
 		if got := hex.EncodeToString(sum[:]); got != want {
 			t.Errorf("snapshot@3 (%d bytes) digest %s, want %s", len(base["snapshot@3"]), got, want)
+		}
+	}
+}
+
+// checkSinks asserts that the sinks every client-round is booked into
+// agree with each other: each selected client-round ends completed,
+// dropped or discarded, exactly once in the exposition and in the ledger;
+// the per-client tallies sum to the ledger's total; and the device
+// observer counts the ledger's drops reason by reason.
+func checkSinks(t *testing.T, rr *rowRun) {
+	t.Helper()
+	reg, l := rr.cfg.Metrics, rr.res.Ledger
+	counter := func(name string) int { return int(reg.Counter(name).Value()) }
+	selected := counter("fl_clients_selected_total")
+	completed, dropped := counter("fl_clients_completed_total"), counter("fl_clients_dropped_total")
+	discarded := counter("fl_updates_discarded_total")
+	if selected != completed+dropped+discarded {
+		t.Errorf("selected %d != completed %d + dropped %d + discarded %d", selected, completed, dropped, discarded)
+	}
+	if l.TotalRounds != selected || l.TotalDrops != dropped || l.Discarded != discarded {
+		t.Errorf("ledger rounds/drops/discarded = %d/%d/%d, exposition %d/%d/%d",
+			l.TotalRounds, l.TotalDrops, l.Discarded, selected, dropped, discarded)
+	}
+	sum := 0
+	for id := range rr.p.NumClients() {
+		sum += l.SelectedCount(id)
+	}
+	if sum != l.TotalRounds {
+		t.Errorf("per-client selections sum to %d, ledger TotalRounds %d", sum, l.TotalRounds)
+	}
+	for r := device.DropNone; r <= device.DropDeadline; r++ {
+		if got, want := counter(`device_drops_total{reason="`+r.String()+`"}`), l.DropsByReason[r]; got != want {
+			t.Errorf("device_drops_total{reason=%q} = %d, ledger %d", r, got, want)
 		}
 	}
 }
