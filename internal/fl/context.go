@@ -5,7 +5,6 @@ import (
 
 	"floatfl/internal/data"
 	"floatfl/internal/nn"
-	"floatfl/internal/opt"
 	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
 )
@@ -56,28 +55,28 @@ func (c *trainContext) reseed(proto *nn.Model, cfg Config, round, clientID int) 
 	}, c.updateRNG
 }
 
-// trainJob is a fan-out job's training: client id's shard derived into the
-// worker's buffer, then TrainLocal from before into slot's delta. It also
-// returns the number of samples derived.
-func (r *run) trainJob(worker, slot, id, round int, before tensor.Vector, tech opt.Technique) (LocalResult, int, error) {
+// trainJob is a fan-out job's training of slot s: the client's shard
+// derived into the worker's buffer, then TrainLocal from before into the
+// job's delta buffer, with the number of samples derived.
+func (r *run) trainJob(worker, job int, s *slot, before tensor.Vector) {
 	r.eo.trainCalls.Inc()
 	ctx := r.pool.ctx(worker)
-	shard := r.p.ShardInto(id, &ctx.shard)
-	tc, rng := ctx.reseed(r.global, r.cfg, round, id)
-	lt, err := TrainLocal(ctx.local, before, r.pool.delta(slot), ctx.applied, shard.Train, shard.LocalTest, tech, tc, rng)
-	return lt, len(shard.Train) + len(shard.LocalTest), err
+	shard := r.p.ShardInto(s.id, &ctx.shard)
+	tc, rng := ctx.reseed(r.global, r.cfg, s.round, s.id)
+	s.lt, s.err = TrainLocal(ctx.local, before, r.pool.delta(job), ctx.applied, shard.Train, shard.LocalTest, s.tech, tc, rng)
+	s.derived, s.trained = len(shard.Train)+len(shard.LocalTest), s.err == nil
 }
 
 // contextPool owns the engines' reusable training state: one trainContext
-// per worker (models and scratch follow the worker, whichever slots it
-// steals) and one delta buffer per slot (a delta must survive until the
-// ordered collect pass consumes it, after the whole fan-out completes),
-// plus the buffer FedBuff's launcher sizes clients with on the dispatch
-// thread.
+// per worker (models and scratch follow the worker, whichever jobs it
+// steals) and one delta buffer per fan-out job — a sync round's slot, or a
+// FedBuff barrier's trainable slot — since a delta must survive until the
+// shared collect pass consumes it, after the whole fan-out completes; plus
+// the buffer FedBuff's launcher sizes clients with on the dispatch thread.
 //
 // ensure must be called on the single-threaded pass before each fan-out;
 // workers then access disjoint contexts (by worker index) and disjoint
-// delta buffers (by slot index) without synchronization.
+// delta buffers (by job index) without synchronization.
 type contextPool struct {
 	proto   *nn.Model
 	workers []*trainContext
@@ -89,17 +88,17 @@ func newContextPool(proto *nn.Model) *contextPool {
 	return &contextPool{proto: proto}
 }
 
-// ensure grows the pool to at least `workers` contexts and `slots` delta
+// ensure grows the pool to at least `workers` contexts and `jobs` delta
 // buffers. Contexts start empty (their model is built on first use), so
 // over-provisioned workers cost nothing.
-func (p *contextPool) ensure(workers, slots int) {
+func (p *contextPool) ensure(workers, jobs int) {
 	for len(p.workers) < workers {
 		p.workers = append(p.workers, &trainContext{})
 	}
-	for len(p.deltas) < slots {
+	for len(p.deltas) < jobs {
 		p.deltas = append(p.deltas, tensor.NewVector(p.proto.NumParams()))
 	}
 }
 
 func (p *contextPool) ctx(worker int) *trainContext { return p.workers[worker] }
-func (p *contextPool) delta(slot int) tensor.Vector { return p.deltas[slot] }
+func (p *contextPool) delta(job int) tensor.Vector  { return p.deltas[job] }

@@ -7,11 +7,14 @@ import (
 )
 
 // This file is the engines' parallel execution layer. Both engines fan the
-// per-client work of a round — device.Execute plus TrainLocal, the two hot
-// paths — out to a pool of Parallelism workers, and collect results into a
-// slot-indexed array so everything order-sensitive (aggregation, ledger
-// records, selector feedback, controller feedback, logging) is applied in
-// the original dispatch order by a single goroutine.
+// per-client work of a round — device.Execute plus TrainLocal in a sync
+// round, TrainLocal alone at a FedBuff barrier — out to a pool of
+// Parallelism workers, which write their results into the round's slots.
+// One collect pass then books the slots in the order they were resolved
+// (dispatch order, or FedBuff's pop order) on a single goroutine:
+// everything order-sensitive — aggregation inputs, ledger records,
+// telemetry, selector feedback, controller feedback, logging — happens
+// there.
 //
 // The determinism contract: for a fixed Config, Parallelism=N produces
 // bit-identical results to Parallelism=1. Three properties guarantee it:
@@ -21,12 +24,12 @@ import (
 //     (never mutated during a fan-out) and mutates only its own client's
 //     traces; its RNG is derived from (Seed, round, clientID), never
 //     shared.
-//  2. Results land in slots indexed by dispatch order, so the collector
+//  2. Results land in slots indexed by dispatch (or pop) order, so collect
 //     applies them in the same sequence regardless of which worker
 //     finished first.
 //  3. Every stateful callback (metrics.Ledger, selection.Selector.Observe,
-//     Controller.Feedback, RoundLogger) runs on the collector goroutine
-//     only — they stay single-threaded by construction.
+//     Controller.Feedback, RoundLogger) runs in collect only — they stay
+//     single-threaded by construction.
 //
 // A lazy population's shards are derived inside the jobs, into the
 // worker's buffer (a pure function of (seed, clientID)); its device clients

@@ -4,31 +4,10 @@ import (
 	"floatfl/internal/data"
 	"floatfl/internal/device"
 	"floatfl/internal/obs"
-	"floatfl/internal/opt"
 	"floatfl/internal/population"
 	"floatfl/internal/selection"
 	"floatfl/internal/tensor"
 )
-
-// syncSlot is one selected client's round: the dispatch record resolved on
-// the single-threaded pass before the round fans out, plus what the slot's
-// worker produces. The client pointer is acquired (pinned) from the
-// population at dispatch, so workers never touch the population cache —
-// its hit/miss schedule, like every other order-sensitive effect, belongs
-// to the sequential passes. The shard is not in the slot: the worker that
-// trains derives it into its own buffer. Workers write only their own
-// slot's result fields; the collector reads all slots in dispatch order.
-type syncSlot struct {
-	id     int
-	tech   opt.Technique
-	client *device.Client
-
-	out     device.Outcome
-	lt      LocalResult
-	derived int // samples the worker derived for training
-	trained bool
-	err     error
-}
 
 // RunSync executes synchronous federated training over the classic dense
 // federation/population pair. It is a thin wrapper over RunSyncPop with an
@@ -55,11 +34,11 @@ func RunSync(fed *data.Federation, pop []*device.Client, sel selection.Selector,
 // client acquisition, resource snapshot + controller decision per client,
 // in selection order), a parallel fan-out (device.Execute, then for a
 // completed client its shard derivation + TrainLocal against a snapshot of
-// the global model, Config.Parallelism workers), and a sequential collect
-// pass that applies deltas, ledger
-// records, selector feedback, and controller feedback in selection order,
-// then releases the round's clients. The fan-out schedule cannot influence
-// the results, so any Parallelism produces bit-identical output.
+// the global model, Config.Parallelism workers), and the sequential collect
+// pass both engines share, which books each client-round — ledger,
+// telemetry, selector, controller and log — in selection order and then
+// releases its client. The fan-out schedule cannot influence the results,
+// so any Parallelism produces bit-identical output.
 //
 // With an eager population the selector sees the classic checked-in dense
 // pool; a lazy population requires a selection.LazySelector, which probes
@@ -97,14 +76,14 @@ func (r *run) syncRound() (stop bool, err error) {
 	r.eo.span(obs.Span{T: start, Kind: "select", Round: round, Client: -1})
 	r.eo.selected.Add(int64(len(ids)))
 
-	slots := r.dispatch(round, ids)
+	slots := r.dispatch(round, start, ids)
 	r.eo.span(obs.Span{T: start, Kind: "decide", Round: round, Client: -1})
 	r.fanOut(round, ids, slots)
-	deltas, weights, wall, err := r.collect(round, start, slots)
+	deltas, weights, err := r.collect(slots)
 	if err != nil {
 		return false, err
 	}
-	return r.closeRound(round, ids, deltas, weights, wall)
+	return r.closeRound(round, slots, deltas, weights)
 }
 
 // selectClients picks the round's participants. Lazy selection probes
@@ -135,12 +114,12 @@ func (r *run) selectClients(round int) []int {
 // executes. All decisions in a round therefore observe controller state as
 // of the round start, and workers receive fully-resolved slots — they
 // never touch the population cache.
-func (r *run) dispatch(round int, ids []int) []syncSlot {
-	slots := make([]syncSlot, len(ids))
+func (r *run) dispatch(round int, start float64, ids []int) []slot {
+	slots := make([]slot, len(ids))
 	for i, id := range ids {
 		c := r.p.AcquireClient(id)
 		tech := r.ctrl.Decide(round, c, c.ResourcesAt(round), r.hfDiff[id])
-		slots[i] = syncSlot{id: id, client: c, tech: tech}
+		slots[i] = slot{id: id, client: c, tech: tech, round: round, base: round, start: start}
 		r.eo.decide(tech)
 	}
 	return slots
@@ -152,7 +131,7 @@ func (r *run) dispatch(round int, ids []int) []syncSlot {
 // training against a frozen snapshot of the global parameters. Concurrent
 // device.Execute calls are safe only across distinct clients, so a
 // duplicate-bearing selection degrades to the sequential schedule.
-func (r *run) fanOut(round int, ids []int, slots []syncSlot) {
+func (r *run) fanOut(round int, ids []int, slots []slot) {
 	// Jobs offered per fan-out — deliberately not busy workers, which would
 	// vary with Parallelism and break cross-P byte identity.
 	r.eo.fanoutJobs.Observe(float64(len(slots)))
@@ -165,88 +144,51 @@ func (r *run) fanOut(round int, ids []int, slots []syncSlot) {
 	// fan-out because the global model is frozen until ApplyAggregate.
 	globalParams := r.global.Parameters()
 	withPhase("train", func() {
-		forEachSlot(len(slots), par, func(worker, slot int) {
-			s := &slots[slot]
+		forEachSlot(len(slots), par, func(worker, job int) {
+			s := &slots[job]
 			work := workSpecFor(r.spec, r.p.ShardSize(s.id, &r.pool.ctx(worker).shard), r.cfg.Epochs)
 			s.out, s.err = device.Execute(s.client, round, work, s.tech, r.deadline)
-			if s.err != nil || !s.out.Completed {
-				return
+			if s.err == nil && s.out.Completed {
+				r.trainJob(worker, job, s, globalParams)
 			}
-			s.lt, s.derived, s.err = r.trainJob(worker, slot, s.id, round, globalParams, s.tech)
-			s.trained = s.err == nil
 		})
 	})
 }
 
-// collect applies every order-sensitive side effect in selection order on
-// this goroutine — ledger, selector, controller, and logger stay
-// single-threaded by construction — and returns the updates to aggregate
-// plus the round's wall clock: the slowest trained participant, or the
-// deadline when anyone timed out.
-func (r *run) collect(round int, start float64, slots []syncSlot) (deltas []tensor.Vector, weights []float64, wall float64, err error) {
-	anyTimeout := false
+// closeRound aggregates, advances the clock by the round's wall clock —
+// the slowest trained participant, or the deadline when anyone timed out —
+// notes each client's deadline feedback, and reports the round.
+func (r *run) closeRound(round int, slots []slot, deltas []tensor.Vector, weights []float64) (stop bool, err error) {
+	var wall float64
+	timedOut := false
 	for i := range slots {
 		s := &slots[i]
-		if s.err != nil {
-			return nil, nil, 0, s.err
+		r.noteDeadline(s.id, s.out)
+		if s.out.Reason == device.DropDeadline {
+			timedOut = true
+		} else if s.trained && s.out.Cost.TotalSeconds > wall {
+			wall = s.out.Cost.TotalSeconds
 		}
-		out := s.out
-		r.res.Ledger.Record(s.id, s.tech, out)
-		r.eo.dev.Record(out)
-		r.eo.clientSpans(start, round, s.id, s.tech, out)
-		if out.Reason == device.DropDeadline {
-			anyTimeout = true
-			r.hfDiff[s.id] = out.DeadlineDiff
-		} else if out.Completed {
-			r.hfDiff[s.id] = 0
-		}
-
-		var statUtil, accImprove float64
-		r.p.ObserveDerived(s.derived)
-		if s.trained {
-			deltas = append(deltas, s.lt.Delta)
-			weights = append(weights, s.lt.Weight)
-			statUtil = s.lt.StatUtility
-			accImprove = s.lt.AccImprove
-			if out.Cost.TotalSeconds > wall {
-				wall = out.Cost.TotalSeconds
-			}
-		}
-		r.sel.Observe(selection.Feedback{ClientID: s.id, Round: round, Outcome: out, StatUtility: statUtil})
-		r.ctrl.Feedback(round, s.client, s.tech, out, accImprove)
-		r.cfg.Logger.LogClientRound(clientRoundLog(round, s.id, s.tech, out, accImprove))
 	}
-	if anyTimeout {
+	if timedOut {
 		wall = r.deadline
 	}
-	return deltas, weights, wall, nil
-}
-
-// closeRound aggregates, drops the round's pins (only after every side
-// effect that needs the client instances has run), advances the clock, and
-// reports the round.
-func (r *run) closeRound(round int, ids []int, deltas []tensor.Vector, weights []float64, wall float64) (stop bool, err error) {
 	withPhase("aggregate", func() { ApplyAggregate(r.global, deltas, weights) })
-	for _, id := range ids {
-		r.p.Release(id)
-	}
 	r.res.Ledger.WallClockSeconds += wall
 	r.now += wall
-	completed, dropped := len(deltas), len(ids)-len(deltas)
+	completed, dropped := len(deltas), len(slots)-len(deltas)
 	r.eo.span(obs.Span{T: r.now, Kind: "aggregate", Round: round, Client: -1})
 	r.eo.rounds.Inc()
-	r.eo.completed.Add(int64(completed))
-	r.eo.dropped.Add(int64(dropped))
 	r.eo.roundWall.Observe(wall)
 
-	summary := RoundSummaryLog{Round: round, Selected: len(ids), Completed: completed, Dropped: dropped, WallSeconds: wall}
+	summary := RoundSummaryLog{Round: round, Selected: len(slots), Completed: completed, Dropped: dropped, WallSeconds: wall}
 	if (round+1)%r.cfg.EvalEvery == 0 || round == r.cfg.Rounds-1 {
 		acc := r.evalGlobal(round + 1)
 		summary.GlobalAcc = &acc
 	}
 	r.cfg.Logger.LogRoundSummary(summary)
 	return r.boundary(true,
-		obs.SeriesValue{Name: "round_selected", Value: float64(len(ids))},
+		obs.SeriesValue{Name: "round_selected", Value: float64(len(slots))},
 		obs.SeriesValue{Name: "round_completed", Value: float64(completed)},
 		obs.SeriesValue{Name: "round_dropped", Value: float64(dropped)},
 		obs.SeriesValue{Name: "round_wall_seconds", Value: wall})
