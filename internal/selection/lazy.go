@@ -164,12 +164,7 @@ func (o *Oort) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 		known = append(known, id)
 	}
 	sort.Ints(known)
-	type scored struct {
-		id    int
-		score float64
-		tie   float64
-	}
-	rank := make([]scored, 0, len(known))
+	ranked := make([]scored, 0, len(known))
 	blacklisted := make([]scored, 0)
 	for _, id := range known {
 		if inChosen[id] {
@@ -181,21 +176,13 @@ func (o *Oort) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 			blacklisted = append(blacklisted, s)
 			continue
 		}
-		rank = append(rank, s)
+		ranked = append(ranked, s)
 	}
-	byScore := func(ss []scored) func(i, j int) bool {
-		return func(i, j int) bool {
-			if ss[i].score != ss[j].score {
-				return ss[i].score > ss[j].score
-			}
-			return ss[i].tie < ss[j].tie
-		}
-	}
-	sort.Slice(rank, byScore(rank))
-	sort.Slice(blacklisted, byScore(blacklisted))
+	sortByScore(ranked)
+	sortByScore(blacklisted)
 	// Walk best-first, probing availability; blacklisted clients are the
 	// last resort, as in the eager path.
-	for _, tier := range [][]scored{rank, blacklisted} {
+	for _, tier := range [][]scored{ranked, blacklisted} {
 		for _, s := range tier {
 			if len(chosen) >= k {
 				return chosen
@@ -254,11 +241,6 @@ func (r *REFL) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 			}
 		}
 	}
-	type scored struct {
-		id    int
-		score float64
-		tie   float64
-	}
 	ss := make([]scored, len(candidates))
 	for i, id := range candidates {
 		t, ok := r.respSecs[id]
@@ -267,18 +249,5 @@ func (r *REFL) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 		}
 		ss[i] = scored{id: id, score: -t, tie: r.rng.Float64()}
 	}
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].score != ss[j].score {
-			return ss[i].score > ss[j].score
-		}
-		return ss[i].tie < ss[j].tie
-	})
-	if k > len(ss) {
-		k = len(ss)
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = ss[i].id
-	}
-	return out
+	return topK(ss, k)
 }

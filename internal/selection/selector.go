@@ -85,32 +85,43 @@ func (r *Random) Select(_ RoundInfo, pool []*device.Client, k int) []int {
 // Observe implements Selector (random selection learns nothing).
 func (r *Random) Observe(Feedback) {}
 
-// topKByScore returns the client IDs with the k highest scores, shuffling
-// ties deterministically via the provided rng.
-func topKByScore(pool []*device.Client, score func(*device.Client) float64, k int, rng *rand.Rand) []int {
-	type scored struct {
-		id    int
-		score float64
-		tie   float64
-	}
-	ss := make([]scored, len(pool))
-	for i, c := range pool {
-		ss[i] = scored{id: c.ID, score: score(c), tie: rng.Float64()}
-	}
+// scored is one ranking candidate: a client, its score, and the random
+// draw that orders equal scores.
+type scored struct {
+	id    int
+	score float64
+	tie   float64
+}
+
+// sortByScore ranks ss best-first: descending score, equal scores by
+// ascending tie draw.
+func sortByScore(ss []scored) {
 	sort.Slice(ss, func(i, j int) bool {
 		if ss[i].score != ss[j].score {
 			return ss[i].score > ss[j].score
 		}
 		return ss[i].tie < ss[j].tie
 	})
-	if k > len(ss) {
-		k = len(ss)
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
+}
+
+// topK ranks ss and returns the IDs of its best k.
+func topK(ss []scored, k int) []int {
+	sortByScore(ss)
+	out := make([]int, min(k, len(ss)))
+	for i := range out {
 		out[i] = ss[i].id
 	}
 	return out
+}
+
+// topKByScore returns the client IDs with the k highest scores, shuffling
+// ties deterministically via the provided rng.
+func topKByScore(pool []*device.Client, score func(*device.Client) float64, k int, rng *rand.Rand) []int {
+	ss := make([]scored, len(pool))
+	for i, c := range pool {
+		ss[i] = scored{id: c.ID, score: score(c), tie: rng.Float64()}
+	}
+	return topK(ss, k)
 }
 
 // clamp01 bounds x to [0, 1].
