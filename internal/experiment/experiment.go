@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"floatfl/internal/core"
-	"floatfl/internal/data"
 	"floatfl/internal/fl"
 	"floatfl/internal/obs"
 	"floatfl/internal/opt"
@@ -166,20 +165,9 @@ type RunSpec struct {
 
 // Run executes one training run at the given scale.
 func Run(sc Scale, spec RunSpec) (*fl.Result, error) {
-	res, _, err := runInternal(sc, spec, nil)
+	res, _, err := RunWithController(sc, spec)
 	return res, err
 }
-
-// generateFederation synthesizes the federated dataset for a run.
-func generateFederation(dataset string, clients int, alpha float64, seed int64) (*data.Federation, error) {
-	return data.Generate(dataset, data.GenerateConfig{
-		Clients: clients, Alpha: alpha, Seed: seed,
-	})
-}
-
-// techniqueOrder is the stable display order of the action space plus the
-// no-op baseline.
-func techniqueOrder() []opt.Technique { return opt.All() }
 
 func controllerFor(sc Scale, spec RunSpec, seed int64) fl.Controller {
 	switch {
@@ -226,11 +214,4 @@ func selectorFor(algo string, seed int64) (selection.Selector, error) {
 	default:
 		return nil, fmt.Errorf("experiment: unknown algorithm %q", algo)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,32 +4,20 @@ import (
 	"fmt"
 	"sort"
 
+	"floatfl/internal/data"
 	"floatfl/internal/device"
 	"floatfl/internal/fl"
 	"floatfl/internal/metrics"
+	"floatfl/internal/opt"
 	"floatfl/internal/population"
 	"floatfl/internal/trace"
 )
 
-// RunWithController is Run, but also returns the controller so callers can
-// inspect FLOAT's agent afterwards (Q-table dumps, transfer).
+// RunWithController executes one training run at the given scale, like
+// Run, and also returns the controller so callers can inspect FLOAT's
+// agent afterwards (Q-table dumps, transfer).
 func RunWithController(sc Scale, spec RunSpec) (*fl.Result, fl.Controller, error) {
-	// Duplicate of Run's body is avoided by threading the controller
-	// through a package-level hook: Run builds the controller via
-	// controllerFor, so rebuild it here with the same seed and pass it in.
-	res, ctrl, err := runInternal(sc, spec, nil)
-	return res, ctrl, err
-}
-
-// runInternal executes one training run; if ctrlOverride is non-nil it is
-// used instead of the spec-derived controller (transfer experiments reuse
-// a pre-trained FLOAT controller across runs).
-func runInternal(sc Scale, spec RunSpec, ctrlOverride fl.Controller) (*fl.Result, fl.Controller, error) {
-	seed := sc.Seed + spec.SeedOffset
-	ctrl := ctrlOverride
-	if ctrl == nil {
-		ctrl = controllerFor(sc, spec, seed)
-	}
+	ctrl := controllerFor(sc, spec, sc.Seed+spec.SeedOffset)
 	res, err := runWith(sc, spec, ctrl)
 	return res, ctrl, err
 }
@@ -131,7 +119,7 @@ func Fig4(sc Scale) ([]Table, error) {
 			return nil, err
 		}
 		var gflops, mbps []float64
-		steps := maxInt(sc.Rounds, 10)
+		steps := max(sc.Rounds, 10)
 		for _, c := range pop {
 			for t := 0; t < steps; t++ {
 				r := c.ResourcesAt(t)
@@ -210,7 +198,7 @@ func techBreakdownTable(title string, results map[string]*fl.Result) Table {
 	sort.Strings(names)
 	for _, name := range names {
 		res := results[name]
-		for _, tech := range techniqueOrder() {
+		for _, tech := range opt.All() {
 			s := res.Ledger.TechSuccess[tech]
 			f := res.Ledger.TechFailure[tech]
 			if s == 0 && f == 0 {
@@ -290,7 +278,7 @@ func runWith(sc Scale, spec RunSpec, ctrl fl.Controller) (*fl.Result, error) {
 		BatchSize:          sc.BatchSz,
 		LR:                 0.1,
 		DeadlinePercentile: spec.DeadlinePercentile,
-		EvalEvery:          maxInt(1, sc.Rounds/10),
+		EvalEvery:          max(1, sc.Rounds/10),
 		Seed:               seed + 1,
 		Concurrency:        sc.AsyncConcurrency,
 		BufferK:            sc.AsyncBuffer,
@@ -323,7 +311,7 @@ func runWith(sc Scale, spec RunSpec, ctrl fl.Controller) (*fl.Result, error) {
 		}
 		p.Instrument(sc.Metrics)
 	} else {
-		fedData, err := generateFederation(spec.Dataset, sc.Clients, alpha, seed)
+		fedData, err := data.Generate(spec.Dataset, data.GenerateConfig{Clients: sc.Clients, Alpha: alpha, Seed: seed})
 		if err != nil {
 			return nil, err
 		}

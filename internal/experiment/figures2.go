@@ -110,7 +110,7 @@ func Fig9(sc Scale) ([]Table, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("experiment: no reward history recorded")
 	}
-	step := maxInt(1, n/windows)
+	step := max(1, n/windows)
 	for start := 0; start < n; start += step {
 		end := start + step
 		if end > n {
