@@ -7,6 +7,7 @@
 //	floatbench -fig all                 # every figure at quick scale
 //	floatbench -fig 12 -scale paper     # the end-to-end grid at paper scale
 //	floatbench -fig 2,3,6
+//	floatbench -fig 3 -out run          # run/metrics.txt, run/trace.jsonl
 //	floatbench -list
 package main
 
@@ -14,7 +15,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -22,28 +22,8 @@ import (
 
 	"floatfl/internal/experiment"
 	"floatfl/internal/obs"
+	"floatfl/internal/report"
 )
-
-// writeTelemetry writes one telemetry artifact to path ("-" = stdout).
-func writeTelemetry(path string, write func(io.Writer) error) {
-	if path == "-" {
-		if err := write(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "floatbench: telemetry:", err)
-		}
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "floatbench: telemetry:", err)
-		return
-	}
-	if err := write(f); err != nil {
-		fmt.Fprintln(os.Stderr, "floatbench: telemetry:", err)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "floatbench: telemetry:", err)
-	}
-}
 
 func main() {
 	var (
@@ -56,8 +36,7 @@ func main() {
 		seed    = flag.Int64("seed", 0, "override RNG seed")
 		par     = flag.Int("parallel", 0, "client-execution workers per round (0 = all CPU cores; results are identical for any value)")
 		backend = flag.String("backend", "ref", "tensor backend for local training: ref (bit-stable determinism oracle) | fast (blocked/tiled kernels)")
-		metOut  = flag.String("metrics-out", "", "write the end-of-run metrics snapshot (text exposition) to this file ('-' = stdout)")
-		trOut   = flag.String("trace-out", "", "write the JSONL phase trace to this file ('-' = stdout; analyze with floatreport -trace)")
+		outDir  = flag.String("out", "", "write the metrics exposition and the phase trace of every figure run into this directory (read it with floatreport)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file; samples carry phase labels (select | train | aggregate)")
 	)
 	flag.Parse()
@@ -86,7 +65,7 @@ func main() {
 		return
 	}
 
-	sc, err := pickScale(*scale)
+	sc, err := experiment.ScaleByName(*scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -103,21 +82,18 @@ func main() {
 		sc.Parallelism = *par
 	}
 	sc.Backend = *backend
-	if *metOut != "" {
-		sc.Metrics = obs.NewRegistry()
-	}
-	if *trOut != "" {
-		sc.Tracer = obs.NewTracer()
-	}
-	// Telemetry accumulates across every figure run this invocation.
-	defer func() {
-		if sc.Metrics != nil {
-			writeTelemetry(*metOut, sc.Metrics.WriteText)
+	if *outDir != "" {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			fatal(err)
 		}
-		if sc.Tracer != nil {
-			writeTelemetry(*trOut, sc.Tracer.WriteJSONL)
-		}
-	}()
+		sc.Metrics, sc.Tracer = obs.NewRegistry(), obs.NewTracer()
+		// Telemetry accumulates across every figure run this invocation.
+		defer func() {
+			if err := report.WriteTelemetry(*outDir, sc.Metrics, sc.Tracer, nil); err != nil {
+				fmt.Fprintln(os.Stderr, "floatbench: telemetry:", err)
+			}
+		}()
+	}
 
 	names := experiment.FigureNames()
 	if *figs != "all" {
@@ -148,17 +124,6 @@ func main() {
 		if err := enc.Encode(jsonOut); err != nil {
 			fatal(err)
 		}
-	}
-}
-
-func pickScale(name string) (experiment.Scale, error) {
-	switch name {
-	case "quick":
-		return experiment.Quick, nil
-	case "paper":
-		return experiment.Paper, nil
-	default:
-		return experiment.Scale{}, fmt.Errorf("unknown scale %q (quick | paper)", name)
 	}
 }
 

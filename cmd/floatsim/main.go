@@ -2,9 +2,10 @@
 // dataset, a client-selection algorithm, an optional FLOAT / heuristic /
 // static controller, and an interference scenario — and prints a per-run
 // report: accuracy statistics, dropout causes, resource inefficiency, and
-// (for FLOAT) the learned per-action Q summary. With -save-agent the
-// trained RLHF agent is written to disk for later fine-tuning (the paper's
-// pre-train-and-transfer workflow).
+// (for FLOAT) the learned per-action Q summary. -out DIR writes every
+// artifact into DIR under fixed names (report.LogFile and its siblings):
+// log, metrics, trace, timeline, snapshot, and the trained RLHF agent for
+// the paper's pre-train-and-transfer workflow. floatreport DIR reads them.
 //
 // Examples:
 //
@@ -12,16 +13,16 @@
 //	floatsim -dataset femnist -algo oort -controller float
 //	floatsim -dataset cifar10 -algo fedbuff -controller float -scale paper
 //	floatsim -dataset femnist -algo fedavg -controller static:prune50
-//	floatsim -dataset femnist -controller float -save-agent agent.ck
+//	floatsim -dataset femnist -controller float -out run
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime/pprof"
 	"strings"
 	"syscall"
@@ -32,30 +33,10 @@ import (
 	"floatfl/internal/experiment"
 	"floatfl/internal/fl"
 	"floatfl/internal/obs"
+	"floatfl/internal/report"
 	"floatfl/internal/rl"
 	"floatfl/internal/trace"
 )
-
-// writeTelemetry writes one telemetry artifact to path ("-" = stdout).
-func writeTelemetry(path string, write func(io.Writer) error) {
-	if path == "-" {
-		if err := write(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "floatsim: telemetry:", err)
-		}
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "floatsim: telemetry:", err)
-		return
-	}
-	if err := write(f); err != nil {
-		fmt.Fprintln(os.Stderr, "floatsim: telemetry:", err)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "floatsim: telemetry:", err)
-	}
-}
 
 func main() {
 	var (
@@ -75,27 +56,18 @@ func main() {
 		lazy       = flag.Bool("lazy", false, "derive client state lazily from (seed, clientID) instead of materializing the population; auto-enabled at -clients >= 50000")
 		cacheSize  = flag.Int("cache-clients", 4096, "lazy mode: bound on cached (unpinned) client states; round memory is O(cache + per-round)")
 		evalCap    = flag.Int("eval-clients", 0, "cap the final per-client evaluation sweep (0 = evaluate everyone)")
-		saveAgent  = flag.String("save-agent", "", "write the FLOAT agent's Q-table to this file")
-		logPath    = flag.String("log", "", "write a JSONL training log to this file (analyze with floatreport)")
-		metricsOut = flag.String("metrics-out", "", "write the end-of-run metrics snapshot (text exposition) to this file ('-' = stdout)")
-		traceOut   = flag.String("trace-out", "", "write the JSONL phase trace to this file ('-' = stdout; analyze with floatreport -trace)")
-		tlOut      = flag.String("timeline-out", "", "write the per-round run timeline (delta-encoded JSONL) to this file ('-' = stdout; compare runs with floatreport diff)")
+		outDir     = flag.String("out", "", "write every artifact of the run into this directory: training log, metrics, trace, timeline, snapshot and FLOAT agent (read it with floatreport)")
 		httpAddr   = flag.String("http", "", "serve GET /v1/metrics and /v1/timeline on this address (e.g. :8080) while the run executes")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file; samples carry phase labels (select | train | aggregate)")
 		seeds      = flag.Int("seeds", 0, "run a seed sweep of this size and report mean±std instead of a single run")
-		ckptPath   = flag.String("checkpoint", "", "write crash-safe snapshots to this file (periodically with -checkpoint-every, and on SIGINT/SIGTERM)")
-		ckptEvery  = flag.Int("checkpoint-every", 0, "snapshot every N rounds (sync) or aggregations (async); requires -checkpoint")
-		resumePath = flag.String("resume", "", "resume a run from a snapshot file written by -checkpoint; rounds already completed are skipped and the output is bit-identical to an uninterrupted run")
+		ckptEvery  = flag.Int("checkpoint-every", 0, "snapshot into the -out directory every N rounds (sync) or aggregations (async); requires -out")
+		resumePath = flag.String("resume", "", "resume a run from a snapshot file written by -out; rounds already completed are skipped and the output is bit-identical to an uninterrupted run")
 	)
 	flag.Parse()
 
-	sc := experiment.Quick
-	switch *scale {
-	case "quick":
-	case "paper":
-		sc = experiment.Paper
-	default:
-		fatal(fmt.Errorf("unknown scale %q (quick | paper)", *scale))
+	sc, err := experiment.ScaleByName(*scale)
+	if err != nil {
+		fatal(err)
 	}
 	if *clients > 0 {
 		sc.Clients = *clients
@@ -128,32 +100,24 @@ func main() {
 	sc.Lazy = *lazy
 	sc.CacheClients = *cacheSize
 	sc.EvalClients = *evalCap
-	if *metricsOut != "" {
+	if *outDir != "" || *httpAddr != "" {
+		// The timeline samples the registry, so both come together.
 		sc.Metrics = obs.NewRegistry()
-	}
-	if *traceOut != "" {
-		sc.Tracer = obs.NewTracer()
-	}
-	if *tlOut != "" || *httpAddr != "" {
-		// The timeline samples the registry, so one is created on demand.
-		if sc.Metrics == nil {
-			sc.Metrics = obs.NewRegistry()
-		}
 		sc.Timeline = obs.NewTimeline(sc.Metrics, obs.DefaultTimelineCapacity)
 	}
-	// Telemetry outputs are flushed at exit even on the sweep path (the
-	// registry then accumulates across all sweep runs).
-	defer func() {
-		if *metricsOut != "" {
-			writeTelemetry(*metricsOut, sc.Metrics.WriteText)
+	if *outDir != "" {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			fatal(err)
 		}
-		if sc.Tracer != nil {
-			writeTelemetry(*traceOut, sc.Tracer.WriteJSONL)
-		}
-		if *tlOut != "" {
-			writeTelemetry(*tlOut, sc.Timeline.WriteJSONL)
-		}
-	}()
+		sc.Tracer = obs.NewTracer()
+		// Telemetry is flushed at exit even on the sweep path (the
+		// registry then accumulates across all sweep runs).
+		defer func() {
+			if err := report.WriteTelemetry(*outDir, sc.Metrics, sc.Tracer, sc.Timeline); err != nil {
+				fmt.Fprintln(os.Stderr, "floatsim: telemetry:", err)
+			}
+		}()
+	}
 
 	if *httpAddr != "" {
 		// Live inspection plane: the handlers read the same registry and
@@ -213,17 +177,17 @@ func main() {
 		fatal(fmt.Errorf("unknown controller %q", *controller))
 	}
 
-	if *ckptEvery > 0 && *ckptPath == "" {
-		fatal(fmt.Errorf("-checkpoint-every requires -checkpoint"))
+	if *ckptEvery > 0 && *outDir == "" {
+		fatal(fmt.Errorf("-checkpoint-every requires -out"))
 	}
-	if *ckptPath != "" || *resumePath != "" {
-		if *seeds > 0 {
-			fatal(fmt.Errorf("-checkpoint/-resume cannot be combined with -seeds"))
-		}
+	if *seeds > 0 && (*ckptEvery > 0 || *resumePath != "") {
+		fatal(fmt.Errorf("-checkpoint-every/-resume cannot be combined with -seeds"))
+	}
+	snapPath := filepath.Join(*outDir, report.SnapshotFile)
+	if *seeds == 0 && (*outDir != "" || *resumePath != "") {
 		ck := &fl.CheckpointConfig{Every: *ckptEvery}
-		if *ckptPath != "" {
-			path := *ckptPath
-			ck.Sink = func(b []byte) error { return checkpoint.WriteRaw(path, b) }
+		if *outDir != "" {
+			ck.Sink = func(b []byte) error { return checkpoint.WriteRaw(snapPath, b) }
 			// A SIGINT/SIGTERM requests a graceful stop: the engine finishes
 			// the in-flight round, snapshots at its quiescent boundary, and
 			// returns a partial Result instead of dying mid-mutation.
@@ -263,8 +227,8 @@ func main() {
 		return
 	}
 
-	if *logPath != "" {
-		logFile, err := os.Create(*logPath)
+	if *outDir != "" {
+		logFile, err := os.Create(filepath.Join(*outDir, report.LogFile))
 		if err != nil {
 			fatal(err)
 		}
@@ -287,13 +251,18 @@ func main() {
 
 	if sc.Checkpoint != nil && res.CompletedRounds < sc.Rounds {
 		fmt.Printf("\nstopped after %d/%d rounds — continue with -resume %s\n",
-			res.CompletedRounds, sc.Rounds, *ckptPath)
+			res.CompletedRounds, sc.Rounds, snapPath)
 	}
 
 	if f, ok := ctrl.(*core.Float); ok {
-		printAgentSummary(f)
-		if *saveAgent != "" && f.Agent() != nil {
-			out, err := os.Create(*saveAgent)
+		sum := f.Summary()
+		fmt.Printf("\nFLOAT: %d agent(s), %d states visited, %d updates, %.1f KB Q-table(s)\n",
+			sum.Agents, sum.States, sum.Updates, float64(sum.MemoryBytes)/1024)
+		fmt.Println("per-action learned objectives (visit-weighted):")
+		report.FprintActions(os.Stdout, sum.Actions)
+		if *outDir != "" && f.Agent() != nil {
+			agentPath := filepath.Join(*outDir, report.AgentFile)
+			out, err := os.Create(agentPath)
 			if err != nil {
 				fatal(err)
 			}
@@ -303,7 +272,7 @@ func main() {
 			if err := out.Close(); err != nil {
 				fatal(err)
 			}
-			fmt.Printf("\nagent Q-table written to %s (%d states)\n", *saveAgent, f.Agent().StatesVisited())
+			fmt.Printf("\nagent Q-table written to %s (%d states)\n", agentPath, f.Agent().StatesVisited())
 		}
 	}
 }
@@ -343,17 +312,6 @@ func printReport(res *fl.Result) {
 	fmt.Printf("useful resource usage: compute %.2f h   communication %.2f h\n",
 		l.Useful.ComputeHours, l.Useful.CommHours)
 	fmt.Printf("wall clock: %.2f h\n", res.WallClockSeconds/3600)
-}
-
-func printAgentSummary(f *core.Float) {
-	sum := f.Summary()
-	fmt.Printf("\nFLOAT: %d agent(s), %d states visited, %d updates, %.1f KB Q-table(s)\n",
-		sum.Agents, sum.States, sum.Updates, float64(sum.MemoryBytes)/1024)
-	fmt.Println("per-action learned objectives (visit-weighted):")
-	fmt.Printf("  %-10s %12s %12s %8s\n", "action", "P(success)", "acc-improve", "visits")
-	for _, st := range sum.Actions {
-		fmt.Printf("  %-10s %12.3f %12.3f %8d\n", st.Technique, st.Part, st.Acc, st.Visits)
-	}
 }
 
 func fatal(err error) {

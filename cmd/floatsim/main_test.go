@@ -8,6 +8,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"testing"
+
+	"floatfl/internal/report"
 )
 
 // The CLI determinism contract — resume through a snapshot file in a new
@@ -64,36 +66,36 @@ func read(t *testing.T, path string) []byte {
 	return b
 }
 
-// TestResumeMatchesUninterrupted: run-6 must equal run-3 with a snapshot
-// file, then a new-process -resume of the same 6-round command — the JSONL
-// log as prefix + tail, and the metrics exposition byte for byte.
+// TestResumeMatchesUninterrupted: run-6 must equal run-3 with a periodic
+// snapshot, then a new-process -resume of the same 6-round command from
+// that snapshot — the JSONL log as prefix + tail, and the metrics
+// exposition byte for byte. The resume writes into the directory it
+// resumes from, replacing the prefix run's files.
 func TestResumeMatchesUninterrupted(t *testing.T) {
-	dir := t.TempDir()
-	at := func(name string) string { return filepath.Join(dir, name) }
-	floatsim(t, "-rounds", "6", "-metrics-out", at("full.txt"), "-log", at("full.jsonl"))
-	floatsim(t, "-rounds", "3", "-checkpoint", at("run.ckpt"), "-checkpoint-every", "3",
-		"-metrics-out", at("prefix.txt"), "-log", at("prefix.jsonl"))
-	floatsim(t, "-rounds", "6", "-resume", at("run.ckpt"), "-metrics-out", at("resumed.txt"), "-log", at("resumed.jsonl"))
+	full, run := t.TempDir(), t.TempDir()
+	floatsim(t, "-rounds", "6", "-out", full)
+	floatsim(t, "-rounds", "3", "-checkpoint-every", "3", "-out", run)
+	prefixLog := read(t, filepath.Join(run, report.LogFile))
+	floatsim(t, "-rounds", "6", "-resume", filepath.Join(run, report.SnapshotFile), "-out", run)
 
-	if !bytes.Equal(read(t, at("resumed.txt")), read(t, at("full.txt"))) {
-		t.Error("resumed -metrics-out differs from the uninterrupted run's")
+	if !bytes.Equal(read(t, filepath.Join(run, report.MetricsFile)), read(t, filepath.Join(full, report.MetricsFile))) {
+		t.Error("resumed metrics exposition differs from the uninterrupted run's")
 	}
-	if !bytes.Equal(append(read(t, at("prefix.jsonl")), read(t, at("resumed.jsonl"))...), read(t, at("full.jsonl"))) {
-		t.Error("prefix + resumed -log differs from the uninterrupted run's")
+	if !bytes.Equal(append(prefixLog, read(t, filepath.Join(run, report.LogFile))...), read(t, filepath.Join(full, report.LogFile))) {
+		t.Error("prefix + resumed training log differs from the uninterrupted run's")
 	}
 }
 
-// TestTimelineParallelismInvariant: the -timeline-out export is identical
-// at -parallel 1 and 8, and floatreport diff says so with exit 0 — and
-// flags a different seed with exit 1.
+// TestTimelineParallelismInvariant: the timeline export is identical at
+// -parallel 1 and 8, and floatreport diff says so with exit 0 — and flags
+// a different seed with exit 1.
 func TestTimelineParallelismInvariant(t *testing.T) {
-	dir := t.TempDir()
-	p1, p8, seed99 := filepath.Join(dir, "p1.jsonl"), filepath.Join(dir, "p8.jsonl"), filepath.Join(dir, "seed99.jsonl")
-	floatsim(t, "-rounds", "6", "-parallel", "1", "-timeline-out", p1)
-	floatsim(t, "-rounds", "6", "-parallel", "8", "-timeline-out", p8)
-	floatsim(t, "-rounds", "6", "-parallel", "1", "-seed", "99", "-timeline-out", seed99)
+	p1, p8, seed99 := t.TempDir(), t.TempDir(), t.TempDir()
+	floatsim(t, "-rounds", "6", "-parallel", "1", "-out", p1)
+	floatsim(t, "-rounds", "6", "-parallel", "8", "-out", p8)
+	floatsim(t, "-rounds", "6", "-parallel", "1", "-seed", "99", "-out", seed99)
 
-	if !bytes.Equal(read(t, p1), read(t, p8)) {
+	if !bytes.Equal(read(t, filepath.Join(p1, report.TimelineFile)), read(t, filepath.Join(p8, report.TimelineFile))) {
 		t.Error("timeline export differs between -parallel 1 and -parallel 8")
 	}
 	for _, tc := range []struct {
@@ -109,7 +111,7 @@ func TestTimelineParallelismInvariant(t *testing.T) {
 			code = exit.ExitCode()
 		}
 		if code != tc.want {
-			t.Errorf("floatreport diff %s %s exited %d, want %d", filepath.Base(p1), filepath.Base(tc.b), code, tc.want)
+			t.Errorf("floatreport diff %s %s exited %d, want %d", p1, tc.b, code, tc.want)
 		}
 	}
 }

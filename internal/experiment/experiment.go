@@ -1,6 +1,6 @@
 // Package experiment wires the full stack together into one named,
 // reproducible experiment per figure of the paper's evaluation. The same
-// functions back the floatbench CLI, the examples, and the repository's
+// functions back the floatsim and floatbench CLIs and the repository's
 // bench suite, so every consumer prints identical rows.
 //
 // Each experiment accepts a Scale: Quick (seconds, CI-friendly) keeps the
@@ -79,6 +79,17 @@ var Quick = Scale{
 var Paper = Scale{
 	Clients: 200, Rounds: 300, PerRound: 30, Epochs: 5, BatchSz: 20,
 	Seed: 42, AsyncConcurrency: 100, AsyncBuffer: 30,
+}
+
+// ScaleByName returns the named scale: "quick" or "paper".
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "quick":
+		return Quick, nil
+	case "paper":
+		return Paper, nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (quick | paper)", name)
 }
 
 // Table is one printable result block (a figure panel or table).

@@ -39,12 +39,8 @@ type CheckpointConfig struct {
 	// write it to disk as-is (checkpoint.WriteRaw). The engine never
 	// touches a blob again after handing it over, so a sink may keep it.
 	// A snapshot error aborts the run. Nil
-	// disables snapshotting entirely (Every and Request are then inert).
+	// disables snapshotting entirely (Every is then inert).
 	Sink func(snapshot []byte) error
-	// Request is polled at every boundary; returning true triggers an
-	// immediate snapshot (live /v1/snapshot-style control). Nil means
-	// never.
-	Request func() bool
 	// Stop is polled at every boundary; returning true takes a final
 	// snapshot (when Sink is set) and ends the run gracefully with a
 	// partial Result and a nil error — Result.CompletedRounds tells the

@@ -239,11 +239,6 @@ type Result struct {
 	// run counts from round zero, so an N-round snapshot resumed for N
 	// more reports 2N.
 	CompletedRounds int
-	// SimClockSeconds is the engine's virtual clock at the end of the run.
-	// For a full run it equals WallClockSeconds; it is reported separately
-	// so partial (drained) runs still expose the exact simulation time
-	// their snapshot will resume from.
-	SimClockSeconds float64
 
 	// FinalParams is a frozen copy of the global model's flat parameter
 	// vector at the end of the run. It is what the determinism regression

@@ -291,7 +291,7 @@ func (r *run) boundary(flush bool, facts ...obs.SeriesValue) (stop bool, err err
 	if ck.Sink == nil {
 		return stop, nil
 	}
-	if stop || (ck.Every > 0 && r.done%ck.Every == 0) || (ck.Request != nil && ck.Request()) {
+	if stop || (ck.Every > 0 && r.done%ck.Every == 0) {
 		blob, err := r.CheckpointState()
 		if err != nil {
 			return stop, fmt.Errorf("fl: checkpoint at %d: %w", r.done, err)
@@ -319,7 +319,6 @@ func (r *run) finish() *Result {
 	res.WallClockSeconds = r.now
 	res.Ledger.WallClockSeconds = r.now
 	res.CompletedRounds = r.done
-	res.SimClockSeconds = r.now
 	res.FinalClientAccs = evaluateClientsPop(r.global, r.p, r.cfg.EvalClients)
 	res.FinalAccStats = metrics.ComputeAccuracyStats(res.FinalClientAccs)
 	res.FinalGlobalAcc, _ = r.global.Evaluate(r.p.GlobalTest())

@@ -151,6 +151,30 @@ func TestEachRuleFires(t *testing.T) {
 	}
 }
 
+// TestSyntaxRulesNotSubsumed pins what the two syntax rules catch that
+// their dataflow counterparts do not: on these fixtures clock-taint and
+// rng-escape report nothing, so removing no-wall-clock or no-global-rand
+// would lose every finding below.
+func TestSyntaxRulesNotSubsumed(t *testing.T) {
+	for _, tc := range []struct {
+		fixture, syntax, dataflow string
+		want                      int
+	}{
+		{"wallclock_bad.go", "no-wall-clock", "clock-taint", 5},
+		{"rand_bad.go", "no-global-rand", "rng-escape", 3},
+		{"randsource_bad.go", "no-global-rand", "rng-escape", 2},
+	} {
+		t.Run(tc.fixture, func(t *testing.T) {
+			if got := len(runRules(t, tc.fixture, map[string]bool{tc.syntax: true})); got != tc.want {
+				t.Errorf("%s: %d findings, want %d", tc.syntax, got, tc.want)
+			}
+			if got := runRules(t, tc.fixture, map[string]bool{tc.dataflow: true}); len(got) != 0 {
+				t.Errorf("%s: %d findings, want 0: %v", tc.dataflow, len(got), got)
+			}
+		})
+	}
+}
+
 // TestAllowlistedFixturesClean proves the sanctioned patterns and the
 // //lint:allow directive both silence the analyzers.
 func TestAllowlistedFixturesClean(t *testing.T) {

@@ -22,10 +22,6 @@ type Layer interface {
 	// parameter gradients, and returns dL/dIn. The returned slice is owned
 	// by the layer and overwritten on the next call.
 	Backward(grad tensor.Vector) tensor.Vector
-	// ZeroGrad clears accumulated gradients.
-	ZeroGrad()
-	// ApplySGD steps the parameters against the accumulated gradients.
-	ApplySGD(lr, clip float64)
 	// NumParams counts trainable scalars.
 	NumParams() int
 	// Params returns views of the parameter storage, in a stable order
@@ -191,22 +187,6 @@ func (c *Conv1D) Backward(grad tensor.Vector) tensor.Vector {
 		}
 	}
 	return gradIn
-}
-
-// ZeroGrad implements Layer.
-func (c *Conv1D) ZeroGrad() {
-	c.GradW.Data.Zero()
-	c.GradB.Zero()
-}
-
-// ApplySGD implements Layer.
-func (c *Conv1D) ApplySGD(lr, clip float64) {
-	if clip > 0 {
-		c.GradW.Data.Clamp(clip)
-		c.GradB.Clamp(clip)
-	}
-	c.W.Data.AddScaled(-lr, c.GradW.Data)
-	c.B.AddScaled(-lr, c.GradB)
 }
 
 // Clone implements Layer.

@@ -81,7 +81,6 @@ func TestConvGradCheck(t *testing.T) {
 		return s / 2
 	}
 
-	c.ZeroGrad()
 	out := c.Forward(x)
 	gradOut := out.Clone()
 	gradIn := c.Backward(gradOut)
@@ -229,9 +228,6 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 			t.Fatalf("pool backward = %v, want %v", gradIn, want)
 		}
 	}
-	// ZeroGrad / ApplySGD must be harmless no-ops.
-	p.ZeroGrad()
-	p.ApplySGD(0.1, 1)
 }
 
 func TestMaxPoolInvalidShapePanics(t *testing.T) {

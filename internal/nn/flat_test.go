@@ -87,13 +87,15 @@ func TestGradientsAliasLayerStorage(t *testing.T) {
 				}
 			}
 		}
-		// ZeroGrad through layers must clear the flat buffer.
+		// Zeroing through the layer views must clear the flat buffer.
 		for _, l := range m.Layers {
-			l.ZeroGrad()
+			for _, view := range l.Grads() {
+				view.Zero()
+			}
 		}
 		for i := range g {
 			if g[i] != 0 {
-				t.Fatalf("%s: layer ZeroGrad left flat gradient %v at %d", arch, g[i], i)
+				t.Fatalf("%s: zeroing layer gradient views left flat gradient %v at %d", arch, g[i], i)
 			}
 		}
 	}

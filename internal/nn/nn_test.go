@@ -250,9 +250,7 @@ func TestGradientSumProperty(t *testing.T) {
 		x := tensor.NewVector(6)
 		tensor.RandnInto(x, 1, rng)
 		label := int(labelRaw) % 3
-		for _, l := range m.Layers {
-			l.ZeroGrad()
-		}
+		m.Gradients().Zero()
 		m.lossAndGrads(Sample{X: x, Label: label})
 		// The bias gradient of the output layer equals dL/dlogits.
 		last := m.Layers[len(m.Layers)-1]
@@ -280,9 +278,7 @@ func TestGradCheck(t *testing.T) {
 	tensor.RandnInto(x, 1, rng)
 	s := Sample{X: x, Label: 1}
 
-	for _, l := range m.Layers {
-		l.ZeroGrad()
-	}
+	m.Gradients().Zero()
 	m.lossAndGrads(s)
 	layer0W := m.Layers[0].Params()[0]
 	analytic := m.Layers[0].Grads()[0].Clone()

@@ -53,14 +53,8 @@ func (p *MaxPool1D) Params() []tensor.Vector { return nil }
 // Grads implements Layer.
 func (p *MaxPool1D) Grads() []tensor.Vector { return nil }
 
-// ZeroGrad implements Layer.
-func (p *MaxPool1D) ZeroGrad() {}
-
 // SetBackend implements Layer (pooling has no backend-routed kernels).
 func (p *MaxPool1D) SetBackend(tensor.Backend) {}
-
-// ApplySGD implements Layer.
-func (p *MaxPool1D) ApplySGD(lr, clip float64) {}
 
 // Forward implements Layer.
 func (p *MaxPool1D) Forward(x tensor.Vector) tensor.Vector {

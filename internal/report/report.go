@@ -4,7 +4,8 @@
 // per-technique outcome tallies, dropout-cause breakdowns, per-client
 // participation histograms, and resource totals. It is the analysis half
 // of the logging pipeline, used by the floatreport CLI and by tests that
-// validate the logs' integrity.
+// validate the logs' integrity. It also owns the run directory layout the
+// writers and the reader share, summarizes traces and diffs timelines.
 package report
 
 import (

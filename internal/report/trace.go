@@ -9,7 +9,7 @@ import (
 )
 
 // TraceSummary is the aggregate view of one JSONL phase trace
-// (obs.Tracer output, written by floatsim/floatbench -trace-out or the
+// (obs.Tracer output, written by floatsim/floatbench -out or the
 // aggregator's tracer): where the virtual time went per phase, which
 // clients were slowest, and the timeline of noteworthy events (drops,
 // lease expiries, round-timer fires, stale discards).

@@ -474,7 +474,7 @@ type PolicyEntry struct {
 }
 
 // PolicyDump returns the greedy action per visited state, sorted by state
-// key for stable output (the floatqtable CLI's -states mode).
+// key for stable output (floatreport's -states view).
 func (a *Agent) PolicyDump() []PolicyEntry {
 	keys := make([]int, 0, len(a.table))
 	for k := range a.table {

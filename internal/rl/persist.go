@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"floatfl/internal/checkpoint"
+	"floatfl/internal/opt"
 )
 
 // AgentSnapshotKind is the checkpoint-frame kind Save writes and Load
@@ -118,13 +119,8 @@ func (a *Agent) Save(w io.Writer) error {
 // typed errors (ErrTruncated, ErrChecksum, *FormatError, *VersionError,
 // *CompatError).
 func (a *Agent) Load(r io.Reader) error {
-	payload, err := checkpoint.Decode(r, AgentSnapshotKind)
+	l, err := readLearned(r)
 	if err != nil {
-		return err
-	}
-	d := checkpoint.NewDec(payload)
-	l := decodeLearned(d)
-	if err := d.Done(); err != nil {
 		return err
 	}
 	if err := a.compatible(l); err != nil {
@@ -132,4 +128,38 @@ func (a *Agent) Load(r io.Reader) error {
 	}
 	a.table, a.accCache = l.table, l.accCache
 	return nil
+}
+
+// ReadAgent builds an agent with a saved snapshot's own bin resolution and
+// action space (other settings default), so an agent file can be inspected
+// without knowing how it was trained. Failures are typed as for Load; no
+// bins, no actions or an unknown action name is a *FormatError.
+func ReadAgent(r io.Reader) (*Agent, error) {
+	l, err := readLearned(r)
+	if err != nil {
+		return nil, err
+	}
+	if l.bins <= 0 || len(l.actions) == 0 {
+		return nil, &checkpoint.FormatError{Reason: fmt.Sprintf("agent snapshot has %d bins, %d actions", l.bins, len(l.actions))}
+	}
+	actions := make([]opt.Technique, len(l.actions))
+	for i, name := range l.actions {
+		if actions[i], err = opt.Parse(name); err != nil {
+			return nil, &checkpoint.FormatError{Reason: err.Error()}
+		}
+	}
+	a := NewAgent(Config{Bins: l.bins, Actions: actions})
+	a.table, a.accCache = l.table, l.accCache
+	return a, nil
+}
+
+// readLearned decodes a whole agent file: the frame, then the learned state.
+func readLearned(r io.Reader) (learned, error) {
+	payload, err := checkpoint.Decode(r, AgentSnapshotKind)
+	if err != nil {
+		return learned{}, err
+	}
+	d := checkpoint.NewDec(payload)
+	l := decodeLearned(d)
+	return l, d.Done()
 }

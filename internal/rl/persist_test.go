@@ -10,6 +10,7 @@ import (
 
 	"floatfl/internal/checkpoint"
 	"floatfl/internal/checkpoint/statefultests"
+	"floatfl/internal/opt"
 )
 
 // trainedAgent returns an agent with a few visited states so snapshots
@@ -204,6 +205,68 @@ func TestLoadCompatTyped(t *testing.T) {
 	}
 }
 
+// TestReadAgentRoundTrip: ReadAgent takes the bin resolution and the
+// action space from the file, so a 7-bin, 9-action agent reads back
+// without any configuration and re-saves to the same bytes.
+func TestReadAgentRoundTrip(t *testing.T) {
+	src := NewAgent(Config{Seed: 4, Bins: 7, Actions: extendedActions()})
+	for i := 0; i < 60; i++ {
+		s := State{GB: i % 3, CPU: i % 7, Mem: (i * 3) % 7, Net: i % 2, HF: i % 6}
+		if err := src.Update(i, s, src.SelectAction(s), i%4 != 0, 0.01*float64(i%5), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var saved bytes.Buffer
+	if err := src.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	a, err := ReadAgent(bytes.NewReader(saved.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Config().Bins != 7 || len(a.Actions()) != 9 || a.Actions()[8] != opt.TechCompress {
+		t.Fatalf("read %d bins and actions %v, want 7 bins and %v", a.Config().Bins, a.Actions(), extendedActions())
+	}
+	var again bytes.Buffer
+	if err := a.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), saved.Bytes()) {
+		t.Fatal("ReadAgent → Save differs from the file it read")
+	}
+}
+
+// TestReadAgentRejectsUnusableShapes: a snapshot that decodes but cannot
+// describe an agent — no bins, no actions, an unknown action — is a
+// *checkpoint.FormatError.
+func TestReadAgentRejectsUnusableShapes(t *testing.T) {
+	for name, tc := range map[string]struct {
+		bins    int
+		actions []string
+	}{
+		"zero bins":      {0, []string{"quant8"}},
+		"no actions":     {5, nil},
+		"unknown action": {5, []string{"quant8", "teleport"}},
+	} {
+		e := checkpoint.NewEnc(0)
+		e.Int(tc.bins)
+		e.Uvarint(uint64(len(tc.actions)))
+		for _, a := range tc.actions {
+			e.String(a)
+		}
+		e.Uvarint(0)
+		e.FloatsByID(nil)
+		framed, err := checkpoint.EncodeBytes(AgentSnapshotKind, e.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fe *checkpoint.FormatError
+		if _, err := ReadAgent(bytes.NewReader(framed)); !errors.As(err, &fe) {
+			t.Errorf("%s: got %v, want FormatError", name, err)
+		}
+	}
+}
+
 // TestRestoreCheckpointRejectsScheduleMismatch pins that a checkpoint
 // taken under one exploration schedule cannot be restored into an agent
 // configured for another: the decay is a function of round/TotalRounds,
@@ -298,10 +361,12 @@ func TestAgentCheckpointResume(t *testing.T) {
 
 // FuzzAgentLoad fuzzes the agent file decoder, not the checksum: every
 // mutated payload is re-framed with a correct length and SHA-256, so the
-// fuzzer reaches decodeLearned. The seeds are real Save outputs. Load must
-// not panic; it fails with a typed checkpoint error and leaves the agent
-// saving exactly what it saved before, or it succeeds and the agent's next
-// Save loads into a fresh agent that saves the same bytes. Allocation is
+// fuzzer reaches decodeLearned. The seeds are real Save outputs. ReadAgent
+// must fail with a typed checkpoint error or return an agent whose Save
+// reads back and saves the same bytes. Load must not panic; it fails with
+// a typed checkpoint error and leaves the agent saving exactly what it
+// saved before, or it succeeds and the agent's next Save loads into a
+// fresh agent that saves the same bytes. For both, allocation is
 // bounded by the payload: the costliest byte is a state of a zero-width
 // table, one payload byte for a preallocated map slot of up to ~90 bytes.
 func FuzzAgentLoad(f *testing.F) {
@@ -313,7 +378,8 @@ func FuzzAgentLoad(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	for _, a := range []*Agent{trainedAgent(f), NewAgent(Config{Seed: 9}), NewAgent(Config{Seed: 9, Bins: 7})} {
+	for _, a := range []*Agent{trainedAgent(f), NewAgent(Config{Seed: 9}), NewAgent(Config{Seed: 9, Bins: 7}),
+		NewAgent(Config{Seed: 9, Actions: extendedActions()})} {
 		payload, err := checkpoint.Decode(bytes.NewReader(save(f, a)), AgentSnapshotKind)
 		if err != nil {
 			f.Fatal(err)
@@ -325,17 +391,39 @@ func FuzzAgentLoad(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		bound := uint64(128*len(frame) + 1<<20)
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		read, rerr := ReadAgent(bytes.NewReader(frame))
+		runtime.ReadMemStats(&ms1)
+		if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew > bound {
+			t.Fatalf("reading a %d-byte payload allocated %d bytes (bound %d)", len(payload), grew, bound)
+		}
+		if rerr != nil {
+			if !statefultests.Typed(rerr) {
+				t.Fatalf("untyped ReadAgent error: %v", rerr)
+			}
+		} else {
+			saved := save(t, read)
+			again, err := ReadAgent(bytes.NewReader(saved))
+			if err != nil {
+				t.Fatalf("a read agent's own file does not read: %v", err)
+			}
+			if !bytes.Equal(save(t, again), saved) {
+				t.Fatal("Save → ReadAgent → Save is not a byte fixed point")
+			}
+		}
+
 		dst := NewAgent(Config{Seed: 9})
 		s := State{GB: 1, GE: 1, GK: 2, CPU: 3, Mem: 1, Net: 1, HF: 2}
 		if err := dst.Update(0, s, dst.SelectAction(s), true, 0.01, s); err != nil {
 			t.Fatal(err)
 		}
 		before := save(t, dst)
-		var ms0, ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms0)
 		err = dst.Load(bytes.NewReader(frame))
 		runtime.ReadMemStats(&ms1)
-		if grew, bound := ms1.TotalAlloc-ms0.TotalAlloc, uint64(128*len(frame)+1<<20); grew > bound {
+		if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew > bound {
 			t.Fatalf("loading a %d-byte payload allocated %d bytes (bound %d)", len(payload), grew, bound)
 		}
 		if err != nil {
