@@ -1,6 +1,7 @@
 package device
 
 import (
+	"runtime"
 	"testing"
 
 	"floatfl/internal/trace"
@@ -70,5 +71,56 @@ func TestEstimateCleanMatchesFullDerivation(t *testing.T) {
 		if got != want {
 			t.Fatalf("client %d: clean estimate %v from the partial derivation, %v from the full one", id, got, want)
 		}
+	}
+}
+
+// deriveHorizon is how many rounds deriveAndProbe reads: the lazy-1m
+// ladder workload's run length.
+const deriveHorizon = 30
+
+// deriveAndProbe is one lazy miss as the engines pay for it: derive the
+// client, then read its resources for every round of a run.
+func deriveAndProbe(cfg PopulationConfig, id int) (sum float64) {
+	c := DeriveClient(cfg, id)
+	for t := 0; t <= deriveHorizon; t++ {
+		r := c.ResourcesAt(t)
+		sum += r.CPUFrac + r.BandwidthMbps + r.Battery
+	}
+	return sum
+}
+
+// BenchmarkDeriveClient reports the time and memory one derived and probed
+// client costs.
+func BenchmarkDeriveClient(b *testing.B) {
+	cfg := PopulationConfig{Clients: 1 << 20, Scenario: trace.ScenarioDynamic, Seed: 7}
+	b.ReportAllocs()
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		sum += deriveAndProbe(cfg, i%cfg.Clients)
+	}
+	_ = sum
+}
+
+// TestDeriveClientMemory bounds what a derived and probed client
+// allocates: about 3.3 KB, nearly all of it the trace memo series. The
+// budget sits below that figure plus one 4.9 KB RNG register, so a field
+// that makes a trace stream (or the client's private stream) draw past
+// the point where its register is allocated, or hold a register of its
+// own, fails here before it shows as lazy-population heap.
+func TestDeriveClientMemory(t *testing.T) {
+	const n = 512
+	const budget = 6 << 10
+	cfg := PopulationConfig{Clients: 1 << 20, Scenario: trace.ScenarioDynamic, Seed: 7}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var sum float64
+	for id := 0; id < n; id++ {
+		sum += deriveAndProbe(cfg, id*(cfg.Clients/n))
+	}
+	runtime.ReadMemStats(&after)
+	perClient := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("%.0f bytes per derived client probed over %d rounds (checksum %v)", perClient, deriveHorizon+1, sum)
+	if perClient > budget {
+		t.Errorf("a derived client probed over %d rounds allocates %.0f bytes, budget %d", deriveHorizon+1, perClient, budget)
 	}
 }

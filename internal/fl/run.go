@@ -212,8 +212,10 @@ func newRun(kind string, p *population.Population, sel selection.Selector, ctrl 
 			r.deadline *= 2
 		}
 	}
-	ledger := metrics.NewLedger(n)
-	if !p.Eager() {
+	var ledger *metrics.Ledger
+	if p.Eager() {
+		ledger = metrics.NewLedger(n)
+	} else {
 		ledger = metrics.NewSparseLedger(n)
 	}
 	r.res = &Result{Algorithm: algorithm, Controller: ctrl.Name(), Ledger: ledger, DeadlineSec: r.deadline}

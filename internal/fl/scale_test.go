@@ -109,15 +109,17 @@ func TestMillionClientBoundedMemory(t *testing.T) {
 	bytesPerClient := float64(ms.HeapAlloc) / float64(clients)
 	t.Logf("heap after run: %.1f MB (%.1f bytes per population client; device peak %d)",
 		float64(ms.HeapAlloc)/(1<<20), bytesPerClient, dev.Peak)
-	// What stays live is the 4096-client device cache (~16 KB per resident
-	// client, most of it the three trace RNG registers), the sparse ledger
-	// and the model: 67.7 MB measured at 100k clients and 68.9 MB at 1M,
-	// flat in the population size. Shards are derived per training job and
-	// die with it; a cache holding 4096 of them resident (~45 KB each, one
-	// slab rounded up to whole pages: ~180 MB) would not fit the budget,
-	// nor would an eager population, which holds every client's shard and
-	// device state.
-	const heapBudget = 128 << 20
+	// What stays live is the 4096-client device cache, the sparse ledger
+	// and the model: 5.2 MB measured at 100k clients and 6.3 MB at 1M,
+	// flat in the population size. A resident client's three trace streams
+	// hold no RNG register (they stop long before draw 274), so most of
+	// what a cached client costs is its trace memo series. Shards are
+	// derived per training job and die with it; a cache holding 4096 of
+	// them resident (~45 KB each, one slab rounded up to whole pages:
+	// ~180 MB) would not fit the budget, nor would one trace register per
+	// stream (~15 KB per resident client: ~60 MB), nor would an eager
+	// population, which holds every client's shard and device state.
+	const heapBudget = 16 << 20
 	if ms.HeapAlloc > heapBudget {
 		t.Errorf("live heap %.1f MB exceeds the %d MB budget — population memory is not bounded",
 			float64(ms.HeapAlloc)/(1<<20), heapBudget>>20)

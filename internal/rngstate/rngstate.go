@@ -14,10 +14,14 @@
 // one before. Step n of that chain is x₀·48271ⁿ mod (2³¹−1), so Source
 // keeps a table of the powers and computes any initial word with three
 // independent multiplies. Seed itself only records x₀: each of the first
-// 273 draws reads two initial words no draw has written yet and computes
-// them on demand, and the remaining initial words are filled when draw 273
-// first needs them. Most streams in the simulator stop before that, which
-// makes seeding them O(1).
+// 273 draws is the sum of two initial words no draw has written yet and
+// computes them on demand. The register is allocated and filled only when
+// draw 274 first reads a slot those draws wrote, recomputing what they
+// would have stored. Most streams in the simulator stop before that, so
+// seeding them is O(1) in time and a stream costs O(1) memory, about 48
+// bytes rather than the register's 4.9 KB, until draw 274. A reseeded
+// Source keeps the register it has, so a long stream reseeded in a loop
+// allocates it once.
 //
 // Source counts draws, which makes the stream position serializable as a
 // single uint64; restoring is reseeding and discarding that many draws.
@@ -124,7 +128,9 @@ type Source struct {
 	x0    uint64 // the seed as the Lehmer chain's start
 	tap   int
 	feed  int
-	vec   [rngLen]int64
+	// vec is the register, nil until the first draw that reads it. It is
+	// held out of line so a short stream never pays for it.
+	vec *[rngLen]int64
 }
 
 // New returns a counting source seeded with seed, producing the exact
@@ -136,7 +142,8 @@ func New(seed int64) *Source {
 }
 
 // Seed implements rand.Source, resetting the draw count with the stream.
-// It is O(1): the register words are computed as draws first need them.
+// It is O(1): the register words are computed as draws first need them,
+// and an allocated register is kept for the new stream to refill.
 func (s *Source) Seed(seed int64) {
 	s.seed = seed
 	s.draws = 0
@@ -184,7 +191,8 @@ func (s *Source) Uint64() uint64 {
 
 // seedDraw is draw j < rngTap after a Seed. Its feed and tap slots,
 // firstFeed-1-j and rngLen-1-j, still hold initial words, so it computes
-// them rather than reading them; the sum it stores is then real state.
+// them rather than reading them. It stores the sum only in a register
+// kept from an earlier stream; without one, fill recomputes it.
 func (s *Source) seedDraw() uint64 {
 	s.tap--
 	if s.tap < 0 {
@@ -192,20 +200,33 @@ func (s *Source) seedDraw() uint64 {
 	}
 	s.feed--
 	x := s.word(s.feed) + s.word(s.tap)
-	s.vec[s.feed] = x
+	if s.vec != nil {
+		s.vec[s.feed] = x
+	}
 	return uint64(x)
 }
 
-// fill completes the register at draw rngTap, the first draw to read a
-// slot the seeding draws wrote: it stores the initial words they left
+// fill completes the register at draw rngTap+1, the first draw to read a
+// slot the seeding draws wrote. It stores the initial words they left
 // unwritten, 0..feed-1 below the slots they wrote and firstFeed..rngLen-1
-// above.
+// above. A Source that had no register allocates one and rebuilds the
+// slots in between: draw j wrote slot i = firstFeed-1-j from slots i and
+// rngLen-1-j = i+rngTap, so slot i holds word(i)+word(i+rngTap).
 func (s *Source) fill() {
+	stored := s.vec != nil
+	if !stored {
+		s.vec = new([rngLen]int64)
+	}
 	for i := 0; i < s.feed; i++ {
 		s.vec[i] = s.word(i)
 	}
 	for i := firstFeed; i < rngLen; i++ {
 		s.vec[i] = s.word(i)
+	}
+	if !stored {
+		for i := s.feed; i < firstFeed; i++ {
+			s.vec[i] = s.word(i) + s.vec[i+rngTap]
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // streamLen is how many values each identity case draws after its reseed:
@@ -118,6 +119,9 @@ func FuzzSourceStream(f *testing.F) {
 	f.Add(int64(-int32max), uint16(273), uint16(1500))
 	f.Add(int64(math.MinInt64), uint16(272), uint16(608))
 	f.Add(int64(zeroSeed), uint16(607), uint16(274))
+	// Both sides cross draw rngTap+1: the reseeded stream refills the
+	// register the first one allocated.
+	f.Add(int64(20240601), uint16(700), uint16(700))
 	f.Fuzz(func(t *testing.T, seed int64, at, n uint16) {
 		got, want := New(seed), oracle(seed)
 		checkStream(t, "before reseed", got, want, int(at%2048), uint64(seed))
@@ -188,3 +192,51 @@ func TestInt63MatchesUint64Discard(t *testing.T) {
 		t.Fatalf("after SeekTo(123): got %d want %d", got, next)
 	}
 }
+
+// TestMemoryContract pins what a stream costs: a Source is a few words
+// until draw rngTap+1 first reads the register, that draw allocates it,
+// and a reseeded Source refills the register it has. Every resident
+// device client holds three trace streams that stop long before the
+// register is needed, so these figures are per-client memory.
+func TestMemoryContract(t *testing.T) {
+	if size := unsafe.Sizeof(Source{}); size > 64 {
+		t.Errorf("Source is %d bytes, want <= 64", size)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		s := New(5)
+		for i := 0; i < rngTap; i++ {
+			sink += s.Uint64()
+		}
+		escaped = s
+	}); got != 1 {
+		t.Errorf("New plus %d draws: %v allocations, want 1 (the Source)", rngTap, got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		s := New(5)
+		for i := 0; i <= rngTap; i++ {
+			sink += s.Uint64()
+		}
+		escaped = s
+	}); got != 2 {
+		t.Errorf("New plus %d draws: %v allocations, want 2 (the Source and its register)", rngTap+1, got)
+	}
+	s := New(5)
+	for i := 0; i <= rngTap; i++ {
+		s.Uint64()
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		s.Seed(6)
+		for i := 0; i < streamLen; i++ {
+			sink += s.Uint64()
+		}
+	}); got != 0 {
+		t.Errorf("Seed plus %d draws on a source with a register: %v allocations, want 0", streamLen, got)
+	}
+}
+
+// sink and escaped keep TestMemoryContract's draws and sources live, so
+// the compiler can neither drop the draws nor keep a Source on the stack.
+var (
+	sink    uint64
+	escaped *Source
+)
