@@ -179,9 +179,10 @@ func drainFor(c *Client, cost Cost) {
 // recorded on the availability trace so future rounds see it.
 //
 // Concurrency contract: Execute mutates only the receiver client's traces
-// (lazy extension plus battery drain), so calls for *distinct* clients may
-// run concurrently — this is what lets the fl engines fan a round's
-// selected clients across workers. Calls touching the same client must be
+// (battery drain, and reads past a trace's last generated step, which
+// advance it in place; a read of an earlier step mutates nothing), so
+// calls for *distinct* clients may run concurrently — this is what lets
+// the fl engines fan a round's selected clients across workers. Calls touching the same client must be
 // serialized by the caller, and a single client's calls must keep a
 // deterministic order (the engines execute each client at most once per
 // round/task, in simulation order).

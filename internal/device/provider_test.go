@@ -102,14 +102,16 @@ func BenchmarkDeriveClient(b *testing.B) {
 }
 
 // TestDeriveClientMemory bounds what a derived and probed client
-// allocates: about 3.3 KB, nearly all of it the trace memo series. The
-// budget sits below that figure plus one 4.9 KB RNG register, so a field
-// that makes a trace stream (or the client's private stream) draw past
-// the point where its register is allocated, or hold a register of its
-// own, fails here before it shows as lazy-population heap.
+// allocates: about 850 B, the client, its three traces and their RNG
+// streams. A trace keeps only its last two steps, so the figure does not
+// grow with the rounds probed. The budget sits far below one 4.9 KB RNG
+// register, so a field that makes a trace stream (or the client's private
+// stream) draw past the point where its register is allocated, or a trace
+// that keeps its history again, fails here before it shows as
+// lazy-population heap.
 func TestDeriveClientMemory(t *testing.T) {
 	const n = 512
-	const budget = 6 << 10
+	const budget = 2 << 10
 	cfg := PopulationConfig{Clients: 1 << 20, Scenario: trace.ScenarioDynamic, Seed: 7}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -122,5 +124,23 @@ func TestDeriveClientMemory(t *testing.T) {
 	t.Logf("%.0f bytes per derived client probed over %d rounds (checksum %v)", perClient, deriveHorizon+1, sum)
 	if perClient > budget {
 		t.Errorf("a derived client probed over %d rounds allocates %.0f bytes, budget %d", deriveHorizon+1, perClient, budget)
+	}
+}
+
+// TestForwardResourcesAllocateNothing pins the other half of the memory
+// contract: once derived, a client reads its resources forward, round by
+// round and with Execute's look-ahead to t+1, without allocating.
+func TestForwardResourcesAllocateNothing(t *testing.T) {
+	cfg := PopulationConfig{Clients: 1 << 20, Scenario: trace.ScenarioDynamic, Seed: 7}
+	c := DeriveClient(cfg, 12345)
+	step := 0
+	c.ResourcesAt(step)
+	allocs := testing.AllocsPerRun(200, func() {
+		step++
+		c.ResourcesAt(step)
+		c.Avail.Available(step + 1)
+	})
+	if allocs != 0 {
+		t.Fatalf("forward ResourcesAt reads allocate %v times a round, want 0", allocs)
 	}
 }

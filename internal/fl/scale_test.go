@@ -110,10 +110,11 @@ func TestMillionClientBoundedMemory(t *testing.T) {
 	t.Logf("heap after run: %.1f MB (%.1f bytes per population client; device peak %d)",
 		float64(ms.HeapAlloc)/(1<<20), bytesPerClient, dev.Peak)
 	// What stays live is the 4096-client device cache, the sparse ledger
-	// and the model: 5.2 MB measured at 100k clients and 6.3 MB at 1M,
+	// and the model: 6.1 MB measured at 100k clients and 6.2 MB at 1M,
 	// flat in the population size. A resident client's three trace streams
-	// hold no RNG register (they stop long before draw 274), so most of
-	// what a cached client costs is its trace memo series. Shards are
+	// hold no RNG register (they stop long before draw 274) and keep only
+	// their last two steps, so a cached client costs its fixed-size traces
+	// and their RNG streams, about 850 B, however many rounds ran. Shards are
 	// derived per training job and die with it; a cache holding 4096 of
 	// them resident (~45 KB each, one slab rounded up to whole pages:
 	// ~180 MB) would not fit the budget, nor would one trace register per

@@ -11,9 +11,12 @@ import (
 // drains under training load and recharges while idle. This deliberately
 // violates the "fixed linear availability window" assumption that the paper
 // criticizes in REFL: window lengths are random and correlated with
-// consumption, so window prediction from history is genuinely hard.
+// consumption, so window prediction from history is genuinely hard. The
+// process advances in place as reads move forward and keeps only its last
+// two steps; an earlier step is re-derived from the seed and the drain log.
 type AvailabilityTrace struct {
-	rng *rand.Rand
+	seed int64
+	rng  *rand.Rand
 	// pOffToOn and pOnToOff are per-step switch probabilities.
 	pOffToOn, pOnToOff float64
 	diurnalPeriod      int
@@ -24,9 +27,11 @@ type AvailabilityTrace struct {
 	drainPerUse         float64
 	chargePerStep       float64
 
-	on     bool
-	series []bool
-	levels []float64
+	on bool
+	n  int // steps generated
+	// avail and levels hold steps n-2 and n-1 at index t&1.
+	avail  [2]bool
+	levels [2]float64
 	// drains is the append-only log of battery-drain requests, each tagged
 	// with the series step whose generation consumes it. Together with the
 	// seed it is the *complete* mutable state of the trace: replaying the
@@ -75,37 +80,63 @@ func NewAvailabilityTrace(cfg AvailabilityConfig) *AvailabilityTrace {
 	if cfg.ChargePerStep <= 0 {
 		cfg.ChargePerStep = 0.05
 	}
-	rng := rand.New(rngstate.New(cfg.Seed))
-	return &AvailabilityTrace{
-		rng:           rng,
+	a := &AvailabilityTrace{
+		seed:          cfg.Seed,
 		pOffToOn:      1 / cfg.MeanOffSteps,
 		pOnToOff:      1 / cfg.MeanOnSteps,
 		diurnalPeriod: cfg.DiurnalPeriod,
-		battery:       0.5 + 0.5*rng.Float64(),
 		lowWater:      0.15,
 		highWater:     0.35,
 		drainPerUse:   cfg.DrainPerUse,
 		chargePerStep: cfg.ChargePerStep,
-		on:            rng.Float64() < 0.8,
 	}
+	a.start()
+	return a
 }
 
-// Available reports whether the client can participate at step t.
+// start draws the initial battery level and ON state from a fresh stream.
+func (a *AvailabilityTrace) start() {
+	a.rng = rand.New(rngstate.New(a.seed))
+	a.battery = 0.5 + 0.5*a.rng.Float64()
+	a.on = a.rng.Float64() < 0.8
+}
+
+// Available reports whether the client can participate at step t; a
+// negative t reads step 0.
 func (a *AvailabilityTrace) Available(t int) bool {
-	a.extend(t)
-	return a.series[t]
+	on, _ := a.at(t)
+	return on
 }
 
-// BatteryAt returns the battery level in [0,1] at step t.
+// BatteryAt returns the battery level in [0,1] at step t; a negative t
+// reads step 0.
 func (a *AvailabilityTrace) BatteryAt(t int) float64 {
+	_, level := a.at(t)
+	return level
+}
+
+// at reads step t. A read before the two-step window is answered by a copy
+// restarted from the seed, which replays the drain log: the drains that
+// steps 0..t consumed are exactly those with Step <= t. The receiver,
+// and with it the Step the next RecordUse logs, is left untouched.
+func (a *AvailabilityTrace) at(t int) (bool, float64) {
+	if t < 0 {
+		t = 0
+	}
+	if t < a.n-2 {
+		past := *a
+		past.n, past.drainIdx = 0, 0
+		past.start()
+		return past.at(t)
+	}
 	a.extend(t)
-	return a.levels[t]
+	return a.avail[t&1], a.levels[t&1]
 }
 
 // RecordUse registers that the client trained during the current step,
 // draining the configured per-use battery amount.
 func (a *AvailabilityTrace) RecordUse() {
-	a.drains = append(a.drains, DrainEvent{Step: len(a.series), Frac: a.drainPerUse})
+	a.drains = append(a.drains, DrainEvent{Step: a.n, Frac: a.drainPerUse})
 }
 
 // RecordUseAmount drains an explicit battery fraction — used by the cost
@@ -114,7 +145,7 @@ func (a *AvailabilityTrace) RecordUse() {
 // battery (and with it future availability).
 func (a *AvailabilityTrace) RecordUseAmount(frac float64) {
 	if frac > 0 {
-		a.drains = append(a.drains, DrainEvent{Step: len(a.series), Frac: frac})
+		a.drains = append(a.drains, DrainEvent{Step: a.n, Frac: frac})
 	}
 }
 
@@ -135,7 +166,7 @@ func (a *AvailabilityTrace) DrainLog() []DrainEvent {
 // series exactly. Panics if called after the series started generating,
 // because the replayed past could no longer take effect.
 func (a *AvailabilityTrace) ReplayDrains(log []DrainEvent) {
-	if len(a.series) > 0 {
+	if a.n > 0 {
 		panic("trace: ReplayDrains called on a trace with generated steps")
 	}
 	a.drains = append([]DrainEvent(nil), log...)
@@ -146,18 +177,16 @@ func (a *AvailabilityTrace) ReplayDrains(log []DrainEvent) {
 // Checkpoint restore uses it as a guard: drain logs may only be replayed
 // onto a pristine trace (see ReplayDrains), and a nonzero value means the
 // target population was already used.
-func (a *AvailabilityTrace) StepsGenerated() int { return len(a.series) }
+func (a *AvailabilityTrace) StepsGenerated() int { return a.n }
 
+// extend generates steps up to and including t.
 func (a *AvailabilityTrace) extend(t int) {
-	if t < 0 {
-		t = 0
-	}
-	for len(a.series) <= t {
+	for ; a.n <= t; a.n++ {
 		// Consume every drain logged for this step, in log order (the same
 		// accumulation order the old pending-sum used, so the float math is
 		// unchanged); an undrained step charges instead.
 		var drain float64
-		for a.drainIdx < len(a.drains) && a.drains[a.drainIdx].Step <= len(a.series) {
+		for a.drainIdx < len(a.drains) && a.drains[a.drainIdx].Step <= a.n {
 			drain += a.drains[a.drainIdx].Frac
 			a.drainIdx++
 		}
@@ -176,7 +205,7 @@ func (a *AvailabilityTrace) extend(t int) {
 		// "night" half of the period is markedly more available.
 		pOff, pOn := a.pOnToOff, a.pOffToOn
 		if a.diurnalPeriod > 0 {
-			phase := len(a.series) % a.diurnalPeriod
+			phase := a.n % a.diurnalPeriod
 			if phase < a.diurnalPeriod/2 { // night: sticky ON
 				pOff /= 3
 				pOn *= 3
@@ -201,7 +230,7 @@ func (a *AvailabilityTrace) extend(t int) {
 		if a.battery < a.lowWater {
 			avail = false
 		}
-		a.series = append(a.series, avail)
-		a.levels = append(a.levels, a.battery)
+		a.avail[a.n&1] = avail
+		a.levels[a.n&1] = a.battery
 	}
 }

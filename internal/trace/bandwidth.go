@@ -70,30 +70,38 @@ var regimeTransition = [4][4]float64{
 }
 
 // BandwidthTrace is a Markov-modulated bandwidth process. At(t) is
-// deterministic for a given (kind, seed): the trace is generated lazily and
-// memoized, so arbitrary lookahead costs only the steps generated.
+// deterministic for a given (kind, seed). The process advances in place as
+// reads move forward and keeps only its last two steps, which is all a
+// client round reads; an earlier step is re-derived from the seed.
 type BandwidthTrace struct {
-	Kind   NetKind
-	rng    *rand.Rand
-	state  int
-	series []float64 // memoized samples, Mbps
+	Kind  NetKind
+	seed  int64
+	rng   *rand.Rand
+	state int
+	n     int        // steps generated
+	win   [2]float64 // steps n-2 and n-1 at index t&1, Mbps
 }
 
 // NewBandwidthTrace constructs a trace for the given technology and seed.
 func NewBandwidthTrace(kind NetKind, seed int64) *BandwidthTrace {
 	rng := rand.New(rngstate.New(seed))
-	return &BandwidthTrace{Kind: kind, rng: rng, state: rng.Intn(4)}
+	return &BandwidthTrace{Kind: kind, seed: seed, rng: rng, state: rng.Intn(4)}
 }
 
-// At returns the bandwidth in Mbps at discrete time step t (t >= 0).
+// At returns the bandwidth in Mbps at discrete time step t; a negative t
+// reads step 0. A read before the two-step window is answered by a fresh
+// copy of the trace and leaves the receiver untouched.
 func (b *BandwidthTrace) At(t int) float64 {
 	if t < 0 {
 		t = 0
 	}
-	for len(b.series) <= t {
-		b.series = append(b.series, b.step())
+	if t < b.n-2 {
+		return NewBandwidthTrace(b.Kind, b.seed).At(t)
 	}
-	return b.series[t]
+	for ; b.n <= t; b.n++ {
+		b.win[b.n&1] = b.step()
+	}
+	return b.win[t&1]
 }
 
 func (b *BandwidthTrace) step() float64 {

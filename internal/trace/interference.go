@@ -52,9 +52,11 @@ func ParseScenario(s string) (Scenario, error) {
 // (CPU, memory, network) left available to FL training. Dynamic
 // interference is a mean-reverting AR(1) process per resource, clipped to
 // [floor, cap]; the cap of 0.8 reflects Table 1's observation that even an
-// idle device never hands 100% of CPU/memory to training.
+// idle device never hands 100% of CPU/memory to training. Like
+// BandwidthTrace it advances in place and keeps only its last two steps.
 type Interference struct {
 	Scenario Scenario
+	seed     int64
 	rng      *rand.Rand
 
 	// static shares (scenario static): fixed per-client draw.
@@ -64,7 +66,8 @@ type Interference struct {
 	cpu, mem, net             float64
 	meanCPU, meanMem, meanNet float64
 
-	series [][3]float64 // memoized (cpu, mem, net) availability
+	n   int           // steps generated
+	win [2][3]float64 // (cpu, mem, net) of steps n-2 and n-1 at index t&1
 }
 
 // cpuCap is the maximum fraction of CPU/memory ever available to FL
@@ -74,7 +77,7 @@ const cpuCap = 0.8
 // NewInterference builds the interference process for a client.
 func NewInterference(s Scenario, seed int64) *Interference {
 	rng := rand.New(rngstate.New(seed))
-	in := &Interference{Scenario: s, rng: rng}
+	in := &Interference{Scenario: s, seed: seed, rng: rng}
 	switch s {
 	case ScenarioStatic:
 		// High-priority apps hold a stable 30-70% of each resource.
@@ -90,15 +93,20 @@ func NewInterference(s Scenario, seed int64) *Interference {
 	return in
 }
 
-// At returns the (cpuAvail, memAvail, netAvail) fractions at step t.
+// At returns the (cpuAvail, memAvail, netAvail) fractions at step t; a
+// negative t reads step 0. A read before the two-step window is answered
+// by a fresh copy of the process and leaves the receiver untouched.
 func (in *Interference) At(t int) (cpu, mem, net float64) {
 	if t < 0 {
 		t = 0
 	}
-	for len(in.series) <= t {
-		in.series = append(in.series, in.step())
+	if t < in.n-2 {
+		return NewInterference(in.Scenario, in.seed).At(t)
 	}
-	v := in.series[t]
+	for ; in.n <= t; in.n++ {
+		in.win[in.n&1] = in.step()
+	}
+	v := in.win[t&1]
 	return v[0], v[1], v[2]
 }
 
