@@ -89,7 +89,7 @@ func pendingServer(t *testing.T) (*Server, *httptest.Server, float64) {
 	if err := model.UnmarshalBinary(task.Model); err != nil {
 		t.Fatal(err)
 	}
-	oracle, _ := model.Evaluate(fed.GlobalTest[:200])
+	oracle := model.Evaluate(fed.GlobalTest[:200])
 	if oracle == 0 {
 		t.Fatal("oracle accuracy is 0, the value before any evaluation; the surfaces could not tell a missing join")
 	}

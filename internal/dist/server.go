@@ -500,7 +500,7 @@ func (s *Server) aggregateLocked() {
 	if len(s.cfg.Holdout) > 0 {
 		p.acc = make(chan float64, 1)
 		go func(global *nn.Model, holdout []nn.Sample) {
-			acc, _ := global.Evaluate(holdout)
+			acc := global.Evaluate(holdout)
 			p.acc <- acc
 		}(s.global, s.cfg.Holdout)
 	}

@@ -328,7 +328,7 @@ func TrainLocal(local *nn.Model, before, delta, applied tensor.Vector, shard, lo
 	if err := local.SetParameters(before); err != nil {
 		return res, err
 	}
-	accBefore, _ := local.Evaluate(localTest)
+	accBefore := local.Evaluate(localTest)
 	tc.FrozenLayers = opt.FrozenLayerMask(len(local.Layers), tech.Effects().PartialFrac)
 	if tc.ProxMu > 0 {
 		tc.ProxAnchor = before
@@ -348,7 +348,7 @@ func TrainLocal(local *nn.Model, before, delta, applied tensor.Vector, shard, lo
 	if err := local.SetParameters(applied); err != nil {
 		return res, err
 	}
-	accAfter, _ := local.Evaluate(localTest)
+	accAfter := local.Evaluate(localTest)
 
 	res.Delta = delta
 	res.Weight = float64(len(shard))
@@ -417,7 +417,7 @@ func evaluateClientsPop(m *nn.Model, p *population.Population, limit int) []floa
 	accs := make([]float64, count)
 	var buf data.ShardBuf
 	for i := 0; i < count; i++ {
-		accs[i], _ = m.Evaluate(p.ShardInto(i*n/count, &buf).LocalTest)
+		accs[i] = m.Evaluate(p.ShardInto(i*n/count, &buf).LocalTest)
 	}
 	return accs
 }

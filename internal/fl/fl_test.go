@@ -280,7 +280,7 @@ func TestEvaluateClientsPopSample(t *testing.T) {
 		t.Fatalf("unlimited evaluation covered %d clients, want 12", len(all))
 	}
 	for id := range all {
-		if want, _ := m.Evaluate(fed.LocalTest[id]); all[id] != want {
+		if want := m.Evaluate(fed.LocalTest[id]); all[id] != want {
 			t.Fatalf("client %d accuracy %v, want %v", id, all[id], want)
 		}
 	}

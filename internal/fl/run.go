@@ -254,7 +254,7 @@ func (r *run) loop(step func() (stop bool, err error)) (*Result, error) {
 // evalGlobal evaluates the global model on the shared holdout and records
 // it as the accuracy after `rounds` completed rounds.
 func (r *run) evalGlobal(rounds int) float64 {
-	acc, _ := r.global.Evaluate(r.p.GlobalTest())
+	acc := r.global.Evaluate(r.p.GlobalTest())
 	r.res.GlobalAccHistory = append(r.res.GlobalAccHistory, acc)
 	r.res.EvalRounds = append(r.res.EvalRounds, rounds)
 	r.eo.evals.Inc()
@@ -323,7 +323,7 @@ func (r *run) finish() *Result {
 	res.CompletedRounds = r.done
 	res.FinalClientAccs = evaluateClientsPop(r.global, r.p, r.cfg.EvalClients)
 	res.FinalAccStats = metrics.ComputeAccuracyStats(res.FinalClientAccs)
-	res.FinalGlobalAcc, _ = r.global.Evaluate(r.p.GlobalTest())
+	res.FinalGlobalAcc = r.global.Evaluate(r.p.GlobalTest())
 	res.FinalParams = r.global.Parameters().Clone()
 	r.p.FlushObs()
 	return res

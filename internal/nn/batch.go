@@ -12,7 +12,7 @@ import (
 // per-sample Forward/Backward contract.
 type batchLayer interface {
 	ForwardBatch(x *tensor.Matrix) *tensor.Matrix
-	BackwardBatch(gradOut *tensor.Matrix) *tensor.Matrix
+	BackwardBatch(gradOut *tensor.Matrix, wantIn bool) *tensor.Matrix
 }
 
 var _ batchLayer = (*Dense)(nil)
@@ -68,11 +68,11 @@ func (d *Dense) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // BackwardBatch implements batchLayer: consumes dL/dOut rows (which it may
-// modify), accumulates dL/dW and dL/dB, and returns dL/dIn rows. The
-// weight gradient is one accumulating GEMM (dYᵀ·X) instead of batch
-// rank-1 updates, and the input gradient one GEMM (dY·W) instead of batch
-// MatVecT calls.
-func (d *Dense) BackwardBatch(gradOut *tensor.Matrix) *tensor.Matrix {
+// modify), accumulates dL/dW and dL/dB, and returns dL/dIn rows — or nil
+// without computing them when wantIn is false. The weight gradient is one
+// accumulating GEMM (dYᵀ·X) instead of batch rank-1 updates, and the input
+// gradient one GEMM (dY·W) instead of batch MatVecT calls.
+func (d *Dense) BackwardBatch(gradOut *tensor.Matrix, wantIn bool) *tensor.Matrix {
 	n := gradOut.Rows
 	if gradOut.Cols != d.W.Rows || d.bIn == nil || d.bIn.Rows != n {
 		panic(fmt.Sprintf("nn: Dense.BackwardBatch grad %dx%d does not match forward batch",
@@ -89,6 +89,9 @@ func (d *Dense) BackwardBatch(gradOut *tensor.Matrix) *tensor.Matrix {
 		d.GradB.AddScaled(1, gradOut.Row(r))
 	}
 	d.be.AddMatMulTN(d.GradW, gradOut, d.bIn)
+	if !wantIn {
+		return nil
+	}
 	gin := batchView(&d.bGradIn, n, d.W.Cols)
 	d.be.MatMulNN(gin, gradOut, d.W)
 	return gin
@@ -111,8 +114,9 @@ func buildBatchState(layers []Layer) *batchState {
 // lossAndGradsBatch is the minibatch counterpart of lossAndGrads: it packs
 // the indexed samples into one matrix, runs the batched forward, applies
 // the fused softmax+cross-entropy row by row, and backpropagates the whole
-// batch through the GEMM-shaped backward path. Returns the summed loss.
-func (m *Model) lossAndGradsBatch(samples []Sample, idxs []int) float64 {
+// batch through the GEMM-shaped backward path down to layer floor (see
+// trainFloor). Returns the summed loss.
+func (m *Model) lossAndGradsBatch(samples []Sample, idxs []int, floor int) float64 {
 	bs := m.batch
 	n := len(idxs)
 	x := batchView(&bs.x, n, m.nIn)
@@ -129,8 +133,8 @@ func (m *Model) lossAndGradsBatch(samples []Sample, idxs []int) float64 {
 		loss += m.backend.SoftmaxXent(m.probs, g.Row(r), h.Row(r), samples[idx].Label)
 	}
 	grad := g
-	for i := len(bs.layers) - 1; i >= 0; i-- {
-		grad = bs.layers[i].BackwardBatch(grad)
+	for i := len(bs.layers) - 1; i >= floor; i-- {
+		grad = bs.layers[i].BackwardBatch(grad, i > floor)
 	}
 	return loss
 }

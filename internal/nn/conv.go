@@ -20,8 +20,12 @@ type Layer interface {
 	Forward(x tensor.Vector) tensor.Vector
 	// Backward consumes dL/dOut (which it may modify), accumulates
 	// parameter gradients, and returns dL/dIn. The returned slice is owned
-	// by the layer and overwritten on the next call.
-	Backward(grad tensor.Vector) tensor.Vector
+	// by the layer and overwritten on the next call. With wantIn false it
+	// computes no dL/dIn and returns nil: Model.Train asks that of the
+	// lowest layer it trains, whose input gradient nothing reads, and
+	// calls no layer below it. The parameter gradients are the same either
+	// way, bit for bit.
+	Backward(grad tensor.Vector, wantIn bool) tensor.Vector
 	// NumParams counts trainable scalars.
 	NumParams() int
 	// Params returns views of the parameter storage, in a stable order
@@ -156,7 +160,7 @@ func (c *Conv1D) Forward(x tensor.Vector) tensor.Vector {
 }
 
 // Backward implements Layer.
-func (c *Conv1D) Backward(grad tensor.Vector) tensor.Vector {
+func (c *Conv1D) Backward(grad tensor.Vector, wantIn bool) tensor.Vector {
 	outW := c.outWidth()
 	if len(grad) != c.Filters*outW {
 		panic(fmt.Sprintf("nn: Conv1D.Backward grad %d, want %d", len(grad), c.Filters*outW))
@@ -168,8 +172,11 @@ func (c *Conv1D) Backward(grad tensor.Vector) tensor.Vector {
 			}
 		}
 	}
-	gradIn := c.gradIn
-	gradIn.Zero()
+	var gradIn tensor.Vector
+	if wantIn {
+		gradIn = c.gradIn
+		gradIn.Zero()
+	}
 	for f := 0; f < c.Filters; f++ {
 		taps := c.W.Row(f)
 		gtaps := c.GradW.Row(f)
@@ -182,7 +189,9 @@ func (c *Conv1D) Backward(grad tensor.Vector) tensor.Vector {
 			c.GradB[f] += g
 			for k := 0; k < c.Kernel; k++ {
 				gtaps[k] += g * c.in[p+k]
-				gradIn[p+k] += g * taps[k]
+				if wantIn {
+					gradIn[p+k] += g * taps[k]
+				}
 			}
 		}
 	}

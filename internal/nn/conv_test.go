@@ -83,7 +83,7 @@ func TestConvGradCheck(t *testing.T) {
 
 	out := c.Forward(x)
 	gradOut := out.Clone()
-	gradIn := c.Backward(gradOut)
+	gradIn := c.Backward(gradOut, true)
 
 	const h = 1e-6
 	// Weight gradients.
@@ -142,11 +142,11 @@ func TestConvnetModelTrains(t *testing.T) {
 	if _, ok := m.Layers[0].(*Conv1D); !ok {
 		t.Fatalf("convnet first layer is %T, want *Conv1D", m.Layers[0])
 	}
-	accBefore, _ := m.Evaluate(test)
+	accBefore := m.Evaluate(test)
 	if _, err := m.Train(train, TrainConfig{Epochs: 12, BatchSize: 16, LR: 0.2, GradClip: 5, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
-	accAfter, _ := m.Evaluate(test)
+	accAfter := m.Evaluate(test)
 	if accAfter <= accBefore || accAfter < 0.6 {
 		t.Fatalf("convnet failed to learn: %v -> %v", accBefore, accAfter)
 	}
@@ -221,7 +221,7 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 	if out[0] != 5 || out[1] != 3 {
 		t.Fatalf("pool forward = %v, want [5 3]", out)
 	}
-	gradIn := p.Backward(tensor.Vector{10, 20})
+	gradIn := p.Backward(tensor.Vector{10, 20}, true)
 	want := tensor.Vector{0, 10, 0, 20}
 	for i := range want {
 		if gradIn[i] != want[i] {

@@ -118,7 +118,7 @@ func TestCloneSharesNothing(t *testing.T) {
 		x := tensor.NewVector(m.InDim())
 		x.Fill(0.5)
 		s := Sample{X: x, Label: 1}
-		c.lossAndGrads(s)
+		c.lossAndGrads(s, 0)
 		for i, v := range m.Parameters() {
 			if v != origP[i] {
 				t.Fatalf("%s: mutating clone changed original parameters at %d", arch, i)
@@ -195,8 +195,8 @@ func TestBinaryRoundTripAllArchs(t *testing.T) {
 			}
 		}
 		// The restored model must behave identically, not just compare equal.
-		accA, lossA := m.Evaluate(samples)
-		accB, lossB := m2.Evaluate(samples)
+		accA, lossA := m.Evaluate(samples), meanLoss(m, samples)
+		accB, lossB := m2.Evaluate(samples), meanLoss(m2, samples)
 		if accA != accB || lossA != lossB {
 			t.Fatalf("%s: restored model evaluates differently (%v/%v vs %v/%v)",
 				arch, accA, lossA, accB, lossB)

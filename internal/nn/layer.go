@@ -117,9 +117,10 @@ func (d *Dense) Forward(x tensor.Vector) tensor.Vector {
 }
 
 // Backward consumes dL/dOut, accumulates dL/dW and dL/dB into the gradient
-// buffers, and returns dL/dIn. gradOut may be modified in place; the
-// returned slice is owned by the layer and overwritten on the next call.
-func (d *Dense) Backward(gradOut tensor.Vector) tensor.Vector {
+// buffers, and returns dL/dIn — or nil without computing it when wantIn is
+// false. gradOut may be modified in place; the returned slice is owned by
+// the layer and overwritten on the next call.
+func (d *Dense) Backward(gradOut tensor.Vector, wantIn bool) tensor.Vector {
 	if len(gradOut) != d.W.Rows {
 		panic(fmt.Sprintf("nn: Dense.Backward grad %d, want %d", len(gradOut), d.W.Rows))
 	}
@@ -132,6 +133,9 @@ func (d *Dense) Backward(gradOut tensor.Vector) tensor.Vector {
 	}
 	d.GradB.AddScaled(1, gradOut)
 	d.be.AddOuterScaled(d.GradW, 1, gradOut, d.in)
+	if !wantIn {
+		return nil
+	}
 	d.be.MatVecT(d.W, d.gradIn, gradOut)
 	return d.gradIn
 }

@@ -202,7 +202,10 @@ func (m *Model) Forward(x tensor.Vector) tensor.Vector {
 func (m *Model) Parameters() tensor.Vector { return m.params }
 
 // Gradients returns the model's flat gradient vector (a zero-copy view,
-// parallel to Parameters).
+// parallel to Parameters). Train does not backpropagate into the layers
+// below the lowest layer it trains, so after a partial-training call their
+// ranges hold no backprop gradient (only FedProx's pull, when ProxMu > 0);
+// the SGD step never reads frozen ranges.
 func (m *Model) Gradients() tensor.Vector { return m.grads }
 
 // SetParameters loads a flat vector produced by Parameters back into the

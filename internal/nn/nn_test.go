@@ -154,11 +154,11 @@ func TestTrainingReducesLossAndLearns(t *testing.T) {
 	train, test = all[:200], all[200:]
 
 	m := testModel(t, "resnet18")
-	accBefore, lossBefore := m.Evaluate(test)
+	accBefore, lossBefore := m.Evaluate(test), meanLoss(m, test)
 	if _, err := m.Train(train, TrainConfig{Epochs: 10, BatchSize: 16, LR: 0.3, GradClip: 5, Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
-	accAfter, lossAfter := m.Evaluate(test)
+	accAfter, lossAfter := m.Evaluate(test), meanLoss(m, test)
 	if accAfter <= accBefore {
 		t.Fatalf("training did not improve accuracy: %v -> %v", accBefore, accAfter)
 	}
@@ -232,7 +232,7 @@ func TestTrainDeterministicUnderSeed(t *testing.T) {
 
 func TestEvaluateEmptySet(t *testing.T) {
 	m := testModel(t, "mlp-small")
-	acc, loss := m.Evaluate(nil)
+	acc, loss := m.Evaluate(nil), meanLoss(m, nil)
 	if acc != 0 || loss != 0 {
 		t.Fatalf("Evaluate(nil) = %v, %v; want zeros", acc, loss)
 	}
@@ -251,7 +251,7 @@ func TestGradientSumProperty(t *testing.T) {
 		tensor.RandnInto(x, 1, rng)
 		label := int(labelRaw) % 3
 		m.Gradients().Zero()
-		m.lossAndGrads(Sample{X: x, Label: label})
+		m.lossAndGrads(Sample{X: x, Label: label}, 0)
 		// The bias gradient of the output layer equals dL/dlogits.
 		last := m.Layers[len(m.Layers)-1]
 		var sum float64
@@ -267,7 +267,9 @@ func TestGradientSumProperty(t *testing.T) {
 }
 
 // Numerical gradient check on a tiny model: analytic gradients from
-// backprop must match finite differences.
+// backprop must match finite differences — with every layer trained, and
+// with layer 0 frozen, where backprop stops at layer 1 and that layer
+// computes its parameter gradients but no input gradient.
 func TestGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	m, err := NewModel("mlp-small", 4, 3, rng)
@@ -278,22 +280,45 @@ func TestGradCheck(t *testing.T) {
 	tensor.RandnInto(x, 1, rng)
 	s := Sample{X: x, Label: 1}
 
-	m.Gradients().Zero()
-	m.lossAndGrads(s)
-	layer0W := m.Layers[0].Params()[0]
-	analytic := m.Layers[0].Grads()[0].Clone()
-
-	const h = 1e-6
-	for i := 0; i < len(layer0W); i += 7 { // sample a subset
-		orig := layer0W[i]
-		layer0W[i] = orig + h
-		lossPlus := evalLoss(m, s)
-		layer0W[i] = orig - h
-		lossMinus := evalLoss(m, s)
-		layer0W[i] = orig
-		numeric := (lossPlus - lossMinus) / (2 * h)
-		if math.Abs(numeric-analytic[i]) > 1e-4*(1+math.Abs(numeric)) {
-			t.Fatalf("gradient mismatch at %d: analytic %v numeric %v", i, analytic[i], numeric)
+	for _, tc := range []struct {
+		name   string
+		frozen []bool
+		layer  int
+	}{
+		{"all trained", nil, 0},
+		{"layer 0 frozen", []bool{true, false}, 1},
+	} {
+		floor := m.trainFloor(tc.frozen)
+		if floor != tc.layer {
+			t.Fatalf("%s: trainFloor = %d, want %d", tc.name, floor, tc.layer)
+		}
+		m.Gradients().Zero()
+		m.lossAndGrads(s, floor)
+		for pi, p := range m.Layers[tc.layer].Params() {
+			analytic := m.Layers[tc.layer].Grads()[pi].Clone()
+			const h = 1e-6
+			for i := 0; i < len(p); i += 7 { // sample a subset
+				orig := p[i]
+				p[i] = orig + h
+				lossPlus := evalLoss(m, s)
+				p[i] = orig - h
+				lossMinus := evalLoss(m, s)
+				p[i] = orig
+				numeric := (lossPlus - lossMinus) / (2 * h)
+				if math.Abs(numeric-analytic[i]) > 1e-4*(1+math.Abs(numeric)) {
+					t.Fatalf("%s: layer %d param %d[%d]: analytic %v numeric %v",
+						tc.name, tc.layer, pi, i, analytic[i], numeric)
+				}
+			}
+		}
+		for li := 0; li < tc.layer; li++ {
+			for _, g := range m.Layers[li].Grads() {
+				for i, v := range g {
+					if v != 0 {
+						t.Fatalf("%s: layer %d below the floor got gradient %v at %d", tc.name, li, v, i)
+					}
+				}
+			}
 		}
 	}
 }
@@ -307,4 +332,17 @@ func evalLoss(m *Model, s Sample) float64 {
 		p = 1e-12
 	}
 	return -math.Log(p)
+}
+
+// meanLoss is the mean cross-entropy of m over samples (0 for none) — the
+// loss Evaluate used to return beside the accuracy.
+func meanLoss(m *Model, samples []Sample) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	var total float64
+	for _, s := range samples {
+		total += evalLoss(m, s)
+	}
+	return total / float64(len(samples))
 }

@@ -86,9 +86,12 @@ func (p *MaxPool1D) Forward(x tensor.Vector) tensor.Vector {
 
 // Backward implements Layer: gradients flow only to the max positions. The
 // returned slice is owned by the layer and overwritten on the next call.
-func (p *MaxPool1D) Backward(grad tensor.Vector) tensor.Vector {
+func (p *MaxPool1D) Backward(grad tensor.Vector, wantIn bool) tensor.Vector {
 	if len(grad) != p.OutDim() {
 		panic(fmt.Sprintf("nn: MaxPool1D.Backward grad %d, want %d", len(grad), p.OutDim()))
+	}
+	if !wantIn {
+		return nil
 	}
 	gradIn := p.gradIn
 	gradIn.Zero()

@@ -49,14 +49,14 @@ func TestProximalStillLearns(t *testing.T) {
 	samples := makeBlobs(rng, 150, 8, 4, 2.0)
 	m := testModel(t, "resnet18")
 	anchor := m.Parameters().Clone()
-	accBefore, _ := m.Evaluate(samples)
+	accBefore := m.Evaluate(samples)
 	if _, err := m.Train(samples, TrainConfig{
 		Epochs: 8, BatchSize: 16, LR: 0.3, GradClip: 5, Seed: 10,
 		ProxMu: 0.05, ProxAnchor: anchor,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	accAfter, _ := m.Evaluate(samples)
+	accAfter := m.Evaluate(samples)
 	if accAfter <= accBefore {
 		t.Fatalf("mild proximal term prevented learning: %v -> %v", accBefore, accAfter)
 	}

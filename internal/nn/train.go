@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"floatfl/internal/rngstate"
@@ -36,10 +35,11 @@ type TrainConfig struct {
 	Seed int64
 }
 
-// LossAndGrads runs one sample through the model, accumulates gradients,
-// and returns the cross-entropy loss. The caller is responsible for
-// zeroing/zapplying gradients around batches.
-func (m *Model) lossAndGrads(s Sample) float64 {
+// lossAndGrads runs one sample through the model, backpropagates down to
+// layer floor (see trainFloor), accumulating gradients, and returns the
+// cross-entropy loss. The caller is responsible for zeroing/applying
+// gradients around batches.
+func (m *Model) lossAndGrads(s Sample, floor int) float64 {
 	logits := m.Forward(s.X)
 	// Fused softmax + cross-entropy + dL/dlogits = probs - onehot(label),
 	// built in the model-owned scratch so per-sample backprop allocates
@@ -47,17 +47,34 @@ func (m *Model) lossAndGrads(s Sample) float64 {
 	// operation-for-operation.
 	loss := m.backend.SoftmaxXent(m.probs, m.lossGrad, logits, s.Label)
 	grad := m.lossGrad
-	for i := len(m.Layers) - 1; i >= 0; i-- {
-		grad = m.Layers[i].Backward(grad)
+	for i := len(m.Layers) - 1; i >= floor; i-- {
+		grad = m.Layers[i].Backward(grad, i > floor)
 	}
 	return loss
 }
 
+// trainFloor returns the index of the lowest layer that has parameters and
+// is not frozen — the lowest layer Train updates — or len(m.Layers) when
+// none is. Backprop stops there: that layer accumulates its parameter
+// gradients but computes no input gradient, and the layers below it get no
+// backward call. This is exact: applyStep never reads a frozen layer's
+// gradient range, and nothing reads the floor layer's dL/dIn.
+func (m *Model) trainFloor(frozen []bool) int {
+	for i, l := range m.Layers {
+		if l.NumParams() > 0 && (frozen == nil || !frozen[i]) {
+			return i
+		}
+	}
+	return len(m.Layers)
+}
+
 // Train runs mini-batch SGD over the samples according to cfg and returns
-// the mean training loss of the final epoch. Frozen layers still
-// participate in forward/backward (their activations are needed) but their
-// parameters are not updated — matching how partial training reduces
-// update computation and communication without changing the forward pass.
+// the mean training loss of the final epoch. Frozen layers still run
+// forward (their activations are needed) but their parameters are not
+// updated — matching how partial training reduces update computation and
+// communication without changing the forward pass. Backward stops at the
+// lowest trained layer (trainFloor), so a frozen prefix costs no backward
+// work at all.
 func (m *Model) Train(samples []Sample, cfg TrainConfig) (float64, error) {
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("nn: Train called with no samples")
@@ -95,6 +112,7 @@ func (m *Model) Train(samples []Sample, cfg TrainConfig) (float64, error) {
 	// supports it. Sample order, shuffling, prox, and the SGD step are
 	// identical either way; only the per-batch compute shape changes.
 	batched := m.backend.Batched() && m.batch != nil
+	floor := m.trainFloor(cfg.FrozenLayers)
 
 	var lastEpochLoss float64
 	for e := 0; e < cfg.Epochs; e++ {
@@ -107,10 +125,10 @@ func (m *Model) Train(samples []Sample, cfg TrainConfig) (float64, error) {
 			}
 			m.grads.Zero()
 			if batched {
-				epochLoss += m.lossAndGradsBatch(samples, order[start:end])
+				epochLoss += m.lossAndGradsBatch(samples, order[start:end], floor)
 			} else {
 				for _, idx := range order[start:end] {
-					epochLoss += m.lossAndGrads(samples[idx])
+					epochLoss += m.lossAndGrads(samples[idx], floor)
 				}
 			}
 			if cfg.ProxMu > 0 {
@@ -159,25 +177,18 @@ func (m *Model) applyStep(lr, clip float64, frozen []bool) {
 	}
 }
 
-// Evaluate returns classification accuracy and mean cross-entropy loss over
-// the samples. It does not modify the model.
-func (m *Model) Evaluate(samples []Sample) (accuracy, meanLoss float64) {
+// Evaluate returns the classification accuracy over the samples: the
+// share whose largest logit is the label (an empty set scores 0). It does
+// not modify the model.
+func (m *Model) Evaluate(samples []Sample) float64 {
 	if len(samples) == 0 {
-		return 0, 0
+		return 0
 	}
 	correct := 0
-	var total float64
 	for _, s := range samples {
-		logits := m.Forward(s.X)
-		m.backend.Softmax(m.probs, logits)
-		if logits.Argmax() == s.Label {
+		if m.Forward(s.X).Argmax() == s.Label {
 			correct++
 		}
-		p := m.probs[s.Label]
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		total += -math.Log(p)
 	}
-	return float64(correct) / float64(len(samples)), total / float64(len(samples))
+	return float64(correct) / float64(len(samples))
 }

@@ -247,7 +247,7 @@ func trainStep(ds *SplitDataset, parties []*Party, coord *Coordinator, batch []i
 		grad := scratch.lossGrad
 		copy(grad, probs)
 		grad[ds.Labels[idx]] -= 1
-		gradJoint := coord.Top.Backward(grad)
+		gradJoint := coord.Top.Backward(grad, true)
 
 		// Backward to parties: each party consumes its disjoint slice of
 		// the joint gradient (quantized in place for quantizing parties —
@@ -265,7 +265,9 @@ func trainStep(ds *SplitDataset, parties []*Party, coord *Coordinator, batch []i
 				opt.Quantize(g, eff.QuantBits, rng)
 			}
 			p.Bottom.Forward(ds.Features[pi][idx]) // refresh layer scratch
-			p.Bottom.Backward(g)
+			// The party's input is raw features: nothing reads its
+			// gradient, so the bottom tower does not compute one.
+			p.Bottom.Backward(g, false)
 		}
 	}
 
