@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"floatfl/internal/report"
 )
@@ -112,6 +115,36 @@ func TestTimelineParallelismInvariant(t *testing.T) {
 		}
 		if code != tc.want {
 			t.Errorf("floatreport diff %s %s exited %d, want %d", p1, tc.b, code, tc.want)
+		}
+	}
+}
+
+// TestNonFiniteFlagsFail: a NaN -alpha (eager or -lazy) or -deadline-pct
+// must exit non-zero within seconds with the validation error on stderr,
+// not hang in the Dirichlet sampler or panic in the percentile.
+func TestNonFiniteFlagsFail(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-alpha", "NaN"}, "Alpha"},
+		{[]string{"-alpha", "NaN", "-lazy"}, "Alpha"},
+		{[]string{"-deadline-pct", "NaN"}, "DeadlinePercentile"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		var stderr bytes.Buffer
+		cmd := exec.CommandContext(ctx, floatsimBin, append(append([]string(nil), cliRun...), append([]string{"-rounds", "1"}, tc.args...)...)...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		timedOut := ctx.Err() != nil
+		cancel()
+		switch msg := stderr.String(); {
+		case timedOut:
+			t.Errorf("floatsim %v still running after 10s", tc.args)
+		case err == nil:
+			t.Errorf("floatsim %v exited 0", tc.args)
+		case !strings.Contains(msg, tc.want) || strings.Contains(msg, "panic"):
+			t.Errorf("floatsim %v: stderr does not name %s as an error:\n%s", tc.args, tc.want, msg)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestLookupProfile(t *testing.T) {
@@ -133,6 +134,33 @@ func TestGenerateValidation(t *testing.T) {
 	}
 	if _, err := Generate("femnist", GenerateConfig{Clients: 0}); err == nil {
 		t.Fatal("Generate accepted zero clients")
+	}
+}
+
+// A NaN Alpha passes the `<= 0` default, and sampleGamma never returns
+// on it: Generate and NewProvider must reject it. Each call runs on its own
+// goroutine so a hang fails the test instead of stalling it. +Inf stays a
+// valid concentration.
+func TestNaNAlphaRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func(GenerateConfig) error
+	}{
+		{"Generate", func(c GenerateConfig) error { _, err := Generate("femnist", c); return err }},
+		{"NewProvider", func(c GenerateConfig) error { _, err := NewProvider("femnist", c); return err }},
+	} {
+		for _, alpha := range []float64{math.NaN(), math.Inf(1)} {
+			done := make(chan error, 1)
+			go func() { done <- tc.call(GenerateConfig{Clients: 4, Alpha: alpha, Seed: 1}) }()
+			select {
+			case err := <-done:
+				if (err != nil) != math.IsNaN(alpha) {
+					t.Errorf("%s(Alpha=%v) error = %v", tc.name, alpha, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s(Alpha=%v) did not return within 5s", tc.name, alpha)
+			}
+		}
 	}
 }
 

@@ -48,6 +48,9 @@ func Generate(profileName string, cfg GenerateConfig) (*Federation, error) {
 	if cfg.Clients <= 0 {
 		return nil, fmt.Errorf("data: Generate requires positive client count, got %d", cfg.Clients)
 	}
+	if err := checkAlpha(cfg.Alpha); err != nil {
+		return nil, err
+	}
 	alpha := cfg.Alpha
 	if alpha <= 0 {
 		alpha = 0.1

@@ -53,6 +53,16 @@ type ShardBuf struct {
 	rng     *rand.Rand
 }
 
+// checkAlpha rejects a NaN Dirichlet concentration. NaN passes the
+// `<= 0` default and would reach sampleGamma, whose rejection loop never
+// accepts a draw for it. +Inf is a valid limit (uniform label mix).
+func checkAlpha(alpha float64) error {
+	if math.IsNaN(alpha) {
+		return fmt.Errorf("data: Alpha must be a number, got NaN")
+	}
+	return nil
+}
+
 // normalizeGenerate applies Generate's defaulting rules so the lazy and
 // eager paths agree on effective alpha / test fraction.
 func normalizeGenerate(cfg GenerateConfig) GenerateConfig {
@@ -163,6 +173,9 @@ func NewProvider(profileName string, cfg GenerateConfig) (*Provider, error) {
 	}
 	if cfg.Clients <= 0 {
 		return nil, fmt.Errorf("data: provider requires positive client count, got %d", cfg.Clients)
+	}
+	if err := checkAlpha(cfg.Alpha); err != nil {
+		return nil, err
 	}
 	cfg = normalizeGenerate(cfg)
 	centers := DeriveCenters(p, cfg.Seed)

@@ -81,6 +81,31 @@ func TestNewServerValidation(t *testing.T) {
 	}
 }
 
+// NewServer's defaults test `<= 0`, which NaN passes, and LR and the
+// deadline and lease are sent to clients as JSON, which has no NaN or
+// ±Inf: each field must be rejected when it is not finite.
+func TestNewServerRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*ServerConfig, float64)
+	}{
+		{"Spec.LR", func(c *ServerConfig, v float64) { c.Spec.LR = v }},
+		{"DeadlineSeconds", func(c *ServerConfig, v float64) { c.DeadlineSeconds = v }},
+		{"LeaseSeconds", func(c *ServerConfig, v float64) { c.LeaseSeconds = v }},
+		{"RoundSeconds", func(c *ServerConfig, v float64) { c.RoundSeconds = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := ServerConfig{Spec: TrainSpec{Arch: "resnet18", InDim: 4, Classes: 2}}
+			tc.set(&cfg, v)
+			srv, err := NewServer(cfg)
+			if err == nil {
+				srv.Close()
+				t.Errorf("NewServer accepted %s = %v", tc.name, v)
+			}
+		}
+	}
+}
+
 func TestRegisterAssignsIDs(t *testing.T) {
 	_, hs, fed := testServer(t, nil, 2)
 	a := registeredClient(t, hs, fed, 0)

@@ -171,6 +171,17 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Spec.Arch == "" || cfg.Spec.InDim <= 0 || cfg.Spec.Classes <= 0 {
 		return nil, fmt.Errorf("dist: incomplete TrainSpec %+v", cfg.Spec)
 	}
+	// The defaults below test `<= 0`, which NaN passes; LR and the
+	// deadline and lease go out in JSON, which cannot carry NaN or ±Inf.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"Spec.LR", cfg.Spec.LR}, {"DeadlineSeconds", cfg.DeadlineSeconds},
+		{"LeaseSeconds", cfg.LeaseSeconds}, {"RoundSeconds", cfg.RoundSeconds}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("dist: %s must be finite, got %v", f.name, f.v)
+		}
+	}
 	if cfg.Spec.Epochs <= 0 {
 		cfg.Spec.Epochs = 2
 	}

@@ -209,6 +209,11 @@ func (c Config) validate() error {
 	if c.Arch == "" {
 		return fmt.Errorf("fl: Arch is required")
 	}
+	// NaN passes withDefaults' `<= 0` and would index the percentile
+	// at int(NaN).
+	if math.IsNaN(c.DeadlinePercentile) || math.IsInf(c.DeadlinePercentile, 0) {
+		return fmt.Errorf("fl: DeadlinePercentile must be finite, got %v", c.DeadlinePercentile)
+	}
 	return nil
 }
 

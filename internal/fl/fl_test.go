@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -231,6 +232,22 @@ func TestRunAsyncValidation(t *testing.T) {
 	}
 	if _, err := RunAsync(&data.Federation{}, nil, NoOpController{}, smallConfig()); err == nil {
 		t.Fatal("accepted empty population")
+	}
+}
+
+// A NaN deadline percentile passes withDefaults' `<= 0`; both engines
+// must reject it, and ±Inf, before the deadline is derived from it.
+func TestRunRejectsNonFiniteDeadlinePercentile(t *testing.T) {
+	fed, pop := testSetup(t, 8, trace.ScenarioNone)
+	for _, pct := range []float64{math.NaN(), math.Inf(1)} {
+		cfg := smallConfig()
+		cfg.DeadlinePercentile = pct
+		if _, err := RunSync(fed, pop, selection.NewRandom(1), NoOpController{}, cfg); err == nil {
+			t.Errorf("RunSync accepted DeadlinePercentile %v", pct)
+		}
+		if _, err := RunAsync(fed, pop, NoOpController{}, cfg); err == nil {
+			t.Errorf("RunAsync accepted DeadlinePercentile %v", pct)
+		}
 	}
 }
 

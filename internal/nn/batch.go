@@ -6,27 +6,6 @@ import (
 	"floatfl/internal/tensor"
 )
 
-// batchLayer is implemented by layers that can process a whole minibatch
-// as one matrix-matrix product: rows are samples. The returned matrix is
-// owned by the layer and overwritten on the next call, mirroring the
-// per-sample Forward/Backward contract.
-type batchLayer interface {
-	ForwardBatch(x *tensor.Matrix) *tensor.Matrix
-	BackwardBatch(gradOut *tensor.Matrix, wantIn bool) *tensor.Matrix
-}
-
-var _ batchLayer = (*Dense)(nil)
-
-// batchState is the model-level scratch of the batched training path,
-// built by bindFlat only when every layer batches (pure-Dense pipelines —
-// the conv front-end falls back to the per-sample path, which still runs
-// on the selected backend's vector kernels).
-type batchState struct {
-	layers []batchLayer
-	x      tensor.Matrix // packed input minibatch
-	grad   tensor.Matrix // dL/dlogits rows
-}
-
 // batchView reslices m to rows×cols, growing its backing storage only when
 // the capacity is insufficient — steady-state reuse allocates nothing.
 func batchView(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
@@ -38,8 +17,9 @@ func batchView(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
 	return m
 }
 
-// ForwardBatch implements batchLayer: Y = act(X·Wᵀ + b) for a batch×InDim
-// input, one MatMulNT instead of batch MatVec calls.
+// ForwardBatch is Forward over a minibatch, one sample per row:
+// Y = act(X·Wᵀ + b), one MatMulNT instead of batch MatVec calls. The
+// returned matrix is owned by the layer and overwritten on the next call.
 func (d *Dense) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != d.W.Cols {
 		panic(fmt.Sprintf("nn: Dense.ForwardBatch input %dx%d, want cols %d", x.Rows, x.Cols, d.W.Cols))
@@ -67,11 +47,12 @@ func (d *Dense) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// BackwardBatch implements batchLayer: consumes dL/dOut rows (which it may
-// modify), accumulates dL/dW and dL/dB, and returns dL/dIn rows — or nil
-// without computing them when wantIn is false. The weight gradient is one
-// accumulating GEMM (dYᵀ·X) instead of batch rank-1 updates, and the input
-// gradient one GEMM (dY·W) instead of batch MatVecT calls.
+// BackwardBatch is Backward over a minibatch: it consumes dL/dOut rows
+// (which it may modify), accumulates dL/dW and dL/dB, and returns dL/dIn
+// rows — or nil without computing them when wantIn is false. The weight
+// gradient is one accumulating GEMM (dYᵀ·X) instead of batch rank-1
+// updates, and the input gradient one GEMM (dY·W) instead of batch MatVecT
+// calls.
 func (d *Dense) BackwardBatch(gradOut *tensor.Matrix, wantIn bool) *tensor.Matrix {
 	n := gradOut.Rows
 	if gradOut.Cols != d.W.Rows || d.bIn == nil || d.bIn.Rows != n {
@@ -97,44 +78,28 @@ func (d *Dense) BackwardBatch(gradOut *tensor.Matrix, wantIn bool) *tensor.Matri
 	return gin
 }
 
-// buildBatchState returns the batched-path state, or nil when some layer
-// cannot batch.
-func buildBatchState(layers []Layer) *batchState {
-	bls := make([]batchLayer, 0, len(layers))
-	for _, l := range layers {
-		bl, ok := l.(batchLayer)
-		if !ok {
-			return nil
-		}
-		bls = append(bls, bl)
-	}
-	return &batchState{layers: bls}
-}
-
 // lossAndGradsBatch is the minibatch counterpart of lossAndGrads: it packs
 // the indexed samples into one matrix, runs the batched forward, applies
 // the fused softmax+cross-entropy row by row, and backpropagates the whole
 // batch through the GEMM-shaped backward path down to layer floor (see
 // trainFloor). Returns the summed loss.
 func (m *Model) lossAndGradsBatch(samples []Sample, idxs []int, floor int) float64 {
-	bs := m.batch
 	n := len(idxs)
-	x := batchView(&bs.x, n, m.nIn)
+	x := batchView(&m.bx, n, m.nIn)
 	for r, idx := range idxs {
 		copy(x.Row(r), samples[idx].X)
 	}
 	h := x
-	for _, l := range bs.layers {
-		h = l.ForwardBatch(h)
+	for _, d := range m.Layers {
+		h = d.ForwardBatch(h)
 	}
-	g := batchView(&bs.grad, n, m.nOut)
+	g := batchView(&m.bGrad, n, m.nOut)
 	var loss float64
 	for r, idx := range idxs {
 		loss += m.backend.SoftmaxXent(m.probs, g.Row(r), h.Row(r), samples[idx].Label)
 	}
-	grad := g
-	for i := len(bs.layers) - 1; i >= floor; i-- {
-		grad = bs.layers[i].BackwardBatch(grad, i > floor)
+	for i := len(m.Layers) - 1; i >= floor; i-- {
+		g = m.Layers[i].BackwardBatch(g, i > floor)
 	}
 	return loss
 }

@@ -8,8 +8,7 @@ import (
 	"floatfl/internal/tensor"
 )
 
-// flatTestModel builds a model for any registered arch with dims every
-// architecture accepts (convnet needs inDim >= its kernel width).
+// flatTestModel builds a model for any registered arch.
 func flatTestModel(t *testing.T, arch string) *Model {
 	t.Helper()
 	m, err := NewModel(arch, 12, 5, rand.New(rand.NewSource(2)))
@@ -41,7 +40,7 @@ func TestParametersAliasLayerStorage(t *testing.T) {
 		}
 		off := 0
 		for li, l := range m.Layers {
-			for _, view := range l.Params() {
+			for _, view := range []tensor.Vector{l.W.Data, l.B} {
 				for k := range view {
 					if view[k] != float64(off)+0.25 {
 						t.Fatalf("%s layer %d: flat write not visible through layer view at %d",
@@ -55,15 +54,13 @@ func TestParametersAliasLayerStorage(t *testing.T) {
 			t.Fatalf("%s: layer views cover %d scalars, model has %d", arch, off, m.NumParams())
 		}
 		// Write through a layer view, read through the flat view.
+		off = 0
 		for li, l := range m.Layers {
-			views := l.Params()
-			if len(views) == 0 {
-				continue
-			}
-			views[0][0] = -99
-			if p[m.offsets[li]] != -99 {
+			l.W.Data[0] = -99
+			if p[off] != -99 {
 				t.Fatalf("%s layer %d: layer write not visible through Parameters()", arch, li)
 			}
+			off += len(l.W.Data) + len(l.B)
 		}
 	}
 }
@@ -78,7 +75,7 @@ func TestGradientsAliasLayerStorage(t *testing.T) {
 		}
 		g.Fill(3)
 		for li, l := range m.Layers {
-			for _, view := range l.Grads() {
+			for _, view := range []tensor.Vector{l.GradW.Data, l.GradB} {
 				for k := range view {
 					if view[k] != 3 {
 						t.Fatalf("%s layer %d: flat gradient write not visible in layer view",
@@ -89,9 +86,7 @@ func TestGradientsAliasLayerStorage(t *testing.T) {
 		}
 		// Zeroing through the layer views must clear the flat buffer.
 		for _, l := range m.Layers {
-			for _, view := range l.Grads() {
-				view.Zero()
-			}
+			l.ZeroGrad()
 		}
 		for i := range g {
 			if g[i] != 0 {
@@ -170,7 +165,7 @@ func TestCloneBitExactAndTrainsIdentically(t *testing.T) {
 }
 
 // MarshalBinary/UnmarshalBinary must round-trip bit-exactly for every
-// registered architecture, including convnet's parameter-free pool layer.
+// registered architecture.
 func TestBinaryRoundTripAllArchs(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	samples := makeBlobs(rng, 32, 12, 5, 2.0)
@@ -204,16 +199,24 @@ func TestBinaryRoundTripAllArchs(t *testing.T) {
 	}
 }
 
-// Layer offsets must tile [0, NumParams) contiguously in pipeline order.
+// The layers' views must tile [0, NumParams) of both flat buffers
+// contiguously in pipeline order, each layer weights-then-biases.
 func TestFlatOffsetsContiguous(t *testing.T) {
 	for _, arch := range allArchNames() {
 		m := flatTestModel(t, arch)
 		off := 0
 		for li, l := range m.Layers {
-			if m.offsets[li] != off {
-				t.Fatalf("%s layer %d: offset %d, want %d", arch, li, m.offsets[li], off)
+			nw := len(l.W.Data)
+			for _, v := range []struct {
+				view, flat tensor.Vector
+				at         int
+			}{{l.W.Data, m.params, off}, {l.B, m.params, off + nw},
+				{l.GradW.Data, m.grads, off}, {l.GradB, m.grads, off + nw}} {
+				if &v.view[0] != &v.flat[v.at] {
+					t.Fatalf("%s layer %d: view does not start at flat index %d", arch, li, v.at)
+				}
 			}
-			off += l.NumParams()
+			off += nw + len(l.B)
 		}
 		if off != m.NumParams() {
 			t.Fatalf("%s: offsets cover %d scalars, model has %d", arch, off, m.NumParams())
@@ -223,7 +226,7 @@ func TestFlatOffsetsContiguous(t *testing.T) {
 
 // SetParameters with the model's own view must be a harmless self-copy.
 func TestSetParametersSelfAlias(t *testing.T) {
-	m := flatTestModel(t, "convnet")
+	m := flatTestModel(t, "shufflenet")
 	want := m.Parameters().Clone()
 	if err := m.SetParameters(m.Parameters()); err != nil {
 		t.Fatal(err)

@@ -10,11 +10,11 @@
 // numbers so simulated training and communication times reflect real
 // workloads.
 //
-// Memory layout: a Model keeps every trainable scalar in one contiguous
-// flat parameter vector with a parallel flat gradient vector; layers hold
-// aliasing views into those buffers (see DESIGN.md "Flat parameter memory
-// layout"). A layer constructed directly (e.g. vfl's standalone Dense
-// towers) owns its storage until a Model binds it.
+// Memory layout: a Model is a pipeline of Dense layers that keeps every
+// trainable scalar in one contiguous flat parameter vector with a parallel
+// flat gradient vector; each layer's weights and biases are views into
+// those buffers (see DESIGN.md "Flat parameter memory layout"). A Dense
+// built by NewDense (vfl's standalone towers) owns its storage.
 package nn
 
 import (
@@ -34,7 +34,9 @@ const (
 	ActReLU
 )
 
-// Dense is a fully connected layer: y = act(W·x + b).
+// Dense is a fully connected layer: y = act(W·x + b). A Model lays one
+// over each layer's range of its flat buffers; NewDense builds a
+// standalone layer that owns its storage.
 type Dense struct {
 	W   *tensor.Matrix
 	B   tensor.Vector
@@ -63,34 +65,38 @@ type Dense struct {
 	GradB tensor.Vector
 }
 
-// NewDense constructs a Dense layer with Xavier-initialized weights.
+// NewDense constructs a standalone Dense layer with Xavier-initialized
+// weights.
 func NewDense(in, out int, act Activation, rng *rand.Rand) *Dense {
-	d := &Dense{
-		W:     tensor.NewMatrix(out, in),
-		B:     tensor.NewVector(out),
-		Act:   act,
-		be:    tensor.Default(),
-		GradW: tensor.NewMatrix(out, in),
-		GradB: tensor.NewVector(out),
-	}
+	n := (in + 1) * out
+	d := newDense(in, out, act, tensor.Default(), tensor.NewVector(n), tensor.NewVector(n))
 	tensor.XavierInto(d.W.Data, in, out, rng)
-	d.preAct = tensor.NewVector(out)
-	d.out = tensor.NewVector(out)
-	d.gradIn = tensor.NewVector(in)
 	return d
 }
 
-// SetBackend implements Layer.
-func (d *Dense) SetBackend(b tensor.Backend) { d.be = b }
+// newDense lays an in→out layer over params and grads, each (in+1)·out
+// scalars long: weights row-major, then biases. The layer aliases both
+// buffers and gets fresh scratch.
+func newDense(in, out int, act Activation, be tensor.Backend, params, grads tensor.Vector) *Dense {
+	nw := in * out
+	return &Dense{
+		W:      &tensor.Matrix{Rows: out, Cols: in, Data: params[:nw:nw]},
+		B:      params[nw:],
+		Act:    act,
+		be:     be,
+		preAct: tensor.NewVector(out),
+		out:    tensor.NewVector(out),
+		gradIn: tensor.NewVector(in),
+		GradW:  &tensor.Matrix{Rows: out, Cols: in, Data: grads[:nw:nw]},
+		GradB:  grads[nw:],
+	}
+}
 
 // InDim returns the layer's input dimensionality.
 func (d *Dense) InDim() int { return d.W.Cols }
 
 // OutDim returns the layer's output dimensionality.
 func (d *Dense) OutDim() int { return d.W.Rows }
-
-// NumParams returns the number of trainable scalars in the layer.
-func (d *Dense) NumParams() int { return len(d.W.Data) + len(d.B) }
 
 // Forward runs the layer on x and returns the activated output. The
 // returned slice is owned by the layer and overwritten on the next call.
@@ -155,43 +161,4 @@ func (d *Dense) ApplySGD(lr, clip float64) {
 	}
 	d.W.Data.AddScaled(-lr, d.GradW.Data)
 	d.B.AddScaled(-lr, d.GradB)
-}
-
-// Params implements Layer.
-func (d *Dense) Params() []tensor.Vector { return []tensor.Vector{d.W.Data, d.B} }
-
-// Grads implements Layer.
-func (d *Dense) Grads() []tensor.Vector { return []tensor.Vector{d.GradW.Data, d.GradB} }
-
-// Clone implements Layer.
-func (d *Dense) Clone() Layer {
-	nd := &Dense{
-		W:     d.W.Clone(),
-		B:     d.B.Clone(),
-		Act:   d.Act,
-		be:    d.be,
-		GradW: tensor.NewMatrix(d.W.Rows, d.W.Cols),
-		GradB: tensor.NewVector(len(d.B)),
-	}
-	nd.preAct = tensor.NewVector(d.W.Rows)
-	nd.out = tensor.NewVector(d.W.Rows)
-	nd.gradIn = tensor.NewVector(d.W.Cols)
-	return nd
-}
-
-// Bind implements Layer: weights first (row-major), then biases.
-func (d *Dense) Bind(params, grads tensor.Vector) {
-	nw := d.W.Rows * d.W.Cols
-	n := nw + len(d.B)
-	if len(params) != n || len(grads) != n {
-		panic(fmt.Sprintf("nn: Dense.Bind got %d/%d scalars, want %d", len(params), len(grads), n))
-	}
-	copy(params[:nw], d.W.Data)
-	copy(params[nw:], d.B)
-	copy(grads[:nw], d.GradW.Data)
-	copy(grads[nw:], d.GradB)
-	d.W.Data = params[:nw:nw]
-	d.B = params[nw:n:n]
-	d.GradW.Data = grads[:nw:nw]
-	d.GradB = grads[nw:n:n]
 }

@@ -17,14 +17,10 @@ import (
 // that simulated latencies and transfer sizes match real-world workloads
 // even though the trained network is tiny.
 type Spec struct {
-	Name   string
-	Hidden []int
-	// ConvFilters/ConvKernel, when positive, prepend a Conv1D front-end —
-	// the structural analog of the paper's CNN architectures. PoolWidth,
-	// when positive, follows the convolution with max pooling.
-	ConvFilters, ConvKernel, PoolWidth int
-	RefParams                          int64 // parameters of the real architecture
-	RefFLOPs                           int64 // forward+backward FLOPs per sample, real architecture
+	Name      string
+	Hidden    []int
+	RefParams int64 // parameters of the real architecture
+	RefFLOPs  int64 // forward+backward FLOPs per sample, real architecture
 }
 
 // Registry of architectures referenced by the paper's evaluation. The
@@ -37,10 +33,6 @@ var registry = map[string]Spec{
 	"resnet50":   {Name: "resnet50", Hidden: []int{80, 80}, RefParams: 25_600_000, RefFLOPs: 24_600_000_000},
 	"shufflenet": {Name: "shufflenet", Hidden: []int{32, 32}, RefParams: 2_300_000, RefFLOPs: 880_000_000},
 	"mlp-small":  {Name: "mlp-small", Hidden: []int{24}, RefParams: 200_000, RefFLOPs: 1_200_000},
-	// convnet: a genuine convolutional front-end (Conv1D + ReLU) over the
-	// feature signal, sized like a compact mobile CNN.
-	"convnet": {Name: "convnet", Hidden: []int{32}, ConvFilters: 6, ConvKernel: 5, PoolWidth: 2,
-		RefParams: 4_500_000, RefFLOPs: 2_600_000_000},
 }
 
 // LookupSpec returns the Spec for a registered architecture name.
@@ -62,40 +54,36 @@ func ArchNames() []string {
 	return out
 }
 
-// Model is a feed-forward classifier assembled from Layers (an optional
-// Conv1D front-end followed by Dense layers).
+// Model is a feed-forward classifier: a pipeline of Dense layers, ReLU
+// on every hidden layer and none on the output layer.
 //
 // All trainable scalars live in one contiguous flat parameter vector with
 // a parallel flat gradient vector; every layer's W/B/GradW/GradB are views
-// into those two buffers (rebound by bindFlat). That makes Parameters a
+// into those two buffers (laid out by layOut). That makes Parameters a
 // zero-copy view, SetParameters a single copy, and the SGD step, gradient
 // clipping, and FedProx proximal term fused whole-buffer loops.
 type Model struct {
 	Spec   Spec
-	Layers []Layer
+	Layers []*Dense
 	nIn    int
 	nOut   int
 
-	// params/grads are the flat buffers every layer aliases; offsets[i] is
-	// layer i's starting index (layers appear in pipeline order, each one
-	// weights-then-biases).
-	params  tensor.Vector
-	grads   tensor.Vector
-	offsets []int
+	// params/grads are the flat buffers every layer aliases, layer by
+	// layer in pipeline order, each one weights-then-biases.
+	params tensor.Vector
+	grads  tensor.Vector
 
 	// backend is the tensor backend training and evaluation dispatch
 	// through; NewModel starts every model on tensor.Default() (ref, the
 	// determinism oracle) and SetBackend swaps model and layers together.
 	backend tensor.Backend
-	// batch holds the layer views and scratch of the GEMM-shaped
-	// minibatch training path; nil when any layer cannot batch (see
-	// batch.go).
-	batch *batchState
 
 	// Scratch reused across training/evaluation calls so the steady-state
 	// hot path allocates nothing.
 	probs    tensor.Vector // softmax outputs
 	lossGrad tensor.Vector // dL/dlogits per sample
+	bx       tensor.Matrix // packed input minibatch (batched path)
+	bGrad    tensor.Matrix // dL/dlogits rows (batched path)
 	order    []int         // shuffled sample order, grown on demand
 	trainRNG *rand.Rand    // shuffle stream, reseeded per Train call
 }
@@ -111,55 +99,35 @@ func NewModel(arch string, inDim, outDim int, rng *rand.Rand) (*Model, error) {
 		return nil, fmt.Errorf("nn: invalid model dims in=%d out=%d", inDim, outDim)
 	}
 	m := &Model{Spec: spec, nIn: inDim, nOut: outDim, backend: tensor.Default()}
-	prev := inDim
-	if spec.ConvFilters > 0 && spec.ConvKernel > 0 {
-		if inDim < spec.ConvKernel {
-			return nil, fmt.Errorf("nn: input dim %d below conv kernel %d", inDim, spec.ConvKernel)
-		}
-		conv := NewConv1D(inDim, spec.ConvFilters, spec.ConvKernel, ActReLU, rng)
-		m.Layers = append(m.Layers, conv)
-		prev = conv.OutDim()
-		if spec.PoolWidth > 0 {
-			convWidth := prev / spec.ConvFilters
-			pool := NewMaxPool1D(spec.ConvFilters, convWidth, spec.PoolWidth)
-			m.Layers = append(m.Layers, pool)
-			prev = pool.OutDim()
-		}
+	m.layOut(nil)
+	for _, d := range m.Layers {
+		tensor.XavierInto(d.W.Data, d.W.Cols, d.W.Rows, rng)
 	}
-	for _, h := range spec.Hidden {
-		m.Layers = append(m.Layers, NewDense(prev, h, ActReLU, rng))
-		prev = h
-	}
-	m.Layers = append(m.Layers, NewDense(prev, outDim, ActNone, rng))
-	m.bindFlat()
 	return m, nil
 }
 
-// bindFlat allocates the model's flat parameter/gradient buffers and
-// rebinds every layer's storage into them (Bind copies the layers' current
-// values, so construction-time initialization survives).
-func (m *Model) bindFlat() {
+// layOut allocates the model's flat parameter and gradient buffers, copies
+// params into the first (nil leaves it zero), and lays one Dense per layer
+// over consecutive ranges of both.
+func (m *Model) layOut(params tensor.Vector) {
+	widths := append(append([]int{m.nIn}, m.Spec.Hidden...), m.nOut)
 	n := 0
-	m.offsets = make([]int, len(m.Layers))
-	for i, l := range m.Layers {
-		m.offsets[i] = n
-		n += l.NumParams()
+	for i := 1; i < len(widths); i++ {
+		n += (widths[i-1] + 1) * widths[i]
 	}
-	m.params = tensor.NewVector(n)
-	m.grads = tensor.NewVector(n)
-	for i, l := range m.Layers {
-		off, end := m.offsets[i], m.offsets[i]+l.NumParams()
-		l.Bind(m.params[off:end:end], m.grads[off:end:end])
+	m.params, m.grads = tensor.NewVector(n), tensor.NewVector(n)
+	copy(m.params, params)
+	m.Layers = make([]*Dense, len(widths)-1)
+	for i, off := 0, 0; i < len(m.Layers); i++ {
+		act, end := ActReLU, off+(widths[i]+1)*widths[i+1]
+		if i == len(m.Layers)-1 {
+			act = ActNone
+		}
+		m.Layers[i] = newDense(widths[i], widths[i+1], act, m.backend, m.params[off:end:end], m.grads[off:end:end])
+		off = end
 	}
 	m.probs = tensor.NewVector(m.nOut)
 	m.lossGrad = tensor.NewVector(m.nOut)
-	m.batch = buildBatchState(m.Layers)
-}
-
-// layerRange returns layer i's [start, end) slice bounds in the flat
-// buffers.
-func (m *Model) layerRange(i int) (int, int) {
-	return m.offsets[i], m.offsets[i] + m.Layers[i].NumParams()
 }
 
 // Backend returns the tensor backend the model currently trains on.
@@ -170,8 +138,8 @@ func (m *Model) Backend() tensor.Backend { return m.backend }
 // between training calls, but not concurrently with them.
 func (m *Model) SetBackend(b tensor.Backend) {
 	m.backend = b
-	for _, l := range m.Layers {
-		l.SetBackend(b)
+	for _, d := range m.Layers {
+		d.be = b
 	}
 }
 
@@ -189,8 +157,8 @@ func (m *Model) NumParams() int { return len(m.params) }
 // by the final layer and overwritten on the next call.
 func (m *Model) Forward(x tensor.Vector) tensor.Vector {
 	h := x
-	for _, l := range m.Layers {
-		h = l.Forward(h)
+	for _, d := range m.Layers {
+		h = d.Forward(h)
 	}
 	return h
 }
@@ -220,15 +188,11 @@ func (m *Model) SetParameters(p tensor.Vector) error {
 }
 
 // Clone returns a deep copy of the model sharing no storage: the clone gets
-// its own flat buffers and every cloned layer is rebound into them.
+// its own flat buffers (the parameters copied, the gradients zero), layers
+// and scratch.
 func (m *Model) Clone() *Model {
 	c := &Model{Spec: m.Spec, nIn: m.nIn, nOut: m.nOut, backend: m.backend}
-	c.Layers = make([]Layer, len(m.Layers))
-	for i, l := range m.Layers {
-		c.Layers[i] = l.Clone()
-	}
-	c.bindFlat()
-	c.SetBackend(m.backend)
+	c.layOut(m.params)
 	return c
 }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -125,6 +126,48 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzModelUnmarshal holds UnmarshalBinary, which reads floatd's model
+// blobs and snapshots, to its contract for any bytes: an error that leaves
+// the parameters bit for bit as they were, or a load whose MarshalBinary
+// gives the same bytes back.
+func FuzzModelUnmarshal(f *testing.F) {
+	newModel := func(tb testing.TB) *Model {
+		m, err := NewModel("mlp-small", 3, 2, rand.New(rand.NewSource(4)))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return m
+	}
+	blob, err := newModel(f).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Add(blob[:len(blob)-1])
+	f.Add(append(append([]byte(nil), blob...), 0))
+	f.Add(blob[:8])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := newModel(t)
+		before := m.Parameters().Clone()
+		if err := m.UnmarshalBinary(data); err != nil {
+			for i, v := range m.Parameters() {
+				if math.Float64bits(v) != math.Float64bits(before[i]) {
+					t.Fatalf("rejected blob (%v) changed parameter %d", err, i)
+				}
+			}
+			return
+		}
+		out, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, data) {
+			t.Fatalf("accepted %d-byte blob does not round-trip", len(data))
+		}
+	})
+}
+
 // makeBlobs produces a linearly separable-ish Gaussian blob problem.
 func makeBlobs(rng *rand.Rand, n, dim, classes int, sep float64) []Sample {
 	centers := make([]tensor.Vector, classes)
@@ -176,19 +219,19 @@ func TestFrozenLayersDoNotMove(t *testing.T) {
 	m := testModel(t, "resnet18")
 	frozen := make([]bool, len(m.Layers))
 	frozen[0] = true
-	w0 := m.Layers[0].Params()[0].Clone()
-	w1 := m.Layers[1].Params()[0].Clone()
+	w0 := m.Layers[0].W.Data.Clone()
+	w1 := m.Layers[1].W.Data.Clone()
 	if _, err := m.Train(samples, TrainConfig{Epochs: 2, BatchSize: 8, LR: 0.2, FrozenLayers: frozen, Seed: 4}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range w0 {
-		if m.Layers[0].Params()[0][i] != w0[i] {
+		if m.Layers[0].W.Data[i] != w0[i] {
 			t.Fatal("frozen layer parameters changed during training")
 		}
 	}
 	moved := false
 	for i := range w1 {
-		if m.Layers[1].Params()[0][i] != w1[i] {
+		if m.Layers[1].W.Data[i] != w1[i] {
 			moved = true
 			break
 		}
@@ -253,10 +296,8 @@ func TestGradientSumProperty(t *testing.T) {
 		m.Gradients().Zero()
 		m.lossAndGrads(Sample{X: x, Label: label}, 0)
 		// The bias gradient of the output layer equals dL/dlogits.
-		last := m.Layers[len(m.Layers)-1]
 		var sum float64
-		grads := last.Grads()
-		for _, g := range grads[len(grads)-1] {
+		for _, g := range m.Layers[len(m.Layers)-1].GradB {
 			sum += g
 		}
 		return math.Abs(sum) < 1e-9
@@ -294,8 +335,10 @@ func TestGradCheck(t *testing.T) {
 		}
 		m.Gradients().Zero()
 		m.lossAndGrads(s, floor)
-		for pi, p := range m.Layers[tc.layer].Params() {
-			analytic := m.Layers[tc.layer].Grads()[pi].Clone()
+		l := m.Layers[tc.layer]
+		grads := []tensor.Vector{l.GradW.Data, l.GradB}
+		for pi, p := range []tensor.Vector{l.W.Data, l.B} {
+			analytic := grads[pi].Clone()
 			const h = 1e-6
 			for i := 0; i < len(p); i += 7 { // sample a subset
 				orig := p[i]
@@ -312,7 +355,7 @@ func TestGradCheck(t *testing.T) {
 			}
 		}
 		for li := 0; li < tc.layer; li++ {
-			for _, g := range m.Layers[li].Grads() {
+			for _, g := range []tensor.Vector{m.Layers[li].GradW.Data, m.Layers[li].GradB} {
 				for i, v := range g {
 					if v != 0 {
 						t.Fatalf("%s: layer %d below the floor got gradient %v at %d", tc.name, li, v, i)

@@ -53,15 +53,15 @@ func (m *Model) lossAndGrads(s Sample, floor int) float64 {
 	return loss
 }
 
-// trainFloor returns the index of the lowest layer that has parameters and
-// is not frozen — the lowest layer Train updates — or len(m.Layers) when
-// none is. Backprop stops there: that layer accumulates its parameter
-// gradients but computes no input gradient, and the layers below it get no
-// backward call. This is exact: applyStep never reads a frozen layer's
-// gradient range, and nothing reads the floor layer's dL/dIn.
+// trainFloor returns the index of the lowest layer that is not frozen —
+// the lowest layer Train updates — or len(m.Layers) when none is. Backprop
+// stops there: that layer accumulates its parameter gradients but computes
+// no input gradient, and the layers below it get no backward call. This is
+// exact: applyStep never reads a frozen layer's gradient range, and nothing
+// reads the floor layer's dL/dIn.
 func (m *Model) trainFloor(frozen []bool) int {
-	for i, l := range m.Layers {
-		if l.NumParams() > 0 && (frozen == nil || !frozen[i]) {
+	for i := range m.Layers {
+		if frozen == nil || !frozen[i] {
 			return i
 		}
 	}
@@ -108,10 +108,10 @@ func (m *Model) Train(samples []Sample, cfg TrainConfig) (float64, error) {
 	}
 
 	// The batched (GEMM-shaped) path processes each minibatch as
-	// matrix-matrix products when the backend asks for it and every layer
-	// supports it. Sample order, shuffling, prox, and the SGD step are
-	// identical either way; only the per-batch compute shape changes.
-	batched := m.backend.Batched() && m.batch != nil
+	// matrix-matrix products when the backend asks for it. Sample order,
+	// shuffling, prox, and the SGD step are identical either way; only the
+	// per-batch compute shape changes.
+	batched := m.backend.Batched()
 	floor := m.trainFloor(cfg.FrozenLayers)
 
 	var lastEpochLoss float64
@@ -145,8 +145,8 @@ func (m *Model) Train(samples []Sample, cfg TrainConfig) (float64, error) {
 
 // applyStep performs the SGD update params -= lr·grads with per-component
 // clipping at clip (disabled when <= 0). With no frozen layers it is two
-// whole-buffer loops over the flat vectors; with frozen layers it touches
-// only the unfrozen layers' ranges.
+// whole-buffer loops over the flat vectors; with frozen layers each
+// unfrozen layer steps its own views.
 func (m *Model) applyStep(lr, clip float64, frozen []bool) {
 	allTrainable := true
 	if frozen != nil {
@@ -164,16 +164,10 @@ func (m *Model) applyStep(lr, clip float64, frozen []bool) {
 		m.params.AddScaled(-lr, m.grads)
 		return
 	}
-	for li := range m.Layers {
-		if frozen[li] {
-			continue
+	for i, d := range m.Layers {
+		if !frozen[i] {
+			d.ApplySGD(lr, clip)
 		}
-		off, end := m.layerRange(li)
-		g := m.grads[off:end]
-		if clip > 0 {
-			g.Clamp(clip)
-		}
-		m.params[off:end].AddScaled(-lr, g)
 	}
 }
 

@@ -22,7 +22,7 @@ func refTrain(m *Model, samples []Sample, cfg TrainConfig) float64 {
 	for i := range order {
 		order[i] = i
 	}
-	batched := m.backend.Batched() && m.batch != nil
+	batched := m.backend.Batched()
 	var lastEpochLoss float64
 	for e := 0; e < cfg.Epochs; e++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -34,22 +34,22 @@ func refTrain(m *Model, samples []Sample, cfg TrainConfig) float64 {
 			}
 			m.grads.Zero()
 			if batched {
-				bs, idxs := m.batch, order[start:end]
-				x := batchView(&bs.x, len(idxs), m.nIn)
+				idxs := order[start:end]
+				x := batchView(&m.bx, len(idxs), m.nIn)
 				for r, idx := range idxs {
 					copy(x.Row(r), samples[idx].X)
 				}
 				h := x
-				for _, l := range bs.layers {
+				for _, l := range m.Layers {
 					h = l.ForwardBatch(h)
 				}
-				g := batchView(&bs.grad, len(idxs), m.nOut)
+				g := batchView(&m.bGrad, len(idxs), m.nOut)
 				var loss float64
 				for r, idx := range idxs {
 					loss += m.backend.SoftmaxXent(m.probs, g.Row(r), h.Row(r), samples[idx].Label)
 				}
-				for i := len(bs.layers) - 1; i >= 0; i-- {
-					g = bs.layers[i].BackwardBatch(g, true)
+				for i := len(m.Layers) - 1; i >= 0; i-- {
+					g = m.Layers[i].BackwardBatch(g, true)
 				}
 				epochLoss += loss
 			} else {
@@ -96,12 +96,13 @@ func checkTrainBitExact(t *testing.T, name string, m *Model, samples []Sample, c
 	// The lowest trained layer, found here rather than by trainFloor so a
 	// floor one layer off fails.
 	wantG := want.Gradients().Clone()
-	below := len(wantG)
+	below, off := len(wantG), 0
 	for li, l := range m.Layers {
-		if l.NumParams() > 0 && (cfg.FrozenLayers == nil || !cfg.FrozenLayers[li]) {
-			below = m.offsets[li]
+		if cfg.FrozenLayers == nil || !cfg.FrozenLayers[li] {
+			below = off
 			break
 		}
+		off += len(l.W.Data) + len(l.B)
 	}
 	prox := wantG[:below]
 	prox.Zero()
@@ -162,7 +163,7 @@ func proxAnchor(m *Model) tensor.Vector {
 // Train stops backprop at the lowest layer it trains; everything it
 // returns or leaves in the parameters must be what the full backward pass
 // produced, on every architecture, both backends (ref trains per sample,
-// fast through the batched path where the model allows), every mask kind,
+// fast through the batched path), every mask kind,
 // and with FedProx and clipping each off and on.
 func TestTrainMatchesFullBackward(t *testing.T) {
 	samples := makeBlobs(rand.New(rand.NewSource(31)), 30, 12, 5, 2.0)
