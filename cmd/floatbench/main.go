@@ -31,15 +31,17 @@ func main() {
 		format  = flag.String("format", "text", "output format: text | json")
 		scale   = flag.String("scale", "quick", "experiment scale: quick | paper")
 		list    = flag.Bool("list", false, "list available figures and exit")
-		clients = flag.Int("clients", 0, "override client count")
-		rounds  = flag.Int("rounds", 0, "override round count")
+		clients = flag.Int("clients", 0, "override client count (0 = the scale's)")
+		rounds  = flag.Int("rounds", 0, "override round count (0 = the scale's)")
 		seed    = flag.Int64("seed", 0, "override RNG seed")
 		par     = flag.Int("parallel", 0, "client-execution workers per round (0 = all CPU cores; results are identical for any value)")
-		backend = flag.String("backend", "ref", "tensor backend for local training: ref (bit-stable determinism oracle) | fast (blocked/tiled kernels)")
 		outDir  = flag.String("out", "", "write the metrics exposition and the phase trace of every figure run into this directory (read it with floatreport)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file; samples carry phase labels (select | train | aggregate)")
 	)
 	flag.Parse()
+	if err := checkCounts(); err != nil {
+		fatal(err)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -81,7 +83,6 @@ func main() {
 	if *par > 0 {
 		sc.Parallelism = *par
 	}
-	sc.Backend = *backend
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fatal(err)
@@ -125,6 +126,18 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// checkCounts rejects a negative value of any int flag: every one is a
+// count, where 0 means the default its help text names.
+func checkCounts() error {
+	var err error
+	flag.VisitAll(func(f *flag.Flag) {
+		if n, ok := f.Value.(flag.Getter).Get().(int); ok && n < 0 && err == nil {
+			err = fmt.Errorf("-%s %d: must be >= 0", f.Name, n)
+		}
+	})
+	return err
 }
 
 func fatal(err error) {

@@ -74,6 +74,13 @@ func TestBadInvocationsFail(t *testing.T) {
 		{name: "unknown figure", args: []string{"-fig", "no-such-fig"}, wantCode: 1, wantStderr: `"no-such-fig"`},
 		{name: "unknown scale", args: []string{"-scale", "bogus"}, wantCode: 1, wantStderr: `"bogus"`},
 		{name: "compare is not a flag", args: []string{"-compare", "old.json", "new.json"}, wantCode: 2, wantStderr: "-compare"},
+		// A negative count is refused before any figure is looked up; the
+		// unknown figure keeps a build that ignores the count from running
+		// the defaults.
+		{name: "negative clients", args: []string{"-clients", "-1", "-fig", "no-such-fig"}, wantCode: 1, wantStderr: "-clients -1"},
+		{name: "negative rounds", args: []string{"-rounds", "-1", "-fig", "no-such-fig"}, wantCode: 1, wantStderr: "-rounds -1"},
+		{name: "negative parallel", args: []string{"-parallel", "-1", "-fig", "no-such-fig"}, wantCode: 1, wantStderr: "-parallel -1"},
+		{name: "backend is not a flag", args: []string{"-backend", "fast", "-fig", "no-such-fig"}, wantCode: 2, wantStderr: "-backend"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

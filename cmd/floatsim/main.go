@@ -46,24 +46,29 @@ func main() {
 		scenario   = flag.String("scenario", "dynamic", "interference: none | static | dynamic")
 		alpha      = flag.Float64("alpha", 0.1, "Dirichlet concentration (non-IID strength)")
 		scale      = flag.String("scale", "quick", "experiment scale: quick | paper")
-		clients    = flag.Int("clients", 0, "override client count")
-		rounds     = flag.Int("rounds", 0, "override round count")
-		perRound   = flag.Int("per-round", 0, "override clients per round")
+		clients    = flag.Int("clients", 0, "override client count (0 = the scale's)")
+		rounds     = flag.Int("rounds", 0, "override round count (0 = the scale's)")
+		perRound   = flag.Int("per-round", 0, "override clients per round (0 = the scale's)")
 		deadlinePc = flag.Float64("deadline-pct", 0, "deadline percentile of population response time")
 		seed       = flag.Int64("seed", 0, "override RNG seed")
 		parallel   = flag.Int("parallel", 0, "client-execution workers per round (0 = all CPU cores; results are identical for any value)")
-		backend    = flag.String("backend", "ref", "tensor backend for local training: ref (bit-stable determinism oracle) | fast (blocked/tiled kernels)")
 		lazy       = flag.Bool("lazy", false, "derive client state lazily from (seed, clientID) instead of materializing the population; auto-enabled at -clients >= 50000")
-		cacheSize  = flag.Int("cache-clients", 4096, "lazy mode: bound on cached (unpinned) client states; round memory is O(cache + per-round)")
+		cacheSize  = flag.Int("cache-clients", 4096, "lazy mode: bound on cached (unpinned) client states (0 = 4096); round memory is O(cache + per-round)")
 		evalCap    = flag.Int("eval-clients", 0, "cap the final per-client evaluation sweep (0 = evaluate everyone)")
 		outDir     = flag.String("out", "", "write every artifact of the run into this directory: training log, metrics, trace, timeline, snapshot and FLOAT agent (read it with floatreport)")
 		httpAddr   = flag.String("http", "", "serve GET /v1/metrics and /v1/timeline on this address (e.g. :8080) while the run executes")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file; samples carry phase labels (select | train | aggregate)")
-		seeds      = flag.Int("seeds", 0, "run a seed sweep of this size and report mean±std instead of a single run")
-		ckptEvery  = flag.Int("checkpoint-every", 0, "snapshot into the -out directory every N rounds (sync) or aggregations (async); requires -out")
+		seeds      = flag.Int("seeds", 0, "run a seed sweep of this size and report mean±std instead of a single run (0 = a single run)")
+		ckptEvery  = flag.Int("checkpoint-every", 0, "snapshot into the -out directory every N rounds (sync) or aggregations (async); requires -out (0 = no periodic snapshots)")
 		resumePath = flag.String("resume", "", "resume a run from a snapshot file written by -out; rounds already completed are skipped and the output is bit-identical to an uninterrupted run")
 	)
 	flag.Parse()
+	if err := checkCounts(); err != nil {
+		fatal(err)
+	}
+	if *alpha <= 0 {
+		fatal(fmt.Errorf("-alpha %v: must be > 0", *alpha))
+	}
 
 	sc, err := experiment.ScaleByName(*scale)
 	if err != nil {
@@ -84,7 +89,6 @@ func main() {
 	if *parallel > 0 {
 		sc.Parallelism = *parallel
 	}
-	sc.Backend = *backend
 	// Huge populations are infeasible to materialize; switch to lazy
 	// derivation automatically unless the user explicitly said -lazy=false.
 	lazySet := false
@@ -312,6 +316,18 @@ func printReport(res *fl.Result) {
 	fmt.Printf("useful resource usage: compute %.2f h   communication %.2f h\n",
 		l.Useful.ComputeHours, l.Useful.CommHours)
 	fmt.Printf("wall clock: %.2f h\n", res.WallClockSeconds/3600)
+}
+
+// checkCounts rejects a negative value of any int flag: every one is a
+// count, where 0 means the default its help text names.
+func checkCounts() error {
+	var err error
+	flag.VisitAll(func(f *flag.Flag) {
+		if n, ok := f.Value.(flag.Getter).Get().(int); ok && n < 0 && err == nil {
+			err = fmt.Errorf("-%s %d: must be >= 0", f.Name, n)
+		}
+	})
+	return err
 }
 
 func fatal(err error) {

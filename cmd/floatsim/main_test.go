@@ -119,9 +119,11 @@ func TestTimelineParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestNonFiniteFlagsFail: a NaN -alpha (eager or -lazy) or -deadline-pct
-// must exit non-zero within seconds with the validation error on stderr,
-// not hang in the Dirichlet sampler or panic in the percentile.
+// TestNonFiniteFlagsFail: a NaN -alpha (eager or -lazy) or -deadline-pct,
+// a -alpha <= 0 or a negative count must exit non-zero within seconds with
+// an error naming the value on stderr — not hang in the Dirichlet sampler,
+// panic in the percentile, or run the defaults in the value's place. Each
+// case's flags follow the harness's -rounds 1, so they override it.
 func TestNonFiniteFlagsFail(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -130,6 +132,16 @@ func TestNonFiniteFlagsFail(t *testing.T) {
 		{[]string{"-alpha", "NaN"}, "Alpha"},
 		{[]string{"-alpha", "NaN", "-lazy"}, "Alpha"},
 		{[]string{"-deadline-pct", "NaN"}, "DeadlinePercentile"},
+		{[]string{"-alpha", "0"}, "-alpha 0"},
+		{[]string{"-alpha", "-1"}, "-alpha -1"},
+		{[]string{"-rounds", "-1"}, "-rounds -1"},
+		{[]string{"-clients", "-5"}, "-clients -5"},
+		{[]string{"-per-round", "-3"}, "-per-round -3"},
+		{[]string{"-seeds", "-2"}, "-seeds -2"},
+		{[]string{"-eval-clients", "-1"}, "-eval-clients -1"},
+		{[]string{"-parallel", "-1"}, "-parallel -1"},
+		{[]string{"-checkpoint-every", "-1"}, "-checkpoint-every -1"},
+		{[]string{"-cache-clients", "-1", "-lazy"}, "-cache-clients -1"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		var stderr bytes.Buffer

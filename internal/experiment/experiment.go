@@ -47,9 +47,6 @@ type Scale struct {
 	// (fl.Config.Timeline). Requires Metrics to be useful; nil disables
 	// sampling.
 	Timeline *obs.Timeline
-	// Backend selects the tensor backend for local training ("ref" |
-	// "fast"; empty = "ref"). Published figures and goldens bind to "ref".
-	Backend string
 	// Lazy derives client state on demand from (seed, clientID) instead of
 	// materializing the whole population up front, bounding memory to the
 	// working-set cache plus the per-round selection — the only feasible

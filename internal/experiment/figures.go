@@ -283,7 +283,6 @@ func runWith(sc Scale, spec RunSpec, ctrl fl.Controller) (*fl.Result, error) {
 		Concurrency:        sc.AsyncConcurrency,
 		BufferK:            sc.AsyncBuffer,
 		Parallelism:        sc.Parallelism,
-		Backend:            sc.Backend,
 		EvalClients:        sc.EvalClients,
 		Logger:             spec.Logger,
 		Metrics:            sc.Metrics,

@@ -66,8 +66,10 @@ func goldenRun(t *testing.T, backend string) *Result {
 // TestRefBackendGolden asserts the ref backend reproduces the pre-backend-
 // split seed results bit-for-bit: the golden file was generated from the
 // scalar kernels before the Backend interface existed, so this test proves
-// the refactor changed no float anywhere in a training run. Regenerate with
-// UPDATE_GOLDEN=1 only for an intended semantic change.
+// the refactor changed no float anywhere in a training run. "fast" is a
+// second registry name for ref's kernels, so a run under it must land on
+// the same golden. Regenerate with UPDATE_GOLDEN=1 only for an intended
+// semantic change.
 func TestRefBackendGolden(t *testing.T) {
 	got := fingerprintOf(goldenRun(t, "ref"))
 	golden := filepath.Join("testdata", "backend_ref.golden.json")
@@ -88,67 +90,30 @@ func TestRefBackendGolden(t *testing.T) {
 	if err := json.Unmarshal(blob, &want); err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "ref", got, want)
+	checkGolden(t, "fast", fingerprintOf(goldenRun(t, "fast")), want)
+}
+
+// checkGolden requires got to equal the golden want bit for bit.
+func checkGolden(t *testing.T, backend string, got, want goldenFingerprint) {
+	t.Helper()
 	if got.Params != want.Params || got.NumParams != want.NumParams {
-		t.Errorf("final params deviate from the pre-PR seed: sha %s (n=%d), want %s (n=%d)",
-			got.Params, got.NumParams, want.Params, want.NumParams)
+		t.Errorf("%s: final params deviate from the golden: sha %s (n=%d), want %s (n=%d)",
+			backend, got.Params, got.NumParams, want.Params, want.NumParams)
 	}
 	if len(got.GlobalAccHistory) != len(want.GlobalAccHistory) {
-		t.Fatalf("acc history length %d, want %d", len(got.GlobalAccHistory), len(want.GlobalAccHistory))
+		t.Fatalf("%s: acc history length %d, want %d", backend, len(got.GlobalAccHistory), len(want.GlobalAccHistory))
 	}
 	for i, acc := range got.GlobalAccHistory {
 		if acc != want.GlobalAccHistory[i] {
-			t.Errorf("acc history [%d] = %v, want %v (bit-exact)", i, acc, want.GlobalAccHistory[i])
+			t.Errorf("%s: acc history [%d] = %v, want %v (bit-exact)", backend, i, acc, want.GlobalAccHistory[i])
 		}
 	}
 	if got.FinalGlobalAcc != want.FinalGlobalAcc {
-		t.Errorf("final global acc %v, want %v (bit-exact)", got.FinalGlobalAcc, want.FinalGlobalAcc)
+		t.Errorf("%s: final global acc %v, want %v (bit-exact)", backend, got.FinalGlobalAcc, want.FinalGlobalAcc)
 	}
 	if got.WallClockSeconds != want.WallClockSeconds {
-		t.Errorf("wall clock %v, want %v (bit-exact)", got.WallClockSeconds, want.WallClockSeconds)
-	}
-}
-
-// TestFastBackendParity runs the same fixed-seed experiment on the fast
-// backend. fast reorders floating-point sums (tiling, batching, fusion),
-// so bit-identity with ref is impossible by design — instead the test
-// bounds the end-to-end effect: the run must complete, produce finite
-// parameters, and land within an accuracy tolerance of ref's golden. The
-// simulated wall clock is float-free bookkeeping and must stay bit-exact.
-func TestFastBackendParity(t *testing.T) {
-	ref := fingerprintOf(goldenRun(t, "ref"))
-	fast := fingerprintOf(goldenRun(t, "fast"))
-
-	if fast.NumParams != ref.NumParams {
-		t.Fatalf("fast param count %d, want %d", fast.NumParams, ref.NumParams)
-	}
-	if fast.WallClockSeconds != ref.WallClockSeconds {
-		t.Errorf("simulated wall clock diverged: fast %v, ref %v (device simulation must not depend on the backend)",
-			fast.WallClockSeconds, ref.WallClockSeconds)
-	}
-	const tol = 0.05
-	if d := math.Abs(fast.FinalGlobalAcc - ref.FinalGlobalAcc); d > tol {
-		t.Errorf("fast final accuracy %v vs ref %v: |Δ|=%v exceeds %v",
-			fast.FinalGlobalAcc, ref.FinalGlobalAcc, d, tol)
-	}
-	if len(fast.GlobalAccHistory) != len(ref.GlobalAccHistory) {
-		t.Fatalf("fast acc history length %d, want %d", len(fast.GlobalAccHistory), len(ref.GlobalAccHistory))
-	}
-}
-
-// TestFastBackendDeterministic pins that fast, while not bit-identical to
-// ref, is bit-identical to itself: two runs of the same seed produce the
-// same parameter hash. Determinism is a per-backend contract, not a
-// ref-only property.
-func TestFastBackendDeterministic(t *testing.T) {
-	a := fingerprintOf(goldenRun(t, "fast"))
-	b := fingerprintOf(goldenRun(t, "fast"))
-	if a.Params != b.Params {
-		t.Errorf("fast backend nondeterministic: run 1 sha %s, run 2 sha %s", a.Params, b.Params)
-	}
-	for _, v := range []float64{a.FinalGlobalAcc} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Errorf("fast backend produced non-finite accuracy %v", v)
-		}
+		t.Errorf("%s: wall clock %v, want %v (bit-exact)", backend, got.WallClockSeconds, want.WallClockSeconds)
 	}
 }
 

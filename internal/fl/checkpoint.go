@@ -258,8 +258,9 @@ func (r *run) appendEventLoop(e *checkpoint.Enc) {
 }
 
 // taskSnapMin is the least a task occupies on the wire: four varints, two
-// bools and thirteen raw floats.
-const taskSnapMin = 4 + 2 + 13*8
+// bools and fourteen raw floats (finishAt, the seven Cost fields,
+// DeadlineDiff and the five Resources floats).
+const taskSnapMin = 4 + 2 + 14*8
 
 // eventLoopSnap is the decoded async section of a snapshot. The tasks are
 // complete but for what only a live population can supply: the pinned

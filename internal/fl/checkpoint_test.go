@@ -114,3 +114,16 @@ func TestCompletedRoundsReported(t *testing.T) {
 		t.Fatalf("CompletedRounds = %d, want %d", res.CompletedRounds, half)
 	}
 }
+
+// TestTaskSnapMinIsAZeroTask: taskSnapMin, the per-task floor a hostile
+// count is checked against, is exactly what appendEventLoop writes for a
+// zero-valued in-flight task — each varint and bool one byte, each float
+// eight.
+func TestTaskSnapMinIsAZeroTask(t *testing.T) {
+	empty, one := checkpoint.NewEnc(0), checkpoint.NewEnc(0)
+	(&run{}).appendEventLoop(empty)
+	(&run{tasks: taskHeap{{}}}).appendEventLoop(one)
+	if got := len(one.Bytes()) - len(empty.Bytes()); got != taskSnapMin {
+		t.Errorf("a zero-valued task encodes to %d bytes, taskSnapMin is %d", got, taskSnapMin)
+	}
+}

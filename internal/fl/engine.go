@@ -112,11 +112,12 @@ type Config struct {
 	// results to Parallelism=1. <= 0 defaults to runtime.NumCPU().
 	Parallelism int
 
-	// Backend names the tensor backend local training runs on ("ref" |
-	// "fast"; empty defaults to "ref"). The determinism invariants — the
-	// P=1≡P=8 golden tests and the committed trace goldens — bind to
-	// "ref"; "fast" trades bit-stability across backend versions for
-	// speed while remaining deterministic for a fixed binary.
+	// Backend names the tensor backend local training runs on (a
+	// tensor.Lookup name; empty defaults to "ref"). "ref" and "fast" are
+	// two names for the same bit-exact kernels, so the determinism
+	// invariants — the P=1≡P=8 golden tests and the committed trace
+	// goldens — hold under either. The name is part of the snapshot's
+	// recorded config.
 	Backend string
 
 	// Logger receives structured per-client-round and per-round events

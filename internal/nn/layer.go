@@ -54,12 +54,6 @@ type Dense struct {
 	out    tensor.Vector // activated output
 	gradIn tensor.Vector // dL/dIn returned by Backward, reused per call
 
-	// Batched scratch (the GEMM-shaped minibatch path); see batch.go.
-	bIn     *tensor.Matrix // last input batch (aliases caller data)
-	bPre    tensor.Matrix  // X·Wᵀ + b before activation
-	bOut    tensor.Matrix  // activated output batch
-	bGradIn tensor.Matrix  // dL/dIn batch returned by BackwardBatch
-
 	// Gradient accumulators, matched elementwise to W and B.
 	GradW *tensor.Matrix
 	GradB tensor.Vector

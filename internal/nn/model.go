@@ -82,8 +82,6 @@ type Model struct {
 	// hot path allocates nothing.
 	probs    tensor.Vector // softmax outputs
 	lossGrad tensor.Vector // dL/dlogits per sample
-	bx       tensor.Matrix // packed input minibatch (batched path)
-	bGrad    tensor.Matrix // dL/dlogits rows (batched path)
 	order    []int         // shuffled sample order, grown on demand
 	trainRNG *rand.Rand    // shuffle stream, reseeded per Train call
 }

@@ -107,11 +107,6 @@ func (m *Model) Train(samples []Sample, cfg TrainConfig) (float64, error) {
 		order[i] = i
 	}
 
-	// The batched (GEMM-shaped) path processes each minibatch as
-	// matrix-matrix products when the backend asks for it. Sample order,
-	// shuffling, prox, and the SGD step are identical either way; only the
-	// per-batch compute shape changes.
-	batched := m.backend.Batched()
 	floor := m.trainFloor(cfg.FrozenLayers)
 
 	var lastEpochLoss float64
@@ -124,12 +119,8 @@ func (m *Model) Train(samples []Sample, cfg TrainConfig) (float64, error) {
 				end = len(order)
 			}
 			m.grads.Zero()
-			if batched {
-				epochLoss += m.lossAndGradsBatch(samples, order[start:end], floor)
-			} else {
-				for _, idx := range order[start:end] {
-					epochLoss += m.lossAndGrads(samples[idx], floor)
-				}
+			for _, idx := range order[start:end] {
+				epochLoss += m.lossAndGrads(samples[idx], floor)
 			}
 			if cfg.ProxMu > 0 {
 				// FedProx proximal term as one fused flat loop; mu is scaled

@@ -6,20 +6,14 @@ import (
 	"sync"
 )
 
-// Backend is the pluggable implementation of the kernels that dominate
-// training time. Two implementations ship with the repository:
-//
-//   - "ref": the determinism oracle. Each output element gets a fixed
-//     sequence of floating-point operations (the sequential scalar-loop
-//     order), which never changes; independent outputs may interleave.
-//     The P=1≡P=8 golden tests and every committed golden trace bind to
-//     those sequences.
-//   - "fast": tiled GEMMs with register-blocked inner loops, an unrolled
-//     Dot, and a fused softmax+cross-entropy. Deterministic for a fixed
-//     binary (no randomness, no data races), but those kernels sum in
-//     another order than ref, so they agree with ref only to rounding
-//     (see the conformance suite's ulp policy in backendtests). Its
-//     matrix–vector kernels are ref's and match it bit for bit.
+// Backend is the seam the kernels that dominate training time are called
+// through. One implementation ships with the repository, "ref": each
+// output element gets a fixed sequence of floating-point operations (the
+// sequential scalar-loop order), which never changes; independent outputs
+// may interleave. Every kernel is therefore bit-exact, and the P=1≡P=8
+// golden tests and every committed golden trace bind to those sequences.
+// The registry holds ref's kernels under two names, "ref" and "fast" (see
+// fastAlias).
 //
 // Contracts shared by every backend:
 //
@@ -32,10 +26,9 @@ import (
 type Backend interface {
 	// Name is the registry key ("ref", "fast").
 	Name() string
-	// Batched reports whether the backend wants the minibatch GEMM-shaped
-	// forward/backward path: nn processes a whole batch as matrix-matrix
-	// products (MatMulNT/MatMulNN/AddMatMulTN) instead of per-sample
-	// MatVec calls when this is true.
+	// Batched is false for ref. nn trains one sample at a time through
+	// the matrix–vector kernels and reads neither Batched nor the three
+	// GEMMs below; benchmarks/ladder forwards and probes them.
 	Batched() bool
 
 	// Dot returns the inner product of a and b.
@@ -127,11 +120,11 @@ func Default() Backend { return refBackend{} }
 
 func init() {
 	Register(refBackend{})
-	Register(fastBackend{})
+	Register(fastAlias{})
 }
 
-// Shape checks shared by every backend implementation, so all backends
-// panic identically on the same misuse.
+// Shape checks for the GEMM and fused-loss kernels; each panics with a
+// "tensor:" message on misuse.
 
 func checkMatMulNT(dst, a, b *Matrix) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {

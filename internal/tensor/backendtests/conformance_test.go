@@ -22,8 +22,9 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// TestRegistry pins the registry's behavior: sorted names, lookup errors
-// naming the known set, and Default being ref.
+// TestRegistry pins the registry's behavior: sorted names, each backend
+// reporting the name it was looked up by, lookup errors naming the known
+// set, and Default being ref.
 func TestRegistry(t *testing.T) {
 	names := tensor.Backends()
 	want := []string{"fast", "ref"}
@@ -33,6 +34,13 @@ func TestRegistry(t *testing.T) {
 	for i := range want {
 		if names[i] != want[i] {
 			t.Fatalf("Backends() = %v, want %v", names, want)
+		}
+		b, err := tensor.Lookup(want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Name() != want[i] {
+			t.Errorf("Lookup(%q).Name() = %q", want[i], b.Name())
 		}
 	}
 	if got := tensor.Default().Name(); got != "ref" {

@@ -18,6 +18,14 @@ type refBackend struct{}
 func (refBackend) Name() string  { return "ref" }
 func (refBackend) Batched() bool { return false }
 
+// fastAlias is ref's kernels registered a second time, under "fast". It is
+// a name, not a second implementation: benchmarks/ladder looks "fast" up
+// (sync-train trains on it) and registers a traced wrapper named
+// "traced-" + Name(), so the alias must report "fast".
+type fastAlias struct{ refBackend }
+
+func (fastAlias) Name() string { return "fast" }
+
 func (refBackend) Dot(a, b Vector) float64                       { return a.Dot(b) }
 func (refBackend) AddScaled(dst Vector, alpha float64, w Vector) { dst.AddScaled(alpha, w) }
 func (refBackend) ScaledDiff(dst Vector, alpha float64, a, b Vector) {
@@ -35,8 +43,7 @@ func (refBackend) AddOuterScaled(m *Matrix, alpha float64, a, b Vector) {
 
 // MatMulNT computes dst = a·bᵀ one output element at a time, each as a
 // sequential dot product — the same accumulation order MatVec uses row by
-// row, so a batched forward on ref reduces each output row exactly as the
-// per-sample path would.
+// row, so row i of X·Wᵀ is bit-equal to W·x_i.
 func (refBackend) MatMulNT(dst, a, b *Matrix) {
 	checkMatMulNT(dst, a, b)
 	k := a.Cols
@@ -78,7 +85,7 @@ func (refBackend) MatMulNN(dst, a, b *Matrix) {
 }
 
 // AddMatMulTN performs dst += aᵀ·b as a sequence of rank-1 updates, one per
-// shared row k, in row order — mirroring how the per-sample backward path
+// shared row k, in row order — the order in which a per-sample backward
 // accumulates AddOuterScaled updates sample by sample.
 func (refBackend) AddMatMulTN(dst, a, b *Matrix) {
 	checkAddMatMulTN(dst, a, b)

@@ -1,9 +1,11 @@
 // Package tensor provides the dense numerical kernels used by the
 // neural-network substrate: vectors, row-major matrices, and the handful of
-// BLAS-like operations (axpy, dot, matmul, softmax) that model training
-// needs. Everything is float64 and allocation-conscious: the hot paths
-// (MatVec, AddScaled) write into caller-provided destinations so the
-// training loop can reuse buffers across steps.
+// BLAS-like operations (axpy, dot, matrix–vector products, softmax) that
+// model training needs. Everything is float64 and allocation-conscious: the
+// hot paths (MatVec, AddScaled) write into caller-provided destinations so
+// the training loop can reuse buffers across steps. Training reaches the
+// kernels through the Backend seam, whose one implementation, ref, fixes
+// every output's sequence of operations, so every kernel is bit-exact.
 package tensor
 
 import (
