@@ -49,7 +49,7 @@ func main() {
 		clients    = flag.Int("clients", 0, "override client count (0 = the scale's)")
 		rounds     = flag.Int("rounds", 0, "override round count (0 = the scale's)")
 		perRound   = flag.Int("per-round", 0, "override clients per round (0 = the scale's)")
-		deadlinePc = flag.Float64("deadline-pct", 0, "deadline percentile of population response time")
+		deadlinePc = flag.Float64("deadline-pct", 0, "deadline percentile of population response time, 0-100 (0 = the default 60)")
 		seed       = flag.Int64("seed", 0, "override RNG seed")
 		parallel   = flag.Int("parallel", 0, "client-execution workers per round (0 = all CPU cores; results are identical for any value)")
 		lazy       = flag.Bool("lazy", false, "derive client state lazily from (seed, clientID) instead of materializing the population; auto-enabled at -clients >= 50000")
@@ -68,6 +68,9 @@ func main() {
 	}
 	if *alpha <= 0 {
 		fatal(fmt.Errorf("-alpha %v: must be > 0", *alpha))
+	}
+	if *deadlinePc < 0 || *deadlinePc > 100 {
+		fatal(fmt.Errorf("-deadline-pct %v: must be in [0, 100]", *deadlinePc))
 	}
 
 	sc, err := experiment.ScaleByName(*scale)

@@ -120,10 +120,11 @@ func TestTimelineParallelismInvariant(t *testing.T) {
 }
 
 // TestNonFiniteFlagsFail: a NaN -alpha (eager or -lazy) or -deadline-pct,
-// a -alpha <= 0 or a negative count must exit non-zero within seconds with
-// an error naming the value on stderr — not hang in the Dirichlet sampler,
-// panic in the percentile, or run the defaults in the value's place. Each
-// case's flags follow the harness's -rounds 1, so they override it.
+// a -alpha <= 0, a -deadline-pct outside [0, 100] or a negative count must
+// exit non-zero within seconds with an error naming the value on stderr —
+// not hang in the Dirichlet sampler, panic in the percentile, or run the
+// defaults in the value's place. Each case's flags follow the harness's
+// -rounds 1, so they override it.
 func TestNonFiniteFlagsFail(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -134,6 +135,8 @@ func TestNonFiniteFlagsFail(t *testing.T) {
 		{[]string{"-deadline-pct", "NaN"}, "DeadlinePercentile"},
 		{[]string{"-alpha", "0"}, "-alpha 0"},
 		{[]string{"-alpha", "-1"}, "-alpha -1"},
+		{[]string{"-deadline-pct", "-5"}, "-deadline-pct -5"},
+		{[]string{"-deadline-pct", "150"}, "-deadline-pct 150"},
 		{[]string{"-rounds", "-1"}, "-rounds -1"},
 		{[]string{"-clients", "-5"}, "-clients -5"},
 		{[]string{"-per-round", "-3"}, "-per-round -3"},

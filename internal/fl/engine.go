@@ -211,9 +211,10 @@ func (c Config) validate() error {
 		return fmt.Errorf("fl: Arch is required")
 	}
 	// NaN passes withDefaults' `<= 0` and would index the percentile
-	// at int(NaN).
-	if math.IsNaN(c.DeadlinePercentile) || math.IsInf(c.DeadlinePercentile, 0) {
-		return fmt.Errorf("fl: DeadlinePercentile must be finite, got %v", c.DeadlinePercentile)
+	// at int(NaN); above 100 it is not a percentile, and
+	// metrics.Percentile would silently read it as 100.
+	if math.IsNaN(c.DeadlinePercentile) || c.DeadlinePercentile > 100 {
+		return fmt.Errorf("fl: DeadlinePercentile must be a number no greater than 100, got %v", c.DeadlinePercentile)
 	}
 	return nil
 }

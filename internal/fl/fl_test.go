@@ -236,10 +236,11 @@ func TestRunAsyncValidation(t *testing.T) {
 }
 
 // A NaN deadline percentile passes withDefaults' `<= 0`; both engines
-// must reject it, and ±Inf, before the deadline is derived from it.
+// must reject it, +Inf and any other value above 100 before the deadline
+// is derived from it.
 func TestRunRejectsNonFiniteDeadlinePercentile(t *testing.T) {
 	fed, pop := testSetup(t, 8, trace.ScenarioNone)
-	for _, pct := range []float64{math.NaN(), math.Inf(1)} {
+	for _, pct := range []float64{math.NaN(), math.Inf(1), 150} {
 		cfg := smallConfig()
 		cfg.DeadlinePercentile = pct
 		if _, err := RunSync(fed, pop, selection.NewRandom(1), NoOpController{}, cfg); err == nil {

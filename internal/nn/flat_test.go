@@ -86,7 +86,8 @@ func TestGradientsAliasLayerStorage(t *testing.T) {
 		}
 		// Zeroing through the layer views must clear the flat buffer.
 		for _, l := range m.Layers {
-			l.ZeroGrad()
+			l.GradW.Data.Zero()
+			l.GradB.Zero()
 		}
 		for i := range g {
 			if g[i] != 0 {

@@ -13,13 +13,11 @@
 // Memory layout: a Model is a pipeline of Dense layers that keeps every
 // trainable scalar in one contiguous flat parameter vector with a parallel
 // flat gradient vector; each layer's weights and biases are views into
-// those buffers (see DESIGN.md "Flat parameter memory layout"). A Dense
-// built by NewDense (vfl's standalone towers) owns its storage.
+// those buffers (see DESIGN.md "Flat parameter memory layout").
 package nn
 
 import (
 	"fmt"
-	"math/rand"
 
 	"floatfl/internal/tensor"
 )
@@ -35,16 +33,14 @@ const (
 )
 
 // Dense is a fully connected layer: y = act(W·x + b). A Model lays one
-// over each layer's range of its flat buffers; NewDense builds a
-// standalone layer that owns its storage.
+// over each layer's range of its flat buffers.
 type Dense struct {
 	W   *tensor.Matrix
 	B   tensor.Vector
 	Act Activation
 
-	// be is the tensor backend the matrix kernels dispatch through;
-	// constructors set it to tensor.Default() (ref), Model.SetBackend
-	// swaps it.
+	// be is the tensor backend the matrix kernels dispatch through: the
+	// owning Model's, which Model.SetBackend swaps.
 	be tensor.Backend
 
 	// Scratch buffers reused across Forward/Backward calls. They hold the
@@ -57,15 +53,6 @@ type Dense struct {
 	// Gradient accumulators, matched elementwise to W and B.
 	GradW *tensor.Matrix
 	GradB tensor.Vector
-}
-
-// NewDense constructs a standalone Dense layer with Xavier-initialized
-// weights.
-func NewDense(in, out int, act Activation, rng *rand.Rand) *Dense {
-	n := (in + 1) * out
-	d := newDense(in, out, act, tensor.Default(), tensor.NewVector(n), tensor.NewVector(n))
-	tensor.XavierInto(d.W.Data, in, out, rng)
-	return d
 }
 
 // newDense lays an in→out layer over params and grads, each (in+1)·out
@@ -85,12 +72,6 @@ func newDense(in, out int, act Activation, be tensor.Backend, params, grads tens
 		GradB:  grads[nw:],
 	}
 }
-
-// InDim returns the layer's input dimensionality.
-func (d *Dense) InDim() int { return d.W.Cols }
-
-// OutDim returns the layer's output dimensionality.
-func (d *Dense) OutDim() int { return d.W.Rows }
 
 // Forward runs the layer on x and returns the activated output. The
 // returned slice is owned by the layer and overwritten on the next call.
@@ -138,12 +119,6 @@ func (d *Dense) Backward(gradOut tensor.Vector, wantIn bool) tensor.Vector {
 	}
 	d.be.MatVecT(d.W, d.gradIn, gradOut)
 	return d.gradIn
-}
-
-// ZeroGrad clears the accumulated gradients.
-func (d *Dense) ZeroGrad() {
-	d.GradW.Data.Zero()
-	d.GradB.Zero()
 }
 
 // ApplySGD performs W -= lr*GradW, B -= lr*GradB with gradient clipping at

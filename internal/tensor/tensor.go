@@ -243,15 +243,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: NewVector(rows * cols)}
 }
 
-// At returns the element at (r, c).
-func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
-
-// Set assigns the element at (r, c).
-func (m *Matrix) Set(r, c int, x float64) { m.Data[r*m.Cols+c] = x }
-
-// Row returns row r as a slice aliasing the matrix storage.
-func (m *Matrix) Row(r int) Vector { return m.Data[r*m.Cols : (r+1)*m.Cols] }
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data.Clone()}

@@ -426,8 +426,8 @@ func TestMatVec(t *testing.T) {
 		refBackend{}.MatMulNT(out, batch, m)
 		for i := 0; i < batch.Rows; i++ {
 			want := NewVector(m.Rows)
-			m.MatVec(want, batch.Row(i))
-			checkBits(t, fmt.Sprintf("%s MatMulNT row %d", name, i), out.Row(i), want)
+			m.MatVec(want, batch.Data[i*batch.Cols:(i+1)*batch.Cols])
+			checkBits(t, fmt.Sprintf("%s MatMulNT row %d", name, i), out.Data[i*out.Cols:(i+1)*out.Cols], want)
 		}
 	})
 }
@@ -456,8 +456,8 @@ func TestAddOuterScaled(t *testing.T) {
 	want := [][]float64{{6, 8}, {12, 16}}
 	for r := 0; r < 2; r++ {
 		for c := 0; c < 2; c++ {
-			if m.At(r, c) != want[r][c] {
-				t.Fatalf("AddOuterScaled(%d,%d) = %v, want %v", r, c, m.At(r, c), want[r][c])
+			if got := m.Data[r*m.Cols+c]; got != want[r][c] {
+				t.Fatalf("AddOuterScaled(%d,%d) = %v, want %v", r, c, got, want[r][c])
 			}
 		}
 	}
@@ -516,20 +516,12 @@ func FuzzRefKernels(f *testing.F) {
 	})
 }
 
-func TestMatrixRowAliases(t *testing.T) {
-	m := NewMatrix(3, 2)
-	m.Row(1)[0] = 42
-	if m.At(1, 0) != 42 {
-		t.Fatal("Row does not alias matrix storage")
-	}
-}
-
 func TestMatrixCloneIndependent(t *testing.T) {
 	m := NewMatrix(1, 2)
-	m.Set(0, 0, 1)
+	m.Data[0] = 1
 	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) != 1 {
+	c.Data[0] = 99
+	if m.Data[0] != 1 {
 		t.Fatal("Clone shares storage with original")
 	}
 }
