@@ -175,7 +175,7 @@ func (f *Float) Summary() Summary {
 		sum.MemoryBytes += a.MemoryBytes()
 		if u := a.Updates(); u > 0 {
 			w := float64(u)
-			sum.MeanRecentReward += w * a.MeanRecentReward(u/4)
+			sum.MeanRecentReward += float64(w * a.MeanRecentReward(u/4))
 			rewardWeight += w
 		}
 		for i, st := range a.ActionSummary() {
@@ -183,8 +183,8 @@ func (f *Float) Summary() Summary {
 				merged = make([]rl.ActionStats, len(a.Actions()))
 			}
 			merged[i].Technique = st.Technique
-			merged[i].Part += st.Part * float64(st.Visits)
-			merged[i].Acc += st.Acc * float64(st.Visits)
+			merged[i].Part += float64(st.Part * float64(st.Visits))
+			merged[i].Acc += float64(st.Acc * float64(st.Visits))
 			merged[i].Visits += st.Visits
 		}
 	}

@@ -143,7 +143,7 @@ func estimate(w WorkSpec, r Resources, eff opt.Effects, cpu, net, gflops float64
 	c := Cost{
 		ComputeSeconds: computeSec,
 		CommSeconds:    commSec,
-		TotalSeconds:   computeSec + commSec,
+		TotalSeconds:   float64(computeSec) + commSec,
 		UploadBytes:    uploadBytes,
 		DownloadBytes:  downloadBytes,
 		MemoryBytes:    memBytes,
@@ -166,7 +166,7 @@ func drainFor(c *Client, cost Cost) {
 		return
 	}
 	commHours := cost.CommSeconds / 3600
-	frac := (cost.EnergyHours + 0.3*commHours) / capacity
+	frac := (cost.EnergyHours + float64(0.3*commHours)) / capacity
 	if frac < 0 || math.IsNaN(frac) {
 		frac = 0
 	}
@@ -276,7 +276,7 @@ func Execute(c *Client, t int, w WorkSpec, tech opt.Technique, deadlineSec float
 		cost.ComputeSeconds *= 0.5
 		cost.CommSeconds *= 0.25
 		cost.UploadBytes = 0
-		cost.TotalSeconds = cost.ComputeSeconds + cost.CommSeconds
+		cost.TotalSeconds = float64(cost.ComputeSeconds) + float64(cost.CommSeconds)
 		cost.EnergyHours = cost.ComputeSeconds / 3600
 		drainFor(c, cost)
 		return Outcome{Completed: false, Reason: DropUnavailable, Cost: cost, Resources: r}, nil

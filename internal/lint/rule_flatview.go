@@ -9,7 +9,7 @@ import (
 // on a zero-copy parameter view mutates the model it aliases.
 var viewMutatorMethods = map[string]bool{
 	"Scale": true, "Fill": true, "Zero": true,
-	"AddScaled": true, "AddScaledDiff": true, "Clamp": true,
+	"AddScaled": true, "AddScaledDiff": true,
 }
 
 // viewDstFuncs are the free kernels that write through their first

@@ -362,7 +362,7 @@ func Std(samples []float64) float64 {
 	var s float64
 	for _, x := range samples {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(samples)))
 }

@@ -18,6 +18,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"floatfl/internal/tensor"
 )
@@ -81,18 +82,15 @@ func (d *Dense) Forward(x tensor.Vector) tensor.Vector {
 	}
 	d.in = x
 	d.be.MatVec(d.W, d.preAct, x)
-	d.preAct.AddScaled(1, d.B)
-	switch d.Act {
-	case ActReLU:
-		for i, v := range d.preAct {
-			if v > 0 {
-				d.out[i] = v
-			} else {
-				d.out[i] = 0
-			}
+	pre, relu := d.preAct, d.Act == ActReLU
+	b, out := d.B[:len(pre)], d.out[:len(pre)]
+	for i, v := range pre { // bias, pre-activation and activation in one pass
+		v += b[i]
+		pre[i] = v
+		if relu {
+			v = reluOf(v)
 		}
-	default:
-		copy(d.out, d.preAct)
+		out[i] = v
 	}
 	return d.out
 }
@@ -105,14 +103,14 @@ func (d *Dense) Backward(gradOut tensor.Vector, wantIn bool) tensor.Vector {
 	if len(gradOut) != d.W.Rows {
 		panic(fmt.Sprintf("nn: Dense.Backward grad %d, want %d", len(gradOut), d.W.Rows))
 	}
-	if d.Act == ActReLU {
-		for i := range gradOut {
-			if d.preAct[i] <= 0 {
-				gradOut[i] = 0
-			}
+	pre, gb, relu := d.preAct[:len(gradOut)], d.GradB[:len(gradOut)], d.Act == ActReLU
+	for i, g := range gradOut { // ReLU mask and bias gradient in one pass
+		if relu {
+			g = reluGrad(pre[i], g)
+			gradOut[i] = g
 		}
+		gb[i] += g
 	}
-	d.GradB.AddScaled(1, gradOut)
 	d.be.AddOuterScaled(d.GradW, 1, gradOut, d.in)
 	if !wantIn {
 		return nil
@@ -121,13 +119,27 @@ func (d *Dense) Backward(gradOut tensor.Vector, wantIn bool) tensor.Vector {
 	return d.gradIn
 }
 
-// ApplySGD performs W -= lr*GradW, B -= lr*GradB with gradient clipping at
-// clip (no clipping if clip <= 0).
-func (d *Dense) ApplySGD(lr, clip float64) {
-	if clip > 0 {
-		d.GradW.Data.Clamp(clip)
-		d.GradB.Clamp(clip)
+// reluOf is v > 0 ? v : +0 for every bit pattern, as an integer select:
+// u-1 reaches +Inf's bits exactly for +0, the negatives and the NaNs.
+// gc emits a conditional move; a float compare would branch on data.
+func reluOf(v float64) float64 {
+	u := math.Float64bits(v)
+	if u-1 >= 0x7FF0000000000000 {
+		u = 0
 	}
-	d.W.Data.AddScaled(-lr, d.GradW.Data)
-	d.B.AddScaled(-lr, d.GradB)
+	return math.Float64frombits(u)
+}
+
+// reluGrad is pre <= 0 ? +0 : g for every bit pattern, as two integer
+// selects: zero when pre is +0 or has the sign bit set, unless it is NaN.
+func reluGrad(pre, g float64) float64 {
+	u, gb := math.Float64bits(pre), math.Float64bits(g)
+	z := gb
+	if int64(u) <= 0 {
+		z = 0
+	}
+	if u<<1 > 0xFFE0000000000000 { // NaN: exponent all ones, mantissa not 0
+		z = gb
+	}
+	return math.Float64frombits(z)
 }

@@ -60,8 +60,8 @@ func ArchNames() []string {
 // All trainable scalars live in one contiguous flat parameter vector with
 // a parallel flat gradient vector; every layer's W/B/GradW/GradB are views
 // into those two buffers (laid out by layOut). That makes Parameters a
-// zero-copy view, SetParameters a single copy, and the SGD step, gradient
-// clipping, and FedProx proximal term fused whole-buffer loops.
+// zero-copy view, SetParameters a single copy, and the SGD step (clipping
+// included, see step) and the FedProx proximal term whole-buffer loops.
 type Model struct {
 	Spec   Spec
 	Layers []*Dense

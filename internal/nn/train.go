@@ -2,7 +2,9 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
@@ -135,30 +137,38 @@ func (m *Model) Train(samples []Sample, cfg TrainConfig) (float64, error) {
 }
 
 // applyStep performs the SGD update params -= lr·grads with per-component
-// clipping at clip (disabled when <= 0). With no frozen layers it is two
-// whole-buffer loops over the flat vectors; with frozen layers each
-// unfrozen layer steps its own views.
+// clipping at clip (disabled when <= 0). With no frozen layers it is one
+// step over the flat buffers; with frozen layers each trained layer steps
+// its own views.
 func (m *Model) applyStep(lr, clip float64, frozen []bool) {
-	allTrainable := true
-	if frozen != nil {
-		for _, f := range frozen {
-			if f {
-				allTrainable = false
-				break
-			}
-		}
-	}
-	if allTrainable {
-		if clip > 0 {
-			m.grads.Clamp(clip)
-		}
-		m.params.AddScaled(-lr, m.grads)
+	if !slices.Contains(frozen, true) {
+		step(m.params, m.grads, lr, clip)
 		return
 	}
 	for i, d := range m.Layers {
 		if !frozen[i] {
-			d.ApplySGD(lr, clip)
+			step(d.W.Data, d.GradW.Data, lr, clip)
+			step(d.B, d.GradB, lr, clip)
 		}
+	}
+}
+
+// step clips each gradient to [-clip, clip] (not when clip <= 0), writes
+// it back to grads and adds -lr times it to the parameter, in one pass.
+// float64(…) rounds the product on its own, so no target fuses it.
+func step(params, grads tensor.Vector, lr, clip float64) {
+	if !(clip > 0) {
+		clip = math.Inf(1)
+	}
+	grads = grads[:len(params)]
+	for i, g := range grads {
+		if g > clip {
+			g = clip
+		} else if g < -clip {
+			g = -clip
+		}
+		grads[i] = g
+		params[i] += float64(-lr * g)
 	}
 }
 

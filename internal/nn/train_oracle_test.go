@@ -11,10 +11,12 @@ import (
 	"floatfl/internal/tensor"
 )
 
-// refTrain is Train with the full backward pass it used to run: every
+// refTrain is Train with the full backward pass it used to run — every
 // layer runs backward, each computing its input gradient, whatever the
-// frozen mask. Shuffling, batching, the FedProx term and the SGD step are
-// Train's. It is the oracle TestTrainMatchesFullBackward and
+// frozen mask — built from its own copies of the per-layer loops Train
+// once ran as separate passes: refForward, refBackward and refStep. Only
+// shuffling, the FedProx term and the backend's kernels are shared with
+// Train. It is the oracle TestTrainMatchesFullBackward and
 // FuzzTrainBitExact hold Train to.
 func refTrain(m *Model, samples []Sample, cfg TrainConfig) float64 {
 	rng := rand.New(rngstate.New(cfg.Seed))
@@ -31,23 +33,79 @@ func refTrain(m *Model, samples []Sample, cfg TrainConfig) float64 {
 			if end > len(order) {
 				end = len(order)
 			}
-			m.grads.Zero()
+			clear(m.grads)
 			for _, idx := range order[start:end] {
-				logits := m.Forward(samples[idx].X)
-				epochLoss += m.backend.SoftmaxXent(m.probs, m.lossGrad, logits, samples[idx].Label)
+				h := samples[idx].X
+				for _, d := range m.Layers {
+					h = refForward(d, h)
+				}
+				epochLoss += m.backend.SoftmaxXent(m.probs, m.lossGrad, h, samples[idx].Label)
 				grad := m.lossGrad
 				for i := len(m.Layers) - 1; i >= 0; i-- {
-					grad = m.Layers[i].Backward(grad, true)
+					grad = refBackward(m.Layers[i], grad)
 				}
 			}
 			if cfg.ProxMu > 0 {
 				m.grads.AddScaledDiff(cfg.ProxMu*float64(end-start), m.params, cfg.ProxAnchor)
 			}
-			m.applyStep(cfg.LR/float64(end-start), cfg.GradClip, cfg.FrozenLayers)
+			for i, d := range m.Layers {
+				if cfg.FrozenLayers == nil || !cfg.FrozenLayers[i] {
+					refStep(d.W.Data, d.GradW.Data, cfg.LR/float64(end-start), cfg.GradClip)
+					refStep(d.B, d.GradB, cfg.LR/float64(end-start), cfg.GradClip)
+				}
+			}
 		}
 		lastEpochLoss = epochLoss / float64(len(samples))
 	}
 	return lastEpochLoss
+}
+
+// refForward is Dense.Forward as separate passes: the bias add as an
+// axpy, then a branchy ReLU.
+func refForward(d *Dense, x tensor.Vector) tensor.Vector {
+	d.in = x
+	d.be.MatVec(d.W, d.preAct, x)
+	d.preAct.AddScaled(1, d.B)
+	for i, v := range d.preAct {
+		if d.Act == ActReLU && !(v > 0) {
+			v = 0
+		}
+		d.out[i] = v
+	}
+	return d.out
+}
+
+// refBackward is Dense.Backward (always computing dL/dIn) as separate
+// passes: a branchy ReLU mask, then the bias gradient as an axpy.
+func refBackward(d *Dense, g tensor.Vector) tensor.Vector {
+	for i := range g {
+		if d.Act == ActReLU && d.preAct[i] <= 0 {
+			g[i] = 0
+		}
+	}
+	d.GradB.AddScaled(1, g)
+	d.be.AddOuterScaled(d.GradW, 1, g, d.in)
+	d.be.MatVecT(d.W, d.gradIn, g)
+	return d.gradIn
+}
+
+// refStep is the SGD step as two passes: clamp the gradients in place
+// (when clip > 0), then the axpy p += (-lr)·g, its product rounded on its
+// own as step's is.
+func refStep(p, g tensor.Vector, lr, clip float64) {
+	if clip > 0 {
+		for i, x := range g {
+			if x > clip {
+				g[i] = clip
+			} else if x < -clip {
+				g[i] = -clip
+			}
+		}
+	}
+	alpha := -lr
+	for i := range p {
+		p[i] += float64(alpha * g[i])
+	}
 }
 
 // checkTrainBitExact trains two clones of m, one with Train and one with

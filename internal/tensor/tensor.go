@@ -34,7 +34,7 @@ func (v Vector) Fill(x float64) {
 }
 
 // Zero sets every element of v to zero.
-func (v Vector) Zero() { v.Fill(0) }
+func (v Vector) Zero() { clear(v) }
 
 // Dot returns the inner product of v and w. It panics if the lengths differ,
 // because a length mismatch is always a programming error in this codebase.
@@ -359,18 +359,6 @@ func (m *Matrix) AddOuterScaled(alpha float64, a, b Vector) {
 		ar, row := scale[i], m.Data[r*n:][:n]
 		for c, bc := range b[:n] {
 			row[c] += ar * bc
-		}
-	}
-}
-
-// Clamp limits every element of v to the range [-limit, limit]. Gradient
-// clipping keeps small-batch SGD stable on hard synthetic tasks.
-func (v Vector) Clamp(limit float64) {
-	for i, x := range v {
-		if x > limit {
-			v[i] = limit
-		} else if x < -limit {
-			v[i] = -limit
 		}
 	}
 }

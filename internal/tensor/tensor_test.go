@@ -526,17 +526,6 @@ func TestMatrixCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	v := Vector{-10, -1, 0, 1, 10}
-	v.Clamp(2)
-	want := Vector{-2, -1, 0, 1, 2}
-	for i := range want {
-		if v[i] != want[i] {
-			t.Fatalf("Clamp = %v, want %v", v, want)
-		}
-	}
-}
-
 func TestXavierIntoBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	v := NewVector(1000)
