@@ -120,11 +120,12 @@ func TestTimelineParallelismInvariant(t *testing.T) {
 }
 
 // TestNonFiniteFlagsFail: a NaN -alpha (eager or -lazy) or -deadline-pct,
-// a -alpha <= 0, a -deadline-pct outside [0, 100] or a negative count must
-// exit non-zero within seconds with an error naming the value on stderr —
-// not hang in the Dirichlet sampler, panic in the percentile, or run the
-// defaults in the value's place. Each case's flags follow the harness's
-// -rounds 1, so they override it.
+// a -alpha <= 0, a -deadline-pct outside [0, 100], a negative count or an
+// unknown static technique must exit non-zero within seconds with an error
+// naming the value on stderr — not hang in the Dirichlet sampler, panic in
+// the percentile, or run the defaults (or no controller) in the value's
+// place. Each case's flags follow the harness's -rounds 1, so they
+// override it.
 func TestNonFiniteFlagsFail(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -145,6 +146,7 @@ func TestNonFiniteFlagsFail(t *testing.T) {
 		{[]string{"-parallel", "-1"}, "-parallel -1"},
 		{[]string{"-checkpoint-every", "-1"}, "-checkpoint-every -1"},
 		{[]string{"-cache-clients", "-1", "-lazy"}, "-cache-clients -1"},
+		{[]string{"-controller", "static:bogus"}, "bogus"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		var stderr bytes.Buffer

@@ -108,7 +108,7 @@ func exportAvailability(w *csv.Writer, clients, steps int, seed int64) error {
 		return err
 	}
 	for c := 0; c < clients; c++ {
-		tr := trace.NewAvailabilityTrace(trace.AvailabilityConfig{Seed: seed + int64(c)})
+		tr := trace.NewAvailabilityTrace(seed + int64(c))
 		for t := 0; t < steps; t++ {
 			avail := "0"
 			if tr.Available(t) {

@@ -58,11 +58,11 @@ func newFloat(perClient bool) func(*testing.T) checkpoint.Stateful {
 func driveAgent(t *testing.T, s checkpoint.Stateful) {
 	a := s.(interface {
 		SelectAction(rl.State) opt.Technique
-		Update(round int, s rl.State, tech opt.Technique, participated bool, accImprove float64, next rl.State) error
+		Update(round int, s rl.State, tech opt.Technique, participated bool, accImprove float64) error
 	})
 	for i := 0; i < 40; i++ {
 		st := rl.State{GB: i % 3, GE: 1, GK: 2, CPU: i % 5, Mem: (i * 3) % 5, Net: i % 2, HF: i % 4}
-		if err := a.Update(i, st, a.SelectAction(st), i%3 != 0, 0.01*float64(i%7-3), st); err != nil {
+		if err := a.Update(i, st, a.SelectAction(st), i%3 != 0, 0.01*float64(i%7-3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,11 +136,11 @@ func subjects() map[string]statefultests.Subject {
 			Drive: driveSelector,
 		},
 		"selection.Oort": {
-			Fresh: func(*testing.T) checkpoint.Stateful { return selection.NewOort(selection.OortConfig{Seed: 77}) },
+			Fresh: func(*testing.T) checkpoint.Stateful { return selection.NewOort(77) },
 			Drive: driveSelector,
 		},
 		"selection.REFL": {
-			Fresh: func(*testing.T) checkpoint.Stateful { return selection.NewREFL(selection.REFLConfig{Seed: 77}) },
+			Fresh: func(*testing.T) checkpoint.Stateful { return selection.NewREFL(77) },
 			Drive: driveSelector,
 		},
 		"obs.Timeline":        {Fresh: timeline(64), Drive: driveTimeline},

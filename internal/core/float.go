@@ -34,10 +34,6 @@ type Config struct {
 	// training parameters — the G_B, G_E, G_K dimensions of the agent
 	// state (Table 1).
 	BatchSize, Epochs, ClientsPerRound int
-	// AccRewardScale maps raw accuracy-improvement fractions into the
-	// agent's [-1, 1] reward range (default 5: a +0.2 local accuracy jump
-	// saturates the reward).
-	AccRewardScale float64
 	// PerClient trains one Q-table per client instead of a collective
 	// table at the aggregator. This is the paper's privacy-conscious mode
 	// (RQ2): no client shares system-usage data, at the cost of far slower
@@ -50,11 +46,14 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
+// accRewardScale maps raw accuracy-improvement fractions into the agent's
+// [-1, 1] reward range: a +0.2 local accuracy jump saturates the reward.
+const accRewardScale = 5
+
 // Float is the FLOAT controller. It implements fl.Controller.
 type Float struct {
 	agent      *rl.Agent // collective table; nil in per-client mode
 	gb, ge, gk int
-	accScale   float64
 
 	// Per-client mode: lazily created local agents, seeded per client.
 	perClient map[int]*rl.Agent
@@ -73,15 +72,11 @@ var _ fl.TimelineContributor = (*Float)(nil)
 
 // New constructs a FLOAT controller.
 func New(cfg Config) *Float {
-	if cfg.AccRewardScale <= 0 {
-		cfg.AccRewardScale = 5
-	}
 	gb, ge, gk := rl.DiscretizeGlobals(cfg.BatchSize, cfg.Epochs, cfg.ClientsPerRound)
 	f := &Float{
 		gb:       gb,
 		ge:       ge,
 		gk:       gk,
-		accScale: cfg.AccRewardScale,
 		agentCfg: cfg.Agent,
 		pending:  make(map[int]rl.State),
 		metrics:  cfg.Metrics,
@@ -266,12 +261,10 @@ func (f *Float) Feedback(round int, c *device.Client, tech opt.Technique, out de
 	if tech == opt.TechNone {
 		return // not in the action space
 	}
-	next := f.stateFor(c, out.Resources, out.DeadlineDiff)
-	reward := accImprove * f.accScale
 	// Update errors only occur for techniques outside the action space,
 	// which the guard above excludes; the agent's own validation is the
 	// backstop.
-	_ = f.agentFor(c.ID).Update(round, s, tech, out.Completed, reward, next)
+	_ = f.agentFor(c.ID).Update(round, s, tech, out.Completed, accImprove*accRewardScale)
 }
 
 // TimelineSeries implements fl.TimelineContributor: the agent's

@@ -7,7 +7,9 @@ import (
 
 // sampleGamma draws from Gamma(shape, 1) using the Marsaglia–Tsang method,
 // with the standard boosting trick for shape < 1. The Dirichlet sampler
-// builds on it. shape must be positive.
+// builds on it. shape must be positive. Each float64(…) rounds its product
+// on its own, so no target fuses it into a multiply-add; the cube needs one
+// too, because the compiler would fuse it into 1-v across statements.
 func sampleGamma(shape float64, rng *rand.Rand) float64 {
 	if shape <= 0 {
 		panic("data: sampleGamma requires positive shape")
@@ -26,17 +28,17 @@ func sampleGamma(shape float64, rng *rand.Rand) float64 {
 		var x, v float64
 		for {
 			x = rng.NormFloat64()
-			v = 1 + c*x
+			v = 1 + float64(c*x)
 			if v > 0 {
 				break
 			}
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}

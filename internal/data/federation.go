@@ -34,10 +34,11 @@ type GenerateConfig struct {
 	// paper's end-to-end setting). Use >= 100 for effectively IID shards.
 	Alpha float64
 	Seed  int64
-	// LocalTestFraction of each client's samples goes to its local test
-	// split; defaults to 0.25.
-	LocalTestFraction float64
 }
+
+// localTestFraction of each client's samples, at least two, goes to its
+// local test split.
+const localTestFraction = 0.25
 
 // Generate synthesizes a federation for the named dataset profile.
 func Generate(profileName string, cfg GenerateConfig) (*Federation, error) {
@@ -54,10 +55,6 @@ func Generate(profileName string, cfg GenerateConfig) (*Federation, error) {
 	alpha := cfg.Alpha
 	if alpha <= 0 {
 		alpha = 0.1
-	}
-	testFrac := cfg.LocalTestFraction
-	if testFrac <= 0 || testFrac >= 1 {
-		testFrac = 0.25
 	}
 	rng := rand.New(rngstate.New(cfg.Seed))
 
@@ -80,7 +77,7 @@ func Generate(profileName string, cfg GenerateConfig) (*Federation, error) {
 	for i := 0; i < cfg.Clients; i++ {
 		labelDist := SampleDirichlet(p.Classes, alpha, rng)
 		n := sampleClientVolume(p.MeanSamplesPerClient, rng)
-		nTest := int(math.Round(float64(n) * testFrac))
+		nTest := int(math.Round(float64(n) * localTestFraction))
 		if nTest < 2 {
 			nTest = 2
 		}
@@ -109,7 +106,7 @@ func Generate(profileName string, cfg GenerateConfig) (*Federation, error) {
 func sampleClientVolume(mean int, rng *rand.Rand) int {
 	const sigma = 0.45
 	mu := math.Log(float64(mean)) - sigma*sigma/2
-	n := int(math.Round(math.Exp(mu + sigma*rng.NormFloat64())))
+	n := int(math.Round(math.Exp(mu + float64(sigma*rng.NormFloat64()))))
 	if n < 8 {
 		n = 8
 	}

@@ -63,14 +63,11 @@ func checkAlpha(alpha float64) error {
 	return nil
 }
 
-// normalizeGenerate applies Generate's defaulting rules so the lazy and
-// eager paths agree on effective alpha / test fraction.
+// normalizeGenerate applies Generate's defaulting rule so the lazy and
+// eager paths agree on the effective alpha.
 func normalizeGenerate(cfg GenerateConfig) GenerateConfig {
 	if cfg.Alpha <= 0 {
 		cfg.Alpha = 0.1
-	}
-	if cfg.LocalTestFraction <= 0 || cfg.LocalTestFraction >= 1 {
-		cfg.LocalTestFraction = 0.25
 	}
 	return cfg
 }
@@ -120,7 +117,7 @@ func DeriveClient(p Profile, cfg GenerateConfig, centers []tensor.Vector, id int
 // deriveInto is DeriveClient for a normalized cfg, drawn into buf.
 func deriveInto(p Profile, cfg GenerateConfig, centers []tensor.Vector, id int, buf *ShardBuf) ClientShard {
 	n, rng := drawVolume(p, cfg, id, buf)
-	nTest := max(int(math.Round(float64(n)*cfg.LocalTestFraction)), 2)
+	nTest := max(int(math.Round(float64(n)*localTestFraction)), 2)
 	all := deriveSamples(p, centers, n+nTest, func(int) int { return sampleCategorical(buf.dist, rng) }, rng, buf)
 	// One backing array, two views: clip Train so it cannot grow into
 	// LocalTest.

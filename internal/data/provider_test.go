@@ -134,7 +134,7 @@ func deriveClientPerSample(p Profile, cfg GenerateConfig, centers []tensor.Vecto
 	rng := rand.New(rand.NewSource(ClientSeed(cfg.Seed, int64(id))))
 	labelDist := SampleDirichlet(p.Classes, cfg.Alpha, rng)
 	n := sampleClientVolume(p.MeanSamplesPerClient, rng)
-	nTest := int(math.Round(float64(n) * cfg.LocalTestFraction))
+	nTest := int(math.Round(float64(n) * localTestFraction))
 	if nTest < 2 {
 		nTest = 2
 	}

@@ -85,7 +85,7 @@ func NewPopulation(cfg PopulationConfig) ([]*Client, error) {
 			Compute: trace.SampleComputeProfile(rng),
 			NetKind: kind,
 			Net:     trace.NewBandwidthTrace(kind, rng.Int63()),
-			Avail:   trace.NewAvailabilityTrace(trace.AvailabilityConfig{Seed: rng.Int63()}),
+			Avail:   trace.NewAvailabilityTrace(rng.Int63()),
 			Interf:  trace.NewInterference(cfg.Scenario, rng.Int63()),
 		}
 	}

@@ -43,7 +43,7 @@ func deriveLink(cfg PopulationConfig, id int) (*Client, *rand.Rand) {
 // order-independent, unlike the sequential single-stream NewPopulation.
 func DeriveClient(cfg PopulationConfig, id int) *Client {
 	c, rng := deriveLink(cfg, id)
-	c.Avail = trace.NewAvailabilityTrace(trace.AvailabilityConfig{Seed: rng.Int63()})
+	c.Avail = trace.NewAvailabilityTrace(rng.Int63())
 	c.Interf = trace.NewInterference(cfg.Scenario, rng.Int63())
 	return c
 }

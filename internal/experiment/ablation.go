@@ -69,7 +69,7 @@ func AblationExploration(sc Scale) ([]Table, error) {
 func AblationLearningRate(sc Scale) ([]Table, error) {
 	return runAblation(sc, "Ablation: dynamic vs fixed learning rate", []ablationArm{
 		{name: "dynamic", cfg: rl.Config{}},
-		{name: "fixed-0.1", cfg: rl.Config{FixedLR: true, BaseLR: 0.1}},
+		{name: "fixed-0.1", cfg: rl.Config{FixedLR: true}},
 	})
 }
 

@@ -177,7 +177,7 @@ func Run(sc Scale, spec RunSpec) (*fl.Result, error) {
 	return res, err
 }
 
-func controllerFor(sc Scale, spec RunSpec, seed int64) fl.Controller {
+func controllerFor(sc Scale, spec RunSpec, seed int64) (fl.Controller, error) {
 	switch {
 	case spec.Float:
 		agentCfg := rl.Config{Seed: seed + 2, TotalRounds: sc.Rounds}
@@ -197,17 +197,17 @@ func controllerFor(sc Scale, spec RunSpec, seed int64) fl.Controller {
 			ClientsPerRound: sc.PerRound,
 			PerClient:       spec.FloatPerClient,
 			Metrics:         sc.Metrics,
-		})
+		}), nil
 	case spec.Heur:
-		return core.NewHeuristic(seed + 3)
+		return core.NewHeuristic(seed + 3), nil
 	case spec.Static != "":
 		tech, err := opt.Parse(spec.Static)
-		if err == nil {
-			return fl.StaticController{Tech: tech}
+		if err != nil {
+			return nil, err
 		}
-		return fl.NoOpController{}
+		return fl.StaticController{Tech: tech}, nil
 	default:
-		return fl.NoOpController{}
+		return fl.NoOpController{}, nil
 	}
 }
 
@@ -216,9 +216,9 @@ func selectorFor(algo string, seed int64) (selection.Selector, error) {
 	case "fedavg", "fedprox", "":
 		return selection.NewRandom(seed + 10), nil
 	case "oort":
-		return selection.NewOort(selection.OortConfig{Seed: seed + 11}), nil
+		return selection.NewOort(seed + 11), nil
 	case "refl":
-		return selection.NewREFL(selection.REFLConfig{Seed: seed + 12}), nil
+		return selection.NewREFL(seed + 12), nil
 	default:
 		return nil, fmt.Errorf("experiment: unknown algorithm %q", algo)
 	}

@@ -15,9 +15,13 @@ import (
 
 // RunWithController executes one training run at the given scale, like
 // Run, and also returns the controller so callers can inspect FLOAT's
-// agent afterwards (Q-table dumps, transfer).
+// agent afterwards (Q-table dumps, transfer). An unknown spec.Static
+// technique is an error.
 func RunWithController(sc Scale, spec RunSpec) (*fl.Result, fl.Controller, error) {
-	ctrl := controllerFor(sc, spec, sc.Seed+spec.SeedOffset)
+	ctrl, err := controllerFor(sc, spec, sc.Seed+spec.SeedOffset)
+	if err != nil {
+		return nil, nil, err
+	}
 	res, err := runWith(sc, spec, ctrl)
 	return res, ctrl, err
 }

@@ -28,7 +28,7 @@ func Fig8() ([]Table, error) {
 		// Materialize every state and settle the table.
 		for i, s := range states {
 			act := a.SelectAction(s)
-			if err := a.Update(i%300, s, act, i%2 == 0, 0.1, s); err != nil {
+			if err := a.Update(i%300, s, act, i%2 == 0, 0.1); err != nil {
 				return nil, err
 			}
 		}
@@ -36,7 +36,7 @@ func Fig8() ([]Table, error) {
 		start := timeNow()
 		for i := 0; i < iters; i++ {
 			s := states[i%nStates]
-			if err := a.Update(i%300, s, opt.TechQuant8, true, 0.1, s); err != nil {
+			if err := a.Update(i%300, s, opt.TechQuant8, true, 0.1); err != nil {
 				return nil, err
 			}
 		}

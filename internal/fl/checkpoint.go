@@ -147,7 +147,7 @@ func (r *run) fingerprint() fingerprint {
 		Epochs:             r.cfg.Epochs,
 		BatchSize:          r.cfg.BatchSize,
 		LR:                 r.cfg.LR,
-		GradClip:           r.cfg.GradClip,
+		GradClip:           gradClip,
 		DeadlineSec:        r.deadline,
 		DeadlinePercentile: r.cfg.DeadlinePercentile,
 		EvalEvery:          r.cfg.EvalEvery,

@@ -27,6 +27,10 @@ type trainContext struct {
 	shard     data.ShardBuf // the job's derived shard (lazy populations)
 }
 
+// gradClip bounds each gradient component in local training; the snapshot
+// fingerprint records it as grad_clip.
+const gradClip = 5
+
 // reseed readies the context for the simulated client round (round,
 // clientID) and returns what the simulator hands TrainLocal: cfg's
 // training configuration seeded by trainSeed, and the context's
@@ -49,7 +53,7 @@ func (c *trainContext) reseed(proto *nn.Model, cfg Config, round, clientID int) 
 		Epochs:    cfg.Epochs,
 		BatchSize: cfg.BatchSize,
 		LR:        cfg.LR,
-		GradClip:  cfg.GradClip,
+		GradClip:  gradClip,
 		ProxMu:    cfg.ProxMu,
 		Seed:      seed,
 	}, c.updateRNG

@@ -76,14 +76,14 @@ func TestAutoDeadlineEagerIsExact(t *testing.T) {
 	}
 }
 
-// TestAutoDeadlineLazyIsSampled: a lazy population larger than StatSample
-// is estimated over the deterministic strided sample (not the full scan),
-// each sampled estimate equals the materialized client's, and the sampled
-// deadline lands inside the full population's estimate envelope.
+// TestAutoDeadlineLazyIsSampled: a lazy population larger than its
+// 1024-client statistics sample is estimated over the deterministic strided
+// sample (not the full scan), each sampled estimate equals the derived
+// client's, and the sampled deadline lands inside the full population's
+// estimate envelope.
 func TestAutoDeadlineLazyIsSampled(t *testing.T) {
-	const n, sample = 300, 64
+	const n, sample = 1500, 1024
 	cfg := lazyPopConfig(n)
-	cfg.StatSample = sample
 	lazy, err := population.NewLazy(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -92,21 +92,20 @@ func TestAutoDeadlineLazyIsSampled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pop := ref.Materialize()
 	w := device.WorkSpec{RefFLOPsPerSample: 2e6, RefParams: 2e5, Samples: 48, Epochs: 2}
 	ests := lazy.CleanResponseEstimates(w)
 	if len(ests) != sample {
 		t.Fatalf("lazy population estimated over %d clients, want the %d-client sample", len(ests), sample)
 	}
 	for i, e := range ests {
-		if want := device.EstimateCleanResponseSeconds(pop[i*n/sample], w); e != want {
+		if want := device.EstimateCleanResponseSeconds(ref.Client(i*n/sample), w); e != want {
 			t.Fatalf("estimate %d = %v, want client %d's %v", i, e, i*n/sample, want)
 		}
 	}
 	got := deadlineFromEstimates(ests, 90)
 	lo, hi := ests[0], ests[0]
-	for _, c := range pop {
-		e := device.EstimateCleanResponseSeconds(c, w)
+	for id := 0; id < n; id++ {
+		e := device.EstimateCleanResponseSeconds(ref.Client(id), w)
 		if e < lo {
 			lo = e
 		}

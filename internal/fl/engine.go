@@ -85,7 +85,6 @@ type Config struct {
 	Epochs          int
 	BatchSize       int
 	LR              float64
-	GradClip        float64
 	// DeadlineSec is the synchronous round deadline. Zero auto-derives it
 	// from the population (see DeadlinePercentile).
 	DeadlineSec float64
@@ -169,9 +168,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LR <= 0 {
 		c.LR = 0.05
-	}
-	if c.GradClip <= 0 {
-		c.GradClip = 5
 	}
 	if c.DeadlinePercentile <= 0 {
 		c.DeadlinePercentile = 60

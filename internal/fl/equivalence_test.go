@@ -406,9 +406,9 @@ func (rw row) start(t testing.TB, o runOpts) (*rowRun, error) {
 	case "async":
 		kind = AsyncSnapshotKind
 	case "sync-oort":
-		sel = selection.NewOort(selection.OortConfig{Seed: 7})
+		sel = selection.NewOort(7)
 	case "sync-refl":
-		sel = selection.NewREFL(selection.REFLConfig{Seed: 7})
+		sel = selection.NewREFL(7)
 	default:
 		sel = selection.NewRandom(7)
 	}

@@ -43,21 +43,19 @@ type Config struct {
 	Dataset string
 	Clients int
 	// Alpha is the Dirichlet concentration (≤ 0 defaults to 0.1).
-	Alpha float64
-	// LocalTestFraction defaults to 0.25.
-	LocalTestFraction float64
-	Seed              int64
-	Scenario          trace.Scenario
+	Alpha    float64
+	Seed     int64
+	Scenario trace.Scenario
 	// FiveGShare defaults to 0.3.
 	FiveGShare float64
 	// CacheClients bounds the device working set's unpinned residency
 	// (≤ 0 defaults to 4096). Shards are derived per job and never cached.
 	CacheClients int
-	// StatSample caps the deterministic strided sample behind population
-	// statistics — mean shard size, auto-deadline estimates (≤ 0 defaults
-	// to 1024).
-	StatSample int
 }
+
+// statSample caps the deterministic strided sample behind a lazy
+// population's statistics: mean shard size and auto-deadline estimates.
+const statSample = 1024
 
 // Population is the engines' view of a federation's client state.
 type Population struct {
@@ -74,11 +72,10 @@ type Population struct {
 	// of evicted clients that trained. The drain-log store grows with the
 	// number of distinct clients that ever trained, a compact event list
 	// each, not with the population.
-	dataP      *data.Provider
-	devP       *device.Provider
-	devs       *wset.Cache[int, *device.Client]
-	drainLogs  map[int][]trace.DrainEvent
-	statSample int
+	dataP     *data.Provider
+	devP      *device.Provider
+	devs      *wset.Cache[int, *device.Client]
+	drainLogs map[int][]trace.DrainEvent
 
 	devObs        cacheObs
 	deriveSamples *obs.Histogram
@@ -107,17 +104,13 @@ func NewLazy(cfg Config) (*Population, error) {
 	if cfg.Clients <= 0 {
 		return nil, fmt.Errorf("population: needs positive client count, got %d", cfg.Clients)
 	}
-	if cfg.StatSample <= 0 {
-		cfg.StatSample = 1024
-	}
 	if cfg.CacheClients <= 0 {
 		cfg.CacheClients = 4096
 	}
 	dataP, err := data.NewProvider(cfg.Dataset, data.GenerateConfig{
-		Clients:           cfg.Clients,
-		Alpha:             cfg.Alpha,
-		Seed:              cfg.Seed,
-		LocalTestFraction: cfg.LocalTestFraction,
+		Clients: cfg.Clients,
+		Alpha:   cfg.Alpha,
+		Seed:    cfg.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -133,7 +126,7 @@ func NewLazy(cfg Config) (*Population, error) {
 	}
 	p := &Population{
 		n: cfg.Clients, profile: dataP.Profile(), globalTest: dataP.GlobalTest(),
-		dataP: dataP, devP: devP, statSample: cfg.StatSample,
+		dataP: dataP, devP: devP,
 		devs:      wset.New(cfg.CacheClients, devP.Derive),
 		drainLogs: make(map[int][]trace.DrainEvent),
 	}
@@ -245,17 +238,17 @@ func (p *Population) MeanShardSize() int {
 		}
 		return m
 	}
-	return p.dataP.MeanShardSize(p.statSample)
+	return p.dataP.MeanShardSize(statSample)
 }
 
 // CleanResponseEstimates returns clean (interference-free) response-time
-// estimates for a strided deterministic sample of at most StatSample
+// estimates for a strided deterministic sample of at most statSample
 // clients — the lazy input to deadline auto-derivation. Sampled clients
 // are derived ephemerally and never enter the cache.
 func (p *Population) CleanResponseEstimates(w device.WorkSpec) []float64 {
 	count := p.n
-	if !p.Eager() && count > p.statSample {
-		count = p.statSample
+	if !p.Eager() && count > statSample {
+		count = statSample
 	}
 	ests := make([]float64, 0, count)
 	for i := 0; i < count; i++ {

@@ -19,18 +19,8 @@ type Config struct {
 	Bins int
 	// Epsilon is the exploration probability (default 0.15).
 	Epsilon float64
-	// WP and WA weight participation success and accuracy improvement in
-	// the reward (Equation 2; defaults 0.6 / 0.4).
-	WP, WA float64
-	// BaseLR is the learning rate at round 0; the effective rate grows
-	// linearly with training progress up to 1.0 (RQ6's dynamic rate).
-	BaseLR float64
 	// TotalRounds calibrates the dynamic learning rate (default 300).
 	TotalRounds int
-	// Discount is the Bellman future-value coefficient. The paper reduces
-	// it toward zero because the next state is resource-random; the knob
-	// remains for the Algorithm 1 form (default 0).
-	Discount float64
 
 	// DisableHF ignores the deadline-difference human feedback (the
 	// FLOAT-RL ablation arm).
@@ -42,7 +32,8 @@ type Config struct {
 	// AdditiveRewards accumulates raw rewards instead of moving averages —
 	// the broken variant RQ6 describes, kept for the ablation bench.
 	AdditiveRewards bool
-	// FixedLR pins the learning rate to BaseLR for the ablation bench.
+	// FixedLR pins the learning rate to its round-0 value, 0.1, for the
+	// ablation bench.
 	FixedLR bool
 
 	// Actions overrides the agent's action space (default: the paper's 8
@@ -54,18 +45,25 @@ type Config struct {
 	Seed int64
 }
 
+// The reward weights of Equation 2 (participation success, accuracy
+// improvement), and the learning rate at round 0, from which RQ6's dynamic
+// rate grows linearly with training progress up to 1.
+//
+// Algorithm 1's update also adds a discounted future value, max Q of the
+// client's next state. The paper drives that discount toward zero, because
+// the next state is resource-random, and the agent takes it as zero: an
+// update reads only the state the action was taken in.
+const (
+	wp, wa = 0.6, 0.4
+	baseLR = 0.1
+)
+
 func (c Config) withDefaults() Config {
 	if c.Bins <= 0 {
 		c.Bins = DefaultBins
 	}
 	if c.Epsilon <= 0 {
 		c.Epsilon = 0.15
-	}
-	if c.WP <= 0 && c.WA <= 0 {
-		c.WP, c.WA = 0.6, 0.4
-	}
-	if c.BaseLR <= 0 {
-		c.BaseLR = 0.1
 	}
 	if c.TotalRounds <= 0 {
 		c.TotalRounds = 300
@@ -238,7 +236,7 @@ func (a *Agent) SelectAction(s State) opt.Technique {
 
 // score combines the two objectives with the reward weights.
 func (a *Agent) score(c cell) float64 {
-	return a.cfg.WP*c.QPart + a.cfg.WA*c.QAcc
+	return wp*c.QPart + wa*c.QAcc
 }
 
 // QValues returns the combined Q-value per action for a state (zeros for
@@ -278,15 +276,15 @@ func (a *Agent) Objectives(s State) (part, acc []float64) {
 // training progress, capped at 1.
 func (a *Agent) learningRate(round int) float64 {
 	if a.cfg.FixedLR {
-		return a.cfg.BaseLR
+		return baseLR
 	}
 	progress := float64(round) / float64(a.cfg.TotalRounds)
-	lr := a.cfg.BaseLR + (1-a.cfg.BaseLR)*progress
+	lr := baseLR + (1-baseLR)*progress
 	if lr > 1 {
 		lr = 1
 	}
-	if lr < a.cfg.BaseLR {
-		lr = a.cfg.BaseLR
+	if lr < baseLR {
+		lr = baseLR
 	}
 	return lr
 }
@@ -295,9 +293,7 @@ func (a *Agent) learningRate(round int) float64 {
 // client completed the round; accImprove is its accuracy improvement (any
 // scale; clipped to [-1, 1]). When the client dropped out, accImprove is
 // unknown — pass 0 and the feedback cache supplies the estimate (RQ7).
-// next is the client's state after the round (used only when Discount > 0,
-// per Algorithm 1).
-func (a *Agent) Update(round int, s State, tech opt.Technique, participated bool, accImprove float64, next State) error {
+func (a *Agent) Update(round int, s State, tech opt.Technique, participated bool, accImprove float64) error {
 	s = a.normalize(s)
 	idx := a.actionIndex(tech)
 	if idx < 0 {
@@ -337,30 +333,15 @@ func (a *Agent) Update(round int, s State, tech opt.Technique, participated bool
 		}
 	}
 
-	// Optional Algorithm-1 future term; the paper drives Discount -> 0.
-	var futureP, futureA float64
-	if a.cfg.Discount > 0 {
-		nk := a.normalize(next)
-		ncs := a.cells(nk)
-		bi, bs := 0, a.score(ncs[0])
-		for i := 1; i < len(ncs); i++ {
-			if sc := a.score(ncs[i]); sc > bs {
-				bi, bs = i, sc
-			}
-		}
-		futureP = ncs[bi].QPart
-		futureA = ncs[bi].QAcc
-	}
-
 	if a.cfg.AdditiveRewards {
 		// The broken pre-fix variant: raw additive accumulation inflates
 		// whichever action exploration happened to pick most.
-		c.QPart += lr * (p + a.cfg.Discount*futureP)
-		c.QAcc += lr * (accImprove + a.cfg.Discount*futureA)
+		c.QPart += lr * p
+		c.QAcc += lr * accImprove
 	} else {
-		// Moving-average update (RQ6): Q <- Q + lr (R + discount·maxQ' - Q).
-		c.QPart += lr * (p + a.cfg.Discount*futureP - c.QPart)
-		c.QAcc += lr * (accImprove + a.cfg.Discount*futureA - c.QAcc)
+		// Moving-average update (RQ6): Q <- Q + lr (R - Q).
+		c.QPart += lr * (p - c.QPart)
+		c.QAcc += lr * (accImprove - c.QAcc)
 	}
 
 	a.updates++
@@ -368,7 +349,7 @@ func (a *Agent) Update(round int, s State, tech opt.Technique, participated bool
 	if participated {
 		a.obsParticipations.Inc()
 	}
-	a.rewardHistory = append(a.rewardHistory, a.cfg.WP*p+a.cfg.WA*accImprove)
+	a.rewardHistory = append(a.rewardHistory, wp*p+wa*accImprove)
 	return nil
 }
 

@@ -26,7 +26,7 @@ func ExampleAgent() {
 		if succeeded {
 			accGain = 0.05
 		}
-		if err := agent.Update(round%200, state, action, succeeded, accGain, state); err != nil {
+		if err := agent.Update(round%200, state, action, succeeded, accGain); err != nil {
 			panic(err)
 		}
 	}

@@ -27,7 +27,7 @@ func TestExtendedActionSpace(t *testing.T) {
 		if ok {
 			acc = 0.1
 		}
-		if err := a.Update(i%100, s, act, ok, acc, s); err != nil {
+		if err := a.Update(i%100, s, act, ok, acc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func TestExtendedSearchSpaceGrowsLinearly(t *testing.T) {
 			for net := 0; net < 5; net++ {
 				s := State{CPU: cpu, Net: net}
 				act := a.SelectAction(s)
-				if err := a.Update(0, s, act, true, 0, s); err != nil {
+				if err := a.Update(0, s, act, true, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -87,7 +87,7 @@ func TestSnapshotRejectsDifferentActionSpace(t *testing.T) {
 
 func TestUpdateRejectsOutOfSpaceAction(t *testing.T) {
 	a := NewAgent(Config{Seed: 5}) // standard 8 actions
-	if err := a.Update(0, State{}, opt.TechCompress, true, 0, State{}); err == nil {
+	if err := a.Update(0, State{}, opt.TechCompress, true, 0); err == nil {
 		t.Fatal("standard agent accepted the extension technique")
 	}
 }

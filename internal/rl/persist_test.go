@@ -21,7 +21,7 @@ func trainedAgent(t testing.TB) *Agent {
 	for i := 0; i < 40; i++ {
 		s := State{GB: i % 3, GE: 1, GK: 2, CPU: i % 5, Mem: (i * 3) % 5, Net: i % 2, HF: i % 4}
 		tech := a.SelectAction(s)
-		if err := a.Update(i, s, tech, i%3 != 0, 0.01*float64(i%7-3), s); err != nil {
+		if err := a.Update(i, s, tech, i%3 != 0, 0.01*float64(i%7-3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,7 +186,7 @@ func TestLoadMalformedPayload(t *testing.T) {
 		t.Fatalf("empty table: %v", err)
 	}
 	s := State{GB: 1, GE: 1, GK: 2, CPU: 3, Mem: 1, Net: 1, HF: 2}
-	if err := dst.Update(0, s, dst.SelectAction(s), true, 0.01, s); err != nil {
+	if err := dst.Update(0, s, dst.SelectAction(s), true, 0.01); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -212,7 +212,7 @@ func TestReadAgentRoundTrip(t *testing.T) {
 	src := NewAgent(Config{Seed: 4, Bins: 7, Actions: extendedActions()})
 	for i := 0; i < 60; i++ {
 		s := State{GB: i % 3, CPU: i % 7, Mem: (i * 3) % 7, Net: i % 2, HF: i % 6}
-		if err := src.Update(i, s, src.SelectAction(s), i%4 != 0, 0.01*float64(i%5), s); err != nil {
+		if err := src.Update(i, s, src.SelectAction(s), i%4 != 0, 0.01*float64(i%5)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -309,7 +309,7 @@ func TestAgentCheckpointResume(t *testing.T) {
 			s := State{GB: i % 3, CPU: i % 5, Mem: (i * 7) % 5, Net: (i * 3) % 5, HF: i % 5}
 			tech := a.SelectAction(s)
 			picks = append(picks, tech.String())
-			if err := a.Update(i, s, tech, i%4 != 1, 0.02*float64(i%5-2), s); err != nil {
+			if err := a.Update(i, s, tech, i%4 != 1, 0.02*float64(i%5-2)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -416,7 +416,7 @@ func FuzzAgentLoad(f *testing.F) {
 
 		dst := NewAgent(Config{Seed: 9})
 		s := State{GB: 1, GE: 1, GK: 2, CPU: 3, Mem: 1, Net: 1, HF: 2}
-		if err := dst.Update(0, s, dst.SelectAction(s), true, 0.01, s); err != nil {
+		if err := dst.Update(0, s, dst.SelectAction(s), true, 0.01); err != nil {
 			t.Fatal(err)
 		}
 		before := save(t, dst)

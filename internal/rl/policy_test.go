@@ -40,7 +40,7 @@ func TestPolicyDump(t *testing.T) {
 			if ok {
 				acc = 0.2
 			}
-			if err := a.Update(i, s, act, ok, acc, s); err != nil {
+			if err := a.Update(i, s, act, ok, acc); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -85,15 +85,16 @@ func TestPolicyDumpEmptyAgent(t *testing.T) {
 }
 
 func TestActionSummaryWeighting(t *testing.T) {
-	a := NewAgent(Config{Seed: 3, FixedLR: true, BaseLR: 1})
+	a := NewAgent(Config{Seed: 3})
 	s1, s2 := State{CPU: 0}, State{CPU: 4}
-	// quant16 in s1: 3 visits all success; in s2: 1 visit failure.
+	// quant16 in s1: 3 visits all success; in s2: 1 visit failure. A
+	// cell's first visit averages exactly (lr = 1), so s2's estimate is 0.
 	for i := 0; i < 3; i++ {
-		if err := a.Update(0, s1, opt.TechQuant16, true, 0, s1); err != nil {
+		if err := a.Update(0, s1, opt.TechQuant16, true, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := a.Update(0, s2, opt.TechQuant16, false, 0, s2); err != nil {
+	if err := a.Update(0, s2, opt.TechQuant16, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	var st ActionStats
@@ -120,7 +121,7 @@ func TestSelectActionDeterministicUnderSeed(t *testing.T) {
 			s := State{CPU: rng.Intn(5), Mem: rng.Intn(5), Net: rng.Intn(5)}
 			act := a.SelectAction(s)
 			picks = append(picks, act)
-			if err := a.Update(i, s, act, i%2 == 0, 0.1, s); err != nil {
+			if err := a.Update(i, s, act, i%2 == 0, 0.1); err != nil {
 				t.Fatal(err)
 			}
 		}

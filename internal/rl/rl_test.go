@@ -103,7 +103,7 @@ func TestNumResourceStates(t *testing.T) {
 func TestAgentDefaults(t *testing.T) {
 	a := NewAgent(Config{Seed: 1})
 	cfg := a.Config()
-	if cfg.Bins != 5 || cfg.Epsilon != 0.15 || cfg.WP != 0.6 || cfg.WA != 0.4 {
+	if cfg.Bins != 5 || cfg.Epsilon != 0.15 || cfg.TotalRounds != 300 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 	if len(a.Actions()) != 8 {
@@ -123,7 +123,7 @@ func TestAgentLearnsBestAction(t *testing.T) {
 		if ok {
 			acc = 0.1
 		}
-		if err := a.Update(round%100, s, act, ok, acc, s); err != nil {
+		if err := a.Update(round%100, s, act, ok, acc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func TestAgentStateSeparation(t *testing.T) {
 			if ok {
 				acc = 0.05
 			}
-			if err := a.Update(round%300, s, act, ok, acc, s); err != nil {
+			if err := a.Update(round%300, s, act, ok, acc); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -208,7 +208,7 @@ func TestBalancedExplorationCoversActions(t *testing.T) {
 	s := State{}
 	for round := 0; round < 80; round++ {
 		act := a.SelectAction(s)
-		if err := a.Update(round, s, act, true, 0, s); err != nil {
+		if err := a.Update(round, s, act, true, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,7 +228,7 @@ func TestHFDisabledCollapsesStates(t *testing.T) {
 	a := NewAgent(Config{Seed: 5, DisableHF: true})
 	s1 := State{CPU: 1, HF: 0}
 	s2 := State{CPU: 1, HF: 4}
-	if err := a.Update(0, s1, opt.TechQuant8, true, 0.5, s1); err != nil {
+	if err := a.Update(0, s1, opt.TechQuant8, true, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	q1, q2 := a.QValues(s1), a.QValues(s2)
@@ -238,7 +238,7 @@ func TestHFDisabledCollapsesStates(t *testing.T) {
 		}
 	}
 	b := NewAgent(Config{Seed: 5})
-	if err := b.Update(0, s1, opt.TechQuant8, true, 0.5, s1); err != nil {
+	if err := b.Update(0, s1, opt.TechQuant8, true, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	q1, q2 = b.QValues(s1), b.QValues(s2)
@@ -258,13 +258,13 @@ func TestFeedbackCacheSynthesizesRewards(t *testing.T) {
 	s := State{CPU: 2}
 	// Successful rounds seed the cache with a strong accuracy improvement.
 	for i := 0; i < 10; i++ {
-		if err := a.Update(i, s, opt.TechQuant16, true, 0.8, s); err != nil {
+		if err := a.Update(i, s, opt.TechQuant16, true, 0.8); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A dropout with unknown accuracy still receives a non-zero accuracy
 	// estimate from the cache.
-	if err := a.Update(10, s, opt.TechPrune75, false, 0, s); err != nil {
+	if err := a.Update(10, s, opt.TechPrune75, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	_, acc := a.Objectives(s)
@@ -281,11 +281,11 @@ func TestFeedbackCacheSynthesizesRewards(t *testing.T) {
 	// Without the cache the dropout's accuracy reward is exactly zero.
 	b := NewAgent(Config{Seed: 6, DisableFeedbackCache: true})
 	for i := 0; i < 10; i++ {
-		if err := b.Update(i, s, opt.TechQuant16, true, 0.8, s); err != nil {
+		if err := b.Update(i, s, opt.TechQuant16, true, 0.8); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.Update(10, s, opt.TechPrune75, false, 0.99, s); err != nil {
+	if err := b.Update(10, s, opt.TechPrune75, false, 0.99); err != nil {
 		t.Fatal(err)
 	}
 	_, acc = b.Objectives(s)
@@ -295,7 +295,7 @@ func TestFeedbackCacheSynthesizesRewards(t *testing.T) {
 }
 
 func TestDynamicLearningRate(t *testing.T) {
-	a := NewAgent(Config{Seed: 7, BaseLR: 0.1, TotalRounds: 100})
+	a := NewAgent(Config{Seed: 7, TotalRounds: 100})
 	if lr := a.learningRate(0); lr != 0.1 {
 		t.Fatalf("lr(0) = %v, want 0.1", lr)
 	}
@@ -305,32 +305,32 @@ func TestDynamicLearningRate(t *testing.T) {
 	if lr := a.learningRate(1000); lr != 1 {
 		t.Fatalf("lr must cap at 1, got %v", lr)
 	}
-	b := NewAgent(Config{Seed: 7, BaseLR: 0.3, FixedLR: true})
-	if lr := b.learningRate(500); lr != 0.3 {
-		t.Fatalf("fixed lr = %v, want 0.3", lr)
+	b := NewAgent(Config{Seed: 7, FixedLR: true})
+	if lr := b.learningRate(500); lr != 0.1 {
+		t.Fatalf("fixed lr = %v, want 0.1", lr)
 	}
 }
 
 func TestAdditiveRewardsInflate(t *testing.T) {
 	// RQ6's first issue: additive accumulation makes a mediocre,
 	// often-chosen action outscore a better, rarely-chosen one.
-	add := NewAgent(Config{Seed: 8, AdditiveRewards: true, FixedLR: true, BaseLR: 0.5})
-	ma := NewAgent(Config{Seed: 8, FixedLR: true, BaseLR: 0.5})
+	add := NewAgent(Config{Seed: 8, AdditiveRewards: true, FixedLR: true})
+	ma := NewAgent(Config{Seed: 8, FixedLR: true})
 	s := State{}
 	for i := 0; i < 100; i++ {
 		// quant16 (mediocre: reward 0.5) gets 10x the visits of quant8
 		// (excellent: reward 1.0).
-		if err := add.Update(i, s, opt.TechQuant16, true, 0.5, s); err != nil {
+		if err := add.Update(i, s, opt.TechQuant16, true, 0.5); err != nil {
 			t.Fatal(err)
 		}
-		if err := ma.Update(i, s, opt.TechQuant16, true, 0.5, s); err != nil {
+		if err := ma.Update(i, s, opt.TechQuant16, true, 0.5); err != nil {
 			t.Fatal(err)
 		}
 		if i%10 == 0 {
-			if err := add.Update(i, s, opt.TechQuant8, true, 1.0, s); err != nil {
+			if err := add.Update(i, s, opt.TechQuant8, true, 1.0); err != nil {
 				t.Fatal(err)
 			}
-			if err := ma.Update(i, s, opt.TechQuant8, true, 1.0, s); err != nil {
+			if err := ma.Update(i, s, opt.TechQuant8, true, 1.0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -355,28 +355,30 @@ func TestAdditiveRewardsInflate(t *testing.T) {
 
 func TestUpdateRejectsUnknownAction(t *testing.T) {
 	a := NewAgent(Config{Seed: 9})
-	if err := a.Update(0, State{}, opt.TechNone, true, 0, State{}); err == nil {
+	if err := a.Update(0, State{}, opt.TechNone, true, 0); err == nil {
 		t.Fatal("Update accepted TechNone, which is not in the action space")
 	}
 }
 
 func TestRewardHistoryAndMeanRecent(t *testing.T) {
-	a := NewAgent(Config{Seed: 10, WP: 1, WA: 0})
+	a := NewAgent(Config{Seed: 10})
 	s := State{}
 	for i := 0; i < 10; i++ {
 		ok := i >= 5 // second half all succeed
-		if err := a.Update(i, s, opt.TechQuant8, ok, 0, s); err != nil {
+		if err := a.Update(i, s, opt.TechQuant8, ok, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if len(a.RewardHistory()) != 10 || a.Updates() != 10 {
 		t.Fatal("reward history length wrong")
 	}
-	if got := a.MeanRecentReward(5); got != 1 {
-		t.Fatalf("recent reward = %v, want 1", got)
+	// A completed round with no accuracy change earns the participation
+	// weight wp; a dropped one earns nothing.
+	if got := a.MeanRecentReward(5); math.Abs(got-wp) > 1e-12 {
+		t.Fatalf("recent reward = %v, want %v", got, wp)
 	}
-	if got := a.MeanRecentReward(0); got != 0.5 {
-		t.Fatalf("full-history reward = %v, want 0.5", got)
+	if got := a.MeanRecentReward(0); math.Abs(got-wp/2) > 1e-12 {
+		t.Fatalf("full-history reward = %v, want %v", got, wp/2)
 	}
 	if NewAgent(Config{}).MeanRecentReward(5) != 0 {
 		t.Fatal("empty history should average 0")
@@ -391,7 +393,7 @@ func TestMemoryBytesUnderPaperBound(t *testing.T) {
 			for net := 0; net < 5; net++ {
 				s := State{GB: 1, GE: 1, GK: 1, CPU: cpu, Mem: mem, Net: net}
 				act := a.SelectAction(s)
-				if err := a.Update(0, s, act, true, 0.1, s); err != nil {
+				if err := a.Update(0, s, act, true, 0.1); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -410,7 +412,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	s := State{CPU: 3, Net: 1}
 	for i := 0; i < 50; i++ {
 		act := a.SelectAction(s)
-		if err := a.Update(i, s, act, i%2 == 0, 0.2, s); err != nil {
+		if err := a.Update(i, s, act, i%2 == 0, 0.2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -463,7 +465,7 @@ func TestTransferConvergesFaster(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			act := a.SelectAction(s)
 			ok, acc := env(act)
-			if err := a.Update(i, s, act, ok, acc, s); err != nil {
+			if err := a.Update(i, s, act, ok, acc); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -499,7 +501,7 @@ func TestQValueBoundsQuick(t *testing.T) {
 			act := a.SelectAction(s)
 			ok := i%3 != 0
 			acc := float64(i%7)/3 - 1 // in [-1, 1]
-			if err := a.Update(i, s, act, ok, acc, s); err != nil {
+			if err := a.Update(i, s, act, ok, acc); err != nil {
 				return false
 			}
 		}
@@ -512,28 +514,5 @@ func TestQValueBoundsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDiscountedUpdateUsesFutureValue(t *testing.T) {
-	a := NewAgent(Config{Seed: 16, Discount: 0.5, FixedLR: true, BaseLR: 1})
-	s, next := State{CPU: 0}, State{CPU: 4}
-	// Seed the next state with a high-value action.
-	if err := a.Update(0, next, opt.TechQuant8, true, 1, next); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Update(1, s, opt.TechPrune25, true, 0, next); err != nil {
-		t.Fatal(err)
-	}
-	part, _ := a.Objectives(s)
-	var idx int
-	for i, act := range a.Actions() {
-		if act == opt.TechPrune25 {
-			idx = i
-		}
-	}
-	// With lr=1 and discount=0.5: QPart = 1 + 0.5*futureQPart(=1) = 1.5.
-	if part[idx] <= 1 {
-		t.Fatalf("discounted update ignored the future term: %v", part[idx])
 	}
 }

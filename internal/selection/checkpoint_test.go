@@ -49,8 +49,8 @@ func TestSelectorCheckpointResume(t *testing.T) {
 	}
 	makers := map[string]func() stateful{
 		"random": func() stateful { return NewRandom(77) },
-		"oort":   func() stateful { return NewOort(OortConfig{Seed: 77}) },
-		"refl":   func() stateful { return NewREFL(REFLConfig{Seed: 77}) },
+		"oort":   func() stateful { return NewOort(77) },
+		"refl":   func() stateful { return NewREFL(77) },
 	}
 	for name, mk := range makers {
 		t.Run(name, func(t *testing.T) {

@@ -129,19 +129,9 @@ func (o *Oort) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 	if k > n {
 		k = n
 	}
-	preferred := o.cfg.PreferredDurationSec
-	if preferred <= 0 {
-		if o.pacerT <= 0 {
-			o.pacerT = info.DeadlineSec * 0.8
-			if o.pacerT <= 0 {
-				o.pacerT = 60
-			}
-		}
-		o.pace()
-		preferred = o.pacerT
-	}
+	preferred := o.pace(info)
 
-	nExplore := int(math.Round(o.cfg.ExploreFrac * float64(k)))
+	nExplore := int(math.Round(oortExploreFrac * float64(k)))
 	if nExplore > k {
 		nExplore = k
 	}
@@ -221,8 +211,8 @@ func (r *REFL) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 			probed = append(probed, id)
 			avail[id] = a
 			h := append(r.history[id], a)
-			if len(h) > r.cfg.Window {
-				h = h[len(h)-r.cfg.Window:]
+			if len(h) > reflWindow {
+				h = h[len(h)-reflWindow:]
 			}
 			r.history[id] = h
 		})

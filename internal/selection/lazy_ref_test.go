@@ -37,19 +37,9 @@ func (o *Oort) selectLazyOneAtATime(info RoundInfo, view PopulationView, k int) 
 	if k > n {
 		k = n
 	}
-	preferred := o.cfg.PreferredDurationSec
-	if preferred <= 0 {
-		if o.pacerT <= 0 {
-			o.pacerT = info.DeadlineSec * 0.8
-			if o.pacerT <= 0 {
-				o.pacerT = 60
-			}
-		}
-		o.pace()
-		preferred = o.pacerT
-	}
+	preferred := o.pace(info)
 
-	nExplore := int(math.Round(o.cfg.ExploreFrac * float64(k)))
+	nExplore := int(math.Round(oortExploreFrac * float64(k)))
 	if nExplore > k {
 		nExplore = k
 	}
@@ -153,8 +143,8 @@ func (r *REFL) selectLazyOneAtATime(info RoundInfo, view PopulationView, k int) 
 		probed = append(probed, id)
 		avail[id] = a
 		h := append(r.history[id], a)
-		if len(h) > r.cfg.Window {
-			h = h[len(h)-r.cfg.Window:]
+		if len(h) > reflWindow {
+			h = h[len(h)-reflWindow:]
 		}
 		r.history[id] = h
 	}

@@ -78,8 +78,8 @@ type twin struct {
 func TestLazySelectorsContract(t *testing.T) {
 	const n, k = 5000, 10
 	random, randomRef := NewRandom(3), NewRandom(3)
-	oort, oortRef := NewOort(OortConfig{Seed: 4}), NewOort(OortConfig{Seed: 4})
-	refl, reflRef := NewREFL(REFLConfig{Seed: 5}), NewREFL(REFLConfig{Seed: 5})
+	oort, oortRef := NewOort(4), NewOort(4)
+	refl, reflRef := NewREFL(5), NewREFL(5)
 	selectors := map[string]twin{
 		"random": {random, random.src.Pos, randomRef.selectLazyOneAtATime, randomRef.Observe, randomRef.src.Pos, randomRef.CheckpointState},
 		"oort":   {oort, oort.src.Pos, oortRef.selectLazyOneAtATime, oortRef.Observe, oortRef.src.Pos, oortRef.CheckpointState},

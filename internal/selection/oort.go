@@ -8,32 +8,26 @@ import (
 	"floatfl/internal/rngstate"
 )
 
-// OortConfig tunes the Oort selector.
-type OortConfig struct {
-	// Alpha is the exponent of the system-speed penalty (Oort's default 2).
-	Alpha float64
-	// ExploreFrac of each round's slots goes to never-tried clients.
-	ExploreFrac float64
-	// PreferredDurationSec is Oort's developer-preferred round duration T;
-	// clients slower than T are penalized by (T/t)^Alpha. Zero derives T
-	// from the round deadline and lets the pacer adapt it.
-	PreferredDurationSec float64
-	// PacerStep is the fraction by which the pacer relaxes or tightens the
-	// preferred duration when too few / enough clients beat it (Oort's
-	// pacer; default 0.2). Only active when PreferredDurationSec is 0.
-	PacerStep float64
-	// BlacklistAfter removes a client from exploitation after this many
-	// consecutive dropouts (default 4); exploration can still revisit it.
-	BlacklistAfter int
-	Seed           int64
-}
+// Oort's tuning constants; oortAlpha is the Oort paper's default.
+const (
+	// oortAlpha is the exponent of the system-speed penalty: a client
+	// slower than the preferred duration T scores (T/t)^oortAlpha.
+	oortAlpha = 2
+	// oortExploreFrac of each round's slots goes to never-tried clients.
+	oortExploreFrac = 0.1
+	// oortPacerStep is the fraction by which the pacer relaxes or
+	// tightens T when too few / nearly all clients beat it.
+	oortPacerStep = 0.2
+	// oortBlacklistAfter consecutive dropouts remove a client from
+	// exploitation; exploration can still revisit it.
+	oortBlacklistAfter = 4
+)
 
 // Oort implements guided participant selection: utility = statistical
 // utility × system penalty, with an exploration slice for unseen clients.
 // Because utility rewards fast completions, Oort systematically prefers
 // efficient clients — the bias Fig. 2a quantifies.
 type Oort struct {
-	cfg OortConfig
 	rng *rand.Rand
 	src *rngstate.Source
 
@@ -42,31 +36,17 @@ type Oort struct {
 	tried    map[int]bool
 	failures map[int]int // consecutive dropouts
 
-	// pacer state: the adaptive preferred duration, and the completion
+	// pacer state: the adaptive preferred duration T, and the completion
 	// counts of the current pacer window.
 	pacerT      float64
 	windowOK    int
 	windowTotal int
 }
 
-// NewOort constructs an Oort selector with sensible defaults for zero
-// fields (Alpha 2, ExploreFrac 0.1).
-func NewOort(cfg OortConfig) *Oort {
-	if cfg.Alpha <= 0 {
-		cfg.Alpha = 2
-	}
-	if cfg.ExploreFrac <= 0 {
-		cfg.ExploreFrac = 0.1
-	}
-	if cfg.PacerStep <= 0 {
-		cfg.PacerStep = 0.2
-	}
-	if cfg.BlacklistAfter <= 0 {
-		cfg.BlacklistAfter = 4
-	}
-	src := rngstate.New(cfg.Seed)
+// NewOort constructs an Oort selector drawing from seed.
+func NewOort(seed int64) *Oort {
+	src := rngstate.New(seed)
 	return &Oort{
-		cfg:      cfg,
 		rng:      rand.New(src),
 		src:      src,
 		statUtil: make(map[int]float64),
@@ -85,20 +65,10 @@ func (o *Oort) Select(info RoundInfo, pool []*device.Client, k int) []int {
 	if k > len(pool) {
 		k = len(pool)
 	}
-	preferred := o.cfg.PreferredDurationSec
-	if preferred <= 0 {
-		if o.pacerT <= 0 {
-			o.pacerT = info.DeadlineSec * 0.8
-			if o.pacerT <= 0 {
-				o.pacerT = 60
-			}
-		}
-		o.pace()
-		preferred = o.pacerT
-	}
+	preferred := o.pace(info)
 
 	// Exploration slice: never-tried clients, randomly ordered.
-	nExplore := int(math.Round(o.cfg.ExploreFrac * float64(k)))
+	nExplore := int(math.Round(oortExploreFrac * float64(k)))
 	var untried []int
 	for _, c := range pool {
 		if !o.tried[c.ID] {
@@ -139,23 +109,31 @@ func (o *Oort) Select(info RoundInfo, pool []*device.Client, k int) []int {
 	return append(chosen, ids...)
 }
 
-// pace adapts the preferred duration like Oort's pacer: if fewer than half
-// of the recent participants beat T, relax it; if nearly everyone does,
-// tighten it to push for faster rounds. The window resets after each
-// adjustment.
-func (o *Oort) pace() {
+// pace returns the round's preferred duration T. T starts at 80% of the
+// round deadline (60 s without one) and then adapts like Oort's pacer: if
+// fewer than half of the recent participants beat T, relax it; if nearly
+// everyone does, tighten it to push for faster rounds. The window resets
+// after each adjustment.
+func (o *Oort) pace(info RoundInfo) float64 {
+	if o.pacerT <= 0 {
+		o.pacerT = info.DeadlineSec * 0.8
+		if o.pacerT <= 0 {
+			o.pacerT = 60
+		}
+	}
 	const window = 20
 	if o.windowTotal < window {
-		return
+		return o.pacerT
 	}
 	frac := float64(o.windowOK) / float64(o.windowTotal)
 	switch {
 	case frac < 0.5:
-		o.pacerT *= 1 + o.cfg.PacerStep
+		o.pacerT *= 1 + oortPacerStep
 	case frac > 0.9:
-		o.pacerT *= 1 - o.cfg.PacerStep/2
+		o.pacerT *= 1 - oortPacerStep/2
 	}
 	o.windowOK, o.windowTotal = 0, 0
+	return o.pacerT
 }
 
 // utility computes Oort's scoring for a known client. Unknown clients get
@@ -163,7 +141,7 @@ func (o *Oort) pace() {
 // reaches them.
 func (o *Oort) utility(id int, preferredSec float64) float64 {
 	// Hard blacklist: exploitation skips chronic droppers entirely.
-	if o.failures[id] >= o.cfg.BlacklistAfter {
+	if o.failures[id] >= oortBlacklistAfter {
 		return math.Inf(-1)
 	}
 	stat, known := o.statUtil[id]
@@ -172,7 +150,7 @@ func (o *Oort) utility(id int, preferredSec float64) float64 {
 	}
 	u := stat
 	if t, ok := o.respSecs[id]; ok && t > preferredSec {
-		u *= math.Pow(preferredSec/t, o.cfg.Alpha)
+		u *= math.Pow(preferredSec/t, oortAlpha)
 	}
 	// Repeated dropouts decay utility sharply even before the blacklist.
 	if f := o.failures[id]; f > 0 {
@@ -192,13 +170,13 @@ func (o *Oort) Observe(fb Feedback) {
 	if fb.Outcome.Completed {
 		o.failures[fb.ClientID] = 0
 		if prev, ok := o.respSecs[fb.ClientID]; ok {
-			o.respSecs[fb.ClientID] = ema*fb.Outcome.Cost.TotalSeconds + (1-ema)*prev
+			o.respSecs[fb.ClientID] = float64(ema*fb.Outcome.Cost.TotalSeconds) + float64((1-ema)*prev)
 		} else {
 			o.respSecs[fb.ClientID] = fb.Outcome.Cost.TotalSeconds
 		}
 		if fb.StatUtility > 0 {
 			if prev, ok := o.statUtil[fb.ClientID]; ok {
-				o.statUtil[fb.ClientID] = ema*fb.StatUtility + (1-ema)*prev
+				o.statUtil[fb.ClientID] = float64(ema*fb.StatUtility) + float64((1-ema)*prev)
 			} else {
 				o.statUtil[fb.ClientID] = fb.StatUtility
 			}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestOortPacerRelaxesWhenClientsMiss(t *testing.T) {
-	o := NewOort(OortConfig{Seed: 1})
+	o := NewOort(1)
 	p := pool(t, 10)
 	o.Select(info(0), p, 5) // initializes pacerT from the deadline
 	t0 := o.pacerT
@@ -28,7 +28,7 @@ func TestOortPacerRelaxesWhenClientsMiss(t *testing.T) {
 }
 
 func TestOortPacerTightensWhenEveryoneBeatsIt(t *testing.T) {
-	o := NewOort(OortConfig{Seed: 2})
+	o := NewOort(2)
 	p := pool(t, 10)
 	o.Select(info(0), p, 5)
 	t0 := o.pacerT
@@ -43,23 +43,12 @@ func TestOortPacerTightensWhenEveryoneBeatsIt(t *testing.T) {
 	}
 }
 
-func TestOortExplicitPreferredDisablesPacer(t *testing.T) {
-	o := NewOort(OortConfig{Seed: 3, PreferredDurationSec: 100})
-	p := pool(t, 10)
-	for i := 0; i < 30; i++ {
-		o.Observe(Feedback{ClientID: i % 10, Outcome: device.Outcome{
-			Completed: true, Cost: device.Cost{TotalSeconds: 1000},
-		}})
-	}
-	o.Select(info(1), p, 5)
-	if o.pacerT != 0 {
-		t.Fatalf("explicit preferred duration should keep the pacer off, pacerT=%v", o.pacerT)
-	}
-}
-
 func TestOortBlacklistExcludesChronicDroppers(t *testing.T) {
-	o := NewOort(OortConfig{Seed: 4, BlacklistAfter: 3, ExploreFrac: 0.0001})
-	for i := 0; i < 3; i++ {
+	o := NewOort(4)
+	for i := 0; i < oortBlacklistAfter; i++ {
+		if math.IsInf(o.utility(0, 60), -1) {
+			t.Fatalf("client blacklisted after %d dropouts, want %d", i, oortBlacklistAfter)
+		}
 		o.Observe(Feedback{ClientID: 0, Outcome: device.Outcome{Completed: false,
 			Cost: device.Cost{TotalSeconds: 100}}})
 	}
@@ -75,12 +64,19 @@ func TestOortBlacklistExcludesChronicDroppers(t *testing.T) {
 }
 
 func TestREFLPersistencePredictor(t *testing.T) {
-	r := NewREFL(REFLConfig{Seed: 5, Window: 8, AvailThreshold: 0.5})
-	// Flapping client: ON half the time but never two rounds in a row —
-	// base rate passes, persistence fails.
-	r.history[1] = []bool{true, false, true, false, true, false, true, false}
+	r := NewREFL(5)
+	// Flapping client: ON 5 of 8 rounds, currently ON, but an ON round is
+	// followed by another only once in four — base rate passes,
+	// persistence fails.
+	r.history[1] = []bool{true, true, false, true, false, true, false, true}
 	if r.predictAvailable(1) {
 		t.Fatal("flapping client should be predicted unavailable")
+	}
+	// Rarely-on client: ON only 3 of 8 rounds, but currently in a window
+	// that persists — persistence passes, the base rate fails.
+	r.history[4] = []bool{false, false, false, false, false, true, true, true}
+	if r.predictAvailable(4) {
+		t.Fatal("client below the base rate should be predicted unavailable")
 	}
 	// Stable client: long ON runs, currently ON.
 	r.history[2] = []bool{true, true, true, true, false, true, true, true}
@@ -96,15 +92,21 @@ func TestREFLPersistencePredictor(t *testing.T) {
 
 func TestOortSelectSkipsBlacklisted(t *testing.T) {
 	p := pool(t, 10)
-	o := NewOort(OortConfig{Seed: 6, BlacklistAfter: 2, ExploreFrac: 0.0001})
-	// Blacklist clients 0-4; mark the rest as good.
+	o := NewOort(6)
+	// Clients 0-4 were the most useful until they dropped out
+	// oortBlacklistAfter rounds in a row; the rest are good. Without the
+	// blacklist the droppers' decayed utility, 100·0.5^4, would still beat
+	// the good clients' 1.
+	done := device.Outcome{Completed: true, Cost: device.Cost{TotalSeconds: 10}}
 	for id := 0; id < 10; id++ {
-		for rep := 0; rep < 2; rep++ {
-			out := device.Outcome{Completed: id >= 5, Cost: device.Cost{TotalSeconds: 10}}
-			if !out.Completed {
-				out.Reason = device.DropDeadline
-			}
-			o.Observe(Feedback{ClientID: id, Outcome: out})
+		if id >= 5 {
+			o.Observe(Feedback{ClientID: id, Outcome: done, StatUtility: 1})
+			continue
+		}
+		o.Observe(Feedback{ClientID: id, Outcome: done, StatUtility: 100})
+		for rep := 0; rep < oortBlacklistAfter; rep++ {
+			o.Observe(Feedback{ClientID: id, Outcome: device.Outcome{
+				Reason: device.DropDeadline, Cost: device.Cost{TotalSeconds: 10}}})
 		}
 	}
 	ids := o.Select(info(1), p, 5)

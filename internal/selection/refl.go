@@ -8,16 +8,13 @@ import (
 	"floatfl/internal/rngstate"
 )
 
-// REFLConfig tunes the REFL selector.
-type REFLConfig struct {
-	// Window is the number of recent availability observations used to
-	// predict the next round's availability.
-	Window int
-	// AvailThreshold is the fraction of recent observations that must be
-	// "available" for the client to be predicted available next round.
-	AvailThreshold float64
-	Seed           int64
-}
+// REFL's window predictor: a client is predicted available when at least
+// reflAvailThreshold of its last reflWindow availability observations
+// were "available" (and its window persists; see predictAvailable).
+const (
+	reflWindow         = 8
+	reflAvailThreshold = 0.6
+)
 
 // REFL models the paper's characterization of REFL (EuroSys '23): it
 // observes each client's availability at every round, predicts the next
@@ -30,7 +27,6 @@ type REFLConfig struct {
 // availability depends on dynamic resource consumption, and (2) preferring
 // fast clients excludes a large share of the population entirely.
 type REFL struct {
-	cfg REFLConfig
 	rng *rand.Rand
 	src *rngstate.Source
 
@@ -41,18 +37,10 @@ type REFL struct {
 	lastPart map[int]int // round of last participation
 }
 
-// NewREFL constructs a REFL selector (Window 8, AvailThreshold 0.6 by
-// default).
-func NewREFL(cfg REFLConfig) *REFL {
-	if cfg.Window <= 0 {
-		cfg.Window = 8
-	}
-	if cfg.AvailThreshold <= 0 {
-		cfg.AvailThreshold = 0.6
-	}
-	src := rngstate.New(cfg.Seed)
+// NewREFL constructs a REFL selector drawing from seed.
+func NewREFL(seed int64) *REFL {
+	src := rngstate.New(seed)
 	return &REFL{
-		cfg:      cfg,
 		rng:      rand.New(src),
 		src:      src,
 		history:  make(map[int][]bool),
@@ -75,8 +63,8 @@ func (r *REFL) Select(info RoundInfo, pool []*device.Client, k int) []int {
 	for _, c := range pool {
 		avail := c.ResourcesAt(info.Round).Available
 		h := append(r.history[c.ID], avail)
-		if len(h) > r.cfg.Window {
-			h = h[len(h)-r.cfg.Window:]
+		if len(h) > reflWindow {
+			h = h[len(h)-reflWindow:]
 		}
 		r.history[c.ID] = h
 		if r.predictAvailable(c.ID) {
@@ -98,7 +86,7 @@ func (r *REFL) Select(info RoundInfo, pool []*device.Client, k int) []int {
 }
 
 // predictAvailable is REFL's window predictor. It combines the base-rate
-// test (available in at least AvailThreshold of recent observations) with
+// test (available in at least reflAvailThreshold of recent observations) with
 // a window-persistence estimate: from the observed ON→ON transition
 // frequency it predicts whether a currently-available client's window
 // will persist through the next round. Both estimates share the paper's
@@ -115,7 +103,7 @@ func (r *REFL) predictAvailable(id int) bool {
 			n++
 		}
 	}
-	if float64(n)/float64(len(h)) < r.cfg.AvailThreshold {
+	if float64(n)/float64(len(h)) < reflAvailThreshold {
 		return false
 	}
 	// Persistence: estimate P(on_{t+1} | on_t) from adjacent pairs; only
@@ -146,7 +134,7 @@ func (r *REFL) Observe(fb Feedback) {
 		secs = math.Max(secs*2, 1)
 	}
 	if prev, ok := r.respSecs[fb.ClientID]; ok {
-		r.respSecs[fb.ClientID] = ema*secs + (1-ema)*prev
+		r.respSecs[fb.ClientID] = float64(ema*secs) + float64((1-ema)*prev)
 	} else {
 		r.respSecs[fb.ClientID] = secs
 	}

@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"math"
 	"testing"
 
 	"floatfl/internal/device"
@@ -77,7 +78,7 @@ func TestRandomIsUnbiasedOverRounds(t *testing.T) {
 
 func TestOortSelectBasics(t *testing.T) {
 	p := pool(t, 40)
-	s := NewOort(OortConfig{Seed: 3})
+	s := NewOort(3)
 	if s.Name() != "oort" {
 		t.Fatalf("Name = %q", s.Name())
 	}
@@ -90,7 +91,7 @@ func TestOortSelectBasics(t *testing.T) {
 
 func TestOortPrefersFastHighUtilityClients(t *testing.T) {
 	p := pool(t, 20)
-	s := NewOort(OortConfig{Seed: 4, ExploreFrac: 0.0001})
+	s := NewOort(4)
 	// Feed feedback: clients 0-4 fast + useful; 5-9 slow; 10-19 drop out.
 	for id := 0; id < 20; id++ {
 		fb := Feedback{ClientID: id, Round: 0, StatUtility: 1}
@@ -127,27 +128,29 @@ func TestOortPrefersFastHighUtilityClients(t *testing.T) {
 
 func TestOortExploresUntriedClients(t *testing.T) {
 	p := pool(t, 30)
-	s := NewOort(OortConfig{Seed: 5, ExploreFrac: 0.5})
-	// Mark half the pool as tried.
+	s := NewOort(5)
+	// Mark half the pool as tried, each with a utility that beats the
+	// unknown-client prior, so exploitation alone picks no untried client.
 	for id := 0; id < 15; id++ {
 		s.Observe(Feedback{ClientID: id,
-			Outcome: device.Outcome{Completed: true, Cost: device.Cost{TotalSeconds: 10}}, StatUtility: 1})
+			Outcome: device.Outcome{Completed: true, Cost: device.Cost{TotalSeconds: 10}}, StatUtility: 5})
 	}
-	ids := s.Select(info(1), p, 10)
+	const k = 10
+	ids := s.Select(info(1), p, k)
 	untried := 0
 	for _, id := range ids {
 		if id >= 15 {
 			untried++
 		}
 	}
-	if untried < 3 {
-		t.Fatalf("Oort explored only %d untried clients with ExploreFrac=0.5", untried)
+	if want := int(math.Round(oortExploreFrac * k)); untried < want {
+		t.Fatalf("Oort explored %d untried clients, want its %d-slot exploration slice", untried, want)
 	}
 }
 
 func TestREFLSelectBasics(t *testing.T) {
 	p := pool(t, 40)
-	s := NewREFL(REFLConfig{Seed: 6})
+	s := NewREFL(6)
 	if s.Name() != "refl" {
 		t.Fatalf("Name = %q", s.Name())
 	}
@@ -160,7 +163,7 @@ func TestREFLSelectBasics(t *testing.T) {
 
 func TestREFLPrefersFastClients(t *testing.T) {
 	p := pool(t, 20)
-	s := NewREFL(REFLConfig{Seed: 7})
+	s := NewREFL(7)
 	for id := 0; id < 20; id++ {
 		secs := 10.0
 		if id >= 10 {
@@ -189,7 +192,7 @@ func TestREFLPrefersFastClients(t *testing.T) {
 
 func TestREFLSkipsPredictedUnavailable(t *testing.T) {
 	p := pool(t, 50)
-	s := NewREFL(REFLConfig{Seed: 8, Window: 4, AvailThreshold: 0.75})
+	s := NewREFL(8)
 	// Warm the availability history across several rounds.
 	for r := 0; r < 6; r++ {
 		s.Select(info(r), p, 10)
@@ -242,7 +245,7 @@ func TestREFLMoreBiasedThanRandom(t *testing.T) {
 		return never
 	}
 	neverRandom := countNever(NewRandom(9))
-	neverREFL := countNever(NewREFL(REFLConfig{Seed: 9}))
+	neverREFL := countNever(NewREFL(9))
 	if neverREFL <= neverRandom {
 		t.Fatalf("REFL should exclude more clients than random: refl=%d random=%d",
 			neverREFL, neverRandom)

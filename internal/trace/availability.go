@@ -15,20 +15,11 @@ import (
 // process advances in place as reads move forward and keeps only its last
 // two steps; an earlier step is re-derived from the seed and the drain log.
 type AvailabilityTrace struct {
-	seed int64
-	rng  *rand.Rand
-	// pOffToOn and pOnToOff are per-step switch probabilities.
-	pOffToOn, pOnToOff float64
-	diurnalPeriod      int
-	// battery in [0,1]; device is unavailable below lowWater regardless of
-	// the ON/OFF state, and recovers above highWater.
-	battery             float64
-	lowWater, highWater float64
-	drainPerUse         float64
-	chargePerStep       float64
-
-	on bool
-	n  int // steps generated
+	seed    int64
+	rng     *rand.Rand
+	battery float64 // in [0,1]
+	on      bool
+	n       int // steps generated
 	// avail and levels hold steps n-2 and n-1 at index t&1.
 	avail  [2]bool
 	levels [2]float64
@@ -41,6 +32,17 @@ type AvailabilityTrace struct {
 	drainIdx int // first unconsumed entry of drains
 }
 
+// The process's constants: a phone that is usable roughly 80% of the
+// time. ON and OFF dwell times are geometric with means of 30 and 6
+// steps; an idle step recharges 5% of the battery, and below lowWater
+// the device is unavailable whatever its ON/OFF state.
+const (
+	meanOnSteps   = 30
+	meanOffSteps  = 6
+	chargePerStep = 0.05
+	lowWater      = 0.15
+)
+
 // DrainEvent records one battery-drain request: Frac battery fraction,
 // consumed when series step Step is generated. Events are logged in
 // nondecreasing Step order.
@@ -49,47 +51,9 @@ type DrainEvent struct {
 	Frac float64
 }
 
-// AvailabilityConfig tunes an availability trace.
-type AvailabilityConfig struct {
-	Seed int64
-	// MeanOnSteps / MeanOffSteps set expected dwell times (geometric).
-	MeanOnSteps, MeanOffSteps float64
-	// DrainPerUse is battery drained by one round of training.
-	DrainPerUse float64
-	// ChargePerStep is battery recovered per idle step.
-	ChargePerStep float64
-	// DiurnalPeriod, when positive, modulates availability with a daily
-	// cycle of this many steps: devices are most available (idle and
-	// charging) during the "night" half of the cycle — the dominant
-	// pattern of the smartphone availability study the paper draws on.
-	DiurnalPeriod int
-}
-
-// NewAvailabilityTrace constructs a trace; zero-valued config fields get
-// defaults matching a phone that is usable roughly 80% of the time.
-func NewAvailabilityTrace(cfg AvailabilityConfig) *AvailabilityTrace {
-	if cfg.MeanOnSteps <= 0 {
-		cfg.MeanOnSteps = 30
-	}
-	if cfg.MeanOffSteps <= 0 {
-		cfg.MeanOffSteps = 6
-	}
-	if cfg.DrainPerUse <= 0 {
-		cfg.DrainPerUse = 0.08
-	}
-	if cfg.ChargePerStep <= 0 {
-		cfg.ChargePerStep = 0.05
-	}
-	a := &AvailabilityTrace{
-		seed:          cfg.Seed,
-		pOffToOn:      1 / cfg.MeanOffSteps,
-		pOnToOff:      1 / cfg.MeanOnSteps,
-		diurnalPeriod: cfg.DiurnalPeriod,
-		lowWater:      0.15,
-		highWater:     0.35,
-		drainPerUse:   cfg.DrainPerUse,
-		chargePerStep: cfg.ChargePerStep,
-	}
+// NewAvailabilityTrace constructs the trace of the given seed.
+func NewAvailabilityTrace(seed int64) *AvailabilityTrace {
+	a := &AvailabilityTrace{seed: seed}
 	a.start()
 	return a
 }
@@ -118,7 +82,7 @@ func (a *AvailabilityTrace) BatteryAt(t int) float64 {
 // at reads step t. A read before the two-step window is answered by a copy
 // restarted from the seed, which replays the drain log: the drains that
 // steps 0..t consumed are exactly those with Step <= t. The receiver,
-// and with it the Step the next RecordUse logs, is left untouched.
+// and with it the Step the next RecordUseAmount logs, is left untouched.
 func (a *AvailabilityTrace) at(t int) (bool, float64) {
 	if t < 0 {
 		t = 0
@@ -133,12 +97,6 @@ func (a *AvailabilityTrace) at(t int) (bool, float64) {
 	return a.avail[t&1], a.levels[t&1]
 }
 
-// RecordUse registers that the client trained during the current step,
-// draining the configured per-use battery amount.
-func (a *AvailabilityTrace) RecordUse() {
-	a.drains = append(a.drains, DrainEvent{Step: a.n, Frac: a.drainPerUse})
-}
-
 // RecordUseAmount drains an explicit battery fraction — used by the cost
 // model to charge each round proportionally to the energy it actually
 // consumed, so acceleration techniques that cut compute also preserve
@@ -150,7 +108,7 @@ func (a *AvailabilityTrace) RecordUseAmount(frac float64) {
 }
 
 // DrainLog returns a copy of the drain-event log. A trace constructed with
-// the same config and then ReplayDrains'd with this log is bit-identical to
+// the same seed and then ReplayDrains'd with this log is bit-identical to
 // the receiver — the log plus the seed is the trace's whole mutable state.
 func (a *AvailabilityTrace) DrainLog() []DrainEvent {
 	if len(a.drains) == 0 {
@@ -193,7 +151,7 @@ func (a *AvailabilityTrace) extend(t int) {
 		if drain > 0 {
 			a.battery -= drain
 		} else {
-			a.battery += a.chargePerStep
+			a.battery += chargePerStep
 		}
 		if a.battery < 0 {
 			a.battery = 0
@@ -201,33 +159,18 @@ func (a *AvailabilityTrace) extend(t int) {
 		if a.battery > 1 {
 			a.battery = 1
 		}
-		// ON/OFF switching; a diurnal cycle tilts the switch rates so the
-		// "night" half of the period is markedly more available.
-		pOff, pOn := a.pOnToOff, a.pOffToOn
-		if a.diurnalPeriod > 0 {
-			phase := a.n % a.diurnalPeriod
-			if phase < a.diurnalPeriod/2 { // night: sticky ON
-				pOff /= 3
-				pOn *= 3
-			} else { // day: sticky OFF
-				pOff *= 3
-				pOn /= 3
-			}
-			if pOn > 1 {
-				pOn = 1
-			}
-		}
+		// ON/OFF switching.
 		if a.on {
-			if a.rng.Float64() < pOff {
+			if a.rng.Float64() < 1.0/meanOnSteps {
 				a.on = false
 			}
 		} else {
-			if a.rng.Float64() < pOn {
+			if a.rng.Float64() < 1.0/meanOffSteps {
 				a.on = true
 			}
 		}
 		avail := a.on
-		if a.battery < a.lowWater {
+		if a.battery < lowWater {
 			avail = false
 		}
 		a.avail[a.n&1] = avail

@@ -6,12 +6,11 @@ import (
 )
 
 // TestDrainLogReplayBitIdentical is the contract the lazy population's
-// eviction path stands on: a trace's DrainLog plus its construction config
-// fully determine its series. Interleave reads and drains on a live trace,
+// eviction path stands on: a trace's DrainLog plus its seed fully
+// determine its series. Interleave reads and drains on a live trace,
 // then rebuild a fresh trace from the log and check every step bit-for-bit.
 func TestDrainLogReplayBitIdentical(t *testing.T) {
-	cfg := AvailabilityConfig{Seed: 42, DiurnalPeriod: 24}
-	live := NewAvailabilityTrace(cfg)
+	live := NewAvailabilityTrace(42)
 
 	rng := rand.New(rand.NewSource(7))
 	step := 0
@@ -21,7 +20,7 @@ func TestDrainLogReplayBitIdentical(t *testing.T) {
 		live.BatteryAt(step)
 		switch rng.Intn(3) {
 		case 0:
-			live.RecordUse()
+			live.RecordUseAmount(0.08)
 		case 1:
 			live.RecordUseAmount(0.01 + 0.1*rng.Float64())
 		}
@@ -29,7 +28,7 @@ func TestDrainLogReplayBitIdentical(t *testing.T) {
 	horizon := step + 10
 	live.Available(horizon)
 
-	replayed := NewAvailabilityTrace(cfg)
+	replayed := NewAvailabilityTrace(42)
 	replayed.ReplayDrains(live.DrainLog())
 	for s := 0; s <= horizon; s++ {
 		if got, want := replayed.Available(s), live.Available(s); got != want {
@@ -44,13 +43,13 @@ func TestDrainLogReplayBitIdentical(t *testing.T) {
 // TestDrainLogEmpty pins that an untouched trace has a nil log and that
 // replaying a nil log is a no-op equivalent to a fresh trace.
 func TestDrainLogEmpty(t *testing.T) {
-	a := NewAvailabilityTrace(AvailabilityConfig{Seed: 3})
+	a := NewAvailabilityTrace(3)
 	a.Available(20)
 	if got := a.DrainLog(); got != nil {
 		t.Fatalf("trace without recorded use has log %v, want nil", got)
 	}
 
-	b := NewAvailabilityTrace(AvailabilityConfig{Seed: 3})
+	b := NewAvailabilityTrace(3)
 	b.ReplayDrains(nil)
 	for s := 0; s <= 20; s++ {
 		if b.BatteryAt(s) != a.BatteryAt(s) {
@@ -62,7 +61,7 @@ func TestDrainLogEmpty(t *testing.T) {
 // TestReplayAfterGenerationPanics pins the misuse guard: replay is only
 // meaningful on a trace whose series has not started.
 func TestReplayAfterGenerationPanics(t *testing.T) {
-	a := NewAvailabilityTrace(AvailabilityConfig{Seed: 5})
+	a := NewAvailabilityTrace(5)
 	a.Available(0)
 	defer func() {
 		if recover() == nil {

@@ -26,9 +26,9 @@ func TestNegativeStepReadsStepZero(t *testing.T) {
 			}
 		}},
 		{"availability", func() func(int) [4]float64 {
-			a := NewAvailabilityTrace(AvailabilityConfig{Seed: 17, DrainPerUse: 0.3})
+			a := NewAvailabilityTrace(17)
 			return func(t int) [4]float64 {
-				a.RecordUse()
+				a.RecordUseAmount(0.3)
 				var on float64
 				if a.Available(t) {
 					on = 1
@@ -69,8 +69,7 @@ func FuzzTraceAccess(f *testing.F) {
 		}
 		kind := NetKind(seed & 1)
 		scenario := Scenario(uint64(seed>>1) % 3)
-		cfg := AvailabilityConfig{Seed: seed, DrainPerUse: 0.2, DiurnalPeriod: []int{0, 6, 24}[uint64(seed>>3)%3]}
-		bw, in, av := NewBandwidthTrace(kind, seed), NewInterference(scenario, seed), NewAvailabilityTrace(cfg)
+		bw, in, av := NewBandwidthTrace(kind, seed), NewInterference(scenario, seed), NewAvailabilityTrace(seed)
 
 		type read struct {
 			step int
@@ -100,16 +99,16 @@ func FuzzTraceAccess(f *testing.F) {
 						t.Fatalf("read of step %d before the window moved the traces: steps %d/%d/%d, were %d/%d/%d",
 							step, av.StepsGenerated(), bw.n, in.n, n0, bn0, in0)
 					}
-					av.RecordUse()
+					av.RecordUseAmount(0.2)
 					log := av.DrainLog()
 					if got := log[len(log)-1].Step; got != n0 {
-						t.Fatalf("RecordUse after a read before the window logged step %d, want %d", got, n0)
+						t.Fatalf("RecordUseAmount after a read before the window logged step %d, want %d", got, n0)
 					}
 				}
 			case 2:
 				readAll(-1 - arg)
 			case 3:
-				av.RecordUse()
+				av.RecordUseAmount(0.2)
 			case 4:
 				av.RecordUseAmount(float64(arg) / 255)
 			case 5: // the window's older slot, as Execute's t after t+1
@@ -117,7 +116,7 @@ func FuzzTraceAccess(f *testing.F) {
 			}
 		}
 
-		rbw, rin, rav := NewBandwidthTrace(kind, seed), NewInterference(scenario, seed), NewAvailabilityTrace(cfg)
+		rbw, rin, rav := NewBandwidthTrace(kind, seed), NewInterference(scenario, seed), NewAvailabilityTrace(seed)
 		rav.ReplayDrains(av.DrainLog())
 		ref := make([]read, hi+1)
 		for s := range ref {
