@@ -191,7 +191,7 @@ func (c *Client) Step(ctx context.Context, round int) (bool, error) {
 		Epochs:    c.spec.Epochs,
 		BatchSize: c.spec.BatchSize,
 		LR:        c.spec.LR,
-		GradClip:  5,
+		GradClip:  fl.GradClip,
 		Seed:      c.rng.Int63(),
 	}
 	lt, err := fl.TrainLocal(c.model, before, delta, before, c.Shard, c.LocalTest, tech, tc, c.rng)

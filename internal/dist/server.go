@@ -526,7 +526,8 @@ func (s *Server) aggregateLocked() {
 // is only read, and only through its parameters (MarshalBinary for the
 // task blob, NumParams); every writer of the model — aggregateLocked and
 // RestoreSnapshot — joins first. Joining under mu cannot deadlock, since
-// the evaluation takes no lock.
+// the only lock the evaluation takes is nn's minibatch free list, held
+// for a slice push or pop and never while waiting on anything.
 type pendingEval struct {
 	round      int
 	clock      float64

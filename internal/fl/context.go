@@ -27,9 +27,10 @@ type trainContext struct {
 	shard     data.ShardBuf // the job's derived shard (lazy populations)
 }
 
-// gradClip bounds each gradient component in local training; the snapshot
-// fingerprint records it as grad_clip.
-const gradClip = 5
+// GradClip bounds each gradient component in local training, in the
+// simulator and in floatd's clients alike; the snapshot fingerprint
+// records it as grad_clip.
+const GradClip = 5
 
 // reseed readies the context for the simulated client round (round,
 // clientID) and returns what the simulator hands TrainLocal: cfg's
@@ -53,7 +54,7 @@ func (c *trainContext) reseed(proto *nn.Model, cfg Config, round, clientID int) 
 		Epochs:    cfg.Epochs,
 		BatchSize: cfg.BatchSize,
 		LR:        cfg.LR,
-		GradClip:  gradClip,
+		GradClip:  GradClip,
 		ProxMu:    cfg.ProxMu,
 		Seed:      seed,
 	}, c.updateRNG

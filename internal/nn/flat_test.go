@@ -98,7 +98,7 @@ func TestGradientsAliasLayerStorage(t *testing.T) {
 }
 
 // Clone must share no storage with the original: not parameters, not
-// gradients, not forward/backward scratch.
+// gradients.
 func TestCloneSharesNothing(t *testing.T) {
 	for _, arch := range allArchNames() {
 		m := flatTestModel(t, arch)
@@ -110,11 +110,12 @@ func TestCloneSharesNothing(t *testing.T) {
 		origG := m.Gradients().Clone()
 		c.Parameters().Fill(7)
 		c.Gradients().Fill(-7)
-		// Run a forward/backward on the clone to exercise its scratch.
+		// Train the clone, which writes its parameters and gradients.
 		x := tensor.NewVector(m.InDim())
 		x.Fill(0.5)
-		s := Sample{X: x, Label: 1}
-		c.lossAndGrads(s, 0)
+		if _, err := c.Train([]Sample{{X: x, Label: 1}}, TrainConfig{Epochs: 1, BatchSize: 1, LR: 0.1}); err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range m.Parameters() {
 			if v != origP[i] {
 				t.Fatalf("%s: mutating clone changed original parameters at %d", arch, i)

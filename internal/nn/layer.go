@@ -17,7 +17,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"floatfl/internal/tensor"
@@ -34,22 +33,12 @@ const (
 )
 
 // Dense is a fully connected layer: y = act(W·x + b). A Model lays one
-// over each layer's range of its flat buffers.
+// over each layer's range of its flat buffers; the model runs it a
+// minibatch at a time (see batch.go).
 type Dense struct {
 	W   *tensor.Matrix
 	B   tensor.Vector
 	Act Activation
-
-	// be is the tensor backend the matrix kernels dispatch through: the
-	// owning Model's, which Model.SetBackend swaps.
-	be tensor.Backend
-
-	// Scratch buffers reused across Forward/Backward calls. They hold the
-	// most recent forward pass, which Backward consumes.
-	in     tensor.Vector // last input (aliases caller data)
-	preAct tensor.Vector // W·x + b before activation
-	out    tensor.Vector // activated output
-	gradIn tensor.Vector // dL/dIn returned by Backward, reused per call
 
 	// Gradient accumulators, matched elementwise to W and B.
 	GradW *tensor.Matrix
@@ -58,65 +47,16 @@ type Dense struct {
 
 // newDense lays an in→out layer over params and grads, each (in+1)·out
 // scalars long: weights row-major, then biases. The layer aliases both
-// buffers and gets fresh scratch.
-func newDense(in, out int, act Activation, be tensor.Backend, params, grads tensor.Vector) *Dense {
+// buffers.
+func newDense(in, out int, act Activation, params, grads tensor.Vector) *Dense {
 	nw := in * out
 	return &Dense{
-		W:      &tensor.Matrix{Rows: out, Cols: in, Data: params[:nw:nw]},
-		B:      params[nw:],
-		Act:    act,
-		be:     be,
-		preAct: tensor.NewVector(out),
-		out:    tensor.NewVector(out),
-		gradIn: tensor.NewVector(in),
-		GradW:  &tensor.Matrix{Rows: out, Cols: in, Data: grads[:nw:nw]},
-		GradB:  grads[nw:],
+		W:     &tensor.Matrix{Rows: out, Cols: in, Data: params[:nw:nw]},
+		B:     params[nw:],
+		Act:   act,
+		GradW: &tensor.Matrix{Rows: out, Cols: in, Data: grads[:nw:nw]},
+		GradB: grads[nw:],
 	}
-}
-
-// Forward runs the layer on x and returns the activated output. The
-// returned slice is owned by the layer and overwritten on the next call.
-func (d *Dense) Forward(x tensor.Vector) tensor.Vector {
-	if len(x) != d.W.Cols {
-		panic(fmt.Sprintf("nn: Dense.Forward input %d, want %d", len(x), d.W.Cols))
-	}
-	d.in = x
-	d.be.MatVec(d.W, d.preAct, x)
-	pre, relu := d.preAct, d.Act == ActReLU
-	b, out := d.B[:len(pre)], d.out[:len(pre)]
-	for i, v := range pre { // bias, pre-activation and activation in one pass
-		v += b[i]
-		pre[i] = v
-		if relu {
-			v = reluOf(v)
-		}
-		out[i] = v
-	}
-	return d.out
-}
-
-// Backward consumes dL/dOut, accumulates dL/dW and dL/dB into the gradient
-// buffers, and returns dL/dIn — or nil without computing it when wantIn is
-// false. gradOut may be modified in place; the returned slice is owned by
-// the layer and overwritten on the next call.
-func (d *Dense) Backward(gradOut tensor.Vector, wantIn bool) tensor.Vector {
-	if len(gradOut) != d.W.Rows {
-		panic(fmt.Sprintf("nn: Dense.Backward grad %d, want %d", len(gradOut), d.W.Rows))
-	}
-	pre, gb, relu := d.preAct[:len(gradOut)], d.GradB[:len(gradOut)], d.Act == ActReLU
-	for i, g := range gradOut { // ReLU mask and bias gradient in one pass
-		if relu {
-			g = reluGrad(pre[i], g)
-			gradOut[i] = g
-		}
-		gb[i] += g
-	}
-	d.be.AddOuterScaled(d.GradW, 1, gradOut, d.in)
-	if !wantIn {
-		return nil
-	}
-	d.be.MatVecT(d.W, d.gradIn, gradOut)
-	return d.gradIn
 }
 
 // reluOf is v > 0 ? v : +0 for every bit pattern, as an integer select:

@@ -75,15 +75,15 @@ type Model struct {
 
 	// backend is the tensor backend training and evaluation dispatch
 	// through; NewModel starts every model on tensor.Default() (ref, the
-	// determinism oracle) and SetBackend swaps model and layers together.
+	// determinism oracle) and SetBackend swaps it.
 	backend tensor.Backend
 
-	// Scratch reused across training/evaluation calls so the steady-state
-	// hot path allocates nothing.
-	probs    tensor.Vector // softmax outputs
-	lossGrad tensor.Vector // dL/dlogits per sample
-	order    []int         // shuffled sample order, grown on demand
-	trainRNG *rand.Rand    // shuffle stream, reseeded per Train call
+	// Train's state, reused across calls so the steady-state hot path
+	// allocates nothing. The activations and gradients of a minibatch are
+	// not the model's: each Train or Evaluate call borrows them from the
+	// package's free list (see batch.go).
+	order    []int      // shuffled sample order, grown on demand
+	trainRNG *rand.Rand // shuffle stream, reseeded per Train call
 }
 
 // NewModel builds a model for the named architecture with the given input
@@ -121,25 +121,18 @@ func (m *Model) layOut(params tensor.Vector) {
 		if i == len(m.Layers)-1 {
 			act = ActNone
 		}
-		m.Layers[i] = newDense(widths[i], widths[i+1], act, m.backend, m.params[off:end:end], m.grads[off:end:end])
+		m.Layers[i] = newDense(widths[i], widths[i+1], act, m.params[off:end:end], m.grads[off:end:end])
 		off = end
 	}
-	m.probs = tensor.NewVector(m.nOut)
-	m.lossGrad = tensor.NewVector(m.nOut)
 }
 
 // Backend returns the tensor backend the model currently trains on.
 func (m *Model) Backend() tensor.Backend { return m.backend }
 
-// SetBackend switches the model — and every layer — to backend b. Models
-// start on tensor.Default() ("ref"); switching is cheap and may happen
-// between training calls, but not concurrently with them.
-func (m *Model) SetBackend(b tensor.Backend) {
-	m.backend = b
-	for _, d := range m.Layers {
-		d.be = b
-	}
-}
+// SetBackend switches the model to backend b. Models start on
+// tensor.Default() ("ref"); switching is cheap and may happen between
+// training calls, but not concurrently with them.
+func (m *Model) SetBackend(b tensor.Backend) { m.backend = b }
 
 // InDim returns the model input dimensionality.
 func (m *Model) InDim() int { return m.nIn }
@@ -150,16 +143,6 @@ func (m *Model) OutDim() int { return m.nOut }
 // NumParams returns the total number of trainable scalars (of the small
 // trained network, not the reference architecture).
 func (m *Model) NumParams() int { return len(m.params) }
-
-// Forward computes the logits for one sample. The returned slice is owned
-// by the final layer and overwritten on the next call.
-func (m *Model) Forward(x tensor.Vector) tensor.Vector {
-	h := x
-	for _, d := range m.Layers {
-		h = d.Forward(h)
-	}
-	return h
-}
 
 // Parameters returns the model's flat parameter vector, layer by layer
 // (weights row-major, then biases). The returned vector ALIASES the model's
@@ -186,8 +169,8 @@ func (m *Model) SetParameters(p tensor.Vector) error {
 }
 
 // Clone returns a deep copy of the model sharing no storage: the clone gets
-// its own flat buffers (the parameters copied, the gradients zero), layers
-// and scratch.
+// its own flat buffers (the parameters copied, the gradients zero) and
+// layers.
 func (m *Model) Clone() *Model {
 	c := &Model{Spec: m.Spec, nIn: m.nIn, nOut: m.nOut, backend: m.backend}
 	c.layOut(m.params)

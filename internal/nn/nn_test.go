@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -47,10 +48,29 @@ func TestSpecSizeOrdering(t *testing.T) {
 
 func TestModelForwardShape(t *testing.T) {
 	m := testModel(t, "resnet18")
-	out := m.Forward(tensor.NewVector(8))
+	out := logitsOf(m, tensor.NewVector(8))
 	if len(out) != 4 {
-		t.Fatalf("Forward returned %d logits, want 4", len(out))
+		t.Fatalf("forward returned %d logits, want 4", len(out))
 	}
+}
+
+// logitsOf runs x through m as a one-sample minibatch and returns a copy
+// of its logits.
+func logitsOf(m *Model, x tensor.Vector) tensor.Vector {
+	b := takeBatch()
+	defer b.release()
+	b.shape(m, 1, false)
+	b.load(0, x)
+	return row(m.forward(b), 0).Clone()
+}
+
+// gradsOf sets the model's gradient buffer to s's gradients, backprop
+// stopping at layer floor.
+func gradsOf(m *Model, s Sample, floor int) {
+	b := takeBatch()
+	defer b.release()
+	m.Gradients().Zero()
+	m.minibatch(b, []Sample{s}, []int{0}, floor, 0)
 }
 
 func TestParametersRoundTrip(t *testing.T) {
@@ -293,8 +313,7 @@ func TestGradientSumProperty(t *testing.T) {
 		x := tensor.NewVector(6)
 		tensor.RandnInto(x, 1, rng)
 		label := int(labelRaw) % 3
-		m.Gradients().Zero()
-		m.lossAndGrads(Sample{X: x, Label: label}, 0)
+		gradsOf(m, Sample{X: x, Label: label}, 0)
 		// The bias gradient of the output layer equals dL/dlogits.
 		var sum float64
 		for _, g := range m.Layers[len(m.Layers)-1].GradB {
@@ -333,8 +352,7 @@ func TestGradCheck(t *testing.T) {
 		if floor != tc.layer {
 			t.Fatalf("%s: trainFloor = %d, want %d", tc.name, floor, tc.layer)
 		}
-		m.Gradients().Zero()
-		m.lossAndGrads(s, floor)
+		gradsOf(m, s, floor)
 		l := m.Layers[tc.layer]
 		grads := []tensor.Vector{l.GradW.Data, l.GradB}
 		for pi, p := range []tensor.Vector{l.W.Data, l.B} {
@@ -367,7 +385,7 @@ func TestGradCheck(t *testing.T) {
 }
 
 func evalLoss(m *Model, s Sample) float64 {
-	logits := m.Forward(s.X)
+	logits := logitsOf(m, s.X)
 	probs := tensor.NewVector(len(logits))
 	tensor.Softmax(probs, logits)
 	p := probs[s.Label]
@@ -388,4 +406,80 @@ func meanLoss(m *Model, samples []Sample) float64 {
 		total += evalLoss(m, s)
 	}
 	return total / float64(len(samples))
+}
+
+// Train and Evaluate borrow their minibatch scratch from one free list
+// shared by every model. Several goroutines each train their own model
+// while one model is evaluated and, at the same time, marshalled — the
+// pattern of dist.Server's background holdout evaluation. Every result
+// must be what the same call gives alone; run with -race it also shows
+// that no two calls share scratch.
+func TestConcurrentTrainEvaluateMarshal(t *testing.T) {
+	samples := makeBlobs(rand.New(rand.NewSource(17)), 90, 8, 4, 2.0)
+	cfg := TrainConfig{Epochs: 2, BatchSize: 7, LR: 0.1, GradClip: 5}
+	const trainers = 4
+	base := make([]*Model, trainers)
+	want := make([]tensor.Vector, trainers)
+	for i := range base {
+		base[i] = testModel(t, allArchNames()[i%len(allArchNames())])
+		m := base[i].Clone()
+		cfg.Seed = int64(i)
+		if _, err := m.Train(samples, cfg); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = m.Parameters()
+	}
+	global := testModel(t, "resnet50")
+	wantAcc := global.Evaluate(samples)
+	wantBlob, err := global.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for i := range base {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m, cfg := base[i].Clone(), cfg
+			cfg.Seed = int64(i)
+			for rep := 0; rep < 3; rep++ {
+				if err := m.SetParameters(base[i].Parameters()); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := m.Train(samples, cfg); err != nil {
+					t.Error(err)
+					return
+				}
+				for j, v := range m.Parameters() {
+					if math.Float64bits(v) != math.Float64bits(want[i][j]) {
+						t.Errorf("trainer %d: parameter %d is %v, alone %v", i, j, v, want[i][j])
+						return
+					}
+				}
+			}
+		}(i)
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for rep := 0; rep < 5; rep++ {
+			if acc := global.Evaluate(samples); acc != wantAcc {
+				t.Errorf("Evaluate gave %v, alone %v", acc, wantAcc)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for rep := 0; rep < 5; rep++ {
+			blob, err := global.MarshalBinary()
+			if err != nil || !bytes.Equal(blob, wantBlob) {
+				t.Errorf("MarshalBinary changed while evaluating (err %v)", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }

@@ -37,24 +37,6 @@ type TrainConfig struct {
 	Seed int64
 }
 
-// lossAndGrads runs one sample through the model, backpropagates down to
-// layer floor (see trainFloor), accumulating gradients, and returns the
-// cross-entropy loss. The caller is responsible for zeroing/applying
-// gradients around batches.
-func (m *Model) lossAndGrads(s Sample, floor int) float64 {
-	logits := m.Forward(s.X)
-	// Fused softmax + cross-entropy + dL/dlogits = probs - onehot(label),
-	// built in the model-owned scratch so per-sample backprop allocates
-	// nothing. The ref backend replicates the historical unfused sequence
-	// operation-for-operation.
-	loss := m.backend.SoftmaxXent(m.probs, m.lossGrad, logits, s.Label)
-	grad := m.lossGrad
-	for i := len(m.Layers) - 1; i >= floor; i-- {
-		grad = m.Layers[i].Backward(grad, i > floor)
-	}
-	return loss
-}
-
 // trainFloor returns the index of the lowest layer that is not frozen —
 // the lowest layer Train updates — or len(m.Layers) when none is. Backprop
 // stops there: that layer accumulates its parameter gradients but computes
@@ -76,7 +58,8 @@ func (m *Model) trainFloor(frozen []bool) int {
 // updated — matching how partial training reduces update computation and
 // communication without changing the forward pass. Backward stops at the
 // lowest trained layer (trainFloor), so a frozen prefix costs no backward
-// work at all.
+// work at all. Each minibatch runs through the backend's GEMMs as one
+// matrix, with the bits of running its samples one at a time (batch.go).
 func (m *Model) Train(samples []Sample, cfg TrainConfig) (float64, error) {
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("nn: Train called with no samples")
@@ -110,6 +93,8 @@ func (m *Model) Train(samples []Sample, cfg TrainConfig) (float64, error) {
 	}
 
 	floor := m.trainFloor(cfg.FrozenLayers)
+	b := takeBatch()
+	defer b.release()
 
 	var lastEpochLoss float64
 	for e := 0; e < cfg.Epochs; e++ {
@@ -121,9 +106,7 @@ func (m *Model) Train(samples []Sample, cfg TrainConfig) (float64, error) {
 				end = len(order)
 			}
 			m.grads.Zero()
-			for _, idx := range order[start:end] {
-				epochLoss += m.lossAndGrads(samples[idx], floor)
-			}
+			epochLoss = m.minibatch(b, samples, order[start:end], floor, epochLoss)
 			if cfg.ProxMu > 0 {
 				// FedProx proximal term as one fused flat loop; mu is scaled
 				// by the batch size because gradients are batch sums.
@@ -172,17 +155,31 @@ func step(params, grads tensor.Vector, lr, clip float64) {
 	}
 }
 
+// evalRows is how many samples Evaluate runs through the model at a time.
+const evalRows = 32
+
 // Evaluate returns the classification accuracy over the samples: the
 // share whose largest logit is the label (an empty set scores 0). It does
-// not modify the model.
+// not modify the model, so calls may run concurrently with each other and
+// with MarshalBinary.
 func (m *Model) Evaluate(samples []Sample) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
+	b := takeBatch()
+	defer b.release()
 	correct := 0
-	for _, s := range samples {
-		if m.Forward(s.X).Argmax() == s.Label {
-			correct++
+	for start := 0; start < len(samples); start += evalRows {
+		block := samples[start:min(start+evalRows, len(samples))]
+		b.shape(m, len(block), false)
+		for r, s := range block {
+			b.load(r, s.X)
+		}
+		logits := m.forward(b)
+		for r, s := range block {
+			if row(logits, r).Argmax() == s.Label {
+				correct++
+			}
 		}
 	}
 	return float64(correct) / float64(len(samples))

@@ -11,19 +11,26 @@ import (
 	"floatfl/internal/tensor"
 )
 
-// refTrain is Train with the full backward pass it used to run — every
-// layer runs backward, each computing its input gradient, whatever the
-// frozen mask — built from its own copies of the per-layer loops Train
-// once ran as separate passes: refForward, refBackward and refStep. Only
-// shuffling, the FedProx term and the backend's kernels are shared with
-// Train. It is the oracle TestTrainMatchesFullBackward and
-// FuzzTrainBitExact hold Train to.
+// refTrain is Train as it was: one sample at a time through the
+// matrix–vector kernels, with the full backward pass — every layer runs
+// backward, each computing its input gradient, whatever the frozen mask —
+// built from its own copies of the per-layer loops Train once ran as
+// separate passes: refForward, refBackward and refStep. Only shuffling,
+// the FedProx term and the backend's kernels are shared with Train. It is
+// the oracle TestTrainMatchesFullBackward and FuzzTrainBitExact hold
+// Train's minibatch GEMMs to.
 func refTrain(m *Model, samples []Sample, cfg TrainConfig) float64 {
 	rng := rand.New(rngstate.New(cfg.Seed))
 	order := make([]int, len(samples))
 	for i := range order {
 		order[i] = i
 	}
+	layers := make([]refLayer, len(m.Layers))
+	for i, d := range m.Layers {
+		layers[i] = refLayer{Dense: d, be: m.backend, preAct: tensor.NewVector(d.W.Rows),
+			out: tensor.NewVector(d.W.Rows), gradIn: tensor.NewVector(d.W.Cols)}
+	}
+	probs, lossGrad := tensor.NewVector(m.nOut), tensor.NewVector(m.nOut)
 	var lastEpochLoss float64
 	for e := 0; e < cfg.Epochs; e++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -36,13 +43,13 @@ func refTrain(m *Model, samples []Sample, cfg TrainConfig) float64 {
 			clear(m.grads)
 			for _, idx := range order[start:end] {
 				h := samples[idx].X
-				for _, d := range m.Layers {
-					h = refForward(d, h)
+				for i := range layers {
+					h = refForward(&layers[i], h)
 				}
-				epochLoss += m.backend.SoftmaxXent(m.probs, m.lossGrad, h, samples[idx].Label)
-				grad := m.lossGrad
-				for i := len(m.Layers) - 1; i >= 0; i-- {
-					grad = refBackward(m.Layers[i], grad)
+				epochLoss += m.backend.SoftmaxXent(probs, lossGrad, h, samples[idx].Label)
+				grad := lossGrad
+				for i := len(layers) - 1; i >= 0; i-- {
+					grad = refBackward(&layers[i], grad)
 				}
 			}
 			if cfg.ProxMu > 0 {
@@ -60,9 +67,20 @@ func refTrain(m *Model, samples []Sample, cfg TrainConfig) float64 {
 	return lastEpochLoss
 }
 
-// refForward is Dense.Forward as separate passes: the bias add as an
-// axpy, then a branchy ReLU.
-func refForward(d *Dense, x tensor.Vector) tensor.Vector {
+// refLayer is a Dense layer with the scratch of one sample's forward and
+// backward pass.
+type refLayer struct {
+	*Dense
+	be     tensor.Backend
+	in     tensor.Vector // last input (aliases caller data)
+	preAct tensor.Vector // W·x + b before activation
+	out    tensor.Vector // activated output
+	gradIn tensor.Vector // dL/dIn
+}
+
+// refForward is a layer's forward pass for one sample as separate passes:
+// the matrix–vector product, the bias add as an axpy, then a branchy ReLU.
+func refForward(d *refLayer, x tensor.Vector) tensor.Vector {
 	d.in = x
 	d.be.MatVec(d.W, d.preAct, x)
 	d.preAct.AddScaled(1, d.B)
@@ -75,9 +93,10 @@ func refForward(d *Dense, x tensor.Vector) tensor.Vector {
 	return d.out
 }
 
-// refBackward is Dense.Backward (always computing dL/dIn) as separate
-// passes: a branchy ReLU mask, then the bias gradient as an axpy.
-func refBackward(d *Dense, g tensor.Vector) tensor.Vector {
+// refBackward is a layer's backward pass for one sample (always computing
+// dL/dIn) as separate passes: a branchy ReLU mask, the bias gradient as an
+// axpy, then the rank-one weight gradient and the transposed product.
+func refBackward(d *refLayer, g tensor.Vector) tensor.Vector {
 	for i := range g {
 		if d.Act == ActReLU && d.preAct[i] <= 0 {
 			g[i] = 0

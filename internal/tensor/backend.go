@@ -26,9 +26,8 @@ import (
 type Backend interface {
 	// Name is the registry key ("ref", "fast").
 	Name() string
-	// Batched is false for ref. nn trains one sample at a time through
-	// the matrix–vector kernels and reads neither Batched nor the three
-	// GEMMs below; benchmarks/ladder forwards and probes them.
+	// Batched is false for ref, and nothing in internal/ reads it;
+	// benchmarks/ladder forwards it.
 	Batched() bool
 
 	// Dot returns the inner product of a and b.
@@ -40,12 +39,22 @@ type Backend interface {
 	// AddWeighted performs dst += Σ_k weights[k]·vecs[k] in slice order.
 	AddWeighted(dst Vector, weights []float64, vecs []Vector)
 
+	// The matrix–vector kernels. nn no longer calls them: it trains and
+	// evaluates through the three GEMMs below, and these remain for the
+	// tests' per-sample oracle and for benchmarks/ladder, which forwards
+	// and probes them.
+
 	// MatVec computes dst = m·x.
 	MatVec(m *Matrix, dst, x Vector)
 	// MatVecT computes dst = mᵀ·x.
 	MatVecT(m *Matrix, dst, x Vector)
 	// AddOuterScaled performs m += alpha*(a ⊗ b).
 	AddOuterScaled(m *Matrix, alpha float64, a, b Vector)
+
+	// The GEMMs nn runs every minibatch through, one row per sample. Each
+	// output element gets the operations of the matrix–vector kernel a
+	// per-sample loop would run, in the same order, so a minibatch is
+	// bit-equal to its samples run one at a time.
 
 	// MatMulNT computes dst = a·bᵀ (a: M×K, b: N×K, dst: M×N) — the
 	// GEMM shape of a batched Dense forward (X·Wᵀ).

@@ -58,6 +58,7 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	a := tensor.NewMatrix(m, k)
 	w := tensor.NewMatrix(n, k)
 	dstNT := tensor.NewMatrix(m, n)
+	kn, dstTN := tensor.NewMatrix(k, n), tensor.NewMatrix(k, n)
 	x := tensor.NewVector(k)
 	y := tensor.NewVector(m)
 	logits := tensor.NewVector(n)
@@ -86,6 +87,8 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 				b.MatVecT(a, x, y)
 				b.AddOuterScaled(a, 0.01, y, x)
 				b.MatMulNT(dstNT, a, w)
+				b.MatMulNN(dstNT, a, kn)
+				b.AddMatMulTN(dstTN, a, dstNT)
 				b.Softmax(probs, logits)
 				b.SoftmaxXent(probs, grad, logits, 3)
 				_ = b.Dot(x, x)

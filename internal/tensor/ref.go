@@ -41,68 +41,27 @@ func (refBackend) AddOuterScaled(m *Matrix, alpha float64, a, b Vector) {
 	m.AddOuterScaled(alpha, a, b)
 }
 
-// MatMulNT computes dst = a·bᵀ one output element at a time, each as a
-// sequential dot product — the same accumulation order MatVec uses row by
-// row, so row i of X·Wᵀ is bit-equal to W·x_i.
+// MatMulNT computes dst = a·bᵀ. Each output element is a sequential dot
+// product in MatVec's order, so row i of X·Wᵀ is bit-equal to W·x_i.
 func (refBackend) MatMulNT(dst, a, b *Matrix) {
 	checkMatMulNT(dst, a, b)
-	k := a.Cols
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		out := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*k : (j+1)*k]
-			var s float64
-			for c, av := range arow {
-				s += av * brow[c]
-			}
-			out[j] = s
-		}
-	}
+	matMulNT(dst, a, b)
 }
 
-// MatMulNN computes dst = a·b with the classic i-k-j axpy ordering (row of
-// dst accumulated from scaled rows of b), sequential in k.
+// MatMulNN computes dst = a·b in MatVecT's order: row i of dst starts at
+// zero and adds a[i,k]·b[k,:] for every nonzero a[i,k], in k order, so it
+// is bit-equal to bᵀ·a_i.
 func (refBackend) MatMulNN(dst, a, b *Matrix) {
 	checkMatMulNN(dst, a, b)
-	n := b.Cols
-	for i := 0; i < a.Rows; i++ {
-		out := dst.Data[i*n : (i+1)*n]
-		for j := range out {
-			out[j] = 0
-		}
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*n : (k+1)*n]
-			for j, bv := range brow {
-				out[j] += av * bv
-			}
-		}
-	}
+	matMulNN(dst, a, b)
 }
 
-// AddMatMulTN performs dst += aᵀ·b as a sequence of rank-1 updates, one per
-// shared row k, in row order — the order in which a per-sample backward
-// accumulates AddOuterScaled updates sample by sample.
+// AddMatMulTN performs dst += aᵀ·b: each dst[m,c] adds a[k,m]·b[k,c] for
+// every nonzero a[k,m], in k order — the order in which a per-sample
+// backward accumulates AddOuterScaled(dst, 1, a_k, b_k) sample by sample.
 func (refBackend) AddMatMulTN(dst, a, b *Matrix) {
 	checkAddMatMulTN(dst, a, b)
-	n := b.Cols
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
-		brow := b.Data[k*n : (k+1)*n]
-		for m, av := range arow {
-			if av == 0 {
-				continue
-			}
-			out := dst.Data[m*n : (m+1)*n]
-			for j, bv := range brow {
-				out[j] += av * bv
-			}
-		}
-	}
+	addMatMulTN(dst, a, b)
 }
 
 func (refBackend) Softmax(dst, src Vector) { Softmax(dst, src) }

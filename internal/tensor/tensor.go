@@ -284,29 +284,37 @@ func (m *Matrix) MatVec(dst, x Vector) {
 
 // MatVecT computes dst = mᵀ · x where x has length m.Rows and dst has length
 // m.Cols. dst must not alias x. Each dst[c] starts at zero and adds
-// m[r,c]·x[r] for every row with x[r] != 0, in row order; those rows are
-// gathered and applied four per pass over dst.
+// m[r,c]·x[r] for every row with x[r] != 0, in row order (addScaledRows).
 func (m *Matrix) MatVecT(dst, x Vector) {
 	if len(x) != m.Rows || len(dst) != m.Cols {
 		panic(fmt.Sprintf("tensor: MatVecT shape mismatch m=%dx%d x=%d dst=%d",
 			m.Rows, m.Cols, len(x), len(dst)))
 	}
 	dst.Zero()
-	n := m.Cols
-	var rows [4]int
+	addScaledRows(dst, x, 1, m.Rows, m.Data)
+}
+
+// addScaledRows adds x[r·xs]·b[r,:] to dst, where b holds rows rows of
+// len(dst) columns, for every r with x[r·xs] != 0, in row order: each
+// dst[c] gets one multiply and one add per such row. The rows are gathered
+// and applied four per pass over dst. MatVecT runs it with xs = 1, and
+// the portable GEMMs over a row (MatMulNN) or a column (AddMatMulTN) of a.
+func addScaledRows(dst, x Vector, xs, rows int, b Vector) {
+	n := len(dst)
+	var idx [4]int
 	k := 0
-	for r, xr := range x {
-		if xr == 0 {
+	for r := 0; r < rows; r++ {
+		if x[r*xs] == 0 {
 			continue
 		}
-		rows[k] = r
+		idx[k] = r
 		if k++; k < 4 {
 			continue
 		}
 		k = 0
-		x0, x1, x2, x3 := x[rows[0]], x[rows[1]], x[rows[2]], x[rows[3]]
-		r0, r1, r2, r3 := m.Data[rows[0]*n:][:n], m.Data[rows[1]*n:][:n], m.Data[rows[2]*n:][:n], m.Data[rows[3]*n:][:n]
-		for c, d := range dst[:n] {
+		x0, x1, x2, x3 := x[idx[0]*xs], x[idx[1]*xs], x[idx[2]*xs], x[idx[3]*xs]
+		r0, r1, r2, r3 := b[idx[0]*n:][:n], b[idx[1]*n:][:n], b[idx[2]*n:][:n], b[idx[3]*n:][:n]
+		for c, d := range dst {
 			d += r0[c] * x0
 			d += r1[c] * x1
 			d += r2[c] * x2
@@ -314,9 +322,9 @@ func (m *Matrix) MatVecT(dst, x Vector) {
 			dst[c] = d
 		}
 	}
-	for _, r := range rows[:k] {
-		xr := x[r]
-		for c, w := range m.Data[r*n:][:n] {
+	for _, r := range idx[:k] {
+		xr := x[r*xs]
+		for c, w := range b[r*n:][:n] {
 			dst[c] += w * xr
 		}
 	}

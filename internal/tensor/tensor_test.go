@@ -487,19 +487,7 @@ func FuzzRefKernels(f *testing.F) {
 			}
 			b := data[0]
 			data = data[1:]
-			switch {
-			case b < 32:
-				return 0
-			case b < 64:
-				return math.Copysign(0, -1)
-			case b == 64:
-				return math.NaN()
-			case b == 65:
-				return math.Inf(1)
-			case b == 66:
-				return math.Inf(-1)
-			}
-			return (float64(b) - 160) / 7
+			return fuzzValue(b)
 		}
 		alpha := next()
 		m := NewMatrix(rows, cols)
@@ -514,6 +502,24 @@ func FuzzRefKernels(f *testing.F) {
 		checkMatVecT(t, name, m, a)
 		checkAddOuterScaled(t, name, m, alpha, a, x)
 	})
+}
+
+// fuzzValue decodes one fuzz byte: an eighth of the codes are +0, an
+// eighth −0, three are NaN and ±Inf, the rest finite values.
+func fuzzValue(b byte) float64 {
+	switch {
+	case b < 32:
+		return 0
+	case b < 64:
+		return math.Copysign(0, -1)
+	case b == 64:
+		return math.NaN()
+	case b == 65:
+		return math.Inf(1)
+	case b == 66:
+		return math.Inf(-1)
+	}
+	return (float64(b) - 160) / 7
 }
 
 func TestMatrixCloneIndependent(t *testing.T) {
