@@ -20,11 +20,13 @@ func simRound(ctx *trainContext, delta tensor.Vector, proto *nn.Model, before te
 }
 
 // TestTrainLocalAllocatesNothing pins the steady-state client round
-// against a warm trainContext at zero allocations: the context owns the
-// local model and scratch, the slot owns the delta buffer, and nn.Train
-// reuses its RNG/order/gradient state. The telemetry ops the engines issue
-// per client round (counter increment, histogram observe) run inside the
-// measured body too, so the instrumented hot path is covered.
+// against a warm trainContext at zero allocations, for every technique:
+// the context owns the local model and scratch, the slot owns the delta
+// buffer, nn.Train reuses its RNG/order/gradient state, and pruning takes
+// its magnitude scratch from opt's free list. The telemetry ops the
+// engines issue per client round (counter increment, histogram observe)
+// run inside the measured body too, so the instrumented hot path is
+// covered.
 func TestTrainLocalAllocatesNothing(t *testing.T) {
 	fed, err := data.Generate("femnist", data.GenerateConfig{Clients: 8, Alpha: 0.1, Seed: 11})
 	if err != nil {
@@ -47,18 +49,22 @@ func TestTrainLocalAllocatesNothing(t *testing.T) {
 	trainCalls := reg.Counter("fl_train_calls_total")
 	computeHist := reg.Histogram("device_compute_seconds", []float64{1, 5, 15, 30, 60})
 
-	// AllocsPerRun's own warm-up call builds the context's model and
-	// scratch before counting starts.
-	allocs := testing.AllocsPerRun(10, func() {
-		trainCalls.Inc()
-		if _, err := simRound(pool.ctx(0), pool.delta(0), proto, before,
-			fed.Train[0], fed.LocalTest[0], opt.TechNone, cfg, 1, 0); err != nil {
-			t.Fatal(err)
-		}
-		computeHist.Observe(12.5)
-	})
-	if allocs != 0 {
-		t.Errorf("warm TrainLocal allocates %.0f objects per client round, want 0", allocs)
+	for _, tech := range opt.All() {
+		t.Run(tech.String(), func(t *testing.T) {
+			// AllocsPerRun's own warm-up call builds the context's model
+			// and scratch before counting starts.
+			allocs := testing.AllocsPerRun(10, func() {
+				trainCalls.Inc()
+				if _, err := simRound(pool.ctx(0), pool.delta(0), proto, before,
+					fed.Train[0], fed.LocalTest[0], tech, cfg, 1, 0); err != nil {
+					t.Fatal(err)
+				}
+				computeHist.Observe(12.5)
+			})
+			if allocs != 0 {
+				t.Errorf("warm TrainLocal allocates %.0f objects per client round, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 
 // A model runs a minibatch as matrices, one row per sample. Layer l's
 // forward pass is H = X·Wᵀ (Backend.MatMulNT), then the bias and the
-// activation in one pass; its backward pass masks G by the ReLU and
-// accumulates GradB in one pass, then GradW += Gᵀ·X (AddMatMulTN) and,
-// above the lowest trained layer, the layer below's G = G·W (MatMulNN).
+// activation in one pass (tensor.AddBiasAct); its backward pass masks G by
+// the ReLU and accumulates GradB in one pass (tensor.MaskAddBiasGrad),
+// then GradW += Gᵀ·X (AddMatMulTN) and, above the lowest trained layer,
+// the layer below's G = G·W (MatMulNN).
 // Each GEMM gives every output element the operations, in the same order,
 // of the matrix–vector kernel a per-sample loop would run (MatVec,
 // AddOuterScaled, MatVecT), the weights do not change within a minibatch,
@@ -128,18 +129,7 @@ func (m *Model) forward(b *batch) *tensor.Matrix {
 	for l, d := range m.Layers {
 		pre, out := &b.pre[l], &b.act[l]
 		m.backend.MatMulNT(pre, in, d.W)
-		relu, bias := d.Act == ActReLU, d.B[:pre.Cols]
-		for r := 0; r < pre.Rows; r++ {
-			p, o := row(pre, r), row(out, r)[:len(bias)]
-			for j, v := range p[:len(bias)] { // bias, pre-activation and activation in one pass
-				v += bias[j]
-				p[j] = v
-				if relu {
-					v = reluOf(v)
-				}
-				o[j] = v
-			}
-		}
+		tensor.AddBiasAct(pre, out, d.B[:pre.Cols], d.Act == ActReLU)
 		in = out
 	}
 	return in
@@ -151,18 +141,8 @@ func (m *Model) forward(b *batch) *tensor.Matrix {
 // no input gradient, and the layers below it get no backward pass.
 func (m *Model) backward(b *batch, floor int) {
 	for l := len(m.Layers) - 1; l >= floor; l-- {
-		d := m.Layers[l]
-		g, relu, gb := &b.grad[l], d.Act == ActReLU, d.GradB[:b.grad[l].Cols]
-		for r := 0; r < g.Rows; r++ {
-			gr, p := row(g, r)[:len(gb)], row(&b.pre[l], r)[:len(gb)]
-			for j, v := range gr { // ReLU mask and bias gradient in one pass
-				if relu {
-					v = reluGrad(p[j], v)
-					gr[j] = v
-				}
-				gb[j] += v
-			}
-		}
+		d, g := m.Layers[l], &b.grad[l]
+		tensor.MaskAddBiasGrad(g, &b.pre[l], d.GradB[:g.Cols], d.Act == ActReLU)
 		in := &b.x
 		if l > 0 {
 			in = &b.act[l-1]

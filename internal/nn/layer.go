@@ -16,11 +16,7 @@
 // those buffers (see DESIGN.md "Flat parameter memory layout").
 package nn
 
-import (
-	"math"
-
-	"floatfl/internal/tensor"
-)
+import "floatfl/internal/tensor"
 
 // Activation selects the nonlinearity applied by a Dense layer.
 type Activation int
@@ -57,29 +53,4 @@ func newDense(in, out int, act Activation, params, grads tensor.Vector) *Dense {
 		GradW: &tensor.Matrix{Rows: out, Cols: in, Data: grads[:nw:nw]},
 		GradB: grads[nw:],
 	}
-}
-
-// reluOf is v > 0 ? v : +0 for every bit pattern, as an integer select:
-// u-1 reaches +Inf's bits exactly for +0, the negatives and the NaNs.
-// gc emits a conditional move; a float compare would branch on data.
-func reluOf(v float64) float64 {
-	u := math.Float64bits(v)
-	if u-1 >= 0x7FF0000000000000 {
-		u = 0
-	}
-	return math.Float64frombits(u)
-}
-
-// reluGrad is pre <= 0 ? +0 : g for every bit pattern, as two integer
-// selects: zero when pre is +0 or has the sign bit set, unless it is NaN.
-func reluGrad(pre, g float64) float64 {
-	u, gb := math.Float64bits(pre), math.Float64bits(g)
-	z := gb
-	if int64(u) <= 0 {
-		z = 0
-	}
-	if u<<1 > 0xFFE0000000000000 { // NaN: exponent all ones, mantissa not 0
-		z = gb
-	}
-	return math.Float64frombits(z)
 }

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 
@@ -125,33 +124,14 @@ func (m *Model) Train(samples []Sample, cfg TrainConfig) (float64, error) {
 // its own views.
 func (m *Model) applyStep(lr, clip float64, frozen []bool) {
 	if !slices.Contains(frozen, true) {
-		step(m.params, m.grads, lr, clip)
+		tensor.ClipStep(m.params, m.grads, lr, clip)
 		return
 	}
 	for i, d := range m.Layers {
 		if !frozen[i] {
-			step(d.W.Data, d.GradW.Data, lr, clip)
-			step(d.B, d.GradB, lr, clip)
+			tensor.ClipStep(d.W.Data, d.GradW.Data, lr, clip)
+			tensor.ClipStep(d.B, d.GradB, lr, clip)
 		}
-	}
-}
-
-// step clips each gradient to [-clip, clip] (not when clip <= 0), writes
-// it back to grads and adds -lr times it to the parameter, in one pass.
-// float64(…) rounds the product on its own, so no target fuses it.
-func step(params, grads tensor.Vector, lr, clip float64) {
-	if !(clip > 0) {
-		clip = math.Inf(1)
-	}
-	grads = grads[:len(params)]
-	for i, g := range grads {
-		if g > clip {
-			g = clip
-		} else if g < -clip {
-			g = -clip
-		}
-		grads[i] = g
-		params[i] += float64(-lr * g)
 	}
 }
 

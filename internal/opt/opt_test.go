@@ -204,6 +204,45 @@ func TestPruneSmallestExactCount(t *testing.T) {
 	}
 }
 
+// PruneSmallest's scratch comes from a shared free list: calls on several
+// goroutines at once, over vectors of different lengths (so buffers too
+// short for the next caller come back to the list), must each leave what
+// the same call leaves alone. Run it under -race.
+func TestPruneSmallestConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	inputs := make([]tensor.Vector, 16)
+	want := make([]tensor.Vector, len(inputs))
+	for i := range inputs {
+		inputs[i] = tensor.NewVector(50 + 97*i)
+		for j := range inputs[i] {
+			inputs[i][j] = rng.NormFloat64()
+		}
+		want[i] = inputs[i].Clone()
+		PruneSmallest(want[i], 0.5)
+	}
+	done := make(chan tensor.Vector, len(inputs))
+	for i := range inputs {
+		go func() {
+			v := inputs[i].Clone()
+			for range 20 {
+				copy(v, inputs[i])
+				PruneSmallest(v, 0.5)
+			}
+			done <- v
+		}()
+	}
+	got := make(map[int]tensor.Vector)
+	for range inputs {
+		v := <-done
+		got[len(v)] = v
+	}
+	for i, w := range want {
+		if !slices.Equal(got[len(w)], w) {
+			t.Errorf("vector %d (%d scalars): concurrent prune differs from a lone one", i, len(w))
+		}
+	}
+}
+
 func TestPruneKeepsLargest(t *testing.T) {
 	v := tensor.Vector{0.1, -5, 0.2, 4, -0.05, 3}
 	PruneSmallest(v, 0.5)
@@ -267,6 +306,25 @@ func TestFrozenLayerMask(t *testing.T) {
 	}
 	if frozenCount != 2 {
 		t.Fatalf("frac=1 over 3 layers should freeze 2, froze %d", frozenCount)
+	}
+	// Shared windows and built masks alike: the first k layers frozen and
+	// no room to append into the shared array.
+	for n := 2; n <= maxSharedMask+3; n++ {
+		for _, frac := range []float64{0.25, 0.5, 0.75, 1} {
+			m := FrozenLayerMask(n, frac)
+			k := min(int(math.Round(frac*float64(n))), n-1)
+			if k == 0 && m == nil {
+				continue
+			}
+			if len(m) != n || cap(m) != n {
+				t.Fatalf("n=%d frac=%v: len %d cap %d, want %d", n, frac, len(m), cap(m), n)
+			}
+			for i, f := range m {
+				if f != (i < k) {
+					t.Fatalf("n=%d frac=%v: mask %v, want the first %d frozen", n, frac, m, k)
+				}
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"floatfl/internal/tensor"
 )
@@ -107,9 +108,45 @@ func medianOf3(x, y, z float64) float64 {
 	return math.Max(x, y)
 }
 
+// magScratch is the free list of PruneSmallest's magnitude buffers. A
+// call takes one and returns it before it returns, so the list holds at
+// most one per call that ever ran concurrently. It is not a sync.Pool:
+// the race detector drops pooled items at random, and a dropped buffer is
+// rebuilt by allocating.
+var magScratch struct {
+	mu   sync.Mutex
+	free [][]float64
+}
+
+// takeMags returns a buffer of n scalars from the free list, allocating
+// when the one on top holds fewer.
+func takeMags(n int) []float64 {
+	magScratch.mu.Lock()
+	var buf []float64
+	if last := len(magScratch.free) - 1; last >= 0 {
+		buf = magScratch.free[last]
+		magScratch.free[last] = nil
+		magScratch.free = magScratch.free[:last]
+	}
+	magScratch.mu.Unlock()
+	if cap(buf) < n {
+		buf = make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// releaseMags returns buf to the free list; the caller must not use it
+// again.
+func releaseMags(buf []float64) {
+	magScratch.mu.Lock()
+	magScratch.free = append(magScratch.free, buf)
+	magScratch.mu.Unlock()
+}
+
 // PruneSmallest zeroes the frac fraction of entries of v with smallest
 // absolute value (magnitude pruning of the update). frac outside (0,1) is
-// clamped; frac <= 0 is a no-op.
+// clamped; frac <= 0 is a no-op. Its scratch comes from a free list, so a
+// warm call allocates nothing.
 func PruneSmallest(v tensor.Vector, frac float64) {
 	if frac <= 0 || len(v) == 0 {
 		return
@@ -125,11 +162,12 @@ func PruneSmallest(v tensor.Vector, frac float64) {
 		v.Zero()
 		return
 	}
-	mags := make([]float64, len(v))
+	mags := takeMags(len(v))
 	for i, x := range v {
 		mags[i] = math.Abs(x)
 	}
 	threshold := kthSmallest(mags, k-1)
+	releaseMags(mags)
 	zeroed := 0
 	// First pass: zero strictly-below-threshold entries.
 	for i, x := range v {
@@ -151,10 +189,26 @@ func PruneSmallest(v tensor.Vector, frac float64) {
 	}
 }
 
+// maxSharedMask is the most layers a shared freeze mask covers.
+const maxSharedMask = 64
+
+// sharedMasks is maxSharedMask trues followed by maxSharedMask falses: the
+// mask that freezes the first k of n layers is its n-long window starting
+// k trues before the first false.
+var sharedMasks = func() []bool {
+	m := make([]bool, 2*maxSharedMask)
+	for i := range maxSharedMask {
+		m[i] = true
+	}
+	return m
+}()
+
 // FrozenLayerMask returns the per-layer freeze mask for partial training:
 // the first round(frac·n) layers are frozen, but the output layer always
 // stays trainable (freezing the classifier head would make local training
-// useless). frac <= 0 returns nil, meaning "train everything".
+// useless). frac <= 0 returns nil, meaning "train everything". Up to
+// maxSharedMask layers the mask is a window of one shared array, so a
+// warm client round builds none; callers must not modify it.
 func FrozenLayerMask(numLayers int, frac float64) []bool {
 	if frac <= 0 || numLayers <= 1 {
 		return nil
@@ -168,6 +222,10 @@ func FrozenLayerMask(numLayers int, frac float64) []bool {
 	}
 	if k <= 0 {
 		return nil
+	}
+	if numLayers <= maxSharedMask {
+		lo := maxSharedMask - k
+		return sharedMasks[lo : lo+numLayers : lo+numLayers]
 	}
 	mask := make([]bool, numLayers)
 	for i := 0; i < k; i++ {

@@ -75,7 +75,7 @@ func matMulNT(dst, a, b *Matrix) {
 		for j := n4; j < n; j++ {
 			var s float64
 			for c, v := range b.Data[j*k:][:k] {
-				s += arow[c] * v
+				s += float64(arow[c] * v)
 			}
 			dst.Data[i*n+j] = s
 		}
@@ -137,7 +137,7 @@ func addRows(t *terms, dst, x Vector, xs, rows int, b Vector) {
 		for c := n4; c < n; c++ {
 			d := dst[c]
 			for i, s := range t.s[:cnt] {
-				d += b[t.off[i]+c] * s
+				d += float64(b[t.off[i]+c] * s)
 			}
 			dst[c] = d
 		}

@@ -38,3 +38,22 @@ func axpysAVX2(dst *float64, n int, b *float64, off *int, s *float64, cnt int)
 //
 //go:noescape
 func transposeAVX2(dst, src *float64, ld, rows, cols int)
+
+// biasActAVX2 is AddBiasAct on the first n columns of rows rows, ld
+// elements apart; n must be a positive multiple of 4 and rows at least 1.
+//
+//go:noescape
+func biasActAVX2(pre, act, bias *float64, rows, ld, n int, relu bool)
+
+// maskBiasGradAVX2 is MaskAddBiasGrad on the first n columns of rows rows,
+// ld elements apart; n must be a positive multiple of 4 and rows at least
+// 1. pre is read only with relu.
+//
+//go:noescape
+func maskBiasGradAVX2(grad, pre, gb *float64, rows, ld, n int, relu bool)
+
+// clipStepAVX2 is ClipStep on the first n elements, with alpha = −lr and
+// the clip range [lo, hi]; n must be a positive multiple of 4.
+//
+//go:noescape
+func clipStepAVX2(param, grad *float64, n int, alpha, lo, hi float64)

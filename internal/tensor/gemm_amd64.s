@@ -164,3 +164,119 @@ nextrows:
 tdone:
 	VZEROUPPER
 	RET
+
+// func biasActAVX2(pre *float64, act *float64, bias *float64, rows int, ld int, n int, relu bool)
+//
+// For each of rows rows, ld elements apart, and each group of four of the
+// first n columns: v = pre + bias (VADDPD, pre first), stored to pre;
+// then, with relu, v AND (v > 0) — VCMPPD GT_OQ is false for NaN and −0,
+// so those become +0 — stored to act.
+TEXT ·biasActAVX2(SB), NOSPLIT, $0-49
+	MOVQ    pre+0(FP), DI
+	MOVQ    act+8(FP), SI
+	MOVQ    bias+16(FP), DX
+	MOVQ    rows+24(FP), R8
+	MOVQ    ld+32(FP), R9
+	SHLQ    $3, R9
+	MOVQ    n+40(FP), R10
+	SHLQ    $3, R10
+	MOVBLZX relu+48(FP), R11
+	VXORPD  Y15, Y15, Y15
+
+barow:
+	XORQ AX, AX
+
+bacol:
+	VMOVUPD (DI)(AX*1), Y0
+	VADDPD  (DX)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	TESTQ   R11, R11
+	JEQ     bastore
+	VCMPPD  $0x1e, Y15, Y0, Y1
+	VANDPD  Y1, Y0, Y0
+
+bastore:
+	VMOVUPD Y0, (SI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, R10
+	JLT     bacol
+	ADDQ    R9, DI
+	ADDQ    R9, SI
+	DECQ    R8
+	JNZ     barow
+	VZEROUPPER
+	RET
+
+// func maskBiasGradAVX2(grad *float64, pre *float64, gb *float64, rows int, ld int, n int, relu bool)
+//
+// For each of rows rows, ld elements apart, and each group of four of the
+// first n columns: with relu, v = g AND NOT(pre <= 0) — VCMPPD NLE_UQ is
+// true for a NaN pre, which keeps g — stored back to g; then
+// gb = v + gb (VADDPD, the gradient first). Rows run in order.
+TEXT ·maskBiasGradAVX2(SB), NOSPLIT, $0-49
+	MOVQ    grad+0(FP), DI
+	MOVQ    pre+8(FP), SI
+	MOVQ    gb+16(FP), DX
+	MOVQ    rows+24(FP), R8
+	MOVQ    ld+32(FP), R9
+	SHLQ    $3, R9
+	MOVQ    n+40(FP), R10
+	SHLQ    $3, R10
+	MOVBLZX relu+48(FP), R11
+	VXORPD  Y15, Y15, Y15
+
+mbrow:
+	XORQ AX, AX
+
+mbcol:
+	VMOVUPD (DI)(AX*1), Y0
+	TESTQ   R11, R11
+	JEQ     mbadd
+	VMOVUPD (SI)(AX*1), Y1
+	VCMPPD  $0x16, Y15, Y1, Y1
+	VANDPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+
+mbadd:
+	VADDPD  (DX)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DX)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, R10
+	JLT     mbcol
+	ADDQ    R9, DI
+	ADDQ    R9, SI
+	DECQ    R8
+	JNZ     mbrow
+	VZEROUPPER
+	RET
+
+// func clipStepAVX2(param *float64, grad *float64, n int, alpha float64, lo float64, hi float64)
+//
+// For each group of four of the first n elements: t = max(lo, min(hi, g)),
+// with the bound as VMINPD's and VMAXPD's first operand, so a NaN g (the
+// second operand) passes through as the scalar compares let it; g = t;
+// then p = alpha·t + p as a VMULPD (alpha first) and a VADDPD (the product
+// first) — never a fused multiply-add.
+TEXT ·clipStepAVX2(SB), NOSPLIT, $0-48
+	MOVQ         param+0(FP), DI
+	MOVQ         grad+8(FP), SI
+	MOVQ         n+16(FP), CX
+	SHLQ         $3, CX
+	VBROADCASTSD alpha+24(FP), Y13
+	VBROADCASTSD lo+32(FP), Y14
+	VBROADCASTSD hi+40(FP), Y15
+	XORQ         AX, AX
+
+csloop:
+	VMOVUPD (SI)(AX*1), Y0
+	VMINPD  Y0, Y15, Y0
+	VMAXPD  Y0, Y14, Y0
+	VMOVUPD Y0, (SI)(AX*1)
+	VMULPD  Y0, Y13, Y0
+	VADDPD  (DI)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     csloop
+	VZEROUPPER
+	RET

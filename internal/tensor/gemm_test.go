@@ -120,7 +120,9 @@ func TestGEMMs(t *testing.T) {
 // FuzzGEMMs decodes the three dimensions (m < 24, k < 150, n < 40) and
 // then the operands' values from the fuzz bytes, one byte per value and
 // cycling through them, with fuzzValue's coding. It holds the three GEMMs
-// to the oracle on both bodies.
+// to the oracle on both bodies, and then the three element-wise kernels:
+// the two epilogues on an m×n pre-activation, gradient and bias, and the
+// step over their m·n elements at a decoded learning rate and clip.
 func FuzzGEMMs(f *testing.F) {
 	f.Add([]byte{20, 64, 12, 100, 70, 0, 90, 110, 40, 130, 150, 64, 170, 190, 210, 230, 250})
 	f.Add([]byte{5, 131, 33, 200, 0, 40, 0, 77, 65, 66, 1, 33, 2, 99, 180})
@@ -142,8 +144,10 @@ func FuzzGEMMs(f *testing.F) {
 			}
 			return x
 		}
-		checkGEMMs(t, fmt.Sprintf("m=%d k=%d n=%d", m, k, n),
-			fill(m, k), fill(n, k), fill(k, n), fill(k, m), fill(m, n))
+		name := fmt.Sprintf("m=%d k=%d n=%d", m, k, n)
+		checkGEMMs(t, name, fill(m, k), fill(n, k), fill(k, n), fill(k, m), fill(m, n))
+		pre, g, bias, gradB, lr := fill(m, n), fill(m, n), fill(1, n), fill(1, n), fill(1, 2)
+		checkElementwise(t, name, pre, g, bias.Data, gradB.Data, lr.Data[:1], lr.Data[1:])
 	})
 }
 

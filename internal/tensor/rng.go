@@ -21,7 +21,9 @@ func XavierInto(v Vector, fanIn, fanOut int, rng *rand.Rand) {
 		return
 	}
 	limit := math.Sqrt(6 / float64(fanIn+fanOut))
+	// float64(…) rounds rng.Float64's inlined product before the doubling,
+	// which arm64 would otherwise fuse into it.
 	for i := range v {
-		v[i] = (rng.Float64()*2 - 1) * limit
+		v[i] = (float64(rng.Float64())*2 - 1) * limit
 	}
 }

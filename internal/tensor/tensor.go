@@ -6,6 +6,10 @@
 // the training loop can reuse buffers across steps. Training reaches the
 // kernels through the Backend seam, whose one implementation, ref, fixes
 // every output's sequence of operations, so every kernel is bit-exact.
+// Every product that feeds an add is written float64(x*y), which rounds it
+// on its own: the Go spec otherwise lets a target with fused multiply-adds
+// (arm64, ppc64le, s390x, riscv64, loong64) round x*y + z once, and leave
+// other bits than amd64 does.
 package tensor
 
 import (
@@ -44,7 +48,7 @@ func (v Vector) Dot(w Vector) float64 {
 	}
 	var s float64
 	for i, x := range v {
-		s += x * w[i]
+		s += float64(x * w[i])
 	}
 	return s
 }
@@ -55,7 +59,7 @@ func (v Vector) AddScaled(alpha float64, w Vector) {
 		panic(fmt.Sprintf("tensor: AddScaled length mismatch %d vs %d", len(v), len(w)))
 	}
 	for i := range v {
-		v[i] += alpha * w[i]
+		v[i] += float64(alpha * w[i])
 	}
 }
 
@@ -74,7 +78,7 @@ func (v Vector) AddScaledDiff(alpha float64, a, b Vector) {
 			len(v), len(a), len(b)))
 	}
 	for i := range v {
-		v[i] += alpha * (a[i] - b[i])
+		v[i] += float64(alpha * (a[i] - b[i]))
 	}
 }
 
@@ -109,7 +113,7 @@ func AddWeighted(dst Vector, weights []float64, vecs []Vector) {
 func (v Vector) Norm2() float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }
@@ -266,17 +270,17 @@ func (m *Matrix) MatVec(dst, x Vector) {
 		r0, r1, r2, r3 := m.Data[r*n:][:n], m.Data[(r+1)*n:][:n], m.Data[(r+2)*n:][:n], m.Data[(r+3)*n:][:n]
 		var s0, s1, s2, s3 float64
 		for c, xc := range x[:n] {
-			s0 += r0[c] * xc
-			s1 += r1[c] * xc
-			s2 += r2[c] * xc
-			s3 += r3[c] * xc
+			s0 += float64(r0[c] * xc)
+			s1 += float64(r1[c] * xc)
+			s2 += float64(r2[c] * xc)
+			s3 += float64(r3[c] * xc)
 		}
 		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
 	}
 	for ; r < m.Rows; r++ {
 		var s float64
 		for c, w := range m.Data[r*n:][:n] {
-			s += w * x[c]
+			s += float64(w * x[c])
 		}
 		dst[r] = s
 	}
@@ -315,17 +319,17 @@ func addScaledRows(dst, x Vector, xs, rows int, b Vector) {
 		x0, x1, x2, x3 := x[idx[0]*xs], x[idx[1]*xs], x[idx[2]*xs], x[idx[3]*xs]
 		r0, r1, r2, r3 := b[idx[0]*n:][:n], b[idx[1]*n:][:n], b[idx[2]*n:][:n], b[idx[3]*n:][:n]
 		for c, d := range dst {
-			d += r0[c] * x0
-			d += r1[c] * x1
-			d += r2[c] * x2
-			d += r3[c] * x3
+			d += float64(r0[c] * x0)
+			d += float64(r1[c] * x1)
+			d += float64(r2[c] * x2)
+			d += float64(r3[c] * x3)
 			dst[c] = d
 		}
 	}
 	for _, r := range idx[:k] {
 		xr := x[r*xs]
 		for c, w := range b[r*n:][:n] {
-			dst[c] += w * xr
+			dst[c] += float64(w * xr)
 		}
 	}
 }
@@ -357,16 +361,16 @@ func (m *Matrix) AddOuterScaled(alpha float64, a, b Vector) {
 		a0, a1, a2, a3 := scale[0], scale[1], scale[2], scale[3]
 		r0, r1, r2, r3 := m.Data[rows[0]*n:][:n], m.Data[rows[1]*n:][:n], m.Data[rows[2]*n:][:n], m.Data[rows[3]*n:][:n]
 		for c, bc := range b[:n] {
-			r0[c] += a0 * bc
-			r1[c] += a1 * bc
-			r2[c] += a2 * bc
-			r3[c] += a3 * bc
+			r0[c] += float64(a0 * bc)
+			r1[c] += float64(a1 * bc)
+			r2[c] += float64(a2 * bc)
+			r3[c] += float64(a3 * bc)
 		}
 	}
 	for i, r := range rows[:k] {
 		ar, row := scale[i], m.Data[r*n:][:n]
 		for c, bc := range b[:n] {
-			row[c] += ar * bc
+			row[c] += float64(ar * bc)
 		}
 	}
 }

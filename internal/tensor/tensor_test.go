@@ -505,7 +505,8 @@ func FuzzRefKernels(f *testing.F) {
 }
 
 // fuzzValue decodes one fuzz byte: an eighth of the codes are +0, an
-// eighth −0, three are NaN and ±Inf, the rest finite values.
+// eighth −0, five are ±Inf and three NaNs with distinct payloads, the
+// rest finite values.
 func fuzzValue(b byte) float64 {
 	switch {
 	case b < 32:
@@ -518,6 +519,10 @@ func fuzzValue(b byte) float64 {
 		return math.Inf(1)
 	case b == 66:
 		return math.Inf(-1)
+	case b == 67:
+		return math.Float64frombits(0x7FF4000000ABCDEF) // signalling, with a payload
+	case b == 68:
+		return math.Float64frombits(0xFFF800000000BEEF) // quiet, negative, with a payload
 	}
 	return (float64(b) - 160) / 7
 }
