@@ -2,10 +2,11 @@ package data
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"floatfl/internal/rngstate"
 )
 
 func TestLookupProfile(t *testing.T) {
@@ -24,7 +25,7 @@ func TestLookupProfile(t *testing.T) {
 }
 
 func TestSampleGammaPositive(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := rngstate.New(1)
 	for _, shape := range []float64{0.01, 0.1, 0.5, 1, 2, 10} {
 		for i := 0; i < 200; i++ {
 			g := sampleGamma(shape, rng)
@@ -37,7 +38,7 @@ func TestSampleGammaPositive(t *testing.T) {
 
 func TestSampleGammaMean(t *testing.T) {
 	// E[Gamma(shape,1)] = shape. Check within sampling error.
-	rng := rand.New(rand.NewSource(2))
+	rng := rngstate.New(2)
 	for _, shape := range []float64{0.5, 2, 5} {
 		var sum float64
 		const n = 20000
@@ -52,7 +53,7 @@ func TestSampleGammaMean(t *testing.T) {
 }
 
 func TestDirichletSimplex(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	rng := rngstate.New(3)
 	for _, alpha := range []float64{0.01, 0.1, 1, 100} {
 		p := SampleDirichlet(10, alpha, rng)
 		var sum float64
@@ -72,7 +73,7 @@ func TestDirichletSimplex(t *testing.T) {
 }
 
 func TestDirichletConcentrationControlsSkew(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
+	rng := rngstate.New(4)
 	maxMass := func(alpha float64) float64 {
 		var total float64
 		for i := 0; i < 200; i++ {
@@ -194,7 +195,7 @@ func TestAlphaControlsClientSkew(t *testing.T) {
 		}
 		var total float64
 		for _, shard := range fed.Train {
-			total += SkewIndex(shard, fed.Profile.Classes)
+			total += skewIndex(shard, fed.Profile.Classes)
 		}
 		return total / float64(len(fed.Train))
 	}
@@ -213,12 +214,12 @@ func TestSkewIndexBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shard := range fed.Train {
-		s := SkewIndex(shard, fed.Profile.Classes)
+		s := skewIndex(shard, fed.Profile.Classes)
 		if s < 0 || s > 1.0000001 {
 			t.Fatalf("SkewIndex out of [0,1]: %v", s)
 		}
 	}
-	if SkewIndex(nil, 10) != 0 {
+	if skewIndex(nil, 10) != 0 {
 		t.Fatal("SkewIndex of empty shard should be 0")
 	}
 }
@@ -243,7 +244,7 @@ func TestDirichletPropertyQuick(t *testing.T) {
 	f := func(seed int64, kRaw, aRaw uint8) bool {
 		k := 1 + int(kRaw)%20
 		alpha := 0.01 + float64(aRaw)/25.5 // 0.01 .. ~10
-		rng := rand.New(rand.NewSource(seed))
+		rng := rngstate.New(seed)
 		p := SampleDirichlet(k, alpha, rng)
 		if len(p) != k {
 			return false

@@ -3,6 +3,8 @@ package data
 import (
 	"math"
 	"math/rand"
+
+	"floatfl/internal/rngstate"
 )
 
 // sampleGamma draws from Gamma(shape, 1) using the Marsaglia–Tsang method,
@@ -10,7 +12,7 @@ import (
 // builds on it. shape must be positive. Each float64(…) rounds its product
 // on its own, so no target fuses it into a multiply-add; the cube needs one
 // too, because the compiler would fuse it into 1-v across statements.
-func sampleGamma(shape float64, rng *rand.Rand) float64 {
+func sampleGamma(shape float64, rng *rngstate.Source) float64 {
 	if shape <= 0 {
 		panic("data: sampleGamma requires positive shape")
 	}
@@ -48,7 +50,7 @@ func sampleGamma(shape float64, rng *rand.Rand) float64 {
 // alpha (symmetric Dirichlet). Small alpha yields near-one-hot label
 // distributions — the paper's highly non-IID regime (alpha = 0.01–0.1);
 // large alpha approaches uniform (IID).
-func SampleDirichlet(k int, alpha float64, rng *rand.Rand) []float64 {
+func SampleDirichlet(k int, alpha float64, rng *rngstate.Source) []float64 {
 	if k <= 0 {
 		return nil
 	}
@@ -57,7 +59,7 @@ func SampleDirichlet(k int, alpha float64, rng *rand.Rand) []float64 {
 
 // sampleDirichletInto is SampleDirichlet with k = len(out) ≥ 1, drawn into
 // out; every entry is overwritten.
-func sampleDirichletInto(out []float64, alpha float64, rng *rand.Rand) []float64 {
+func sampleDirichletInto(out []float64, alpha float64, rng *rngstate.Source) []float64 {
 	var sum float64
 	for i := range out {
 		g := sampleGamma(alpha, rng)
@@ -67,7 +69,9 @@ func sampleDirichletInto(out []float64, alpha float64, rng *rand.Rand) []float64
 	if sum == 0 {
 		// All draws underflowed (possible for tiny alpha): fall back to a
 		// one-hot distribution on a random class, which is the alpha→0 limit.
-		out[rng.Intn(len(out))] = 1
+		// rand.Rand's Intn draws from rng's stream; this path is too rare
+		// to own a copy of it.
+		out[rand.New(rng).Intn(len(out))] = 1
 		return out
 	}
 	for i := range out {
@@ -77,7 +81,7 @@ func sampleDirichletInto(out []float64, alpha float64, rng *rand.Rand) []float64
 }
 
 // sampleCategorical draws an index according to the probability vector p.
-func sampleCategorical(p []float64, rng *rand.Rand) int {
+func sampleCategorical(p []float64, rng *rngstate.Source) int {
 	u := rng.Float64()
 	var acc float64
 	for i, pi := range p {

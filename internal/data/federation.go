@@ -3,8 +3,8 @@ package data
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
+	"floatfl/internal/detmath"
 	"floatfl/internal/nn"
 	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
@@ -56,57 +56,46 @@ func Generate(profileName string, cfg GenerateConfig) (*Federation, error) {
 	if alpha <= 0 {
 		alpha = 0.1
 	}
-	rng := rand.New(rngstate.New(cfg.Seed))
+	src := rngstate.New(cfg.Seed)
 
 	centers := make([]tensor.Vector, p.Classes)
 	for c := range centers {
 		centers[c] = tensor.NewVector(p.Dim)
-		tensor.RandnInto(centers[c], p.Sep, rng)
-	}
-	draw := func(class int) nn.Sample {
-		x := centers[class].Clone()
-		noise := tensor.NewVector(p.Dim)
-		tensor.RandnInto(noise, p.Noise, rng)
-		x.AddScaled(1, noise)
-		return nn.Sample{X: x, Label: class}
+		normalInto(centers[c], p.Sep, src)
 	}
 
+	// One stream, drawn in deriveInto's order, with backing of its own for
+	// every shard.
 	fed := &Federation{Profile: p, Alpha: alpha}
 	fed.Train = make([][]nn.Sample, cfg.Clients)
 	fed.LocalTest = make([][]nn.Sample, cfg.Clients)
+	labelDist := make([]float64, p.Classes)
 	for i := 0; i < cfg.Clients; i++ {
-		labelDist := SampleDirichlet(p.Classes, alpha, rng)
-		n := sampleClientVolume(p.MeanSamplesPerClient, rng)
-		nTest := int(math.Round(float64(n) * localTestFraction))
-		if nTest < 2 {
-			nTest = 2
-		}
-		train := make([]nn.Sample, 0, n)
-		for s := 0; s < n; s++ {
-			train = append(train, draw(sampleCategorical(labelDist, rng)))
-		}
-		test := make([]nn.Sample, 0, nTest)
-		for s := 0; s < nTest; s++ {
-			test = append(test, draw(sampleCategorical(labelDist, rng)))
-		}
-		fed.Train[i] = train
-		fed.LocalTest[i] = test
+		sampleDirichletInto(labelDist, alpha, src)
+		n := sampleClientVolume(p.MeanSamplesPerClient, src)
+		shard := drawShard(p, centers, n, labelDist, src, &ShardBuf{})
+		fed.Train[i], fed.LocalTest[i] = shard.Train, shard.LocalTest
 	}
-
-	fed.GlobalTest = make([]nn.Sample, 0, p.TestSamples)
-	for s := 0; s < p.TestSamples; s++ {
-		fed.GlobalTest = append(fed.GlobalTest, draw(s%p.Classes))
-	}
+	fed.GlobalTest = deriveSamples(p, centers, p.TestSamples, func(s int) int { return s % p.Classes }, src, &ShardBuf{})
 	return fed, nil
+}
+
+// normalInto fills v with N(0, sigma²) samples drawn from src by block:
+// the values tensor.RandnInto draws from rand.New(src).
+func normalInto(v tensor.Vector, sigma float64, src *rngstate.Source) {
+	src.NormFloat64s(v)
+	for i, g := range v {
+		v[i] = g * sigma
+	}
 }
 
 // sampleClientVolume draws a per-client sample count from a lognormal
 // distribution around the profile mean (sigma 0.45 gives the skew observed
 // in FedScale client populations), floored at 8 samples.
-func sampleClientVolume(mean int, rng *rand.Rand) int {
+func sampleClientVolume(mean int, rng *rngstate.Source) int {
 	const sigma = 0.45
 	mu := math.Log(float64(mean)) - sigma*sigma/2
-	n := int(math.Round(math.Exp(mu + float64(sigma*rng.NormFloat64()))))
+	n := int(math.Round(detmath.Exp(mu + float64(sigma*rng.NormFloat64()))))
 	if n < 8 {
 		n = 8
 	}
@@ -123,20 +112,4 @@ func LabelHistogram(samples []nn.Sample, classes int) []int {
 		}
 	}
 	return h
-}
-
-// SkewIndex summarizes how non-IID a shard is: 0 means uniform over
-// classes, 1 means single-class. It is the normalized L1 distance between
-// the shard's label distribution and uniform.
-func SkewIndex(samples []nn.Sample, classes int) float64 {
-	if len(samples) == 0 || classes <= 1 {
-		return 0
-	}
-	h := LabelHistogram(samples, classes)
-	var l1 float64
-	for _, c := range h {
-		l1 += math.Abs(float64(c)/float64(len(samples)) - 1/float64(classes))
-	}
-	// Max possible L1 distance is 2*(1 - 1/classes).
-	return l1 / (2 * (1 - 1/float64(classes)))
 }

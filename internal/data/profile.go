@@ -7,10 +7,7 @@
 // configure (alpha = 0.01 ... 0.1 for non-IID, large alpha for IID).
 package data
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Profile describes one synthetic dataset family.
 type Profile struct {
@@ -58,14 +55,4 @@ func LookupProfile(name string) (Profile, error) {
 		return Profile{}, fmt.Errorf("data: unknown dataset profile %q", name)
 	}
 	return p, nil
-}
-
-// ProfileNames returns the registered dataset names, sorted.
-func ProfileNames() []string {
-	out := make([]string, 0, len(profiles))
-	for k := range profiles {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

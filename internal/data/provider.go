@@ -3,7 +3,6 @@ package data
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 
 	"floatfl/internal/nn"
@@ -50,7 +49,7 @@ type ShardBuf struct {
 	samples []nn.Sample
 	slab    []float64
 	dist    []float64
-	rng     *rand.Rand
+	src     *rngstate.Source
 }
 
 // checkAlpha rejects a NaN Dirichlet concentration. NaN passes the
@@ -76,11 +75,11 @@ func normalizeGenerate(cfg GenerateConfig) GenerateConfig {
 // seed's dedicated stream. All clients of a federation share one centers
 // slice; the vectors are immutable after derivation.
 func DeriveCenters(p Profile, seed int64) []tensor.Vector {
-	rng := rand.New(rngstate.New(ClientSeed(seed, centersStreamID)))
+	src := rngstate.New(ClientSeed(seed, centersStreamID))
 	centers := make([]tensor.Vector, p.Classes)
 	for c := range centers {
 		centers[c] = tensor.NewVector(p.Dim)
-		tensor.RandnInto(centers[c], p.Sep, rng)
+		normalInto(centers[c], p.Sep, src)
 	}
 	return centers
 }
@@ -89,16 +88,19 @@ func DeriveCenters(p Profile, seed int64) []tensor.Vector {
 // class(s)'s center plus profile noise, the class drawn before the noise —
 // into one []nn.Sample whose feature vectors are carved, capacity-clipped,
 // from one slab: both come from buf, which grows them when they are too
-// small. The explicit float64 conversion rounds the noise term before the
-// add on every architecture, as storing it in a scratch vector used to.
-func deriveSamples(p Profile, centers []tensor.Vector, n int, class func(s int) int, rng *rand.Rand, buf *ShardBuf) []nn.Sample {
+// small. A sample's noise is drawn by block into its own features, then
+// scaled and added to the center in place; the explicit float64
+// conversion rounds the noise term before the add on every architecture,
+// as storing it in a scratch vector used to.
+func deriveSamples(p Profile, centers []tensor.Vector, n int, class func(s int) int, src *rngstate.Source, buf *ShardBuf) []nn.Sample {
 	buf.samples, buf.slab = slices.Grow(buf.samples[:0], n), slices.Grow(buf.slab[:0], n*p.Dim)
 	out, slab := buf.samples[:n:n], buf.slab[:n*p.Dim]
 	for s := range out {
 		label := class(s)
 		x := slab[s*p.Dim : (s+1)*p.Dim : (s+1)*p.Dim]
+		src.NormFloat64s(x)
 		for i, c := range centers[label] {
-			x[i] = c + float64(rng.NormFloat64()*p.Noise)
+			x[i] = c + float64(x[i]*p.Noise)
 		}
 		out[s] = nn.Sample{X: x, Label: label}
 	}
@@ -116,32 +118,39 @@ func DeriveClient(p Profile, cfg GenerateConfig, centers []tensor.Vector, id int
 
 // deriveInto is DeriveClient for a normalized cfg, drawn into buf.
 func deriveInto(p Profile, cfg GenerateConfig, centers []tensor.Vector, id int, buf *ShardBuf) ClientShard {
-	n, rng := drawVolume(p, cfg, id, buf)
+	n, src := drawVolume(p, cfg, id, buf)
+	return drawShard(p, centers, n, buf.dist, src, buf)
+}
+
+// drawShard draws a shard of n training samples and its local test split
+// from src, each sample's class from the label distribution dist, into
+// buf's backing.
+func drawShard(p Profile, centers []tensor.Vector, n int, dist []float64, src *rngstate.Source, buf *ShardBuf) ClientShard {
 	nTest := max(int(math.Round(float64(n)*localTestFraction)), 2)
-	all := deriveSamples(p, centers, n+nTest, func(int) int { return sampleCategorical(buf.dist, rng) }, rng, buf)
+	all := deriveSamples(p, centers, n+nTest, func(int) int { return sampleCategorical(dist, src) }, src, buf)
 	// One backing array, two views: clip Train so it cannot grow into
 	// LocalTest.
 	return ClientShard{Train: all[:n:n], LocalTest: all[n:]}
 }
 
 // drawVolume reseeds buf's stream, in O(1), to client id's — the one
-// rand.New(rngstate.New(ClientSeed(cfg.Seed, id))) yields — and makes the
-// draws every shard starts with: the label distribution, left in buf.dist,
-// and the training-sample count, returned with the stream.
-func drawVolume(p Profile, cfg GenerateConfig, id int, buf *ShardBuf) (int, *rand.Rand) {
-	if buf.rng == nil {
-		buf.rng = rand.New(rngstate.New(0))
+// rngstate.New(ClientSeed(cfg.Seed, id)) yields — and makes the draws
+// every shard starts with: the label distribution, left in buf.dist, and
+// the training-sample count, returned with the stream.
+func drawVolume(p Profile, cfg GenerateConfig, id int, buf *ShardBuf) (int, *rngstate.Source) {
+	if buf.src == nil {
+		buf.src = rngstate.New(0)
 	}
-	buf.rng.Seed(ClientSeed(cfg.Seed, int64(id)))
-	buf.dist = sampleDirichletInto(slices.Grow(buf.dist[:0], p.Classes)[:p.Classes], cfg.Alpha, buf.rng)
-	return sampleClientVolume(p.MeanSamplesPerClient, buf.rng), buf.rng
+	buf.src.Seed(ClientSeed(cfg.Seed, int64(id)))
+	buf.dist = sampleDirichletInto(slices.Grow(buf.dist[:0], p.Classes)[:p.Classes], cfg.Alpha, buf.src)
+	return sampleClientVolume(p.MeanSamplesPerClient, buf.src), buf.src
 }
 
 // DeriveGlobalTest derives the class-balanced holdout from its dedicated
 // stream.
 func DeriveGlobalTest(p Profile, seed int64, centers []tensor.Vector) []nn.Sample {
-	rng := rand.New(rngstate.New(ClientSeed(seed, globalTestStreamID)))
-	return deriveSamples(p, centers, p.TestSamples, func(s int) int { return s % p.Classes }, rng, &ShardBuf{})
+	src := rngstate.New(ClientSeed(seed, globalTestStreamID))
+	return deriveSamples(p, centers, p.TestSamples, func(s int) int { return s % p.Classes }, src, &ShardBuf{})
 }
 
 // Provider is the pure deriver of a federation's data: the immutable

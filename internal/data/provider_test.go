@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"floatfl/internal/nn"
+	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
 )
 
@@ -45,7 +46,7 @@ func shardEqual(a, b ClientShard) bool {
 // an eviction does.
 func TestDeriveClientOrderIndependent(t *testing.T) {
 	const clients = 12
-	for _, name := range ProfileNames() {
+	for _, name := range profileNames() {
 		t.Run(name, func(t *testing.T) {
 			cfg := GenerateConfig{Clients: clients, Alpha: 0.1, Seed: 11}
 
@@ -127,19 +128,21 @@ func TestMeanShardSizeSampled(t *testing.T) {
 
 // deriveClientPerSample is the derivation as it was before the slab: two
 // vectors per sample — a clone of the class center and a throw-away noise
-// vector added to it. It lives on as the oracle the slab derivation must
+// vector added to it, drawn one value at a time through rand.Rand. It
+// lives on as the oracle the slab derivation, with its block draws, must
 // match bit for bit, draw for draw.
 func deriveClientPerSample(p Profile, cfg GenerateConfig, centers []tensor.Vector, id int) ClientShard {
 	cfg = normalizeGenerate(cfg)
-	rng := rand.New(rand.NewSource(ClientSeed(cfg.Seed, int64(id))))
-	labelDist := SampleDirichlet(p.Classes, cfg.Alpha, rng)
-	n := sampleClientVolume(p.MeanSamplesPerClient, rng)
+	src := rngstate.New(ClientSeed(cfg.Seed, int64(id)))
+	rng := rand.New(src)
+	labelDist := SampleDirichlet(p.Classes, cfg.Alpha, src)
+	n := sampleClientVolume(p.MeanSamplesPerClient, src)
 	nTest := int(math.Round(float64(n) * localTestFraction))
 	if nTest < 2 {
 		nTest = 2
 	}
 	sample := func() nn.Sample {
-		class := sampleCategorical(labelDist, rng)
+		class := sampleCategorical(labelDist, src)
 		x := centers[class].Clone()
 		noise := tensor.NewVector(p.Dim)
 		tensor.RandnInto(noise, p.Noise, rng)
@@ -161,7 +164,7 @@ func deriveClientPerSample(p Profile, cfg GenerateConfig, centers []tensor.Vecto
 // float bit-equal to the per-sample derivation — and the views carved from
 // the shared backing arrays cannot grow into one another.
 func TestSlabDerivationMatchesPerSample(t *testing.T) {
-	for _, name := range ProfileNames() {
+	for _, name := range profileNames() {
 		p, err := LookupProfile(name)
 		if err != nil {
 			t.Fatal(err)

@@ -81,11 +81,13 @@ type Client struct {
 
 	id   int
 	spec TrainSpec
-	// rng seeds model init and per-round training; retryRNG draws backoff
-	// jitter. They are separate streams so injected faults never perturb
-	// the training schedule.
+	// rng seeds model init and per-round training, and src is the source
+	// behind it, which TrainLocal's update transform draws from by block:
+	// one stream. retryRNG draws backoff jitter. They are separate streams
+	// so injected faults never perturb the training schedule.
 	model    *nn.Model
 	rng      *rand.Rand
+	src      *rngstate.Source
 	retryRNG *rand.Rand
 	// lastDeadlineDiff carries human feedback into the next report.
 	lastDeadlineDiff float64
@@ -100,13 +102,15 @@ type Client struct {
 
 // NewClient constructs a client runtime against a server base URL.
 func NewClient(baseURL, name string, shard, localTest []nn.Sample, seed int64) *Client {
+	src := rngstate.New(seed)
 	return &Client{
 		baseURL:    baseURL,
 		HTTPClient: &http.Client{Timeout: defaultHTTPTimeout},
 		Name:       name,
 		Shard:      shard,
 		LocalTest:  localTest,
-		rng:        newRand(seed),
+		rng:        rand.New(src),
+		src:        src,
 		retryRNG:   newRand(seed ^ 0x5deece66d),
 	}
 }
@@ -194,7 +198,7 @@ func (c *Client) Step(ctx context.Context, round int) (bool, error) {
 		GradClip:  fl.GradClip,
 		Seed:      c.rng.Int63(),
 	}
-	lt, err := fl.TrainLocal(c.model, before, delta, before, c.Shard, c.LocalTest, tech, tc, c.rng)
+	lt, err := fl.TrainLocal(c.model, before, delta, before, c.Shard, c.LocalTest, tech, tc, c.src)
 	if err != nil {
 		return false, err
 	}

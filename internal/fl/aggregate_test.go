@@ -186,3 +186,66 @@ func TestIsFinite(t *testing.T) {
 		t.Fatal("empty vector should be finite")
 	}
 }
+
+// isFiniteBranchy is IsFinite's body before its branch-free sums: the
+// oracle it is held to.
+func isFiniteBranchy(v tensor.Vector) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIsFiniteMatchesBranchy holds IsFinite to the branchy loop on every
+// vector of length 0-9 built from finite values (±0, subnormals, the
+// largest floats) with at most one non-finite entry (NaN payloads of
+// either sign, ±Inf) at every position, and on ±MaxFloat64 pairs whose sum
+// would overflow.
+func TestIsFiniteMatchesBranchy(t *testing.T) {
+	finite := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1, -2.5, math.MaxFloat64, -math.MaxFloat64}
+	bad := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000abc),
+	}
+	for n := 0; n <= 9; n++ {
+		for k, f := range finite {
+			v := make(tensor.Vector, n)
+			for i := range v {
+				v[i] = finite[(k+i)%len(finite)]
+			}
+			if got, want := IsFinite(v), isFiniteBranchy(v); got != want {
+				t.Fatalf("%v: IsFinite %v, want %v", v, got, want)
+			}
+			for at := 0; at < n; at++ {
+				for _, b := range bad {
+					v[at] = b
+					if got, want := IsFinite(v), isFiniteBranchy(v); got != want {
+						t.Fatalf("%v: IsFinite %v, want %v", v, got, want)
+					}
+				}
+				v[at] = f
+			}
+		}
+	}
+}
+
+// BenchmarkIsFinite times the check on a dist-loopback-sized update
+// (12,020 parameters), branch-free and branchy.
+func BenchmarkIsFinite(b *testing.B) {
+	v := tensor.NewVector(12020)
+	tensor.RandnInto(v, 0.01, rand.New(rand.NewSource(1)))
+	for _, bc := range []struct {
+		name string
+		f    func(tensor.Vector) bool
+	}{{"sums", IsFinite}, {"branchy", isFiniteBranchy}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if !bc.f(v) {
+					b.Fatal("finite update rejected")
+				}
+			}
+		})
+	}
+}

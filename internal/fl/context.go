@@ -1,8 +1,6 @@
 package fl
 
 import (
-	"math/rand"
-
 	"floatfl/internal/data"
 	"floatfl/internal/nn"
 	"floatfl/internal/rngstate"
@@ -21,10 +19,10 @@ import (
 // fan-out; the pool itself is only grown on the single-threaded dispatch
 // pass (contextPool.ensure).
 type trainContext struct {
-	local     *nn.Model     // reusable local model, re-loaded per client
-	applied   tensor.Vector // before + transformed delta scratch
-	updateRNG *rand.Rand    // update-transform stream, reseeded per client
-	shard     data.ShardBuf // the job's derived shard (lazy populations)
+	local     *nn.Model        // reusable local model, re-loaded per client
+	applied   tensor.Vector    // before + transformed delta scratch
+	updateRNG *rngstate.Source // update-transform stream, reseeded per client
+	shard     data.ShardBuf    // the job's derived shard (lazy populations)
 }
 
 // GradClip bounds each gradient component in local training, in the
@@ -36,17 +34,17 @@ const GradClip = 5
 // clientID) and returns what the simulator hands TrainLocal: cfg's
 // training configuration seeded by trainSeed, and the context's
 // update-transform stream reseeded from the same seed — the stream a fresh
-// rand.New(rngstate.New(seed)) would produce, math/rand's for that seed,
-// in O(1) and without allocating. The model and scratch for proto's
+// rngstate.New(seed) would produce, math/rand's for that seed, in O(1) and
+// without allocating. The model and scratch for proto's
 // architecture are built on first use.
-func (c *trainContext) reseed(proto *nn.Model, cfg Config, round, clientID int) (nn.TrainConfig, *rand.Rand) {
+func (c *trainContext) reseed(proto *nn.Model, cfg Config, round, clientID int) (nn.TrainConfig, *rngstate.Source) {
 	if c.local == nil {
 		c.local = proto.Clone()
 		c.applied = tensor.NewVector(proto.NumParams())
 	}
 	seed := trainSeed(cfg, round, clientID)
 	if c.updateRNG == nil {
-		c.updateRNG = rand.New(rngstate.New(seed ^ updateRNGSalt))
+		c.updateRNG = rngstate.New(seed ^ updateRNGSalt)
 	} else {
 		c.updateRNG.Seed(seed ^ updateRNGSalt)
 	}

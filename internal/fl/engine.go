@@ -11,7 +11,6 @@ package fl
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"floatfl/internal/data"
 	"floatfl/internal/device"
@@ -20,6 +19,7 @@ import (
 	"floatfl/internal/obs"
 	"floatfl/internal/opt"
 	"floatfl/internal/population"
+	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
 )
 
@@ -325,7 +325,7 @@ const updateRNGSalt = 0x5DEECE66D
 // concurrent calls on disjoint buffers and streams are race-free and
 // order-independent, and steady-state calls allocate nothing.
 func TrainLocal(local *nn.Model, before, delta, applied tensor.Vector, shard, localTest []nn.Sample,
-	tech opt.Technique, tc nn.TrainConfig, updateRNG *rand.Rand) (LocalResult, error) {
+	tech opt.Technique, tc nn.TrainConfig, updateRNG *rngstate.Source) (LocalResult, error) {
 
 	var res LocalResult
 	if err := local.SetParameters(before); err != nil {
@@ -396,14 +396,21 @@ func ApplyAggregate(global *nn.Model, deltas []tensor.Vector, weights []float64)
 	return kept
 }
 
-// IsFinite reports whether v holds no NaN or ±Inf.
+// IsFinite reports whether v holds no NaN or ±Inf. x - x is +0 for a
+// finite x and NaN otherwise, so four independent sums of it are all +0
+// exactly when every entry is finite: a pass with no branch per entry.
 func IsFinite(v tensor.Vector) bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
+	var s0, s1, s2, s3 float64
+	for ; len(v) >= 4; v = v[4:] {
+		s0 += v[0] - v[0]
+		s1 += v[1] - v[1]
+		s2 += v[2] - v[2]
+		s3 += v[3] - v[3]
 	}
-	return true
+	for _, x := range v {
+		s0 += x - x
+	}
+	return (s0+s1)+(s2+s3) == 0
 }
 
 // evaluateClientsPop returns the model's accuracy on clients' local test

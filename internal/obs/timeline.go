@@ -364,9 +364,23 @@ func (t *Timeline) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
+// TimelineCapacityError is ReadTimeline's error for a sample line past the
+// header's capacity: the writer's ring never holds more, so the file was
+// not written by WriteJSONL.
+type TimelineCapacityError struct {
+	Capacity int
+	Line     int
+}
+
+func (e *TimelineCapacityError) Error() string {
+	return fmt.Sprintf("obs: timeline line %d: more samples than the header's capacity %d", e.Line, e.Capacity)
+}
+
 // ReadTimeline parses a timeline written by WriteJSONL: a header line
-// followed by samples. Blank lines are skipped; a malformed line or a
-// schema mismatch is an error (timelines are machine-written).
+// followed by at most capacity samples. Blank lines are skipped; a
+// malformed line or a schema mismatch is an error (timelines are
+// machine-written), and a sample past the capacity a
+// *TimelineCapacityError.
 func ReadTimeline(r io.Reader) (TimelineHeader, []TimelineSample, error) {
 	var header TimelineHeader
 	var samples []TimelineSample
@@ -392,6 +406,9 @@ func ReadTimeline(r io.Reader) (TimelineHeader, []TimelineSample, error) {
 			}
 			sawHeader = true
 			continue
+		}
+		if len(samples) == header.Capacity {
+			return header, nil, &TimelineCapacityError{Capacity: header.Capacity, Line: lineNo}
 		}
 		var s TimelineSample
 		if err := json.Unmarshal(line, &s); err != nil {

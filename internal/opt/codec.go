@@ -173,13 +173,3 @@ func unzigzag(u uint64) int64 {
 	u--
 	return int64(u>>1) ^ -int64(u&1)
 }
-
-// CompressedSize returns the wire size in bytes of v under the codec — the
-// simulator's exact communication volume for quantized/pruned uploads.
-func CompressedSize(v tensor.Vector, bits int) (int, error) {
-	b, err := CompressUpdate(v, bits)
-	if err != nil {
-		return 0, err
-	}
-	return len(b), nil
-}

@@ -88,19 +88,6 @@ func TestEffectsAllPositive(t *testing.T) {
 	}
 }
 
-func TestAggressivenessOrdering(t *testing.T) {
-	if TechNone.Aggressiveness() != 0 {
-		t.Fatal("TechNone aggressiveness must be 0")
-	}
-	if !(TechPrune25.Aggressiveness() < TechPrune50.Aggressiveness() &&
-		TechPrune50.Aggressiveness() < TechPrune75.Aggressiveness()) {
-		t.Fatal("pruning aggressiveness must increase with fraction")
-	}
-	if TechQuant8.Aggressiveness() <= TechQuant16.Aggressiveness() {
-		t.Fatal("8-bit quantization is more aggressive than 16-bit")
-	}
-}
-
 func TestQuantizeUnbiasedAndBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	orig := tensor.NewVector(2000)
@@ -446,11 +433,11 @@ func TestCompressionMatchesCommFactorShape(t *testing.T) {
 	size := func(frac float64, bits int) int {
 		v := base.Clone()
 		PruneSmallest(v, frac)
-		n, err := CompressedSize(v, bits)
+		b, err := CompressUpdate(v, bits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n
+		return len(b)
 	}
 	if size(0.75, 16) >= size(0.25, 16) {
 		t.Fatal("prune75 wire size should be below prune25")

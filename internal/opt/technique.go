@@ -167,10 +167,10 @@ func (t Technique) Effects() Effects {
 func pruneEffects(frac float64) Effects {
 	return Effects{
 		PruneFrac:      frac,
-		ComputeFactor:  1 - 0.7*frac,
-		CommFactor:     (1 - frac) + 0.03*frac,
-		DownloadFactor: (1 - frac) + 0.03*frac,
-		MemoryFactor:   1 - 0.5*frac,
+		ComputeFactor:  1 - float64(0.7*frac),
+		CommFactor:     (1 - frac) + float64(0.03*frac),
+		DownloadFactor: (1 - frac) + float64(0.03*frac),
+		MemoryFactor:   1 - float64(0.5*frac),
 	}
 }
 
@@ -181,39 +181,9 @@ func pruneEffects(frac float64) Effects {
 func partialEffects(frac float64) Effects {
 	return Effects{
 		PartialFrac:    frac,
-		ComputeFactor:  1 - 0.9*frac,
-		CommFactor:     1 - 0.35*frac,
+		ComputeFactor:  1 - float64(0.9*frac),
+		CommFactor:     1 - float64(0.35*frac),
 		DownloadFactor: 1,
-		MemoryFactor:   1 - 0.4*frac,
-	}
-}
-
-// Aggressiveness returns a scalar in [0,1] ranking how much a technique
-// distorts training (used by tests and by the heuristic controller). None
-// is 0; 8-bit quantization and 75% variants are the most aggressive.
-func (t Technique) Aggressiveness() float64 {
-	switch t {
-	case TechNone:
-		return 0
-	case TechQuant16:
-		return 0.2
-	case TechQuant8:
-		return 0.6
-	case TechPrune25:
-		return 0.25
-	case TechPrune50:
-		return 0.5
-	case TechPrune75:
-		return 0.8
-	case TechPartial25:
-		return 0.25
-	case TechPartial50:
-		return 0.5
-	case TechPartial75:
-		return 0.8
-	case TechCompress:
-		return 0.2 // only 16-bit quantization noise
-	default:
-		return 0
+		MemoryFactor:   1 - float64(0.4*frac),
 	}
 }

@@ -7,19 +7,34 @@ import (
 	"sort"
 	"sync"
 
+	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
 )
+
+// Uniform is the stream Quantize draws its rounding from, one value in
+// [0, 1) per entry: *rngstate.Source provides it, whose values Quantize
+// draws a block at a time, and so does *rand.Rand.
+type Uniform interface {
+	Float64() float64
+}
+
+// quantBlock is how many uniforms Quantize draws from a *rngstate.Source
+// at a time.
+const quantBlock = 256
 
 // Quantize rounds every entry of v onto a symmetric b-bit integer grid
 // using stochastic rounding (unbiased: E[quantized] = original). The grid
 // scale adapts to the update's max magnitude, as FedPAQ-style update
-// quantization does. b must be in [2, 32]; b >= 32 is a no-op.
+// quantization does. b must be in [2, 32]; b >= 32 is a no-op. Entry i
+// takes the i-th value of rng, so a *rngstate.Source, drawn by block, and
+// a *rand.Rand over the same stream yield the same bits and leave the
+// stream at the same position.
 //
 // The no-op guard must stay ahead of the level computation: for bits > 62,
 // int64(1)<<(bits-1) would overflow (bits == 63 yields math.MinInt64, and
 // larger shifts are undefined for the signed width), turning the grid scale
 // negative or NaN and corrupting the update instead of passing it through.
-func Quantize(v tensor.Vector, bits int, rng *rand.Rand) {
+func Quantize(v tensor.Vector, bits int, rng Uniform) {
 	if bits >= 32 || len(v) == 0 {
 		// Covers the whole bits >= 32 range, so the shift below is always
 		// taken with bits in [2, 31] and cannot overflow.
@@ -34,14 +49,54 @@ func Quantize(v tensor.Vector, bits int, rng *rand.Rand) {
 	}
 	levels := float64(int64(1)<<(bits-1)) - 1 // e.g. 127 for 8-bit
 	scale := maxAbs / levels
+	// buf stays on the stack: the block draw is a call on the concrete
+	// type, where an interface method would make it escape. A *rand.Rand
+	// draws one value per call, but through a concrete, inlined call, not
+	// a second indirect one.
+	var buf [quantBlock]float64
+	for len(v) > 0 {
+		n := min(len(v), quantBlock)
+		u := buf[:n]
+		switch rng := rng.(type) {
+		case *rngstate.Source:
+			rng.Float64s(u)
+		case *rand.Rand:
+			for i := range u {
+				u[i] = rng.Float64()
+			}
+		default:
+			for i := range u {
+				u[i] = rng.Float64()
+			}
+		}
+		roundStochastic(v[:n], u, scale)
+		v = v[n:]
+	}
+}
+
+// roundStochastic puts each v[i] on the grid of step scale: v[i]/scale
+// rounded down, or up when u[i] falls below its fractional part, without a
+// branch on u[i].
+//
+// The floor is a truncation, carrying q's sign so that -0 stays -0, less
+// one when q is a negative non-integer: the sign bit of q-t. math.Floor
+// compiles to ROUNDSD, which keeps its destination register's upper half
+// and so waits on the previous entry's result; truncating through an
+// integer breaks that chain. Beyond 2⁵² every float is an integer, and
+// NaN and ±Inf keep their bits, as math.Floor would. The step is floor -
+// down, with down the sign of u[i] minus the fraction, -1 or 0: x - 0
+// keeps a -0 floor's sign, where floor + up would make it +0.
+func roundStochastic(v, u []float64, scale float64) {
+	u = u[:len(v)]
 	for i, x := range v {
 		q := x / scale
-		floor := math.Floor(q)
-		frac := q - floor
-		if rng.Float64() < frac {
-			floor++
+		t := math.Copysign(float64(int64(q)), q)
+		floor := t - float64(math.Float64bits(q-t)>>63)
+		if !(math.Abs(q) < 1<<52) {
+			floor = q
 		}
-		v[i] = floor * scale
+		down := float64(int64(math.Float64bits(u[i]-(q-floor))) >> 63)
+		v[i] = (floor - down) * scale
 	}
 }
 
@@ -237,7 +292,7 @@ func FrozenLayerMask(numLayers int, frac float64) []bool {
 // ApplyToUpdate applies the technique's update-side transformation (prune
 // and/or quantize) to a model delta in place. Partial training acts during
 // training (via FrozenLayerMask), not here.
-func ApplyToUpdate(t Technique, delta tensor.Vector, rng *rand.Rand) {
+func ApplyToUpdate(t Technique, delta tensor.Vector, rng Uniform) {
 	e := t.Effects()
 	if e.PruneFrac > 0 {
 		PruneSmallest(delta, e.PruneFrac)

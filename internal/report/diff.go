@@ -8,46 +8,37 @@ import (
 	"floatfl/internal/obs"
 )
 
-// TimelineRun is a timeline JSONL export reconstructed into absolute
-// per-round series values: the delta encoding is carried forward so every
-// retained round has the full value map, which makes two runs directly
-// comparable round by round.
+// TimelineRun is a timeline JSONL export as its samples encode it: each
+// retained round's clock and the series whose value it changed. A series
+// keeps its value until a later round changes it; DiffTimelines carries
+// the values forward as it walks, so a run costs memory in proportion to
+// its file rather than to rounds × series.
 type TimelineRun struct {
 	Header obs.TimelineHeader
 	// Rounds lists the retained rounds in export order (strictly
 	// increasing by construction).
 	Rounds []int
-	// Clock maps round → simulated/serving clock at that sample.
-	Clock map[int]float64
-	// ByRound maps round → absolute value of every series known at that
-	// round.
-	ByRound map[int]map[string]float64
+	// Clock[i] is the simulated/serving clock at Rounds[i].
+	Clock []float64
+	// Deltas[i] holds the series values set at Rounds[i].
+	Deltas []map[string]float64
 }
 
-// LoadTimelineRun parses a timeline export (obs.Timeline.WriteJSONL) and
-// resolves the delta encoding into absolute per-round tables.
+// LoadTimelineRun parses a timeline export (obs.Timeline.WriteJSONL),
+// keeping each round's delta as the file states it.
 func LoadTimelineRun(r io.Reader) (*TimelineRun, error) {
 	hdr, samples, err := obs.ReadTimeline(r)
 	if err != nil {
 		return nil, err
 	}
 	run := &TimelineRun{
-		Header:  hdr,
-		Clock:   make(map[int]float64, len(samples)),
-		ByRound: make(map[int]map[string]float64, len(samples)),
+		Header: hdr,
+		Rounds: make([]int, len(samples)),
+		Clock:  make([]float64, len(samples)),
+		Deltas: make([]map[string]float64, len(samples)),
 	}
-	cur := make(map[string]float64)
-	for _, s := range samples {
-		for k, v := range s.Values {
-			cur[k] = v
-		}
-		row := make(map[string]float64, len(cur))
-		for k, v := range cur {
-			row[k] = v
-		}
-		run.Rounds = append(run.Rounds, s.Round)
-		run.Clock[s.Round] = s.Clock
-		run.ByRound[s.Round] = row
+	for i, s := range samples {
+		run.Rounds[i], run.Clock[i], run.Deltas[i] = s.Round, s.Clock, s.Values
 	}
 	return run, nil
 }
@@ -120,44 +111,40 @@ func DiffTimelines(a, b *TimelineRun) *TimelineDiff {
 		d.RoundMismatch = true
 	}
 
-	// Union of series names across every compared round, sorted so the
-	// report (and the walk below) is deterministic.
-	nameSet := make(map[string]bool)
 	for i := 0; i < common; i++ {
-		for k := range a.ByRound[a.Rounds[i]] {
-			nameSet[k] = true
-		}
-		for k := range b.ByRound[b.Rounds[i]] {
-			nameSet[k] = true
-		}
-	}
-	names := make([]string, 0, len(nameSet))
-	for k := range nameSet {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-
-	for i := 0; i < common; i++ {
-		round := a.Rounds[i]
-		if a.Clock[round] != b.Clock[round] {
+		if a.Clock[i] != b.Clock[i] {
 			d.Series = append(d.Series, SeriesDiff{
-				Name: "(clock)", Round: round,
-				A: a.Clock[round], B: b.Clock[round], HasA: true, HasB: true,
+				Name: "(clock)", Round: a.Rounds[i],
+				A: a.Clock[i], B: b.Clock[i], HasA: true, HasB: true,
 			})
 			break
 		}
 	}
-	for _, name := range names {
-		for i := 0; i < common; i++ {
-			round := a.Rounds[i]
-			va, oka := a.ByRound[round][name]
-			vb, okb := b.ByRound[round][name]
-			if oka != okb || va != vb {
+	// Walk both runs' values forward. A series that agrees at one round
+	// can first disagree only at a round whose delta names it, on either
+	// side, so only those names are compared.
+	curA, curB := make(map[string]float64), make(map[string]float64)
+	diverged := make(map[string]bool)
+	for i := 0; i < common; i++ {
+		for k, v := range a.Deltas[i] {
+			curA[k] = v
+		}
+		for k, v := range b.Deltas[i] {
+			curB[k] = v
+		}
+		for _, delta := range [2]map[string]float64{a.Deltas[i], b.Deltas[i]} {
+			for name := range delta {
+				va, oka := curA[name]
+				vb, okb := curB[name]
+				if diverged[name] || (oka == okb && va == vb) {
+					continue
+				}
+				diverged[name] = true
+				//lint:allow map-order-hazard one entry per series name, and d.Series is sorted by name below
 				d.Series = append(d.Series, SeriesDiff{
-					Name: name, Round: round,
+					Name: name, Round: a.Rounds[i],
 					A: va, B: vb, HasA: oka, HasB: okb,
 				})
-				break
 			}
 		}
 	}

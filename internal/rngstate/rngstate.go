@@ -25,6 +25,13 @@
 //
 // Source counts draws, which makes the stream position serializable as a
 // single uint64; restoring is reseeding and discarding that many draws.
+//
+// Source also draws rand.Rand's Float64 and NormFloat64 values itself,
+// one at a time or a block at a time (Float64s, NormFloat64s). A block
+// keeps the register position in locals, and yields the values and leaves
+// the position of as many rand.New(src) calls, so the two can be mixed on
+// one stream. NormFloat64 is an owned copy of math/rand's ziggurat
+// (normal.go) whose arithmetic is the same on every host.
 package rngstate
 
 import "math/rand"
@@ -227,6 +234,113 @@ func (s *Source) fill() {
 		for i := s.feed; i < firstFeed; i++ {
 			s.vec[i] = s.word(i) + s.vec[i+rngTap]
 		}
+	}
+}
+
+// Float64 returns the value rand.New(s).Float64 would: Int63 scaled into
+// [0, 1), drawing again in the rare case (about one draw in 2⁵⁴) that
+// rounds up to 1.
+func (s *Source) Float64() float64 {
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
+
+// NormFloat64 returns the value rand.New(s).NormFloat64 would: a standard
+// normal sample from the ziggurat in normal.go, which reads the stream in
+// math/rand's order.
+func (s *Source) NormFloat64() float64 {
+	for {
+		if x, ok := s.normAccept(int32(s.Int63() >> 31)); ok {
+			return x
+		}
+	}
+}
+
+// Float64s fills dst with the next len(dst) values of Float64, leaving the
+// stream where that many Float64 calls would. Past the seeding draws it
+// steps the register with its position in locals, a run of steps at a
+// time between index wraps, so a block costs one call rather than one per
+// value.
+func (s *Source) Float64s(dst []float64) {
+	i := 0
+	for ; i < len(dst) && s.draws <= rngTap; i++ {
+		dst[i] = s.Float64()
+	}
+	if i == len(dst) {
+		return
+	}
+	vec, tap, feed, draws := s.vec, s.tap, s.feed, s.draws
+	for i < len(dst) {
+		if tap == 0 {
+			tap = rngLen
+		}
+		if feed == 0 {
+			feed = rngLen
+		}
+		// The next m steps read slots tap-1, tap-2, … and update slots
+		// feed-1, feed-2, …, with neither index wrapping, in the order
+		// single steps take them: a slot the run updates and then reads
+		// is read after its update, as it would be one step at a time.
+		m := min(tap, feed, len(dst)-i)
+		tv, fv := vec[tap-m:tap], vec[feed-m:feed]
+		for k := m - 1; k >= 0; k-- {
+			x := fv[k] + tv[k]
+			fv[k] = x
+			// A value that rounds up to 1 is overwritten by the next draw.
+			f := float64(int64(uint64(x)&rngMask)) / (1 << 63)
+			dst[i] = f
+			if f < 1 {
+				i++
+			}
+		}
+		tap, feed, draws = tap-m, feed-m, draws+uint64(m)
+	}
+	s.tap, s.feed, s.draws = tap, feed, draws
+}
+
+// NormFloat64s fills dst with the next len(dst) values of NormFloat64,
+// leaving the stream where that many NormFloat64 calls would. The
+// rectangle cores, over 99 % of draws, run with the register position in
+// locals; a draw past its core settles through normAccept.
+func (s *Source) NormFloat64s(dst []float64) {
+	for i := 0; i < len(dst); i++ {
+		if s.draws <= rngTap {
+			dst[i] = s.NormFloat64()
+			continue
+		}
+		vec, tap, feed, draws := s.vec, s.tap, s.feed, s.draws
+		var j int32
+		for ; i < len(dst); i++ {
+			tap--
+			if tap < 0 {
+				tap += rngLen
+			}
+			feed--
+			if feed < 0 {
+				feed += rngLen
+			}
+			x := vec[feed] + vec[tap]
+			vec[feed] = x
+			draws++
+			j = int32(uint64(x) & rngMask >> 31)
+			k := j & 0x7F
+			if absInt32(j) >= kn[k] {
+				break
+			}
+			dst[i] = float64(j) * float64(wn[k])
+		}
+		s.tap, s.feed, s.draws = tap, feed, draws
+		if i == len(dst) {
+			return
+		}
+		x, ok := s.normAccept(j)
+		for !ok {
+			x, ok = s.normAccept(int32(s.Int63() >> 31))
+		}
+		dst[i] = x
 	}
 }
 

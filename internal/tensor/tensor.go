@@ -15,6 +15,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+
+	"floatfl/internal/detmath"
 )
 
 // Vector is a dense 1-D array of float64.
@@ -154,7 +156,9 @@ func (v Vector) Argmax() int {
 }
 
 // Softmax writes the softmax of src into dst (which may alias src).
-// It uses the max-subtraction trick for numerical stability.
+// It uses the max-subtraction trick for numerical stability, and
+// detmath.Exp rather than math.Exp, whose amd64 assembly rounds differently
+// on CPUs with and without FMA.
 //
 // Edge-case semantics, shared by every backend and pinned by regression
 // tests:
@@ -223,7 +227,7 @@ func Softmax(dst, src Vector) {
 	}
 	var sum float64
 	for i, x := range src {
-		e := math.Exp(x - max)
+		e := detmath.Exp(x - max)
 		dst[i] = e
 		sum += e
 	}
