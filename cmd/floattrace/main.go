@@ -16,7 +16,6 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"strconv"
 
@@ -88,7 +87,7 @@ func exportCompute(w *csv.Writer, clients int, seed int64) error {
 	if err := w.Write([]string{"device", "class", "gflops", "memory_mb", "energy_capacity_h"}); err != nil {
 		return err
 	}
-	rng := rand.New(rngstate.New(seed))
+	rng := rngstate.New(seed)
 	for c := 0; c < clients; c++ {
 		p := trace.SampleComputeProfile(rng)
 		if err := w.Write([]string{

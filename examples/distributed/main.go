@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math/rand"
 	"net"
 	"net/http"
 	"sync"
@@ -91,7 +90,7 @@ func main() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rng := rand.New(rngstate.New(int64(seed + i)))
+			rng := rngstate.New(int64(seed + i))
 			c := dist.NewClient(baseURL, fmt.Sprintf("phone-%d", i),
 				fed.Train[i], fed.LocalTest[i], int64(seed+100+i))
 			// A mix of weak and strong devices.

@@ -113,7 +113,7 @@ func modeName(perClient bool) string {
 // state is its tie-breaking RNG position.
 func (h *Heuristic) CheckpointState() ([]byte, error) {
 	e := checkpoint.NewEnc(10)
-	e.Uvarint(h.src.Pos())
+	e.Uvarint(h.rng.Pos())
 	return e.Bytes(), nil
 }
 
@@ -124,6 +124,6 @@ func (h *Heuristic) RestoreCheckpoint(data []byte) error {
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("heuristic controller state: %w", err)
 	}
-	h.src.SeekTo(draws)
+	h.rng.SeekTo(draws)
 	return nil
 }

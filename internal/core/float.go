@@ -15,7 +15,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 
 	"floatfl/internal/device"
@@ -329,16 +328,14 @@ func (f *Float) LoadAgent(r io.Reader) error {
 // chosen intensity tier.
 type Heuristic struct {
 	bins int
-	rng  *rand.Rand
-	src  *rngstate.Source
+	rng  *rngstate.Source
 }
 
 var _ fl.Controller = (*Heuristic)(nil)
 
 // NewHeuristic constructs the heuristic controller.
 func NewHeuristic(seed int64) *Heuristic {
-	src := rngstate.New(seed)
-	return &Heuristic{bins: rl.DefaultBins, rng: rand.New(src), src: src}
+	return &Heuristic{bins: rl.DefaultBins, rng: rngstate.New(seed)}
 }
 
 // Name implements fl.Controller.

@@ -2,7 +2,6 @@ package data
 
 import (
 	"math"
-	"math/rand"
 
 	"floatfl/internal/rngstate"
 )
@@ -69,9 +68,7 @@ func sampleDirichletInto(out []float64, alpha float64, rng *rngstate.Source) []f
 	if sum == 0 {
 		// All draws underflowed (possible for tiny alpha): fall back to a
 		// one-hot distribution on a random class, which is the alpha→0 limit.
-		// rand.Rand's Intn draws from rng's stream; this path is too rare
-		// to own a copy of it.
-		out[rand.New(rng).Intn(len(out))] = 1
+		out[rng.Intn(len(out))] = 1
 		return out
 	}
 	for i := range out {

@@ -81,7 +81,7 @@ func Generate(profileName string, cfg GenerateConfig) (*Federation, error) {
 }
 
 // normalInto fills v with N(0, sigma²) samples drawn from src by block:
-// the values tensor.RandnInto draws from rand.New(src).
+// the values tensor.RandnInto draws from src one at a time.
 func normalInto(v tensor.Vector, sigma float64, src *rngstate.Source) {
 	src.NormFloat64s(v)
 	for i, g := range v {

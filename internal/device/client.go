@@ -11,7 +11,6 @@ package device
 
 import (
 	"fmt"
-	"math/rand"
 
 	"floatfl/internal/rngstate"
 	"floatfl/internal/trace"
@@ -73,7 +72,7 @@ func NewPopulation(cfg PopulationConfig) ([]*Client, error) {
 	if share <= 0 {
 		share = 0.3
 	}
-	rng := rand.New(rngstate.New(cfg.Seed))
+	rng := rngstate.New(cfg.Seed)
 	out := make([]*Client, cfg.Clients)
 	for i := range out {
 		kind := trace.Net4G

@@ -2,7 +2,6 @@ package device
 
 import (
 	"fmt"
-	"math/rand"
 
 	"floatfl/internal/data"
 	"floatfl/internal/rngstate"
@@ -22,9 +21,9 @@ func normalizePopulation(cfg PopulationConfig) PopulationConfig {
 // (data.ClientSeed) — network kind, compute profile, bandwidth trace — and
 // returns the stream positioned at the availability seed. It is all a clean
 // response estimate reads, so set-up sampling stops here.
-func deriveLink(cfg PopulationConfig, id int) (*Client, *rand.Rand) {
+func deriveLink(cfg PopulationConfig, id int) (*Client, *rngstate.Source) {
 	cfg = normalizePopulation(cfg)
-	rng := rand.New(rngstate.New(data.ClientSeed(cfg.Seed, int64(id))))
+	rng := rngstate.New(data.ClientSeed(cfg.Seed, int64(id)))
 	kind := trace.Net4G
 	if rng.Float64() < cfg.FiveGShare {
 		kind = trace.Net5G

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"sync"
 	"time"
@@ -19,9 +18,6 @@ import (
 	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
 )
-
-// newRand is a tiny indirection so server and client share seeding style.
-func newRand(seed int64) *rand.Rand { return rand.New(rngstate.New(seed)) }
 
 // defaultHTTPTimeout bounds a single request attempt so a dead server (or
 // a dropped response) surfaces as a retryable error instead of hanging
@@ -81,14 +77,13 @@ type Client struct {
 
 	id   int
 	spec TrainSpec
-	// rng seeds model init and per-round training, and src is the source
-	// behind it, which TrainLocal's update transform draws from by block:
-	// one stream. retryRNG draws backoff jitter. They are separate streams
-	// so injected faults never perturb the training schedule.
+	// rng seeds model init and per-round training, and TrainLocal's update
+	// transform draws from it by block. retryRNG draws backoff jitter. They
+	// are separate streams so injected faults never perturb the training
+	// schedule.
 	model    *nn.Model
-	rng      *rand.Rand
-	src      *rngstate.Source
-	retryRNG *rand.Rand
+	rng      *rngstate.Source
+	retryRNG *rngstate.Source
 	// lastDeadlineDiff carries human feedback into the next report.
 	lastDeadlineDiff float64
 
@@ -102,16 +97,14 @@ type Client struct {
 
 // NewClient constructs a client runtime against a server base URL.
 func NewClient(baseURL, name string, shard, localTest []nn.Sample, seed int64) *Client {
-	src := rngstate.New(seed)
 	return &Client{
 		baseURL:    baseURL,
 		HTTPClient: &http.Client{Timeout: defaultHTTPTimeout},
 		Name:       name,
 		Shard:      shard,
 		LocalTest:  localTest,
-		rng:        rand.New(src),
-		src:        src,
-		retryRNG:   newRand(seed ^ 0x5deece66d),
+		rng:        rngstate.New(seed),
+		retryRNG:   rngstate.New(seed ^ 0x5deece66d),
 	}
 }
 
@@ -198,7 +191,7 @@ func (c *Client) Step(ctx context.Context, round int) (bool, error) {
 		GradClip:  fl.GradClip,
 		Seed:      c.rng.Int63(),
 	}
-	lt, err := fl.TrainLocal(c.model, before, delta, before, c.Shard, c.LocalTest, tech, tc, c.src)
+	lt, err := fl.TrainLocal(c.model, before, delta, before, c.Shard, c.LocalTest, tech, tc, c.rng)
 	if err != nil {
 		return false, err
 	}

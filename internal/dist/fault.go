@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
 	"time"
 
 	"floatfl/internal/obs"
+	"floatfl/internal/rngstate"
 )
 
 // Sentinel errors the FaultInjector returns, so tests can distinguish a
@@ -91,7 +91,7 @@ type FaultInjector struct {
 	clock Clock
 
 	mu      sync.Mutex
-	rng     *rand.Rand
+	rng     *rngstate.Source
 	stats   FaultStats
 	history []string
 
@@ -109,7 +109,7 @@ func NewFaultInjector(cfg FaultConfig, next http.RoundTripper, clock Clock) *Fau
 	if clock == nil {
 		clock = RealClock()
 	}
-	return &FaultInjector{cfg: cfg, next: next, clock: clock, rng: newRand(cfg.Seed)}
+	return &FaultInjector{cfg: cfg, next: next, clock: clock, rng: rngstate.New(cfg.Seed)}
 }
 
 // Stats returns a snapshot of the injector's counters.

@@ -11,6 +11,7 @@ import (
 	"floatfl/internal/checkpoint"
 	"floatfl/internal/nn"
 	"floatfl/internal/obs"
+	"floatfl/internal/rngstate"
 )
 
 // getJSON GETs url and decodes its 200 JSON body into out.
@@ -82,7 +83,7 @@ func pendingServer(t *testing.T) (*Server, *httptest.Server, float64) {
 		t.Fatal("handing out a round-1 task joined the pending evaluation")
 	}
 	spec := srv.cfg.Spec
-	model, err := nn.NewModel(spec.Arch, spec.InDim, spec.Classes, newRand(0))
+	model, err := nn.NewModel(spec.Arch, spec.InDim, spec.Classes, rngstate.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}

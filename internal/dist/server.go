@@ -16,6 +16,7 @@ import (
 	"floatfl/internal/nn"
 	"floatfl/internal/obs"
 	"floatfl/internal/opt"
+	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
 	"floatfl/internal/trace"
 )
@@ -219,8 +220,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	rng := newRand(cfg.Seed)
-	global, err := nn.NewModel(cfg.Spec.Arch, cfg.Spec.InDim, cfg.Spec.Classes, rng)
+	global, err := nn.NewModel(cfg.Spec.Arch, cfg.Spec.InDim, cfg.Spec.Classes, rngstate.New(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}

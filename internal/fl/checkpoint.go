@@ -187,7 +187,7 @@ func (r *run) CheckpointState() ([]byte, error) {
 	e.RawBytes(fp)
 	e.Int(r.done)
 	e.Float64(r.now)
-	e.Uvarint(r.src.Pos())
+	e.Uvarint(r.rng.Pos())
 	e.Float64s(r.global.Parameters())
 	e.Float64s(r.res.GlobalAccHistory)
 	e.Ints(r.res.EvalRounds)
@@ -415,7 +415,7 @@ func (r *run) RestoreCheckpoint(data []byte) error {
 			return err
 		}
 	}
-	r.src.SeekTo(draws)
+	r.rng.SeekTo(draws)
 	r.snapHint = len(data) + snapSlack
 	return nil
 }

@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"floatfl/internal/device"
 	"floatfl/internal/metrics"
@@ -37,8 +36,7 @@ type run struct {
 	// per-task timeout, which is also the length of one trace step.
 	deadline float64
 	global   *nn.Model
-	src      *rngstate.Source
-	rng      *rand.Rand
+	rng      *rngstate.Source
 	res      *Result
 	// hfDiff tracks the latest deadline-difference human feedback per
 	// client — sparse, because a million-client run only ever touches the
@@ -193,8 +191,7 @@ func newRun(kind string, p *population.Population, sel selection.Selector, ctrl 
 		return nil, err
 	}
 	profile := p.Profile()
-	r.src = rngstate.New(cfg.Seed)
-	r.rng = rand.New(r.src)
+	r.rng = rngstate.New(cfg.Seed)
 	if r.global, err = nn.NewModel(cfg.Arch, profile.Dim, profile.Classes, r.rng); err != nil {
 		return nil, err
 	}

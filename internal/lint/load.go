@@ -23,8 +23,10 @@ import (
 // and its imports are materialized through the standard gc importer with a
 // lookup function over the export-data files. In-package _test.go files
 // are checked together with their package; external (package foo_test)
-// test files are checked as their own package importing the base through
-// export data.
+// test files are checked as their own package. Their importer reads the
+// base, and any dependency go recompiles against it, from the export data
+// of foo's test build, as go test does, so a helper that foo's in-package
+// test files export resolves.
 type Loader struct {
 	// Dir is the directory `go list` runs in (the module root for
 	// repo-wide sweeps).
@@ -134,6 +136,19 @@ func (l *Loader) Packages(patterns ...string) ([]*Package, error) {
 		return nil, err
 	}
 	l.recordExports(listed)
+	// testBuilds maps each package under test to the export data of its
+	// test build's variants ("p [foo.test]"), keyed by plain import path.
+	testBuilds := map[string]map[string]string{}
+	for _, p := range listed {
+		path, _, variant := strings.Cut(p.ImportPath, " ")
+		if !variant || p.ForTest == "" || p.Export == "" {
+			continue
+		}
+		if testBuilds[p.ForTest] == nil {
+			testBuilds[p.ForTest] = map[string]string{}
+		}
+		testBuilds[p.ForTest][path] = p.Export
+	}
 
 	var out []*Package
 	for _, p := range listed {
@@ -148,14 +163,21 @@ func (l *Loader) Packages(patterns ...string) ([]*Package, error) {
 		srcs = append(srcs, p.CgoFiles...)
 		srcs = append(srcs, p.TestGoFiles...)
 		if len(srcs) > 0 {
-			pkg, err := l.check(p.ImportPath, p.Dir, srcs)
+			pkg, err := l.check(p.ImportPath, p.Dir, srcs, l.imp)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, pkg)
 		}
 		if len(p.XTestGoFiles) > 0 {
-			pkg, err := l.check(p.ImportPath+"_test", p.Dir, p.XTestGoFiles)
+			builds := testBuilds[p.ImportPath]
+			imp := importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
+				if file, ok := builds[path]; ok {
+					return os.Open(file)
+				}
+				return l.lookup(path)
+			})
+			pkg, err := l.check(p.ImportPath+"_test", p.Dir, p.XTestGoFiles, imp)
 			if err != nil {
 				return nil, err
 			}
@@ -183,10 +205,10 @@ func (l *Loader) SingleFile(path string) (*Package, error) {
 			}
 		}
 	}
-	return l.check(importPath, "", []string{path})
+	return l.check(importPath, "", []string{path}, l.imp)
 }
 
-func (l *Loader) check(importPath, dir string, files []string) (*Package, error) {
+func (l *Loader) check(importPath, dir string, files []string, imp types.Importer) (*Package, error) {
 	asts := make([]*ast.File, 0, len(files))
 	for _, f := range files {
 		name := f
@@ -207,7 +229,7 @@ func (l *Loader) check(importPath, dir string, files []string) (*Package, error)
 	}
 	var typeErrs []error
 	conf := types.Config{
-		Importer: l.imp,
+		Importer: imp,
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	tpkg, _ := conf.Check(importPath, l.Fset, asts, info)

@@ -77,14 +77,15 @@ func TestLoaderMissingExportData(t *testing.T) {
 
 // TestLoaderTestVariantPackages checks the test-variant folding contract:
 // in-package _test.go files are analyzed with their package, external
-// package foo_test files become their own "<path>_test" entry, and the
-// synthesized .test mains and bracketed variants never surface.
+// package foo_test files become their own "<path>_test" entry and see the
+// helpers the in-package test files export, and the synthesized .test
+// mains and bracketed variants never surface.
 func TestLoaderTestVariantPackages(t *testing.T) {
 	dir := writeTree(t, map[string]string{
 		"go.mod":          "module variantmod\n\ngo 1.22\n",
 		"lib.go":          "package lib\n\nfunc Answer() int { return 42 }\n",
-		"lib_in_test.go":  "package lib\n\nimport \"testing\"\n\nfunc TestInternal(t *testing.T) { _ = Answer() }\n",
-		"lib_ext_test.go": "package lib_test\n\nimport (\n\t\"testing\"\n\n\t\"variantmod\"\n)\n\nfunc TestExternal(t *testing.T) { _ = lib.Answer() }\n",
+		"lib_in_test.go":  "package lib\n\nimport \"testing\"\n\nfunc TestInternal(t *testing.T) { _ = Answer() }\n\nfunc AnswerForTest() int { return Answer() }\n",
+		"lib_ext_test.go": "package lib_test\n\nimport (\n\t\"testing\"\n\n\t\"variantmod\"\n)\n\nfunc TestExternal(t *testing.T) { _ = lib.Answer() + lib.AnswerForTest() }\n",
 	})
 	pkgs, err := lint.NewLoader(dir).Packages("./...")
 	if err != nil {

@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
+	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
 )
 
@@ -82,13 +82,13 @@ type Model struct {
 	// allocates nothing. The activations and gradients of a minibatch are
 	// not the model's: each Train or Evaluate call borrows them from the
 	// package's free list (see batch.go).
-	order    []int      // shuffled sample order, grown on demand
-	trainRNG *rand.Rand // shuffle stream, reseeded per Train call
+	order    []int            // shuffled sample order, grown on demand
+	trainRNG *rngstate.Source // shuffle stream, reseeded per Train call
 }
 
 // NewModel builds a model for the named architecture with the given input
 // and output dimensionality, initialized deterministically from rng.
-func NewModel(arch string, inDim, outDim int, rng *rand.Rand) (*Model, error) {
+func NewModel(arch string, inDim, outDim int, rng tensor.Uniform) (*Model, error) {
 	spec, err := LookupSpec(arch)
 	if err != nil {
 		return nil, err
@@ -136,9 +136,6 @@ func (m *Model) SetBackend(b tensor.Backend) { m.backend = b }
 
 // InDim returns the model input dimensionality.
 func (m *Model) InDim() int { return m.nIn }
-
-// OutDim returns the number of classes.
-func (m *Model) OutDim() int { return m.nOut }
 
 // NumParams returns the total number of trainable scalars (of the small
 // trained network, not the reference architecture).

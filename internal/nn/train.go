@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"floatfl/internal/rngstate"
@@ -75,11 +74,11 @@ func (m *Model) Train(samples []Sample, cfg TrainConfig) (float64, error) {
 			len(cfg.ProxAnchor), m.NumParams())
 	}
 	// Reuse the model-owned RNG and order scratch: reseeding is O(1) and
-	// produces the same stream as a fresh rand.New(rngstate.New(seed)) —
-	// math/rand's for that seed — so repeated Train calls stay
-	// deterministic without per-call allocation.
+	// produces the same stream as a fresh rngstate.New(seed) — math/rand's
+	// for that seed — so repeated Train calls stay deterministic without
+	// per-call allocation.
 	if m.trainRNG == nil {
-		m.trainRNG = rand.New(rngstate.New(cfg.Seed))
+		m.trainRNG = rngstate.New(cfg.Seed)
 	} else {
 		m.trainRNG.Seed(cfg.Seed)
 	}

@@ -376,11 +376,18 @@ func (e *TimelineCapacityError) Error() string {
 	return fmt.Sprintf("obs: timeline line %d: more samples than the header's capacity %d", e.Line, e.Capacity)
 }
 
+// TimelineFormatError is ReadTimeline's error for a header it refuses: a
+// missing one, a schema mismatch or a capacity below one.
+type TimelineFormatError struct{ Reason string }
+
+func (e *TimelineFormatError) Error() string { return "obs: timeline " + e.Reason }
+
 // ReadTimeline parses a timeline written by WriteJSONL: a header line
 // followed by at most capacity samples. Blank lines are skipped; a
-// malformed line or a schema mismatch is an error (timelines are
-// machine-written), and a sample past the capacity a
-// *TimelineCapacityError.
+// malformed line is an error wrapping json's (timelines are
+// machine-written), a refused header a *TimelineFormatError, a sample
+// past the capacity a *TimelineCapacityError, and a line over 1 MiB
+// bufio.ErrTooLong.
 func ReadTimeline(r io.Reader) (TimelineHeader, []TimelineSample, error) {
 	var header TimelineHeader
 	var samples []TimelineSample
@@ -399,10 +406,10 @@ func ReadTimeline(r io.Reader) (TimelineHeader, []TimelineSample, error) {
 				return header, nil, fmt.Errorf("obs: timeline line %d: %w", lineNo, err)
 			}
 			if header.Schema != timelineSchema {
-				return header, nil, fmt.Errorf("obs: timeline schema %q, want %q", header.Schema, timelineSchema)
+				return header, nil, &TimelineFormatError{fmt.Sprintf("schema %q, want %q", header.Schema, timelineSchema)}
 			}
 			if header.Capacity <= 0 {
-				return header, nil, fmt.Errorf("obs: timeline capacity %d must be positive", header.Capacity)
+				return header, nil, &TimelineFormatError{fmt.Sprintf("capacity %d must be positive", header.Capacity)}
 			}
 			sawHeader = true
 			continue
@@ -420,7 +427,7 @@ func ReadTimeline(r io.Reader) (TimelineHeader, []TimelineSample, error) {
 		return header, nil, err
 	}
 	if !sawHeader {
-		return header, nil, fmt.Errorf("obs: timeline is empty (missing header line)")
+		return header, nil, &TimelineFormatError{"is empty (missing header line)"}
 	}
 	return header, samples, nil
 }

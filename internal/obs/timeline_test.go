@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -215,6 +216,48 @@ func TestReadTimelineRejectsMalformedInput(t *testing.T) {
 			t.Errorf("%s: want error, got nil", name)
 		}
 	}
+}
+
+// FuzzReadTimeline feeds ReadTimeline any bytes, seeded with a real
+// export and the malformed cases above: no panic, and either an error of
+// a documented type with no samples, or a header of the writer's schema
+// and positive capacity with at most capacity samples.
+func FuzzReadTimeline(f *testing.F) {
+	_, tl, c, g, _ := timelineFixture(3)
+	for round := 0; round < 5; round++ {
+		c.Inc()
+		g.Set(float64(round) / 4)
+		tl.Sample(round, float64(round), SeriesValue{Name: "extra", Value: float64(round % 2)})
+	}
+	var buf bytes.Buffer
+	if err := tl.WriteJSONL(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	header := `{"schema":"floatfl-timeline/v1","capacity":1,"dropped":0}` + "\n"
+	for _, in := range []string{"", "not json\n", header, header + "\n" + `{"round":1,"clock":2,"values":{"a":1e999}}` + "\n",
+		header + `{"round":1}` + "\n" + `{"round":2}` + "\n"} {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hdr, samples, err := ReadTimeline(bytes.NewReader(data))
+		if err != nil {
+			var fe *TimelineFormatError
+			var ce *TimelineCapacityError
+			var se *json.SyntaxError
+			var te *json.UnmarshalTypeError
+			if !errors.As(err, &fe) && !errors.As(err, &ce) && !errors.As(err, &se) && !errors.As(err, &te) && !errors.Is(err, bufio.ErrTooLong) {
+				t.Fatalf("untyped error %T: %v", err, err)
+			}
+			if samples != nil {
+				t.Fatalf("error %v with %d samples", err, len(samples))
+			}
+			return
+		}
+		if hdr.Schema != timelineSchema || hdr.Capacity <= 0 || len(samples) > hdr.Capacity {
+			t.Fatalf("accepted header %+v with %d samples", hdr, len(samples))
+		}
+	})
 }
 
 // timelineState spells a timeline checkpoint section by hand, so the

@@ -3,20 +3,12 @@ package opt
 import (
 	"math"
 	"math/bits"
-	"math/rand"
 	"sort"
 	"sync"
 
 	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
 )
-
-// Uniform is the stream Quantize draws its rounding from, one value in
-// [0, 1) per entry: *rngstate.Source provides it, whose values Quantize
-// draws a block at a time, and so does *rand.Rand.
-type Uniform interface {
-	Float64() float64
-}
 
 // quantBlock is how many uniforms Quantize draws from a *rngstate.Source
 // at a time.
@@ -27,14 +19,14 @@ const quantBlock = 256
 // scale adapts to the update's max magnitude, as FedPAQ-style update
 // quantization does. b must be in [2, 32]; b >= 32 is a no-op. Entry i
 // takes the i-th value of rng, so a *rngstate.Source, drawn by block, and
-// a *rand.Rand over the same stream yield the same bits and leave the
+// any other Uniform over the same stream yield the same bits and leave the
 // stream at the same position.
 //
 // The no-op guard must stay ahead of the level computation: for bits > 62,
 // int64(1)<<(bits-1) would overflow (bits == 63 yields math.MinInt64, and
 // larger shifts are undefined for the signed width), turning the grid scale
 // negative or NaN and corrupting the update instead of passing it through.
-func Quantize(v tensor.Vector, bits int, rng Uniform) {
+func Quantize(v tensor.Vector, bits int, rng tensor.Uniform) {
 	if bits >= 32 || len(v) == 0 {
 		// Covers the whole bits >= 32 range, so the shift below is always
 		// taken with bits in [2, 31] and cannot overflow.
@@ -50,9 +42,7 @@ func Quantize(v tensor.Vector, bits int, rng Uniform) {
 	levels := float64(int64(1)<<(bits-1)) - 1 // e.g. 127 for 8-bit
 	scale := maxAbs / levels
 	// buf stays on the stack: the block draw is a call on the concrete
-	// type, where an interface method would make it escape. A *rand.Rand
-	// draws one value per call, but through a concrete, inlined call, not
-	// a second indirect one.
+	// type, where an interface method would make it escape.
 	var buf [quantBlock]float64
 	for len(v) > 0 {
 		n := min(len(v), quantBlock)
@@ -60,10 +50,6 @@ func Quantize(v tensor.Vector, bits int, rng Uniform) {
 		switch rng := rng.(type) {
 		case *rngstate.Source:
 			rng.Float64s(u)
-		case *rand.Rand:
-			for i := range u {
-				u[i] = rng.Float64()
-			}
 		default:
 			for i := range u {
 				u[i] = rng.Float64()
@@ -292,7 +278,7 @@ func FrozenLayerMask(numLayers int, frac float64) []bool {
 // ApplyToUpdate applies the technique's update-side transformation (prune
 // and/or quantize) to a model delta in place. Partial training acts during
 // training (via FrozenLayerMask), not here.
-func ApplyToUpdate(t Technique, delta tensor.Vector, rng Uniform) {
+func ApplyToUpdate(t Technique, delta tensor.Vector, rng tensor.Uniform) {
 	e := t.Effects()
 	if e.PruneFrac > 0 {
 		PruneSmallest(delta, e.PruneFrac)

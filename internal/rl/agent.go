@@ -3,7 +3,6 @@ package rl
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"floatfl/internal/obs"
@@ -84,8 +83,7 @@ type cell struct {
 type Agent struct {
 	cfg     Config
 	actions []opt.Technique
-	rng     *rand.Rand
-	src     *rngstate.Source
+	rng     *rngstate.Source
 
 	// table maps State.Key -> per-action cells. Only visited states are
 	// materialized, keeping the memory overhead tiny (Fig 8).
@@ -147,12 +145,10 @@ func NewAgent(cfg Config) *Agent {
 	if len(actions) == 0 {
 		actions = opt.Actions()
 	}
-	src := rngstate.New(cfg.Seed)
 	return &Agent{
 		cfg:      cfg,
 		actions:  append([]opt.Technique(nil), actions...),
-		rng:      rand.New(src),
-		src:      src,
+		rng:      rngstate.New(cfg.Seed),
 		table:    make(map[int][]cell),
 		accCache: make(map[int]float64),
 	}

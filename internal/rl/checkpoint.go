@@ -28,7 +28,7 @@ func (a *Agent) CheckpointState() ([]byte, error) {
 	a.appendLearned(e)
 	e.Float64s(a.rewardHistory)
 	e.Int(a.updates)
-	e.Uvarint(a.src.Pos())
+	e.Uvarint(a.rng.Pos())
 	return e.Bytes(), nil
 }
 
@@ -64,6 +64,6 @@ func (a *Agent) RestoreCheckpoint(data []byte) error {
 	a.table, a.accCache = l.table, l.accCache
 	a.rewardHistory = rewardHistory
 	a.updates = updates
-	a.src.SeekTo(draws)
+	a.rng.SeekTo(draws)
 	return nil
 }

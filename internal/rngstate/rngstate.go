@@ -26,12 +26,16 @@
 // Source counts draws, which makes the stream position serializable as a
 // single uint64; restoring is reseeding and discarding that many draws.
 //
-// Source also draws rand.Rand's Float64 and NormFloat64 values itself,
-// one at a time or a block at a time (Float64s, NormFloat64s). A block
-// keeps the register position in locals, and yields the values and leaves
-// the position of as many rand.New(src) calls, so the two can be mixed on
-// one stream. NormFloat64 is an owned copy of math/rand's ziggurat
-// (normal.go) whose arithmetic is the same on every host.
+// A Source is the one handle on its stream: it draws every value the
+// simulator takes, so no component holds a rand.Rand beside it. Float64
+// and NormFloat64 come one at a time or a block at a time (Float64s,
+// NormFloat64s). A block keeps the register position in locals, and yields
+// the values and leaves the position of as many rand.New(src) calls.
+// NormFloat64 is an owned copy of math/rand's ziggurat (normal.go) whose
+// arithmetic is the same on every host. The integer draws (Intn, Int63n,
+// Perm, Shuffle) are rand.Rand's own, read through a rand.Rand built on
+// the stack over the Source, so each yields exactly math/rand's values and
+// stream position.
 package rngstate
 
 import "math/rand"
@@ -236,6 +240,21 @@ func (s *Source) fill() {
 		}
 	}
 }
+
+// Intn returns the value rand.New(s).Intn(n) would. This and the other
+// integer draws read the stream through a rand.Rand built on the stack
+// over s, so they are math/rand's algorithms, bit for bit and draw for
+// draw, and allocate nothing but what they return.
+func (s *Source) Intn(n int) int { return rand.New(s).Intn(n) }
+
+// Int63n returns the value rand.New(s).Int63n(n) would.
+func (s *Source) Int63n(n int64) int64 { return rand.New(s).Int63n(n) }
+
+// Perm returns the permutation rand.New(s).Perm(n) would.
+func (s *Source) Perm(n int) []int { return rand.New(s).Perm(n) }
+
+// Shuffle swaps as rand.New(s).Shuffle(n, swap) would.
+func (s *Source) Shuffle(n int, swap func(i, j int)) { rand.New(s).Shuffle(n, swap) }
 
 // Float64 returns the value rand.New(s).Float64 would: Int63 scaled into
 // [0, 1), drawing again in the rare case (about one draw in 2⁵⁴) that

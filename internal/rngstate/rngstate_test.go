@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -232,6 +233,15 @@ func TestMemoryContract(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("Seed plus %d draws on a source with a register: %v allocations, want 0", streamLen, got)
 	}
+	var deck [52]int
+	swap := func(i, j int) { deck[i], deck[j] = deck[j], deck[i] }
+	if got := testing.AllocsPerRun(100, func() {
+		sink += uint64(s.Intn(10)) + uint64(s.Intn(1<<40)) + uint64(s.Int63n(1<<62+3))
+		s.Shuffle(len(deck), swap)
+		sink += uint64(len(s.Perm(8)))
+	}); got != 1 {
+		t.Errorf("Intn, Int63n, Shuffle and Perm: %v allocations, want 1 (the slice Perm returns)", got)
+	}
 }
 
 // sink and escaped keep TestMemoryContract's draws and sources live, so
@@ -242,10 +252,48 @@ var (
 )
 
 // blockOp is one step of a block-draw script: a block of n values, drawn
-// by Float64s or NormFloat64s, or a single scalar rand.Rand draw.
+// by Float64s or NormFloat64s, a single scalar rand.Rand draw, or one of
+// the integer draws, with n its bound or length.
 type blockOp struct {
 	norm, scalar bool
+	ints         intDraw
 	n            int
+}
+
+// intDraw names the integer draw a blockOp takes, if any.
+type intDraw int
+
+const (
+	noInt intDraw = iota
+	drawIntn
+	drawInt63n
+	drawPerm
+	drawShuffle
+)
+
+// checkIntDraw takes op's integer draw from got and from want, and fails
+// unless the results are equal.
+func checkIntDraw(t *testing.T, name string, k int, got *Source, want *rand.Rand, op blockOp) {
+	t.Helper()
+	var g, w []int
+	switch op.ints {
+	case drawIntn:
+		g, w = []int{got.Intn(op.n)}, []int{want.Intn(op.n)}
+	case drawInt63n:
+		g, w = []int{int(got.Int63n(int64(op.n)))}, []int{int(want.Int63n(int64(op.n)))}
+	case drawPerm:
+		g, w = got.Perm(op.n), want.Perm(op.n)
+	case drawShuffle:
+		g, w = make([]int, op.n), make([]int, op.n)
+		for i := range g {
+			g[i], w[i] = i, i
+		}
+		got.Shuffle(op.n, func(i, j int) { g[i], g[j] = g[j], g[i] })
+		want.Shuffle(op.n, func(i, j int) { w[i], w[j] = w[j], w[i] })
+	}
+	if !slices.Equal(g, w) {
+		t.Fatalf("%s: op %d (int draw %d, n=%d): got %v want %v", name, k, op.ints, op.n, g, w)
+	}
 }
 
 // checkBlocks runs ops against got's block draws and against want, a
@@ -253,8 +301,12 @@ type blockOp struct {
 // bit, and then requires equal stream positions.
 func checkBlocks(t *testing.T, name string, got *Source, want *rand.Rand, wantSrc *Source, ops []blockOp) {
 	t.Helper()
-	var buf [1000]float64
+	var buf [1024]float64
 	for k, op := range ops {
+		if op.ints != noInt {
+			checkIntDraw(t, name, k, got, want, op)
+			continue
+		}
 		if op.scalar {
 			// The scalar draws go through both sides' rand.Rand, as a
 			// caller mixing the two APIs on one stream would.
@@ -413,30 +465,59 @@ func TestBlockTable(t *testing.T) {
 	}
 }
 
-// FuzzBlockDraws holds block draws to rand.Rand's stream for any seed,
-// scalar prefix and sequence of block lengths: each byte of script is one
-// op, its low bit picking Float64s or NormFloat64s and the rest a length
-// (0-127, times eight past the first bit's half).
+// FuzzBlockDraws holds block and integer draws to rand.Rand's stream for
+// any seed, scalar prefix and script of draws, interleaved on one stream:
+// each op takes two bytes of script, the first picking the draw (mod 6:
+// Float64s, NormFloat64s, Intn, Int63n, Perm, Shuffle) and the second its
+// argument. A block's length is the argument's low seven bits, times
+// eight when its high bit is set; Perm and Shuffle take the argument as
+// their length, and Intn and Int63n the bound intBound makes of it.
 func FuzzBlockDraws(f *testing.F) {
-	f.Add(int64(1), uint16(0), []byte{2, 3, 255, 254})
-	f.Add(int64(-7), uint16(273), []byte{1, 0, 129})
-	f.Add(int64(0), uint16(272), []byte{9, 8, 201, 200, 7})
-	f.Add(int64(20240601), uint16(700), []byte{255, 255, 255})
+	f.Add(int64(1), uint16(0), []byte{0, 2, 1, 3, 0, 255, 1, 254})
+	f.Add(int64(-7), uint16(273), []byte{1, 1, 0, 0, 1, 129, 2, 0x5F, 3, 0x7E})
+	f.Add(int64(0), uint16(272), []byte{2, 0xA0, 2, 0xBF, 2, 0xC0, 3, 0x80, 4, 255, 5, 17, 0, 200, 1, 7})
+	f.Add(int64(20240601), uint16(700), []byte{0, 255, 2, 0xFF, 5, 255, 1, 255, 4, 52, 3, 0x5E})
 	f.Fuzz(func(t *testing.T, seed int64, prefix uint16, script []byte) {
-		ops := make([]blockOp, 0, int(prefix%1024)+len(script))
+		ops := make([]blockOp, 0, int(prefix%1024)+len(script)/2)
 		for i := 0; i < int(prefix%1024); i++ {
 			ops = append(ops, blockOp{scalar: true})
 		}
-		for _, b := range script {
-			n := int(b >> 1 & 0x3F)
-			if b&0x80 != 0 {
-				n *= 8
+		for i := 0; i+1 < len(script); i += 2 {
+			a := script[i+1]
+			switch kind := script[i] % 6; kind {
+			case 0, 1:
+				n := int(a & 0x7F)
+				if a&0x80 != 0 {
+					n *= 8
+				}
+				ops = append(ops, blockOp{norm: kind == 1, n: n})
+			case 2, 3:
+				ops = append(ops, blockOp{ints: intDraw(kind - 1), n: int(intBound(a))})
+			default:
+				ops = append(ops, blockOp{ints: intDraw(kind - 1), n: int(a)})
 			}
-			ops = append(ops, blockOp{norm: b&1 != 0, n: n})
 		}
 		wantSrc := New(seed)
 		checkBlocks(t, "fuzz", New(seed), rand.New(wantSrc), wantSrc, ops)
 	})
+}
+
+// intBound maps a script byte to an Intn or Int63n bound by its top two
+// bits: 1 to 64; a power of two, 2⁰ to 2⁶²; 2³¹−1 give or take 32, where
+// Intn moves from Int31n to Int63n; or 2⁵⁶−1 to 2⁶²−1, where Int63n's
+// rejection loop runs often.
+func intBound(a byte) int64 {
+	v := int64(a & 0x3F)
+	switch a >> 6 {
+	case 0:
+		return v + 1
+	case 1:
+		return 1 << (v % 63)
+	case 2:
+		return int32max + v - 32
+	default:
+		return 1<<(56+v%7) - 1
+	}
 }
 
 // BenchmarkDraws times a value drawn through rand.Rand against one drawn

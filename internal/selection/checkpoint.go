@@ -19,7 +19,7 @@ import (
 // only mutable state).
 func (r *Random) CheckpointState() ([]byte, error) {
 	e := checkpoint.NewEnc(10)
-	e.Uvarint(r.src.Pos())
+	e.Uvarint(r.rng.Pos())
 	return e.Bytes(), nil
 }
 
@@ -30,7 +30,7 @@ func (r *Random) RestoreCheckpoint(data []byte) error {
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("selection: random state: %w", err)
 	}
-	r.src.SeekTo(draws)
+	r.rng.SeekTo(draws)
 	return nil
 }
 
@@ -39,7 +39,7 @@ func (r *Random) RestoreCheckpoint(data []byte) error {
 // the pacer state.
 func (o *Oort) CheckpointState() ([]byte, error) {
 	e := checkpoint.NewEnc(64 + 11*(len(o.statUtil)+len(o.respSecs)) + 3*len(o.tried) + 4*len(o.failures))
-	e.Uvarint(o.src.Pos())
+	e.Uvarint(o.rng.Pos())
 	e.FloatsByID(o.statUtil)
 	e.FloatsByID(o.respSecs)
 	e.Ints(checkpoint.SortedKeys(o.tried))
@@ -67,7 +67,7 @@ func (o *Oort) RestoreCheckpoint(data []byte) error {
 		o.tried[id] = true
 	}
 	o.pacerT, o.windowOK, o.windowTotal = pacerT, windowOK, windowTotal
-	o.src.SeekTo(draws)
+	o.rng.SeekTo(draws)
 	return nil
 }
 
@@ -76,7 +76,7 @@ func (o *Oort) RestoreCheckpoint(data []byte) error {
 // bools), response EMAs, and participation recency.
 func (r *REFL) CheckpointState() ([]byte, error) {
 	e := checkpoint.NewEnc(64 + 16*len(r.history) + 11*len(r.respSecs) + 4*len(r.lastPart))
-	e.Uvarint(r.src.Pos())
+	e.Uvarint(r.rng.Pos())
 	e.Uvarint(uint64(len(r.history)))
 	for _, id := range checkpoint.SortedKeys(r.history) {
 		e.Int(id)
@@ -109,6 +109,6 @@ func (r *REFL) RestoreCheckpoint(data []byte) error {
 		return fmt.Errorf("selection: refl state: %w", err)
 	}
 	r.history, r.respSecs, r.lastPart = history, respSecs, lastPart
-	r.src.SeekTo(draws)
+	r.rng.SeekTo(draws)
 	return nil
 }

@@ -2,10 +2,10 @@ package selection
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 
 	"floatfl/internal/device"
+	"floatfl/internal/rngstate"
 )
 
 // PopulationView is the lazy population handle selectors draw from: client
@@ -40,13 +40,13 @@ type LazySelector interface {
 // from the permutation. It is the sampling primitive behind every lazy
 // selector and the async engine's launch sampling (Probe).
 type PermSampler struct {
-	rng   *rand.Rand
+	rng   *rngstate.Source
 	n, i  int
 	swaps map[int]int
 }
 
 // NewPermSampler constructs a sampler over [0, n) drawing from rng.
-func NewPermSampler(rng *rand.Rand, n int) *PermSampler {
+func NewPermSampler(rng *rngstate.Source, n int) *PermSampler {
 	return &PermSampler{rng: rng, n: n, swaps: make(map[int]int)}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"floatfl/internal/device"
+	"floatfl/internal/rngstate"
 	"floatfl/internal/trace"
 )
 
@@ -81,9 +82,9 @@ func TestLazySelectorsContract(t *testing.T) {
 	oort, oortRef := NewOort(4), NewOort(4)
 	refl, reflRef := NewREFL(5), NewREFL(5)
 	selectors := map[string]twin{
-		"random": {random, random.src.Pos, randomRef.selectLazyOneAtATime, randomRef.Observe, randomRef.src.Pos, randomRef.CheckpointState},
-		"oort":   {oort, oort.src.Pos, oortRef.selectLazyOneAtATime, oortRef.Observe, oortRef.src.Pos, oortRef.CheckpointState},
-		"refl":   {refl, refl.src.Pos, reflRef.selectLazyOneAtATime, reflRef.Observe, reflRef.src.Pos, reflRef.CheckpointState},
+		"random": {random, random.rng.Pos, randomRef.selectLazyOneAtATime, randomRef.Observe, randomRef.rng.Pos, randomRef.CheckpointState},
+		"oort":   {oort, oort.rng.Pos, oortRef.selectLazyOneAtATime, oortRef.Observe, oortRef.rng.Pos, oortRef.CheckpointState},
+		"refl":   {refl, refl.rng.Pos, reflRef.selectLazyOneAtATime, reflRef.Observe, reflRef.rng.Pos, reflRef.CheckpointState},
 	}
 	names := make([]string, 0, len(selectors))
 	for name := range selectors {
@@ -171,7 +172,7 @@ func TestRandomLazyDeterministic(t *testing.T) {
 // TestPermSamplerIsPermutation exhausts the sampler and checks it emits
 // each element exactly once.
 func TestPermSamplerIsPermutation(t *testing.T) {
-	ps := NewPermSampler(rand.New(rand.NewSource(2)), 257)
+	ps := NewPermSampler(rngstate.New(2), 257)
 	seen := make(map[int]bool)
 	for {
 		v, ok := ps.Next()

@@ -2,7 +2,6 @@ package selection
 
 import (
 	"math"
-	"math/rand"
 
 	"floatfl/internal/device"
 	"floatfl/internal/rngstate"
@@ -28,8 +27,7 @@ const (
 // Because utility rewards fast completions, Oort systematically prefers
 // efficient clients — the bias Fig. 2a quantifies.
 type Oort struct {
-	rng *rand.Rand
-	src *rngstate.Source
+	rng *rngstate.Source
 
 	statUtil map[int]float64 // EMA of loss-based utility
 	respSecs map[int]float64 // EMA of response time
@@ -45,10 +43,8 @@ type Oort struct {
 
 // NewOort constructs an Oort selector drawing from seed.
 func NewOort(seed int64) *Oort {
-	src := rngstate.New(seed)
 	return &Oort{
-		rng:      rand.New(src),
-		src:      src,
+		rng:      rngstate.New(seed),
 		statUtil: make(map[int]float64),
 		respSecs: make(map[int]float64),
 		tried:    make(map[int]bool),

@@ -2,7 +2,6 @@ package selection
 
 import (
 	"math"
-	"math/rand"
 
 	"floatfl/internal/device"
 	"floatfl/internal/rngstate"
@@ -27,8 +26,7 @@ const (
 // availability depends on dynamic resource consumption, and (2) preferring
 // fast clients excludes a large share of the population entirely.
 type REFL struct {
-	rng *rand.Rand
-	src *rngstate.Source
+	rng *rngstate.Source
 
 	// history[id] is a ring of recent availability observations.
 	history map[int][]bool
@@ -39,10 +37,8 @@ type REFL struct {
 
 // NewREFL constructs a REFL selector drawing from seed.
 func NewREFL(seed int64) *REFL {
-	src := rngstate.New(seed)
 	return &REFL{
-		rng:      rand.New(src),
-		src:      src,
+		rng:      rngstate.New(seed),
 		history:  make(map[int][]bool),
 		respSecs: make(map[int]float64),
 		lastPart: make(map[int]int),

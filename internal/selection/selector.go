@@ -14,7 +14,6 @@ package selection
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 
 	"floatfl/internal/device"
@@ -56,14 +55,12 @@ type Selector interface {
 
 // Random selects uniformly at random — FedAvg's policy.
 type Random struct {
-	rng *rand.Rand
-	src *rngstate.Source
+	rng *rngstate.Source
 }
 
 // NewRandom returns the FedAvg random selector.
 func NewRandom(seed int64) *Random {
-	src := rngstate.New(seed)
-	return &Random{rng: rand.New(src), src: src}
+	return &Random{rng: rngstate.New(seed)}
 }
 
 // Name implements Selector.
@@ -116,7 +113,7 @@ func topK(ss []scored, k int) []int {
 
 // topKByScore returns the client IDs with the k highest scores, shuffling
 // ties deterministically via the provided rng.
-func topKByScore(pool []*device.Client, score func(*device.Client) float64, k int, rng *rand.Rand) []int {
+func topKByScore(pool []*device.Client, score func(*device.Client) float64, k int, rng *rngstate.Source) []int {
 	ss := make([]scored, len(pool))
 	for i, c := range pool {
 		ss[i] = scored{id: c.ID, score: score(c), tie: rng.Float64()}

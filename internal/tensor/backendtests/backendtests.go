@@ -10,7 +10,6 @@ package backendtests
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -346,7 +345,7 @@ func runShapePanics(t *testing.T, b tensor.Backend) {
 func runSelfDeterminism(t *testing.T, b tensor.Backend) {
 	const m, k, n = 6, 7, 5
 	run := func() tensor.Vector {
-		rng := rand.New(rngstate.New(7))
+		rng := rngstate.New(7)
 		a, w := randMatrix(rng, m, k), randMatrix(rng, n, k)
 		bm, am := randMatrix(rng, k, n), randMatrix(rng, k, m)
 		x, y := randVecFrom(rng, k), randVecFrom(rng, m)
@@ -384,18 +383,14 @@ func runSelfDeterminism(t *testing.T, b tensor.Backend) {
 	}
 }
 
-func randMatrix(rng *rand.Rand, rows, cols int) *tensor.Matrix {
+func randMatrix(rng *rngstate.Source, rows, cols int) *tensor.Matrix {
 	m := tensor.NewMatrix(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
-	}
+	rng.NormFloat64s(m.Data)
 	return m
 }
 
-func randVecFrom(rng *rand.Rand, n int) tensor.Vector {
+func randVecFrom(rng *rngstate.Source, n int) tensor.Vector {
 	v := tensor.NewVector(n)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
+	rng.NormFloat64s(v)
 	return v
 }

@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"math/rand"
-
-	"floatfl/internal/rngstate"
-)
+import "floatfl/internal/rngstate"
 
 // AvailabilityTrace models energy-driven client availability as an ON/OFF
 // semi-Markov process with geometric dwell times plus a battery level that
@@ -16,7 +12,7 @@ import (
 // two steps; an earlier step is re-derived from the seed and the drain log.
 type AvailabilityTrace struct {
 	seed    int64
-	rng     *rand.Rand
+	rng     *rngstate.Source
 	battery float64 // in [0,1]
 	on      bool
 	n       int // steps generated
@@ -60,7 +56,7 @@ func NewAvailabilityTrace(seed int64) *AvailabilityTrace {
 
 // start draws the initial battery level and ON state from a fresh stream.
 func (a *AvailabilityTrace) start() {
-	a.rng = rand.New(rngstate.New(a.seed))
+	a.rng = rngstate.New(a.seed)
 	a.battery = 0.5 + 0.5*a.rng.Float64()
 	a.on = a.rng.Float64() < 0.8
 }

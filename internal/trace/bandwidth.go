@@ -10,7 +10,6 @@ package trace
 
 import (
 	"fmt"
-	"math/rand"
 
 	"floatfl/internal/rngstate"
 )
@@ -76,7 +75,7 @@ var regimeTransition = [4][4]float64{
 type BandwidthTrace struct {
 	Kind  NetKind
 	seed  int64
-	rng   *rand.Rand
+	rng   *rngstate.Source
 	state int
 	n     int        // steps generated
 	win   [2]float64 // steps n-2 and n-1 at index t&1, Mbps
@@ -84,7 +83,7 @@ type BandwidthTrace struct {
 
 // NewBandwidthTrace constructs a trace for the given technology and seed.
 func NewBandwidthTrace(kind NetKind, seed int64) *BandwidthTrace {
-	rng := rand.New(rngstate.New(seed))
+	rng := rngstate.New(seed)
 	return &BandwidthTrace{Kind: kind, seed: seed, rng: rng, state: rng.Intn(4)}
 }
 

@@ -1,6 +1,6 @@
 package trace
 
-import "math/rand"
+import "floatfl/internal/rngstate"
 
 // DeviceClass labels a tier of the mobile/edge device population, echoing
 // the AI-Benchmark compute trace's spread across ~950 devices.
@@ -61,7 +61,7 @@ var classMix = []struct {
 }
 
 // SampleComputeProfile draws one device from the heterogeneous population.
-func SampleComputeProfile(rng *rand.Rand) ComputeProfile {
+func SampleComputeProfile(rng *rngstate.Source) ComputeProfile {
 	u := rng.Float64()
 	var acc float64
 	for _, m := range classMix {
@@ -85,7 +85,7 @@ func SampleComputeProfile(rng *rand.Rand) ComputeProfile {
 	}
 }
 
-func positiveJitter(mean, jitter float64, rng *rand.Rand) float64 {
+func positiveJitter(mean, jitter float64, rng *rngstate.Source) float64 {
 	f := 1 + jitter*rng.NormFloat64()
 	if f < 0.2 {
 		f = 0.2

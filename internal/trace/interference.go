@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"math/rand"
 
 	"floatfl/internal/rngstate"
 )
@@ -57,7 +56,7 @@ func ParseScenario(s string) (Scenario, error) {
 type Interference struct {
 	Scenario Scenario
 	seed     int64
-	rng      *rand.Rand
+	rng      *rngstate.Source
 
 	// static shares (scenario static): fixed per-client draw.
 	staticCPU, staticMem, staticNet float64
@@ -76,7 +75,7 @@ const cpuCap = 0.8
 
 // NewInterference builds the interference process for a client.
 func NewInterference(s Scenario, seed int64) *Interference {
-	rng := rand.New(rngstate.New(seed))
+	rng := rngstate.New(seed)
 	in := &Interference{Scenario: s, seed: seed, rng: rng}
 	switch s {
 	case ScenarioStatic:

@@ -2,9 +2,10 @@ package trace
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"floatfl/internal/rngstate"
 )
 
 func TestBandwidthPositiveAndDeterministic(t *testing.T) {
@@ -82,7 +83,7 @@ func TestNetKindStringsAndCaps(t *testing.T) {
 }
 
 func TestComputePopulationHeterogeneous(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	rng := rngstate.New(5)
 	counts := map[DeviceClass]int{}
 	var minG, maxG float64 = math.Inf(1), 0
 	for i := 0; i < 3000; i++ {
