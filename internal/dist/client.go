@@ -132,15 +132,16 @@ func (c *Client) Register(ctx context.Context, gflops, memoryMB float64) error {
 func (c *Client) ID() int { return c.id }
 
 // stepScratch is every buffer one Step needs: the request being sent (nil
-// for a GET) with its Content-Type, the response read back, the compressed
-// delta, and the two model-sized vectors. A Step takes one from scratchPool
-// and returns it, so what stays live is sized by the Steps in flight, not
-// by the clients that exist.
+// for a GET) with its Content-Type, the response read back, the two
+// model-sized vectors, and the delta's grid codes. A Step takes one from
+// scratchPool and returns it, so what stays live is sized by the Steps in
+// flight, not by the clients that exist.
 type stepScratch struct {
 	req           []byte
 	reqType       string
-	resp, packed  []byte
+	resp          []byte
 	before, delta tensor.Vector
+	codes         []int16
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(stepScratch) }}
@@ -180,7 +181,7 @@ func (c *Client) Step(ctx context.Context, round int) (bool, error) {
 	// the pre-training snapshot must be a copy. It is the applied buffer too.
 	n := c.model.NumParams()
 	if cap(sc.before) < n {
-		sc.before, sc.delta = tensor.NewVector(n), tensor.NewVector(n)
+		sc.before, sc.delta, sc.codes = tensor.NewVector(n), tensor.NewVector(n), make([]int16, n)
 	}
 	before, delta := sc.before[:n], sc.delta[:n]
 	copy(before, c.model.Parameters())
@@ -191,21 +192,26 @@ func (c *Client) Step(ctx context.Context, round int) (bool, error) {
 		GradClip:  fl.GradClip,
 		Seed:      c.rng.Int63(),
 	}
-	lt, err := fl.TrainLocal(c.model, before, delta, before, c.Shard, c.LocalTest, tech, tc, c.rng)
+	lt, grid, err := fl.TrainLocal(c.model, before, delta, before, c.Shard, c.LocalTest, tech, tc, c.rng, sc.codes[:n])
 	if err != nil {
 		return false, err
 	}
-	if sc.packed, err = opt.AppendCompressUpdate(sc.packed[:0], delta, c.spec.QuantBits); err != nil {
-		return false, err
-	}
-	status, err = c.exchange(ctx, "/v1/update", UpdateRequest{
+	// The frame's blob, the encoded delta, is written straight after its
+	// meta, from the grid TrainLocal recorded when there is one.
+	sc.reqType = frameType
+	if sc.req, err = appendFrame(sc.req[:0], UpdateRequest{
 		ClientID:   c.id,
 		Round:      task.Round,
 		Technique:  tech.String(),
-		Delta:      sc.packed,
 		Samples:    len(c.Shard),
 		AccImprove: lt.AccImprove,
-	}, nil, sc)
+	}, nil); err != nil {
+		return false, err
+	}
+	if sc.req, err = opt.AppendCompressGrid(sc.req, delta, grid, c.spec.QuantBits); err != nil {
+		return false, err
+	}
+	status, err = c.do(ctx, http.MethodPost, "/v1/update", nil, sc)
 	if err != nil {
 		return false, err
 	}
@@ -255,7 +261,7 @@ func (c *Client) postStatus(ctx context.Context, path string, req, resp interfac
 func (c *Client) exchange(ctx context.Context, path string, req, resp interface{}, sc *stepScratch) (int, error) {
 	var err error
 	if u, ok := req.(UpdateRequest); ok {
-		sc.reqType = "application/octet-stream"
+		sc.reqType = frameType
 		sc.req, err = appendFrame(sc.req[:0], u, u.Delta)
 	} else {
 		var b []byte

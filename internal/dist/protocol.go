@@ -44,10 +44,15 @@ import (
 // frameHeaderLen is the uint32 meta length a frame starts with.
 const frameHeaderLen = 4
 
+// frameType is the Content-Type of a body that is a frame.
+const frameType = "application/octet-stream"
+
 // errBadFrame is what splitFrame returns for a body that is not a frame.
 var errBadFrame = errors.New("dist: malformed frame")
 
 // appendFrame appends the frame of meta (marshalled as JSON) and blob to dst.
+// With a nil blob it appends the meta prefix alone, for a writer that puts
+// the blob after it without a copy.
 func appendFrame(dst []byte, meta interface{}, blob []byte) ([]byte, error) {
 	m, err := json.Marshal(meta)
 	if err != nil {

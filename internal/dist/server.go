@@ -306,17 +306,21 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 	case status != http.StatusOK:
 		w.WriteHeader(status)
 	default:
+		// The frame's meta goes out of a pooled buffer, and its blob
+		// straight from the shared model bytes, uncopied.
 		bp := bodyPool.Get().(*[]byte)
 		defer bodyPool.Put(bp)
-		if *bp, err = appendFrame((*bp)[:0], task, task.Model); err != nil {
+		if *bp, err = appendFrame((*bp)[:0], task, nil); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		// The length is declared so the client can size its read buffer
 		// once instead of growing it chunk by chunk.
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
-		_, _ = w.Write(*bp)
+		w.Header().Set("Content-Type", frameType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(*bp)+len(task.Model)))
+		if _, err := w.Write(*bp); err == nil {
+			_, _ = w.Write(task.Model)
+		}
 	}
 }
 

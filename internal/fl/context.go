@@ -66,7 +66,7 @@ func (r *run) trainJob(worker, job int, s *slot, before tensor.Vector) {
 	ctx := r.pool.ctx(worker)
 	shard := r.p.ShardInto(s.id, &ctx.shard)
 	tc, rng := ctx.reseed(r.global, r.cfg, s.round, s.id)
-	s.lt, s.err = TrainLocal(ctx.local, before, r.pool.delta(job), ctx.applied, shard.Train, shard.LocalTest, s.tech, tc, rng)
+	s.lt, _, s.err = TrainLocal(ctx.local, before, r.pool.delta(job), ctx.applied, shard.Train, shard.LocalTest, s.tech, tc, rng, nil)
 	s.derived, s.trained = len(shard.Train)+len(shard.LocalTest), s.err == nil
 }
 

@@ -15,8 +15,16 @@ import (
 // simRound runs one client round on ctx the way the engines' fan-out does.
 func simRound(ctx *trainContext, delta tensor.Vector, proto *nn.Model, before tensor.Vector,
 	shard, localTest []nn.Sample, tech opt.Technique, cfg Config, round, clientID int) (LocalResult, error) {
+	lt, _, err := simRoundGrid(ctx, delta, proto, before, shard, localTest, tech, cfg, round, clientID, nil)
+	return lt, err
+}
+
+// simRoundGrid is simRound recording the update's grid into codes, as
+// floatd's client does.
+func simRoundGrid(ctx *trainContext, delta tensor.Vector, proto *nn.Model, before tensor.Vector,
+	shard, localTest []nn.Sample, tech opt.Technique, cfg Config, round, clientID int, codes []int16) (LocalResult, opt.Grid, error) {
 	tc, rng := ctx.reseed(proto, cfg, round, clientID)
-	return TrainLocal(ctx.local, before, delta, ctx.applied, shard, localTest, tech, tc, rng)
+	return TrainLocal(ctx.local, before, delta, ctx.applied, shard, localTest, tech, tc, rng, codes)
 }
 
 // TestTrainLocalAllocatesNothing pins the steady-state client round
@@ -26,7 +34,8 @@ func simRound(ctx *trainContext, delta tensor.Vector, proto *nn.Model, before te
 // its magnitude scratch from opt's free list. The telemetry ops the
 // engines issue per client round (counter increment, histogram observe)
 // run inside the measured body too, so the instrumented hot path is
-// covered.
+// covered. With a codes buffer, as floatd's client passes, the round and
+// the warm grid encode of its update allocate nothing either.
 func TestTrainLocalAllocatesNothing(t *testing.T) {
 	fed, err := data.Generate("femnist", data.GenerateConfig{Clients: 8, Alpha: 0.1, Seed: 11})
 	if err != nil {
@@ -49,22 +58,41 @@ func TestTrainLocalAllocatesNothing(t *testing.T) {
 	trainCalls := reg.Counter("fl_train_calls_total")
 	computeHist := reg.Histogram("device_compute_seconds", []float64{1, 5, 15, 30, 60})
 
+	codes := make([]int16, len(before))
+	var wire []byte
 	for _, tech := range opt.All() {
-		t.Run(tech.String(), func(t *testing.T) {
-			// AllocsPerRun's own warm-up call builds the context's model
-			// and scratch before counting starts.
-			allocs := testing.AllocsPerRun(10, func() {
-				trainCalls.Inc()
-				if _, err := simRound(pool.ctx(0), pool.delta(0), proto, before,
-					fed.Train[0], fed.LocalTest[0], tech, cfg, 1, 0); err != nil {
-					t.Fatal(err)
-				}
-				computeHist.Observe(12.5)
-			})
-			if allocs != 0 {
-				t.Errorf("warm TrainLocal allocates %.0f objects per client round, want 0", allocs)
+		for _, grid := range []bool{false, true} {
+			name := tech.String()
+			if grid {
+				name += "/codes"
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				// AllocsPerRun's own warm-up call builds the context's model
+				// and scratch, and grows wire, before counting starts.
+				allocs := testing.AllocsPerRun(10, func() {
+					trainCalls.Inc()
+					if !grid {
+						if _, err := simRound(pool.ctx(0), pool.delta(0), proto, before,
+							fed.Train[0], fed.LocalTest[0], tech, cfg, 1, 0); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						lt, grid, err := simRoundGrid(pool.ctx(0), pool.delta(0), proto, before,
+							fed.Train[0], fed.LocalTest[0], tech, cfg, 1, 0, codes)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if wire, err = opt.AppendCompressGrid(wire[:0], lt.Delta, grid, 16); err != nil {
+							t.Fatal(err)
+						}
+					}
+					computeHist.Observe(12.5)
+				})
+				if allocs != 0 {
+					t.Errorf("warm TrainLocal allocates %.0f objects per client round, want 0", allocs)
+				}
+			})
+		}
 	}
 }
 

@@ -321,15 +321,20 @@ const updateRNGSalt = 0x5DEECE66D
 // Every buffer and stream is the caller's: tc.Seed drives nn.Train's batch
 // shuffle and updateRNG the update transform; before is only read and must
 // not alias local's parameters, but may be applied itself, since it is not
-// read once applied is written. So
+// read once applied is written. A caller that encodes the update passes
+// codes (len(delta) long, or nil for none): TrainLocal records there the
+// integer grid a quantizing technique puts delta on (opt.QuantizeGrid) and
+// returns it, for opt.AppendCompressGrid; the bits of delta do not depend
+// on it. So
 // concurrent calls on disjoint buffers and streams are race-free and
 // order-independent, and steady-state calls allocate nothing.
 func TrainLocal(local *nn.Model, before, delta, applied tensor.Vector, shard, localTest []nn.Sample,
-	tech opt.Technique, tc nn.TrainConfig, updateRNG *rngstate.Source) (LocalResult, error) {
+	tech opt.Technique, tc nn.TrainConfig, updateRNG *rngstate.Source, codes []int16) (LocalResult, opt.Grid, error) {
 
 	var res LocalResult
+	var grid opt.Grid
 	if err := local.SetParameters(before); err != nil {
-		return res, err
+		return res, grid, err
 	}
 	accBefore := local.Evaluate(localTest)
 	tc.FrozenLayers = opt.FrozenLayerMask(len(local.Layers), tech.Effects().PartialFrac)
@@ -338,18 +343,18 @@ func TrainLocal(local *nn.Model, before, delta, applied tensor.Vector, shard, lo
 	}
 	loss, err := local.Train(shard, tc)
 	if err != nil {
-		return res, err
+		return res, grid, err
 	}
 
 	tensor.ScaledDiff(delta, 1, local.Parameters(), before)
-	opt.ApplyToUpdate(tech, delta, updateRNG)
+	grid = opt.ApplyToUpdateGrid(tech, delta, updateRNG, codes)
 
 	// Accuracy improvement the client would see if it adopted its own
 	// (transformed) update — the Acc_i reward component.
 	copy(applied, before)
 	applied.AddScaled(1, delta)
 	if err := local.SetParameters(applied); err != nil {
-		return res, err
+		return res, grid, err
 	}
 	accAfter := local.Evaluate(localTest)
 
@@ -362,7 +367,7 @@ func TrainLocal(local *nn.Model, before, delta, applied tensor.Vector, shard, lo
 	// path where the reported value could in principle go negative).
 	res.StatUtility = float64(len(shard)) * math.Abs(loss)
 	res.AccImprove = accAfter - accBefore
-	return res, nil
+	return res, grid, nil
 }
 
 // ApplyAggregate adds the weighted mean of deltas to the global model's

@@ -24,8 +24,8 @@ const rngSourcePkg = "internal/rngstate"
 var ruleNoGlobalRand = &Rule{
 	Name: "no-global-rand",
 	Doc: "forbids math/rand's package-level functions (global source); " +
-		"randomness must flow from a seeded *rand.Rand, and non-test sources " +
-		"come from rngstate.New",
+		"non-test code draws from an rngstate.New source, and a test may " +
+		"also draw from a seeded *rand.Rand",
 	// The global source would silently break seeded golden tests, so the
 	// rule covers test files too.
 	SkipTests: false,
@@ -61,8 +61,10 @@ var ruleNoGlobalRand = &Rule{
 			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 				return true
 			}
+			// Outside rngstate only a test may import math/rand at all (CI
+			// refuses it elsewhere), so a seeded *rand.Rand is test advice.
 			pass.Report(sel.Pos(),
-				"rand.%s draws from math/rand's shared global source; derive values from a seeded *rand.Rand instead",
+				"rand.%s draws from math/rand's shared global source; draw from an rngstate.New source instead (a test may use a seeded *rand.Rand)",
 				fn.Name())
 			return true
 		})

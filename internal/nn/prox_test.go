@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -24,7 +25,7 @@ func deltaNorm(t *testing.T, mu float64) float64 {
 	}
 	after := m.Parameters().Clone()
 	after.AddScaled(-1, anchor)
-	return after.Norm2()
+	return math.Sqrt(after.Dot(after))
 }
 
 func TestProximalTermLimitsDrift(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"floatfl/internal/tensor"
 )
@@ -34,36 +35,16 @@ func AppendCompressUpdate(buf []byte, v tensor.Vector, bits int) ([]byte, error)
 	if bits < 2 || bits > 32 {
 		return buf, fmt.Errorf("opt: CompressUpdate bits %d out of [2,32]", bits)
 	}
-	maxAbs := v.MaxAbs()
-	levels := float64(int64(1)<<(bits-1)) - 1
-	scale := 0.0
-	if maxAbs > 0 {
-		scale = maxAbs / levels
-	}
-
-	var hdr [headerLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(v)))
-	binary.LittleEndian.PutUint64(hdr[4:12], math.Float64bits(scale))
-	hdr[12] = byte(bits)
-	buf = append(buf, hdr[:]...)
+	scale := wireScale(v.MaxAbs(), bits)
+	buf = appendHeader(buf, len(v), scale, bits)
 
 	var tmp [binary.MaxVarintLen64]byte
 	i := 0
 	for i < len(v) {
-		var q int64
-		if scale > 0 {
-			q = int64(math.Round(v[i] / scale))
-		}
+		q := wireLevel(v[i], scale)
 		if q == 0 {
 			run := 1
-			for i+run < len(v) {
-				var qn int64
-				if scale > 0 {
-					qn = int64(math.Round(v[i+run] / scale))
-				}
-				if qn != 0 {
-					break
-				}
+			for i+run < len(v) && wireLevel(v[i+run], scale) == 0 {
 				run++
 			}
 			n := binary.PutUvarint(tmp[:], 0) // zero marker
@@ -78,6 +59,109 @@ func AppendCompressUpdate(buf []byte, v tensor.Vector, bits int) ([]byte, error)
 		i++
 	}
 	return buf, nil
+}
+
+// AppendCompressGrid is AppendCompressUpdate for an update g says is on an
+// integer grid (QuantizeGrid's result for v), and gives the same bytes. A
+// narrow grid is encoded without a division: the varint of each level k is
+// computed once, by AppendCompressUpdate's formula on the value
+// float64(k)*g.Step that v holds, and each entry is one table load and one
+// 8-byte store. Any other g — none recorded, or a grid whose levels would
+// not fit the table — takes AppendCompressUpdate.
+func AppendCompressGrid(buf []byte, v tensor.Vector, g Grid, bits int) ([]byte, error) {
+	if g.Codes == nil || len(g.Codes) != len(v) || g.KMax > gridMaxK || bits < 2 || bits > 32 {
+		return AppendCompressUpdate(buf, v, bits)
+	}
+	// v's largest magnitude is KMax·Step exactly: |k|·Step grows with |k|.
+	scale := wireScale(float64(g.KMax)*g.Step, bits)
+	// Level k's word sits at (k+gridTable/2)&(gridTable-1); 0 marks a level
+	// the wire rounds to zero. Every other level's varint fits a word: a
+	// scale that is not zero is at least half of maxAbs over the wire's
+	// level count, so |q| stays below 2³³.
+	var table [gridTable]uint64
+	for k := -g.KMax; k <= g.KMax; k++ {
+		if q := wireLevel(float64(k)*g.Step, scale); q != 0 {
+			table[(k+gridTable/2)&(gridTable-1)] = varintWord(zigzag(q))
+		}
+	}
+	buf = appendHeader(buf, len(v), scale, bits)
+	out, pos := buf[:cap(buf)], len(buf)
+	codes := g.Codes
+	for i := 0; i < len(codes); {
+		w := table[(int(codes[i])+gridTable/2)&(gridTable-1)]
+		if w == 0 {
+			run := 1
+			for i+run < len(codes) && table[(int(codes[i+run])+gridTable/2)&(gridTable-1)] == 0 {
+				run++
+			}
+			out, pos = putWord(out, pos, 1<<56) // the zero-run marker, one 0 byte
+			out, pos = putWord(out, pos, varintWord(uint64(run)))
+			i += run
+			continue
+		}
+		out, pos = putWord(out, pos, w)
+		i++
+	}
+	return out[:pos], nil
+}
+
+// gridTable is the size of AppendCompressGrid's level table, a power of
+// two so that a masked index needs no bounds check; gridMaxK is the
+// largest |k| it holds.
+const (
+	gridTable = 512
+	gridMaxK  = gridTable/2 - 1
+)
+
+// wireScale is the header scale of an update whose largest magnitude is
+// maxAbs: one step of the b-bit wire grid, or 0 for an all-zero update.
+func wireScale(maxAbs float64, bits int) float64 {
+	if maxAbs > 0 {
+		return maxAbs / (float64(int64(1)<<(bits-1)) - 1)
+	}
+	return 0
+}
+
+// wireLevel is x's level on the wire grid of step scale: the one formula
+// both encoders use, which is what makes their bytes the same.
+func wireLevel(x, scale float64) int64 {
+	if scale > 0 {
+		return int64(math.Round(x / scale))
+	}
+	return 0
+}
+
+// appendHeader appends the header of an update to buf.
+func appendHeader(buf []byte, count int, scale float64, bits int) []byte {
+	var hdr [headerLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(count))
+	binary.LittleEndian.PutUint64(hdr[4:12], math.Float64bits(scale))
+	hdr[12] = byte(bits)
+	return append(buf, hdr[:]...)
+}
+
+// varintWord packs the uvarint bytes of u < 2⁴⁹ into a word's low bytes,
+// little-endian, and their count, one to seven, into its top byte.
+func varintWord(u uint64) uint64 {
+	var w, n uint64
+	for ; u >= 0x80; n++ {
+		w |= (u&0x7f | 0x80) << (8 * n)
+		u >>= 7
+	}
+	return w | u<<(8*n) | (n+1)<<56
+}
+
+// putWord stores w whole at out[pos:] with one unaligned 8-byte store and
+// returns the position past its varint: the bytes past that are scratch
+// the next store overwrites or the final reslice drops. out, all of its
+// buffer's capacity, grows when fewer than eight bytes are left.
+func putWord(out []byte, pos int, w uint64) ([]byte, int) {
+	if len(out)-pos < 8 {
+		out = slices.Grow(out[:pos], pos+64)
+		out = out[:cap(out)]
+	}
+	binary.LittleEndian.PutUint64(out[pos:], w)
+	return out, pos + int(w>>56)
 }
 
 // MaxDecodedLen bounds the element count DecompressUpdate will allocate
@@ -127,9 +211,15 @@ func DecompressUpdateInto(dst tensor.Vector, data []byte) error {
 
 	pos, i := 0, 0
 	for i < count {
-		u, n := binary.Uvarint(body[pos:])
-		if n <= 0 {
-			return fmt.Errorf("opt: DecompressUpdate corrupt varint at offset %d", pos)
+		var u uint64
+		n := 0
+		if len(body)-pos >= 8 {
+			u, n = shortUvarint(binary.LittleEndian.Uint64(body[pos:]))
+		}
+		if n == 0 {
+			if u, n = binary.Uvarint(body[pos:]); n <= 0 {
+				return fmt.Errorf("opt: DecompressUpdate corrupt varint at offset %d", pos)
+			}
 		}
 		pos += n
 		if u == 0 { // zero run
@@ -151,6 +241,24 @@ func DecompressUpdateInto(dst tensor.Vector, data []byte) error {
 		i++
 	}
 	return nil
+}
+
+// shortUvarint decodes the varint that starts the little-endian word w if
+// it is at most three bytes long — every value of a wire grid of 20 bits or
+// fewer — and returns n == 0 if it is longer. It branches on the length: an
+// update's varints mostly share one length, so the branch predicts well
+// and the next load need not wait for this one. With its n == 0 answered
+// by binary.Uvarint it gives binary.Uvarint's value and length.
+func shortUvarint(w uint64) (uint64, int) {
+	switch {
+	case w&0x80 == 0:
+		return w & 0x7f, 1
+	case w&0x8000 == 0:
+		return w&0x7f | w>>1&(0x7f<<7), 2
+	case w&0x800000 == 0:
+		return w&0x7f | w>>1&(0x7f<<7) | w>>2&(0x7f<<14), 3
+	}
+	return 0, 0
 }
 
 // declaredLen reads the element count out of an encoded update's header.

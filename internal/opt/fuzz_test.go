@@ -2,6 +2,7 @@ package opt
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -13,7 +14,9 @@ import (
 
 // FuzzDecompressUpdate hardens the wire decoder against malformed input:
 // whatever bytes arrive, it must return an error or a well-formed vector —
-// never panic, never hang, never emit non-finite values.
+// never panic, never hang — and agree with the oracle decoder: an error
+// exactly when the oracle errs, with the same message (and so the same
+// offset), and otherwise the same bits for every value.
 func FuzzDecompressUpdate(f *testing.F) {
 	// Seed with valid streams of several shapes.
 	rng := rand.New(rand.NewSource(1))
@@ -23,31 +26,69 @@ func FuzzDecompressUpdate(f *testing.F) {
 		if n > 2 {
 			PruneSmallest(v, 0.5)
 		}
-		blob, err := CompressUpdate(v, 16)
-		if err != nil {
-			f.Fatal(err)
+		for _, bits := range []int{8, 16, 32} {
+			blob, err := CompressUpdate(v, bits)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(blob)
+			if len(blob) > headerLen+3 {
+				f.Add(blob[:len(blob)-3]) // a varint cut short near the tail
+			}
 		}
-		f.Add(blob)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add(hugeZeroRun())
+	hdr := func(count uint32, body ...byte) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, count)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
+		return append(append(b, 16), body...)
+	}
+	f.Add(hdr(4, 0x80, 0x00, 0x81, 0x80, 0x00, 0xff, 0xff, 0x7f, 0x03, 0, 0, 0, 0))    // non-canonical varints, then a tail
+	f.Add(hdr(3, 0xff, 0xff, 0xff, 0x7f, 0x05, 0, 0x80, 0x01, 0, 0, 0, 0, 0, 0, 0, 0)) // a 4-byte varint, a 2-byte zero run
+	f.Add(hdr(2, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))    // an overflowing varint
+	f.Add(hdr(2, 0x03, 0xff, 0xff, 0x01))                                              // a 3-byte varint with fewer than 8 bytes left
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := DecompressUpdate(data)
+		if n, _ := declaredLen(data); n > 1<<16 {
+			return // past 2^16 elements the oracle's second vector would only slow the fuzzer
+		}
+		want, wantErr := oracleDecompressUpdate(data)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("decoder error %v, oracle %v", err, wantErr)
+		}
 		if err != nil {
 			return
 		}
-		for _, x := range out {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				// Non-finite values can only come from a corrupt scale
-				// field; the decoder passes them through as data, which is
-				// acceptable — the aggregation layer rejects them — but
-				// they must not crash anything here.
-				return
+		for i := range want {
+			if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("value %d is %v, the oracle decodes %v", i, out[i], want[i])
 			}
 		}
+		// Non-finite values can only come from a corrupt scale field; the
+		// decoder passes them through as data, which is acceptable — the
+		// aggregation layer rejects them — but they must not crash anything
+		// here.
 	})
+}
+
+// oracleDecompressUpdate is DecompressUpdate over the oracle decoder.
+func oracleDecompressUpdate(data []byte) (tensor.Vector, error) {
+	count, err := declaredLen(data)
+	if err != nil {
+		return nil, err
+	}
+	if count > MaxDecodedLen {
+		return nil, fmt.Errorf("opt: DecompressUpdate declared length %d exceeds cap %d",
+			count, MaxDecodedLen)
+	}
+	out := tensor.NewVector(count)
+	if err := oracleDecompressUpdateInto(out, data); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // FuzzCompressRoundTrip: any finite vector must survive a compress/

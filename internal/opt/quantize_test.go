@@ -124,19 +124,22 @@ func TestQuantizeKeepsNegativeZero(t *testing.T) {
 }
 
 // BenchmarkQuantize times 8-bit quantization of a dist-loopback-sized
-// update (12,020 parameters) drawing by block, one draw at a time through
-// rand.Rand, and through the branchy oracle.
+// update (12,020 parameters) drawing by block, drawing by block and
+// recording the grid, one draw at a time through rand.Rand, and through
+// the branchy oracle.
 func BenchmarkQuantize(b *testing.B) {
 	orig := tensor.NewVector(12020)
 	tensor.RandnInto(orig, 0.01, rand.New(rand.NewSource(1)))
 	v := orig.Clone()
 	src := rngstate.New(2)
 	r := rand.New(src)
+	codes := make([]int16, len(v))
 	for _, bc := range []struct {
 		name string
 		run  func()
 	}{
 		{"block", func() { Quantize(v, 8, src) }},
+		{"grid", func() { QuantizeGrid(v, 8, src, codes) }},
 		{"rand", func() { Quantize(v, 8, r) }},
 		{"branchy", func() { quantizeBranchy(v, 8, r) }},
 	} {

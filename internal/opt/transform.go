@@ -21,26 +21,62 @@ const quantBlock = 256
 // takes the i-th value of rng, so a *rngstate.Source, drawn by block, and
 // any other Uniform over the same stream yield the same bits and leave the
 // stream at the same position.
+func Quantize(v tensor.Vector, bits int, rng tensor.Uniform) {
+	QuantizeGrid(v, bits, rng, nil)
+}
+
+// Grid is the integer grid QuantizeGrid put an update v on: v[i] is
+// float64(Codes[i])*Step for every i, and KMax is the largest |Codes[i]|.
+// The zero Grid, whose Codes are nil, records none.
+type Grid struct {
+	Codes []int16
+	Step  float64
+	KMax  int
+}
+
+// gridBits is the widest quantization QuantizeGrid records a grid for: at
+// 8 bits no level is past 128, and AppendCompressGrid's table holds them.
+const gridBits = 8
+
+// QuantizeGrid is Quantize, the same bits and stream position, that also
+// writes each entry's grid integer into codes (at least len(v) long) and
+// returns the grid, for AppendCompressGrid. It records a grid only for a
+// quantization of at most gridBits bits whose every entry lands on a
+// finite level, and only when codes is not nil; otherwise it returns the
+// zero Grid. With nil codes it runs roundStochastic alone, which pays
+// nothing per entry for the grid.
 //
 // The no-op guard must stay ahead of the level computation: for bits > 62,
 // int64(1)<<(bits-1) would overflow (bits == 63 yields math.MinInt64, and
 // larger shifts are undefined for the signed width), turning the grid scale
 // negative or NaN and corrupting the update instead of passing it through.
-func Quantize(v tensor.Vector, bits int, rng tensor.Uniform) {
+func QuantizeGrid(v tensor.Vector, bits int, rng tensor.Uniform, codes []int16) Grid {
 	if bits >= 32 || len(v) == 0 {
 		// Covers the whole bits >= 32 range, so the shift below is always
 		// taken with bits in [2, 31] and cannot overflow.
-		return
+		return Grid{}
 	}
 	if bits < 2 {
 		bits = 2
 	}
 	maxAbs := v.MaxAbs()
 	if maxAbs == 0 {
-		return
+		return Grid{}
 	}
 	levels := float64(int64(1)<<(bits-1)) - 1 // e.g. 127 for 8-bit
 	scale := maxAbs / levels
+	// A subnormal step loses the precision that bounds every level by
+	// levels+1, and an infinite one (an infinite entry) puts no entry on a
+	// finite level.
+	if bits > gridBits || scale < 0x1p-1022 || math.IsInf(scale, 0) {
+		codes = nil
+	}
+	grid := Grid{Step: scale}
+	if codes != nil {
+		grid.Codes = codes[:len(v)]
+		codes = grid.Codes
+	}
+	var kmax float64
 	// buf stays on the stack: the block draw is a call on the concrete
 	// type, where an interface method would make it escape.
 	var buf [quantBlock]float64
@@ -55,9 +91,22 @@ func Quantize(v tensor.Vector, bits int, rng tensor.Uniform) {
 				u[i] = rng.Float64()
 			}
 		}
-		roundStochastic(v[:n], u, scale)
+		if codes == nil {
+			roundStochastic(v[:n], u, scale)
+		} else {
+			kmax = max(kmax, roundStochasticGrid(v[:n], u, scale, codes[:n]))
+			codes = codes[n:]
+		}
 		v = v[n:]
 	}
+	// kmax is NaN when an entry is. With a normal step no level is past
+	// levels+1, which times the step can still overflow to an infinite
+	// entry when maxAbs is near the largest float.
+	if grid.Codes == nil || !(kmax <= gridMaxK) || math.IsInf(kmax*scale, 0) {
+		return Grid{}
+	}
+	grid.KMax = int(kmax)
+	return grid
 }
 
 // roundStochastic puts each v[i] on the grid of step scale: v[i]/scale
@@ -84,6 +133,37 @@ func roundStochastic(v, u []float64, scale float64) {
 		down := float64(int64(math.Float64bits(u[i]-(q-floor))) >> 63)
 		v[i] = (floor - down) * scale
 	}
+}
+
+// roundStochasticGrid is roundStochastic that also writes each entry's
+// grid integer, floor - down, into codes, for a finite scale of at least
+// the smallest normal. It returns the largest |k| of the block, or NaN
+// if an entry is NaN: with such a scale every other entry has |q| < 2⁵².
+// The rounding is roundStochastic's, repeated: a helper both loops call
+// is past the inlining budget and slows the engines' loop.
+func roundStochasticGrid(v, u []float64, scale float64, codes []int16) float64 {
+	u, codes = u[:len(v)], codes[:len(v)]
+	var lo, hi int32
+	nan := false
+	for i, x := range v {
+		q := x / scale
+		t := math.Copysign(float64(int64(q)), q)
+		floor := t - float64(math.Float64bits(q-t)>>63)
+		if !(math.Abs(q) < 1<<52) {
+			floor = q
+			nan = true
+		}
+		down := float64(int64(math.Float64bits(u[i]-(q-floor))) >> 63)
+		k := floor - down
+		v[i] = k * scale
+		c := int32(k)
+		codes[i] = int16(c)
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	if nan {
+		return math.NaN()
+	}
+	return float64(max(hi, -lo))
 }
 
 // kthSmallest returns the value sort.Float64s would place at index k of a
@@ -279,11 +359,18 @@ func FrozenLayerMask(numLayers int, frac float64) []bool {
 // and/or quantize) to a model delta in place. Partial training acts during
 // training (via FrozenLayerMask), not here.
 func ApplyToUpdate(t Technique, delta tensor.Vector, rng tensor.Uniform) {
+	ApplyToUpdateGrid(t, delta, rng, nil)
+}
+
+// ApplyToUpdateGrid is ApplyToUpdate that, for a quantizing technique,
+// records the grid as QuantizeGrid does into codes.
+func ApplyToUpdateGrid(t Technique, delta tensor.Vector, rng tensor.Uniform, codes []int16) Grid {
 	e := t.Effects()
 	if e.PruneFrac > 0 {
 		PruneSmallest(delta, e.PruneFrac)
 	}
 	if e.QuantBits > 0 {
-		Quantize(delta, e.QuantBits, rng)
+		return QuantizeGrid(delta, e.QuantBits, rng, codes)
 	}
+	return Grid{}
 }

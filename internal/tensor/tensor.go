@@ -111,24 +111,6 @@ func AddWeighted(dst Vector, weights []float64, vecs []Vector) {
 	}
 }
 
-// Norm2 returns the Euclidean norm of v.
-func (v Vector) Norm2() float64 {
-	var s float64
-	for _, x := range v {
-		s += float64(x * x)
-	}
-	return math.Sqrt(s)
-}
-
-// Norm1 returns the L1 norm of v.
-func (v Vector) Norm1() float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
 // MaxAbs returns the largest absolute element of v, or 0 for an empty vector.
 func (v Vector) MaxAbs() float64 {
 	var m float64

@@ -135,12 +135,6 @@ func TestAddWeightedMismatchPanics(t *testing.T) {
 
 func TestScaleAndNorms(t *testing.T) {
 	v := Vector{3, -4}
-	if got := v.Norm2(); !almostEqual(got, 5, 1e-12) {
-		t.Fatalf("Norm2 = %v, want 5", got)
-	}
-	if got := v.Norm1(); got != 7 {
-		t.Fatalf("Norm1 = %v, want 7", got)
-	}
 	if got := v.MaxAbs(); got != 4 {
 		t.Fatalf("MaxAbs = %v, want 4", got)
 	}
@@ -547,7 +541,7 @@ func TestXavierIntoBounded(t *testing.T) {
 			t.Fatalf("Xavier sample %v exceeds limit %v", x, limit)
 		}
 	}
-	if v.Norm2() == 0 {
+	if v.Dot(v) == 0 {
 		t.Fatal("Xavier produced all zeros")
 	}
 }
@@ -576,7 +570,7 @@ func TestDotPropertyQuick(t *testing.T) {
 				return true // skip degenerate inputs
 			}
 		}
-		return almostEqual(v.Dot(w), w.Dot(v), 1e-6*(1+v.Norm2()*w.Norm2()))
+		return almostEqual(v.Dot(w), w.Dot(v), 1e-6*(1+math.Sqrt(v.Dot(v)*w.Dot(w))))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

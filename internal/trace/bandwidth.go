@@ -126,14 +126,3 @@ func (b *BandwidthTrace) step() float64 {
 	}
 	return r.meanMbps * f
 }
-
-// MaxMbps returns the practical ceiling of the technology (used to express
-// bandwidth as a fraction of capacity for state discretization).
-func (k NetKind) MaxMbps() float64 {
-	switch k {
-	case Net5G:
-		return 1100
-	default:
-		return 70
-	}
-}

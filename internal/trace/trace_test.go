@@ -77,9 +77,6 @@ func TestNetKindStringsAndCaps(t *testing.T) {
 	if NetKind(9).String() == "" {
 		t.Fatal("unknown NetKind should still produce a string")
 	}
-	if Net5G.MaxMbps() <= Net4G.MaxMbps() {
-		t.Fatal("5G capacity ceiling should exceed 4G")
-	}
 }
 
 func TestComputePopulationHeterogeneous(t *testing.T) {
