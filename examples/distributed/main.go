@@ -94,18 +94,18 @@ func main() {
 			c := dist.NewClient(baseURL, fmt.Sprintf("phone-%d", i),
 				fed.Train[i], fed.LocalTest[i], int64(seed+100+i))
 			// A mix of weak and strong devices.
-			gflops := 6 + 10*float64(i%4)
-			if err := c.Register(ctx, gflops, 2000+500*float64(i%4)); err != nil {
+			gflops := float64(6 + 10*(i%4))
+			if err := c.Register(ctx, gflops, float64(2000+500*(i%4))); err != nil {
 				log.Fatal(err)
 			}
 			c.Report = func(round int) dist.ResourceReport {
 				// Fluctuating self-reported availability.
 				return dist.ResourceReport{
-					CPUFrac:       0.2 + 0.6*rng.Float64(),
-					MemFrac:       0.3 + 0.5*rng.Float64(),
-					NetFrac:       0.2 + 0.8*rng.Float64(),
-					BandwidthMbps: 5 + 60*rng.Float64(),
-					Battery:       0.4 + 0.6*rng.Float64(),
+					CPUFrac:       0.2 + float64(0.6*rng.Float64()),
+					MemFrac:       0.3 + float64(0.5*rng.Float64()),
+					NetFrac:       0.2 + float64(0.8*rng.Float64()),
+					BandwidthMbps: 5 + float64(60*rng.Float64()),
+					Battery:       0.4 + float64(0.6*rng.Float64()),
 				}
 			}
 			for round := 0; round < rounds; round++ {

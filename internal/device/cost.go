@@ -100,10 +100,11 @@ const uplinkShare = 0.35
 // activation state; 3x the raw model is a standard rule of thumb.
 const memOverheadFactor = 3
 
-// Estimate computes the full-round cost for a client's resources under an
+// estimate computes the full-round cost for a client's resources under an
 // acceleration technique, without executing dropout logic. gflops is the
-// device's sustained training throughput.
-func Estimate(w WorkSpec, r Resources, eff opt.Effects, gflops float64) Cost {
+// device's sustained training throughput. The CPU and network shares are
+// floored at 1 % and 2 %: a starved client is slow, not infinitely so.
+func estimate(w WorkSpec, r Resources, eff opt.Effects, gflops float64) Cost {
 	cpu := r.CPUFrac
 	if cpu < 0.01 {
 		cpu = 0.01
@@ -112,10 +113,6 @@ func Estimate(w WorkSpec, r Resources, eff opt.Effects, gflops float64) Cost {
 	if net < 0.02 {
 		net = 0.02
 	}
-	return estimate(w, r, eff, cpu, net, gflops)
-}
-
-func estimate(w WorkSpec, r Resources, eff opt.Effects, cpu, net, gflops float64) Cost {
 	speed := gflops
 	if speed <= 0 {
 		speed = 1
@@ -203,15 +200,7 @@ func Execute(c *Client, t int, w WorkSpec, tech opt.Technique, deadlineSec float
 		return Outcome{Completed: false, Reason: DropUnavailable, Cost: cost, Resources: r}, nil
 	}
 
-	cpu := r.CPUFrac
-	if cpu < 0.01 {
-		cpu = 0.01
-	}
-	net := r.NetFrac
-	if net < 0.02 {
-		net = 0.02
-	}
-	full := estimate(w, r, eff, cpu, net, c.Compute.GFLOPS)
+	full := estimate(w, r, eff, c.Compute.GFLOPS)
 
 	memAvailBytes := c.Compute.MemoryMB * 1e6 * r.MemFrac
 	if full.MemoryBytes > memAvailBytes {
@@ -301,21 +290,12 @@ func EstimateCleanResponseSeconds(c *Client, w WorkSpec) float64 {
 		BandwidthMbps: c.Net.At(0),
 		Battery:       1,
 	}
-	return estimate(w, r, opt.TechNone.Effects(), r.CPUFrac, r.NetFrac, c.Compute.GFLOPS).TotalSeconds
+	return estimate(w, r, opt.TechNone.Effects(), c.Compute.GFLOPS).TotalSeconds
 }
 
 // EstimateResponseSeconds is the selection-time latency prediction used by
 // Oort-style algorithms: the full-round duration with no acceleration,
 // assuming the most recent resource snapshot holds.
 func EstimateResponseSeconds(c *Client, t int, w WorkSpec) float64 {
-	r := c.ResourcesAt(t)
-	cpu := r.CPUFrac
-	if cpu < 0.01 {
-		cpu = 0.01
-	}
-	net := r.NetFrac
-	if net < 0.02 {
-		net = 0.02
-	}
-	return estimate(w, r, opt.TechNone.Effects(), cpu, net, c.Compute.GFLOPS).TotalSeconds
+	return estimate(w, c.ResourcesAt(t), opt.TechNone.Effects(), c.Compute.GFLOPS).TotalSeconds
 }

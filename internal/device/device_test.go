@@ -101,7 +101,7 @@ func fullResources() Resources {
 
 func TestEstimateBasics(t *testing.T) {
 	w := testWork()
-	c := Estimate(w, fullResources(), opt.TechNone.Effects(), 20)
+	c := estimate(w, fullResources(), opt.TechNone.Effects(), 20)
 	if c.ComputeSeconds <= 0 || c.CommSeconds <= 0 || c.MemoryBytes <= 0 {
 		t.Fatalf("estimate produced non-positive costs: %+v", c)
 	}
@@ -118,8 +118,8 @@ func TestEstimateBasics(t *testing.T) {
 
 func TestEstimateFasterDeviceIsFaster(t *testing.T) {
 	w := testWork()
-	slow := Estimate(w, fullResources(), opt.TechNone.Effects(), 4)
-	fast := Estimate(w, fullResources(), opt.TechNone.Effects(), 120)
+	slow := estimate(w, fullResources(), opt.TechNone.Effects(), 4)
+	fast := estimate(w, fullResources(), opt.TechNone.Effects(), 120)
 	if fast.ComputeSeconds >= slow.ComputeSeconds {
 		t.Fatal("faster device must compute faster")
 	}
@@ -130,8 +130,8 @@ func TestEstimateInterferenceSlowsDown(t *testing.T) {
 	full := fullResources()
 	squeezed := full
 	squeezed.CPUFrac, squeezed.NetFrac = 0.1, 0.1
-	a := Estimate(w, full, opt.TechNone.Effects(), 20)
-	b := Estimate(w, squeezed, opt.TechNone.Effects(), 20)
+	a := estimate(w, full, opt.TechNone.Effects(), 20)
+	b := estimate(w, squeezed, opt.TechNone.Effects(), 20)
 	if b.ComputeSeconds <= a.ComputeSeconds || b.CommSeconds <= a.CommSeconds {
 		t.Fatal("interference must slow both compute and comm")
 	}
@@ -140,9 +140,9 @@ func TestEstimateInterferenceSlowsDown(t *testing.T) {
 func TestEstimateTechniqueEffects(t *testing.T) {
 	w := testWork()
 	r := fullResources()
-	base := Estimate(w, r, opt.TechNone.Effects(), 20)
+	base := estimate(w, r, opt.TechNone.Effects(), 20)
 
-	q8 := Estimate(w, r, opt.TechQuant8.Effects(), 20)
+	q8 := estimate(w, r, opt.TechQuant8.Effects(), 20)
 	if q8.UploadBytes >= base.UploadBytes/3 {
 		t.Fatalf("quant8 upload %v should be ~25%% of base %v", q8.UploadBytes, base.UploadBytes)
 	}
@@ -150,12 +150,12 @@ func TestEstimateTechniqueEffects(t *testing.T) {
 		t.Fatal("quant8 must not reduce compute time")
 	}
 
-	p75 := Estimate(w, r, opt.TechPrune75.Effects(), 20)
+	p75 := estimate(w, r, opt.TechPrune75.Effects(), 20)
 	if p75.ComputeSeconds >= base.ComputeSeconds || p75.UploadBytes >= base.UploadBytes {
 		t.Fatal("prune75 must reduce compute and upload")
 	}
 
-	t75 := Estimate(w, r, opt.TechPartial75.Effects(), 20)
+	t75 := estimate(w, r, opt.TechPartial75.Effects(), 20)
 	if t75.ComputeSeconds >= p75.ComputeSeconds {
 		t.Fatal("partial75 should save more compute than prune75")
 	}
@@ -310,7 +310,7 @@ func TestAccelerationRescuesStragglers(t *testing.T) {
 		if !r.Available {
 			continue
 		}
-		base := Estimate(w, r, opt.TechNone.Effects(), c.Compute.GFLOPS)
+		base := estimate(w, r, opt.TechNone.Effects(), c.Compute.GFLOPS)
 		deadline := base.TotalSeconds * 0.6 // 40% too tight for TechNone
 		outNone, err := Execute(c, 0, w, opt.TechNone, deadline)
 		if err != nil {

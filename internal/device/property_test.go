@@ -79,9 +79,9 @@ func TestEstimateMonotoneQuick(t *testing.T) {
 	f := func(clientRaw, stepRaw uint8) bool {
 		c := pop[int(clientRaw)%len(pop)]
 		r := c.ResourcesAt(int(stepRaw) % 32)
-		base := Estimate(w, r, opt.TechNone.Effects(), c.Compute.GFLOPS)
+		base := estimate(w, r, opt.TechNone.Effects(), c.Compute.GFLOPS)
 		for _, tech := range []opt.Technique{opt.TechPrune75, opt.TechPartial75} {
-			e := Estimate(w, r, tech.Effects(), c.Compute.GFLOPS)
+			e := estimate(w, r, tech.Effects(), c.Compute.GFLOPS)
 			if e.TotalSeconds > base.TotalSeconds {
 				return false
 			}

@@ -259,18 +259,11 @@ func (c *Client) postStatus(ctx context.Context, path string, req, resp interfac
 // exchange is postStatus using sc's request and response buffers; whatever
 // resp aliases of the response is valid until sc is next used.
 func (c *Client) exchange(ctx context.Context, path string, req, resp interface{}, sc *stepScratch) (int, error) {
-	var err error
-	if u, ok := req.(UpdateRequest); ok {
-		sc.reqType = frameType
-		sc.req, err = appendFrame(sc.req[:0], u, u.Delta)
-	} else {
-		var b []byte
-		b, err = json.Marshal(req)
-		sc.reqType, sc.req = "application/json", append(sc.req[:0], b...)
-	}
+	b, err := json.Marshal(req)
 	if err != nil {
 		return 0, err
 	}
+	sc.reqType, sc.req = "application/json", append(sc.req[:0], b...)
 	return c.do(ctx, http.MethodPost, path, resp, sc)
 }
 

@@ -17,6 +17,7 @@ import (
 	"floatfl/internal/fl"
 	"floatfl/internal/opt"
 	"floatfl/internal/rl"
+	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
 )
 
@@ -193,6 +194,70 @@ func TestEndToEndTrainingImprovesAccuracy(t *testing.T) {
 	}
 }
 
+// TestArrivalOrders runs a lock-step federation shaped like the
+// dist-loopback benchmark (16 clients, AggregateK 16, quant8, 8-sample
+// shards) and posts each round's updates in a fresh seeded permutation.
+// Updates reach a deployed server in whatever order the connections
+// deliver them, so the aggregate's bits depend on that order; whatever
+// the order, every honest update must get a 200, every round must close,
+// and the holdout accuracy must stay finite.
+func TestArrivalOrders(t *testing.T) {
+	const clients, rounds, shardCap = 16, 8, 8
+	fed, err := data.Generate("openimage", data.GenerateConfig{Clients: clients, Alpha: 0.1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{
+		Spec: TrainSpec{
+			Arch: "resnet50", InDim: fed.Profile.Dim, Classes: fed.Profile.Classes,
+			Epochs: 1, BatchSize: 16, LR: 0.1,
+		},
+		AggregateK:     clients,
+		MaxOutstanding: clients,
+		Controller:     fl.StaticController{Tech: opt.TechQuant8},
+		Holdout:        fed.GlobalTest,
+		LeaseSeconds:   600,
+		RoundSeconds:   1200,
+		Seed:           1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	ctx := context.Background()
+	cs := make([]*Client, clients)
+	for i := range cs {
+		train, test := fed.Train[i], fed.LocalTest[i]
+		c := NewClient(hs.URL, nextClientName(), train[:min(len(train), shardCap)], test[:min(len(test), shardCap)], int64(101+i))
+		if err := c.Register(ctx, 10, 2000); err != nil {
+			t.Fatal(err)
+		}
+		cs[i] = c
+	}
+	order := rngstate.New(7)
+	for round := 0; round < rounds; round++ {
+		perm := order.Perm(clients)
+		for _, i := range perm {
+			ok, err := cs[i].Step(ctx, round)
+			if err != nil || !ok {
+				t.Fatalf("round %d, order %v: client %d got ok=%v err=%v", round, perm, i, ok, err)
+			}
+		}
+		if srv.Round() != round+1 {
+			t.Fatalf("round %d, order %v: server at round %d after %d updates", round, perm, srv.Round(), clients)
+		}
+		st, err := cs[0].Status(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsNaN(st.HoldoutAcc) || math.IsInf(st.HoldoutAcc, 0) {
+			t.Fatalf("round %d, order %v: holdout accuracy %v", round, perm, st.HoldoutAcc)
+		}
+	}
+}
+
 func TestFloatControllerAssignsTechniques(t *testing.T) {
 	float := core.New(core.Config{
 		Agent:           rl.Config{Seed: 7, TotalRounds: 10},
@@ -268,7 +333,7 @@ func TestUpdateValidation(t *testing.T) {
 	post := func(v interface{}, path string) int {
 		body, _ := json.Marshal(v)
 		if u, ok := v.(UpdateRequest); ok {
-			body = updateFrame(t, u)
+			body = updateFrame(t, u, []byte{1, 2})
 		}
 		resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -290,7 +355,7 @@ func TestUpdateValidation(t *testing.T) {
 	if err != nil || status != http.StatusOK {
 		t.Fatal(err)
 	}
-	if code := post(UpdateRequest{ClientID: c.ID(), Round: 0, Delta: []byte{1, 2}}, "/v1/update"); code != http.StatusBadRequest {
+	if code := post(UpdateRequest{ClientID: c.ID(), Round: 0}, "/v1/update"); code != http.StatusBadRequest {
 		t.Fatalf("garbage delta returned %d", code)
 	}
 	// GET on a POST-only endpoint.
@@ -365,10 +430,10 @@ func TestNonFiniteUpdateRejected(t *testing.T) {
 	}
 	// Overwrite the scale with +Inf.
 	binary.LittleEndian.PutUint64(blob[4:12], math.Float64bits(math.Inf(1)))
-	status, err = c.postStatus(ctx, "/v1/update", UpdateRequest{
-		ClientID: c.ID(), Round: 0, Technique: "quant16", Delta: blob, Samples: 10,
-	}, nil)
-	if err == nil && status == http.StatusOK {
+	status, _ = postUpdate(t, hs.URL, updateFrame(t, UpdateRequest{
+		ClientID: c.ID(), Round: 0, Technique: "quant16", Samples: 10,
+	}, blob))
+	if status == http.StatusOK {
 		t.Fatal("server accepted a non-finite update")
 	}
 	if srv.Round() != 0 {
@@ -481,11 +546,11 @@ func TestSamplesClaimIsClamped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		status, err = c.postStatus(ctx, "/v1/update", UpdateRequest{
-			ClientID: c.ID(), Round: 0, Technique: "quant16", Delta: blob, Samples: samples,
-		}, nil)
-		if err != nil || status != http.StatusOK {
-			t.Fatalf("update: %d %v", status, err)
+		status, msg := postUpdate(t, hs.URL, updateFrame(t, UpdateRequest{
+			ClientID: c.ID(), Round: 0, Technique: "quant16", Samples: samples,
+		}, blob))
+		if status != http.StatusOK {
+			t.Fatalf("update: %d %s", status, msg)
 		}
 	}
 	if srv.Round() != 1 {
@@ -523,8 +588,8 @@ func TestOversizedBodyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if body := updateFrame(t, UpdateRequest{ClientID: c.ID(), Technique: "quant16", Delta: blob, Samples: 1e6,
-		TrainSecs: 123456.789, AccImprove: -0.123456789}); int64(len(body)) > limit {
+	if body := updateFrame(t, UpdateRequest{ClientID: c.ID(), Technique: "quant16", Samples: 1e6,
+		TrainSecs: 123456.789, AccImprove: -0.123456789}, blob); int64(len(body)) > limit {
 		t.Fatalf("a worst-case honest update is %d bytes, over the %d-byte bound", len(body), limit)
 	}
 	// So does the task response, which the client bounds by the same number.
@@ -540,7 +605,7 @@ func TestOversizedBodyRejected(t *testing.T) {
 		// well-formed frame whose blob runs past the bound.
 		body := append([]byte(fmt.Sprintf(`{"client_id":%d,"name":"`, c.ID())), huge...)
 		if path == "/v1/update" {
-			body = updateFrame(t, UpdateRequest{ClientID: c.ID(), Delta: huge})
+			body = updateFrame(t, UpdateRequest{ClientID: c.ID()}, huge)
 		}
 		resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
 		if err != nil {

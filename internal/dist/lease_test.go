@@ -282,14 +282,11 @@ func TestUpdateAfterLeaseExpiryRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	status, err = c.postStatus(ctx, "/v1/update", UpdateRequest{
-		ClientID: c.ID(), Round: 0, Technique: "none", Delta: blob, Samples: 5,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	status, msg := postUpdate(t, hs.URL, updateFrame(t, UpdateRequest{
+		ClientID: c.ID(), Round: 0, Technique: "none", Samples: 5,
+	}, blob))
 	if status != http.StatusConflict {
-		t.Fatalf("post-expiry upload returned %d, want 409", status)
+		t.Fatalf("post-expiry upload returned %d (%s), want 409", status, msg)
 	}
 	if srv.Round() != 0 {
 		t.Fatal("expired upload advanced the round")

@@ -20,7 +20,7 @@
 //
 //	uint32 LE meta length | meta JSON | raw blob to the end of the body
 //
-// where the meta JSON is the TaskResponse or UpdateRequest without its
+// where the meta JSON is the UpdateRequest, or the TaskResponse without its
 // blob field. appendFrame and splitFrame below are the only writer and
 // parser of that layout; server, client and tests all go through them.
 //
@@ -213,15 +213,12 @@ type TaskResponse struct {
 	LeaseSeconds float64 `json:"lease_seconds"`
 }
 
-// UpdateRequest uploads a trained, technique-transformed, codec-compressed
-// model delta.
+// UpdateRequest is the meta of a /v1/update frame, whose blob is the
+// trained, technique-transformed, codec-compressed model delta.
 type UpdateRequest struct {
-	ClientID  int    `json:"client_id"`
-	Round     int    `json:"round"`
-	Technique string `json:"technique"`
-	// Delta is opt.CompressUpdate output: the blob of the request's frame,
-	// not part of its meta JSON.
-	Delta     []byte  `json:"-"`
+	ClientID  int     `json:"client_id"`
+	Round     int     `json:"round"`
+	Technique string  `json:"technique"`
 	Samples   int     `json:"samples"`
 	TrainSecs float64 `json:"train_secs"`
 	// AccImprove is the client's local-accuracy improvement (reward signal).

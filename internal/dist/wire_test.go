@@ -22,10 +22,10 @@ import (
 	"floatfl/internal/tensor"
 )
 
-// updateFrame builds the body of a POST /v1/update the way the client does.
-func updateFrame(t testing.TB, u UpdateRequest) []byte {
+// updateFrame builds the body of a POST /v1/update: meta u, then blob.
+func updateFrame(t testing.TB, u UpdateRequest, blob []byte) []byte {
 	t.Helper()
-	body, err := appendFrame(nil, u, u.Delta)
+	body, err := appendFrame(nil, u, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +132,14 @@ func TestHostileDeltasRejected(t *testing.T) {
 	}
 	snap := getSnapshot(t, hs.URL)
 
-	body := updateFrame(t, UpdateRequest{ClientID: c.ID(), Delta: zeroRunPastInt63(paramCount(t, c))})
+	body := updateFrame(t, UpdateRequest{ClientID: c.ID()}, zeroRunPastInt63(paramCount(t, c)))
 	if status, msg := postUpdate(t, hs.URL, body); status != http.StatusBadRequest {
 		t.Errorf("zero run of 2^63: status %d (%s), want 400", status, msg)
 	}
 
 	// The oversized header is driven through the handler directly, so that
 	// what the process allocates meanwhile is the handler's doing.
-	body = updateFrame(t, UpdateRequest{ClientID: c.ID(), Delta: hugeDeclaredLen()})
+	body = updateFrame(t, UpdateRequest{ClientID: c.ID()}, hugeDeclaredLen())
 	handler := srv.Handler()
 	req := httptest.NewRequest(http.MethodPost, "/v1/update", bytes.NewReader(body))
 	w := httptest.NewRecorder()
@@ -175,11 +175,11 @@ func TestUpdateStatusPrecedence(t *testing.T) {
 		req  UpdateRequest
 		want int
 	}{
-		{"unknown client, bad delta", UpdateRequest{ClientID: 99, Delta: garbage}, http.StatusNotFound},
-		{"no task held, bad delta", UpdateRequest{ClientID: c.ID(), Delta: garbage}, http.StatusConflict},
-		{"wrong round, bad delta", UpdateRequest{ClientID: c.ID(), Round: 5, Delta: garbage}, http.StatusConflict},
+		{"unknown client, bad delta", UpdateRequest{ClientID: 99}, http.StatusNotFound},
+		{"no task held, bad delta", UpdateRequest{ClientID: c.ID()}, http.StatusConflict},
+		{"wrong round, bad delta", UpdateRequest{ClientID: c.ID(), Round: 5}, http.StatusConflict},
 	} {
-		if status, msg := postUpdate(t, hs.URL, updateFrame(t, tc.req)); status != tc.want {
+		if status, msg := postUpdate(t, hs.URL, updateFrame(t, tc.req, garbage)); status != tc.want {
 			t.Errorf("%s: status %d (%s), want %d", tc.name, status, msg, tc.want)
 		}
 	}
@@ -188,7 +188,7 @@ func TestUpdateStatusPrecedence(t *testing.T) {
 	if err != nil || status != http.StatusOK {
 		t.Fatalf("task: %d %v", status, err)
 	}
-	if status, msg := postUpdate(t, hs.URL, updateFrame(t, UpdateRequest{ClientID: c.ID(), Delta: garbage})); status != http.StatusBadRequest {
+	if status, msg := postUpdate(t, hs.URL, updateFrame(t, UpdateRequest{ClientID: c.ID()}, garbage)); status != http.StatusBadRequest {
 		t.Errorf("task held, bad delta: status %d (%s), want 400", status, msg)
 	}
 }
@@ -527,15 +527,15 @@ func FuzzUpdateHandler(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	valid := updateFrame(f, UpdateRequest{ClientID: c.ID(), Technique: "quant16", Delta: good, Samples: 10})
+	valid := updateFrame(f, UpdateRequest{ClientID: c.ID(), Technique: "quant16", Samples: 10}, good)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:frameHeaderLen+3])
-	f.Add(updateFrame(f, UpdateRequest{ClientID: c.ID(), Delta: zeroRunPastInt63(n)}))
-	f.Add(updateFrame(f, UpdateRequest{ClientID: c.ID(), Delta: hugeDeclaredLen()}))
-	f.Add(updateFrame(f, UpdateRequest{ClientID: c.ID() + 1, Delta: good}))
-	f.Add(updateFrame(f, UpdateRequest{ClientID: c.ID(), Round: 1, Delta: good}))
-	f.Add(updateFrame(f, UpdateRequest{ClientID: c.ID(), Delta: make([]byte, maxBodyBytes(n))}))
+	f.Add(updateFrame(f, UpdateRequest{ClientID: c.ID()}, zeroRunPastInt63(n)))
+	f.Add(updateFrame(f, UpdateRequest{ClientID: c.ID()}, hugeDeclaredLen()))
+	f.Add(updateFrame(f, UpdateRequest{ClientID: c.ID() + 1}, good))
+	f.Add(updateFrame(f, UpdateRequest{ClientID: c.ID(), Round: 1}, good))
+	f.Add(updateFrame(f, UpdateRequest{ClientID: c.ID()}, make([]byte, maxBodyBytes(n))))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		before := getSnapshot(t, hs.URL)

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 
-	"floatfl/internal/data"
 	"floatfl/internal/device"
 	"floatfl/internal/obs"
 	"floatfl/internal/opt"
@@ -55,17 +54,6 @@ func isTooStale(staleness, cap int, haveVersion bool) bool {
 // The retained window is exactly {version-cap .. version}.
 func evictStaleVersion(versions map[int]tensor.Vector, version, cap int) {
 	delete(versions, version-cap-1)
-}
-
-// RunAsync executes FedBuff over the classic dense federation/population
-// pair. It is a thin wrapper over RunAsyncPop with an eager population —
-// bit-identical to the historical engine (the committed goldens pin this).
-func RunAsync(fed *data.Federation, pop []*device.Client, ctrl Controller, cfg Config) (*Result, error) {
-	p, err := population.WrapEager(fed, pop)
-	if err != nil {
-		return nil, err
-	}
-	return RunAsyncPop(p, ctrl, cfg)
 }
 
 // RunAsyncPop executes FedBuff: Concurrency clients train simultaneously

@@ -100,7 +100,7 @@ func TestAsyncDiscardedUpdatesStillFeedback(t *testing.T) {
 	cfg.BufferK = 3
 	cfg.StalenessCap = 1
 	ctrl := &countingController{}
-	res, err := RunAsync(fed, pop, ctrl, cfg)
+	res, err := runAsync(fed, pop, ctrl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

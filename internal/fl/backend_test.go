@@ -56,7 +56,7 @@ func goldenRun(t *testing.T, backend string) *Result {
 	fed, pop := testSetup(t, 20, trace.ScenarioDynamic)
 	cfg := parSyncConfig(4)
 	cfg.Backend = backend
-	res, err := RunSync(fed, pop, selection.NewRandom(7), newCkptCtrl(), cfg)
+	res, err := runSync(fed, pop, selection.NewRandom(7), newCkptCtrl(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +123,10 @@ func TestConfigUnknownBackend(t *testing.T) {
 	fed, pop := testSetup(t, 4, trace.ScenarioNone)
 	cfg := parSyncConfig(1)
 	cfg.Backend = "no-such-backend"
-	if _, err := RunSync(fed, pop, selection.NewRandom(7), NoOpController{}, cfg); err == nil {
+	if _, err := runSync(fed, pop, selection.NewRandom(7), NoOpController{}, cfg); err == nil {
 		t.Fatal("RunSync with unknown backend did not error")
 	}
-	if _, err := RunAsync(fed, pop, NoOpController{}, cfg); err == nil {
+	if _, err := runAsync(fed, pop, NoOpController{}, cfg); err == nil {
 		t.Fatal("RunAsync with unknown backend did not error")
 	}
 }

@@ -32,7 +32,7 @@ func TestDuplicateActionsPinned(t *testing.T) {
 	want := map[string][][]string{
 		"mlp-small": {quant, {"partial25", "partial50", "partial75"}},
 	}
-	for _, arch := range nn.ArchNames() {
+	for _, arch := range []string{"mlp-small", "resnet18", "resnet34", "resnet50", "shufflenet"} {
 		spec, err := nn.LookupSpec(arch)
 		if err != nil {
 			t.Fatal(err)

@@ -314,8 +314,9 @@ func checkSinks(t *testing.T, rr *rowRun) {
 			l.TotalRounds, l.TotalDrops, l.Discarded, selected, dropped, discarded)
 	}
 	sum := 0
-	for id := range rr.p.NumClients() {
-		sum += l.SelectedCount(id)
+	perClient, _ := tallies(t, l)
+	for _, n := range perClient {
+		sum += n
 	}
 	if sum != l.TotalRounds {
 		t.Errorf("per-client selections sum to %d, ledger TotalRounds %d", sum, l.TotalRounds)
@@ -461,8 +462,9 @@ func (rr *rowRun) artifact(t testing.TB) artifact {
 	ledger := checkpoint.NewEnc(0)
 	rr.res.Ledger.AppendCheckpoint(ledger)
 	surface := fmt.Appendf(nil, "%+v\n", aggregatesOf(rr.res.Ledger))
+	selected, completed := tallies(t, rr.res.Ledger)
 	for id := range matrixClients {
-		surface = fmt.Appendf(surface, "%d %d %d\n", id, rr.res.Ledger.SelectedCount(id), rr.res.Ledger.CompletedCount(id))
+		surface = fmt.Appendf(surface, "%d %d %d\n", id, selected[id], completed[id])
 	}
 	return artifact{
 		"params":         params,
@@ -601,6 +603,30 @@ func ckptPop(t testing.TB, lazy bool) *population.Population {
 	return eager
 }
 
+// tallies returns l's per-client selection and completion counts, dense in
+// either mode, read back from its checkpoint section.
+func tallies(t testing.TB, l *metrics.Ledger) (selected, completed []int) {
+	t.Helper()
+	e := checkpoint.NewEnc(0)
+	l.AppendCheckpoint(e)
+	d := checkpoint.NewDec(e.Bytes())
+	st := metrics.DecodeLedgerState(d)
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if !st.Sparse {
+		return st.Selected, st.Completed
+	}
+	selected, completed = make([]int, st.Clients), make([]int, st.Clients)
+	for _, c := range st.SelectedSparse {
+		selected[c.ID] = c.N
+	}
+	for _, c := range st.CompletedSparse {
+		completed[c.ID] = c.N
+	}
+	return selected, completed
+}
+
 // ledgerAggregates flattens a ledger's mode-independent surface so sparse
 // (lazy) and dense (eager) ledgers can be compared for semantic equality.
 type ledgerAggregates struct {
@@ -621,6 +647,6 @@ func aggregatesOf(l *metrics.Ledger) ledgerAggregates {
 		jain:        l.SelectionJainIndex(),
 		dropRate:    l.DropRate(),
 		wall:        l.WallClockSeconds,
-		wasted:      l.TotalInefficiency(),
+		wasted:      l.Wasted,
 	}
 }

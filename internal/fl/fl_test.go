@@ -30,6 +30,25 @@ func testSetup(t *testing.T, clients int, scenario trace.Scenario) (*data.Federa
 	return fed, pop
 }
 
+// runSync and runAsync run the engines over a dense federation/population
+// pair, wrapped as an eager population.
+func runSync(fed *data.Federation, pop []*device.Client, sel selection.Selector,
+	ctrl Controller, cfg Config) (*Result, error) {
+	p, err := population.WrapEager(fed, pop)
+	if err != nil {
+		return nil, err
+	}
+	return RunSyncPop(p, sel, ctrl, cfg)
+}
+
+func runAsync(fed *data.Federation, pop []*device.Client, ctrl Controller, cfg Config) (*Result, error) {
+	p, err := population.WrapEager(fed, pop)
+	if err != nil {
+		return nil, err
+	}
+	return RunAsyncPop(p, ctrl, cfg)
+}
+
 func smallConfig() Config {
 	return Config{
 		Arch:            "resnet18",
@@ -52,7 +71,7 @@ func parSyncConfig(par int) Config {
 
 func TestRunSyncBasics(t *testing.T) {
 	fed, pop := testSetup(t, 24, trace.ScenarioDynamic)
-	res, err := RunSync(fed, pop, selection.NewRandom(1), NoOpController{}, smallConfig())
+	res, err := runSync(fed, pop, selection.NewRandom(1), NoOpController{}, smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +104,7 @@ func TestRunSyncLearns(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Rounds = 20
 	cfg.DeadlineSec = 1e9 // no dropouts: isolate the learning dynamics
-	res, err := RunSync(fed, pop, selection.NewRandom(2), NoOpController{}, cfg)
+	res, err := runSync(fed, pop, selection.NewRandom(2), NoOpController{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +129,7 @@ func TestRunSyncTightDeadlineDrops(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Rounds = 6
 	cfg.DeadlinePercentile = 20 // only the fastest 20% can finish
-	res, err := RunSync(fed, pop, selection.NewRandom(4), NoOpController{}, cfg)
+	res, err := runSync(fed, pop, selection.NewRandom(4), NoOpController{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +149,12 @@ func TestStaticControllerRescuesClients(t *testing.T) {
 	cfg.Rounds = 8
 	cfg.DeadlinePercentile = 35
 
-	resNone, err := RunSync(fed, pop, selection.NewRandom(5), NoOpController{}, cfg)
+	resNone, err := runSync(fed, pop, selection.NewRandom(5), NoOpController{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fed2, pop2 := testSetup(t, 30, trace.ScenarioDynamic)
-	resOpt, err := RunSync(fed2, pop2, selection.NewRandom(5), StaticController{Tech: opt.TechPartial75}, cfg)
+	resOpt, err := runSync(fed2, pop2, selection.NewRandom(5), StaticController{Tech: opt.TechPartial75}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,20 +168,20 @@ func TestRunSyncValidation(t *testing.T) {
 	fed, pop := testSetup(t, 8, trace.ScenarioNone)
 	bad := smallConfig()
 	bad.Rounds = 0
-	if _, err := RunSync(fed, pop, selection.NewRandom(1), NoOpController{}, bad); err == nil {
+	if _, err := runSync(fed, pop, selection.NewRandom(1), NoOpController{}, bad); err == nil {
 		t.Fatal("accepted zero rounds")
 	}
 	bad = smallConfig()
 	bad.Arch = "nope"
-	if _, err := RunSync(fed, pop, selection.NewRandom(1), NoOpController{}, bad); err == nil {
+	if _, err := runSync(fed, pop, selection.NewRandom(1), NoOpController{}, bad); err == nil {
 		t.Fatal("accepted unknown architecture")
 	}
-	if _, err := RunSync(fed, pop[:4], selection.NewRandom(1), NoOpController{}, smallConfig()); err == nil {
+	if _, err := runSync(fed, pop[:4], selection.NewRandom(1), NoOpController{}, smallConfig()); err == nil {
 		t.Fatal("accepted mismatched population")
 	}
 	// An empty population must error, not divide by zero on the mean
 	// shard size.
-	if _, err := RunSync(&data.Federation{}, nil, selection.NewRandom(1), NoOpController{}, smallConfig()); err == nil {
+	if _, err := runSync(&data.Federation{}, nil, selection.NewRandom(1), NoOpController{}, smallConfig()); err == nil {
 		t.Fatal("accepted empty population")
 	}
 }
@@ -173,7 +192,7 @@ func TestRunAsyncBasics(t *testing.T) {
 	cfg.Rounds = 5 // aggregations
 	cfg.Concurrency = 15
 	cfg.BufferK = 5
-	res, err := RunAsync(fed, pop, NoOpController{}, cfg)
+	res, err := runAsync(fed, pop, NoOpController{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +221,7 @@ func TestRunAsyncOverSelectsVsSync(t *testing.T) {
 	cfg.Rounds = 5
 	cfg.Concurrency = 20
 	cfg.BufferK = 5
-	async, err := RunAsync(fed, pop, NoOpController{}, cfg)
+	async, err := runAsync(fed, pop, NoOpController{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +229,7 @@ func TestRunAsyncOverSelectsVsSync(t *testing.T) {
 	cfgSync := smallConfig()
 	cfgSync.Rounds = 5
 	cfgSync.ClientsPerRound = 5
-	sync, err := RunSync(fed2, pop2, selection.NewRandom(6), NoOpController{}, cfgSync)
+	sync, err := runSync(fed2, pop2, selection.NewRandom(6), NoOpController{}, cfgSync)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +243,13 @@ func TestRunAsyncValidation(t *testing.T) {
 	fed, pop := testSetup(t, 8, trace.ScenarioNone)
 	bad := smallConfig()
 	bad.Rounds = 0
-	if _, err := RunAsync(fed, pop, NoOpController{}, bad); err == nil {
+	if _, err := runAsync(fed, pop, NoOpController{}, bad); err == nil {
 		t.Fatal("accepted zero rounds")
 	}
-	if _, err := RunAsync(fed, pop[:4], NoOpController{}, smallConfig()); err == nil {
+	if _, err := runAsync(fed, pop[:4], NoOpController{}, smallConfig()); err == nil {
 		t.Fatal("accepted mismatched population")
 	}
-	if _, err := RunAsync(&data.Federation{}, nil, NoOpController{}, smallConfig()); err == nil {
+	if _, err := runAsync(&data.Federation{}, nil, NoOpController{}, smallConfig()); err == nil {
 		t.Fatal("accepted empty population")
 	}
 }
@@ -243,10 +262,10 @@ func TestRunRejectsNonFiniteDeadlinePercentile(t *testing.T) {
 	for _, pct := range []float64{math.NaN(), math.Inf(1), 150} {
 		cfg := smallConfig()
 		cfg.DeadlinePercentile = pct
-		if _, err := RunSync(fed, pop, selection.NewRandom(1), NoOpController{}, cfg); err == nil {
+		if _, err := runSync(fed, pop, selection.NewRandom(1), NoOpController{}, cfg); err == nil {
 			t.Errorf("RunSync accepted DeadlinePercentile %v", pct)
 		}
-		if _, err := RunAsync(fed, pop, NoOpController{}, cfg); err == nil {
+		if _, err := runAsync(fed, pop, NoOpController{}, cfg); err == nil {
 			t.Errorf("RunAsync accepted DeadlinePercentile %v", pct)
 		}
 	}
@@ -326,7 +345,7 @@ func TestRunAsyncDiscardsStaleUpdates(t *testing.T) {
 	cfg.Concurrency = 25
 	cfg.BufferK = 3
 	cfg.StalenessCap = 1
-	res, err := RunAsync(fed, pop, NoOpController{}, cfg)
+	res, err := runAsync(fed, pop, NoOpController{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +362,7 @@ func TestRunSyncWallClockUsesDeadlineOnTimeout(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Rounds = 5
 	cfg.DeadlinePercentile = 20 // guarantees timeouts
-	res, err := RunSync(fed, pop, selection.NewRandom(9), NoOpController{}, cfg)
+	res, err := runSync(fed, pop, selection.NewRandom(9), NoOpController{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

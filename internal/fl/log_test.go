@@ -146,7 +146,7 @@ func TestRunSyncEmitsLogs(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Rounds = 4
 	cfg.Logger = NewJSONLLogger(&buf)
-	if _, err := RunSync(fed, pop, selection.NewRandom(3), NoOpController{}, cfg); err != nil {
+	if _, err := runSync(fed, pop, selection.NewRandom(3), NoOpController{}, cfg); err != nil {
 		t.Fatal(err)
 	}
 	var clientRecs, summaryRecs int
@@ -181,7 +181,7 @@ func TestRunAsyncEmitsLogs(t *testing.T) {
 	cfg.Concurrency = 10
 	cfg.BufferK = 4
 	cfg.Logger = NewJSONLLogger(&buf)
-	if _, err := RunAsync(fed, pop, NoOpController{}, cfg); err != nil {
+	if _, err := runAsync(fed, pop, NoOpController{}, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {

@@ -1,27 +1,12 @@
 package fl
 
 import (
-	"floatfl/internal/data"
 	"floatfl/internal/device"
 	"floatfl/internal/obs"
 	"floatfl/internal/population"
 	"floatfl/internal/selection"
 	"floatfl/internal/tensor"
 )
-
-// RunSync executes synchronous federated training over the classic dense
-// federation/population pair. It is a thin wrapper over RunSyncPop with an
-// eager population — bit-identical to the historical engine (the committed
-// goldens pin this).
-func RunSync(fed *data.Federation, pop []*device.Client, sel selection.Selector,
-	ctrl Controller, cfg Config) (*Result, error) {
-
-	p, err := population.WrapEager(fed, pop)
-	if err != nil {
-		return nil, err
-	}
-	return RunSyncPop(p, sel, ctrl, cfg)
-}
 
 // RunSyncPop executes synchronous federated training: each round the
 // selector picks ClientsPerRound clients, every selected client trains

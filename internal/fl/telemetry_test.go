@@ -20,7 +20,7 @@ func TestSyncTraceGolden(t *testing.T) {
 	fed, pop := testSetup(t, 20, trace.ScenarioDynamic)
 	cfg := parSyncConfig(8)
 	cfg.Tracer = obs.NewTracer()
-	if _, err := RunSync(fed, pop, selection.NewRandom(7), newCkptCtrl(), cfg); err != nil {
+	if _, err := runSync(fed, pop, selection.NewRandom(7), newCkptCtrl(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

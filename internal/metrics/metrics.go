@@ -129,28 +129,6 @@ func NewSparseLedger(clients int) *Ledger {
 // Sparse reports whether the ledger tallies participation sparsely.
 func (l *Ledger) Sparse() bool { return l.selectedS != nil }
 
-// SelectedCount returns client id's selection tally in either mode.
-func (l *Ledger) SelectedCount(id int) int {
-	if l.Sparse() {
-		return l.selectedS.Get(id)
-	}
-	if id >= 0 && id < len(l.Selected) {
-		return l.Selected[id]
-	}
-	return 0
-}
-
-// CompletedCount returns client id's completion tally in either mode.
-func (l *Ledger) CompletedCount(id int) int {
-	if l.Sparse() {
-		return l.completedS.Get(id)
-	}
-	if id >= 0 && id < len(l.Completed) {
-		return l.Completed[id]
-	}
-	return 0
-}
-
 // Record ingests one client-round outcome.
 func (l *Ledger) Record(clientID int, tech opt.Technique, out device.Outcome) {
 	if clientID >= 0 && clientID < l.clients {
@@ -310,13 +288,6 @@ func (l *Ledger) DropRate() float64 {
 	}
 	return float64(l.TotalDrops) / float64(l.TotalRounds)
 }
-
-// SuccessRate returns 1 - DropRate.
-func (l *Ledger) SuccessRate() float64 { return 1 - l.DropRate() }
-
-// TotalInefficiency returns the wasted resource triple (the figures'
-// "compute/communication/memory inefficiency" bars).
-func (l *Ledger) TotalInefficiency() Inefficiency { return l.Wasted }
 
 // Percentile returns the p-th percentile (0..100) of the samples using
 // linear interpolation; it is used by trace-distribution figures.

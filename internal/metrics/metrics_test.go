@@ -86,9 +86,6 @@ func TestLedgerRecord(t *testing.T) {
 	if got := l.DropRate(); math.Abs(got-1.0/3) > 1e-9 {
 		t.Fatalf("DropRate = %v", got)
 	}
-	if got := l.SuccessRate(); math.Abs(got-2.0/3) > 1e-9 {
-		t.Fatalf("SuccessRate = %v", got)
-	}
 }
 
 func TestLedgerOutOfRangeClient(t *testing.T) {

@@ -57,11 +57,11 @@ func TestSparseLedgerMatchesDense(t *testing.T) {
 		t.Fatalf("sparse aggregates deviate from dense:\ndense  %+v\nsparse %+v", d, s)
 	}
 	for id := 0; id < clients; id++ {
-		if dense.Selected[id] != sparse.SelectedCount(id) {
-			t.Fatalf("client %d: selected %d dense vs %d sparse", id, dense.Selected[id], sparse.SelectedCount(id))
+		if dense.Selected[id] != sparse.selectedS.Get(id) {
+			t.Fatalf("client %d: selected %d dense vs %d sparse", id, dense.Selected[id], sparse.selectedS.Get(id))
 		}
-		if dense.Completed[id] != sparse.CompletedCount(id) {
-			t.Fatalf("client %d: completed %d dense vs %d sparse", id, dense.Completed[id], sparse.CompletedCount(id))
+		if dense.Completed[id] != sparse.completedS.Get(id) {
+			t.Fatalf("client %d: completed %d dense vs %d sparse", id, dense.Completed[id], sparse.completedS.Get(id))
 		}
 	}
 }

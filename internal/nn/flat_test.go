@@ -18,8 +18,12 @@ func flatTestModel(t *testing.T, arch string) *Model {
 	return m
 }
 
+// allArchNames returns the registered architecture names, sorted.
 func allArchNames() []string {
-	names := ArchNames()
+	names := make([]string, 0, len(registry))
+	for name := range registry {
+		names = append(names, name)
+	}
 	sort.Strings(names)
 	return names
 }

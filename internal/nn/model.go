@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"floatfl/internal/rngstate"
 	"floatfl/internal/tensor"
@@ -42,16 +41,6 @@ func LookupSpec(name string) (Spec, error) {
 		return Spec{}, fmt.Errorf("nn: unknown architecture %q", name)
 	}
 	return s, nil
-}
-
-// ArchNames returns the registered architecture names, sorted.
-func ArchNames() []string {
-	out := make([]string, 0, len(registry))
-	for k := range registry {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Model is a feed-forward classifier: a pipeline of Dense layers, ReLU

@@ -9,6 +9,7 @@ import (
 	"floatfl/internal/data"
 	"floatfl/internal/device"
 	"floatfl/internal/fl"
+	"floatfl/internal/population"
 	"floatfl/internal/rl"
 	"floatfl/internal/selection"
 	"floatfl/internal/trace"
@@ -32,7 +33,11 @@ func trainingLog(t *testing.T) (*bytes.Buffer, *fl.Result) {
 		Agent:     rl.Config{Seed: 4, TotalRounds: 10},
 		BatchSize: 16, Epochs: 1, ClientsPerRound: 8,
 	})
-	res, err := fl.RunSync(fed, pop, selection.NewRandom(4), ctrl, fl.Config{
+	p, err := population.WrapEager(fed, pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fl.RunSyncPop(p, selection.NewRandom(4), ctrl, fl.Config{
 		Arch: "resnet18", Rounds: 10, ClientsPerRound: 8,
 		Epochs: 1, BatchSize: 16, LR: 0.1, DeadlinePercentile: 50,
 		Seed: 5, Logger: fl.NewJSONLLogger(&buf),

@@ -235,38 +235,6 @@ func (a *Agent) score(c cell) float64 {
 	return wp*c.QPart + wa*c.QAcc
 }
 
-// QValues returns the combined Q-value per action for a state (zeros for
-// unvisited states); used by Q-table dumps (Fig 10) and tests.
-func (a *Agent) QValues(s State) []float64 {
-	s = a.normalize(s)
-	k := s.Key(a.cfg.Bins)
-	out := make([]float64, len(a.actions))
-	cs, ok := a.table[k]
-	if !ok {
-		return out
-	}
-	for i, c := range cs {
-		out[i] = a.score(c)
-	}
-	return out
-}
-
-// Objectives returns the per-action (participation, accuracy) estimates
-// for a state — the two panels of the paper's Fig 10 Q-table plots.
-func (a *Agent) Objectives(s State) (part, acc []float64) {
-	s = a.normalize(s)
-	k := s.Key(a.cfg.Bins)
-	part = make([]float64, len(a.actions))
-	acc = make([]float64, len(a.actions))
-	if cs, ok := a.table[k]; ok {
-		for i, c := range cs {
-			part[i] = c.QPart
-			acc[i] = c.QAcc
-		}
-	}
-	return part, acc
-}
-
 // learningRate implements RQ6's dynamic rate: low early (accuracy moves a
 // lot per round, so individual rewards are noisy), rising linearly with
 // training progress, capped at 1.

@@ -32,13 +32,7 @@ func ExampleAgent() {
 	}
 
 	// The greedy policy has learned that this state needs a comm saver.
-	best, bestIdx := -1.0, 0
-	for i, q := range agent.QValues(state) {
-		if q > best {
-			best, bestIdx = q, i
-		}
-	}
-	choice := agent.Actions()[bestIdx]
+	choice := agent.PolicyDump()[0].Action
 	fmt.Printf("learned action saves communication: %v\n", choice.Effects().CommFactor <= 0.5)
 	fmt.Printf("states visited: %d\n", agent.StatesVisited())
 	// Output:

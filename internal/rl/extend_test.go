@@ -31,7 +31,7 @@ func TestExtendedActionSpace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q := a.QValues(s)
+	q := qValues(a, s)
 	best, bestIdx := q[0], 0
 	for i, v := range q {
 		if v > best {

@@ -9,6 +9,25 @@ import (
 	"floatfl/internal/opt"
 )
 
+// qValues is a's combined Q-value per action for s, zero where s is
+// unvisited.
+func qValues(a *Agent, s State) []float64 {
+	out := make([]float64, len(a.actions))
+	for i, c := range a.table[a.normalize(s).Key(a.cfg.Bins)] {
+		out[i] = a.score(c)
+	}
+	return out
+}
+
+// objectives is a's per-action (participation, accuracy) estimates for s.
+func objectives(a *Agent, s State) (part, acc []float64) {
+	part, acc = make([]float64, len(a.actions)), make([]float64, len(a.actions))
+	for i, c := range a.table[a.normalize(s).Key(a.cfg.Bins)] {
+		part[i], acc[i] = c.QPart, c.QAcc
+	}
+	return part, acc
+}
+
 func TestDiscretizeGlobals(t *testing.T) {
 	cases := []struct {
 		batch, epochs, k int
@@ -135,14 +154,14 @@ func TestAgentLearnsBestAction(t *testing.T) {
 	if counts[opt.TechQuant8] < 120 {
 		t.Fatalf("agent failed to converge on the rewarded action: %v", counts)
 	}
-	q := a.QValues(s)
+	q := qValues(a, s)
 	best := q[0]
 	for _, v := range q {
 		if v > best {
 			best = v
 		}
 	}
-	part, _ := a.Objectives(s)
+	part, _ := objectives(a, s)
 	var bestIdx int
 	for i, act := range a.Actions() {
 		if act == opt.TechQuant8 {
@@ -182,7 +201,7 @@ func TestAgentStateSeparation(t *testing.T) {
 	// prune75; in the compute-constrained state partial50/75 or prune75.
 	// Assert on the greedy argmax (SelectAction may explore).
 	argmax := func(s State) opt.Technique {
-		q := a.QValues(s)
+		q := qValues(a, s)
 		best, bestIdx := q[0], 0
 		for i, v := range q {
 			if v > best {
@@ -214,7 +233,7 @@ func TestBalancedExplorationCoversActions(t *testing.T) {
 	}
 	// With balanced exploration and 80 pulls over 8 actions, every action
 	// should have been tried ~10 times.
-	part, _ := a.Objectives(s)
+	part, _ := objectives(a, s)
 	_ = part
 	cs := a.table[State{}.Key(a.cfg.Bins)]
 	for i, c := range cs {
@@ -231,7 +250,7 @@ func TestHFDisabledCollapsesStates(t *testing.T) {
 	if err := a.Update(0, s1, opt.TechQuant8, true, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	q1, q2 := a.QValues(s1), a.QValues(s2)
+	q1, q2 := qValues(a, s1), qValues(a, s2)
 	for i := range q1 {
 		if q1[i] != q2[i] {
 			t.Fatal("with HF disabled, states differing only in HF must share Q-values")
@@ -241,7 +260,7 @@ func TestHFDisabledCollapsesStates(t *testing.T) {
 	if err := b.Update(0, s1, opt.TechQuant8, true, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	q1, q2 = b.QValues(s1), b.QValues(s2)
+	q1, q2 = qValues(b, s1), qValues(b, s2)
 	same := true
 	for i := range q1 {
 		if q1[i] != q2[i] {
@@ -267,7 +286,7 @@ func TestFeedbackCacheSynthesizesRewards(t *testing.T) {
 	if err := a.Update(10, s, opt.TechPrune75, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, acc := a.Objectives(s)
+	_, acc := objectives(a, s)
 	var pruneIdx int
 	for i, act := range a.Actions() {
 		if act == opt.TechPrune75 {
@@ -288,7 +307,7 @@ func TestFeedbackCacheSynthesizesRewards(t *testing.T) {
 	if err := b.Update(10, s, opt.TechPrune75, false, 0.99); err != nil {
 		t.Fatal(err)
 	}
-	_, acc = b.Objectives(s)
+	_, acc = objectives(b, s)
 	if acc[pruneIdx] != 0 {
 		t.Fatal("disabled cache should zero the dropout's accuracy reward")
 	}
@@ -343,11 +362,11 @@ func TestAdditiveRewardsInflate(t *testing.T) {
 		}
 		return -1
 	}
-	qAdd := add.QValues(s)
+	qAdd := qValues(add, s)
 	if qAdd[idx(add, opt.TechQuant8)] >= qAdd[idx(add, opt.TechQuant16)] {
 		t.Fatal("additive mode should (wrongly) inflate the often-visited action")
 	}
-	qMA := ma.QValues(s)
+	qMA := qValues(ma, s)
 	if qMA[idx(ma, opt.TechQuant8)] <= qMA[idx(ma, opt.TechQuant16)] {
 		t.Fatal("moving-average mode should rank the better action higher")
 	}
@@ -424,7 +443,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := b.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	qa, qb := a.QValues(s), b.QValues(s)
+	qa, qb := qValues(a, s), qValues(b, s)
 	for i := range qa {
 		if math.Abs(qa[i]-qb[i]) > 1e-12 {
 			t.Fatalf("Q-values differ after round trip: %v vs %v", qa, qb)
@@ -505,7 +524,7 @@ func TestQValueBoundsQuick(t *testing.T) {
 				return false
 			}
 		}
-		for _, q := range a.QValues(s) {
+		for _, q := range qValues(a, s) {
 			if q < -1.000001 || q > 1.000001 || math.IsNaN(q) {
 				return false
 			}

@@ -107,13 +107,6 @@ func Lookup(name string) (Backend, error) {
 	return nil, fmt.Errorf("tensor: unknown backend %q (available: %v)", name, backendNamesLocked())
 }
 
-// Backends returns the registered backend names, sorted.
-func Backends() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	return backendNamesLocked()
-}
-
 func backendNamesLocked() []string {
 	names := make([]string, 0, len(backendReg))
 	for name := range backendReg {
