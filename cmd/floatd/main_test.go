@@ -14,8 +14,11 @@ import (
 	"time"
 
 	"floatfl/internal/checkpoint"
+	"floatfl/internal/core"
 	"floatfl/internal/data"
 	"floatfl/internal/dist"
+	"floatfl/internal/fl"
+	"floatfl/internal/rl"
 )
 
 // Exit codes and the -resume contract are only observable from outside the
@@ -65,9 +68,9 @@ func floatd(t *testing.T, args ...string) (code int, stdout, stderr string) {
 }
 
 // snapshotFile writes the snapshot of an aggregator floatd's defaults can
-// resume (femnist's shapes, resnet18) after `rounds` one-update rounds, and
-// returns its path.
-func snapshotFile(t *testing.T, rounds int) string {
+// resume (femnist's shapes, resnet18), driven by ctrl (nil: none) through
+// `rounds` one-update rounds, and returns its path.
+func snapshotFile(t *testing.T, rounds int, ctrl fl.Controller) string {
 	t.Helper()
 	fed, err := data.Generate("femnist", data.GenerateConfig{Clients: 1, Alpha: 100, Seed: 1})
 	if err != nil {
@@ -76,6 +79,7 @@ func snapshotFile(t *testing.T, rounds int) string {
 	srv, err := dist.NewServer(dist.ServerConfig{
 		Spec:       dist.TrainSpec{Arch: "resnet18", InDim: fed.Profile.Dim, Classes: fed.Profile.Classes},
 		AggregateK: 1,
+		Controller: ctrl,
 		Clock:      dist.NewFakeClock(time.Unix(0, 0)),
 	})
 	if err != nil {
@@ -120,7 +124,7 @@ func TestResumeRejectsBadSnapshot(t *testing.T) {
 		t.Errorf("missing snapshot: exit %d, stdout %q, stderr %q; want a nonzero exit naming the file before serving", code, stdout, stderr)
 	}
 
-	corrupt := snapshotFile(t, 2)
+	corrupt := snapshotFile(t, 2, nil)
 	blob, err := os.ReadFile(corrupt)
 	if err != nil {
 		t.Fatal(err)
@@ -137,12 +141,25 @@ func TestResumeRejectsBadSnapshot(t *testing.T) {
 // TestResumeReportsRound: a valid snapshot is restored and its round
 // reported before the unusable -addr ends the process.
 func TestResumeReportsRound(t *testing.T) {
-	path := snapshotFile(t, 2)
+	path := snapshotFile(t, 2, nil)
 	code, stdout, stderr := floatd(t, "-controller", "none", "-resume", path)
 	if want := fmt.Sprintf("floatd: resumed from %s at round 2\n", path); !strings.Contains(stdout, want) {
 		t.Errorf("stdout %q does not contain %q (stderr %q)", stdout, want, stderr)
 	}
 	if code == 0 || !strings.Contains(stderr, "listen tcp") {
 		t.Errorf("exit %d, stderr %q; want the listen failure", code, stderr)
+	}
+}
+
+// TestResumeRefusesOrphanAgent: a FLOAT aggregator's snapshot resumed with
+// -controller none exits 1 naming the controller section, instead of
+// serving without the agent it carries.
+func TestResumeRefusesOrphanAgent(t *testing.T) {
+	path := snapshotFile(t, 2, core.New(core.Config{
+		Agent: rl.Config{Seed: 42, TotalRounds: 300}, BatchSize: 16, Epochs: 2, ClientsPerRound: 1,
+	}))
+	code, stdout, stderr := floatd(t, "-controller", "none", "-resume", path)
+	if code != 1 || !strings.Contains(stderr, "controller snapshot present") || strings.Contains(stdout, "resumed") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want exit 1 naming the controller section", code, stdout, stderr)
 	}
 }

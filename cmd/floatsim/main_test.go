@@ -89,6 +89,30 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesAnotherPopulation: a snapshot resumes only under the
+// population it was taken from. Another scenario, α or dataset exits 1
+// with stderr naming the knob; another -parallel still resumes.
+func TestResumeRefusesAnotherPopulation(t *testing.T) {
+	dir := t.TempDir()
+	floatsim(t, "-rounds", "3", "-checkpoint-every", "3", "-out", dir)
+	snap := filepath.Join(dir, report.SnapshotFile)
+	for _, tc := range []struct{ flag, value, knob string }{
+		{"-scenario", "none", "population.scenario"},
+		{"-alpha", "0.1001", "population.alpha"},
+		{"-dataset", "cifar10", "population.dataset"},
+	} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(floatsimBin, append(append([]string(nil), cliRun...), "-rounds", "6", tc.flag, tc.value, "-resume", snap)...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), tc.knob) {
+			t.Errorf("resume with %s %s: %v, stderr %q; want exit 1 naming %s", tc.flag, tc.value, err, stderr.String(), tc.knob)
+		}
+	}
+	floatsim(t, "-rounds", "6", "-parallel", "3", "-resume", snap)
+}
+
 // TestTimelineParallelismInvariant: the timeline export is identical at
 // -parallel 1 and 8, and floatreport diff says so with exit 0 — and flags
 // a different seed with exit 1.

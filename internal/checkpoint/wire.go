@@ -122,6 +122,30 @@ func (e *Enc) Stateful(s Stateful) error {
 	return nil
 }
 
+// AppendStateful appends v's section when v implements Stateful; a
+// stateless component contributes an empty one.
+func AppendStateful(e *Enc, v any) error {
+	if s, ok := v.(Stateful); ok {
+		return e.Stateful(s)
+	}
+	e.RawBytes(nil)
+	return nil
+}
+
+// RestoreStateful applies a section AppendStateful wrote to v. An empty
+// section leaves v as it is; a non-empty one for a stateless v is a
+// *FormatError naming what: the state it holds would be lost.
+func RestoreStateful(v any, blob []byte, what string) error {
+	if len(blob) == 0 {
+		return nil
+	}
+	s, ok := v.(Stateful)
+	if !ok {
+		return &FormatError{Reason: what + " snapshot present but the component is stateless"}
+	}
+	return s.RestoreCheckpoint(blob)
+}
+
 // Dec reads what Enc wrote. The first malformed or short read latches a
 // *FormatError: every later read returns a zero value, so a decoder is a
 // straight line of reads followed by one Done() check, and it has decoded

@@ -45,19 +45,11 @@ func sampleGamma(shape float64, rng *rngstate.Source) float64 {
 	}
 }
 
-// SampleDirichlet draws a point from the (k-1)-simplex with concentration
-// alpha (symmetric Dirichlet). Small alpha yields near-one-hot label
+// sampleDirichletInto draws a point from the (k-1)-simplex with
+// concentration alpha (symmetric Dirichlet), k = len(out) ≥ 1, into out;
+// every entry is overwritten. Small alpha yields near-one-hot label
 // distributions — the paper's highly non-IID regime (alpha = 0.01–0.1);
 // large alpha approaches uniform (IID).
-func SampleDirichlet(k int, alpha float64, rng *rngstate.Source) []float64 {
-	if k <= 0 {
-		return nil
-	}
-	return sampleDirichletInto(make([]float64, k), alpha, rng)
-}
-
-// sampleDirichletInto is SampleDirichlet with k = len(out) ≥ 1, drawn into
-// out; every entry is overwritten.
 func sampleDirichletInto(out []float64, alpha float64, rng *rngstate.Source) []float64 {
 	var sum float64
 	for i := range out {

@@ -2,6 +2,7 @@ package data_test
 
 import (
 	"fmt"
+	"slices"
 
 	"floatfl/internal/data"
 )
@@ -19,10 +20,11 @@ func ExampleGenerate() {
 	fmt.Printf("clients: %d\n", len(fed.Train))
 	fmt.Printf("feature dim: %d, classes: %d\n", fed.Profile.Dim, fed.Profile.Classes)
 	for i, shard := range fed.Train {
-		top := 0
-		for _, n := range data.LabelHistogram(shard, fed.Profile.Classes) {
-			top = max(top, n)
+		counts := make([]int, fed.Profile.Classes)
+		for _, s := range shard {
+			counts[s.Label]++
 		}
+		top := slices.Max(counts)
 		fmt.Printf("client %d: %d samples, %.0f%% in its top class\n",
 			i, len(shard), 100*float64(top)/float64(len(shard)))
 	}

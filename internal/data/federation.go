@@ -101,15 +101,3 @@ func sampleClientVolume(mean int, rng *rngstate.Source) int {
 	}
 	return n
 }
-
-// LabelHistogram returns the per-class sample counts of a shard; used by
-// tests and by statistical-utility computations (Oort).
-func LabelHistogram(samples []nn.Sample, classes int) []int {
-	h := make([]int, classes)
-	for _, s := range samples {
-		if s.Label >= 0 && s.Label < classes {
-			h[s.Label]++
-		}
-	}
-	return h
-}

@@ -5,7 +5,28 @@ import (
 	"sort"
 
 	"floatfl/internal/nn"
+	"floatfl/internal/rngstate"
 )
+
+// LabelHistogram returns the per-class sample counts of a shard.
+func LabelHistogram(samples []nn.Sample, classes int) []int {
+	h := make([]int, classes)
+	for _, s := range samples {
+		if s.Label >= 0 && s.Label < classes {
+			h[s.Label]++
+		}
+	}
+	return h
+}
+
+// SampleDirichlet is sampleDirichletInto into a fresh k-vector (nil for
+// k ≤ 0).
+func SampleDirichlet(k int, alpha float64, rng *rngstate.Source) []float64 {
+	if k <= 0 {
+		return nil
+	}
+	return sampleDirichletInto(make([]float64, k), alpha, rng)
+}
 
 // skewIndex summarizes how non-IID a shard is: 0 means uniform over
 // classes, 1 means single-class. It is the normalized L1 distance between

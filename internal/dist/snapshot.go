@@ -154,9 +154,11 @@ func (s *Server) Snapshot() ([]byte, error) {
 // snapshot rejected there leaves the server exactly as NewServer built it;
 // the controller, metrics and timeline sections are validated by their
 // owners as they are restored, each leaving itself untouched by a section
-// it rejects. Every failure is one of the checkpoint package's typed
-// errors. Outstanding tasks are not resurrected: surviving clients
-// re-fetch and stale uploads get the usual 409.
+// it rejects; a controller section for a stateless controller is refused,
+// as the engines refuse it, not dropped. Every failure is one of the
+// checkpoint package's typed errors. Outstanding tasks are not
+// resurrected: surviving clients re-fetch and stale uploads get the usual
+// 409.
 func (s *Server) RestoreSnapshot(data []byte) error {
 	payload, err := checkpoint.DecodeBytes(data, ServerSnapshotKind)
 	if err != nil {
@@ -218,10 +220,8 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 	if !fl.IsFinite(restored.Parameters()) {
 		return &checkpoint.FormatError{Reason: "model blob: parameters are not finite"}
 	}
-	if cs, ok := s.cfg.Controller.(checkpoint.Stateful); ok && len(st.Controller) > 0 {
-		if err := cs.RestoreCheckpoint(st.Controller); err != nil {
-			return fmt.Errorf("dist: restore controller: %w", err)
-		}
+	if err := checkpoint.RestoreStateful(s.cfg.Controller, st.Controller, "controller"); err != nil {
+		return fmt.Errorf("dist: restore controller: %w", err)
 	}
 	s.global = restored
 	s.modelBlob = nil
@@ -256,23 +256,6 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 	s.armRoundTimerLocked()
 	s.syncGaugesLocked()
 	return nil
-}
-
-// SetDraining toggles drain mode: while draining, no new tasks are handed
-// out (clients get 204 and back off) so outstanding work converges to
-// zero ahead of a snapshot. Re-issues of already-held tasks still work —
-// a drain must not strand a client that is mid-training.
-func (s *Server) SetDraining(on bool) {
-	s.mu.Lock()
-	s.draining = on
-	s.mu.Unlock()
-}
-
-// Draining reports whether drain mode is on.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 // handleSnapshot serves GET /v1/snapshot: the framed aggregator snapshot,

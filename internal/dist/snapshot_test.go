@@ -258,6 +258,23 @@ func TestSnapshotRestoreRejectsBadBlob(t *testing.T) {
 	_ = srv
 }
 
+// TestRestoreRefusesOrphanControllerSection: a FLOAT snapshot restored
+// into a server whose controller keeps no state is a FormatError, as it is
+// for the engines, not an agent silently dropped; and the refused restore
+// leaves the server as NewServer built it.
+func TestRestoreRefusesOrphanControllerSection(t *testing.T) {
+	blob := bufferedSnapshot(t)
+	srv, hs, _ := testServer(t, fl.NoOpController{}, 3)
+	fresh := getSnapshot(t, hs.URL)
+	var fe *checkpoint.FormatError
+	if err := srv.RestoreSnapshot(blob); !errors.As(err, &fe) {
+		t.Fatalf("got %v, want a FormatError", err)
+	}
+	if after := getSnapshot(t, hs.URL); !bytes.Equal(fresh, after) {
+		t.Fatal("the refused restore changed the server")
+	}
+}
+
 // bufferedSnapshot is a drained FLOAT server's snapshot with two
 // aggregations behind it and two deltas buffered (AggregateK 3, eight
 // updates).
@@ -491,4 +508,19 @@ func TestSnapshotConformance(t *testing.T) {
 			}
 		},
 	})
+}
+
+// SetDraining toggles drain mode as POST /v1/drain does: while draining, no
+// new tasks are handed out.
+func (s *Server) SetDraining(on bool) {
+	s.mu.Lock()
+	s.draining = on
+	s.mu.Unlock()
+}
+
+// Draining reports whether drain mode is on.
+func (s *Server) Draining() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.draining
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"floatfl/internal/data"
 	"floatfl/internal/device"
 	"floatfl/internal/fl"
 	"floatfl/internal/metrics"
@@ -265,10 +264,6 @@ func Fig6(sc Scale) ([]Table, error) {
 // runWith executes one run with an explicit controller (shared by Run and
 // the transfer/Q-table experiments).
 func runWith(sc Scale, spec RunSpec, ctrl fl.Controller) (*fl.Result, error) {
-	alpha := spec.Alpha
-	if alpha <= 0 {
-		alpha = 0.1
-	}
 	seed := sc.Seed + spec.SeedOffset
 	arch := spec.Arch
 	if arch == "" {
@@ -297,39 +292,23 @@ func runWith(sc Scale, spec RunSpec, ctrl fl.Controller) (*fl.Result, error) {
 	if spec.Algo == "fedprox" {
 		cfg.ProxMu = 0.01
 	}
-	var p *population.Population
+	newPop := population.NewEager
 	if sc.Lazy {
-		var err error
-		p, err = population.NewLazy(population.Config{
-			Dataset:      spec.Dataset,
-			Clients:      sc.Clients,
-			Alpha:        alpha,
-			Seed:         seed,
-			Scenario:     spec.Scenario,
-			FiveGShare:   spec.fiveGShare(),
-			CacheClients: sc.CacheClients,
-		})
-		if err != nil {
-			return nil, err
-		}
-		p.Instrument(sc.Metrics)
-	} else {
-		fedData, err := data.Generate(spec.Dataset, data.GenerateConfig{Clients: sc.Clients, Alpha: alpha, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		pop, err := device.NewPopulation(device.PopulationConfig{
-			Clients: sc.Clients, Scenario: spec.Scenario, Seed: seed,
-			FiveGShare: spec.fiveGShare(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		p, err = population.WrapEager(fedData, pop)
-		if err != nil {
-			return nil, err
-		}
+		newPop = population.NewLazy
 	}
+	p, err := newPop(population.Config{
+		Dataset:      spec.Dataset,
+		Clients:      sc.Clients,
+		Alpha:        spec.Alpha,
+		Seed:         seed,
+		Scenario:     spec.Scenario,
+		FiveGShare:   spec.fiveGShare(),
+		CacheClients: sc.CacheClients,
+	})
+	if err != nil {
+		return nil, err
+	}
+	p.Instrument(sc.Metrics)
 	if spec.Algo == "fedbuff" {
 		return fl.RunAsyncPop(p, ctrl, cfg)
 	}

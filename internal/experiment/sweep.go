@@ -78,47 +78,3 @@ func Sweep(sc Scale, spec RunSpec, seeds int) (*SweepResult, error) {
 		WastedComm:    newSweepStats(wastedM),
 	}, nil
 }
-
-// SweepCompare runs two specs over the same seeds and reports both plus
-// the per-seed win rate of A over B on dropouts (lower is better) — a
-// paired comparison that cancels most seed noise.
-func SweepCompare(sc Scale, a, b RunSpec, seeds int) (resA, resB *SweepResult, aWinRate float64, err error) {
-	if seeds <= 0 {
-		return nil, nil, 0, fmt.Errorf("experiment: SweepCompare needs a positive seed count")
-	}
-	var accsA, dropsA, wcA, wmA []float64
-	var accsB, dropsB, wcB, wmB []float64
-	wins := 0
-	for i := 0; i < seeds; i++ {
-		off := int64(i) * 7919
-		sa, sb := a, b
-		sa.SeedOffset += off
-		sb.SeedOffset += off
-		ra, err := Run(sc, sa)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		rb, err := Run(sc, sb)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		accsA = append(accsA, ra.FinalAccStats.Average)
-		dropsA = append(dropsA, float64(ra.Ledger.TotalDrops))
-		wcA = append(wcA, ra.Ledger.Wasted.ComputeHours)
-		wmA = append(wmA, ra.Ledger.Wasted.CommHours)
-		accsB = append(accsB, rb.FinalAccStats.Average)
-		dropsB = append(dropsB, float64(rb.Ledger.TotalDrops))
-		wcB = append(wcB, rb.Ledger.Wasted.ComputeHours)
-		wmB = append(wmB, rb.Ledger.Wasted.CommHours)
-		if ra.Ledger.TotalDrops < rb.Ledger.TotalDrops {
-			wins++
-		}
-	}
-	resA = &SweepResult{Spec: a, Seeds: seeds,
-		AvgAccuracy: newSweepStats(accsA), Dropped: newSweepStats(dropsA),
-		WastedCompute: newSweepStats(wcA), WastedComm: newSweepStats(wmA)}
-	resB = &SweepResult{Spec: b, Seeds: seeds,
-		AvgAccuracy: newSweepStats(accsB), Dropped: newSweepStats(dropsB),
-		WastedCompute: newSweepStats(wcB), WastedComm: newSweepStats(wmB)}
-	return resA, resB, float64(wins) / float64(seeds), nil
-}

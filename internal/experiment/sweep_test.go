@@ -47,29 +47,4 @@ func TestSweepValidation(t *testing.T) {
 	if _, err := Sweep(tiny, RunSpec{Dataset: "nope"}, 1); err == nil {
 		t.Fatal("accepted unknown dataset")
 	}
-	if _, _, _, err := SweepCompare(tiny, RunSpec{}, RunSpec{}, 0); err == nil {
-		t.Fatal("SweepCompare accepted zero seeds")
-	}
-}
-
-func TestSweepCompareFloatWins(t *testing.T) {
-	sc := tiny
-	sc.Rounds = 10
-	base := RunSpec{Dataset: "femnist", Algo: "fedavg",
-		Scenario: trace.ScenarioDynamic, DeadlinePercentile: 45}
-	float := base
-	float.Float = true
-	resF, resB, winRate, err := SweepCompare(sc, float, base, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resF.Seeds != 3 || resB.Seeds != 3 {
-		t.Fatal("sweep sizes wrong")
-	}
-	// FLOAT should win on dropouts in a majority of paired seeds even at
-	// this tiny scale.
-	if winRate < 0.5 {
-		t.Fatalf("FLOAT paired win rate %.2f (dropped %s vs %s)",
-			winRate, resF.Dropped, resB.Dropped)
-	}
 }

@@ -53,81 +53,67 @@ type CheckpointConfig struct {
 	Resume []byte
 }
 
-// fingerprint pins every configuration dimension that affects the
-// deterministic schedule. Rounds is deliberately absent — resuming with a
-// larger Rounds is the supported way to extend a run — as are Parallelism
-// (bit-identical by construction) and the checkpoint knobs themselves.
-type fingerprint struct {
-	Engine             string  `json:"engine"`
-	Arch               string  `json:"arch"`
-	Seed               int64   `json:"seed"`
-	ClientsPerRound    int     `json:"clients_per_round"`
-	Epochs             int     `json:"epochs"`
-	BatchSize          int     `json:"batch_size"`
-	LR                 float64 `json:"lr"`
-	GradClip           float64 `json:"grad_clip"`
-	DeadlineSec        float64 `json:"deadline_sec"`
-	DeadlinePercentile float64 `json:"deadline_percentile"`
-	EvalEvery          int     `json:"eval_every"`
-	Concurrency        int     `json:"concurrency"`
-	BufferK            int     `json:"buffer_k"`
-	StalenessCap       int     `json:"staleness_cap"`
-	Backend            string  `json:"backend"`
-	ProxMu             float64 `json:"prox_mu"`
-	EvalClients        int     `json:"eval_clients"`
-	Population         int     `json:"population"`
-	LazySelection      bool    `json:"lazy_selection"`
-	Selector           string  `json:"selector"`
-	Controller         string  `json:"controller"`
+// fingerprint is the canonical JSON of what a snapshot may resume under:
+// the defaulted Config (the FedBuff knobs zeroed for a sync run, which
+// never reads them), the population's own Config, and the engine facts —
+// engine kind, lazy selection, and the selector's and controller's names.
+func (r *run) fingerprint() ([]byte, error) {
+	cfg, engine := r.cfg, "async"
+	if !r.async() {
+		cfg.Concurrency, cfg.BufferK, cfg.StalenessCap = 0, 0, 0
+		engine = "sync"
+	}
+	return json.Marshal(struct {
+		Config
+		Engine        string            `json:"engine"`
+		LazySelection bool              `json:"lazy_selection"`
+		Selector      string            `json:"selector"`
+		Controller    string            `json:"controller"`
+		Population    population.Config `json:"population"`
+	}{cfg, engine, r.lazy, r.res.Algorithm, r.res.Controller, r.p.Config()})
 }
 
-// mismatch returns a field-level CompatError when two fingerprints differ
-// (nil when identical).
-func (got fingerprint) mismatch(want fingerprint) error {
-	if got == want {
+// mismatch compares a snapshot's fingerprint with the run's over the union
+// of their keys — sorted, a level's own values before its nested objects,
+// which are walked by path ("population.scenario") — and returns a
+// CompatError naming the first knob that differs, or nil.
+func mismatch(got, want []byte, path string) error {
+	if bytes.Equal(got, want) {
 		return nil
 	}
-	gb, _ := json.Marshal(got)
-	wb, _ := json.Marshal(want)
 	var gm, wm map[string]json.RawMessage
-	_ = json.Unmarshal(gb, &gm)
-	_ = json.Unmarshal(wb, &wm)
-	keys := make([]string, 0, len(gm))
-	for k := range gm {
+	if err := json.Unmarshal(got, &gm); err != nil {
+		return &checkpoint.FormatError{Reason: "snapshot fingerprint: " + err.Error()}
+	}
+	if err := json.Unmarshal(want, &wm); err != nil {
+		return err
+	}
+	keys := make([]string, 0, len(wm))
+	for k := range wm {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !bytes.Equal(gm[k], wm[k]) {
-			return &checkpoint.CompatError{Field: k, Got: string(gm[k]), Want: string(wm[k])}
+	for k := range gm {
+		if _, ok := wm[k]; !ok {
+			keys = append(keys, k)
 		}
 	}
-	return &checkpoint.CompatError{Field: "fingerprint", Got: string(gb), Want: string(wb)}
-}
-
-// appendStateful appends v's checkpoint state as one length-prefixed
-// section when it implements checkpoint.Stateful (structurally); a
-// stateless component contributes an empty one.
-func appendStateful(e *checkpoint.Enc, v any) error {
-	if s, ok := v.(checkpoint.Stateful); ok {
-		return e.Stateful(s)
+	sort.Strings(keys)
+	isObject := func(v json.RawMessage) bool { return len(v) > 0 && v[0] == '{' }
+	var nested []string
+	for _, k := range keys {
+		g, w := gm[k], wm[k]
+		if isObject(g) && isObject(w) {
+			nested = append(nested, k)
+		} else if !bytes.Equal(g, w) {
+			return &checkpoint.CompatError{Field: path + k, Got: string(g), Want: string(w)}
+		}
 	}
-	e.RawBytes(nil)
+	for _, k := range nested {
+		if err := mismatch(gm[k], wm[k], path+k+"."); err != nil {
+			return err
+		}
+	}
 	return nil
-}
-
-// restoreStateful applies a captured blob to v. A blob for a stateless
-// component is a format error (the fingerprint matched, so the component
-// names agree — the build must have lost the implementation).
-func restoreStateful(v any, blob []byte, what string) error {
-	if len(blob) == 0 {
-		return nil
-	}
-	s, ok := v.(checkpoint.Stateful)
-	if !ok {
-		return &checkpoint.FormatError{Reason: what + " snapshot present but the component is stateless"}
-	}
-	return s.RestoreCheckpoint(blob)
 }
 
 // snapSlack is the head-room a snapshot buffer gets over the previous
@@ -135,38 +121,6 @@ func restoreStateful(v any, blob []byte, what string) error {
 // history grow by a few hundred bytes per boundary, and a buffer that
 // falls short is re-grown (copied) by append.
 const snapSlack = 4096
-
-// fingerprint builds the run's configuration fingerprint. The FedBuff
-// knobs are pinned only for the async engine: a sync run never reads them.
-func (r *run) fingerprint() fingerprint {
-	fp := fingerprint{
-		Engine:             "sync",
-		Arch:               r.cfg.Arch,
-		Seed:               r.cfg.Seed,
-		ClientsPerRound:    r.cfg.ClientsPerRound,
-		Epochs:             r.cfg.Epochs,
-		BatchSize:          r.cfg.BatchSize,
-		LR:                 r.cfg.LR,
-		GradClip:           GradClip,
-		DeadlineSec:        r.deadline,
-		DeadlinePercentile: r.cfg.DeadlinePercentile,
-		EvalEvery:          r.cfg.EvalEvery,
-		Backend:            r.cfg.Backend,
-		ProxMu:             r.cfg.ProxMu,
-		EvalClients:        r.cfg.EvalClients,
-		Population:         r.p.NumClients(),
-		LazySelection:      r.lazy,
-		Selector:           r.res.Algorithm,
-		Controller:         r.res.Controller,
-	}
-	if r.async() {
-		fp.Engine = "async"
-		fp.Concurrency = r.cfg.Concurrency
-		fp.BufferK = r.cfg.BufferK
-		fp.StalenessCap = r.cfg.StalenessCap
-	}
-	return fp
-}
 
 // CheckpointState captures the complete run at a boundary as a framed,
 // checksummed blob of the engine's kind, written in place into one fresh
@@ -179,12 +133,8 @@ func (r *run) fingerprint() fingerprint {
 // the event loop. The sections reference live state without copying; the
 // frame is finished before the engine moves on.
 func (r *run) CheckpointState() ([]byte, error) {
-	fp, err := json.Marshal(r.fingerprint())
-	if err != nil {
-		return nil, err
-	}
 	e := checkpoint.Begin(r.kind, r.snapHint)
-	e.RawBytes(fp)
+	e.RawBytes(r.fp)
 	e.Int(r.done)
 	e.Float64(r.now)
 	e.Uvarint(r.rng.Pos())
@@ -193,10 +143,10 @@ func (r *run) CheckpointState() ([]byte, error) {
 	e.Ints(r.res.EvalRounds)
 	e.FloatsByID(r.hfDiff)
 	r.res.Ledger.AppendCheckpoint(e)
-	if err := appendStateful(e, r.sel); err != nil {
+	if err := checkpoint.AppendStateful(e, r.sel); err != nil {
 		return nil, err
 	}
-	if err := appendStateful(e, r.ctrl); err != nil {
+	if err := checkpoint.AppendStateful(e, r.ctrl); err != nil {
 		return nil, err
 	}
 	r.p.AppendCheckpoint(e)
@@ -344,11 +294,7 @@ func (r *run) RestoreCheckpoint(data []byte) error {
 		return fmt.Errorf("%s snapshot payload: %w", r.kind, err)
 	}
 
-	var fp fingerprint
-	if err := json.Unmarshal(fpJSON, &fp); err != nil {
-		return &checkpoint.FormatError{Reason: r.kind + " snapshot fingerprint: " + err.Error()}
-	}
-	if err := fp.mismatch(r.fingerprint()); err != nil {
+	if err := mismatch(fpJSON, r.fp, ""); err != nil {
 		return err
 	}
 	if completed < 0 || completed > r.cfg.Rounds {
@@ -395,10 +341,10 @@ func (r *run) RestoreCheckpoint(data []byte) error {
 	r.done, r.now = completed, wall
 	r.res.GlobalAccHistory, r.res.EvalRounds = accHistory, evalRounds
 	r.hfDiff = hfDiff
-	if err := restoreStateful(r.sel, selBlob, "selector"); err != nil {
+	if err := checkpoint.RestoreStateful(r.sel, selBlob, "selector"); err != nil {
 		return err
 	}
-	if err := restoreStateful(r.ctrl, ctrlBlob, "controller"); err != nil {
+	if err := checkpoint.RestoreStateful(r.ctrl, ctrlBlob, "controller"); err != nil {
 		return err
 	}
 	if r.async() {

@@ -2,10 +2,14 @@ package fl
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"sort"
 	"testing"
 
 	"floatfl/internal/checkpoint"
+	"floatfl/internal/population"
+	"floatfl/internal/trace"
 )
 
 // chaosLogger forwards to an inner logger and raises the kill flag the
@@ -84,26 +88,131 @@ func TestCorruptSnapshotFailsCleanly(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsMismatchedConfig pins the fingerprint check (field-level
-// CompatError) and the engine-kind check (a sync snapshot cannot resume an
-// async run).
+// TestResumeRejectsMismatchedConfig walks the fingerprint a snapshot
+// carries and changes one knob at a time: each resume is refused with a
+// CompatError naming that knob, so a Config or population.Config field
+// added without a case here fails the test. The engine kind is refused
+// first, by the frame: a sync snapshot cannot resume an async run. The
+// fields the fingerprint leaves out still resume.
 func TestResumeRejectsMismatchedConfig(t *testing.T) {
-	snap := snapshotOf(t)
+	lazyPop := func(change func(*population.Config)) func(*runOpts) {
+		return func(o *runOpts) {
+			cfg := lazyPopConfig(matrixClients)
+			change(&cfg)
+			p, err := population.NewLazy(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.pop = p
+		}
+	}
+	tweak := func(change func(*Config)) func(*runOpts) { return func(o *runOpts) { o.tweak = change } }
+	syncLazy, asyncLazy, syncEager := row{"sync-random", true}, row{"async", true}, row{"sync-random", false}
+	type knob struct {
+		base, resume row
+		change       func(*runOpts)
+	}
+	knobs := map[string]knob{
+		"arch":                    {syncLazy, syncLazy, tweak(func(c *Config) { c.Arch = "resnet34" })},
+		"backend":                 {syncLazy, syncLazy, tweak(func(c *Config) { c.Backend = "fast" })},
+		"batch_size":              {syncLazy, syncLazy, tweak(func(c *Config) { c.BatchSize = 16 })},
+		"clients_per_round":       {syncLazy, syncLazy, tweak(func(c *Config) { c.ClientsPerRound = 6 })},
+		"deadline_percentile":     {syncLazy, syncLazy, tweak(func(c *Config) { c.DeadlinePercentile = 50 })},
+		"deadline_sec":            {syncLazy, syncLazy, tweak(func(c *Config) { c.DeadlineSec = 100 })},
+		"epochs":                  {syncLazy, syncLazy, tweak(func(c *Config) { c.Epochs = 2 })},
+		"eval_clients":            {syncLazy, syncLazy, tweak(func(c *Config) { c.EvalClients = 10 })},
+		"eval_every":              {syncLazy, syncLazy, tweak(func(c *Config) { c.EvalEvery = 2 })},
+		"lr":                      {syncLazy, syncLazy, tweak(func(c *Config) { c.LR = 0.2 })},
+		"prox_mu":                 {syncLazy, syncLazy, tweak(func(c *Config) { c.ProxMu = 0.01 })},
+		"seed":                    {syncLazy, syncLazy, tweak(func(c *Config) { c.Seed = 6 })},
+		"concurrency":             {asyncLazy, asyncLazy, tweak(func(c *Config) { c.Concurrency = 11 })},
+		"buffer_k":                {asyncLazy, asyncLazy, tweak(func(c *Config) { c.BufferK = 4 })},
+		"staleness_cap":           {asyncLazy, asyncLazy, tweak(func(c *Config) { c.StalenessCap = 5 })},
+		"engine":                  {syncLazy, asyncLazy, func(*runOpts) {}},
+		"controller":              {syncLazy, syncLazy, func(o *runOpts) { o.ctrl = NoOpController{} }},
+		"selector":                {syncLazy, row{"sync-oort", true}, func(*runOpts) {}},
+		"lazy_selection":          {syncEager, syncEager, func(o *runOpts) { o.eagerBacked = true }},
+		"population.alpha":        {syncLazy, syncLazy, lazyPop(func(c *population.Config) { c.Alpha = 0.2 })},
+		"population.clients":      {syncLazy, syncLazy, lazyPop(func(c *population.Config) { c.Clients++ })},
+		"population.dataset":      {syncLazy, syncLazy, lazyPop(func(c *population.Config) { c.Dataset = "cifar10" })},
+		"population.five_g_share": {syncLazy, syncLazy, lazyPop(func(c *population.Config) { c.FiveGShare = 0.5 })},
+		"population.scenario":     {syncLazy, syncLazy, lazyPop(func(c *population.Config) { c.Scenario = trace.ScenarioStatic })},
+		"population.seed":         {syncLazy, syncLazy, lazyPop(func(c *population.Config) { c.Seed++ })},
+	}
+	snaps := map[row][]byte{}
+	snapshot := func(rw row) []byte {
+		if snaps[rw] == nil {
+			snaps[rw] = rw.exec(t, runOpts{rounds: half}).snaps[half]
+		}
+		return snaps[rw]
+	}
 
-	_, err := row{"sync-random", false}.start(t, runOpts{resume: snap, tweak: func(cfg *Config) { cfg.Seed = 6 }})
-	var ce *checkpoint.CompatError
-	if !errors.As(err, &ce) {
-		t.Fatalf("seed mismatch: got %v, want CompatError", err)
+	for _, key := range fingerprintKeys(t, snapshot(syncLazy)) {
+		k, ok := knobs[key]
+		if !ok {
+			t.Errorf("fingerprint knob %q has no case", key)
+			continue
+		}
+		delete(knobs, key)
+		o := runOpts{resume: snapshot(k.base)}
+		k.change(&o)
+		_, err := k.resume.start(t, o)
+		var ce *checkpoint.CompatError
+		var fe *checkpoint.FormatError
+		if key == "engine" && !errors.As(err, &fe) {
+			t.Errorf("resume of a sync snapshot by an async run: got %v, want a FormatError", err)
+		} else if key != "engine" && (!errors.As(err, &ce) || ce.Field != key) {
+			t.Errorf("resume with another %s: got %v, want a CompatError naming it", key, err)
+		}
 	}
-	if ce.Field != "seed" {
-		t.Fatalf("CompatError field %q, want \"seed\"", ce.Field)
+	for key := range knobs {
+		t.Errorf("case %q is not a fingerprint knob", key)
 	}
 
-	_, err = row{"async", false}.start(t, runOpts{resume: snap})
-	var fe *checkpoint.FormatError
-	if !errors.As(err, &fe) {
-		t.Fatalf("engine-kind mismatch: got %v, want FormatError", err)
+	for name, change := range map[string]func(*runOpts){
+		"Rounds":       func(o *runOpts) { o.rounds = matrixRounds + 3 },
+		"Parallelism":  func(o *runOpts) { o.par = 8 },
+		"sinks":        tweak(func(c *Config) { c.Logger, c.Metrics, c.Tracer, c.Timeline = nil, nil, nil, nil }),
+		"CacheClients": lazyPop(func(c *population.Config) { c.CacheClients = 8 }),
+	} {
+		o := runOpts{resume: snapshot(syncLazy)}
+		change(&o)
+		if _, err := syncLazy.start(t, o); err != nil {
+			t.Errorf("resume with another %s: %v", name, err)
+		}
 	}
+}
+
+// fingerprintKeys returns the knobs a sync snapshot's fingerprint pins,
+// nested objects by path.
+func fingerprintKeys(t *testing.T, snap []byte) []string {
+	t.Helper()
+	payload, err := checkpoint.DecodeBytes(snap, SyncSnapshotKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	var walk func(prefix string, obj []byte)
+	walk = func(prefix string, obj []byte) {
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(obj, &m); err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, 0, len(m))
+		for k := range m {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		for _, k := range names {
+			if m[k][0] == '{' {
+				walk(prefix+k+".", m[k])
+			} else {
+				keys = append(keys, prefix+k)
+			}
+		}
+	}
+	walk("", checkpoint.NewDec(payload).RawBytes())
+	return keys
 }
 
 // TestCompletedRoundsReported pins the new Result fields on an ordinary

@@ -77,39 +77,42 @@ func (s StaticController) Decide(int, *device.Client, device.Resources, float64)
 // Feedback implements Controller.
 func (s StaticController) Feedback(int, *device.Client, opt.Technique, device.Outcome, float64) {}
 
-// Config parameterizes a training run.
+// Config parameterizes a training run. A snapshot's fingerprint pins every
+// field under its json name; `json:"-"` marks those that move no byte of
+// the schedule: Rounds (resuming with more is how a run is extended),
+// Parallelism, the sinks and the checkpoint hooks.
 type Config struct {
-	Arch            string
-	Rounds          int
-	ClientsPerRound int
-	Epochs          int
-	BatchSize       int
-	LR              float64
+	Arch            string  `json:"arch"`
+	Rounds          int     `json:"-"`
+	ClientsPerRound int     `json:"clients_per_round"`
+	Epochs          int     `json:"epochs"`
+	BatchSize       int     `json:"batch_size"`
+	LR              float64 `json:"lr"`
 	// DeadlineSec is the synchronous round deadline. Zero auto-derives it
 	// from the population (see DeadlinePercentile).
-	DeadlineSec float64
+	DeadlineSec float64 `json:"deadline_sec"`
 	// DeadlinePercentile picks the auto deadline as this percentile of the
 	// population's estimated unoptimized response time (default 60).
-	DeadlinePercentile float64
+	DeadlinePercentile float64 `json:"deadline_percentile"`
 	// EvalEvery evaluates the global model each N rounds (default 10).
-	EvalEvery int
-	Seed      int64
+	EvalEvery int   `json:"eval_every"`
+	Seed      int64 `json:"seed"`
 
 	// Async (FedBuff) knobs.
 	// Concurrency is the number of clients training simultaneously
 	// (default 100 in the paper's FedBuff setup).
-	Concurrency int
+	Concurrency int `json:"concurrency"`
 	// BufferK aggregates once this many updates arrive (default 30).
-	BufferK int
+	BufferK int `json:"buffer_k"`
 	// StalenessCap discards updates older than this many versions
 	// (default 20).
-	StalenessCap int
+	StalenessCap int `json:"staleness_cap"`
 
 	// Parallelism is the number of workers executing per-client rounds
 	// (device cost model + local training) concurrently. Results are
 	// collected in dispatch order, so any value produces bit-identical
 	// results to Parallelism=1. <= 0 defaults to runtime.NumCPU().
-	Parallelism int
+	Parallelism int `json:"-"`
 
 	// Backend names the tensor backend local training runs on (a
 	// tensor.Lookup name; empty defaults to "ref"). "ref" and "fast" are
@@ -117,40 +120,40 @@ type Config struct {
 	// invariants — the P=1≡P=8 golden tests and the committed trace
 	// goldens — hold under either. The name is part of the snapshot's
 	// recorded config.
-	Backend string
+	Backend string `json:"backend"`
 
 	// Logger receives structured per-client-round and per-round events
 	// (nil discards them).
-	Logger RoundLogger
+	Logger RoundLogger `json:"-"`
 
 	// Metrics receives engine counters/gauges/histograms (nil disables
 	// metric collection at zero cost beyond a nil check per event).
-	Metrics *obs.Registry
+	Metrics *obs.Registry `json:"-"`
 	// Tracer receives the per-round phase spans — select/decide/train/
 	// comm/drop/aggregate — timestamped in virtual simulation seconds
 	// (nil disables tracing).
-	Tracer *obs.Tracer
+	Tracer *obs.Tracer `json:"-"`
 	// Timeline receives one delta-encoded sample of Metrics plus per-round
 	// engine facts at every quiescent boundary (end of round for the sync
 	// engine, aggregation barrier for the async engine). Controllers
 	// implementing TimelineContributor add their own series — core.Float
 	// contributes the RL action-visit distribution. Nil disables sampling.
-	Timeline *obs.Timeline
+	Timeline *obs.Timeline `json:"-"`
 
 	// ProxMu enables FedProx's proximal term during local training
 	// (0 = plain FedAvg local SGD).
-	ProxMu float64
+	ProxMu float64 `json:"prox_mu"`
 
 	// EvalClients caps how many clients the end-of-run per-client
 	// evaluation touches (a deterministic strided sample; 0 evaluates
 	// all). Million-client lazy runs set this so final evaluation costs
 	// O(sample), not O(population).
-	EvalClients int
+	EvalClients int `json:"eval_clients"`
 
 	// Checkpoint wires snapshot/resume and graceful-stop control into the
 	// run (nil disables; the hot loops then pay one nil check per
 	// boundary).
-	Checkpoint *CheckpointConfig
+	Checkpoint *CheckpointConfig `json:"-"`
 
 	// forceLazySelection routes selection through the LazySelector path
 	// even for an eager population. Test-only: it lets the equivalence

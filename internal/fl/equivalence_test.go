@@ -226,13 +226,14 @@ const (
 // re-encoded — when older snapshots would stop resuming. The two lazy pins
 // also hold the lazy probe walks (a selector's, and the async engine's
 // launcher) to their schedule: one different draw moves the digest. Last
-// re-recorded for container version 2 (binary sections); a version-1 blob
-// is a *VersionError, not a digest mismatch.
+// re-recorded when the fingerprint became the run's own Config and the
+// population's; an older snapshot is refused with a CompatError. A
+// version-1 blob is a *VersionError, not a digest mismatch.
 var pinnedSnapshots = map[string]string{
-	"sync-oort/eager": "ce83f62932691f592196a6afa957804fc87193135b86dda9e7f15d772c7db9d5",
-	"async/eager":     "6fb42373cdd72b3d67ebebc34340a6edfd52b7ca7a70c48dd5b7b74df4e98b75",
-	"async/lazy":      "4b2c094851fafd2ef3788903c024b177dabdac3ffc683143978d711cacce6df8",
-	"sync-refl/lazy":  "708127e3eca4635b1ca9c3bab768e5aa8a950b72f6c963570060991f3ca4db64",
+	"sync-oort/eager": "6a0d81418bec8a547ae5b16b38db3af26acdafe54ab3bfea67726337c260483d",
+	"async/eager":     "0dfdd3a07b37bd00305e3b80b52ba72bf794ab243874f61598c91aab582d8216",
+	"async/lazy":      "cf9aab5068df80a7f183e119e33c590510917650301c1747b061063fc8878b6c",
+	"sync-refl/lazy":  "be4b508f1ab5a4f2fc13d7f852d805289d211ab25c5946355f2873c40295e618",
 }
 
 // checkBaseline keeps the matrix from passing vacuously: every artifact is
@@ -358,6 +359,7 @@ type runOpts struct {
 	eagerBacked bool
 	resume      []byte
 	pop         *population.Population // default: a fresh one
+	ctrl        Controller             // default: newCkptCtrl()
 	tweak       func(*Config)          // applied last
 }
 
@@ -413,8 +415,12 @@ func (rw row) start(t testing.TB, o runOpts) (*rowRun, error) {
 	default:
 		sel = selection.NewRandom(7)
 	}
+	ctrl := o.ctrl
+	if ctrl == nil {
+		ctrl = newCkptCtrl()
+	}
 	var err error
-	rr.run, err = newRun(kind, p, sel, newCkptCtrl(), cfg)
+	rr.run, err = newRun(kind, p, sel, ctrl, cfg)
 	return rr, err
 }
 

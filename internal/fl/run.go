@@ -47,6 +47,9 @@ type run struct {
 	// snapHint sizes the next snapshot's buffer: the last snapshot written
 	// (or resumed from) plus snapSlack.
 	snapHint int
+	// fp is the run's fingerprint, marshaled once by newRun when the run
+	// checkpoints.
+	fp []byte
 
 	// Reusable per-worker training contexts and per-slot delta buffers
 	// (grown once, then steady-state client rounds allocate nothing) and the
@@ -223,7 +226,13 @@ func newRun(kind string, p *population.Population, sel selection.Selector, ctrl 
 		r.inFlight = make(map[int]bool, cfg.Concurrency)
 		r.evalCountdown = cfg.EvalEvery
 	}
-	if cfg.Checkpoint != nil && len(cfg.Checkpoint.Resume) > 0 {
+	if cfg.Checkpoint == nil {
+		return r, nil
+	}
+	if r.fp, err = r.fingerprint(); err != nil {
+		return nil, fmt.Errorf("fl: fingerprint: %w", err)
+	}
+	if len(cfg.Checkpoint.Resume) > 0 {
 		if err := r.RestoreCheckpoint(cfg.Checkpoint.Resume); err != nil {
 			return nil, fmt.Errorf("fl: resume: %w", err)
 		}

@@ -22,7 +22,7 @@ import (
 const headerLen = 13
 
 // CompressUpdate encodes v as a b-bit quantized, zero-run-compressed
-// byte stream. v is not modified; quantize first with Quantize if lossy
+// byte stream. v is not modified; quantize first with QuantizeGrid if lossy
 // quantization is intended — CompressUpdate itself snaps to the grid
 // deterministically (round to nearest) to remain self-contained.
 func CompressUpdate(v tensor.Vector, bits int) ([]byte, error) {

@@ -10,6 +10,12 @@ import (
 	"floatfl/internal/tensor"
 )
 
+// Quantize is QuantizeGrid without a grid: the call every engine makes,
+// and the reference the grid-recording path is held to.
+func Quantize(v tensor.Vector, bits int, rng tensor.Uniform) {
+	QuantizeGrid(v, bits, rng, nil)
+}
+
 // quantizeBranchy is Quantize's body before it drew by block: one
 // rand.Rand draw per entry and a branch on it. It is the oracle Quantize
 // is held to, bit for bit.

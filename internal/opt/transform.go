@@ -10,20 +10,9 @@ import (
 	"floatfl/internal/tensor"
 )
 
-// quantBlock is how many uniforms Quantize draws from a *rngstate.Source
+// quantBlock is how many uniforms QuantizeGrid draws from a *rngstate.Source
 // at a time.
 const quantBlock = 256
-
-// Quantize rounds every entry of v onto a symmetric b-bit integer grid
-// using stochastic rounding (unbiased: E[quantized] = original). The grid
-// scale adapts to the update's max magnitude, as FedPAQ-style update
-// quantization does. b must be in [2, 32]; b >= 32 is a no-op. Entry i
-// takes the i-th value of rng, so a *rngstate.Source, drawn by block, and
-// any other Uniform over the same stream yield the same bits and leave the
-// stream at the same position.
-func Quantize(v tensor.Vector, bits int, rng tensor.Uniform) {
-	QuantizeGrid(v, bits, rng, nil)
-}
 
 // Grid is the integer grid QuantizeGrid put an update v on: v[i] is
 // float64(Codes[i])*Step for every i, and KMax is the largest |Codes[i]|.
@@ -38,9 +27,16 @@ type Grid struct {
 // 8 bits no level is past 128, and AppendCompressGrid's table holds them.
 const gridBits = 8
 
-// QuantizeGrid is Quantize, the same bits and stream position, that also
-// writes each entry's grid integer into codes (at least len(v) long) and
-// returns the grid, for AppendCompressGrid. It records a grid only for a
+// QuantizeGrid rounds every entry of v onto a symmetric b-bit integer grid
+// using stochastic rounding (unbiased: E[quantized] = original). The grid
+// scale adapts to the update's max magnitude, as FedPAQ-style update
+// quantization does. b must be in [2, 32]; b >= 32 is a no-op. Entry i
+// takes the i-th value of rng, so a *rngstate.Source, drawn by block, and
+// any other Uniform over the same stream yield the same bits and leave the
+// stream at the same position.
+//
+// It also writes each entry's grid integer into codes (at least len(v)
+// long) and returns the grid, for AppendCompressGrid. It records a grid only for a
 // quantization of at most gridBits bits whose every entry lands on a
 // finite level, and only when codes is not nil; otherwise it returns the
 // zero Grid. With nil codes it runs roundStochastic alone, which pays

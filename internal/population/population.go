@@ -37,20 +37,35 @@ import (
 	"floatfl/internal/wset"
 )
 
-// Config parameterizes a lazy population.
+// Config describes a population. A population keeps the Config it was
+// built from, defaults applied, and the engines pin it in every snapshot.
 type Config struct {
 	// Dataset names the data profile (femnist | cifar10 | ...).
-	Dataset string
-	Clients int
+	Dataset string `json:"dataset"`
+	Clients int    `json:"clients"`
 	// Alpha is the Dirichlet concentration (≤ 0 defaults to 0.1).
-	Alpha    float64
-	Seed     int64
-	Scenario trace.Scenario
+	Alpha    float64        `json:"alpha"`
+	Seed     int64          `json:"seed"`
+	Scenario trace.Scenario `json:"scenario"`
 	// FiveGShare defaults to 0.3.
-	FiveGShare float64
-	// CacheClients bounds the device working set's unpinned residency
-	// (≤ 0 defaults to 4096). Shards are derived per job and never cached.
-	CacheClients int
+	FiveGShare float64 `json:"five_g_share"`
+	// CacheClients bounds a lazy population's device working set's unpinned
+	// residency (≤ 0 defaults to 4096). Shards are derived per job and never
+	// cached. The cache size moves no byte of a run, so it is not pinned.
+	CacheClients int `json:"-"`
+}
+
+func (c Config) withDefaults() Config {
+	if c.Alpha <= 0 {
+		c.Alpha = 0.1
+	}
+	if c.FiveGShare <= 0 {
+		c.FiveGShare = 0.3
+	}
+	if c.CacheClients <= 0 {
+		c.CacheClients = 4096
+	}
+	return c
 }
 
 // statSample caps the deterministic strided sample behind a lazy
@@ -59,6 +74,7 @@ const statSample = 1024
 
 // Population is the engines' view of a federation's client state.
 type Population struct {
+	cfg        Config
 	n          int
 	profile    data.Profile
 	globalTest []nn.Sample
@@ -81,9 +97,32 @@ type Population struct {
 	deriveSamples *obs.Histogram
 }
 
+// NewEager generates the dense federation and client population cfg
+// describes and wraps them.
+func NewEager(cfg Config) (*Population, error) {
+	cfg = cfg.withDefaults()
+	fed, err := data.Generate(cfg.Dataset, data.GenerateConfig{Clients: cfg.Clients, Alpha: cfg.Alpha, Seed: cfg.Seed})
+	if err != nil {
+		return nil, err
+	}
+	clients, err := device.NewPopulation(device.PopulationConfig{
+		Clients: cfg.Clients, Scenario: cfg.Scenario, FiveGShare: cfg.FiveGShare, Seed: cfg.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	p, err := WrapEager(fed, clients)
+	if err != nil {
+		return nil, err
+	}
+	p.cfg = cfg
+	return p, nil
+}
+
 // WrapEager adapts the classic dense pair into a Population. The wrapper
 // adds no indirection cost that could perturb results: shards, shard sizes
-// and clients are returned by direct index, acquire/release are no-ops.
+// and clients are returned by direct index, acquire/release are no-ops. Of
+// its Config it knows only the dataset profile and the size.
 func WrapEager(fed *data.Federation, clients []*device.Client) (*Population, error) {
 	if fed == nil {
 		return nil, fmt.Errorf("population: nil federation")
@@ -93,7 +132,8 @@ func WrapEager(fed *data.Federation, clients []*device.Client) (*Population, err
 			len(fed.Train), len(clients))
 	}
 	return &Population{
-		n: len(clients), profile: fed.Profile, globalTest: fed.GlobalTest,
+		cfg: Config{Dataset: fed.Profile.Name, Clients: len(clients)},
+		n:   len(clients), profile: fed.Profile, globalTest: fed.GlobalTest,
 		fed: fed, clients: clients,
 	}, nil
 }
@@ -104,9 +144,7 @@ func NewLazy(cfg Config) (*Population, error) {
 	if cfg.Clients <= 0 {
 		return nil, fmt.Errorf("population: needs positive client count, got %d", cfg.Clients)
 	}
-	if cfg.CacheClients <= 0 {
-		cfg.CacheClients = 4096
-	}
+	cfg = cfg.withDefaults()
 	dataP, err := data.NewProvider(cfg.Dataset, data.GenerateConfig{
 		Clients: cfg.Clients,
 		Alpha:   cfg.Alpha,
@@ -125,7 +163,8 @@ func NewLazy(cfg Config) (*Population, error) {
 		return nil, err
 	}
 	p := &Population{
-		n: cfg.Clients, profile: dataP.Profile(), globalTest: dataP.GlobalTest(),
+		cfg: cfg,
+		n:   cfg.Clients, profile: dataP.Profile(), globalTest: dataP.GlobalTest(),
 		dataP: dataP, devP: devP,
 		devs:      wset.New(cfg.CacheClients, devP.Derive),
 		drainLogs: make(map[int][]trace.DrainEvent),
@@ -149,6 +188,10 @@ func (p *Population) replayDrains(id int, c *device.Client) {
 		c.Avail.ReplayDrains(log)
 	}
 }
+
+// Config returns the Config the population was built from, defaults
+// applied (only the dataset and size for one WrapEager built).
+func (p *Population) Config() Config { return p.cfg }
 
 // Eager reports whether the population is dense-backed.
 func (p *Population) Eager() bool { return p.dataP == nil }

