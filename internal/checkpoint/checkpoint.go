@@ -86,32 +86,56 @@ func (e *CompatError) Error() string {
 // decoded blob. It decodes and validates into locals first (Dec latches
 // the first malformed read; Done rejects trailing bytes), so on error —
 // always a *FormatError, *CompatError or *VersionError, possibly wrapped —
-// the component is exactly as it was.
+// the component is exactly as it was. It keeps nothing of data: the
+// caller may overwrite the blob as soon as it returns.
 type Stateful interface {
 	CheckpointState() ([]byte, error)
 	RestoreCheckpoint(data []byte) error
 }
 
-// Begin starts a frame of the given kind in a fresh buffer with room for
-// sizeHint bytes (the previous snapshot's length is the natural hint) and
-// returns the writer positioned at the first payload byte. The payload is
-// appended in place and Finish seals the frame: there is no intermediate
-// payload slice. The buffer is never recycled — a Sink may retain it.
+// Appender is the encoding body of a Stateful component: it appends the
+// section CheckpointState would return to e, in place. Enc.Stateful
+// prefers it, so a component writes straight into the engine's frame and
+// its CheckpointState is StateOf.
+type Appender interface {
+	AppendCheckpoint(e *Enc) error
+}
+
+// StateOf is an Appender's CheckpointState: its section in a bare writer
+// of its own.
+func StateOf(a Appender) ([]byte, error) {
+	var e Enc
+	err := a.AppendCheckpoint(&e)
+	return e.Bytes(), err
+}
+
+// Begin starts a frame of the given kind in a fresh writer with room for
+// sizeHint bytes and returns it positioned at the first payload byte.
 func Begin(kind string, sizeHint int) *Enc {
-	n := fixedHeader + len(kind) + 8
-	if sizeHint < n+sha256.Size {
-		sizeHint = n + sha256.Size
-	}
-	e := &Enc{b: make([]byte, n, sizeHint), payload: n}
-	copy(e.b, magic[:])
-	binary.BigEndian.PutUint32(e.b[len(magic):], Version)
-	e.b[fixedHeader-1] = byte(len(kind))
-	copy(e.b[fixedHeader:], kind)
+	e := NewEnc(sizeHint)
+	e.Begin(kind)
 	return e
 }
 
+// Begin starts a frame of the given kind in e's own buffer, positioned at
+// the first payload byte: what e held is overwritten and its capacity —
+// the size of the last frame it sealed — is kept, so a writer re-encoding
+// a snapshot of steady size allocates nothing. The payload is appended in
+// place and Finish seals the frame: there is no intermediate payload
+// slice. The buffer grows by append's policy when a frame outgrows it.
+func (e *Enc) Begin(kind string) {
+	e.b = append(e.b[:0], magic[:]...)
+	e.b = binary.BigEndian.AppendUint32(e.b, Version)
+	e.b = append(e.b, byte(len(kind)))
+	e.b = append(e.b, kind...)
+	e.b = binary.BigEndian.AppendUint64(e.b, 0) // payload length, patched by Finish
+	e.payload = len(e.b)
+	e.keys = e.keys[:0]
+}
+
 // Finish patches the payload length into the header, appends the SHA-256
-// of everything before it, and returns the finished frame.
+// of everything before it, and returns the finished frame: e's buffer,
+// valid until e's next Begin.
 func (e *Enc) Finish() ([]byte, error) {
 	klen := e.payload - fixedHeader - 8
 	if klen <= 0 || klen > 255 {

@@ -8,6 +8,8 @@
 //
 //   - snapshot → restore into a fresh instance → snapshot is a byte fixed
 //     point, so nothing the snapshot carries is lost or re-spelled;
+//   - restore keeps nothing of its input: a blob overwritten with garbage
+//     after the restore returns leaves the restored state as it was;
 //   - every strict prefix of the blob, and the blob with bytes appended,
 //     is refused with one of the checkpoint package's typed errors, and
 //     the refusing instance re-snapshots to exactly what it held before —
@@ -48,13 +50,16 @@ func Typed(err error) bool {
 		errors.As(err, &fe) || errors.As(err, &ce) || errors.As(err, &ve)
 }
 
+// snapshot returns a copy of s's snapshot: an engine re-encodes into one
+// buffer, so two snapshots of one instance kept as returned would alias
+// and every comparison between them would pass.
 func snapshot(t *testing.T, s checkpoint.Stateful) []byte {
 	t.Helper()
 	blob, err := s.CheckpointState()
 	if err != nil {
 		t.Fatalf("CheckpointState: %v", err)
 	}
-	return blob
+	return bytes.Clone(blob)
 }
 
 // Run checks one subject.
@@ -75,6 +80,20 @@ func Run(t *testing.T, sub Subject) {
 	}
 	if got := snapshot(t, dst); !bytes.Equal(got, blob) {
 		t.Fatalf("snapshot → restore → snapshot is not a byte fixed point (%d vs %d bytes)", len(got), len(blob))
+	}
+
+	// Restore from a copy, then overwrite the copy: state that aliased its
+	// input would re-snapshot as the garbage.
+	owner := sub.Fresh(t)
+	input := bytes.Clone(blob)
+	if err := owner.RestoreCheckpoint(input); err != nil {
+		t.Fatalf("restore from a copy: %v", err)
+	}
+	for i := range input {
+		input[i] = byte(0xA5 ^ i)
+	}
+	if got := snapshot(t, owner); !bytes.Equal(got, blob) {
+		t.Fatal("the restored state changed when its input was overwritten: restore kept part of the blob")
 	}
 
 	// The refusals run against one instance: each must leave it as it was.

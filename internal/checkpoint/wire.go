@@ -13,14 +13,16 @@ import (
 // order, nothing is tagged — so an encoding is exactly its values:
 // uvarint counts, zig-zag varint integers, raw little-endian float64 bits
 // (bit-exact for every value including NaN payloads), and length-prefixed
-// bytes. Equal state must be equal bytes: FloatsByID and IntsByID write
+// bytes. Equal state must be equal bytes: FloatsByID and IntsByKey write
 // maps in key order, and any other map-keyed state is the caller's to sort.
 //
 // The zero Enc is a bare section writer (Bytes returns what was appended);
-// Begin returns one positioned inside a snapshot frame (Finish seals it).
+// Begin positions one inside a snapshot frame (Finish seals it).
 type Enc struct {
 	b       []byte
 	payload int // offset of the first payload byte inside a Begin frame
+	// keys is the scratch Keys sorts map keys in; Begin recycles it.
+	keys []int
 }
 
 // NewEnc returns a bare section writer with room for sizeHint bytes.
@@ -85,20 +87,25 @@ func (e *Enc) Ints(v []int) {
 // FloatsByID appends an int-keyed map as a count and then (key, value)
 // pairs in key order.
 func (e *Enc) FloatsByID(m map[int]float64) {
+	mark := len(e.keys)
 	e.Uvarint(uint64(len(m)))
-	for _, k := range SortedKeys(m) {
+	for _, k := range Keys(e, m) {
 		e.Int(k)
 		e.Float64(m[k])
 	}
+	e.keys = e.keys[:mark]
 }
 
-// IntsByID is FloatsByID for integer values.
-func (e *Enc) IntsByID(m map[int]int) {
+// IntsByKey is FloatsByID for integer values, under any integer key type
+// (a client ID, or an enum-keyed tally).
+func IntsByKey[K ~int](e *Enc, m map[K]int) {
+	mark := len(e.keys)
 	e.Uvarint(uint64(len(m)))
-	for _, k := range SortedKeys(m) {
+	for _, k := range Keys(e, m) {
 		e.Int(k)
-		e.Int(m[k])
+		e.Int(m[K(k)])
 	}
+	e.keys = e.keys[:mark]
 }
 
 // SortedKeys returns m's keys in increasing order — the order every
@@ -112,13 +119,41 @@ func SortedKeys[V any](m map[int]V) []int {
 	return keys
 }
 
+// Keys is SortedKeys in e's scratch space: the slice stays valid until e's
+// next Begin, and a warm writer lists keys without allocating.
+func Keys[K ~int, V any](e *Enc, m map[K]V) []int {
+	keys := e.keys[len(e.keys):]
+	for k := range m {
+		keys = append(keys, int(k))
+	}
+	sort.Ints(keys)
+	e.keys = append(e.keys, keys...) // in place unless keys outgrew the scratch
+	return keys
+}
+
 // Stateful appends s's checkpoint state as one length-prefixed section.
+// An Appender writes it in place, after which the section moves once by
+// the width of its length prefix; any other component's blob is copied in.
 func (e *Enc) Stateful(s Stateful) error {
-	blob, err := s.CheckpointState()
-	if err != nil {
+	a, ok := s.(Appender)
+	if !ok {
+		blob, err := s.CheckpointState()
+		if err != nil {
+			return err
+		}
+		e.RawBytes(blob)
+		return nil
+	}
+	start := len(e.b)
+	if err := a.AppendCheckpoint(e); err != nil {
+		e.b = e.b[:start]
 		return err
 	}
-	e.RawBytes(blob)
+	var prefix [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(prefix[:], uint64(len(e.b)-start))
+	e.b = append(e.b, prefix[:w]...)
+	copy(e.b[start+w:], e.b[start:len(e.b)-w])
+	copy(e.b[start:], prefix[:w])
 	return nil
 }
 
@@ -315,7 +350,7 @@ func (d *Dec) FloatsByID() map[int]float64 {
 	return m
 }
 
-// IntsByID reads what Enc.IntsByID wrote.
+// IntsByID reads what IntsByKey wrote.
 func (d *Dec) IntsByID() map[int]int {
 	n := d.Count(2)
 	m := make(map[int]int, n)

@@ -22,7 +22,7 @@ func writeAll(e *Enc) {
 	e.Float64s([]float64{1.5, -0, math.Inf(1)})
 	e.Ints([]int{3, -1, 1 << 40})
 	e.FloatsByID(map[int]float64{9: 0.25, -2: 1, 4: 3})
-	e.IntsByID(map[int]int{5: 50, 1: 10})
+	IntsByKey(e, map[int]int{5: 50, 1: 10})
 	e.Float64s(nil)
 }
 
@@ -71,6 +71,39 @@ func TestWireRoundTrip(t *testing.T) {
 	writeAll(e2)
 	if !bytes.Equal(e.Bytes(), e2.Bytes()) {
 		t.Fatal("encoding is not deterministic")
+	}
+}
+
+// section is an Appender of n bytes.
+type section int
+
+func (n section) AppendCheckpoint(e *Enc) error {
+	for i := range int(n) {
+		e.b = append(e.b, byte(i))
+	}
+	return nil
+}
+
+func (n section) CheckpointState() ([]byte, error) { return StateOf(n) }
+
+func (section) RestoreCheckpoint([]byte) error { return nil }
+
+// TestStatefulInPlaceIsBlob: an Appender's section, written in place and
+// moved by its length prefix, is the bytes RawBytes writes for its blob,
+// for prefixes of one, two and three bytes.
+func TestStatefulInPlaceIsBlob(t *testing.T) {
+	for _, n := range []section{0, 1, 127, 128, 16383, 16384} {
+		want, got := NewEnc(0), NewEnc(0)
+		want.Uvarint(7)
+		got.Uvarint(7)
+		blob, _ := n.CheckpointState()
+		want.RawBytes(blob)
+		if err := got.Stateful(n); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("a %d-byte section written in place differs from its blob form", n)
+		}
 	}
 }
 

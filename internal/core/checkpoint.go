@@ -7,30 +7,36 @@ import (
 	"floatfl/internal/rl"
 )
 
-// CheckpointState captures the controller: the mode, the collective agent
-// (or every materialized per-client agent, in client-ID order, each as the
-// rl package's own checkpoint section) and the pending decision states in
-// client-ID order. The pending map is non-empty at the async engine's
-// checkpoint boundary (in-flight clients have received decisions but not
-// yet reported feedback), so it must travel with the snapshot.
+// CheckpointState captures the controller: AppendCheckpoint's section in
+// a writer of its own.
 func (f *Float) CheckpointState() ([]byte, error) {
-	e := checkpoint.NewEnc(1024)
+	return checkpoint.StateOf(f)
+}
+
+// AppendCheckpoint appends the controller's section: the mode, the
+// collective agent (or every materialized per-client agent, in client-ID
+// order, each as the rl package's own checkpoint section) and the pending
+// decision states in client-ID order. The pending map is non-empty at the
+// async engine's checkpoint boundary (in-flight clients have received
+// decisions but not yet reported feedback), so it must travel with the
+// snapshot.
+func (f *Float) AppendCheckpoint(e *checkpoint.Enc) error {
 	e.Bool(f.agent == nil)
 	if f.agent != nil {
 		if err := e.Stateful(f.agent); err != nil {
-			return nil, err
+			return err
 		}
 	} else {
-		ids := checkpoint.SortedKeys(f.perClient)
+		ids := checkpoint.Keys(e, f.perClient)
 		e.Uvarint(uint64(len(ids)))
 		for _, id := range ids {
 			e.Int(id)
 			if err := e.Stateful(f.perClient[id]); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	ids := checkpoint.SortedKeys(f.pending)
+	ids := checkpoint.Keys(e, f.pending)
 	e.Uvarint(uint64(len(ids)))
 	for _, id := range ids {
 		s := f.pending[id]
@@ -39,7 +45,7 @@ func (f *Float) CheckpointState() ([]byte, error) {
 			e.Int(v)
 		}
 	}
-	return e.Bytes(), nil
+	return nil
 }
 
 // RestoreCheckpoint restores a captured controller state. The mode
@@ -109,12 +115,17 @@ func modeName(perClient bool) string {
 	return "collective"
 }
 
-// CheckpointState captures the heuristic controller: its only mutable
-// state is its tie-breaking RNG position.
+// CheckpointState captures the heuristic controller: AppendCheckpoint's
+// section in a writer of its own.
 func (h *Heuristic) CheckpointState() ([]byte, error) {
-	e := checkpoint.NewEnc(10)
+	return checkpoint.StateOf(h)
+}
+
+// AppendCheckpoint appends the heuristic controller's section: its only
+// mutable state is its tie-breaking RNG position.
+func (h *Heuristic) AppendCheckpoint(e *checkpoint.Enc) error {
 	e.Uvarint(h.rng.Pos())
-	return e.Bytes(), nil
+	return nil
 }
 
 // RestoreCheckpoint restores a heuristic controller snapshot.

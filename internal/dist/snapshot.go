@@ -32,6 +32,8 @@ type serverClientState struct {
 // raw), the registry in client-ID order, the buffered deltas as raw floats
 // with their weights, the holdout accuracy, the controller's own section
 // (empty when stateless), the metric registry and the timeline's section.
+// Controller, Obs and Timeline are what a decode read; appendTo writes
+// those three sections from the live components instead, in place.
 type serverState struct {
 	Arch           string
 	InDim, Classes int
@@ -47,7 +49,9 @@ type serverState struct {
 	Timeline       []byte
 }
 
-func (st *serverState) appendTo(e *checkpoint.Enc) {
+// appendTo writes the frame's payload: st's own fields, and the sections
+// of ctrl (nil when stateless), metrics and timeline in their places.
+func (st *serverState) appendTo(e *checkpoint.Enc, ctrl checkpoint.Stateful, metrics *obs.Registry, timeline checkpoint.Stateful) error {
 	e.String(st.Arch)
 	e.Int(st.InDim)
 	e.Int(st.Classes)
@@ -68,9 +72,16 @@ func (st *serverState) appendTo(e *checkpoint.Enc) {
 	}
 	e.Float64s(st.Weights)
 	e.Float64(st.HoldoutAcc)
-	e.RawBytes(st.Controller)
-	st.Obs.AppendTo(e)
-	e.RawBytes(st.Timeline)
+	if ctrl == nil {
+		e.RawBytes(nil)
+	} else if err := e.Stateful(ctrl); err != nil {
+		return fmt.Errorf("dist: snapshot controller: %w", err)
+	}
+	metrics.AppendCheckpoint(e)
+	if err := e.Stateful(timeline); err != nil {
+		return fmt.Errorf("dist: snapshot timeline: %w", err)
+	}
+	return nil
 }
 
 // decodeServerState reads what appendTo wrote; Model, Controller and
@@ -120,7 +131,6 @@ func (s *Server) Snapshot() ([]byte, error) {
 		Deltas:       s.deltas,
 		Weights:      s.weights,
 		HoldoutAcc:   s.holdoutAcc,
-		Obs:          s.metrics.Snapshot(),
 	}
 	for _, id := range checkpoint.SortedKeys(s.clients) {
 		ci := s.clients[id]
@@ -132,17 +142,12 @@ func (s *Server) Snapshot() ([]byte, error) {
 			Tech:     ci.tech.String(),
 		})
 	}
-	if cs, ok := s.cfg.Controller.(checkpoint.Stateful); ok {
-		if st.Controller, err = cs.CheckpointState(); err != nil {
-			return nil, fmt.Errorf("dist: snapshot controller: %w", err)
-		}
-	}
-	if st.Timeline, err = s.timeline.CheckpointState(); err != nil {
-		return nil, fmt.Errorf("dist: snapshot timeline: %w", err)
-	}
-	size := len(blob) + len(st.Controller) + len(st.Timeline) + 8*len(s.deltas)*(s.global.NumParams()+2) + 64*len(s.clients) + 16<<10
+	ctrl, _ := s.cfg.Controller.(checkpoint.Stateful)
+	size := len(blob) + 8*len(s.deltas)*(s.global.NumParams()+2) + 64*len(s.clients) + 16<<10
 	e := checkpoint.Begin(ServerSnapshotKind, size)
-	st.appendTo(e)
+	if err := st.appendTo(e, ctrl, s.metrics, s.timeline); err != nil {
+		return nil, err
+	}
 	return e.Finish()
 }
 

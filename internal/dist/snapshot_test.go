@@ -22,6 +22,7 @@ import (
 	"floatfl/internal/core"
 	"floatfl/internal/data"
 	"floatfl/internal/fl"
+	"floatfl/internal/obs"
 	"floatfl/internal/opt"
 	"floatfl/internal/rl"
 )
@@ -297,7 +298,8 @@ func bufferedSnapshot(t testing.TB) []byte {
 }
 
 // reframe decodes a server snapshot, lets edit change its state, and frames
-// the result again with a valid checksum.
+// the result again with a valid checksum. The registry section goes back
+// through a registry restored from it, which writes the same bytes.
 func reframe(t testing.TB, blob []byte, edit func(st *serverState)) []byte {
 	t.Helper()
 	payload, err := checkpoint.DecodeBytes(blob, ServerSnapshotKind)
@@ -309,14 +311,26 @@ func reframe(t testing.TB, blob []byte, edit func(st *serverState)) []byte {
 		t.Fatal(err)
 	}
 	edit(st)
+	metrics := obs.NewRegistry()
+	if err := metrics.RestoreSnapshot(st.Obs); err != nil {
+		t.Fatal(err)
+	}
 	e := checkpoint.NewEnc(len(payload))
-	st.appendTo(e)
+	if err := st.appendTo(e, rawSection(st.Controller), metrics, rawSection(st.Timeline)); err != nil {
+		t.Fatal(err)
+	}
 	out, err := checkpoint.EncodeBytes(ServerSnapshotKind, e.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
 }
+
+// rawSection hands a decoded section back to appendTo as it was read.
+type rawSection []byte
+
+func (r rawSection) CheckpointState() ([]byte, error) { return r, nil }
+func (rawSection) RestoreCheckpoint([]byte) error     { return nil }
 
 type namedBlob struct {
 	name string

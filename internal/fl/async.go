@@ -119,13 +119,13 @@ func (r *run) traceStep() int { return int(r.now / r.deadline) }
 func (r *run) launch() error {
 	step := r.traceStep()
 	if !r.lazy {
-		pop := r.p.AllClients()
-		eligible := make([]int, 0, len(pop))
-		for _, c := range pop {
+		eligible := r.eligible[:0]
+		for _, c := range r.p.AllClients() {
 			if !r.inFlight[c.ID] && c.ResourcesAt(step).Available {
 				eligible = append(eligible, c.ID)
 			}
 		}
+		r.eligible = eligible
 		r.rng.Shuffle(len(eligible), func(i, j int) { eligible[i], eligible[j] = eligible[j], eligible[i] })
 		for _, id := range eligible {
 			if len(r.inFlight) >= r.cfg.Concurrency {

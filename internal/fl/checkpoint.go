@@ -36,10 +36,11 @@ type CheckpointConfig struct {
 	// periodic snapshots.
 	Every int
 	// Sink receives each encoded snapshot: a framed, checksummed blob —
-	// write it to disk as-is (checkpoint.WriteRaw). The engine never
-	// touches a blob again after handing it over, so a sink may keep it.
-	// A snapshot error aborts the run. Nil
-	// disables snapshotting entirely (Every is then inert).
+	// write it to disk as-is (checkpoint.WriteRaw). The blob is valid until
+	// Sink returns: the engine re-encodes the next snapshot into the same
+	// buffer, so a sink that keeps a blob copies it. A snapshot or sink
+	// error aborts the run. Nil disables snapshotting entirely (Every is
+	// then inert).
 	Sink func(snapshot []byte) error
 	// Stop is polled at every boundary; returning true takes a final
 	// snapshot (when Sink is set) and ends the run gracefully with a
@@ -116,24 +117,19 @@ func mismatch(got, want []byte, path string) error {
 	return nil
 }
 
-// snapSlack is the head-room a snapshot buffer gets over the previous
-// snapshot's length: drain logs, the timeline and the agent's reward
-// history grow by a few hundred bytes per boundary, and a buffer that
-// falls short is re-grown (copied) by append.
-const snapSlack = 4096
-
 // CheckpointState captures the complete run at a boundary as a framed,
-// checksummed blob of the engine's kind, written in place into one fresh
-// buffer sized from the previous snapshot. Section order (DESIGN.md,
-// "Snapshot format"): the fingerprint (JSON — mismatch reports by its
-// field names), completed, clock, RNG position, parameters, accuracy
-// history and its rounds, the HF-diff map, the ledger, the selector's and
-// the controller's own sections, the population, the metric registry
-// (behind a presence flag), the timeline's own section, and — async only —
-// the event loop. The sections reference live state without copying; the
-// frame is finished before the engine moves on.
+// checksummed blob of the engine's kind, re-encoded in place into the
+// run's one frame buffer: the blob is valid until the next call. Section
+// order (DESIGN.md, "Snapshot format"): the fingerprint (JSON — mismatch
+// reports by its field names), completed, clock, RNG position, parameters,
+// accuracy history and its rounds, the HF-diff map, the ledger, the
+// selector's and the controller's own sections, the population, the
+// metric registry (behind a presence flag), the timeline's own section,
+// and — async only — the event loop. Every component appends its section straight into the
+// frame, so a warm boundary allocates nothing.
 func (r *run) CheckpointState() ([]byte, error) {
-	e := checkpoint.Begin(r.kind, r.snapHint)
+	e := &r.frame
+	e.Begin(r.kind)
 	e.RawBytes(r.fp)
 	e.Int(r.done)
 	e.Float64(r.now)
@@ -152,7 +148,7 @@ func (r *run) CheckpointState() ([]byte, error) {
 	r.p.AppendCheckpoint(e)
 	e.Bool(r.cfg.Metrics != nil)
 	if r.cfg.Metrics != nil {
-		r.cfg.Metrics.Snapshot().AppendTo(e)
+		r.cfg.Metrics.AppendCheckpoint(e)
 	}
 	if r.cfg.Timeline != nil {
 		if err := e.Stateful(r.cfg.Timeline); err != nil {
@@ -164,9 +160,7 @@ func (r *run) CheckpointState() ([]byte, error) {
 	if r.async() {
 		r.appendEventLoop(e)
 	}
-	blob, err := e.Finish()
-	r.snapHint = len(blob) + snapSlack
-	return blob, err
+	return e.Finish()
 }
 
 // appendEventLoop writes the FedBuff event loop: version, eval countdown, the retained parameter versions in version order as raw
@@ -180,7 +174,7 @@ func (r *run) appendEventLoop(e *checkpoint.Enc) {
 	e.Int(r.version)
 	e.Int(r.evalCountdown)
 	e.Uvarint(uint64(len(r.versions)))
-	for _, v := range checkpoint.SortedKeys(r.versions) {
+	for _, v := range checkpoint.Keys(e, r.versions) {
 		e.Int(v)
 		e.Float64s(r.versions[v])
 	}
@@ -362,7 +356,6 @@ func (r *run) RestoreCheckpoint(data []byte) error {
 		}
 	}
 	r.rng.SeekTo(draws)
-	r.snapHint = len(data) + snapSlack
 	return nil
 }
 

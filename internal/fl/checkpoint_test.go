@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"floatfl/internal/checkpoint"
 	"floatfl/internal/population"
+	"floatfl/internal/selection"
 	"floatfl/internal/trace"
 )
 
@@ -221,6 +224,42 @@ func TestCompletedRoundsReported(t *testing.T) {
 	res := row{"sync-random", false}.exec(t, runOpts{rounds: half, tweak: func(cfg *Config) { cfg.Checkpoint = nil }}).res
 	if res.CompletedRounds != half {
 		t.Fatalf("CompletedRounds = %d, want %d", res.CompletedRounds, half)
+	}
+}
+
+// TestSinkFailureEndsRun: a Sink that fails at boundary k ends the run,
+// on either engine, with an error that wraps the sink's and names k, and
+// the sink is not called again.
+func TestSinkFailureEndsRun(t *testing.T) {
+	errFull := errors.New("no space left on device")
+	const k = 2
+	for _, engine := range []string{"sync", "async"} {
+		t.Run(engine, func(t *testing.T) {
+			calls := 0
+			cfg := Config{Arch: "resnet18", Rounds: matrixRounds, ClientsPerRound: 5, Epochs: 1, BatchSize: 8, LR: 0.1,
+				EvalEvery: 3, Seed: 5, Parallelism: 1, Checkpoint: &CheckpointConfig{Every: 1, Sink: func([]byte) error {
+					if calls++; calls == k {
+						return errFull
+					}
+					return nil
+				}}}
+			var err error
+			if engine == "async" {
+				cfg.Concurrency, cfg.BufferK = 10, 3
+				_, err = RunAsyncPop(ckptPop(t, false), newCkptCtrl(), cfg)
+			} else {
+				_, err = RunSyncPop(ckptPop(t, false), selection.NewRandom(7), newCkptCtrl(), cfg)
+			}
+			if !errors.Is(err, errFull) {
+				t.Fatalf("got %v, want an error wrapping the sink's", err)
+			}
+			if at := fmt.Sprintf("at %d", k); !strings.Contains(err.Error(), at) {
+				t.Errorf("error %q does not name boundary %d", err, k)
+			}
+			if calls != k {
+				t.Errorf("the sink was called %d times, want %d: the run went on after it failed", calls, k)
+			}
+		})
 	}
 }
 

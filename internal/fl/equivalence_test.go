@@ -399,7 +399,7 @@ func (rw row) start(t testing.TB, o runOpts) (*rowRun, error) {
 	cfg.Logger = NewJSONLLogger(&rr.log)
 	cfg.forceLazySelection = o.eagerBacked
 	cfg.Checkpoint = &CheckpointConfig{Every: half, Resume: o.resume,
-		Sink: func(b []byte) error { rr.snaps[rr.done] = b; return nil }}
+		Sink: func(b []byte) error { rr.snaps[rr.done] = bytes.Clone(b); return nil }}
 	if o.tweak != nil {
 		o.tweak(&cfg)
 	}

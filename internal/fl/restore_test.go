@@ -93,6 +93,7 @@ func TestEngineRestoreRejectsNonFiniteParams(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			before = bytes.Clone(before) // the run re-encodes into this buffer
 			var fe *checkpoint.FormatError
 			if err := dst.RestoreCheckpoint(blob); !errors.As(err, &fe) {
 				t.Fatalf("got %v, want a FormatError", err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"floatfl/internal/checkpoint"
 	"floatfl/internal/device"
 	"floatfl/internal/metrics"
 	"floatfl/internal/nn"
@@ -44,9 +45,6 @@ type run struct {
 	hfDiff map[int]float64
 	done   int     // completed rounds (sync) or aggregations (async)
 	now    float64 // virtual simulation clock, seconds
-	// snapHint sizes the next snapshot's buffer: the last snapshot written
-	// (or resumed from) plus snapSlack.
-	snapHint int
 	// fp is the run's fingerprint, marshaled once by newRun when the run
 	// checkpoints.
 	fp []byte
@@ -71,6 +69,11 @@ type run struct {
 	pending []slot
 	//lint:allow ckpt-coverage empty at every boundary: indexes pending, and is cleared with it
 	jobs []int
+	//lint:allow ckpt-coverage scratch: the eager launcher's eligible IDs, rebuilt by every launch
+	eligible []int
+	// frame is the writer every snapshot is re-encoded into; its buffer's
+	// capacity carries the last snapshot's size.
+	frame checkpoint.Enc
 }
 
 // slot is one executed client-round on its way from the pass that resolved

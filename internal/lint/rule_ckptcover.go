@@ -36,7 +36,7 @@ var ruleCkptCoverage = &Rule{
 		type statefulType struct {
 			name  *types.TypeName
 			strct *types.Struct
-			enc   *Node
+			enc   []*Node // CheckpointState, and AppendCheckpoint if declared
 			res   *Node
 		}
 		var impls []*statefulType
@@ -61,7 +61,7 @@ var ruleCkptCoverage = &Rule{
 					if strct == nil {
 						return true
 					}
-					enc, res := statefulMethods(named)
+					enc, res, app := statefulMethods(named)
 					if enc == nil || res == nil {
 						return true
 					}
@@ -69,7 +69,11 @@ var ruleCkptCoverage = &Rule{
 					if encNode == nil || resNode == nil {
 						return true
 					}
-					impls = append(impls, &statefulType{name: tn, strct: strct, enc: encNode, res: resNode})
+					encNodes := []*Node{encNode}
+					if app != nil && g.NodeFor(app) != nil {
+						encNodes = append(encNodes, g.NodeFor(app))
+					}
+					impls = append(impls, &statefulType{name: tn, strct: strct, enc: encNodes, res: resNode})
 					return true
 				})
 			}
@@ -86,7 +90,7 @@ var ruleCkptCoverage = &Rule{
 		restoreOwned := map[*Node]bool{} // nodes on any restore path: not mutation evidence
 		for i, st := range impls {
 			covs[i] = coverage{
-				enc: g.ReachableFrom([]*Node{st.enc}),
+				enc: g.ReachableFrom(st.enc),
 				res: g.ReachableFrom([]*Node{st.res}),
 			}
 			for n := range covs[i].res {
@@ -199,8 +203,11 @@ func (mp *ModulePass) position(pos token.Pos) string {
 
 // statefulMethods returns the CheckpointState and RestoreCheckpoint
 // methods when named declares both with the checkpoint.Stateful
-// signatures, else nils.
-func statefulMethods(named *types.Named) (enc, res *types.Func) {
+// signatures, else nils, and its checkpoint.Appender method
+// AppendCheckpoint(*Enc) error if it declares one: a CheckpointState that
+// reaches that body only through the Appender interface (checkpoint.StateOf)
+// leaves no static call edge to it, so the encoder is rooted at both.
+func statefulMethods(named *types.Named) (enc, res, app *types.Func) {
 	for i := 0; i < named.NumMethods(); i++ {
 		m := named.Method(i)
 		sig, ok := m.Type().(*types.Signature)
@@ -214,6 +221,12 @@ func statefulMethods(named *types.Named) (enc, res *types.Func) {
 				sig.Results().At(1).Type().String() == "error" {
 				enc = m
 			}
+		case "AppendCheckpoint":
+			if sig.Params().Len() == 1 && sig.Results().Len() == 1 &&
+				isPtrToNamed(sig.Params().At(0).Type(), "Enc") &&
+				sig.Results().At(0).Type().String() == "error" {
+				app = m
+			}
 		case "RestoreCheckpoint":
 			if sig.Params().Len() == 1 && sig.Results().Len() == 1 &&
 				sig.Params().At(0).Type().String() == "[]byte" &&
@@ -222,7 +235,17 @@ func statefulMethods(named *types.Named) (enc, res *types.Func) {
 			}
 		}
 	}
-	return enc, res
+	return enc, res, app
+}
+
+// isPtrToNamed reports whether t is a pointer to a named type called name.
+func isPtrToNamed(t types.Type, name string) bool {
+	p, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	n, ok := p.Elem().(*types.Named)
+	return ok && n.Obj().Name() == name
 }
 
 // fieldKey identifies a struct field across packages (source-checked and

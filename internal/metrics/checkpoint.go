@@ -97,11 +97,11 @@ func (l *Ledger) AppendCheckpoint(e *checkpoint.Enc) {
 		e.Ints(l.Selected)
 		e.Ints(l.Completed)
 	}
-	e.IntsByID(intKeyed[device.DropReason, int](l.DropsByReason))
+	checkpoint.IntsByKey(e, l.DropsByReason)
 	e.Int(l.TotalDrops)
 	e.Int(l.TotalRounds)
-	e.IntsByID(intKeyed[opt.Technique, int](l.TechSuccess))
-	e.IntsByID(intKeyed[opt.Technique, int](l.TechFailure))
+	checkpoint.IntsByKey(e, l.TechSuccess)
+	checkpoint.IntsByKey(e, l.TechFailure)
 	e.Int(l.Discarded)
 	for _, in := range []Inefficiency{l.Wasted, l.Useful} {
 		e.Float64(in.ComputeHours)
@@ -126,10 +126,10 @@ func DecodeLedgerState(d *checkpoint.Dec) *LedgerState {
 	} else {
 		st.Selected, st.Completed = d.Ints(), d.Ints()
 	}
-	st.DropsByReason = intKeyed[int, device.DropReason](d.IntsByID())
+	st.DropsByReason = intKeyed[device.DropReason](d.IntsByID())
 	st.TotalDrops, st.TotalRounds = d.Int(), d.Int()
-	st.TechSuccess = intKeyed[int, opt.Technique](d.IntsByID())
-	st.TechFailure = intKeyed[int, opt.Technique](d.IntsByID())
+	st.TechSuccess = intKeyed[opt.Technique](d.IntsByID())
+	st.TechFailure = intKeyed[opt.Technique](d.IntsByID())
 	st.Discarded = d.Int()
 	for _, in := range []*Inefficiency{&st.Wasted, &st.Useful} {
 		*in = Inefficiency{ComputeHours: d.Float64(), CommHours: d.Float64(), MemoryTB: d.Float64()}
@@ -138,12 +138,12 @@ func DecodeLedgerState(d *checkpoint.Dec) *LedgerState {
 	return st
 }
 
-// intKeyed re-keys an enum tally map to or from the plain int keys the
-// section encoding uses.
-func intKeyed[From, To ~int](m map[From]int) map[To]int {
-	out := make(map[To]int, len(m))
+// intKeyed re-keys a decoded tally map from the plain int keys the section
+// encoding uses to its enum.
+func intKeyed[K ~int](m map[int]int) map[K]int {
+	out := make(map[K]int, len(m))
 	for k, v := range m {
-		out[To(k)] = v
+		out[K(k)] = v
 	}
 	return out
 }

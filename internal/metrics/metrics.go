@@ -242,7 +242,7 @@ func giniWithZeros(nonzero []int, zeros int) float64 {
 	for i, c := range sorted {
 		// Zeros sort first and contribute nothing to either sum; the
 		// nonzero element at local index i has global rank zeros+i+1.
-		cum += float64(zeros+i+1) * float64(c)
+		cum += float64(float64(zeros+i+1) * float64(c))
 		total += float64(c)
 	}
 	if total == 0 {
@@ -273,7 +273,7 @@ func jainWithZeros(nonzero []int, zeros int) float64 {
 	for _, c := range nonzero {
 		x := float64(c)
 		sum += x
-		sumSq += x * x
+		sumSq += float64(x * x)
 	}
 	if sumSq == 0 {
 		return 0
@@ -303,13 +303,13 @@ func Percentile(samples []float64, p float64) float64 {
 	if p >= 100 {
 		return sorted[len(sorted)-1]
 	}
-	pos := p / 100 * float64(len(sorted)-1)
+	pos := float64(p / 100 * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	frac := pos - float64(lo)
 	if lo+1 >= len(sorted) {
 		return sorted[lo]
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[lo+1]*frac)
 }
 
 // Mean returns the arithmetic mean of the samples (0 for empty input).

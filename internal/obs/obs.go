@@ -97,9 +97,20 @@ const sumScale = 1e6
 // worker and the totals are independent of interleaving.
 type Histogram struct {
 	bounds    []float64
+	les       []string       // each bucket's rendered bound; last is "+Inf"
 	counts    []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
 	sumMicros atomic.Int64
 	total     atomic.Int64
+}
+
+// newHistogram returns an empty histogram over bounds, which it keeps.
+func newHistogram(bounds []float64) *Histogram {
+	h := &Histogram{bounds: bounds, les: make([]string, len(bounds)+1), counts: make([]atomic.Int64, len(bounds)+1)}
+	for i, b := range bounds {
+		h.les[i] = formatFloat(b)
+	}
+	h.les[len(bounds)] = "+Inf"
+	return h
 }
 
 // Observe records one sample. Non-finite samples are dropped (they would
@@ -147,6 +158,9 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+	// Each kind's names in order, for AppendCheckpoint. The maps only
+	// grow, so a list shorter than its map is stale.
+	counterNames, gaugeNames, histogramNames []string
 }
 
 // NewRegistry returns an empty registry.
@@ -211,10 +225,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 			panic(fmt.Sprintf("obs: histogram %q bounds must be finite and strictly increasing, got %v", name, bounds))
 		}
 	}
-	h = &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
+	h = newHistogram(append([]float64(nil), bounds...))
 	r.histograms[name] = h
 	return h
 }

@@ -3,41 +3,77 @@ package obs
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strconv"
-	"sync/atomic"
 
 	"floatfl/internal/checkpoint"
 )
 
-// AppendTo writes the snapshot as one checkpoint section: counters
-// (count, then name and value of each), gauges likewise, histograms
-// (name, count, sum, then the bucket count and each bucket's bound string
-// and cumulative count).
-func (s Snapshot) AppendTo(e *checkpoint.Enc) {
-	e.Uvarint(uint64(len(s.Counters)))
-	for _, c := range s.Counters {
-		e.String(c.Name)
-		e.Int64(c.Value)
+// AppendCheckpoint writes the registry as one checkpoint section, straight
+// from the live metrics: counters (count, then name and value of each, in
+// name order), gauges likewise, histograms (name, count, sum, then the
+// bucket count and each bucket's bound string and cumulative count). The
+// name lists are kept across calls, so a registry whose metric set is
+// unchanged since the last call allocates nothing. Like Snapshot, it wants
+// a quiescent registry; a nil registry writes an empty one's section.
+func (r *Registry) AppendCheckpoint(e *checkpoint.Enc) {
+	if r == nil {
+		for range 3 { // no counters, gauges or histograms
+			e.Uvarint(0)
+		}
+		return
 	}
-	e.Uvarint(uint64(len(s.Gauges)))
-	for _, g := range s.Gauges {
-		e.String(g.Name)
-		e.Float64(g.Value)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.sortNamesLocked()
+	e.Uvarint(uint64(len(r.counterNames)))
+	for _, name := range r.counterNames {
+		e.String(name)
+		e.Int64(r.counters[name].Value())
 	}
-	e.Uvarint(uint64(len(s.Histograms)))
-	for _, h := range s.Histograms {
-		e.String(h.Name)
-		e.Int64(h.Count)
-		e.Float64(h.Sum)
-		e.Uvarint(uint64(len(h.Buckets)))
-		for _, b := range h.Buckets {
-			e.String(b.LE)
-			e.Int64(b.Count)
+	e.Uvarint(uint64(len(r.gaugeNames)))
+	for _, name := range r.gaugeNames {
+		e.String(name)
+		e.Float64(r.gauges[name].Value())
+	}
+	e.Uvarint(uint64(len(r.histogramNames)))
+	for _, name := range r.histogramNames {
+		h := r.histograms[name]
+		e.String(name)
+		e.Int64(h.Count())
+		e.Float64(h.Sum())
+		e.Uvarint(uint64(len(h.counts)))
+		cum := int64(0)
+		for i := range h.counts {
+			cum += h.counts[i].Load()
+			e.String(h.les[i])
+			e.Int64(cum)
 		}
 	}
 }
 
-// DecodeSnapshot reads what AppendTo wrote. A malformed section latches
+// sortNamesLocked brings each kind's name list up to date with its map.
+func (r *Registry) sortNamesLocked() {
+	r.counterNames = sortedNames(r.counterNames, r.counters)
+	r.gaugeNames = sortedNames(r.gaugeNames, r.gauges)
+	r.histogramNames = sortedNames(r.histogramNames, r.histograms)
+}
+
+// sortedNames returns m's keys in order, reusing names when it already
+// holds them all.
+func sortedNames[V any](names []string, m map[string]V) []string {
+	if len(names) == len(m) {
+		return names
+	}
+	names = names[:0]
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// DecodeSnapshot reads what AppendCheckpoint wrote. A malformed section latches
 // d's error and yields a partial Snapshot the caller must discard.
 func DecodeSnapshot(d *checkpoint.Dec) Snapshot {
 	var s Snapshot
@@ -137,9 +173,9 @@ func (r *Registry) RestoreSnapshot(s Snapshot) error {
 					Got: strconv.Itoa(len(hs.Buckets)), Want: strconv.Itoa(len(h.counts))}
 			}
 			for i := range plan.bounds {
-				if formatFloat(h.bounds[i]) != hs.Buckets[i].LE {
+				if h.les[i] != hs.Buckets[i].LE {
 					return &checkpoint.CompatError{Field: fmt.Sprintf("metric %s bucket %d bound", hs.Name, i),
-						Got: hs.Buckets[i].LE, Want: formatFloat(h.bounds[i])}
+						Got: hs.Buckets[i].LE, Want: h.les[i]}
 				}
 			}
 		}
@@ -179,10 +215,7 @@ func (r *Registry) RestoreSnapshot(s Snapshot) error {
 	for _, plan := range plans {
 		h, ok := r.histograms[plan.snap.Name]
 		if !ok {
-			h = &Histogram{
-				bounds: plan.bounds,
-				counts: make([]atomic.Int64, len(plan.snap.Buckets)),
-			}
+			h = newHistogram(plan.bounds)
 			r.histograms[plan.snap.Name] = h
 		}
 		for i, n := range plan.perBkt {

@@ -138,26 +138,51 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 }
 
 // TestSnapshotSectionRoundTrip pins the registry's checkpoint section:
-// AppendTo → DecodeSnapshot reproduces the snapshot, and every strict
-// prefix latches a format error instead of yielding a short snapshot.
+// AppendCheckpoint → DecodeSnapshot reproduces the registry's Snapshot,
+// also once a metric registered after the last call, or recreated by a
+// restore, has made a kept name list stale; a nil registry writes an
+// empty one's section; and every strict prefix latches a format error
+// instead of yielding a short snapshot.
 func TestSnapshotSectionRoundTrip(t *testing.T) {
-	want := populate().Snapshot()
-	e := checkpoint.NewEnc(0)
-	want.AppendTo(e)
-	d := checkpoint.NewDec(e.Bytes())
-	got := DecodeSnapshot(d)
-	if err := d.Done(); err != nil {
+	section := func(r *Registry) []byte {
+		e := checkpoint.NewEnc(0)
+		r.AppendCheckpoint(e)
+		return e.Bytes()
+	}
+	check := func(what string, r *Registry) []byte {
+		t.Helper()
+		blob := section(r)
+		d := checkpoint.NewDec(blob)
+		got := DecodeSnapshot(d)
+		if err := d.Done(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if want := r.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: decoded snapshot differs:\n got %+v\nwant %+v", what, got, want)
+		}
+		return blob
+	}
+	r := populate()
+	check("populated", r)
+	r.Counter("aardvarks_total").Inc()
+	r.Histogram("b_seconds", []float64{0.5}).Observe(1)
+	blob := check("after new registrations", r)
+	fresh := NewRegistry()
+	if err := fresh.RestoreSnapshot(r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded snapshot differs:\n got %+v\nwant %+v", got, want)
+	if !bytes.Equal(check("restored", fresh), blob) {
+		t.Fatal("a restored registry writes other bytes than its source")
 	}
-	for n := 0; n < len(e.Bytes()); n++ {
-		d := checkpoint.NewDec(e.Bytes()[:n])
+	if !bytes.Equal(section(nil), section(NewRegistry())) {
+		t.Fatal("a nil registry writes other bytes than an empty one")
+	}
+	for n := 0; n < len(blob); n++ {
+		d := checkpoint.NewDec(blob[:n])
 		DecodeSnapshot(d)
 		var fe *checkpoint.FormatError
 		if err := d.Done(); !errors.As(err, &fe) {
-			t.Fatalf("prefix %d/%d: got %v, want FormatError", n, len(e.Bytes()), err)
+			t.Fatalf("prefix %d/%d: got %v, want FormatError", n, len(blob), err)
 		}
 	}
 }

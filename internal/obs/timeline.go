@@ -432,24 +432,22 @@ func ReadTimeline(r io.Reader) (TimelineHeader, []TimelineSample, error) {
 	return header, samples, nil
 }
 
-// CheckpointState implements checkpoint.Stateful. The payload is the
+// CheckpointState implements checkpoint.Stateful: the section
+// AppendCheckpoint writes, in a writer of its own.
+func (t *Timeline) CheckpointState() ([]byte, error) {
+	return checkpoint.StateOf(t)
+}
+
+// AppendCheckpoint implements checkpoint.Appender. The payload is the
 // complete ring plus the carry-forward view, so a restored timeline
 // delta-encodes its next sample against exactly the state the snapshotted
 // run saw: capacity, dropped, the name table (count, then each name),
 // one carry-forward float64 per name, then the samples (count, then
 // round, clock and the length-prefixed pairs of each). The pairs are
 // copied as stored — a boundary costs O(bytes), not a re-walk of history.
-func (t *Timeline) CheckpointState() ([]byte, error) {
+func (t *Timeline) AppendCheckpoint(e *checkpoint.Enc) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	size := 32 + 8*len(t.last)
-	for _, name := range t.series.names {
-		size += len(name) + 2
-	}
-	for _, s := range t.samples {
-		size += len(s.pairs) + 24
-	}
-	e := checkpoint.NewEnc(size)
 	e.Int(t.capacity)
 	e.Int(t.dropped)
 	e.Uvarint(uint64(len(t.series.names)))
@@ -465,7 +463,7 @@ func (t *Timeline) CheckpointState() ([]byte, error) {
 		e.Float64(s.clock)
 		e.RawBytes(s.pairs)
 	}
-	return e.Bytes(), nil
+	return nil
 }
 
 // RestoreCheckpoint implements checkpoint.Stateful. The payload is decoded

@@ -43,41 +43,51 @@ type ClientDrainLog struct {
 // section: the drain logs in client-ID order (count; per client its ID, an
 // event count, then step and fraction of each event), the (empty) shard
 // and the device LRU orders, the (zero) shard and the device counters.
+// An eager population's logs are read from the traces in place.
 // Must be called from the engines' single-threaded quiescent boundary.
 func (p *Population) AppendCheckpoint(e *checkpoint.Enc) {
-	var logs []ClientDrainLog
 	var devLRU []int
 	var devStats wset.Stats
 	if p.Eager() {
+		n := 0
+		for _, c := range p.clients {
+			if len(c.Avail.Drains()) > 0 {
+				n++
+			}
+		}
+		e.Uvarint(uint64(n))
 		for id, c := range p.clients {
-			if log := c.Avail.DrainLog(); log != nil {
-				logs = append(logs, ClientDrainLog{Client: id, Drains: log})
+			if log := c.Avail.Drains(); len(log) > 0 {
+				appendDrainLog(e, id, log)
 			}
 		}
 	} else {
 		byID := p.drainState()
-		for _, id := range checkpoint.SortedKeys(byID) {
-			logs = append(logs, ClientDrainLog{Client: id, Drains: byID[id]})
+		ids := checkpoint.Keys(e, byID)
+		e.Uvarint(uint64(len(ids)))
+		for _, id := range ids {
+			appendDrainLog(e, id, byID[id])
 		}
 		devLRU, devStats = p.devs.UnpinnedKeys(), p.devs.Stats()
 	}
-	e.Uvarint(uint64(len(logs)))
-	for _, cl := range logs {
-		e.Int(cl.Client)
-		e.Uvarint(uint64(len(cl.Drains)))
-		for _, ev := range cl.Drains {
-			e.Int(ev.Step)
-			e.Float64(ev.Frac)
-		}
-	}
 	e.Ints(nil) // ShardLRU
 	e.Ints(devLRU)
-	for _, cs := range []wset.Stats{{}, devStats} {
+	for _, cs := range [...]wset.Stats{{}, devStats} {
 		e.Int64(cs.Hits)
 		e.Int64(cs.Misses)
 		e.Int64(cs.Evictions)
 		e.Int(cs.Resident)
 		e.Int(cs.Peak)
+	}
+}
+
+// appendDrainLog writes one client's entry of the drain-log section.
+func appendDrainLog(e *checkpoint.Enc, id int, log []trace.DrainEvent) {
+	e.Int(id)
+	e.Uvarint(uint64(len(log)))
+	for _, ev := range log {
+		e.Int(ev.Step)
+		e.Float64(ev.Frac)
 	}
 }
 
@@ -101,15 +111,16 @@ func DecodeState(d *checkpoint.Dec) *State {
 
 // drainState returns every drain log a lazy population knows about: the
 // evicted-client store plus the logs of currently resident (pinned or not)
-// clients. Together with the config it is the population's complete
-// client-visible mutable state.
+// clients, read in place (the map is the writer's to read, not to keep).
+// Together with the config it is the population's complete client-visible
+// mutable state.
 func (p *Population) drainState() map[int][]trace.DrainEvent {
 	logs := make(map[int][]trace.DrainEvent, len(p.drainLogs))
 	for id, log := range p.drainLogs {
 		logs[id] = log
 	}
 	p.devs.Range(func(id int, c *device.Client, _ bool) {
-		if log := c.Avail.DrainLog(); log != nil {
+		if log := c.Avail.Drains(); len(log) > 0 {
 			logs[id] = log
 		}
 	})

@@ -6,7 +6,13 @@ import (
 	"floatfl/internal/checkpoint"
 )
 
-// CheckpointState captures the agent for an engine checkpoint. Unlike the
+// CheckpointState captures the agent for an engine checkpoint:
+// AppendCheckpoint's section in a writer of its own.
+func (a *Agent) CheckpointState() ([]byte, error) {
+	return checkpoint.StateOf(a)
+}
+
+// AppendCheckpoint appends the agent's checkpoint section. Unlike the
 // Save/Load snapshot (which deliberately carries only the transferable
 // learned state), a checkpoint must reproduce the agent bit-for-bit
 // mid-run: the reward history (Fig 9 convergence output), the update
@@ -21,15 +27,14 @@ import (
 //
 // Sections: seed, total rounds, the learned state (appendLearned), the
 // reward history as raw floats, the update counter, the RNG draw position.
-func (a *Agent) CheckpointState() ([]byte, error) {
-	e := checkpoint.NewEnc(a.learnedSize() + 8*len(a.rewardHistory) + 48)
+func (a *Agent) AppendCheckpoint(e *checkpoint.Enc) error {
 	e.Int64(a.cfg.Seed)
 	e.Int(a.cfg.TotalRounds)
 	a.appendLearned(e)
 	e.Float64s(a.rewardHistory)
 	e.Int(a.updates)
 	e.Uvarint(a.rng.Pos())
-	return e.Bytes(), nil
+	return nil
 }
 
 // RestoreCheckpoint restores a captured agent state. Everything is decoded

@@ -40,7 +40,7 @@ func (a *Agent) appendLearned(e *checkpoint.Enc) {
 		e.String(t.String())
 	}
 	e.Uvarint(uint64(len(a.table)))
-	for _, k := range checkpoint.SortedKeys(a.table) {
+	for _, k := range checkpoint.Keys(e, a.table) {
 		e.Int(k)
 		for _, c := range a.table[k] {
 			e.Float64(c.QPart)

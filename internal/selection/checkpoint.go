@@ -15,12 +15,17 @@ import (
 	"floatfl/internal/checkpoint"
 )
 
-// CheckpointState captures the Random selector (its RNG position is its
-// only mutable state).
+// CheckpointState captures the Random selector: AppendCheckpoint's
+// section in a writer of its own.
 func (r *Random) CheckpointState() ([]byte, error) {
-	e := checkpoint.NewEnc(10)
+	return checkpoint.StateOf(r)
+}
+
+// AppendCheckpoint appends the Random selector's section: its RNG
+// position is its only mutable state.
+func (r *Random) AppendCheckpoint(e *checkpoint.Enc) error {
 	e.Uvarint(r.rng.Pos())
-	return e.Bytes(), nil
+	return nil
 }
 
 // RestoreCheckpoint restores a Random selector snapshot.
@@ -34,20 +39,25 @@ func (r *Random) RestoreCheckpoint(data []byte) error {
 	return nil
 }
 
-// CheckpointState captures the Oort selector: the RNG position, utility
-// and response EMAs, the known set (sorted IDs), blacklist counters, and
-// the pacer state.
+// CheckpointState captures the Oort selector: AppendCheckpoint's section
+// in a writer of its own.
 func (o *Oort) CheckpointState() ([]byte, error) {
-	e := checkpoint.NewEnc(64 + 11*(len(o.statUtil)+len(o.respSecs)) + 3*len(o.tried) + 4*len(o.failures))
+	return checkpoint.StateOf(o)
+}
+
+// AppendCheckpoint appends the Oort selector's section: the RNG position,
+// utility and response EMAs, the known set (sorted IDs), blacklist
+// counters, and the pacer state.
+func (o *Oort) AppendCheckpoint(e *checkpoint.Enc) error {
 	e.Uvarint(o.rng.Pos())
 	e.FloatsByID(o.statUtil)
 	e.FloatsByID(o.respSecs)
-	e.Ints(checkpoint.SortedKeys(o.tried))
-	e.IntsByID(o.failures)
+	e.Ints(checkpoint.Keys(e, o.tried))
+	checkpoint.IntsByKey(e, o.failures)
 	e.Float64(o.pacerT)
 	e.Int(o.windowOK)
 	e.Int(o.windowTotal)
-	return e.Bytes(), nil
+	return nil
 }
 
 // RestoreCheckpoint restores an Oort selector snapshot.
@@ -71,14 +81,19 @@ func (o *Oort) RestoreCheckpoint(data []byte) error {
 	return nil
 }
 
-// CheckpointState captures the REFL selector: the RNG position,
+// CheckpointState captures the REFL selector: AppendCheckpoint's section
+// in a writer of its own.
+func (r *REFL) CheckpointState() ([]byte, error) {
+	return checkpoint.StateOf(r)
+}
+
+// AppendCheckpoint appends the REFL selector's section: the RNG position,
 // availability histories (per client in ID order, a counted run of
 // bools), response EMAs, and participation recency.
-func (r *REFL) CheckpointState() ([]byte, error) {
-	e := checkpoint.NewEnc(64 + 16*len(r.history) + 11*len(r.respSecs) + 4*len(r.lastPart))
+func (r *REFL) AppendCheckpoint(e *checkpoint.Enc) error {
 	e.Uvarint(r.rng.Pos())
 	e.Uvarint(uint64(len(r.history)))
-	for _, id := range checkpoint.SortedKeys(r.history) {
+	for _, id := range checkpoint.Keys(e, r.history) {
 		e.Int(id)
 		e.Uvarint(uint64(len(r.history[id])))
 		for _, up := range r.history[id] {
@@ -86,8 +101,8 @@ func (r *REFL) CheckpointState() ([]byte, error) {
 		}
 	}
 	e.FloatsByID(r.respSecs)
-	e.IntsByID(r.lastPart)
-	return e.Bytes(), nil
+	checkpoint.IntsByKey(e, r.lastPart)
+	return nil
 }
 
 // RestoreCheckpoint restores a REFL selector snapshot.

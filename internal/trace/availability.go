@@ -113,6 +113,10 @@ func (a *AvailabilityTrace) DrainLog() []DrainEvent {
 	return append([]DrainEvent(nil), a.drains...)
 }
 
+// Drains returns the drain-event log itself, not a copy, for a caller that
+// reads it at once (a checkpoint writer): it must not be modified.
+func (a *AvailabilityTrace) Drains() []DrainEvent { return a.drains[:len(a.drains):len(a.drains)] }
+
 // ReplayDrains installs a previously-captured drain log on a trace that has
 // not yet generated any steps. It is the re-derivation half of the lazy
 // population contract: evict a client, keep only its DrainLog, and a fresh

@@ -27,7 +27,7 @@ stage_build() {
 
 # Packages arm64 still fuses in (ROADMAP item 2): each leaves this list once
 # its products are wrapped in float64(…).
-fma_exempt=(rl trace metrics)
+fma_exempt=(rl trace)
 
 # The determinism contract's goldens and pins hold on amd64, where gc never
 # fuses x*y + z into one fused multiply-add; arm64 (like ppc64le, s390x,
